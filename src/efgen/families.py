@@ -71,8 +71,14 @@ _FAMILY_NAMES = (
     "poisson_product",
 )
 
-# Truncated Poisson sums stop once the remaining tail mass drops below this.
+# Poisson sums run over a window of lam -+ _POISSON_WINDOW_SDS standard
+# deviations, plus _POISSON_WINDOW_PAD points on the right, and stop early
+# once the remaining tail mass drops below _POISSON_TAIL_MASS. Above
+# _POISSON_ASYMPTOTIC_RATE the entropy's large-rate series replaces them.
+_POISSON_WINDOW_SDS = 10.0
+_POISSON_WINDOW_PAD = 30
 _POISSON_TAIL_MASS = 1e-13
+_POISSON_ASYMPTOTIC_RATE = 1e4
 
 
 @dataclass(frozen=True)
@@ -422,34 +428,53 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(p) + (1.0 - p) * np.log1p(-p))
 
 
-def _poisson_terms(lam: float):
-    """Yield (k, pmf) for Pois(lam) until the tail mass is below cutoff."""
-    log_lam = math.log(lam)
-    cum = 0.0
-    k = 0
-    while True:
-        log_p = k * log_lam - lam - log_factorial(k)
-        p = math.exp(log_p)
-        yield k, p
-        cum += p
-        if k > lam and 1.0 - cum < _POISSON_TAIL_MASS:
-            return
-        k += 1
+def _poisson_window(lam: float):
+    """(pmf, log pmf, log k!) of Pois(lam) over the terms its sums need.
+
+    By Bernstein's inequality the window leaves out less than 1e-19 of the
+    mass on each side: P(K >= lam + t) <= exp(-t^2 / (2 (lam + t/3))) <=
+    exp(-45) at t = 10 sqrt(lam) + 30, and P(K <= lam - t) <= exp(-t^2 /
+    (2 lam)). The floating-point tail mass 1 - sum(pmf) levels off near
+    1e-13 for rates of a few hundred and more, so the early stop alone
+    would not end the series there.
+    """
+    half = _POISSON_WINDOW_SDS * math.sqrt(lam)
+    k = np.arange(max(0, math.floor(lam - half)), math.ceil(lam + half) + _POISSON_WINDOW_PAD + 1)
+    log_fact = log_factorial_array(k)
+    log_p = k * math.log(lam) - lam - log_fact
+    p = np.exp(log_p)
+    done = (k > lam) & (1.0 - np.cumsum(p) < _POISSON_TAIL_MASS)
+    stop = int(np.argmax(done)) + 1 if done.any() else len(k)
+    return p[:stop], log_p[:stop], log_fact[:stop]
 
 
 def _poisson_entropy_1d(lam: float) -> float:
-    return -sum(p * (k * math.log(lam) - lam - log_factorial(k)) for k, p in _poisson_terms(lam))
+    if lam >= _POISSON_ASYMPTOTIC_RATE:
+        # H = log(2 pi e lam)/2 - 1/(12 lam) - 1/(24 lam^2) - 19/(360 lam^3) + O(lam^-4)
+        return (
+            0.5 * math.log(2.0 * math.pi * math.e * lam)
+            - 1.0 / (12.0 * lam)
+            - 1.0 / (24.0 * lam**2)
+            - 19.0 / (360.0 * lam**3)
+        )
+    p, log_p, _ = _poisson_window(lam)
+    return float(-(p @ log_p))
 
 
 def _poisson_mean_log_factorial(lam: float) -> float:
-    return sum(p * log_factorial(k) for k, p in _poisson_terms(lam))
+    if lam >= _POISSON_ASYMPTOTIC_RATE:
+        # From H = lam - lam log(lam) + E[log K!].
+        return _poisson_entropy_1d(lam) + lam * math.log(lam) - lam
+    p, _, log_fact = _poisson_window(lam)
+    return float(p @ log_fact)
 
 
 def entropy(family: FamilyDescriptor, s) -> float:
     """Differential or discrete entropy in nats, from standard parameters.
 
-    Poisson has no closed form; its entropy is a truncated summation with the
-    tail mass cut off below 1e-12.
+    Poisson has no closed form; its entropy is a summation with the tail
+    mass cut off below 1e-13 (a window around the rate bounds the terms),
+    or a large-rate asymptotic series above rate 1e4.
     """
     s = check_standard(family, s)
     name = family.name

@@ -21,8 +21,9 @@ valid-but-unconverged runs), 1 internal failure, 2 user or config error.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -65,6 +66,40 @@ def _require_keys(block: dict, required, optional, path: str):
     missing = set(required) - set(block)
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+
+
+# Numeric config fields: integers with their least allowed value, and
+# tolerances or thresholds, which must be positive finite numbers.
+_INTEGER_FIELDS = {
+    "n": 0,
+    "seed": 0,
+    "max_iters": 1,
+    "record_every": 1,
+    "criterion_grid_points": 1,
+    "criterion_z_samples": 1,
+    "criterion_seed": 0,
+}
+_POSITIVE_FIELDS = (
+    "elbo_rel_tol",
+    "grad_norm_tol",
+    "criterion_threshold",
+    "gap_rtol",
+    "grad_norm_threshold",
+)
+
+
+def _check_numbers(block: dict, path: str):
+    for key, value in block.items():
+        where = f"{path}.{key}"
+        if key in _INTEGER_FIELDS:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{where}: must be an integer, got {value!r}")
+            if value < _INTEGER_FIELDS[key]:
+                raise ConfigError(f"{where}: must be at least {_INTEGER_FIELDS[key]}, got {value}")
+        elif key in _POSITIVE_FIELDS:
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < math.inf):
+                raise ConfigError(f"{where}: must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -207,16 +242,14 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
 
     data_block = raw["data"]
     _require_keys(data_block, ["source"], ["seed", "n", "path"], "config.data")
+    _check_numbers(data_block, "config.data")
     source = data_block["source"]
     if source == "synthetic":
         if "seed" not in data_block or "n" not in data_block:
             raise ConfigError("config.data: synthetic source requires 'seed' and 'n'")
         if "path" in data_block:
             raise ConfigError("config.data: exactly one data source; drop 'path'")
-        n = int(data_block["n"])
-        if n < 0:
-            raise ConfigError("config.data.n: must be non-negative")
-        data = DataSource("synthetic", seed=int(data_block["seed"]), n=n)
+        data = DataSource("synthetic", seed=data_block["seed"], n=data_block["n"])
     elif source == "file":
         if "path" not in data_block:
             raise ConfigError("config.data: file source requires 'path'")
@@ -233,6 +266,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         ["max_iters", "elbo_rel_tol", "grad_norm_tol", "seed", "record_every", "init"],
         "config.training",
     )
+    _check_numbers(training_block, "config.training")
     init = training_block.pop("init", "auto")
     if init not in ("auto", "model"):
         raise ConfigError("config.training.init: must be 'auto' or 'model'")
@@ -255,6 +289,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         ],
         "config.verification",
     )
+    _check_numbers(ver_block, "config.verification")
     verification = VerificationConfig(**ver_block)
 
     out_block = raw.get("output", {})
@@ -262,15 +297,11 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
     output_dir = out_block.get("dir", ".")
 
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"--seed: must be at least 0, got {seed_override}")
         if data.source == "synthetic":
-            data = DataSource("synthetic", seed=seed_override, n=data.n)
-        training = TrainingConfig(
-            max_iters=training.max_iters,
-            elbo_rel_tol=training.elbo_rel_tol,
-            grad_norm_tol=training.grad_norm_tol,
-            seed=seed_override,
-            record_every=training.record_every,
-        )
+            data = replace(data, seed=seed_override)
+        training = replace(training, seed=seed_override)
 
     return ExperimentConfig(
         run_id=str(raw["run_id"]),
@@ -317,7 +348,13 @@ def read_dataset(path: str) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != d:
             raise ConfigError(f"{path}: row {i + 2} has {len(parts)} fields, expected {d}")
-        out[i] = [float(p) for p in parts]
+        try:
+            out[i] = [float(p) for p in parts]
+        except ValueError:
+            raise ConfigError(f"{path}: row {i + 2} has a non-numeric field: {line!r}") from None
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: row {bad[0] + 2} has a non-finite value")
     return out
 
 
@@ -362,6 +399,15 @@ def _load_data(config: ExperimentConfig, model: mdl.GenerativeModel) -> np.ndarr
     rng = np.random.default_rng(config.data.seed)
     _, xs = mdl.sample_joint(model, rng, config.data.n)
     return np.asarray(xs, dtype=float)
+
+
+def _load_nonempty_data(config: ExperimentConfig, model: mdl.GenerativeModel) -> np.ndarray:
+    """The dataset train and verify work on; it must have at least one row."""
+    data = _load_data(config, model)
+    if len(data) == 0:
+        where = "config.data.n" if config.data.source == "synthetic" else "config.data.path"
+        raise ConfigError(f"{where}: the dataset is empty; train and verify need at least one row")
+    return data
 
 
 def cmd_generate(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
@@ -412,7 +458,7 @@ def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
 def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Train to convergence or the iteration cap; emit report, trace, summary."""
     model = model_from_dict(config.model_spec)
-    data = _load_data(config, model)
+    data = _load_nonempty_data(config, model)
     fitted, q, trace = _train_dispatch(config, model, data)
 
     out = _resolve_out(config, out_dir)
@@ -483,7 +529,7 @@ def cmd_verify(
         model = model_from_dict(json.load(fh), path=model_path)
     # Synthetic data must come from the config's generating model, not the
     # trained one, so verification sees the same dataset training did.
-    data = _load_data(config, model_from_dict(config.model_spec))
+    data = _load_nonempty_data(config, model_from_dict(config.model_spec))
     ver = config.verification
 
     criterion = mdl.check_criterion(

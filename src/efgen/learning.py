@@ -5,18 +5,12 @@ stationary points of the ELBO in all parameters (variational-side
 stationarity is implied by exact-posterior optimality). Stopping demands
 both an ELBO plateau and a small finite-difference gradient norm; a plateau
 alone is not accepted.
-
-The environment variable EFGEN_NUM_THREADS caps E-step parallelism. Chunks
-are assembled in a fixed order, so results are bit-identical regardless of
-the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +40,6 @@ __all__ = [
     "gamma_shape_newton",
 ]
 
-_GRAD_FD_REL_STEP = 1e-6
 _EMPTY_CLUSTER_MASS = 1e-12
 
 
@@ -112,127 +105,24 @@ class SbnFit:
     trace: TrainingTrace
 
 
-def _num_threads() -> int:
-    raw = os.environ.get("EFGEN_NUM_THREADS", "")
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("EFGEN_NUM_THREADS must be a positive integer")
-    return n
-
-
-def _row_chunks(fn, n_rows: int):
-    """Apply fn to row slices, honoring the thread cap; order is fixed."""
-    n_threads = _num_threads()
-    if n_threads == 1 or n_rows < 2 * n_threads:
-        return fn(slice(0, n_rows))
-    bounds = np.linspace(0, n_rows, n_threads + 1, dtype=int)
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(fn, slices))
-    return np.concatenate(parts, axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Cached exact objective over finite latent states.
-
-
-class _FiniteObjective:
-    """ELBO pieces with data sufficient statistics computed once."""
-
-    def __init__(self, model: GenerativeModel, data: np.ndarray):
-        self.states = list(model.latent_support.states)
-        self.t, self.log_h = obj._data_stats(model, data)
-        self.n = len(data)
-
-    def tables(self, model: GenerativeModel):
-        etas, log_parts, log_prior = obj._state_tables(model, self.states)
-        return etas, log_parts, log_prior
-
-    def loglik_matrix(self, model: GenerativeModel):
-        etas, log_parts, _ = self.tables(model)
-        return self.t @ etas.T - log_parts + self.log_h[:, None]
-
-    def posterior(self, model: GenerativeModel) -> np.ndarray:
-        etas, log_parts, log_prior = self.tables(model)
-
-        def chunk(rows):
-            scores = self.t[rows] @ etas.T - log_parts + log_prior
-            scores -= scores.max(axis=1, keepdims=True)
-            table = np.exp(scores)
-            table /= table.sum(axis=1, keepdims=True)
-            return table
-
-        return _row_chunks(chunk, self.n)
-
-    def elbo(self, model: GenerativeModel, table: np.ndarray) -> float:
-        etas, log_parts, log_prior = self.tables(model)
-        ll = self.t @ etas.T - log_parts + self.log_h[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = -np.where(table > 0.0, table * np.log(table), 0.0).sum(axis=1)
-        f1 = float(np.mean(ent))
-        f2 = float(-np.mean(table @ log_prior))
-        f3 = float(-np.mean(np.sum(table * ll, axis=1)))
-        return f1 - f2 - f3
-
-    def entropy_sum(self, model: GenerativeModel, table: np.ndarray) -> float:
-        etas, _, _ = self.tables(model)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = -np.where(table > 0.0, table * np.log(table), 0.0).sum(axis=1)
-        zeta = model.prior.zeta(model.prior.params)
-        prior_entropy = obj._natural_entropy(model.prior.family, zeta)
-        noise_entropies = np.array(
-            [obj._natural_entropy(model.noise.family, e) for e in etas]
-        )
-        qbar = table.mean(axis=0)
-        return float(np.mean(ent)) - prior_entropy - float(qbar @ noise_entropies)
-
-    def grad_norm(self, model: GenerativeModel, table: np.ndarray) -> float:
-        def value(psi, theta):
-            return self.elbo(replace_params(model, psi, theta), table)
-
-        return _fd_grad_norm(value, model.prior.params, model.noise.params)
-
-
-def _fd_grad_norm(value_of_params, psi: np.ndarray, theta: np.ndarray) -> float:
-    """Central finite differences over the concatenated (psi, theta) vector."""
-    full = np.concatenate([psi, theta])
-    r = psi.size
-    sq = 0.0
-    for i in range(full.size):
-        h = _GRAD_FD_REL_STEP * max(1.0, abs(full[i]))
-        up, dn = full.copy(), full.copy()
-        up[i] += h
-        dn[i] -= h
-        g = (value_of_params(up[:r], up[r:]) - value_of_params(dn[:r], dn[r:])) / (2.0 * h)
-        sq += g * g
-    return math.sqrt(sq)
-
-
 def grad_norm_all_params(model: GenerativeModel, data, q) -> float:
     """Norm of the finite-difference ELBO gradient over every model parameter.
 
     The variational state is held fixed; at an exact-posterior fixed point
     this is the full stationarity check.
     """
-    data = np.asarray(data, dtype=float)
     if isinstance(q, obj.GaussianMoments):
+        data = np.asarray(data, dtype=float)
 
         def value(psi, theta):
             m = replace_params(model, psi, theta)
             f1, f2, f3 = obj._gaussian_terms(m, data, q)
             return f1 - f2 - f3
 
-        return _fd_grad_norm(value, model.prior.params, model.noise.params)
+        return obj._fd_grad_norm(value, model.prior.params, model.noise.params)
 
-    cache = _FiniteObjective(model, data)
-    table = obj._as_state_table(model, q)
-
-    def value(psi, theta):
-        return cache.elbo(replace_params(model, psi, theta), table)
-
-    return _fd_grad_norm(value, model.prior.params, model.noise.params)
+    cache = obj.FiniteObjective(model, data)
+    return cache.grad_norm(model, cache.state_table(model, q))
 
 
 # ---------------------------------------------------------------------------
@@ -330,43 +220,16 @@ def _kmeanspp_init(model: GenerativeModel, data: np.ndarray, rng) -> np.ndarray:
 def _record(
     trace: TrainingTrace,
     iteration: int,
-    model: GenerativeModel,
-    data: np.ndarray,
-    q,
+    report: obj.ObjectiveReport,
+    grad: float,
     t0: float,
-):
-    report = obj.elbo_terms(model, data, q)
-    grad = grad_norm_all_params(model, data, q)
+) -> float:
     trace.records.append(
         TraceRecord(
             iteration=iteration,
             elbo=report.elbo,
             entropy_sum=report.entropy_sum,
             gap=report.gap / max(1.0, abs(report.elbo)),
-            grad_norm=grad,
-            wall_time=time.perf_counter() - t0,
-        )
-    )
-    return report, grad
-
-
-def _record_cached(
-    trace: TrainingTrace,
-    iteration: int,
-    cache: _FiniteObjective,
-    model: GenerativeModel,
-    table: np.ndarray,
-    t0: float,
-) -> float:
-    elbo = cache.elbo(model, table)
-    rhs = cache.entropy_sum(model, table)
-    grad = cache.grad_norm(model, table)
-    trace.records.append(
-        TraceRecord(
-            iteration=iteration,
-            elbo=elbo,
-            entropy_sum=rhs,
-            gap=abs(elbo - rhs) / max(1.0, abs(elbo)),
             grad_norm=grad,
             wall_time=time.perf_counter() - t0,
         )
@@ -388,7 +251,7 @@ def em_mixture(
     if model.model_kind != "ef_mixture":
         raise ValueError("em_mixture expects an ef_mixture model")
     data = np.asarray(data, dtype=float)
-    cache = _FiniteObjective(model, data)
+    cache = obj.FiniteObjective(model, data)
     rng = np.random.default_rng(config.seed)
     if init == "auto":
         model = mixture_m_step(model, data, _kmeanspp_init(model, data, rng))
@@ -417,7 +280,9 @@ def em_mixture(
         check_now = plateau and it >= next_check
         grad = None
         if check_now or it % config.record_every == 0 or it == config.max_iters:
-            grad = _record_cached(trace, it, cache, model, table, t0)
+            grad = _record(
+                trace, it, cache.report(model, table), cache.grad_norm(model, table), t0
+            )
         if plateau and grad is not None and grad < config.grad_norm_tol:
             trace.converged = True
             trace.stop_reason = "elbo plateau with vanishing gradient"
@@ -502,7 +367,8 @@ def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
             and abs(elbo - prev_elbo) < config.elbo_rel_tol * max(1.0, abs(elbo))
         )
         if it % config.record_every == 0 or plateau or it == config.max_iters:
-            _, grad = _record(trace, it, model_em, data, q, t0)
+            report = obj.elbo_terms(model_em, data, q)
+            grad = _record(trace, it, report, grad_norm_all_params(model_em, data, q), t0)
             if plateau and grad < config.grad_norm_tol:
                 trace.converged = True
                 trace.stop_reason = "elbo plateau with vanishing gradient"
@@ -597,7 +463,7 @@ def fit_sbn(
     elif init != "model":
         raise ValueError("init must be 'auto' or 'model'")
 
-    cache = _FiniteObjective(model, data)
+    cache = obj.FiniteObjective(model, data)
     z_states = np.asarray(model.latent_support.states, dtype=float)
     n_w = d * h
     x = data
@@ -672,7 +538,9 @@ def fit_sbn(
             check_interval, next_check = 1, it
         check_now = plateau and it >= next_check
         if check_now or it % config.record_every == 0 or it == config.max_iters:
-            grad = _record_cached(trace, it, cache, model, table, t0)
+            grad = _record(
+                trace, it, cache.report(model, table), cache.grad_norm(model, table), t0
+            )
             if plateau and grad < config.grad_norm_tol:
                 trace.converged = True
                 trace.stop_reason = "elbo plateau with vanishing gradient"

@@ -19,6 +19,10 @@ variant drops the observation base measure from the noise log-densities and
 replaces entropies with their base-measure-reweighted counterparts, which
 stay closed-form even for Poisson observables; the two variants differ by
 exactly the data's mean log base measure.
+
+Finite-state models have one evaluator, FiniteObjective. Training uses it
+too, so reports and verify recompute a trained model's ELBO, entropy sum
+and stationarity gradient with the arithmetic training recorded them with.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import logsumexp
 
 from . import families as fam
+from . import models as mdl
 from .errors import IncompatibilityError, UnsupportedModelError
 from .models import (
     FiniteStates,
@@ -43,11 +48,9 @@ __all__ = [
     "CategoricalTable",
     "EnumeratedTable",
     "GaussianMoments",
-    "BernoulliMeanField",
     "VariationalState",
     "ObjectiveReport",
-    "AggregatedPosterior",
-    "aggregated_posterior",
+    "FiniteObjective",
     "exact_posterior",
     "elbo_terms",
     "pseudo_elbo_terms",
@@ -57,10 +60,10 @@ __all__ = [
     "marginal_loglik",
     "pseudo_loglik",
     "mean_log_base_measure",
-    "stationarity_gap",
 ]
 
 _ROW_NORM_TOL = 1e-9
+_GRAD_FD_REL_STEP = 1e-6
 
 
 def _check_rows_normalized(p: np.ndarray, what: str):
@@ -123,20 +126,7 @@ class GaussianMoments:
             raise ValueError("cov must be positive definite") from None
 
 
-@dataclass(frozen=True)
-class BernoulliMeanField:
-    """Independent-Bernoulli variational factors, shape (N, H)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 2 or np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("mean-field probabilities must be (N, H) in [0, 1]")
-
-
-VariationalState = Union[CategoricalTable, EnumeratedTable, GaussianMoments, BernoulliMeanField]
+VariationalState = Union[CategoricalTable, EnumeratedTable, GaussianMoments]
 
 
 @dataclass(frozen=True)
@@ -150,18 +140,8 @@ class ObjectiveReport:
     variant: str  # standard | pseudo
 
 
-@dataclass(frozen=True)
-class AggregatedPosterior:
-    """Average of the per-point variational distributions."""
-
-    kind: str
-    weights: np.ndarray | None = None  # finite kinds: (C,) or (S,)
-    means: np.ndarray | None = None  # gaussian kind: equal-weight mixture
-    cov: np.ndarray | None = None
-
-
 # ---------------------------------------------------------------------------
-# Data tables shared by the finite-latent paths.
+# The finite-state evaluator (mixtures and sigmoid belief nets).
 
 
 def _check_data(model: GenerativeModel, data) -> np.ndarray:
@@ -179,33 +159,9 @@ def _finite_states(model: GenerativeModel) -> list:
     return list(model.latent_support.states)
 
 
-def _data_stats(model: GenerativeModel, data: np.ndarray):
-    noise = model.noise.family
-    if len(data) == 0:
-        return np.zeros((0, noise.natural_dim)), np.zeros(0)
-    return fam.batch_sufficient_stats(noise, data), fam.batch_log_base_measure(noise, data)
-
-
-def _state_tables(model: GenerativeModel, states):
-    theta = model.noise.params
-    etas = np.stack([model.noise.eta(s, theta) for s in states])
-    log_parts = np.array([fam.log_partition(model.noise.family, e) for e in etas])
-    zeta = model.prior.zeta(model.prior.params)
-    log_prior = np.array(
-        [fam.log_density(model.prior.family, zeta, s) for s in states]
-    )
-    return etas, log_parts, log_prior
-
-
-def _pseudo_loglik_matrix(t, etas, log_parts):
-    # (N, S) log densities without the base measure: T(x).eta - A(eta).
-    return t @ etas.T - log_parts
-
-
 def _as_state_table(model: GenerativeModel, q: VariationalState) -> np.ndarray:
     """Probabilities over the model's finite states, shape (N, S)."""
-    states = _finite_states(model)
-    s_count = len(states)
+    s_count = len(_finite_states(model))
     if isinstance(q, CategoricalTable):
         if model.model_kind != "ef_mixture" or q.resp.shape[1] != s_count:
             raise IncompatibilityError("responsibility table does not match the model")
@@ -214,21 +170,160 @@ def _as_state_table(model: GenerativeModel, q: VariationalState) -> np.ndarray:
         if q.probs.shape[1] != s_count:
             raise IncompatibilityError("enumerated table does not match the state count")
         return q.probs
-    if isinstance(q, BernoulliMeanField):
-        state_matrix = np.asarray(model.latent_support.states, dtype=float)
-        if state_matrix.ndim != 2 or q.probs.shape[1] != state_matrix.shape[1]:
-            raise IncompatibilityError("mean-field factors do not match the latent count")
-        # Product-Bernoulli mass on every enumerated state.
-        p = q.probs
-        log_p = np.log(np.clip(p, 1e-300, None))
-        log_1mp = np.log(np.clip(1.0 - p, 1e-300, None))
-        log_mass = log_p @ state_matrix.T + log_1mp @ (1.0 - state_matrix).T
-        return np.exp(log_mass)
     raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
 
 
 def _entropy_rows(table: np.ndarray) -> np.ndarray:
-    return -xlogy(table, table).sum(axis=1)
+    """Per-row entropies -sum_s q log q, counting 0 log 0 as 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(table > 0.0, table * np.log(table), 0.0).sum(axis=1)
+
+
+def _natural_entropy(family, n) -> float:
+    """Standard entropy evaluated from natural parameters.
+
+    Unit-base-measure families take the -n.A'(n) + A(n) form, which equals
+    their entropy and cannot saturate out of the standard domain the way a
+    from_natural round trip can (a Bernoulli with |n| > ~37 maps to exactly
+    0 or 1 in floats). Poisson keeps the truncated-series entropy.
+    """
+    if family.base_measure_kind == "unit_constant":
+        return fam.pseudo_entropy(family, n)
+    return fam.entropy(family, fam.from_natural(family, n))
+
+
+def _objective_report(f1: float, f2: float, f3: float, rhs: float, pseudo: bool):
+    elbo = f1 - f2 - f3
+    return ObjectiveReport(
+        f1=f1,
+        f2=f2,
+        f3=f3,
+        elbo=elbo,
+        entropy_sum=rhs,
+        gap=abs(elbo - rhs),
+        variant="pseudo" if pseudo else "standard",
+    )
+
+
+def _fd_grad_norm(value_of_params, psi: np.ndarray, theta: np.ndarray) -> float:
+    """Central finite differences over the concatenated (psi, theta) vector."""
+    full = np.concatenate([psi, theta])
+    r = psi.size
+    sq = 0.0
+    for i in range(full.size):
+        h = _GRAD_FD_REL_STEP * max(1.0, abs(full[i]))
+        up, dn = full.copy(), full.copy()
+        up[i] += h
+        dn[i] -= h
+        g = (value_of_params(up[:r], up[r:]) - value_of_params(dn[:r], dn[r:])) / (2.0 * h)
+        sq += g * g
+    return math.sqrt(sq)
+
+
+class FiniteObjective:
+    """Every finite-state ELBO quantity of one dataset, from one set of tables.
+
+    The data are checked and their sufficient statistics and log base
+    measures computed once. The per-state tables (noise naturals, log
+    partitions, log prior masses) are built once per model and kept for the
+    latest model. Training, the objective reports and verify all evaluate
+    through this class, so they share one arithmetic: the posterior
+    subtracts each row's maximum before exponentiating, and 0 log 0 is 0.
+    """
+
+    def __init__(self, model: GenerativeModel, data):
+        self.states = _finite_states(model)
+        data = _check_data(model, data)
+        noise = model.noise.family
+        self.n = len(data)
+        if self.n:
+            self.t = fam.batch_sufficient_stats(noise, data)
+            self.log_h = fam.batch_log_base_measure(noise, data)
+        else:
+            self.t, self.log_h = np.zeros((0, noise.natural_dim)), np.zeros(0)
+        self._model = None
+        self._tables = None
+
+    def tables(self, model: GenerativeModel):
+        """(noise naturals (S, L), log partitions (S,), log prior masses (S,))."""
+        if model is not self._model:
+            theta = model.noise.params
+            etas = np.stack([model.noise.eta(s, theta) for s in self.states])
+            log_parts = np.array([fam.log_partition(model.noise.family, e) for e in etas])
+            zeta = model.prior.zeta(model.prior.params)
+            log_prior = np.array(
+                [fam.log_density(model.prior.family, zeta, s) for s in self.states]
+            )
+            self._model, self._tables = model, (etas, log_parts, log_prior)
+        return self._tables
+
+    def state_table(self, model: GenerativeModel, q: VariationalState) -> np.ndarray:
+        """q's probabilities over the states, shape (N, S), checked against N."""
+        table = _as_state_table(model, q)
+        if len(table) != self.n:
+            raise ValueError("data and variational state disagree on N")
+        return table
+
+    def loglik(self, model: GenerativeModel, pseudo: bool = False) -> np.ndarray:
+        """(N, S) log p(x_n | s); the pseudo variant drops the base measure."""
+        etas, log_parts, _ = self.tables(model)
+        ll = self.t @ etas.T - log_parts
+        return ll if pseudo else ll + self.log_h[:, None]
+
+    def posterior(self, model: GenerativeModel) -> np.ndarray:
+        """The exact posterior over the states, shape (N, S)."""
+        scores = self.loglik(model, pseudo=True) + self.tables(model)[2]
+        scores -= scores.max(axis=1, keepdims=True)
+        table = np.exp(scores)
+        table /= table.sum(axis=1, keepdims=True)
+        return table
+
+    def terms(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
+        """(f1, f2, f3) of the module docstring."""
+        log_prior = self.tables(model)[2]
+        f1 = float(np.mean(_entropy_rows(table)))
+        f2 = float(-np.mean(table @ log_prior))
+        f3 = float(-np.mean(np.sum(table * self.loglik(model, pseudo), axis=1)))
+        return f1, f2, f3
+
+    def elbo(self, model: GenerativeModel, table: np.ndarray) -> float:
+        f1, f2, f3 = self.terms(model, table)
+        return f1 - f2 - f3
+
+    def entropy_sum(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
+        entropy = fam.pseudo_entropy if pseudo else _natural_entropy
+        etas = self.tables(model)[0]
+        prior_entropy = entropy(model.prior.family, model.prior.zeta(model.prior.params))
+        noise_entropies = np.array([entropy(model.noise.family, e) for e in etas])
+        qbar = table.mean(axis=0)
+        return (
+            float(np.mean(_entropy_rows(table)))
+            - prior_entropy
+            - float(qbar @ noise_entropies)
+        )
+
+    def report(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
+        f1, f2, f3 = self.terms(model, table, pseudo)
+        return _objective_report(f1, f2, f3, self.entropy_sum(model, table, pseudo), pseudo)
+
+    def kl_form(self, model: GenerativeModel, table: np.ndarray) -> float:
+        """Expected log-likelihood minus the mean KL(q_n || prior)."""
+        expected_ll = float(np.mean(np.sum(table * self.loglik(model), axis=1)))
+        kl_rows = -_entropy_rows(table) - table @ self.tables(model)[2]
+        return expected_ll - float(np.mean(kl_rows))
+
+    def marginal_loglik(self, model: GenerativeModel) -> float:
+        scores = self.loglik(model, pseudo=True) + self.tables(model)[2] + self.log_h[:, None]
+        return float(np.mean(logsumexp(scores, axis=1)))
+
+    def grad_norm(self, model: GenerativeModel, table: np.ndarray) -> float:
+        """Finite-difference ELBO gradient norm over all parameters, q fixed."""
+
+        def value(psi, theta):
+            # Looked up on the module, where the benchmark's tracer counts it.
+            return self.elbo(mdl.replace_params(model, psi, theta), table)
+
+        return _fd_grad_norm(value, model.prior.params, model.noise.params)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +381,12 @@ def _gaussian_entropy_sum(model: GenerativeModel, q: GaussianMoments) -> float:
 
 def exact_posterior(model: GenerativeModel, data) -> VariationalState:
     """The model's exact per-point posterior in the matching representation."""
-    data = _check_data(model, data)
     if isinstance(model.latent_support, FiniteStates):
-        states = _finite_states(model)
-        t, log_h = _data_stats(model, data)
-        etas, log_parts, log_prior = _state_tables(model, states)
-        scores = _pseudo_loglik_matrix(t, etas, log_parts) + log_prior
-        table = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+        table = FiniteObjective(model, data).posterior(model)
         if model.model_kind == "ef_mixture":
             return CategoricalTable(table)
         return EnumeratedTable(table)
+    data = _check_data(model, data)
     w, mu, s2s, tau = _gaussian_model_parts(model)
     h = w.shape[1]
     precision = (w.T / s2s) @ w + np.eye(h) / tau
@@ -305,72 +396,17 @@ def exact_posterior(model: GenerativeModel, data) -> VariationalState:
     return GaussianMoments(means, cov)
 
 
-def aggregated_posterior(q: VariationalState) -> AggregatedPosterior:
-    if isinstance(q, CategoricalTable):
-        return AggregatedPosterior("categorical_table", weights=q.resp.mean(axis=0))
-    if isinstance(q, EnumeratedTable):
-        return AggregatedPosterior("enumerated_table", weights=q.probs.mean(axis=0))
-    if isinstance(q, BernoulliMeanField):
-        return AggregatedPosterior("bernoulli_mean_field", weights=q.probs.mean(axis=0))
+def _rhs(model: GenerativeModel, q: VariationalState, pseudo: bool) -> float:
     if isinstance(q, GaussianMoments):
-        return AggregatedPosterior("gaussian_moments", means=q.means, cov=q.cov)
-    raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
-
-
-def _finite_elbo_terms(model, data, q, pseudo: bool):
-    states = _finite_states(model)
-    table = _as_state_table(model, q)
-    if len(data) != table.shape[0]:
-        raise ValueError("data and variational state disagree on N")
-    t, log_h = _data_stats(model, data)
-    etas, log_parts, log_prior = _state_tables(model, states)
-    ll = _pseudo_loglik_matrix(t, etas, log_parts)
-    if not pseudo:
-        ll = ll + log_h[:, None]
-    f1 = float(np.mean(_entropy_rows(table)))
-    f2 = float(-np.mean(table @ log_prior))
-    f3 = float(-np.mean(np.sum(table * ll, axis=1)))
-    return f1, f2, f3
-
-
-def _natural_entropy(family, n) -> float:
-    """Standard entropy evaluated from natural parameters.
-
-    Unit-base-measure families take the -n.A'(n) + A(n) form, which equals
-    their entropy and cannot saturate out of the standard domain the way a
-    from_natural round trip can (a Bernoulli with |n| > ~37 maps to exactly
-    0 or 1 in floats). Poisson keeps the truncated-series entropy.
-    """
-    if family.base_measure_kind == "unit_constant":
-        return fam.pseudo_entropy(family, n)
-    return fam.entropy(family, fam.from_natural(family, n))
-
-
-def _entropy_sum_finite(model, q, pseudo: bool) -> float:
-    states = _finite_states(model)
-    table = _as_state_table(model, q)
-    etas, _, _ = _state_tables(model, states)
-    avg_q_entropy = float(np.mean(_entropy_rows(table)))
-    zeta = model.prior.zeta(model.prior.params)
-    if pseudo:
-        prior_entropy = fam.pseudo_entropy(model.prior.family, zeta)
-        noise_entropies = np.array(
-            [fam.pseudo_entropy(model.noise.family, e) for e in etas]
-        )
-    else:
-        prior_entropy = _natural_entropy(model.prior.family, zeta)
-        noise_entropies = np.array(
-            [_natural_entropy(model.noise.family, e) for e in etas]
-        )
-    qbar = table.mean(axis=0)
-    return avg_q_entropy - prior_entropy - float(qbar @ noise_entropies)
+        return _gaussian_entropy_sum(model, q)
+    # The entropy sum reads no data, so the evaluator gets an empty dataset.
+    ev = FiniteObjective(model, np.empty((0, model.noise.family.data_dim)))
+    return ev.entropy_sum(model, _as_state_table(model, q), pseudo)
 
 
 def entropy_sum_rhs(model: GenerativeModel, q: VariationalState) -> float:
     """Average variational entropy minus prior entropy minus expected noise entropy."""
-    if isinstance(q, GaussianMoments):
-        return _gaussian_entropy_sum(model, q)
-    return _entropy_sum_finite(model, q, pseudo=False)
+    return _rhs(model, q, pseudo=False)
 
 
 def pseudo_entropy_sum_rhs(model: GenerativeModel, q: VariationalState) -> float:
@@ -379,29 +415,15 @@ def pseudo_entropy_sum_rhs(model: GenerativeModel, q: VariationalState) -> float
     The latent-side families here all carry unit base measures, so the
     variational term is the plain entropy; only the noise term changes.
     """
-    if isinstance(q, GaussianMoments):
-        return _gaussian_entropy_sum(model, q)
-    return _entropy_sum_finite(model, q, pseudo=True)
+    return _rhs(model, q, pseudo=True)
 
 
 def _report(model, data, q, pseudo: bool) -> ObjectiveReport:
-    data = _check_data(model, data)
     if isinstance(q, GaussianMoments):
-        f1, f2, f3 = _gaussian_terms(model, data, q)
-        rhs = _gaussian_entropy_sum(model, q)
-    else:
-        f1, f2, f3 = _finite_elbo_terms(model, data, q, pseudo)
-        rhs = _entropy_sum_finite(model, q, pseudo)
-    elbo = f1 - f2 - f3
-    return ObjectiveReport(
-        f1=f1,
-        f2=f2,
-        f3=f3,
-        elbo=elbo,
-        entropy_sum=rhs,
-        gap=abs(elbo - rhs),
-        variant="pseudo" if pseudo else "standard",
-    )
+        f1, f2, f3 = _gaussian_terms(model, _check_data(model, data), q)
+        return _objective_report(f1, f2, f3, _gaussian_entropy_sum(model, q), pseudo)
+    ev = FiniteObjective(model, data)
+    return ev.report(model, ev.state_table(model, q), pseudo)
 
 
 def elbo_terms(model: GenerativeModel, data, q: VariationalState) -> ObjectiveReport:
@@ -416,8 +438,8 @@ def pseudo_elbo_terms(model: GenerativeModel, data, q: VariationalState) -> Obje
 
 def elbo_kl_form(model: GenerativeModel, data, q: VariationalState) -> float:
     """Expected log-likelihood minus KL(q || prior); equals elbo_terms().elbo."""
-    data = _check_data(model, data)
     if isinstance(q, GaussianMoments):
+        data = _check_data(model, data)
         w, mu, s2s, tau = _gaussian_model_parts(model)
         h = q.means.shape[1]
         _, logdet = np.linalg.slogdet(q.cov)
@@ -426,14 +448,8 @@ def elbo_kl_form(model: GenerativeModel, data, q: VariationalState) -> float:
         kl = 0.5 * ((tr_s + mean_sq) / tau - h + h * math.log(tau) - logdet)
         f1, f2, f3 = _gaussian_terms(model, data, q)
         return -f3 - kl
-    states = _finite_states(model)
-    table = _as_state_table(model, q)
-    t, log_h = _data_stats(model, data)
-    etas, log_parts, log_prior = _state_tables(model, states)
-    ll = _pseudo_loglik_matrix(t, etas, log_parts) + log_h[:, None]
-    expected_ll = float(np.mean(np.sum(table * ll, axis=1)))
-    kl_rows = xlogy(table, table).sum(axis=1) - table @ log_prior
-    return expected_ll - float(np.mean(kl_rows))
+    ev = FiniteObjective(model, data)
+    return ev.kl_form(model, ev.state_table(model, q))
 
 
 def mean_log_base_measure(model: GenerativeModel, data) -> float:
@@ -454,11 +470,7 @@ def marginal_loglik(model: GenerativeModel, data) -> float:
     if len(data) == 0:
         raise ValueError("marginal log-likelihood of an empty dataset")
     if isinstance(model.latent_support, FiniteStates):
-        states = _finite_states(model)
-        t, log_h = _data_stats(model, data)
-        etas, log_parts, log_prior = _state_tables(model, states)
-        scores = _pseudo_loglik_matrix(t, etas, log_parts) + log_prior + log_h[:, None]
-        return float(np.mean(logsumexp(scores, axis=1)))
+        return FiniteObjective(model, data).marginal_loglik(model)
     if model.model_kind in ("ppca", "simple_fa"):
         w, mu, s2s, tau = _gaussian_model_parts(model)
         d = w.shape[0]
@@ -482,9 +494,3 @@ def pseudo_loglik(model: GenerativeModel, data) -> float:
     """
     return marginal_loglik(model, data) - mean_log_base_measure(model, data)
 
-
-def stationarity_gap(model: GenerativeModel, data, q: VariationalState):
-    """(|elbo - entropy sum|, |pseudo elbo - pseudo entropy sum|), absolute."""
-    std = elbo_terms(model, data, q)
-    pse = pseudo_elbo_terms(model, data, q)
-    return std.gap, pse.gap

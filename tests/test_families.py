@@ -1,7 +1,10 @@
 """Exponential-family calculus: examples, invariants, and sampling checks."""
 
 import math
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from efgen import families as fam
 from efgen.errors import DomainError, SupportError
+from efgen.special import log_factorial
 
 from helpers import (
     FAMILY_GRID,
@@ -171,6 +175,69 @@ class TestEntropy:
         expected = 2.0 - math.log(3.0) + 0.0 + (1.0 - 2.0) * (1.0 - 0.5772156649015329)
         assert fam.entropy(fam.gamma_family(), [2.0, 3.0]) == pytest.approx(expected, abs=1e-10)
         assert entropy_consistency_error(fam.gamma_family(), np.array([2.0, 3.0])) < 1e-9
+
+
+def mpmath_poisson_sums(lam: float):
+    """(entropy, E[log K!]) of Pois(lam) by a 30-digit sum over lam -+ 15 sd."""
+    with mp.workdps(30):
+        lam = mp.mpf(lam)
+        half = 15 * mp.sqrt(lam)
+        entropy = mean_log_fact = mp.mpf(0)
+        for k in range(max(0, int(lam - half)), int(lam + half) + 60):
+            log_fact = mp.loggamma(k + 1)
+            log_p = k * mp.log(lam) - lam - log_fact
+            p = mp.exp(log_p)
+            entropy -= p * log_p
+            mean_log_fact += p * log_fact
+        return float(entropy), float(mean_log_fact)
+
+
+def loop_poisson_sums(lam: float):
+    """(entropy, E[log K!]) term by term from k = 0, stopping past lam once
+    the remaining tail mass is below 1e-13."""
+    entropy = mean_log_fact = cum = 0.0
+    k = 0
+    while not (k > lam and 1.0 - cum < 1e-13):
+        log_fact = log_factorial(k)
+        log_p = k * math.log(lam) - lam - log_fact
+        p = math.exp(log_p)
+        entropy -= p * log_p
+        mean_log_fact += p * log_fact
+        cum += p
+        k += 1
+    return entropy, mean_log_fact
+
+
+class TestPoissonSeries:
+    @pytest.mark.parametrize("lam", [1e-6, 0.01, 1.0, 4.0, 9.5, 30.0])
+    def test_small_rates_match_the_term_by_term_loop(self, lam):
+        f = fam.poisson_product(1)
+        entropy, mean_log_fact = loop_poisson_sums(lam)
+        assert fam.entropy(f, [lam]) == pytest.approx(entropy, abs=1e-13)
+        got_mean_log_fact = -fam.expected_log_base_measure(f, [lam])
+        assert got_mean_log_fact == pytest.approx(mean_log_fact, abs=1e-13)
+
+    @pytest.mark.parametrize("lam", [1000.0, 10_000.0])
+    def test_terminates_quickly_and_matches_mpmath(self, lam):
+        # A child process bounds the wall clock even if the series never ends.
+        code = (
+            "import time\n"
+            "from efgen import families as fam\n"
+            "f = fam.poisson_product(1)\n"
+            "t0 = time.perf_counter()\n"
+            f"h = fam.entropy(f, [{lam!r}])\n"
+            f"e = -fam.expected_log_base_measure(f, [{lam!r}])\n"
+            "print(repr(h), repr(e), time.perf_counter() - t0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        entropy, mean_log_fact, seconds = (float(v) for v in proc.stdout.split())
+        assert seconds < 1.0
+        want_entropy, want_mean_log_fact = mpmath_poisson_sums(lam)
+        assert entropy == pytest.approx(want_entropy, abs=1e-9)
+        assert mean_log_fact == pytest.approx(want_mean_log_fact, rel=1e-11)
 
 
 class TestPseudoEntropy:

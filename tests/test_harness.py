@@ -257,6 +257,101 @@ class TestVerify:
         assert "base measure" in v["reason"]
 
 
+def _dataset_with_text_cell(raw, tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text("x1\n0.5\nabc\n")
+    raw["data"] = {"source": "file", "path": str(path)}
+
+
+def _case(command, edit, field, case_id):
+    return pytest.param(command, edit, field, id=case_id)
+
+
+USER_ERRORS = [
+    _case(
+        "verify",
+        lambda raw, _: raw.update(verification={"gap_rtol": "abc"}),
+        "config.verification.gap_rtol",
+        "gap-rtol-text",
+    ),
+    _case(
+        "verify",
+        lambda raw, _: raw.update(verification={"criterion_grid_points": -3}),
+        "config.verification.criterion_grid_points",
+        "grid-points-negative",
+    ),
+    _case("generate", lambda raw, _: raw["data"].update(n=5.7), "config.data.n", "n-float"),
+    _case("generate", lambda raw, _: raw["data"].update(n="5"), "config.data.n", "n-text"),
+    _case(
+        "generate", lambda raw, _: raw["data"].update(seed=1.5), "config.data.seed", "seed-float"
+    ),
+    _case(
+        "generate", lambda raw, _: raw["data"].update(seed=True), "config.data.seed", "seed-bool"
+    ),
+    _case(
+        "train",
+        lambda raw, _: raw["training"].update(seed=True),
+        "config.training.seed",
+        "training-seed-bool",
+    ),
+    _case(
+        "train",
+        lambda raw, _: raw["training"].update(max_iters=2.5),
+        "config.training.max_iters",
+        "max-iters-float",
+    ),
+    _case("train", _dataset_with_text_cell, "cells.csv: row 3", "dataset-text-cell"),
+    _case("train", lambda raw, _: raw["data"].update(n=0), "config.data.n", "train-empty"),
+    _case("verify", lambda raw, _: raw["data"].update(n=0), "config.data.n", "verify-empty"),
+]
+
+
+@pytest.mark.parametrize("command, edit, field", USER_ERRORS)
+def test_user_errors_exit_2_with_field_path(tmp_path, capsys, command, edit, field):
+    raw = gmm_config(tmp_path)
+    edit(raw, tmp_path)
+    model_path = os.path.join(tmp_path, "model.json")
+    with open(model_path, "w") as fh:
+        json.dump(raw["model"], fh)
+    args = [command, "--config", write_config(tmp_path, raw), "--quiet"]
+    if command == "verify":
+        args += ["--model", model_path]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+
+
+class TestTrainVerifyAgreement:
+    @pytest.mark.parametrize("case", ["gmm-converged", "sbn-at-cap"])
+    def test_verify_grad_norm_is_training_final_grad_norm(self, tmp_path, case):
+        # verify recomputes the stationarity gradient of the saved model at its
+        # exact posterior; it must read exactly what training last recorded.
+        # Seed 6 converges where two posterior normalisations give visibly
+        # different gradients (4.887e-10 against 6.032e-10), so a second
+        # code path in verify would show.
+        raw = gmm_config(tmp_path, seed=6, run_id=case)
+        if case == "sbn-at-cap":
+            raw["model"] = {
+                "kind": "sbn",
+                "pi": [0.3, 0.6],
+                "w": [[1.5, -1.0], [-2.0, 0.5], [0.7, 1.8]],
+                "mu": [0.2, -0.3, 0.1],
+                "offsets_free": True,
+            }
+            raw["data"]["n"] = 150
+            raw["training"] = {"max_iters": 4, "seed": 3}
+        cfg_path = write_config(tmp_path, raw)
+        assert cli_main(["train", "--config", cfg_path, "--quiet"]) == 0
+        model_path = os.path.join(tmp_path, "model.json")
+        assert cli_main(["verify", "--config", cfg_path, "--model", model_path, "--quiet"]) == 0
+        with open(os.path.join(tmp_path, "summary.json")) as fh:
+            summary = json.load(fh)
+        with open(os.path.join(tmp_path, "verify_report.json")) as fh:
+            verify = json.load(fh)
+        assert summary["converged"] is (case == "gmm-converged")
+        assert verify["grad_norm"] == summary["final_grad_norm"]
+
+
 class TestReport:
     def _summary(self, tmp_path, run_id, **overrides):
         payload = {

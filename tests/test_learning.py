@@ -64,8 +64,8 @@ class TestEmMixture:
         _, data = mdl.sample_joint(truth, np.random.default_rng(3), 400)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=3))
         assert fit.trace.converged
-        std, pse = obj.stationarity_gap(fit.model, data, fit.q)
-        assert pse <= 1e-6 * max(1.0, abs(obj.pseudo_elbo_terms(fit.model, data, fit.q).elbo))
+        pse = obj.pseudo_elbo_terms(fit.model, data, fit.q)
+        assert pse.gap <= 1e-6 * max(1.0, abs(pse.elbo))
 
     def test_gamma_mixture_reaches_stationary_point(self):
         # The gamma M-step is only an exact fixed point if the Newton shape
@@ -244,24 +244,6 @@ class TestGradNorm:
         )
         q = obj.CategoricalTable(np.ones((2, 1)))
         assert lrn.grad_norm_all_params(model, data, q) < 1e-9
-
-
-class TestThreadCap:
-    def test_env_cap_is_bit_identical(self, monkeypatch):
-        truth, data = separated_gmm(seed=17)
-        cfg = lrn.TrainingConfig(seed=17)
-        base = lrn.em_mixture(truth, data, cfg)
-        monkeypatch.setenv("EFGEN_NUM_THREADS", "3")
-        threaded = lrn.em_mixture(truth, data, cfg)
-        np.testing.assert_array_equal(base.q.resp, threaded.q.resp)
-        assert [r.elbo for r in base.trace.records] == [
-            r.elbo for r in threaded.trace.records
-        ]
-
-    def test_invalid_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("EFGEN_NUM_THREADS", "0")
-        with pytest.raises(ValueError):
-            lrn._num_threads()
 
 
 class TestConfigValidation:

@@ -104,10 +104,7 @@ class TestKlForm:
         model = gmm(weights=(0.3, 0.7))
         data = np.array([[0.1], [-0.4]])
         q = obj.CategoricalTable(np.tile([0.3, 0.7], (2, 1)))
-        states = list(model.latent_support.states)
-        t, log_h = obj._data_stats(model, data)
-        etas, log_parts, _ = obj._state_tables(model, states)
-        ll = obj._pseudo_loglik_matrix(t, etas, log_parts) + log_h[:, None]
+        ll = obj.FiniteObjective(model, data).loglik(model)
         expected_ll = float(np.mean(np.sum(q.resp * ll, axis=1)))
         assert obj.elbo_kl_form(model, data, q) == pytest.approx(expected_ll, abs=1e-12)
 
@@ -289,37 +286,14 @@ class TestDominanceAndTightness:
             obj.marginal_loglik(model, data), abs=1e-9
         )
 
-    def test_mean_field_expansion_consistent(self):
-        model = sbn(h=2, d=3, seed=12)
-        rng = np.random.default_rng(12)
-        _, data = mdl.sample_joint(model, rng, 30)
-        probs = rng.uniform(0.1, 0.9, size=(len(data), 2))
-        mf = obj.BernoulliMeanField(probs)
-        table = obj._as_state_table(model, mf)
-        states = np.asarray(model.latent_support.states)
-        manual = np.ones((len(data), len(states)))
-        for s_idx, s in enumerate(states):
-            manual[:, s_idx] = np.prod(probs**s * (1 - probs) ** (1 - s), axis=1)
-        np.testing.assert_allclose(table, manual, atol=1e-12)
-        enum = obj.EnumeratedTable(table)
-        assert obj.elbo_terms(model, data, mf).elbo == pytest.approx(
-            obj.elbo_terms(model, data, enum).elbo, abs=1e-12
-        )
-
 
 class TestStationarityGap:
     def test_nonstationary_parameters_have_visible_gap(self):
         model = gmm()
         _, data = mdl.sample_joint(model, np.random.default_rng(13), 300)
         q = obj.exact_posterior(model, data)
-        gap_std, gap_pse = obj.stationarity_gap(model, data, q)
+        gap_std = obj.elbo_terms(model, data, q).gap
+        gap_pse = obj.pseudo_elbo_terms(model, data, q).gap
         # Ground-truth parameters are not a stationary point of this sample.
         assert gap_std > 1e-3
         assert gap_pse == pytest.approx(gap_std, abs=1e-12)
-
-    def test_aggregated_posterior_forms(self):
-        q = obj.CategoricalTable(np.array([[0.2, 0.8], [0.6, 0.4]]))
-        agg = obj.aggregated_posterior(q)
-        np.testing.assert_allclose(agg.weights, [0.4, 0.6])
-        gm = obj.GaussianMoments(np.zeros((3, 2)), np.eye(2))
-        assert obj.aggregated_posterior(gm).kind == "gaussian_moments"
