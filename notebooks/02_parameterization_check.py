@@ -55,9 +55,10 @@ print(
 
 # The failure is structural, not numerical: stack the Jacobian over both
 # latent states and look at the best shared coefficient.
-z_one = np.array([1.0])
-jac = mdl.jacobian_eta(rigid, z_one)
-eta = rigid.noise.eta(z_one, rigid.noise.params)
-beta, *_ = np.linalg.lstsq(jac, eta, rcond=None)
-print("\nat z=1: eta =", eta, " Jacobian columns =", jac.ravel())
-print("best shared beta =", beta, " residual =", np.linalg.norm(jac @ beta - eta))
+states = rigid.latent_support.states  # z = 0 and z = 1
+jac = mdl.jacobian_eta(rigid, states)  # (states, naturals, parameters)
+eta = rigid.noise.eta(states, rigid.noise.params)  # (states, naturals)
+stacked, target = jac.reshape(-1, jac.shape[-1]), eta.ravel()
+beta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+print("\nat z=1: eta =", eta[1], " Jacobian columns =", jac[1].ravel())
+print("best shared beta =", beta, " residual =", np.linalg.norm(stacked @ beta - target))

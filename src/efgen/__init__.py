@@ -10,7 +10,7 @@ condition (see :mod:`efgen.models`) are flagged before any gap is asserted.
 
 __version__ = "0.1.0"
 
-from . import errors, families, learning, models, objective, special  # noqa: E402,F401
+from . import errors, families, learning, models, objective  # noqa: E402,F401
 
 __all__ = [
     "__version__",
@@ -19,5 +19,4 @@ __all__ = [
     "models",
     "objective",
     "learning",
-    "special",
 ]

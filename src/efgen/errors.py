@@ -29,5 +29,9 @@ class DegenerateDataError(ValueError):
     """Data covariance rank too low for the requested latent dimension."""
 
 
+class CriterionSampleError(ValueError):
+    """Too few latent samples for the criterion's stacked least squares."""
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries field diagnostics."""

@@ -1,7 +1,11 @@
 """Exponential-family distributions in natural-parameter form.
 
-Each family is described by a :class:`FamilyDescriptor`; parameter vectors are
-plain 1-D float arrays. Standard parameters use the conventional layouts:
+Each family is described by a :class:`FamilyDescriptor`. Parameters are float
+arrays of shape (..., dim): a 1-D vector is one parameter point, and leading
+axes stack rows. Every function works row by row and reduces over the last
+axis only, so a vector gives a scalar and an (S, dim) stack gives S values
+from one call, validated once. Standard parameters use the conventional
+layouts:
 
 ====================  =======================================  ===========
 family                standard parameters                      natural dim
@@ -24,6 +28,10 @@ are the one-hot encoding of the first C-1 states, so the last state maps to
 the zero vector. Gaussian sufficient statistics pair each coordinate with its
 square: T(x) = (x_1..x_D, x_1^2..x_D^2).
 
+Data points are handled in rows too: batch_sufficient_stats and
+batch_log_base_measure take an (N, data_dim) array (N state indices for
+categorical). Log-gamma, digamma and log-factorials come from scipy.special.
+
 Natural-domain membership checks are strict inequalities with no epsilon
 slack; callers clamp if needed. All functions are pure.
 """
@@ -34,9 +42,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma, gammaln
 
 from .errors import DomainError, SupportError
-from .special import digamma, log_factorial, log_factorial_array, log_gamma
 
 __all__ = [
     "FamilyDescriptor",
@@ -53,8 +61,8 @@ __all__ = [
     "from_natural",
     "log_partition",
     "grad_log_partition",
-    "sufficient_stats",
-    "log_base_measure",
+    "batch_sufficient_stats",
+    "batch_log_base_measure",
     "log_density",
     "entropy",
     "pseudo_entropy",
@@ -167,16 +175,30 @@ def standard_dim(family: FamilyDescriptor) -> int:
     }[family.name]
 
 
-def _as_vector(v, length: int, what: str) -> np.ndarray:
+def _as_rows(v, length: int, what: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (length,):
-        raise ValueError(f"{what} must have shape ({length},), got {arr.shape}")
+    if arr.ndim == 0 or arr.shape[-1] != length:
+        raise ValueError(f"{what} must have shape (..., {length}), got {arr.shape}")
     return arr
 
 
+def _value(a):
+    """A one-row result as a Python float; a stack of rows stays an array."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product over the last axis, broadcasting leading axes.
+
+    A stacked matmul rounds every row exactly as a 1-D ``a @ b`` would, which
+    a sum of products does not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def check_standard(family: FamilyDescriptor, s) -> np.ndarray:
-    """Validate a standard parameter vector; returns it as a float array."""
-    s = _as_vector(s, standard_dim(family), "standard params")
+    """Validate standard parameter rows; returns them as a float array."""
+    s = _as_rows(s, standard_dim(family), "standard params")
     if not np.all(np.isfinite(s)):
         raise DomainError(f"{family.name}: non-finite standard params")
     name = family.name
@@ -184,19 +206,19 @@ def check_standard(family: FamilyDescriptor, s) -> np.ndarray:
         if not np.all((s > 0.0) & (s < 1.0)):
             raise DomainError("bernoulli probabilities must lie in the open (0,1)")
     elif name == "categorical":
-        if not (np.all(s > 0.0) and s.sum() < 1.0):
+        if not (np.all(s > 0.0) and np.all(s.sum(axis=-1) < 1.0)):
             raise DomainError(
                 "categorical weights must be positive with sum below 1 "
                 "(last state implicit)"
             )
     elif name == "gaussian_scalar_var":
-        if not s[-1] > 0.0:
+        if not np.all(s[..., -1] > 0.0):
             raise DomainError("gaussian variance must be positive")
     elif name == "gaussian_diag_cov":
-        if not np.all(s[family.data_dim :] > 0.0):
+        if not np.all(s[..., family.data_dim :] > 0.0):
             raise DomainError("gaussian variances must be positive")
     elif name == "gamma":
-        if not (s[0] > 0.0 and s[1] > 0.0):
+        if not np.all(s > 0.0):
             raise DomainError("gamma shape and rate must be positive")
     elif name == "poisson_product":
         if not np.all(s > 0.0):
@@ -205,16 +227,16 @@ def check_standard(family: FamilyDescriptor, s) -> np.ndarray:
 
 
 def check_natural(family: FamilyDescriptor, n) -> np.ndarray:
-    """Validate a natural parameter vector; returns it as a float array."""
-    n = _as_vector(n, family.natural_dim, "natural params")
+    """Validate natural parameter rows; returns them as a float array."""
+    n = _as_rows(n, family.natural_dim, "natural params")
     if not np.all(np.isfinite(n)):
         raise DomainError(f"{family.name}: non-finite natural params")
     name = family.name
     if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
-        if not np.all(n[family.data_dim :] < 0.0):
+        if not np.all(n[..., family.data_dim :] < 0.0):
             raise DomainError("gaussian precision coordinates must be negative")
     elif name == "gamma":
-        if not (n[0] > -1.0 and n[1] < 0.0):
+        if not (np.all(n[..., 0] > -1.0) and np.all(n[..., 1] < 0.0)):
             raise DomainError("gamma natural domain is n1 > -1, n2 < 0")
     return n
 
@@ -225,18 +247,17 @@ def to_natural(family: FamilyDescriptor, s) -> np.ndarray:
     if name == "bernoulli_product":
         return np.log(s) - np.log1p(-s)
     if name == "categorical":
-        pi_last = 1.0 - s.sum()
-        return np.log(s) - math.log(pi_last)
+        return np.log(s) - np.log(1.0 - s.sum(axis=-1, keepdims=True))
     if name == "gaussian_scalar_var":
-        mu, sigma2 = s[:-1], s[-1]
-        return np.concatenate([mu / sigma2, np.full(family.data_dim, -0.5 / sigma2)])
+        sigma2 = s[..., -1:]
+        precision = np.repeat(-0.5 / sigma2, family.data_dim, axis=-1)
+        return np.concatenate([s[..., :-1] / sigma2, precision], axis=-1)
     if name == "gaussian_diag_cov":
         d = family.data_dim
-        mu, sigma2 = s[:d], s[d:]
-        return np.concatenate([mu / sigma2, -0.5 / sigma2])
+        mu, sigma2 = s[..., :d], s[..., d:]
+        return np.concatenate([mu / sigma2, -0.5 / sigma2], axis=-1)
     if name == "gamma":
-        alpha, beta = s
-        return np.array([alpha - 1.0, -beta])
+        return np.stack([s[..., 0] - 1.0, -s[..., 1]], axis=-1)
     if name == "poisson_product":
         return np.log(s)
     raise AssertionError(name)
@@ -248,56 +269,61 @@ def from_natural(family: FamilyDescriptor, n) -> np.ndarray:
     if name == "bernoulli_product":
         return 1.0 / (1.0 + np.exp(-n))
     if name == "categorical":
-        a = _categorical_log_partition(n)
-        return np.exp(n - a)
+        return np.exp(n - _categorical_log_partition(n)[..., None])
     if name == "gaussian_scalar_var":
         d = family.data_dim
-        a, b = n[:d], n[d:]
-        spread = np.max(np.abs(b - b[0]))
-        if spread > 1e-12 * max(1.0, abs(b[0])):
+        a, b = n[..., :d], n[..., d:]
+        spread = np.max(np.abs(b - b[..., :1]), axis=-1)
+        if np.any(spread > 1e-12 * np.maximum(1.0, np.abs(b[..., 0]))):
             raise DomainError(
                 "scalar-variance natural params need equal precision coordinates"
             )
-        sigma2 = -0.5 / b[0]
-        return np.concatenate([a * sigma2, [sigma2]])
+        sigma2 = -0.5 / b[..., :1]
+        return np.concatenate([a * sigma2, sigma2], axis=-1)
     if name == "gaussian_diag_cov":
         d = family.data_dim
-        a, b = n[:d], n[d:]
+        a, b = n[..., :d], n[..., d:]
         sigma2 = -0.5 / b
-        return np.concatenate([a * sigma2, sigma2])
+        return np.concatenate([a * sigma2, sigma2], axis=-1)
     if name == "gamma":
-        return np.array([n[0] + 1.0, -n[1]])
+        return np.stack([n[..., 0] + 1.0, -n[..., 1]], axis=-1)
     if name == "poisson_product":
         return np.exp(n)
     raise AssertionError(name)
 
 
-def _categorical_log_partition(n: np.ndarray) -> float:
-    # log(1 + sum exp(n_i)), stable for large positive entries.
-    if n.size == 0:
-        return 0.0
-    m = max(0.0, float(np.max(n)))
-    return m + math.log(math.exp(-m) + np.exp(n - m).sum())
+def _with_last_state(s: np.ndarray) -> np.ndarray:
+    """Categorical weights with the implicit last state's weight appended."""
+    return np.concatenate([s, 1.0 - s.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-def log_partition(family: FamilyDescriptor, n) -> float:
+def _categorical_log_partition(n: np.ndarray) -> np.ndarray:
+    # log(1 + sum exp(n_i)) per row, stable for large positive entries.
+    m = np.max(n, axis=-1, initial=0.0)
+    return m + np.log(np.exp(-m) + np.exp(n - m[..., None]).sum(axis=-1))
+
+
+def log_partition(family: FamilyDescriptor, n):
     n = check_natural(family, n)
     name = family.name
     if name == "bernoulli_product":
-        return float(np.logaddexp(0.0, n).sum())
-    if name == "categorical":
-        return _categorical_log_partition(n)
-    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+        out = np.logaddexp(0.0, n).sum(axis=-1)
+    elif name == "categorical":
+        out = _categorical_log_partition(n)
+    elif name in ("gaussian_scalar_var", "gaussian_diag_cov"):
         d = family.data_dim
-        a, b = n[:d], n[d:]
-        return float(
-            np.sum(-0.25 * a * a / b + 0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(-2.0 * b))
+        a, b = n[..., :d], n[..., d:]
+        out = np.sum(
+            -0.25 * a * a / b + 0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(-2.0 * b),
+            axis=-1,
         )
-    if name == "gamma":
-        return log_gamma(n[0] + 1.0) - (n[0] + 1.0) * math.log(-n[1])
-    if name == "poisson_product":
-        return float(np.exp(n).sum())
-    raise AssertionError(name)
+    elif name == "gamma":
+        out = gammaln(n[..., 0] + 1.0) - (n[..., 0] + 1.0) * np.log(-n[..., 1])
+    elif name == "poisson_product":
+        out = np.exp(n).sum(axis=-1)
+    else:
+        raise AssertionError(name)
+    return _value(out)
 
 
 def grad_log_partition(family: FamilyDescriptor, n) -> np.ndarray:
@@ -307,76 +333,52 @@ def grad_log_partition(family: FamilyDescriptor, n) -> np.ndarray:
     if name == "bernoulli_product":
         return 1.0 / (1.0 + np.exp(-n))
     if name == "categorical":
-        a = _categorical_log_partition(n)
-        return np.exp(n - a)
+        return np.exp(n - _categorical_log_partition(n)[..., None])
     if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
         d = family.data_dim
-        a, b = n[:d], n[d:]
+        a, b = n[..., :d], n[..., d:]
         mean = -0.5 * a / b
         second_moment = 0.25 * a * a / (b * b) - 0.5 / b
-        return np.concatenate([mean, second_moment])
+        return np.concatenate([mean, second_moment], axis=-1)
     if name == "gamma":
-        return np.array(
-            [digamma(n[0] + 1.0) - math.log(-n[1]), (n[0] + 1.0) / (-n[1])]
-        )
+        shape, rate = n[..., 0] + 1.0, -n[..., 1]
+        return np.stack([digamma(shape) - np.log(rate), shape / rate], axis=-1)
     if name == "poisson_product":
         return np.exp(n)
     raise AssertionError(name)
 
 
-def _check_support(family: FamilyDescriptor, x):
-    name = family.name
-    if name == "categorical":
-        xi = int(x)
-        if xi != x or not (0 <= xi < family.n_states):
-            raise SupportError(f"categorical state must be an int in [0, {family.n_states})")
-        return xi
-    x = _as_vector(x, family.data_dim, "data point")
-    if name == "bernoulli_product":
-        if not np.all((x == 0.0) | (x == 1.0)):
-            raise SupportError("bernoulli observations must be 0/1")
-    elif name == "gamma":
-        if not np.all(x > 0.0):
-            raise SupportError("gamma observations must be positive")
-    elif name == "poisson_product":
-        if not np.all((x >= 0.0) & (x == np.floor(x))):
-            raise SupportError("poisson observations must be non-negative integers")
-    elif not np.all(np.isfinite(x)):
-        raise SupportError("observations must be finite")
-    return x
+def log_factorial(k) -> np.ndarray:
+    """ln(k!) elementwise for non-negative integers k, as gammaln(k + 1)."""
+    k = np.asarray(k, dtype=float)
+    if k.size and (np.any(k < 0.0) or np.any(k != np.floor(k))):
+        raise ValueError("log_factorial requires non-negative integers")
+    return gammaln(k + 1.0)
 
 
-def sufficient_stats(family: FamilyDescriptor, x) -> np.ndarray:
-    x = _check_support(family, x)
-    name = family.name
-    if name == "bernoulli_product":
-        return np.asarray(x, dtype=float)
-    if name == "categorical":
-        t = np.zeros(family.natural_dim)
-        if x < family.natural_dim:
-            t[x] = 1.0
-        return t
-    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
-        return np.concatenate([x, x * x])
-    if name == "gamma":
-        return np.array([math.log(x[0]), x[0]])
-    if name == "poisson_product":
-        return np.asarray(x, dtype=float)
-    raise AssertionError(name)
+# The benchmark's tracer (perfbench/tracer.py) still wraps these names.
+log_factorial_array = log_factorial
+log_gamma = gammaln
 
 
-def log_base_measure(family: FamilyDescriptor, x) -> float:
-    x = _check_support(family, x)
-    if family.base_measure_kind == "unit_constant":
-        return 0.0
-    return -float(sum(log_factorial(int(v)) for v in x))
+def log_density(family: FamilyDescriptor, n, x):
+    """Log density (continuous) or log mass (discrete) at data points x.
 
-
-def log_density(family: FamilyDescriptor, n, x) -> float:
-    """Log density (continuous) or log mass (discrete) at x."""
+    x is one data point or points stacked along leading axes (categorical
+    points are state indices). The rows of n broadcast against the points.
+    """
     n = check_natural(family, n)
-    t = sufficient_stats(family, x)
-    return log_base_measure(family, x) + float(n @ t) - log_partition(family, n)
+    x = np.asarray(x)
+    if family.name == "categorical":
+        points = x.shape
+    elif x.ndim and x.shape[-1] == family.data_dim:
+        points = x.shape[:-1]
+    else:
+        raise ValueError(f"data points must have shape (..., {family.data_dim}), got {x.shape}")
+    rows = x.reshape((-1,) + x.shape[len(points) :])
+    t = batch_sufficient_stats(family, rows).reshape(points + (family.natural_dim,))
+    log_h = batch_log_base_measure(family, rows).reshape(points)
+    return _value(log_h + _dot(n, t) - log_partition(family, n))
 
 
 def batch_sufficient_stats(family: FamilyDescriptor, data) -> np.ndarray:
@@ -420,8 +422,7 @@ def batch_log_base_measure(family: FamilyDescriptor, data) -> np.ndarray:
     if family.base_measure_kind == "unit_constant":
         n = np.asarray(data).shape[0] if np.ndim(data) else 0
         return np.zeros(n)
-    data = np.asarray(data, dtype=float)
-    return -log_factorial_array(data).sum(axis=1)
+    return -log_factorial(data).sum(axis=1)
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
@@ -440,7 +441,7 @@ def _poisson_window(lam: float):
     """
     half = _POISSON_WINDOW_SDS * math.sqrt(lam)
     k = np.arange(max(0, math.floor(lam - half)), math.ceil(lam + half) + _POISSON_WINDOW_PAD + 1)
-    log_fact = log_factorial_array(k)
+    log_fact = log_factorial(k)
     log_p = k * math.log(lam) - lam - log_fact
     p = np.exp(log_p)
     done = (k > lam) & (1.0 - np.cumsum(p) < _POISSON_TAIL_MASS)
@@ -469,7 +470,12 @@ def _poisson_mean_log_factorial(lam: float) -> float:
     return float(p @ log_fact)
 
 
-def entropy(family: FamilyDescriptor, s) -> float:
+def _per_rate(f, rates: np.ndarray) -> np.ndarray:
+    """f at every Poisson rate; each rate's series needs its own window."""
+    return np.array([f(lam) for lam in rates.ravel()]).reshape(rates.shape)
+
+
+def entropy(family: FamilyDescriptor, s):
     """Differential or discrete entropy in nats, from standard parameters.
 
     Poisson has no closed form; its entropy is a summation with the tail
@@ -479,61 +485,69 @@ def entropy(family: FamilyDescriptor, s) -> float:
     s = check_standard(family, s)
     name = family.name
     if name == "bernoulli_product":
-        return float(_binary_entropy(s).sum())
-    if name == "categorical":
-        pi_last = 1.0 - s.sum()
-        full = np.concatenate([s, [pi_last]])
-        return float(-(full * np.log(full)).sum())
-    if name == "gaussian_scalar_var":
-        d = family.data_dim
-        return 0.5 * d * math.log(2.0 * math.pi * math.e * s[-1])
-    if name == "gaussian_diag_cov":
-        d = family.data_dim
-        return float(0.5 * np.log(2.0 * math.pi * math.e * s[d:]).sum())
-    if name == "gamma":
-        alpha, beta = s
-        return alpha - math.log(beta) + log_gamma(alpha) + (1.0 - alpha) * digamma(alpha)
-    if name == "poisson_product":
-        return float(sum(_poisson_entropy_1d(lam) for lam in s))
-    raise AssertionError(name)
+        out = _binary_entropy(s).sum(axis=-1)
+    elif name == "categorical":
+        full = _with_last_state(s)
+        out = -(full * np.log(full)).sum(axis=-1)
+    elif name == "gaussian_scalar_var":
+        out = 0.5 * family.data_dim * np.log(2.0 * math.pi * math.e * s[..., -1])
+    elif name == "gaussian_diag_cov":
+        out = 0.5 * np.log(2.0 * math.pi * math.e * s[..., family.data_dim :]).sum(axis=-1)
+    elif name == "gamma":
+        alpha, beta = s[..., 0], s[..., 1]
+        out = alpha - np.log(beta) + gammaln(alpha) + (1.0 - alpha) * digamma(alpha)
+    elif name == "poisson_product":
+        out = _per_rate(_poisson_entropy_1d, s).sum(axis=-1)
+    else:
+        raise AssertionError(name)
+    return _value(out)
 
 
-def pseudo_entropy(family: FamilyDescriptor, n) -> float:
+def pseudo_entropy(family: FamilyDescriptor, n):
     """Entropy under the base-measure-reweighted density: -n.A'(n) + A(n).
 
     Coincides with the standard entropy for unit-base-measure families and is
     closed-form even for Poisson.
     """
     n = check_natural(family, n)
-    return float(-(n @ grad_log_partition(family, n)) + log_partition(family, n))
+    return _value(-_dot(n, grad_log_partition(family, n)) + log_partition(family, n))
 
 
-def expected_log_base_measure(family: FamilyDescriptor, s) -> float:
+def expected_log_base_measure(family: FamilyDescriptor, s):
     """E[log h(x)] under the family; exactly 0 for unit base measures."""
     s = check_standard(family, s)
     if family.base_measure_kind == "unit_constant":
-        return 0.0
-    return -float(sum(_poisson_mean_log_factorial(lam) for lam in s))
+        return _value(np.zeros(s.shape[:-1]))
+    return _value(-_per_rate(_poisson_mean_log_factorial, s).sum(axis=-1))
 
 
 def sample(family: FamilyDescriptor, s, rng: np.random.Generator, count: int):
-    """Draw i.i.d. samples; shape (count, data_dim), or (count,) ints for categorical."""
+    """Draw count i.i.d. samples from every parameter row.
+
+    The result has shape (count, *rows, data_dim), or (count, *rows) state
+    indices for categorical, so a 1-D s gives (count, data_dim). Draws fill
+    that shape in C order: a stack of rows takes the same values from rng
+    as one call per row, made row after row.
+    """
     s = check_standard(family, s)
     if count < 0:
         raise ValueError("count must be non-negative")
     name = family.name
     d = family.data_dim
+    size = (count,) + s.shape[:-1]
     if name == "bernoulli_product":
-        return (rng.random((count, d)) < s).astype(float)
+        return (rng.random(size + (d,)) < s).astype(float)
     if name == "categorical":
-        full = np.concatenate([s, [1.0 - s.sum()]])
-        return rng.choice(family.n_states, size=count, p=full)
+        # Inverse-CDF draws, as Generator.choice makes them for one row.
+        cdf = np.cumsum(_with_last_state(s), axis=-1)
+        cdf /= cdf[..., -1:]
+        return (cdf <= rng.random(size)[..., None]).sum(axis=-1)
     if name == "gaussian_scalar_var":
-        return rng.normal(s[:-1], math.sqrt(s[-1]), size=(count, d))
+        return rng.normal(s[..., :-1], np.sqrt(s[..., -1:]), size=size + (d,))
     if name == "gaussian_diag_cov":
-        return rng.normal(s[:d], np.sqrt(s[d:]), size=(count, d))
+        return rng.normal(s[..., :d], np.sqrt(s[..., d:]), size=size + (d,))
     if name == "gamma":
-        return rng.gamma(shape=s[0], scale=1.0 / s[1], size=(count, 1))
+        return rng.gamma(shape=s[..., :1], scale=1.0 / s[..., 1:], size=size + (1,))
     if name == "poisson_product":
-        return rng.poisson(s, size=(count, d)).astype(np.int64)
+        return rng.poisson(s, size=size + (d,)).astype(np.int64)
     raise AssertionError(name)

@@ -32,7 +32,7 @@ from . import __version__
 from . import families as fam
 from . import models as mdl
 from . import objective as obj
-from .errors import ConfigError
+from .errors import ConfigError, CriterionSampleError
 from .learning import (
     TrainingConfig,
     TrainingTrace,
@@ -401,12 +401,23 @@ def _load_data(config: ExperimentConfig, model: mdl.GenerativeModel) -> np.ndarr
     return np.asarray(xs, dtype=float)
 
 
+def _check_columns(data: np.ndarray, model: mdl.GenerativeModel, where: str):
+    d = model.noise.family.data_dim
+    if data.shape[1] != d:
+        raise ConfigError(
+            f"{where}: the dataset has {data.shape[1]} columns, the model observes {d}"
+        )
+
+
 def _load_nonempty_data(config: ExperimentConfig, model: mdl.GenerativeModel) -> np.ndarray:
-    """The dataset train and verify work on; it must have at least one row."""
+    """The dataset train and verify work on: at least one row, and one column
+    per observed coordinate of the model."""
     data = _load_data(config, model)
     if len(data) == 0:
         where = "config.data.n" if config.data.source == "synthetic" else "config.data.path"
         raise ConfigError(f"{where}: the dataset is empty; train and verify need at least one row")
+    # Only a file dataset can disagree with the model that would generate it.
+    _check_columns(data, model, "config.data.path")
     return data
 
 
@@ -530,15 +541,19 @@ def cmd_verify(
     # Synthetic data must come from the config's generating model, not the
     # trained one, so verification sees the same dataset training did.
     data = _load_nonempty_data(config, model_from_dict(config.model_spec))
+    _check_columns(data, model, model_path)
     ver = config.verification
 
-    criterion = mdl.check_criterion(
-        model,
-        threshold=ver.criterion_threshold,
-        n_grid=ver.criterion_grid_points,
-        n_z_samples=ver.criterion_z_samples,
-        seed=ver.criterion_seed,
-    )
+    try:
+        criterion = mdl.check_criterion(
+            model,
+            threshold=ver.criterion_threshold,
+            n_grid=ver.criterion_grid_points,
+            n_z_samples=ver.criterion_z_samples,
+            seed=ver.criterion_seed,
+        )
+    except CriterionSampleError as exc:
+        raise ConfigError(f"config.verification.criterion_z_samples: {exc}") from exc
     q = obj.exact_posterior(model, data)
     standard = obj.elbo_terms(model, data, q)
     pseudo = obj.pseudo_elbo_terms(model, data, q)

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import digamma, polygamma
 
 from . import families as fam
 from . import objective as obj
@@ -23,7 +24,6 @@ from .errors import (
     NewtonConvergenceError,
 )
 from .models import GenerativeModel, make_ppca, replace_params
-from .special import digamma, trigamma
 
 __all__ = [
     "TrainingConfig",
@@ -138,7 +138,7 @@ def gamma_shape_newton(s: float, max_iters: int = 100, tol: float = 1e-12) -> fl
     a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(max_iters):
         f = math.log(a) - digamma(a) - s
-        fprime = 1.0 / a - trigamma(a)
+        fprime = 1.0 / a - polygamma(1, a)
         step = f / fprime
         new = a - step
         while new <= 0.0:

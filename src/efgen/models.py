@@ -8,6 +8,12 @@ and diagonal observation noise), sigmoid belief nets with Bernoulli latents
 and observables, and a deliberately broken SBN variant whose tied weights
 admit no shared coefficient vector.
 
+Noise maps work on stacks of latent states: eta(Z, theta) takes an (S,)
+array of component indices (mixtures) or an (S, H) array of latent vectors
+and returns the (S, L) natural parameters, and its Jacobian is (S, L, P)
+over the P criterion parameters. Mixtures index rows of their component
+naturals; the linear models compute Z W^T + mu.
+
 The parameterization check asks, numerically, whether the natural-parameter
 vectors lie in the column spaces of their own Jacobians: the prior map must
 satisfy zeta(psi) = J_zeta(psi) alpha(psi) pointwise, and the noise map must
@@ -25,7 +31,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import families as fam
-from .errors import DomainError
+from .errors import CriterionSampleError, DomainError
 from .families import FamilyDescriptor
 
 __all__ = [
@@ -102,8 +108,8 @@ class NoiseSpec:
     family: FamilyDescriptor
     params: np.ndarray  # trainable noise parameter vector theta (flat)
     theta_subset: np.ndarray  # indices into theta used for the criterion Jacobian
-    eta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eta_jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    eta: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L)
+    eta_jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # (S, L, P)
 
 
 @dataclass(frozen=True)
@@ -162,30 +168,40 @@ def enumerate_binary_states(h: int) -> np.ndarray:
 
 
 def _component_natural_jacobian(family: FamilyDescriptor, params: np.ndarray) -> np.ndarray:
+    """Jacobians of to_natural at parameter rows (..., P), shape (..., L, P)."""
     name = family.name
     d = family.data_dim
     if name == "bernoulli_product":
         p = params
-        return np.diag(1.0 / (p * (1.0 - p)))
+        return np.eye(d) * (1.0 / (p * (1.0 - p)))[..., None, :]
     if name == "gaussian_scalar_var":
-        mu, s2 = params[:-1], params[-1]
-        jac = np.zeros((2 * d, d + 1))
-        jac[:d, :d] = np.eye(d) / s2
-        jac[:d, d] = -mu / s2**2
-        jac[d:, d] = 0.5 / s2**2
+        mu, s2 = params[..., :-1], params[..., -1:]
+        jac = np.zeros(params.shape[:-1] + (2 * d, d + 1))
+        jac[..., :d, :d] = np.eye(d) / s2[..., None]
+        jac[..., :d, d] = -mu / s2**2
+        jac[..., d:, d] = 0.5 / s2**2
         return jac
     if name == "gaussian_diag_cov":
-        mu, s2 = params[:d], params[d:]
-        jac = np.zeros((2 * d, 2 * d))
-        jac[:d, :d] = np.diag(1.0 / s2)
-        jac[:d, d:] = np.diag(-mu / s2**2)
-        jac[d:, d:] = np.diag(0.5 / s2**2)
+        mu, s2 = params[..., :d], params[..., d:]
+        jac = np.zeros(params.shape[:-1] + (2 * d, 2 * d))
+        jac[..., :d, :d] = np.eye(d) * (1.0 / s2)[..., None, :]
+        jac[..., :d, d:] = np.eye(d) * (-mu / s2**2)[..., None, :]
+        jac[..., d:, d:] = np.eye(d) * (0.5 / s2**2)[..., None, :]
         return jac
     if name == "gamma":
-        return np.array([[1.0, 0.0], [0.0, -1.0]])
+        return np.broadcast_to(np.array([[1.0, 0.0], [0.0, -1.0]]), params.shape[:-1] + (2, 2))
     if name == "poisson_product":
-        return np.diag(1.0 / params)
+        return np.eye(d) * (1.0 / params)[..., None, :]
     raise ValueError(f"no analytic natural-map Jacobian for {name}")
+
+
+def _affine_rows(w: np.ndarray, z: np.ndarray, mu) -> np.ndarray:
+    """Z W^T + mu for an (S, H) stack of latent vectors.
+
+    One matrix-vector product per row, in a single stacked matmul: unlike
+    Z @ W.T, it rounds each row exactly as W @ z for that row alone.
+    """
+    return (w @ z[:, :, None])[:, :, 0] + mu
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +233,7 @@ def make_ef_mixture(
         raise DomainError(
             f"component_params must have shape ({c}, {ldim}), got {comp.shape}"
         )
-    for row in comp:
-        fam.check_standard(component_family, row)
+    fam.check_standard(component_family, comp)
 
     prior_family = fam.categorical(c)
 
@@ -230,17 +245,15 @@ def make_ef_mixture(
         return np.diag(1.0 / psi) + 1.0 / pi_last
 
     def eta(z, theta):
-        ci = int(z) if np.ndim(z) == 0 else int(np.asarray(z).ravel()[0])
-        return fam.to_natural(component_family, theta[ci * ldim : (ci + 1) * ldim])
+        rows = fam.to_natural(component_family, theta.reshape(c, ldim))
+        return rows[np.asarray(z, dtype=int)]
 
     def eta_jac(z, theta):
-        ci = int(z) if np.ndim(z) == 0 else int(np.asarray(z).ravel()[0])
-        block = _component_natural_jacobian(
-            component_family, theta[ci * ldim : (ci + 1) * ldim]
-        )
-        jac = np.zeros((component_family.natural_dim, c * ldim))
-        jac[:, ci * ldim : (ci + 1) * ldim] = block
-        return jac
+        z = np.asarray(z, dtype=int)
+        blocks = _component_natural_jacobian(component_family, theta.reshape(c, ldim))
+        jac = np.zeros((z.size, component_family.natural_dim, c, ldim))
+        jac[np.arange(z.size), :, z, :] = blocks[z]
+        return jac.reshape(z.size, component_family.natural_dim, c * ldim)
 
     return GenerativeModel(
         prior=PriorSpec(prior_family, _frozen(weights[:-1]), zeta, zeta_jac),
@@ -297,13 +310,12 @@ def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
     n_w = d * h
 
     def eta(z, theta):
-        wm = theta[:n_w].reshape(d, h, order="F")
-        mean = wm @ z + theta[n_w : n_w + d]
+        mean = _affine_rows(theta[:n_w].reshape(d, h, order="F"), z, theta[n_w : n_w + d])
         s2 = theta[-1]
-        return np.concatenate([mean / s2, np.full(d, -0.5 / s2)])
+        return np.concatenate([mean / s2, np.full(mean.shape, -0.5 / s2)], axis=1)
 
     def eta_jac(z, theta):
-        return (-1.0 / theta[-1]) * eta(z, theta)[:, None]
+        return (-1.0 / theta[-1]) * eta(z, theta)[:, :, None]
 
     theta = np.concatenate([w.ravel(order="F"), mu, [sigma2]])
     return GenerativeModel(
@@ -341,18 +353,16 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
     noise_family = fam.gaussian_diag_cov(d)
 
     def eta(z, theta):
-        s2 = theta[:d]
-        wv = theta[d:]
-        zval = z[0] if np.ndim(z) else float(z)
-        return np.concatenate([wv * zval / s2, -0.5 / s2])
+        s2, wv = theta[:d], theta[d:]
+        mean_natural = wv * z[:, :1] / s2
+        precision = np.broadcast_to(-0.5 / s2, mean_natural.shape)
+        return np.concatenate([mean_natural, precision], axis=1)
 
     def eta_jac(z, theta):
-        s2 = theta[:d]
-        wv = theta[d:]
-        zval = z[0] if np.ndim(z) else float(z)
-        jac = np.zeros((2 * d, d))
-        jac[:d, :] = np.diag(-wv * zval / s2**2)
-        jac[d:, :] = np.diag(0.5 / s2**2)
+        s2, wv = theta[:d], theta[d:]
+        jac = np.zeros((len(z), 2 * d, d))
+        jac[:, :d, :] = np.eye(d) * (-wv * z[:, :1] / s2**2)[:, None, :]
+        jac[:, d:, :] = np.diag(0.5 / s2**2)
         return jac
 
     theta = np.concatenate([sigma2s, w])
@@ -398,15 +408,19 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
     def zeta_jac(psi):
         return np.diag(1.0 / (psi * (1.0 - psi)))
 
+    def weight_jac(z):
+        # d eta_i / d W[j, k] = z_k [i == j], columns in theta's order (k major).
+        jac = z[:, None, :, None] * np.eye(d)[None, :, None, :]
+        return jac.reshape(len(z), d, n_w)
+
     if offsets_free:
 
         def eta(z, theta):
-            return theta[:n_w].reshape(d, h, order="F") @ z + theta[n_w:]
+            return _affine_rows(theta[:n_w].reshape(d, h, order="F"), z, theta[n_w:])
 
         def eta_jac(z, theta):
-            blocks = [z[k] * np.eye(d) for k in range(h)]
-            blocks.append(np.eye(d))
-            return np.concatenate(blocks, axis=1)
+            offsets = np.broadcast_to(np.eye(d), (len(z), d, d))
+            return np.concatenate([weight_jac(z), offsets], axis=2)
 
         theta = np.concatenate([w.ravel(order="F"), mu])
         info = SbnInfo(h, d, True)
@@ -414,10 +428,10 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
         fixed_mu = _frozen(mu)
 
         def eta(z, theta):
-            return theta.reshape(d, h, order="F") @ z + fixed_mu
+            return _affine_rows(theta.reshape(d, h, order="F"), z, fixed_mu)
 
         def eta_jac(z, theta):
-            return np.concatenate([z[k] * np.eye(d) for k in range(h)], axis=1)
+            return weight_jac(z)
 
         theta = w.ravel(order="F")
         info = SbnInfo(h, d, False, fixed_mu)
@@ -455,12 +469,11 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
         return np.diag(1.0 / (psi * (1.0 - psi)))
 
     def eta(z, theta):
-        zv = z[0] if np.ndim(z) else float(z)
-        return np.array([theta[0] * zv, (theta[0] + 1.0) * zv])
+        zv = z[:, 0]
+        return np.stack([theta[0] * zv, (theta[0] + 1.0) * zv], axis=1)
 
     def eta_jac(z, theta):
-        zv = z[0] if np.ndim(z) else float(z)
-        return np.array([[zv], [zv]])
+        return np.repeat(z[:, None, :1], 2, axis=1)
 
     return GenerativeModel(
         prior=PriorSpec(prior_family, _frozen([pi]), zeta, zeta_jac),
@@ -541,6 +554,11 @@ _FD_REL_STEP = 1e-6
 
 
 def _fd_jacobian(f, x) -> np.ndarray:
+    """Central differences of f over x; a column of f's output per x entry.
+
+    f may return a vector or a stack of rows, so one call per step covers
+    every latent state.
+    """
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.size):
@@ -549,7 +567,7 @@ def _fd_jacobian(f, x) -> np.ndarray:
         xp[i] += h
         xm[i] -= h
         cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
 def jacobian_zeta(model: GenerativeModel, psi=None) -> np.ndarray:
@@ -561,11 +579,12 @@ def jacobian_zeta(model: GenerativeModel, psi=None) -> np.ndarray:
 
 
 def jacobian_eta(model: GenerativeModel, z, theta=None) -> np.ndarray:
-    """Jacobian of the noise natural-parameter map w.r.t. the theta subset, (L, S)."""
+    """Jacobians of the noise natural map w.r.t. the theta subset at a stack
+    of latent states z, shape (S, L, P)."""
     theta = model.noise.params if theta is None else np.asarray(theta, dtype=float)
-    z = np.asarray(z, dtype=float) if np.ndim(z) else z
+    z = np.asarray(z)
     if model.noise.eta_jacobian is not None:
-        return np.atleast_2d(np.asarray(model.noise.eta_jacobian(z, theta), dtype=float))
+        return np.asarray(model.noise.eta_jacobian(z, theta), dtype=float)
     subset = model.noise.theta_subset
 
     def f(sub):
@@ -641,8 +660,8 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
 def _default_z_samples(model: GenerativeModel, count: int, rng: np.random.Generator):
     support = model.latent_support
     if isinstance(support, FiniteStates):
-        return list(support.states)
-    return [rng.normal(0.0, 1.0, size=support.dim) for _ in range(count)]
+        return support.states
+    return rng.normal(0.0, 1.0, size=(count, support.dim))
 
 
 def _lstsq_residual(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
@@ -671,7 +690,7 @@ def check_criterion(
     """
     rng = np.random.default_rng(seed)
     if psi_grid is None or theta_grid is None:
-        probe_z = _default_z_samples(model, 1, rng)[0]
+        probe_z = _default_z_samples(model, 1, rng)[:1]
 
         def valid(p, t):
             try:
@@ -699,9 +718,10 @@ def check_criterion(
         raise ValueError("grids must be non-empty")
     if z_samples is None:
         z_samples = _default_z_samples(model, n_z_samples, rng)
+    zs = np.asarray(z_samples)
     s_dim = model.noise.theta_subset.size
-    if len(z_samples) < 2 * s_dim and isinstance(model.latent_support, RealVector):
-        raise ValueError(f"need at least {2 * s_dim} z samples, got {len(z_samples)}")
+    if len(zs) < 2 * s_dim and isinstance(model.latent_support, RealVector):
+        raise CriterionSampleError(f"need at least {2 * s_dim} z samples, got {len(zs)}")
 
     prior_residual = 0.0
     for psi in psi_grid:
@@ -720,13 +740,9 @@ def check_criterion(
     noise_residual = 0.0
     for theta in theta_grid:
         theta = np.asarray(theta, dtype=float)
-        jac_rows = []
-        target_rows = []
-        for z in z_samples:
-            jac_rows.append(jacobian_eta(model, z, theta))
-            target_rows.append(np.asarray(model.noise.eta(z, theta), dtype=float))
-        stacked = np.concatenate(jac_rows, axis=0)
-        target = np.concatenate(target_rows)
+        jac = jacobian_eta(model, zs, theta)
+        stacked = jac.reshape(-1, jac.shape[-1])
+        target = np.asarray(model.noise.eta(zs, theta), dtype=float).reshape(-1)
         res, rank = _lstsq_residual(stacked, target)
         if rank < stacked.shape[1]:
             warnings.warn(
@@ -757,13 +773,7 @@ def sample_joint(model: GenerativeModel, rng: np.random.Generator, n: int):
         model.prior.family, model.prior.zeta(model.prior.params)
     )
     zs = fam.sample(model.prior.family, prior_std, rng, n)
-    noise_family = model.noise.family
-    xs = np.empty((n, noise_family.data_dim))
-    is_int = noise_family.name in ("poisson_product", "bernoulli_product")
-    for i in range(n):
-        nat = model.noise.eta(zs[i], model.noise.params)
-        std = fam.from_natural(noise_family, nat)
-        xs[i] = fam.sample(noise_family, std, rng, 1)[0]
-    if is_int:
-        xs = xs.astype(np.int64) if noise_family.name == "poisson_product" else xs
+    noise_std = fam.from_natural(model.noise.family, model.noise.eta(zs, model.noise.params))
+    # One draw per row, in row order: the rng stream of a per-row loop.
+    xs = fam.sample(model.noise.family, noise_std, rng, 1)[0]
     return zs, xs

@@ -153,10 +153,10 @@ def _check_data(model: GenerativeModel, data) -> np.ndarray:
     return data
 
 
-def _finite_states(model: GenerativeModel) -> list:
+def _finite_states(model: GenerativeModel) -> np.ndarray:
     if not isinstance(model.latent_support, FiniteStates):
         raise IncompatibilityError(f"{model.model_kind} has no finite latent states")
-    return list(model.latent_support.states)
+    return model.latent_support.states
 
 
 def _as_state_table(model: GenerativeModel, q: VariationalState) -> np.ndarray:
@@ -179,8 +179,8 @@ def _entropy_rows(table: np.ndarray) -> np.ndarray:
         return -np.where(table > 0.0, table * np.log(table), 0.0).sum(axis=1)
 
 
-def _natural_entropy(family, n) -> float:
-    """Standard entropy evaluated from natural parameters.
+def _natural_entropy(family, n):
+    """Standard entropies evaluated from rows of natural parameters.
 
     Unit-base-measure families take the -n.A'(n) + A(n) form, which equals
     their entropy and cannot saturate out of the standard domain the way a
@@ -225,10 +225,11 @@ class FiniteObjective:
 
     The data are checked and their sufficient statistics and log base
     measures computed once. The per-state tables (noise naturals, log
-    partitions, log prior masses) are built once per model and kept for the
-    latest model. Training, the objective reports and verify all evaluate
-    through this class, so they share one arithmetic: the posterior
-    subtracts each row's maximum before exponentiating, and 0 log 0 is 0.
+    partitions, log prior masses) are built once per model, each by one
+    batched call over all states, and kept for the latest model. Training,
+    the objective reports and verify all evaluate through this class, so
+    they share one arithmetic: the posterior subtracts each row's maximum
+    before exponentiating, and 0 log 0 is 0.
     """
 
     def __init__(self, model: GenerativeModel, data):
@@ -247,13 +248,10 @@ class FiniteObjective:
     def tables(self, model: GenerativeModel):
         """(noise naturals (S, L), log partitions (S,), log prior masses (S,))."""
         if model is not self._model:
-            theta = model.noise.params
-            etas = np.stack([model.noise.eta(s, theta) for s in self.states])
-            log_parts = np.array([fam.log_partition(model.noise.family, e) for e in etas])
+            etas = model.noise.eta(self.states, model.noise.params)
+            log_parts = fam.log_partition(model.noise.family, etas)
             zeta = model.prior.zeta(model.prior.params)
-            log_prior = np.array(
-                [fam.log_density(model.prior.family, zeta, s) for s in self.states]
-            )
+            log_prior = fam.log_density(model.prior.family, zeta, self.states)
             self._model, self._tables = model, (etas, log_parts, log_prior)
         return self._tables
 
@@ -294,7 +292,7 @@ class FiniteObjective:
         entropy = fam.pseudo_entropy if pseudo else _natural_entropy
         etas = self.tables(model)[0]
         prior_entropy = entropy(model.prior.family, model.prior.zeta(model.prior.params))
-        noise_entropies = np.array([entropy(model.noise.family, e) for e in etas])
+        noise_entropies = entropy(model.noise.family, etas)
         qbar = table.mean(axis=0)
         return (
             float(np.mean(_entropy_rows(table)))

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from efgen import families as fam
 from efgen.errors import DomainError, SupportError
-from efgen.special import log_factorial
 
 from helpers import (
     FAMILY_GRID,
@@ -116,31 +116,34 @@ class TestGradLogPartition:
 class TestSufficientStats:
     def test_categorical_last_state_is_zero_vector(self):
         np.testing.assert_array_equal(
-            fam.sufficient_stats(fam.categorical(3), 2), [0.0, 0.0]
+            fam.batch_sufficient_stats(fam.categorical(3), [2, 0]), [[0.0, 0.0], [1.0, 0.0]]
         )
 
     def test_gamma_at_one(self):
-        np.testing.assert_allclose(fam.sufficient_stats(fam.gamma_family(), [1.0]), [0.0, 1.0])
+        np.testing.assert_allclose(
+            fam.batch_sufficient_stats(fam.gamma_family(), [[1.0]]), [[0.0, 1.0]]
+        )
 
     def test_poisson_identity(self):
         np.testing.assert_array_equal(
-            fam.sufficient_stats(fam.poisson_product(2), [2, 0]), [2.0, 0.0]
+            fam.batch_sufficient_stats(fam.poisson_product(2), [[2, 0]]), [[2.0, 0.0]]
         )
 
     def test_support_error(self):
         with pytest.raises(SupportError):
-            fam.sufficient_stats(fam.poisson_product(2), [-1, 0])
+            fam.batch_sufficient_stats(fam.poisson_product(2), [[1, 0], [-1, 0]])
 
 
 class TestLogBaseMeasure:
     def test_gaussian_unit(self):
-        assert fam.log_base_measure(fam.gaussian_diag_cov(2), [3.0, -4.0]) == 0.0
+        got = fam.batch_log_base_measure(fam.gaussian_diag_cov(2), [[3.0, -4.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(got, [0.0, 0.0])
 
     def test_poisson_zero_counts(self):
-        assert fam.log_base_measure(fam.poisson_product(2), [0, 0]) == 0.0
+        assert fam.batch_log_base_measure(fam.poisson_product(2), [[0, 0]])[0] == 0.0
 
     def test_poisson_factorials(self):
-        got = fam.log_base_measure(fam.poisson_product(2), [3, 2])
+        got = fam.batch_log_base_measure(fam.poisson_product(2), [[3, 2]])[0]
         assert got == pytest.approx(-(math.log(6) + math.log(2)), abs=1e-13)
 
 
@@ -198,7 +201,7 @@ def loop_poisson_sums(lam: float):
     entropy = mean_log_fact = cum = 0.0
     k = 0
     while not (k > lam and 1.0 - cum < 1e-13):
-        log_fact = log_factorial(k)
+        log_fact = float(gammaln(k + 1.0))
         log_p = k * math.log(lam) - lam - log_fact
         p = math.exp(log_p)
         entropy -= p * log_p
@@ -323,6 +326,11 @@ class TestSampling:
             freq = np.mean(states == c)
             assert abs(freq - 1 / 3) < 5.0 * sigma
 
+    def test_categorical_draws_are_generator_choice_draws(self):
+        got = fam.sample(fam.categorical(3), [0.2, 0.5], np.random.default_rng(4), 1000)
+        want = np.random.default_rng(4).choice(3, size=1000, p=[0.2, 0.5, 0.3])
+        np.testing.assert_array_equal(got, want)
+
     def test_empirical_stats_match_grad_log_partition(self):
         rng = np.random.default_rng(3)
         f = fam.gamma_family()
@@ -341,3 +349,78 @@ class TestSampling:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             fam.sample(fam.gamma_family(), [1.0, 1.0], np.random.default_rng(0), -1)
+
+
+ROW_FAMILIES = [
+    fam.bernoulli_product(3),
+    fam.categorical(4),
+    fam.gaussian_scalar_var(2),
+    fam.gaussian_diag_cov(2),
+    fam.gamma_family(),
+    fam.poisson_product(2),
+]
+
+
+def random_standard_rows(family, rng, rows):
+    """Random points of the standard domain, shape (rows, standard_dim)."""
+    d = family.data_dim
+    name = family.name
+    if name == "bernoulli_product":
+        return rng.uniform(0.01, 0.99, size=(rows, d))
+    if name == "categorical":
+        return rng.dirichlet(np.ones(family.n_states), size=rows)[:, :-1]
+    means = rng.normal(0.0, 3.0, size=(rows, d))
+    if name == "gaussian_scalar_var":
+        return np.hstack([means, rng.lognormal(0.0, 1.0, size=(rows, 1))])
+    if name == "gaussian_diag_cov":
+        return np.hstack([means, rng.lognormal(0.0, 1.0, size=(rows, d))])
+    if name == "gamma":
+        return rng.lognormal(0.0, 1.0, size=(rows, 2))
+    return rng.lognormal(1.0, 1.5, size=(rows, d))
+
+
+def random_natural_rows(family, rng, rows):
+    """Random points of the natural domain, shape (rows, natural_dim)."""
+    d = family.data_dim
+    name = family.name
+    if name == "gaussian_scalar_var":
+        precision = -rng.lognormal(0.0, 1.0, size=(rows, 1))
+        return np.hstack([rng.normal(0.0, 3.0, size=(rows, d)), np.repeat(precision, d, axis=1)])
+    if name == "gaussian_diag_cov":
+        precisions = -rng.lognormal(0.0, 1.0, size=(rows, d))
+        return np.hstack([rng.normal(0.0, 3.0, size=(rows, d)), precisions])
+    if name == "gamma":
+        shapes = rng.lognormal(0.0, 1.0, size=rows)
+        return np.column_stack([shapes - 1.0, -rng.lognormal(0.0, 1.0, size=rows)])
+    return rng.normal(0.0, 3.0, size=(rows, family.natural_dim))
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES, ids=lambda f: f.name)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_row_stacks_match_one_row_calls(family, seed, rows):
+    # Row for row, a stacked call returns exactly what one call per 1-D
+    # vector returns, and an extra leading axis only reshapes the result.
+    rng = np.random.default_rng(seed)
+    naturals = random_natural_rows(family, rng, rows)
+    standards = random_standard_rows(family, rng, rows)
+    for fn, stack in [
+        (fam.log_partition, naturals),
+        (fam.grad_log_partition, naturals),
+        (fam.pseudo_entropy, naturals),
+        (fam.from_natural, naturals),
+        (fam.entropy, standards),
+        (fam.to_natural, standards),
+    ]:
+        got = fn(family, stack)
+        want = np.array([fn(family, row) for row in stack])
+        np.testing.assert_array_equal(got, want, err_msg=fn.__name__)
+        np.testing.assert_array_equal(
+            fn(family, stack[:, None, :]), want[:, None], err_msg=fn.__name__
+        )
+    assert isinstance(fam.log_partition(family, naturals[0]), float)
+    # One draw per row takes the values one call per row would, in order.
+    got = fam.sample(family, standards, np.random.default_rng(seed), 1)[0]
+    rng = np.random.default_rng(seed)
+    want = np.array([fam.sample(family, row, rng, 1)[0] for row in standards])
+    np.testing.assert_array_equal(got, want)

@@ -263,6 +263,20 @@ def _dataset_with_text_cell(raw, tmp_path):
     raw["data"] = {"source": "file", "path": str(path)}
 
 
+def _dataset_with_two_columns(raw, tmp_path):
+    # The config's Gaussian mixture observes one coordinate.
+    path = tmp_path / "wide.csv"
+    path.write_text("x1,x2\n0.5,1.0\n-0.25,2.0\n")
+    raw["data"] = {"source": "file", "path": str(path)}
+
+
+def _ppca_with_one_z_sample(raw, _):
+    # One latent draw cannot identify the shared criterion coefficient; ppca
+    # needs two (twice its one-parameter criterion subset).
+    raw["model"] = {"kind": "ppca", "w": [[1.0], [0.5]], "mu": [0.0, 0.0], "sigma2": 0.5}
+    raw["verification"] = {"criterion_z_samples": 1}
+
+
 def _case(command, edit, field, case_id):
     return pytest.param(command, edit, field, id=case_id)
 
@@ -303,6 +317,14 @@ USER_ERRORS = [
     _case("train", _dataset_with_text_cell, "cells.csv: row 3", "dataset-text-cell"),
     _case("train", lambda raw, _: raw["data"].update(n=0), "config.data.n", "train-empty"),
     _case("verify", lambda raw, _: raw["data"].update(n=0), "config.data.n", "verify-empty"),
+    _case("train", _dataset_with_two_columns, "config.data.path", "train-dataset-columns"),
+    _case("verify", _dataset_with_two_columns, "config.data.path", "verify-dataset-columns"),
+    _case(
+        "verify",
+        _ppca_with_one_z_sample,
+        "config.verification.criterion_z_samples",
+        "ppca-one-z-sample",
+    ),
 ]
 
 
@@ -319,6 +341,21 @@ def test_user_errors_exit_2_with_field_path(tmp_path, capsys, command, edit, fie
     assert cli_main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err, err
+
+
+def test_verify_refuses_a_model_of_another_dimension(tmp_path, capsys):
+    # The data observe one coordinate; the trained model file claims two.
+    raw = gmm_config(tmp_path)
+    model_path = os.path.join(tmp_path, "model.json")
+    with open(model_path, "w") as fh:
+        json.dump(
+            {**raw["model"], "data_dim": 2, "component_params": [[-5.0, 0.0, 1.0], [5.0, 0.0, 1.0]]},
+            fh,
+        )
+    args = ["verify", "--config", write_config(tmp_path, raw), "--model", model_path, "--quiet"]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and model_path in err, err
 
 
 class TestTrainVerifyAgreement:

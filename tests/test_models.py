@@ -103,19 +103,19 @@ class TestJacobians:
 
     def test_simple_sbn_eta_jacobian_identity_at_one(self):
         np.testing.assert_allclose(
-            mdl.jacobian_eta(simple_sbn(), np.array([1.0])), np.eye(2)
+            mdl.jacobian_eta(simple_sbn(), np.array([[1.0]])), [np.eye(2)]
         )
 
     def test_rigid_sbn_eta_jacobian_column(self):
         m = mdl.make_rigid_sbn(0.5, 0.0)
-        np.testing.assert_allclose(mdl.jacobian_eta(m, np.array([1.0])), [[1.0], [1.0]])
+        np.testing.assert_allclose(mdl.jacobian_eta(m, np.array([[1.0]])), [[[1.0], [1.0]]])
 
     def test_ppca_eta_jacobian_is_scaled_eta(self):
         m = mdl.make_ppca(np.array([[0.7], [0.2], [-0.4]]), np.array([0.1, 0.0, -0.2]), 0.9)
-        z = np.array([0.3])
+        z = np.array([[0.3], [-1.2]])
         eta = m.noise.eta(z, m.noise.params)
         np.testing.assert_allclose(
-            mdl.jacobian_eta(m, z), (-1.0 / 0.9) * eta[:, None], rtol=1e-12
+            mdl.jacobian_eta(m, z), (-1.0 / 0.9) * eta[:, :, None], rtol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -152,14 +152,17 @@ class TestJacobians:
             ]
         ).T
         np.testing.assert_allclose(mdl.jacobian_zeta(model), fd, atol=1e-5)
-        # Noise map w.r.t. its theta subset.
+        # Noise map w.r.t. its theta subset, at every state of the stack.
         theta = model.noise.params
         subset = model.noise.theta_subset
-        for z in zs:
+        zs = np.asarray(zs)
+        jac = mdl.jacobian_eta(model, zs)
+        assert jac.shape == (len(zs), model.noise.family.natural_dim, subset.size)
+        for i, z in enumerate(zs):
             def eta_of_subset(sub, z=z):
                 full = theta.copy()
                 full[subset] = sub
-                return model.noise.eta(z, full)
+                return model.noise.eta(np.asarray([z]), full)[0]
 
             fd = np.column_stack(
                 [
@@ -169,7 +172,7 @@ class TestJacobians:
                     for k in range(model.noise.family.natural_dim)
                 ]
             ).T
-            np.testing.assert_allclose(mdl.jacobian_eta(model, z), fd, atol=1e-5)
+            np.testing.assert_allclose(jac[i], fd, atol=1e-5)
 
 
 class TestCriterion:
@@ -236,7 +239,7 @@ class TestCriterion:
             fam.bernoulli_product(2),
             np.array([1.3]),
             np.array([0]),
-            lambda z, t: t[0] * np.array([z[0], 2.0 * z[0]]),
+            lambda z, t: t[0] * np.column_stack([z[:, 0], 2.0 * z[:, 0]]),
         )
         model = mdl.GenerativeModel(
             prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(1)), "custom"
@@ -245,7 +248,9 @@ class TestCriterion:
             mdl.jacobian_zeta(model), [[3 * 0.7**2]], rtol=1e-6
         )
         np.testing.assert_allclose(
-            mdl.jacobian_eta(model, np.array([1.0])), [[1.0], [2.0]], rtol=1e-6
+            mdl.jacobian_eta(model, np.array([[1.0], [0.0]])),
+            [[[1.0], [2.0]], [[0.0], [0.0]]],
+            rtol=1e-6,
         )
         report = mdl.check_criterion(model, seed=0)
         assert report.passes
@@ -260,7 +265,7 @@ class TestCriterion:
             fam.bernoulli_product(2),
             np.array([0.0]),
             np.array([0]),
-            lambda z, t: np.array([t[0] * z[0], (t[0] + 1.0) * z[0]]),
+            lambda z, t: np.column_stack([t[0] * z[:, 0], (t[0] + 1.0) * z[:, 0]]),
         )
         model = mdl.GenerativeModel(
             prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(1)), "custom"
@@ -305,6 +310,52 @@ class TestSampleJoint:
     def test_empty(self):
         zs, xs = mdl.sample_joint(gmm_1d(), np.random.default_rng(0), 0)
         assert len(zs) == 0 and xs.shape == (0, 1)
+
+    @pytest.mark.parametrize(
+        "kind, want_z, want_x",
+        [
+            (
+                "gmm",
+                [2, 1, 1, 2, 2, 0],
+                [
+                    [4.430675458970213, -1.1180625938559148],
+                    [1.8102855742952833, 0.7508434731539183],
+                    [0.6397595539314624, -0.7313225212292476],
+                    [3.4461414824363663, 0.5710658934432078],
+                    [4.024456201534767, -0.5944059260237036],
+                    [-3.973277923926064, 0.38287858715118617],
+                ],
+            ),
+            ("poisson", [1, 0, 0, 1, 1, 0], [[20, 0], [0, 4], [3, 6], [35, 0], [20, 0], [2, 6]]),
+            (
+                "sbn",
+                [[0, 1], [0, 0], [0, 1], [1, 1], [0, 1], [0, 0]],
+                [[1, 0, 1], [1, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]],
+            ),
+        ],
+    )
+    def test_seeded_stream_is_pinned(self, kind, want_z, want_x):
+        # Values drawn one row at a time, before sampling was batched; the
+        # batched draws must take the same values from the generator, so
+        # seeded datasets stay byte-identical. A rate of 30 exercises the
+        # Poisson sampler's rejection branch.
+        model = {
+            "gmm": lambda: mdl.make_ef_mixture(
+                fam.gaussian_diag_cov(2),
+                [0.2, 0.3, 0.5],
+                np.array([[-3.0, 1.0, 0.5, 2.0], [0.0, 0.0, 1.0, 1.0], [4.0, -2.0, 0.25, 3.0]]),
+            ),
+            "poisson": lambda: mdl.make_ef_mixture(
+                fam.poisson_product(2), [0.4, 0.6], np.array([[1.5, 7.0], [30.0, 0.8]])
+            ),
+            "sbn": lambda: mdl.make_sbn(
+                [0.3, 0.6], np.array([[1.5, -1.0], [-2.0, 0.5], [0.7, 1.8]]), [0.2, -0.3, 0.1]
+            ),
+        }[kind]()
+        zs, xs = mdl.sample_joint(model, np.random.default_rng(2024), 6)
+        np.testing.assert_array_equal(zs, want_z)
+        np.testing.assert_array_equal(xs, want_x)
+        assert xs.dtype == (np.int64 if kind == "poisson" else np.float64)
 
 
 class TestReplaceParams:

@@ -1,6 +1,7 @@
 """Objective identities: exact ELBO, KL form, entropy sums, pseudo variants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,9 +198,7 @@ class TestPseudoVariants:
         offset = obj.mean_log_base_measure(model, data)
         assert pse.elbo == pytest.approx(std.elbo - offset, abs=1e-10)
         # Explicit factorial form of the offset.
-        from efgen.special import log_factorial
-
-        manual = np.mean([sum(log_factorial(int(v)) for v in row) for row in data])
+        manual = np.mean([sum(math.lgamma(int(v) + 1) for v in row) for row in data])
         assert pse.elbo - std.elbo == pytest.approx(manual, abs=1e-10)
 
     def test_poisson_pseudo_noise_term(self):
@@ -297,3 +296,56 @@ class TestStationarityGap:
         # Ground-truth parameters are not a stationary point of this sample.
         assert gap_std > 1e-3
         assert gap_pse == pytest.approx(gap_std, abs=1e-12)
+
+
+class TestBatchedStateTables:
+    """The finite-state tables take one batched call per quantity, however
+    many latent states there are."""
+
+    def counted_sbn(self, calls):
+        rng = np.random.default_rng(7)
+        model = mdl.make_sbn(
+            rng.uniform(0.3, 0.7, size=10), rng.normal(size=(6, 10)), 0.3 * rng.normal(size=6)
+        )
+        eta = model.noise.eta
+
+        def counted_eta(z, theta):
+            calls.append(len(z))
+            return eta(z, theta)
+
+        return replace(model, noise=replace(model.noise, eta=counted_eta))
+
+    def test_h10_tables_call_eta_once(self, monkeypatch):
+        calls, family_calls = [], []
+        model = self.counted_sbn(calls)
+        for name in ("log_partition", "log_density", "pseudo_entropy"):
+            original = getattr(fam, name)
+
+            def counted(*args, _name=name, _original=original):
+                family_calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(fam, name, counted)
+        _, data = mdl.sample_joint(model, np.random.default_rng(8), 40)
+        assert calls == [40]
+        ev = obj.FiniteObjective(model, data)
+        etas, log_parts, log_prior = ev.tables(model)
+        assert calls == [40, 1024]
+        # Noise log partitions, then the prior log masses (whose log_density
+        # takes its own log partition).
+        assert family_calls == ["log_partition", "log_density", "log_partition"]
+        assert etas.shape == (1024, 6) and log_parts.shape == log_prior.shape == (1024,)
+        # Later quantities reuse the cached tables; the entropy sum adds one
+        # noise-entropy call over all states (and one for the prior).
+        table = ev.posterior(model)
+        ev.report(model, table)
+        assert calls == [40, 1024]
+        assert family_calls.count("pseudo_entropy") == 2
+
+    def test_criterion_calls_eta_once_per_theta_grid_point(self):
+        calls = []
+        model = self.counted_sbn(calls)
+        thetas = [model.noise.params, model.noise.params + 0.1, model.noise.params - 0.2]
+        report = mdl.check_criterion(model, [model.prior.params], thetas)
+        assert report.passes
+        assert calls == [1024, 1024, 1024]

@@ -1,9 +1,12 @@
-"""Special-function accuracy contracts.
+"""Accuracy contracts of the special functions efgen takes from scipy.special.
 
-Expected values marked as oracle-derived were computed with the independent
-oracles in this file (mpmath quadrature of the gamma integral, high-precision
-central differences of log-gamma) and frozen; the oracles are kept here so the
-numbers stay auditable.
+Log-gamma, digamma and trigamma are scipy's gammaln, digamma and
+polygamma(1, .); log-factorials are efgen.families.log_factorial, gammaln(k + 1)
+behind a check for non-negative integers. Expected values marked as
+oracle-derived were computed with the independent oracles in this file
+(mpmath quadrature of the gamma integral, high-precision central differences
+of log-gamma) and frozen; the oracles are kept here so the numbers stay
+auditable.
 """
 
 import math
@@ -13,15 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, polygamma
+from scipy.special import gammaln as log_gamma
 
-from efgen.special import (
-    DEFAULT_POLICY,
-    PrecisionPolicy,
-    digamma,
-    log_factorial,
-    log_gamma,
-    trigamma,
-)
+from efgen.families import log_factorial
 
 mp.mp.dps = 40
 
@@ -61,11 +59,6 @@ class TestLogGamma:
         for x in np.logspace(-3, 6, 121):
             ref = float(mp.loggamma(x))
             assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref)), x
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
     @given(st.floats(min_value=1e-3, max_value=100.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
@@ -107,10 +100,9 @@ class TestDigamma:
             fd = (log_gamma(x + h) - log_gamma(x - h)) / (2 * h)
             assert abs(digamma(x) - fd) <= 1e-6, x
 
-    @pytest.mark.parametrize("bad", [0.0, -3.0, math.nan])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            digamma(bad)
+
+def trigamma(x):
+    return polygamma(1, x)
 
 
 class TestTrigamma:
@@ -131,10 +123,6 @@ class TestTrigamma:
             fd = (digamma(x + h) - digamma(x - h)) / (2 * h)
             assert abs(trigamma(x) - fd) <= 1e-5 * max(1.0, trigamma(x)), x
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            trigamma(-1.0)
-
 
 class TestLogFactorial:
     @pytest.mark.parametrize("n,expected", [(0, 0.0), (1, 0.0), (5, math.log(120.0))])
@@ -142,8 +130,11 @@ class TestLogFactorial:
         assert log_factorial(n) == pytest.approx(expected, abs=1e-13)
 
     def test_exact_summation_region_matches_log_gamma(self):
+        # gammaln(n + 1) agrees with the correctly rounded sum of the logs.
         for n in (2, 17, 128, 256):
-            assert log_factorial(n) == pytest.approx(log_gamma(n + 1.0), rel=1e-14)
+            summed = math.fsum(math.log(k) for k in range(2, n + 1))
+            assert log_factorial(n) == pytest.approx(summed, rel=1e-14)
+            assert log_factorial(n) == log_gamma(n + 1.0)
 
     def test_large_values_delegate_to_log_gamma(self):
         assert log_factorial(1000) == pytest.approx(float(mp.loggamma(1001)), rel=1e-13)
@@ -152,18 +143,3 @@ class TestLogFactorial:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             log_factorial(bad)
-
-
-class TestPrecisionPolicy:
-    def test_defaults(self):
-        assert DEFAULT_POLICY.abs_tol == 1e-12
-        assert DEFAULT_POLICY.series_terms == 64
-
-    @pytest.mark.parametrize("kwargs", [{"abs_tol": 0.0}, {"abs_tol": -1e-9}, {"series_terms": 8}])
-    def test_invariants(self, kwargs):
-        with pytest.raises(ValueError):
-            PrecisionPolicy(**kwargs)
-
-    def test_policy_threading(self):
-        loose = PrecisionPolicy(abs_tol=1e-6, series_terms=16)
-        assert digamma(3.7, policy=loose) == pytest.approx(digamma(3.7), abs=1e-6)
