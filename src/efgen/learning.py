@@ -1,7 +1,9 @@
 """Training to stationary points: mixture EM, linear-Gaussian fits, SBN ascent.
 
-Every E-step uses the exact posterior, so the reached fixed points are true
-stationary points of the ELBO in all parameters (variational-side
+One loop, _train, runs every trainer: it alternates the trainer's M-step
+with an exact E-step from the model's evaluator (objective.FiniteObjective
+or objective.GaussianObjective). Exact E-steps make the reached fixed points
+true stationary points of the ELBO in all parameters (variational-side
 stationarity is implied by exact-posterior optimality). Stopping demands
 both an ELBO plateau and a small finite-difference gradient norm; a plateau
 alone is not accepted.
@@ -23,15 +25,14 @@ from .errors import (
     EmptyClusterError,
     NewtonConvergenceError,
 )
-from .models import GenerativeModel, make_ppca, replace_params
+from .models import GenerativeModel, make_ppca, ppca_components, replace_params
 
 __all__ = [
     "TrainingConfig",
     "TraceRecord",
     "TrainingTrace",
-    "MixtureFit",
+    "Fit",
     "PpcaFit",
-    "SbnFit",
     "em_mixture",
     "mixture_m_step",
     "fit_ppca",
@@ -81,9 +82,11 @@ class TrainingTrace:
 
 
 @dataclass(frozen=True)
-class MixtureFit:
+class Fit:
+    """The trained model, its exact posterior and the training trace."""
+
     model: GenerativeModel
-    q: obj.CategoricalTable
+    q: obj.VariationalState
     trace: TrainingTrace
 
 
@@ -98,31 +101,73 @@ class PpcaFit:
     em_q: obj.GaussianMoments
 
 
-@dataclass(frozen=True)
-class SbnFit:
-    model: GenerativeModel
-    q: obj.EnumeratedTable
-    trace: TrainingTrace
-
-
 def grad_norm_all_params(model: GenerativeModel, data, q) -> float:
     """Norm of the finite-difference ELBO gradient over every model parameter.
 
     The variational state is held fixed; at an exact-posterior fixed point
     this is the full stationarity check.
     """
-    if isinstance(q, obj.GaussianMoments):
-        data = np.asarray(data, dtype=float)
+    ev = obj.evaluator(model, data)
+    return ev.grad_norm(model, ev.state_table(model, q))
 
-        def value(psi, theta):
-            m = replace_params(model, psi, theta)
-            f1, f2, f3 = obj._gaussian_terms(m, data, q)
-            return f1 - f2 - f3
 
-        return obj._fd_grad_norm(value, model.prior.params, model.noise.params)
+def _train(
+    ev: obj.FiniteObjective | obj.GaussianObjective,
+    model: GenerativeModel,
+    config: TrainingConfig,
+    step,
+) -> Fit:
+    """Alternate model = step(model, q) with exact E-steps q = ev.posterior(model).
 
-    cache = obj.FiniteObjective(model, data)
-    return cache.grad_norm(model, cache.state_table(model, q))
+    Stops at an ELBO plateau with a gradient norm below tolerance, or at the
+    iteration cap. Gradient checks on a plateau back off exponentially: EM
+    tails can hold an ELBO plateau for thousands of iterations before the
+    gradient drops below tolerance, and a finite-difference gradient per
+    iteration would dominate the run.
+    """
+    trace = TrainingTrace()
+    t0 = time.perf_counter()
+    prev_elbo = None
+    q = ev.posterior(model)
+    check_interval, next_check = 1, 0
+    for it in range(1, config.max_iters + 1):
+        model = step(model, q)
+        q = ev.posterior(model)
+        elbo = ev.elbo(model, q)
+        plateau = (
+            prev_elbo is not None
+            and abs(elbo - prev_elbo) < config.elbo_rel_tol * max(1.0, abs(elbo))
+        )
+        if not plateau:
+            check_interval, next_check = 1, it
+        check_now = plateau and it >= next_check
+        if check_now or it % config.record_every == 0 or it == config.max_iters:
+            report = ev.report(model, q)
+            grad = ev.grad_norm(model, q)
+            trace.records.append(
+                TraceRecord(
+                    iteration=it,
+                    elbo=report.elbo,
+                    entropy_sum=report.entropy_sum,
+                    gap=report.gap / max(1.0, abs(report.elbo)),
+                    grad_norm=grad,
+                    wall_time=time.perf_counter() - t0,
+                )
+            )
+            if plateau and grad < config.grad_norm_tol:
+                trace.converged = True
+                trace.stop_reason = "elbo plateau with vanishing gradient"
+                break
+        if check_now:
+            check_interval = min(2 * check_interval, 256)
+            next_check = it + check_interval
+        prev_elbo = elbo
+    else:
+        trace.stop_reason = (
+            f"iteration cap {config.max_iters} reached "
+            f"(grad_norm {grad:.3e}, tol {config.grad_norm_tol:.1e})"
+        )
+    return Fit(model, ev.variational(q), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +262,12 @@ def _kmeanspp_init(model: GenerativeModel, data: np.ndarray, rng) -> np.ndarray:
     return resp / resp.sum(axis=1, keepdims=True)
 
 
-def _record(
-    trace: TrainingTrace,
-    iteration: int,
-    report: obj.ObjectiveReport,
-    grad: float,
-    t0: float,
-) -> float:
-    trace.records.append(
-        TraceRecord(
-            iteration=iteration,
-            elbo=report.elbo,
-            entropy_sum=report.entropy_sum,
-            gap=report.gap / max(1.0, abs(report.elbo)),
-            grad_norm=grad,
-            wall_time=time.perf_counter() - t0,
-        )
-    )
-    return grad
-
-
 def em_mixture(
     model: GenerativeModel,
     data,
     config: TrainingConfig,
     init: str = "auto",
-) -> MixtureFit:
+) -> Fit:
     """Exact-posterior EM for exponential-family mixtures.
 
     init="auto" seeds responsibilities k-means++-style on sufficient
@@ -251,49 +276,13 @@ def em_mixture(
     if model.model_kind != "ef_mixture":
         raise ValueError("em_mixture expects an ef_mixture model")
     data = np.asarray(data, dtype=float)
-    cache = obj.FiniteObjective(model, data)
+    ev = obj.FiniteObjective(model, data)
     rng = np.random.default_rng(config.seed)
     if init == "auto":
         model = mixture_m_step(model, data, _kmeanspp_init(model, data, rng))
     elif init != "model":
         raise ValueError("init must be 'auto' or 'model'")
-
-    trace = TrainingTrace()
-    t0 = time.perf_counter()
-    prev_elbo = None
-    table = cache.posterior(model)
-    # Gradient checks on a plateau back off exponentially: EM tails can hold
-    # an ELBO plateau for thousands of iterations before the gradient drops
-    # below tolerance, and a finite-difference gradient per iteration would
-    # dominate the run.
-    check_interval, next_check = 1, 0
-    for it in range(1, config.max_iters + 1):
-        model = mixture_m_step(model, data, table)
-        table = cache.posterior(model)
-        elbo = cache.elbo(model, table)
-        plateau = (
-            prev_elbo is not None
-            and abs(elbo - prev_elbo) < config.elbo_rel_tol * max(1.0, abs(elbo))
-        )
-        if not plateau:
-            check_interval, next_check = 1, it
-        check_now = plateau and it >= next_check
-        grad = None
-        if check_now or it % config.record_every == 0 or it == config.max_iters:
-            grad = _record(
-                trace, it, cache.report(model, table), cache.grad_norm(model, table), t0
-            )
-        if plateau and grad is not None and grad < config.grad_norm_tol:
-            trace.converged = True
-            trace.stop_reason = "elbo plateau with vanishing gradient"
-            break
-        if check_now:
-            check_interval = min(2 * check_interval, 256)
-            next_check = it + check_interval
-        prev_elbo = elbo
-    else:
-        trace.stop_reason = f"iteration cap {config.max_iters} reached"
-    return MixtureFit(model, obj.CategoricalTable(table), trace)
+    return _train(ev, model, config, lambda m, resp: mixture_m_step(m, data, resp))
 
 
 # ---------------------------------------------------------------------------
@@ -342,48 +331,22 @@ def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
     w_ml, mean, sigma2_ml, cov = _ppca_ml_solution(data, h)
     model_ml = make_ppca(w_ml, mean, sigma2_ml, tau=1.0)
 
-    rng = np.random.default_rng(config.seed)
-    w0 = w_ml + 0.05 * rng.normal(size=w_ml.shape)
-    sigma20 = sigma2_ml * 1.2
-
-    trace = TrainingTrace()
-    t0 = time.perf_counter()
-    w, sigma2 = w0, sigma20
-    prev_elbo = None
-    model_em = make_ppca(w, mean, sigma2, tau=1.0)
-    for it in range(1, config.max_iters + 1):
+    def step(model, q):
+        # Tipping & Bishop's EM update folds the posterior moments into the
+        # sample covariance, so it reads the model and not q.
+        w, _, sigma2, _ = ppca_components(model)
         hdim = w.shape[1]
-        m = w.T @ w + sigma2 * np.eye(hdim)
-        minv = np.linalg.inv(m)
+        minv = np.linalg.inv(w.T @ w + sigma2 * np.eye(hdim))
         sw = cov @ w
         w_new = sw @ np.linalg.inv(sigma2 * np.eye(hdim) + minv @ w.T @ sw)
-        sigma2 = float(np.trace(cov - sw @ minv @ w_new.T)) / d
-        w = w_new
-        model_em = make_ppca(w, mean, sigma2, tau=1.0)
-        q = obj.exact_posterior(model_em, data)
-        elbo = obj.marginal_loglik(model_em, data)  # tight at the exact posterior
-        plateau = (
-            prev_elbo is not None
-            and abs(elbo - prev_elbo) < config.elbo_rel_tol * max(1.0, abs(elbo))
-        )
-        if it % config.record_every == 0 or plateau or it == config.max_iters:
-            report = obj.elbo_terms(model_em, data, q)
-            grad = _record(trace, it, report, grad_norm_all_params(model_em, data, q), t0)
-            if plateau and grad < config.grad_norm_tol:
-                trace.converged = True
-                trace.stop_reason = "elbo plateau with vanishing gradient"
-                break
-        prev_elbo = elbo
-    else:
-        trace.stop_reason = f"iteration cap {config.max_iters} reached"
+        sigma2_new = float(np.trace(cov - sw @ minv @ w_new.T)) / d
+        return make_ppca(w_new, mean, sigma2_new, tau=1.0)
 
-    return PpcaFit(
-        model=model_ml,
-        q=obj.exact_posterior(model_ml, data),
-        trace=trace,
-        em_model=model_em,
-        em_q=obj.exact_posterior(model_em, data),
-    )
+    rng = np.random.default_rng(config.seed)
+    model0 = make_ppca(w_ml + 0.05 * rng.normal(size=w_ml.shape), mean, sigma2_ml * 1.2, tau=1.0)
+    ev = obj.GaussianObjective(model_ml, data)
+    fit = _train(ev, model0, config, step)
+    return PpcaFit(model_ml, ev.posterior(model_ml), fit.trace, fit.model, fit.q)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +402,7 @@ def fit_sbn(
     data,
     config: TrainingConfig,
     init: str = "auto",
-) -> SbnFit:
+) -> Fit:
     """Exact enumerated E-steps alternated with closed-form latent-probability
     updates and Armijo backtracking gradient ascent on weights and offsets.
 
@@ -463,18 +426,18 @@ def fit_sbn(
     elif init != "model":
         raise ValueError("init must be 'auto' or 'model'")
 
-    cache = obj.FiniteObjective(model, data)
     z_states = np.asarray(model.latent_support.states, dtype=float)
     n_w = d * h
     x = data
-
-    trace = TrainingTrace()
-    t0 = time.perf_counter()
-    prev_elbo = None
     inner_tol = max(0.1 * config.grad_norm_tol, 1e-11)
-    table = cache.posterior(model)
-    check_interval, next_check = 1, 0  # plateau-check backoff, as in em_mixture
-    for it in range(1, config.max_iters + 1):
+    mu_fixed = None if info.offsets_free else info.fixed_offsets
+
+    def split(vec):
+        wf = vec[:n_w]
+        mu = vec[n_w:] if info.offsets_free else mu_fixed
+        return wf, mu
+
+    def step(model, table):
         # Latent probabilities: exact coordinate maximizer given q.
         marginals = table.mean(axis=0) @ z_states
         pi = np.clip(marginals, 1e-12, 1.0 - 1e-12)
@@ -483,12 +446,6 @@ def fit_sbn(
         b = table.T @ x  # (S, D)
         w_s = table.sum(axis=0)  # (S,)
         theta = model.noise.params.copy()
-        mu_fixed = None if info.offsets_free else info.fixed_offsets
-
-        def split(vec):
-            wf = vec[:n_w]
-            mu = vec[n_w:] if info.offsets_free else mu_fixed
-            return wf, mu
 
         def value(vec):
             wf, mu = split(vec)
@@ -526,32 +483,6 @@ def fit_sbn(
                 t *= 0.5
             if not accepted:
                 break
+        return replace_params(model, psi=pi, theta=theta)
 
-        model = replace_params(model, psi=pi, theta=theta)
-        table = cache.posterior(model)
-        elbo = cache.elbo(model, table)
-        plateau = (
-            prev_elbo is not None
-            and abs(elbo - prev_elbo) < config.elbo_rel_tol * max(1.0, abs(elbo))
-        )
-        if not plateau:
-            check_interval, next_check = 1, it
-        check_now = plateau and it >= next_check
-        if check_now or it % config.record_every == 0 or it == config.max_iters:
-            grad = _record(
-                trace, it, cache.report(model, table), cache.grad_norm(model, table), t0
-            )
-            if plateau and grad < config.grad_norm_tol:
-                trace.converged = True
-                trace.stop_reason = "elbo plateau with vanishing gradient"
-                break
-            if it == config.max_iters:
-                trace.stop_reason = (
-                    f"iteration cap {config.max_iters} reached "
-                    f"(grad_norm {grad:.3e}, tol {config.grad_norm_tol:.1e})"
-                )
-        if check_now:
-            check_interval = min(2 * check_interval, 256)
-            next_check = it + check_interval
-        prev_elbo = elbo
-    return SbnFit(model, obj.EnumeratedTable(table), trace)
+    return _train(obj.FiniteObjective(model, data), model, config, step)

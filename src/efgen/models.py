@@ -287,6 +287,21 @@ def _scalar_var_gaussian_prior(h: int):
     return prior_family, zeta, zeta_jac
 
 
+def _bernoulli_prior(h: int):
+    """Independent Bernoulli latents on {0,1}^h, trained as probabilities."""
+    prior_family = fam.bernoulli_product(h)
+
+    def zeta(psi):
+        if not np.all((psi > 0.0) & (psi < 1.0)):
+            raise DomainError("latent probabilities must lie in the open (0,1)")
+        return np.log(psi) - np.log1p(-psi)
+
+    def zeta_jac(psi):
+        return np.diag(1.0 / (psi * (1.0 - psi)))
+
+    return prior_family, zeta, zeta_jac
+
+
 def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
     """Linear-Gaussian model with isotropic observation noise.
 
@@ -396,17 +411,9 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
     if mu.shape != (d,):
         raise DomainError(f"mu must have shape ({d},)")
 
-    prior_family = fam.bernoulli_product(h)
+    prior_family, zeta, zeta_jac = _bernoulli_prior(h)
     noise_family = fam.bernoulli_product(d)
     n_w = d * h
-
-    def zeta(psi):
-        if not np.all((psi > 0.0) & (psi < 1.0)):
-            raise DomainError("latent probabilities must lie in the open (0,1)")
-        return np.log(psi) - np.log1p(-psi)
-
-    def zeta_jac(psi):
-        return np.diag(1.0 / (psi * (1.0 - psi)))
 
     def weight_jac(z):
         # d eta_i / d W[j, k] = z_k [i == j], columns in theta's order (k major).
@@ -457,16 +464,8 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
     if not 0.0 < pi < 1.0:
         raise DomainError("pi must lie in the open (0,1)")
 
-    prior_family = fam.bernoulli_product(1)
+    prior_family, zeta, zeta_jac = _bernoulli_prior(1)
     noise_family = fam.bernoulli_product(2)
-
-    def zeta(psi):
-        if not np.all((psi > 0.0) & (psi < 1.0)):
-            raise DomainError("pi must lie in the open (0,1)")
-        return np.log(psi) - np.log1p(-psi)
-
-    def zeta_jac(psi):
-        return np.diag(1.0 / (psi * (1.0 - psi)))
 
     def eta(z, theta):
         zv = z[:, 0]

@@ -20,9 +20,14 @@ replaces entropies with their base-measure-reweighted counterparts, which
 stay closed-form even for Poisson observables; the two variants differ by
 exactly the data's mean log base measure.
 
-Finite-state models have one evaluator, FiniteObjective. Training uses it
-too, so reports and verify recompute a trained model's ELBO, entropy sum
-and stationarity gradient with the arithmetic training recorded them with.
+Two evaluators share one interface (posterior, state_table, terms, elbo,
+entropy_sum, report, kl_form, marginal_loglik, grad_norm): FiniteObjective
+sums over the enumerated states of mixtures and sigmoid belief nets, and
+GaussianObjective does the moment algebra of the linear-Gaussian models.
+evaluator() picks one from the model's latent support. The public functions
+below and the training loop all go through them, so reports and verify
+recompute a trained model's ELBO, entropy sum and stationarity gradient with
+the arithmetic training recorded them with.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ __all__ = [
     "VariationalState",
     "ObjectiveReport",
     "FiniteObjective",
+    "GaussianObjective",
+    "evaluator",
     "exact_posterior",
     "elbo_terms",
     "pseudo_elbo_terms",
@@ -141,7 +148,7 @@ class ObjectiveReport:
 
 
 # ---------------------------------------------------------------------------
-# The finite-state evaluator (mixtures and sigmoid belief nets).
+# The evaluators: finite-state summation and Gaussian moment algebra.
 
 
 def _check_data(model: GenerativeModel, data) -> np.ndarray:
@@ -192,56 +199,86 @@ def _natural_entropy(family, n):
     return fam.entropy(family, fam.from_natural(family, n))
 
 
-def _objective_report(f1: float, f2: float, f3: float, rhs: float, pseudo: bool):
-    elbo = f1 - f2 - f3
-    return ObjectiveReport(
-        f1=f1,
-        f2=f2,
-        f3=f3,
-        elbo=elbo,
-        entropy_sum=rhs,
-        gap=abs(elbo - rhs),
-        variant="pseudo" if pseudo else "standard",
-    )
+class _Objective:
+    """What both evaluators derive from their (f1, f2, f3) and entropy sum.
+
+    Each evaluator holds one dataset (or none, for entropy sums alone) and
+    takes the model and q per call; q is in the evaluator's own form, as
+    returned by posterior() or state_table().
+    """
+
+    def elbo(self, model: GenerativeModel, q) -> float:
+        f1, f2, f3 = self.terms(model, q)
+        return f1 - f2 - f3
+
+    def report(self, model: GenerativeModel, q, pseudo: bool = False) -> ObjectiveReport:
+        f1, f2, f3 = self.terms(model, q, pseudo)
+        rhs = self.entropy_sum(model, q, pseudo)
+        elbo = f1 - f2 - f3
+        return ObjectiveReport(
+            f1=f1,
+            f2=f2,
+            f3=f3,
+            elbo=elbo,
+            entropy_sum=rhs,
+            gap=abs(elbo - rhs),
+            variant="pseudo" if pseudo else "standard",
+        )
+
+    def grad_norm(self, model: GenerativeModel, q) -> float:
+        """Central finite-difference ELBO gradient norm over (psi, theta), q fixed."""
+        full = np.concatenate([model.prior.params, model.noise.params])
+        r = model.prior.params.size
+
+        def value(params):
+            # Looked up on the module, where the benchmark's tracer counts it.
+            return self.elbo(mdl.replace_params(model, params[:r], params[r:]), q)
+
+        sq = 0.0
+        for i in range(full.size):
+            h = _GRAD_FD_REL_STEP * max(1.0, abs(full[i]))
+            up, dn = full.copy(), full.copy()
+            up[i] += h
+            dn[i] -= h
+            g = (value(up) - value(dn)) / (2.0 * h)
+            sq += g * g
+        return math.sqrt(sq)
+
+    def _check_n(self, n: int):
+        if self.n is not None and n != self.n:
+            raise ValueError("data and variational state disagree on N")
 
 
-def _fd_grad_norm(value_of_params, psi: np.ndarray, theta: np.ndarray) -> float:
-    """Central finite differences over the concatenated (psi, theta) vector."""
-    full = np.concatenate([psi, theta])
-    r = psi.size
-    sq = 0.0
-    for i in range(full.size):
-        h = _GRAD_FD_REL_STEP * max(1.0, abs(full[i]))
-        up, dn = full.copy(), full.copy()
-        up[i] += h
-        dn[i] -= h
-        g = (value_of_params(up[:r], up[r:]) - value_of_params(dn[:r], dn[r:])) / (2.0 * h)
-        sq += g * g
-    return math.sqrt(sq)
-
-
-class FiniteObjective:
+class FiniteObjective(_Objective):
     """Every finite-state ELBO quantity of one dataset, from one set of tables.
 
     The data are checked and their sufficient statistics and log base
-    measures computed once. The per-state tables (noise naturals, log
-    partitions, log prior masses) are built once per model, each by one
-    batched call over all states, and kept for the latest model. Training,
-    the objective reports and verify all evaluate through this class, so
-    they share one arithmetic: the posterior subtracts each row's maximum
-    before exponentiating, and 0 log 0 is 0.
+    measures computed once, and so are the prior's statistics of the latent
+    states. The per-state tables (noise naturals, log partitions, log prior
+    masses) are built once per model, each by one batched call over all
+    states, and kept for the latest model. Training, the objective reports
+    and verify all evaluate through this class, so they share one
+    arithmetic: the posterior subtracts each row's maximum before
+    exponentiating, and 0 log 0 is 0.
     """
 
-    def __init__(self, model: GenerativeModel, data):
+    def __init__(self, model: GenerativeModel, data=None):
         self.states = _finite_states(model)
-        data = _check_data(model, data)
+        prior = model.prior.family
+        self.prior_t = fam.batch_sufficient_stats(prior, self.states)
+        self.prior_log_h = fam.batch_log_base_measure(prior, self.states)
+        self._state_type = (
+            CategoricalTable if model.model_kind == "ef_mixture" else EnumeratedTable
+        )
         noise = model.noise.family
-        self.n = len(data)
-        if self.n:
-            self.t = fam.batch_sufficient_stats(noise, data)
-            self.log_h = fam.batch_log_base_measure(noise, data)
-        else:
-            self.t, self.log_h = np.zeros((0, noise.natural_dim)), np.zeros(0)
+        self.n = None
+        self.t, self.log_h = np.zeros((0, noise.natural_dim)), np.zeros(0)
+        if data is not None:
+            data = _check_data(model, data)
+            self.n = len(data)
+            if self.n:
+                self.t = fam.batch_sufficient_stats(noise, data)
+                self.log_h = fam.batch_log_base_measure(noise, data)
         self._model = None
         self._tables = None
 
@@ -251,16 +288,24 @@ class FiniteObjective:
             etas = model.noise.eta(self.states, model.noise.params)
             log_parts = fam.log_partition(model.noise.family, etas)
             zeta = model.prior.zeta(model.prior.params)
-            log_prior = fam.log_density(model.prior.family, zeta, self.states)
+            # fam.log_density's arithmetic, on the statistics computed once.
+            log_prior = (
+                self.prior_log_h
+                + fam._dot(zeta, self.prior_t)
+                - fam.log_partition(model.prior.family, zeta)
+            )
             self._model, self._tables = model, (etas, log_parts, log_prior)
         return self._tables
 
     def state_table(self, model: GenerativeModel, q: VariationalState) -> np.ndarray:
         """q's probabilities over the states, shape (N, S), checked against N."""
         table = _as_state_table(model, q)
-        if len(table) != self.n:
-            raise ValueError("data and variational state disagree on N")
+        self._check_n(len(table))
         return table
+
+    def variational(self, table: np.ndarray) -> VariationalState:
+        """The table as the model's public variational state."""
+        return self._state_type(table)
 
     def loglik(self, model: GenerativeModel, pseudo: bool = False) -> np.ndarray:
         """(N, S) log p(x_n | s); the pseudo variant drops the base measure."""
@@ -284,10 +329,6 @@ class FiniteObjective:
         f3 = float(-np.mean(np.sum(table * self.loglik(model, pseudo), axis=1)))
         return f1, f2, f3
 
-    def elbo(self, model: GenerativeModel, table: np.ndarray) -> float:
-        f1, f2, f3 = self.terms(model, table)
-        return f1 - f2 - f3
-
     def entropy_sum(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
         entropy = fam.pseudo_entropy if pseudo else _natural_entropy
         etas = self.tables(model)[0]
@@ -300,10 +341,6 @@ class FiniteObjective:
             - float(qbar @ noise_entropies)
         )
 
-    def report(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
-        f1, f2, f3 = self.terms(model, table, pseudo)
-        return _objective_report(f1, f2, f3, self.entropy_sum(model, table, pseudo), pseudo)
-
     def kl_form(self, model: GenerativeModel, table: np.ndarray) -> float:
         """Expected log-likelihood minus the mean KL(q_n || prior)."""
         expected_ll = float(np.mean(np.sum(table * self.loglik(model), axis=1)))
@@ -314,92 +351,123 @@ class FiniteObjective:
         scores = self.loglik(model, pseudo=True) + self.tables(model)[2] + self.log_h[:, None]
         return float(np.mean(logsumexp(scores, axis=1)))
 
-    def grad_norm(self, model: GenerativeModel, table: np.ndarray) -> float:
-        """Finite-difference ELBO gradient norm over all parameters, q fixed."""
-
-        def value(psi, theta):
-            # Looked up on the module, where the benchmark's tracer counts it.
-            return self.elbo(mdl.replace_params(model, psi, theta), table)
-
-        return _fd_grad_norm(value, model.prior.params, model.noise.params)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-moments path (linear-Gaussian models).
-
 
 def _gaussian_model_parts(model: GenerativeModel):
     """Returns (W, mu, noise_variances (D,), tau) for ppca / simple_fa."""
     if model.model_kind == "ppca":
         w, mu, s2, tau = ppca_components(model)
         return w, mu, np.full(w.shape[0], s2), tau
-    if model.model_kind == "simple_fa":
-        wv, s2s, tau = fa_components(model)
-        return wv[:, None], np.zeros(wv.size), s2s, tau
-    raise IncompatibilityError(
-        f"Gaussian variational moments require a linear-Gaussian model, got {model.model_kind}"
-    )
+    wv, s2s, tau = fa_components(model)
+    return wv[:, None], np.zeros(wv.size), s2s, tau
 
 
-def _gaussian_terms(model: GenerativeModel, data: np.ndarray, q: GaussianMoments):
-    w, mu, s2s, tau = _gaussian_model_parts(model)
-    n, h = q.means.shape
-    if h != w.shape[1]:
-        raise IncompatibilityError("latent dimension mismatch")
-    if len(data) != n:
-        raise ValueError("data and variational state disagree on N")
+def _q_entropy(q: GaussianMoments) -> float:
+    """Entropy of each N(means[n], cov), shared by every row."""
     sign, logdet = np.linalg.slogdet(q.cov)
     if sign <= 0:
         raise ValueError("covariance must be positive definite")
-    f1 = 0.5 * h * math.log(2.0 * math.pi * math.e) + 0.5 * logdet
-    tr_s = float(np.trace(q.cov))
-    mean_sq = float(np.mean(np.sum(q.means**2, axis=1)))
-    f2 = 0.5 * (tr_s + mean_sq) / tau + 0.5 * h * math.log(2.0 * math.pi * tau)
-    resid = data - q.means @ w.T - mu
-    quad_per_dim = np.mean(resid**2, axis=0) + np.einsum("dh,hk,dk->d", w, q.cov, w)
-    f3 = float(
-        np.sum(0.5 * np.log(2.0 * math.pi * s2s) + 0.5 * quad_per_dim / s2s)
-    )
-    return f1, f2, f3
+    return 0.5 * q.means.shape[1] * math.log(2.0 * math.pi * math.e) + 0.5 * logdet
 
 
-def _gaussian_entropy_sum(model: GenerativeModel, q: GaussianMoments) -> float:
-    w, _, s2s, tau = _gaussian_model_parts(model)
-    h = q.means.shape[1]
-    _, logdet = np.linalg.slogdet(q.cov)
-    avg_q_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e) + 0.5 * logdet
-    prior_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e * tau)
-    noise_entropy = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * s2s)))
-    return avg_q_entropy - prior_entropy - noise_entropy
+class GaussianObjective(_Objective):
+    """Every linear-Gaussian (ppca, simple_fa) ELBO quantity of one dataset.
+
+    Closed-form Gaussian moment algebra on GaussianMoments. The observation
+    families carry unit base measures, so the pseudo variants equal the
+    standard ones and `pseudo` only labels the report.
+    """
+
+    def __init__(self, model: GenerativeModel, data=None):
+        self.data = None if data is None else _check_data(model, data)
+        self.n = None if data is None else len(self.data)
+
+    def posterior(self, model: GenerativeModel) -> GaussianMoments:
+        w, mu, s2s, tau = _gaussian_model_parts(model)
+        precision = (w.T / s2s) @ w + np.eye(w.shape[1]) / tau
+        cov = np.linalg.inv(precision)
+        cov = 0.5 * (cov + cov.T)
+        return GaussianMoments(((self.data - mu) / s2s) @ w @ cov, cov)
+
+    def state_table(self, model: GenerativeModel, q: VariationalState) -> GaussianMoments:
+        """q itself, checked against the model's latent dimension and N."""
+        if not isinstance(q, GaussianMoments):
+            raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
+        if q.means.shape[1] != model.latent_support.dim:
+            raise IncompatibilityError("latent dimension mismatch")
+        self._check_n(len(q.means))
+        return q
+
+    def variational(self, q: GaussianMoments) -> GaussianMoments:
+        return q
+
+    def terms(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
+        """(f1, f2, f3) of the module docstring."""
+        w, mu, s2s, tau = _gaussian_model_parts(model)
+        h = q.means.shape[1]
+        f1 = _q_entropy(q)
+        tr_s = float(np.trace(q.cov))
+        mean_sq = float(np.mean(np.sum(q.means**2, axis=1)))
+        f2 = 0.5 * (tr_s + mean_sq) / tau + 0.5 * h * math.log(2.0 * math.pi * tau)
+        resid = self.data - q.means @ w.T - mu
+        quad_per_dim = np.mean(resid**2, axis=0) + np.einsum("dh,hk,dk->d", w, q.cov, w)
+        f3 = float(
+            np.sum(0.5 * np.log(2.0 * math.pi * s2s) + 0.5 * quad_per_dim / s2s)
+        )
+        return f1, f2, f3
+
+    def entropy_sum(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
+        _, _, s2s, tau = _gaussian_model_parts(model)
+        h = q.means.shape[1]
+        prior_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e * tau)
+        noise_entropy = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * s2s)))
+        return _q_entropy(q) - prior_entropy - noise_entropy
+
+    def kl_form(self, model: GenerativeModel, q: GaussianMoments) -> float:
+        """Expected log-likelihood minus KL(q || prior), the KL in closed form."""
+        tau = _gaussian_model_parts(model)[3]
+        h = q.means.shape[1]
+        _, logdet = np.linalg.slogdet(q.cov)
+        tr_s = float(np.trace(q.cov))
+        mean_sq = float(np.mean(np.sum(q.means**2, axis=1)))
+        kl = 0.5 * ((tr_s + mean_sq) / tau - h + h * math.log(tau) - logdet)
+        return -self.terms(model, q)[2] - kl
+
+    def marginal_loglik(self, model: GenerativeModel) -> float:
+        w, mu, s2s, tau = _gaussian_model_parts(model)
+        d = w.shape[0]
+        cov = tau * (w @ w.T) + np.diag(s2s)
+        chol = np.linalg.cholesky(cov)
+        solved = np.linalg.solve(chol, (self.data - mu).T)
+        quad = np.mean(np.sum(solved**2, axis=0))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return float(-0.5 * (d * math.log(2.0 * math.pi) + logdet + quad))
 
 
 # ---------------------------------------------------------------------------
 # Public operations.
 
 
+def evaluator(model: GenerativeModel, data=None) -> Union[FiniteObjective, GaussianObjective]:
+    """The model's exact evaluator, picked from its latent support.
+
+    Without data it serves only the entropy sums, which read none.
+    """
+    if isinstance(model.latent_support, FiniteStates):
+        return FiniteObjective(model, data)
+    if model.model_kind in ("ppca", "simple_fa"):
+        return GaussianObjective(model, data)
+    raise UnsupportedModelError(f"{model.model_kind} admits no exact ELBO here")
+
+
 def exact_posterior(model: GenerativeModel, data) -> VariationalState:
     """The model's exact per-point posterior in the matching representation."""
-    if isinstance(model.latent_support, FiniteStates):
-        table = FiniteObjective(model, data).posterior(model)
-        if model.model_kind == "ef_mixture":
-            return CategoricalTable(table)
-        return EnumeratedTable(table)
-    data = _check_data(model, data)
-    w, mu, s2s, tau = _gaussian_model_parts(model)
-    h = w.shape[1]
-    precision = (w.T / s2s) @ w + np.eye(h) / tau
-    cov = np.linalg.inv(precision)
-    cov = 0.5 * (cov + cov.T)
-    means = ((data - mu) / s2s) @ w @ cov
-    return GaussianMoments(means, cov)
+    ev = evaluator(model, data)
+    return ev.variational(ev.posterior(model))
 
 
 def _rhs(model: GenerativeModel, q: VariationalState, pseudo: bool) -> float:
-    if isinstance(q, GaussianMoments):
-        return _gaussian_entropy_sum(model, q)
-    # The entropy sum reads no data, so the evaluator gets an empty dataset.
-    ev = FiniteObjective(model, np.empty((0, model.noise.family.data_dim)))
-    return ev.entropy_sum(model, _as_state_table(model, q), pseudo)
+    ev = evaluator(model)
+    return ev.entropy_sum(model, ev.state_table(model, q), pseudo)
 
 
 def entropy_sum_rhs(model: GenerativeModel, q: VariationalState) -> float:
@@ -417,10 +485,7 @@ def pseudo_entropy_sum_rhs(model: GenerativeModel, q: VariationalState) -> float
 
 
 def _report(model, data, q, pseudo: bool) -> ObjectiveReport:
-    if isinstance(q, GaussianMoments):
-        f1, f2, f3 = _gaussian_terms(model, _check_data(model, data), q)
-        return _objective_report(f1, f2, f3, _gaussian_entropy_sum(model, q), pseudo)
-    ev = FiniteObjective(model, data)
+    ev = evaluator(model, data)
     return ev.report(model, ev.state_table(model, q), pseudo)
 
 
@@ -436,17 +501,7 @@ def pseudo_elbo_terms(model: GenerativeModel, data, q: VariationalState) -> Obje
 
 def elbo_kl_form(model: GenerativeModel, data, q: VariationalState) -> float:
     """Expected log-likelihood minus KL(q || prior); equals elbo_terms().elbo."""
-    if isinstance(q, GaussianMoments):
-        data = _check_data(model, data)
-        w, mu, s2s, tau = _gaussian_model_parts(model)
-        h = q.means.shape[1]
-        _, logdet = np.linalg.slogdet(q.cov)
-        tr_s = float(np.trace(q.cov))
-        mean_sq = float(np.mean(np.sum(q.means**2, axis=1)))
-        kl = 0.5 * ((tr_s + mean_sq) / tau - h + h * math.log(tau) - logdet)
-        f1, f2, f3 = _gaussian_terms(model, data, q)
-        return -f3 - kl
-    ev = FiniteObjective(model, data)
+    ev = evaluator(model, data)
     return ev.kl_form(model, ev.state_table(model, q))
 
 
@@ -464,24 +519,10 @@ def marginal_loglik(model: GenerativeModel, data) -> float:
     Finite sums for finite-latent models, the Gaussian marginal for the
     linear-Gaussian ones; anything else is unsupported.
     """
-    data = _check_data(model, data)
-    if len(data) == 0:
+    ev = evaluator(model, data)
+    if ev.n == 0:
         raise ValueError("marginal log-likelihood of an empty dataset")
-    if isinstance(model.latent_support, FiniteStates):
-        return FiniteObjective(model, data).marginal_loglik(model)
-    if model.model_kind in ("ppca", "simple_fa"):
-        w, mu, s2s, tau = _gaussian_model_parts(model)
-        d = w.shape[0]
-        cov = tau * (w @ w.T) + np.diag(s2s)
-        chol = np.linalg.cholesky(cov)
-        centered = data - mu
-        solved = np.linalg.solve(chol, centered.T)
-        quad = np.mean(np.sum(solved**2, axis=0))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return float(-0.5 * (d * math.log(2.0 * math.pi) + logdet + quad))
-    raise UnsupportedModelError(
-        f"{model.model_kind} admits no exact marginal likelihood here"
-    )
+    return ev.marginal_loglik(model)
 
 
 def pseudo_loglik(model: GenerativeModel, data) -> float:

@@ -359,14 +359,22 @@ def test_verify_refuses_a_model_of_another_dimension(tmp_path, capsys):
 
 
 class TestTrainVerifyAgreement:
-    @pytest.mark.parametrize("case", ["gmm-converged", "sbn-at-cap"])
+    @pytest.mark.parametrize("case", ["gmm-converged", "sbn-at-cap", "ppca-converged"])
     def test_verify_grad_norm_is_training_final_grad_norm(self, tmp_path, case):
         # verify recomputes the stationarity gradient of the saved model at its
         # exact posterior; it must read exactly what training last recorded.
         # Seed 6 converges where two posterior normalisations give visibly
         # different gradients (4.887e-10 against 6.032e-10), so a second
-        # code path in verify would show.
+        # code path in verify would show. PPCA goes through GaussianObjective.
         raw = gmm_config(tmp_path, seed=6, run_id=case)
+        if case == "ppca-converged":
+            raw["model"] = {
+                "kind": "ppca",
+                "w": [[1.0], [0.6], [-0.3]],
+                "mu": [0.2, -0.1, 0.4],
+                "sigma2": 0.5,
+            }
+            raw["data"]["n"] = 500
         if case == "sbn-at-cap":
             raw["model"] = {
                 "kind": "sbn",
@@ -385,7 +393,7 @@ class TestTrainVerifyAgreement:
             summary = json.load(fh)
         with open(os.path.join(tmp_path, "verify_report.json")) as fh:
             verify = json.load(fh)
-        assert summary["converged"] is (case == "gmm-converged")
+        assert summary["converged"] is (case != "sbn-at-cap")
         assert verify["grad_norm"] == summary["final_grad_norm"]
 
 

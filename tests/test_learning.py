@@ -111,11 +111,27 @@ class TestEmMixture:
             )
         np.testing.assert_array_equal(a.q.resp, b.q.resp)
 
-    def test_iteration_cap_not_converged(self):
-        truth, data = separated_gmm(seed=7)
-        fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(max_iters=1, seed=7))
+    @pytest.mark.parametrize("trainer", ["em_mixture", "fit_ppca", "fit_sbn"])
+    def test_iteration_cap_not_converged(self, trainer):
+        # Every trainer runs the same loop, so every cap reports the last
+        # gradient norm against its tolerance.
+        cfg = lrn.TrainingConfig(max_iters=1, seed=7)
+        if trainer == "em_mixture":
+            truth, data = separated_gmm(seed=7)
+            fit = lrn.em_mixture(truth, data, cfg)
+        elif trainer == "fit_ppca":
+            truth = mdl.make_ppca(np.array([[1.0], [0.6], [-0.3]]), np.zeros(3), 0.5)
+            _, data = mdl.sample_joint(truth, np.random.default_rng(7), 500)
+            fit = lrn.fit_ppca(data, 1, cfg)
+        else:
+            truth = mdl.make_sbn([0.35], np.array([[2.0], [-1.5]]), np.array([0.3, -0.2]))
+            _, data = mdl.sample_joint(truth, np.random.default_rng(7), 200)
+            fit = lrn.fit_sbn(truth, data, cfg)
         assert not fit.trace.converged
-        assert "cap" in fit.trace.stop_reason
+        grad = fit.trace.last().grad_norm
+        assert fit.trace.stop_reason == (
+            f"iteration cap 1 reached (grad_norm {grad:.3e}, tol {cfg.grad_norm_tol:.1e})"
+        )
 
 
 class TestGammaShapeNewton:

@@ -331,9 +331,9 @@ class TestBatchedStateTables:
         ev = obj.FiniteObjective(model, data)
         etas, log_parts, log_prior = ev.tables(model)
         assert calls == [40, 1024]
-        # Noise log partitions, then the prior log masses (whose log_density
-        # takes its own log partition).
-        assert family_calls == ["log_partition", "log_density", "log_partition"]
+        # Noise log partitions, then the prior's: the prior log masses reuse
+        # the states' statistics from the constructor, with no log_density.
+        assert family_calls == ["log_partition", "log_partition"]
         assert etas.shape == (1024, 6) and log_parts.shape == log_prior.shape == (1024,)
         # Later quantities reuse the cached tables; the entropy sum adds one
         # noise-entropy call over all states (and one for the prior).
@@ -341,6 +341,32 @@ class TestBatchedStateTables:
         ev.report(model, table)
         assert calls == [40, 1024]
         assert family_calls.count("pseudo_entropy") == 2
+
+    @pytest.mark.parametrize("builder", [gmm, sbn], ids=lambda b: b.__name__)
+    def test_prior_state_stats_computed_once(self, builder, monkeypatch):
+        model = builder()
+        _, data = mdl.sample_joint(model, np.random.default_rng(3), 30)
+        prior_calls = []
+        original = fam.batch_sufficient_stats
+
+        def counted(family, rows):
+            if family == model.prior.family:
+                prior_calls.append(len(rows))
+            return original(family, rows)
+
+        monkeypatch.setattr(fam, "batch_sufficient_stats", counted)
+        ev = obj.FiniteObjective(model, data)
+        table = ev.posterior(model)
+        # The finite-difference gradient evaluates 2 new models per parameter.
+        ev.grad_norm(model, table)
+        ev.report(model, table)
+        assert prior_calls == [len(model.latent_support.states)]
+        # The log prior masses still equal log_density's, bit for bit.
+        zeta = model.prior.zeta(model.prior.params)
+        np.testing.assert_array_equal(
+            ev.tables(model)[2],
+            fam.log_density(model.prior.family, zeta, model.latent_support.states),
+        )
 
     def test_criterion_calls_eta_once_per_theta_grid_point(self):
         calls = []
