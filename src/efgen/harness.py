@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -53,6 +54,7 @@ _FAMILY_FACTORIES = {
 }
 
 _INTEGER_FAMILIES = ("poisson_product", "bernoulli_product")
+_WRITE_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +320,34 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
 # Dataset I/O.
 
 
-def _format_value(v: float, integer: bool) -> str:
-    if integer:
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 def write_dataset(path: str, data: np.ndarray, family: fam.FamilyDescriptor):
     integer = family.name in _INTEGER_FAMILIES
-    d = family.data_dim
-    lines = [",".join(f"x{i + 1}" for i in range(d))]
-    for row in np.atleast_2d(data) if len(data) else []:
-        lines.append(",".join(_format_value(v, integer) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(f"x{i + 1}" for i in range(family.data_dim)) + "\n")
+        if not len(data):
+            return
+        data = np.atleast_2d(data)
+        # Small blocks of rows as Python numbers: no per-cell numpy scalars,
+        # and no copy of the whole dataset as Python objects.
+        for start in range(0, len(data), _WRITE_BLOCK_ROWS):
+            block = data[start : start + _WRITE_BLOCK_ROWS]
+            if integer:
+                rows = block.astype(np.int64).tolist()
+                fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+            else:
+                rows = block.tolist()
+                fh.write(
+                    "".join(",".join([format(v, ".17g") for v in row]) + "\n" for row in rows)
+                )
 
 
-def read_dataset(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
+def _parse_rows(path: str, d: int) -> np.ndarray:
+    """Line-by-line parse that names the first malformed row.
+
+    Rows are numbered as lines with the header as 1, blank lines skipped.
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("x1"):
-            raise ConfigError(f"{path}: malformed dataset header {header!r}")
-        d = len(header.split(","))
+        fh.readline()
         rows = [line.strip() for line in fh if line.strip()]
     out = np.empty((len(rows), d))
     for i, line in enumerate(rows):
@@ -352,6 +358,30 @@ def read_dataset(path: str) -> np.ndarray:
             out[i] = [float(p) for p in parts]
         except ValueError:
             raise ConfigError(f"{path}: row {i + 2} has a non-numeric field: {line!r}") from None
+    return out
+
+
+def read_dataset(path: str) -> np.ndarray:
+    if not os.path.exists(path):
+        raise ConfigError(f"dataset file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+    if not header.startswith("x1"):
+        raise ConfigError(f"{path}: malformed dataset header {header!r}")
+    d = len(header.split(","))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            out = np.loadtxt(
+                path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
+            )
+    except ValueError:
+        out = None
+    if out is None or (out.size and out.shape[1] != d):
+        # Whatever loadtxt refuses is re-read by rows, for the error message.
+        out = _parse_rows(path, d)
+    if out.size == 0:
+        out = np.empty((0, d))
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise ConfigError(f"{path}: row {bad[0] + 2} has a non-finite value")

@@ -5,8 +5,8 @@ with an exact E-step from the model's evaluator (objective.FiniteObjective
 or objective.GaussianObjective). Exact E-steps make the reached fixed points
 true stationary points of the ELBO in all parameters (variational-side
 stationarity is implied by exact-posterior optimality). Stopping demands
-both an ELBO plateau and a small finite-difference gradient norm; a plateau
-alone is not accepted.
+both an ELBO plateau and a small exact gradient norm (the evaluator's
+closed form, q held fixed); a plateau alone is not accepted.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class PpcaFit:
 
 
 def grad_norm_all_params(model: GenerativeModel, data, q) -> float:
-    """Norm of the finite-difference ELBO gradient over every model parameter.
+    """Norm of the exact ELBO gradient over every model parameter.
 
     The variational state is held fixed; at an exact-posterior fixed point
     this is the full stationarity check.
@@ -122,8 +122,8 @@ def _train(
     Stops at an ELBO plateau with a gradient norm below tolerance, or at the
     iteration cap. Gradient checks on a plateau back off exponentially: EM
     tails can hold an ELBO plateau for thousands of iterations before the
-    gradient drops below tolerance, and a finite-difference gradient per
-    iteration would dominate the run.
+    gradient drops below tolerance, and checking each of them would cost a
+    report and a gradient per iteration.
     """
     trace = TrainingTrace()
     t0 = time.perf_counter()
@@ -406,7 +406,7 @@ def fit_sbn(
     """Exact enumerated E-steps alternated with closed-form latent-probability
     updates and Armijo backtracking gradient ascent on weights and offsets.
 
-    Terminates only when the finite-difference gradient over all parameters
+    Terminates only when the exact ELBO gradient over all parameters
     drops below config.grad_norm_tol alongside an ELBO plateau; hitting the
     iteration cap yields converged=False with diagnostics in stop_reason.
     """

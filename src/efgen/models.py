@@ -12,7 +12,9 @@ Noise maps work on stacks of latent states: eta(Z, theta) takes an (S,)
 array of component indices (mixtures) or an (S, H) array of latent vectors
 and returns the (S, L) natural parameters, and its Jacobian is (S, L, P)
 over the P criterion parameters. Mixtures index rows of their component
-naturals; the linear models compute Z W^T + mu.
+naturals; the linear models compute Z W^T + mu. vjp_eta contracts the
+Jacobian over all of theta with per-state weights, which is the ELBO
+gradient's noise part.
 
 The parameterization check asks, numerically, whether the natural-parameter
 vectors lie in the column spaces of their own Jacobians: the prior map must
@@ -61,6 +63,7 @@ __all__ = [
     "replace_params",
     "jacobian_zeta",
     "jacobian_eta",
+    "vjp_eta",
     "check_criterion",
     "sample_joint",
 ]
@@ -110,6 +113,8 @@ class NoiseSpec:
     theta_subset: np.ndarray  # indices into theta used for the criterion Jacobian
     eta: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L)
     eta_jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # (S, L, P)
+    # (states, theta, G (S, L)) -> sum_s J_eta(z_s)^T G_s over all of theta, (P_all,)
+    eta_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -420,6 +425,12 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
         jac = z[:, None, :, None] * np.eye(d)[None, :, None, :]
         return jac.reshape(len(z), d, n_w)
 
+    def eta_vjp(z, theta, g):
+        # sum_s J_eta(z_s)^T g_s without forming J: G^T Z for W (theta's
+        # order), and the column sums for free offsets.
+        grad_w = (g.T @ z).ravel(order="F")
+        return np.concatenate([grad_w, g.sum(axis=0)]) if offsets_free else grad_w
+
     if offsets_free:
 
         def eta(z, theta):
@@ -446,7 +457,7 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
     return GenerativeModel(
         prior=PriorSpec(prior_family, _frozen(pi), zeta, zeta_jac),
         noise=NoiseSpec(
-            noise_family, _frozen(theta), np.arange(theta.size), eta, eta_jac
+            noise_family, _frozen(theta), np.arange(theta.size), eta, eta_jac, eta_vjp
         ),
         latent_support=FiniteStates(enumerate_binary_states(h)),
         model_kind="sbn",
@@ -592,6 +603,24 @@ def jacobian_eta(model: GenerativeModel, z, theta=None) -> np.ndarray:
         return model.noise.eta(z, full)
 
     return _fd_jacobian(f, theta[subset])
+
+
+def vjp_eta(model: GenerativeModel, z, g) -> np.ndarray:
+    """sum_s J_eta(z_s; theta)^T g_s over all of theta, for g of shape (S, L).
+
+    Models with an eta_vjp contract without forming a Jacobian. Otherwise the
+    criterion Jacobian is contracted when its subset is all of theta, and
+    finite differences of eta over the full theta stand in when it is not.
+    """
+    theta = model.noise.params
+    z = np.asarray(z)
+    if model.noise.eta_vjp is not None:
+        return np.asarray(model.noise.eta_vjp(z, theta, g), dtype=float)
+    if np.array_equal(model.noise.theta_subset, np.arange(theta.size)):
+        jac = jacobian_eta(model, z, theta)
+    else:
+        jac = _fd_jacobian(lambda full: model.noise.eta(z, full), theta)
+    return np.einsum("slp,sl->p", jac, g)
 
 
 # ---------------------------------------------------------------------------

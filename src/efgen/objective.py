@@ -21,13 +21,20 @@ stay closed-form even for Poisson observables; the two variants differ by
 exactly the data's mean log base measure.
 
 Two evaluators share one interface (posterior, state_table, terms, elbo,
-entropy_sum, report, kl_form, marginal_loglik, grad_norm): FiniteObjective
-sums over the enumerated states of mixtures and sigmoid belief nets, and
-GaussianObjective does the moment algebra of the linear-Gaussian models.
+entropy_sum, report, kl_form, marginal_loglik, gradient, grad_norm):
+FiniteObjective sums over the enumerated states of mixtures and sigmoid
+belief nets, and GaussianObjective does the moment algebra of the
+linear-Gaussian models.
 evaluator() picks one from the model's latent support. The public functions
 below and the training loop all go through them, so reports and verify
 recompute a trained model's ELBO, entropy sum and stationarity gradient with
 the arithmetic training recorded them with.
+
+The stationarity gradient is exact, with q held fixed. For finite states it
+is the moment-matching identity of exponential families (Wainwright and
+Jordan 2008): expected sufficient statistics under q minus the gradient of
+the log partition, pulled back through the natural-parameter maps. For the
+linear-Gaussian models it is the derivative of the closed-form terms.
 """
 
 from __future__ import annotations
@@ -70,7 +77,6 @@ __all__ = [
 ]
 
 _ROW_NORM_TOL = 1e-9
-_GRAD_FD_REL_STEP = 1e-6
 
 
 def _check_rows_normalized(p: np.ndarray, what: str):
@@ -226,23 +232,8 @@ class _Objective:
         )
 
     def grad_norm(self, model: GenerativeModel, q) -> float:
-        """Central finite-difference ELBO gradient norm over (psi, theta), q fixed."""
-        full = np.concatenate([model.prior.params, model.noise.params])
-        r = model.prior.params.size
-
-        def value(params):
-            # Looked up on the module, where the benchmark's tracer counts it.
-            return self.elbo(mdl.replace_params(model, params[:r], params[r:]), q)
-
-        sq = 0.0
-        for i in range(full.size):
-            h = _GRAD_FD_REL_STEP * max(1.0, abs(full[i]))
-            up, dn = full.copy(), full.copy()
-            up[i] += h
-            dn[i] -= h
-            g = (value(up) - value(dn)) / (2.0 * h)
-            sq += g * g
-        return math.sqrt(sq)
+        """Norm of the exact ELBO gradient over (psi, theta), q fixed."""
+        return float(np.linalg.norm(self.gradient(model, q)))
 
     def _check_n(self, n: int):
         if self.n is not None and n != self.n:
@@ -329,6 +320,25 @@ class FiniteObjective(_Objective):
         f3 = float(-np.mean(np.sum(table * self.loglik(model, pseudo), axis=1)))
         return f1, f2, f3
 
+    def gradient(self, model: GenerativeModel, table: np.ndarray) -> np.ndarray:
+        """The exact ELBO gradient over (psi, theta) with q held fixed.
+
+        Moment matching: with qbar the mean state probabilities, the prior
+        part is J_zeta^T (E_qbar[T(z)] - grad A(zeta)), and the noise part is
+        sum_s J_eta(z_s)^T G_s with G_s = (1/N) sum_n q_ns t(x_n) -
+        qbar_s grad A(eta_s). Both variants share it: log h(x) is constant.
+        """
+        etas = self.tables(model)[0]
+        qbar = table.mean(axis=0)
+        zeta = model.prior.zeta(model.prior.params)
+        g_zeta = qbar @ self.prior_t - fam.grad_log_partition(model.prior.family, zeta)
+        g_eta = table.T @ self.t / self.n - qbar[:, None] * fam.grad_log_partition(
+            model.noise.family, etas
+        )
+        return np.concatenate(
+            [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
+        )
+
     def entropy_sum(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
         entropy = fam.pseudo_entropy if pseudo else _natural_entropy
         etas = self.tables(model)[0]
@@ -359,6 +369,11 @@ def _gaussian_model_parts(model: GenerativeModel):
         return w, mu, np.full(w.shape[0], s2), tau
     wv, s2s, tau = fa_components(model)
     return wv[:, None], np.zeros(wv.size), s2s, tau
+
+
+def _second_moment(q: GaussianMoments) -> float:
+    """tr S + mean ||m_n||^2, the mean of E_q[||z||^2] over the rows."""
+    return float(np.trace(q.cov)) + float(np.mean(np.sum(q.means**2, axis=1)))
 
 
 def _q_entropy(q: GaussianMoments) -> float:
@@ -405,15 +420,36 @@ class GaussianObjective(_Objective):
         w, mu, s2s, tau = _gaussian_model_parts(model)
         h = q.means.shape[1]
         f1 = _q_entropy(q)
-        tr_s = float(np.trace(q.cov))
-        mean_sq = float(np.mean(np.sum(q.means**2, axis=1)))
-        f2 = 0.5 * (tr_s + mean_sq) / tau + 0.5 * h * math.log(2.0 * math.pi * tau)
-        resid = self.data - q.means @ w.T - mu
-        quad_per_dim = np.mean(resid**2, axis=0) + np.einsum("dh,hk,dk->d", w, q.cov, w)
+        f2 = 0.5 * _second_moment(q) / tau + 0.5 * h * math.log(2.0 * math.pi * tau)
+        _, quad_per_dim = self._residuals(w, mu, q)
         f3 = float(
             np.sum(0.5 * np.log(2.0 * math.pi * s2s) + 0.5 * quad_per_dim / s2s)
         )
         return f1, f2, f3
+
+    def _residuals(self, w, mu, q: GaussianMoments):
+        """r = x - m W^T - mu, and per dimension mean r_d^2 + w_d^T S w_d."""
+        resid = self.data - q.means @ w.T - mu
+        return resid, np.mean(resid**2, axis=0) + np.einsum("dh,hk,dk->d", w, q.cov, w)
+
+    def gradient(self, model: GenerativeModel, q: GaussianMoments) -> np.ndarray:
+        """The exact ELBO gradient over (psi, theta) with q held fixed.
+
+        theta is ordered as the model stores it: [W (column-major), mu,
+        sigma2] for ppca, whose sigma2 is shared across dimensions, and
+        [sigma2s, w] for simple_fa.
+        """
+        w, mu, s2s, tau = _gaussian_model_parts(model)
+        h = q.means.shape[1]
+        d_tau = 0.5 * _second_moment(q) / tau**2 - 0.5 * h / tau
+        resid, quad_per_dim = self._residuals(w, mu, q)
+        d_w = (resid.T @ q.means / self.n - w @ q.cov) / s2s[:, None]
+        d_s2 = -0.5 / s2s + 0.5 * quad_per_dim / s2s**2
+        if model.model_kind == "ppca":
+            d_theta = [d_w.ravel(order="F"), resid.mean(axis=0) / s2s, [d_s2.sum()]]
+        else:
+            d_theta = [d_s2, d_w[:, 0]]
+        return np.concatenate([[d_tau], *d_theta])
 
     def entropy_sum(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
         _, _, s2s, tau = _gaussian_model_parts(model)
@@ -427,9 +463,7 @@ class GaussianObjective(_Objective):
         tau = _gaussian_model_parts(model)[3]
         h = q.means.shape[1]
         _, logdet = np.linalg.slogdet(q.cov)
-        tr_s = float(np.trace(q.cov))
-        mean_sq = float(np.mean(np.sum(q.means**2, axis=1)))
-        kl = 0.5 * ((tr_s + mean_sq) / tau - h + h * math.log(tau) - logdet)
+        kl = 0.5 * (_second_moment(q) / tau - h + h * math.log(tau) - logdet)
         return -self.terms(model, q)[2] - kl
 
     def marginal_loglik(self, model: GenerativeModel) -> float:

@@ -3,7 +3,8 @@
 The four checks here (gradient vs finite differences, normalization, entropy
 vs quadrature/summation, pseudo-entropy relation) are used both by the unit
 tests and by the acceptance suite. Each returns the worst absolute error over
-the supplied grid so callers can assert their own tolerance.
+the supplied grid so callers can assert their own tolerance. The ELBO
+gradient oracle checks the evaluators' exact gradients the same way.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from efgen import families as fam
+from efgen import models as mdl
 
 # Deterministic parameter grid: (family, standard params) pairs covering every
 # family at a few interior points of its domain.
@@ -44,6 +46,17 @@ def finite_difference_gradient(f, x, rel_step=1e-6):
         xm[i] -= h
         grad[i] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
+
+
+def elbo_gradient_oracle(ev, model, q):
+    """Central finite differences of ev.elbo over (psi, theta), q held fixed."""
+    full = np.concatenate([model.prior.params, model.noise.params])
+    r = model.prior.params.size
+
+    def value(params):
+        return ev.elbo(mdl.replace_params(model, params[:r], params[r:]), q)
+
+    return finite_difference_gradient(value, full)
 
 
 def gradient_identity_error(family, s):

@@ -162,6 +162,55 @@ class TestGenerate:
         assert np.all(data == np.floor(data))
 
 
+class TestReadDataset:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("y1,y2\n1,2\n", "malformed dataset header 'y1,y2'"),
+            ("x1,x2\n1,2\n3\n", "row 3 has 1 fields, expected 2"),
+            ("x1,x2\n1,2,3\n4,5,6\n", "row 2 has 3 fields, expected 2"),
+            ("x1,x2\n1,2\n3,abc\n", "row 3 has a non-numeric field: '3,abc'"),
+            ("x1,x2\n1,\n", "row 2 has a non-numeric field: '1,'"),
+            ("x1,x2\n1,2\n3,4\n5,nan\n", "row 4 has a non-finite value"),
+            ("x1,x2\n1,2\n-inf,4\n", "row 3 has a non-finite value"),
+            ("x1,x2\n1,1e400\n", "row 2 has a non-finite value"),
+        ],
+        ids=[
+            "header",
+            "short-row",
+            "consistent-wide",
+            "text",
+            "empty-cell",
+            "nan",
+            "inf",
+            "overflow",
+        ],
+    )
+    def test_malformed_file_names_its_row(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            hns.read_dataset(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x1,x2\n", np.zeros((0, 2))),
+            ("x1,x2", np.zeros((0, 2))),
+            ("x1\n0.5\n-1e-300\n", np.array([[0.5], [-1e-300]])),
+            ("x1,x2\r\n1,2\r\n\r\n 3 , 4 \n   \n", np.array([[1.0, 2.0], [3.0, 4.0]])),
+        ],
+        ids=["header-only", "header-no-newline", "one-column", "crlf-blank-lines-spaces"],
+    )
+    def test_well_formed_file_parses(self, tmp_path, text, expected):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        loaded = hns.read_dataset(str(path))
+        assert loaded.shape == expected.shape
+        np.testing.assert_array_equal(loaded, expected)
+
+
 class TestTrain:
     def test_gmm_pipeline_converges(self, tmp_path):
         config = hns.parse_config(gmm_config(tmp_path))

@@ -138,9 +138,10 @@ class TestJacobians:
                 mdl.make_sbn([0.4, 0.7], np.array([[0.5, -1.0], [1.2, 0.3], [0.0, 2.0]]), [0.1, -0.4, 0.6]),
                 list(mdl.enumerate_binary_states(2)),
             ),
+            (simple_sbn(), list(mdl.enumerate_binary_states(1))),
             (mdl.make_rigid_sbn(0.5, 1.5), list(mdl.enumerate_binary_states(1))),
         ],
-        ids=["gmm", "gamma_mix", "poisson_mix", "ppca", "fa", "sbn", "rigid"],
+        ids=["gmm", "gamma_mix", "poisson_mix", "ppca", "fa", "sbn", "sbn_fixed", "rigid"],
     )
     def test_analytic_matches_finite_difference(self, model, zs):
         # Prior map.
@@ -173,6 +174,10 @@ class TestJacobians:
                 ]
             ).T
             np.testing.assert_allclose(jac[i], fd, atol=1e-5)
+        # Vector-Jacobian product over all of theta: the gradient of <g, eta>.
+        g = np.random.default_rng(0).normal(size=(len(zs), model.noise.family.natural_dim))
+        fd = finite_difference_gradient(lambda t: np.sum(g * model.noise.eta(zs, t)), theta)
+        np.testing.assert_allclose(mdl.vjp_eta(model, zs, g), fd, atol=1e-5)
 
 
 class TestCriterion:

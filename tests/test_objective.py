@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from efgen import families as fam
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import IncompatibilityError, UnsupportedModelError
+from helpers import elbo_gradient_oracle
 
 
 def gmm(means=(-1.0, 1.5), variances=(1.0, 0.5), weights=(0.4, 0.6)):
@@ -357,7 +360,7 @@ class TestBatchedStateTables:
         monkeypatch.setattr(fam, "batch_sufficient_stats", counted)
         ev = obj.FiniteObjective(model, data)
         table = ev.posterior(model)
-        # The finite-difference gradient evaluates 2 new models per parameter.
+        # The gradient reads the cached tables and builds no new model.
         ev.grad_norm(model, table)
         ev.report(model, table)
         assert prior_calls == [len(model.latent_support.states)]
@@ -375,3 +378,141 @@ class TestBatchedStateTables:
         report = mdl.check_criterion(model, [model.prior.params], thetas)
         assert report.passes
         assert calls == [1024, 1024, 1024]
+
+
+# ---------------------------------------------------------------------------
+# The exact gradient, at arbitrary parameters and variational states.
+
+_COMPONENT_PARAMS = {
+    "bernoulli_product": [0.3, 0.6],
+    "gaussian_scalar_var": [0.0, 1.0, 1.0],
+    "gaussian_diag_cov": [0.0, 1.0, 1.0, 2.0],
+    "gamma": [2.0, 1.0],
+    "poisson_product": [1.0, 3.0],
+}
+
+
+def zoo_model(kind):
+    """One small model of each kind; random_point() redraws its parameters."""
+    if kind.startswith("mixture-"):
+        name = kind[len("mixture-") :]
+        family = getattr(fam, name)(2) if name != "gamma" else fam.gamma_family()
+        comp = np.tile(_COMPONENT_PARAMS[name], (3, 1))
+        return mdl.make_ef_mixture(family, [0.2, 0.3, 0.5], comp)
+    rng = np.random.default_rng(0)
+    if kind.startswith("sbn-"):
+        offsets_free = kind == "sbn-free-offsets"
+        return mdl.make_sbn(
+            [0.3, 0.6, 0.5], rng.normal(size=(4, 3)), rng.normal(size=4), offsets_free
+        )
+    if kind == "rigid_sbn":
+        return mdl.make_rigid_sbn(0.4, 0.7)
+    if kind == "ppca":
+        return mdl.make_ppca(rng.normal(size=(4, 2)), rng.normal(size=4), 0.7, tau=1.3)
+    return mdl.make_simple_fa(rng.normal(size=3), 1.2, [0.5, 0.8, 1.1])
+
+
+ZOO_KINDS = [f"mixture-{name}" for name in _COMPONENT_PARAMS] + [
+    "sbn-free-offsets",
+    "sbn-fixed-offsets",
+    "rigid_sbn",
+    "ppca",
+    "simple_fa",
+]
+# Fixed nonzero offsets and the tied rigid weights fail the criterion.
+CRITERION_KINDS = [k for k in ZOO_KINDS if k not in ("sbn-fixed-offsets", "rigid_sbn")]
+
+
+def random_point(kind, seed, n=25):
+    """(model, data, evaluator, q) at random parameters and a random q.
+
+    q is not the posterior: Dirichlet rows over the finite states, or the
+    exact Gaussian moments with perturbed means and covariance.
+    """
+    rng = np.random.default_rng(seed)
+    model = zoo_model(kind)
+    model = mdl.replace_params(model, *mdl._random_params(model, rng))
+    _, data = mdl.sample_joint(model, rng, n)
+    ev = obj.evaluator(model, data)
+    exact = ev.posterior(model)
+    if isinstance(exact, np.ndarray):
+        q = rng.dirichlet(np.ones(exact.shape[1]), size=n)
+    else:
+        h = exact.cov.shape[0]
+        a = rng.normal(size=(h, h))
+        q = obj.GaussianMoments(
+            exact.means + 0.5 * rng.normal(size=exact.means.shape),
+            exact.cov + 0.3 * a @ a.T,
+        )
+    return model, data, ev, q
+
+
+class TestExactGradient:
+    @pytest.mark.parametrize("kind", ZOO_KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_finite_difference_oracle(self, kind, seed):
+        model, _, ev, q = random_point(kind, seed)
+        exact = ev.gradient(model, q)
+        oracle = elbo_gradient_oracle(ev, model, q)
+        assert exact.shape == oracle.shape
+        np.testing.assert_array_less(
+            np.abs(exact - oracle), 1e-6 * np.maximum(1.0, np.abs(oracle))
+        )
+        assert ev.grad_norm(model, q) == pytest.approx(np.linalg.norm(exact), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["sbn-free-offsets", "sbn-fixed-offsets"])
+    def test_sbn_gradient_forms_no_jacobian(self, kind):
+        model, data, _, q = random_point(kind, 5)
+
+        def forbidden(z, theta):
+            raise AssertionError("eta_jacobian called")
+
+        blind = replace(model, noise=replace(model.noise, eta_jacobian=forbidden))
+        grad = obj.FiniteObjective(blind, data).gradient(blind, q)
+        # The same contraction through the full (S, L, P) Jacobian.
+        via_jac = replace(model, noise=replace(model.noise, eta_vjp=None))
+        np.testing.assert_allclose(
+            grad, obj.FiniteObjective(via_jac, data).gradient(via_jac, q), rtol=1e-12
+        )
+
+
+class TestProofStep:
+    """elbo - entropy_sum = alpha . grad_psi + beta . grad_theta at any point.
+
+    With zeta = J_zeta alpha and eta(z) = J_eta(z) beta for every z (the
+    criterion), the moment-matching gradient contracts to the gap: the
+    paper's proof step, which sends the gap to zero with the gradient.
+    """
+
+    @pytest.mark.parametrize("kind", CRITERION_KINDS)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gap_is_gradient_contracted_with_criterion_coefficients(self, kind, seed):
+        model, _, ev, q = random_point(kind, seed)
+        pseudo = model.noise.family.name == "poisson_product"
+        report = ev.report(model, q, pseudo)
+        grad = ev.gradient(model, q)
+        r = model.prior.params.size
+
+        zeta = model.prior.zeta(model.prior.params)
+        alpha, *_ = np.linalg.lstsq(mdl.jacobian_zeta(model), zeta, rcond=None)
+        support = model.latent_support
+        zs = (
+            support.states
+            if isinstance(support, mdl.FiniteStates)
+            else np.random.default_rng(seed).normal(size=(16, support.dim))
+        )
+        jac = mdl.jacobian_eta(model, zs)
+        stacked = jac.reshape(-1, jac.shape[-1])
+        eta = model.noise.eta(zs, model.noise.params).reshape(-1)
+        beta, *_ = np.linalg.lstsq(stacked, eta, rcond=None)
+        # The criterion holds at this point, so the coefficients are exact.
+        assert np.linalg.norm(stacked @ beta - eta) < 1e-9 * max(1.0, np.linalg.norm(eta))
+
+        contracted = alpha @ grad[:r] + beta @ grad[r:][model.noise.theta_subset]
+        assert report.elbo - report.entropy_sum == pytest.approx(
+            contracted, abs=1e-9 * max(1.0, abs(report.elbo))
+        )
+        # A random point is not stationary: the identity is not 0 = 0.
+        assert abs(contracted) > 1e-6
