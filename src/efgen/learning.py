@@ -25,7 +25,7 @@ from .errors import (
     EmptyClusterError,
     NewtonConvergenceError,
 )
-from .models import GenerativeModel, make_ppca, ppca_components, replace_params
+from .models import GenerativeModel, make_ppca, ppca_components, replace_params, vjp_eta
 
 __all__ = [
     "TrainingConfig",
@@ -353,48 +353,30 @@ def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
 # Sigmoid belief nets.
 
 
-def _sbn_m_objective(w_flat, mu, z_states, b, w_s, d, h):
-    e = z_states @ w_flat.reshape(d, h, order="F").T + mu
-    return float(np.sum(b * e) - w_s @ np.logaddexp(0.0, e).sum(axis=1))
-
-
-def _sbn_m_gradient(w_flat, mu, z_states, b, w_s, d, h):
-    e = z_states @ w_flat.reshape(d, h, order="F").T + mu
-    r = b - w_s[:, None] / (1.0 + np.exp(-e))
-    grad_w = r.T @ z_states  # (D, H)
-    return np.concatenate([grad_w.ravel(order="F"), r.sum(axis=0)])
-
-
-def _sbn_newton_direction(grad, w_flat, mu, z_states, b, w_s, d, h, offsets_free):
-    """Newton ascent direction; the objective separates across observables.
+def _sbn_newton_direction(grad, states, curv, offsets_free):
+    """Newton ascent direction; the M-step objective separates across observables.
 
     Each observable d owns an independent concave problem in (W_[d,:], mu_d)
-    whose Hessian is a small negative-definite matrix; solving those exactly
-    sidesteps the ill-conditioning that stalls plain gradient steps. Falls
-    back to the gradient when a solve fails.
+    whose negated Hessian sum_s curv_sd u_s u_s^T (u_s = z_s, with a 1
+    appended for a free offset) is a small positive-definite matrix; solving
+    those exactly, in one stacked solve, sidesteps the ill-conditioning that
+    stalls plain gradient steps. Falls back to the gradient when the solve
+    fails.
     """
-    e = z_states @ w_flat.reshape(d, h, order="F").T + mu
-    sig = 1.0 / (1.0 + np.exp(-e))
-    curv = w_s[:, None] * sig * (1.0 - sig)  # (S, D)
-    u = np.hstack([z_states, np.ones((len(z_states), 1))]) if offsets_free else z_states
+    d, h = curv.shape[1], states.shape[1]
+    u = np.hstack([states, np.ones((len(states), 1))]) if offsets_free else states
     k = u.shape[1]
-    grad_w = grad[: d * h].reshape(d, h, order="F")
-    direction = np.empty_like(grad)
-    dir_w = np.empty((d, h))
-    dir_mu = np.empty(d)
-    for di in range(d):
-        hess = (u * curv[:, di][:, None]).T @ u
-        g_d = np.concatenate([grad_w[di], [grad[d * h + di]]]) if offsets_free else grad_w[di]
-        try:
-            sol = np.linalg.solve(hess + 1e-12 * np.eye(k), g_d)
-        except np.linalg.LinAlgError:
-            sol = g_d
-        dir_w[di] = sol[:h]
-        dir_mu[di] = sol[h] if offsets_free else 0.0
-    direction[: d * h] = dir_w.ravel(order="F")
+    outer = (u[:, :, None] * u[:, None, :]).reshape(len(u), k * k)
+    hess = (curv.T @ outer).reshape(d, k, k) + 1e-12 * np.eye(k)
+    g = grad[: d * h].reshape(d, h, order="F")
     if offsets_free:
-        direction[d * h :] = dir_mu
-    return direction
+        g = np.hstack([g, grad[d * h :, None]])
+    try:
+        sol = np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return grad
+    direction = sol[:, :h].ravel(order="F")
+    return np.concatenate([direction, sol[:, h]]) if offsets_free else direction
 
 
 def fit_sbn(
@@ -404,7 +386,13 @@ def fit_sbn(
     init: str = "auto",
 ) -> Fit:
     """Exact enumerated E-steps alternated with closed-form latent-probability
-    updates and Armijo backtracking gradient ascent on weights and offsets.
+    updates and damped Newton ascent on weights and offsets.
+
+    The weights-and-offsets step maximizes the q-expected noise term,
+    objective.noise_expectation() at the model's own eta, with its gradient
+    pulled back through models.vjp_eta. Its Newton direction solves the D
+    per-observable Hessians at once; an Armijo backtracking line search
+    accepts only strict gains.
 
     Terminates only when the exact ELBO gradient over all parameters
     drops below config.grad_norm_tol alongside an ELBO plateau; hitting the
@@ -426,44 +414,32 @@ def fit_sbn(
     elif init != "model":
         raise ValueError("init must be 'auto' or 'model'")
 
-    z_states = np.asarray(model.latent_support.states, dtype=float)
-    n_w = d * h
-    x = data
+    ev = obj.FiniteObjective(model, data)
+    states = ev.states
     inner_tol = max(0.1 * config.grad_norm_tol, 1e-11)
-    mu_fixed = None if info.offsets_free else info.fixed_offsets
-
-    def split(vec):
-        wf = vec[:n_w]
-        mu = vec[n_w:] if info.offsets_free else mu_fixed
-        return wf, mu
 
     def step(model, table):
         # Latent probabilities: exact coordinate maximizer given q.
-        marginals = table.mean(axis=0) @ z_states
+        marginals = table.mean(axis=0) @ states
         pi = np.clip(marginals, 1e-12, 1.0 - 1e-12)
 
-        # Weights and offsets: ascend the q-expected complete-data term.
-        b = table.T @ x  # (S, D)
-        w_s = table.sum(axis=0)  # (S,)
-        theta = model.noise.params.copy()
+        # Weights and offsets: ascend the q-expected noise term.
+        mass, stats = table.sum(axis=0), table.T @ ev.t
 
-        def value(vec):
-            wf, mu = split(vec)
-            return _sbn_m_objective(wf, mu, z_states, b, w_s, d, h)
+        def evaluate(theta):
+            etas = model.noise.eta(states, theta)
+            value, g_eta = obj.noise_expectation(model.noise.family, etas, mass, stats)
+            return value, etas, g_eta
 
-        def gradient(vec):
-            wf, mu = split(vec)
-            g = _sbn_m_gradient(wf, mu, z_states, b, w_s, d, h)
-            return g if info.offsets_free else g[:n_w]
-
-        cur = value(theta)
+        cur, etas, g_eta = evaluate(model.noise.params)
         for _ in range(200):
-            g = gradient(theta)
-            if math.sqrt(float(g @ g)) < inner_tol * len(x):
+            g = vjp_eta(model, states, g_eta)
+            if math.sqrt(float(g @ g)) < inner_tol * ev.n:
                 break
-            direction = _sbn_newton_direction(
-                g, *split(theta), z_states, b, w_s, d, h, info.offsets_free
-            )
+            # Bernoulli observables: grad^2 A(eta_s) = diag(mean (1 - mean)).
+            mean = fam.grad_log_partition(model.noise.family, etas)
+            curv = mass[:, None] * mean * (1.0 - mean)
+            direction = _sbn_newton_direction(g, states, curv, info.offsets_free)
             slope = float(g @ direction)
             if slope <= 0.0:  # fall back to plain ascent
                 direction, slope = g, float(g @ g)
@@ -472,17 +448,16 @@ def fit_sbn(
             # float granularity (boundary suprema), instead of treading
             # water on zero-gain accepts.
             t = 1.0
-            accepted = False
             for _ in range(60):
-                cand = theta + t * direction
-                new = value(cand)
+                cand = model.noise.params + t * direction
+                new, cand_etas, cand_g_eta = evaluate(cand)
                 if new > cur and new - cur >= 1e-4 * t * slope:
-                    theta, cur = cand, new
-                    accepted = True
+                    model = replace_params(model, theta=cand)
+                    cur, etas, g_eta = new, cand_etas, cand_g_eta
                     break
                 t *= 0.5
-            if not accepted:
+            else:
                 break
-        return replace_params(model, psi=pi, theta=theta)
+        return replace_params(model, psi=pi)
 
-    return _train(obj.FiniteObjective(model, data), model, config, step)
+    return _train(ev, model, config, step)

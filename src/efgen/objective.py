@@ -20,6 +20,12 @@ replaces entropies with their base-measure-reweighted counterparts, which
 stay closed-form even for Poisson observables; the two variants differ by
 exactly the data's mean log base measure.
 
+For finite states the noise term reads q only through each state's mass
+w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n):
+N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
+last sum in the pseudo variant. noise_expectation() computes the bracket and
+its eta-gradient G_s = B_s - w_s grad A(eta_s).
+
 Two evaluators share one interface (posterior, state_table, terms, elbo,
 entropy_sum, report, kl_form, marginal_loglik, gradient, grad_norm):
 FiniteObjective sums over the enumerated states of mixtures and sigmoid
@@ -32,9 +38,9 @@ the arithmetic training recorded them with.
 
 The stationarity gradient is exact, with q held fixed. For finite states it
 is the moment-matching identity of exponential families (Wainwright and
-Jordan 2008): expected sufficient statistics under q minus the gradient of
-the log partition, pulled back through the natural-parameter maps. For the
-linear-Gaussian models it is the derivative of the closed-form terms.
+Jordan 2008): G_s above, and the prior's expected statistics minus its
+log-partition gradient, pulled back through the natural-parameter maps. For
+the linear-Gaussian models it is the derivative of the closed-form terms.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ __all__ = [
     "FiniteObjective",
     "GaussianObjective",
     "evaluator",
+    "noise_expectation",
     "exact_posterior",
     "elbo_terms",
     "pseudo_elbo_terms",
@@ -186,6 +193,16 @@ def _as_state_table(model: GenerativeModel, q: VariationalState) -> np.ndarray:
     raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
 
 
+def noise_expectation(family, etas: np.ndarray, mass: np.ndarray, stats: np.ndarray):
+    """sum_s [B_s . eta_s - w_s A(eta_s)] and G_s = B_s - w_s grad A(eta_s).
+
+    With mass w_s = sum_n q_ns and stats rows B_s = sum_n q_ns t(x_n), the
+    value is sum_n E_q[log p(x_n|z) - log h(x_n)] at the naturals etas (S, L).
+    """
+    value = np.sum(stats * etas) - mass @ fam.log_partition(family, etas)
+    return value, stats - mass[:, None] * fam.grad_log_partition(family, etas)
+
+
 def _entropy_rows(table: np.ndarray) -> np.ndarray:
     """Per-row entropies -sum_s q log q, counting 0 log 0 as 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,6 +268,10 @@ class FiniteObjective(_Objective):
     and verify all evaluate through this class, so they share one
     arithmetic: the posterior subtracts each row's maximum before
     exponentiating, and 0 log 0 is 0.
+
+    f3 and the gradient read q through noise_expectation(); only posterior,
+    marginal_loglik and kl_form (the tests' reference for terms) build the
+    (N, S) log-likelihood table.
     """
 
     def __init__(self, model: GenerativeModel, data=None):
@@ -270,6 +291,7 @@ class FiniteObjective(_Objective):
             if self.n:
                 self.t = fam.batch_sufficient_stats(noise, data)
                 self.log_h = fam.batch_log_base_measure(noise, data)
+        self.mean_log_h = float(np.mean(self.log_h)) if self.n else 0.0
         self._model = None
         self._tables = None
 
@@ -312,29 +334,31 @@ class FiniteObjective(_Objective):
         table /= table.sum(axis=1, keepdims=True)
         return table
 
+    def _noise_expectation(self, model: GenerativeModel, table: np.ndarray):
+        """noise_expectation() at the model's noise naturals and q's statistics."""
+        etas = self.tables(model)[0]
+        return noise_expectation(model.noise.family, etas, table.sum(axis=0), table.T @ self.t)
+
     def terms(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring."""
         log_prior = self.tables(model)[2]
         f1 = float(np.mean(_entropy_rows(table)))
         f2 = float(-np.mean(table @ log_prior))
-        f3 = float(-np.mean(np.sum(table * self.loglik(model, pseudo), axis=1)))
-        return f1, f2, f3
+        f3 = float(-self._noise_expectation(model, table)[0] / self.n)
+        return f1, f2, f3 if pseudo else f3 - self.mean_log_h
 
     def gradient(self, model: GenerativeModel, table: np.ndarray) -> np.ndarray:
         """The exact ELBO gradient over (psi, theta) with q held fixed.
 
         Moment matching: with qbar the mean state probabilities, the prior
         part is J_zeta^T (E_qbar[T(z)] - grad A(zeta)), and the noise part is
-        sum_s J_eta(z_s)^T G_s with G_s = (1/N) sum_n q_ns t(x_n) -
-        qbar_s grad A(eta_s). Both variants share it: log h(x) is constant.
+        (1/N) sum_s J_eta(z_s)^T G_s with G from noise_expectation(). Both
+        variants share it: log h(x) is constant.
         """
-        etas = self.tables(model)[0]
         qbar = table.mean(axis=0)
         zeta = model.prior.zeta(model.prior.params)
         g_zeta = qbar @ self.prior_t - fam.grad_log_partition(model.prior.family, zeta)
-        g_eta = table.T @ self.t / self.n - qbar[:, None] * fam.grad_log_partition(
-            model.noise.family, etas
-        )
+        g_eta = self._noise_expectation(model, table)[1] / self.n
         return np.concatenate(
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
         )

@@ -182,3 +182,31 @@ def pseudo_entropy_relation_error(family, s):
     lhs = fam.pseudo_entropy(family, n)
     rhs = fam.entropy(family, s) + fam.expected_log_base_measure(family, s)
     return abs(lhs - rhs)
+
+
+def sbn_newton_direction_oracle(grad, states, curv, offsets_free):
+    """The SBN M-step's Newton direction, one observable at a time.
+
+    Solves each observable's (K, K) system on its own and falls back to that
+    observable's gradient block when its solve fails.
+    """
+    d, h = curv.shape[1], states.shape[1]
+    u = np.hstack([states, np.ones((len(states), 1))]) if offsets_free else states
+    k = u.shape[1]
+    grad_w = grad[: d * h].reshape(d, h, order="F")
+    direction = np.empty_like(grad)
+    dir_w = np.empty((d, h))
+    dir_mu = np.empty(d)
+    for di in range(d):
+        hess = (u * curv[:, di][:, None]).T @ u
+        g_d = np.concatenate([grad_w[di], [grad[d * h + di]]]) if offsets_free else grad_w[di]
+        try:
+            sol = np.linalg.solve(hess + 1e-12 * np.eye(k), g_d)
+        except np.linalg.LinAlgError:
+            sol = g_d
+        dir_w[di] = sol[:h]
+        dir_mu[di] = sol[h] if offsets_free else 0.0
+    direction[: d * h] = dir_w.ravel(order="F")
+    if offsets_free:
+        direction[d * h :] = dir_mu
+    return direction

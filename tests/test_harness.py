@@ -10,6 +10,7 @@ import pytest
 
 from efgen import harness as hns
 from efgen import models as mdl
+from efgen import objective as obj
 from efgen.cli import main as cli_main
 from efgen.errors import ConfigError
 
@@ -174,6 +175,8 @@ class TestReadDataset:
             ("x1,x2\n1,2\n3,4\n5,nan\n", "row 4 has a non-finite value"),
             ("x1,x2\n1,2\n-inf,4\n", "row 3 has a non-finite value"),
             ("x1,x2\n1,1e400\n", "row 2 has a non-finite value"),
+            ("x1\n\n0.5\nabc\n", "row 4 has a non-numeric field: 'abc'"),
+            ("x1,x2\n\n1,2\n3,nan\n", "row 4 has a non-finite value"),
         ],
         ids=[
             "header",
@@ -184,6 +187,8 @@ class TestReadDataset:
             "nan",
             "inf",
             "overflow",
+            "text-after-blank-line",
+            "nan-after-blank-line",
         ],
     )
     def test_malformed_file_names_its_row(self, tmp_path, text, message):
@@ -255,6 +260,24 @@ class TestVerify:
         # Self-consistency: the verdict is recomputable from its own numbers.
         v = verdicts["gap_standard"]
         assert (v["gap"] <= v["bound"]) == (v["status"] == "pass")
+
+    def test_builds_one_evaluator(self, tmp_path, monkeypatch):
+        # verify's posterior, both reports and the gradient norm share one
+        # evaluator; train adds one for its reports to the one it trained with.
+        config = hns.parse_config(gmm_config(tmp_path))
+        built = []
+        init = obj.FiniteObjective.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(obj.FiniteObjective, "__init__", counting_init)
+        paths = hns.cmd_train(config)
+        assert len(built) == 2
+        built.clear()
+        hns.cmd_verify(config, paths["model"])
+        assert len(built) == 1
 
     def test_rigid_sbn_criterion_fails_and_gap_is_skipped(self, tmp_path):
         raw = gmm_config(tmp_path, run_id="rigid")

@@ -10,6 +10,7 @@ from efgen import learning as lrn
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import DegenerateDataError, EmptyClusterError, NewtonConvergenceError
+from helpers import sbn_newton_direction_oracle
 
 
 def separated_gmm(n=500, seed=0):
@@ -133,6 +134,23 @@ class TestEmMixture:
             f"iteration cap 1 reached (grad_norm {grad:.3e}, tol {cfg.grad_norm_tol:.1e})"
         )
 
+    def test_one_loglik_table_per_iteration(self, monkeypatch):
+        # The E-step builds the (N, S) log-likelihood table; the ELBO, the
+        # reports and the gradient read q's expected statistics instead.
+        truth, data = separated_gmm(seed=4)
+        builds = []
+        loglik = obj.FiniteObjective.loglik
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            return loglik(self, *args, **kwargs)
+
+        monkeypatch.setattr(obj.FiniteObjective, "loglik", counted)
+        fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=4, max_iters=5))
+        assert fit.trace.last().iteration == 5
+        # One more for the posterior the first M-step reads.
+        assert len(builds) == 5 + 1
+
 
 class TestGammaShapeNewton:
     def test_round_trip(self):
@@ -237,6 +255,41 @@ class TestFitSbn:
         fit = lrn.fit_sbn(truth, data, lrn.TrainingConfig(seed=15, max_iters=60))
         elbos = [r.elbo for r in fit.trace.records]
         assert np.all(np.diff(elbos) >= -1e-10)
+
+
+class TestSbnNewtonDirection:
+    """The stacked solve against the per-observable loop it replaced."""
+
+    def inputs(self, offsets_free, seed):
+        rng = np.random.default_rng(seed)
+        states = mdl.enumerate_binary_states(3)
+        d = 4
+        curv = rng.uniform(0.01, 2.0, size=(len(states), d))
+        grad = rng.normal(size=3 * d + (d if offsets_free else 0))
+        return grad, states, curv
+
+    @pytest.mark.parametrize("offsets_free", [True, False], ids=["free", "fixed"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_observable_loop(self, offsets_free, seed):
+        grad, states, curv = self.inputs(offsets_free, seed)
+        direction = lrn._sbn_newton_direction(grad, states, curv, offsets_free)
+        oracle = sbn_newton_direction_oracle(grad, states, curv, offsets_free)
+        np.testing.assert_allclose(direction, oracle, rtol=1e-12, atol=1e-14)
+        assert float(grad @ direction) > 0.0
+
+    @pytest.mark.parametrize("offsets_free", [True, False], ids=["free", "fixed"])
+    def test_singular_stack_falls_back_to_gradient(self, offsets_free):
+        # Observable 0 sees one state with a curvature that swamps the
+        # 1e-12 ridge: its Hessian is exactly singular in floats. The whole
+        # step falls back to the gradient; the loop fell back for
+        # observable 0 alone.
+        grad, states, curv = self.inputs(offsets_free, 0)
+        curv[:, 0] = 0.0
+        curv[3, 0] = 1e20  # state (1, 1, 0)
+        direction = lrn._sbn_newton_direction(grad, states, curv, offsets_free)
+        np.testing.assert_array_equal(direction, grad)
+        oracle = sbn_newton_direction_oracle(grad, states, curv, offsets_free)
+        assert not np.array_equal(oracle, grad)
 
 
 class TestGradNorm:

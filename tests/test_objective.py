@@ -58,6 +58,75 @@ def gmm_loglik_oracle(model, data):
     return float(np.mean(np.log(dens)))
 
 
+# ---------------------------------------------------------------------------
+# Random points of every model kind.
+
+_COMPONENT_PARAMS = {
+    "bernoulli_product": [0.3, 0.6],
+    "gaussian_scalar_var": [0.0, 1.0, 1.0],
+    "gaussian_diag_cov": [0.0, 1.0, 1.0, 2.0],
+    "gamma": [2.0, 1.0],
+    "poisson_product": [1.0, 3.0],
+}
+
+
+def zoo_model(kind):
+    """One small model of each kind; random_point() redraws its parameters."""
+    if kind.startswith("mixture-"):
+        name = kind[len("mixture-") :]
+        family = getattr(fam, name)(2) if name != "gamma" else fam.gamma_family()
+        comp = np.tile(_COMPONENT_PARAMS[name], (3, 1))
+        return mdl.make_ef_mixture(family, [0.2, 0.3, 0.5], comp)
+    rng = np.random.default_rng(0)
+    if kind.startswith("sbn-"):
+        offsets_free = kind == "sbn-free-offsets"
+        return mdl.make_sbn(
+            [0.3, 0.6, 0.5], rng.normal(size=(4, 3)), rng.normal(size=4), offsets_free
+        )
+    if kind == "rigid_sbn":
+        return mdl.make_rigid_sbn(0.4, 0.7)
+    if kind == "ppca":
+        return mdl.make_ppca(rng.normal(size=(4, 2)), rng.normal(size=4), 0.7, tau=1.3)
+    return mdl.make_simple_fa(rng.normal(size=3), 1.2, [0.5, 0.8, 1.1])
+
+
+ZOO_KINDS = [f"mixture-{name}" for name in _COMPONENT_PARAMS] + [
+    "sbn-free-offsets",
+    "sbn-fixed-offsets",
+    "rigid_sbn",
+    "ppca",
+    "simple_fa",
+]
+# Fixed nonzero offsets and the tied rigid weights fail the criterion.
+CRITERION_KINDS = [k for k in ZOO_KINDS if k not in ("sbn-fixed-offsets", "rigid_sbn")]
+# The finite-state kinds, which FiniteObjective evaluates.
+FINITE_KINDS = [k for k in ZOO_KINDS if k not in ("ppca", "simple_fa")]
+
+
+def random_point(kind, seed, n=25):
+    """(model, data, evaluator, q) at random parameters and a random q.
+
+    q is not the posterior: Dirichlet rows over the finite states, or the
+    exact Gaussian moments with perturbed means and covariance.
+    """
+    rng = np.random.default_rng(seed)
+    model = zoo_model(kind)
+    model = mdl.replace_params(model, *mdl._random_params(model, rng))
+    _, data = mdl.sample_joint(model, rng, n)
+    ev = obj.evaluator(model, data)
+    exact = ev.posterior(model)
+    if isinstance(exact, np.ndarray):
+        q = rng.dirichlet(np.ones(exact.shape[1]), size=n)
+    else:
+        h = exact.cov.shape[0]
+        a = rng.normal(size=(h, h))
+        q = obj.GaussianMoments(
+            exact.means + 0.5 * rng.normal(size=exact.means.shape),
+            exact.cov + 0.3 * a @ a.T,
+        )
+    return model, data, ev, q
+
+
 class TestElboTerms:
     def test_gmm_exact_posterior_is_tight_against_oracle(self):
         model = gmm()
@@ -90,19 +159,18 @@ class TestElboTerms:
 
 
 class TestKlForm:
-    @pytest.mark.parametrize("builder", [gmm, poisson_mix, gamma_mix, sbn], ids=lambda b: b.__name__)
-    def test_matches_three_term_form(self, builder):
-        model = builder()
-        rng = np.random.default_rng(1)
-        _, data = mdl.sample_joint(model, rng, 120)
-        states = len(model.latent_support.states)
-        if model.model_kind == "ef_mixture":
-            q = obj.CategoricalTable(random_table(rng, len(data), states))
-        else:
-            q = obj.EnumeratedTable(random_table(rng, len(data), states))
-        assert obj.elbo_kl_form(model, data, q) == pytest.approx(
-            obj.elbo_terms(model, data, q).elbo, abs=1e-10
-        )
+    @pytest.mark.parametrize("kind", FINITE_KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_three_term_form(self, kind, seed):
+        # terms reads q's expected statistics; kl_form and the pseudo f3
+        # below read the (N, S) log-likelihood table.
+        model, _, ev, q = random_point(kind, seed)
+        elbo = ev.elbo(model, q)
+        assert ev.kl_form(model, q) == pytest.approx(elbo, abs=1e-12 * max(1.0, abs(elbo)))
+        f3 = ev.terms(model, q, pseudo=True)[2]
+        table_f3 = -np.mean(np.sum(q * ev.loglik(model, pseudo=True), axis=1))
+        assert f3 == pytest.approx(table_f3, abs=1e-12 * max(1.0, abs(table_f3)))
 
     def test_q_equal_to_prior_has_zero_kl(self):
         model = gmm(weights=(0.3, 0.7))
@@ -382,70 +450,6 @@ class TestBatchedStateTables:
 
 # ---------------------------------------------------------------------------
 # The exact gradient, at arbitrary parameters and variational states.
-
-_COMPONENT_PARAMS = {
-    "bernoulli_product": [0.3, 0.6],
-    "gaussian_scalar_var": [0.0, 1.0, 1.0],
-    "gaussian_diag_cov": [0.0, 1.0, 1.0, 2.0],
-    "gamma": [2.0, 1.0],
-    "poisson_product": [1.0, 3.0],
-}
-
-
-def zoo_model(kind):
-    """One small model of each kind; random_point() redraws its parameters."""
-    if kind.startswith("mixture-"):
-        name = kind[len("mixture-") :]
-        family = getattr(fam, name)(2) if name != "gamma" else fam.gamma_family()
-        comp = np.tile(_COMPONENT_PARAMS[name], (3, 1))
-        return mdl.make_ef_mixture(family, [0.2, 0.3, 0.5], comp)
-    rng = np.random.default_rng(0)
-    if kind.startswith("sbn-"):
-        offsets_free = kind == "sbn-free-offsets"
-        return mdl.make_sbn(
-            [0.3, 0.6, 0.5], rng.normal(size=(4, 3)), rng.normal(size=4), offsets_free
-        )
-    if kind == "rigid_sbn":
-        return mdl.make_rigid_sbn(0.4, 0.7)
-    if kind == "ppca":
-        return mdl.make_ppca(rng.normal(size=(4, 2)), rng.normal(size=4), 0.7, tau=1.3)
-    return mdl.make_simple_fa(rng.normal(size=3), 1.2, [0.5, 0.8, 1.1])
-
-
-ZOO_KINDS = [f"mixture-{name}" for name in _COMPONENT_PARAMS] + [
-    "sbn-free-offsets",
-    "sbn-fixed-offsets",
-    "rigid_sbn",
-    "ppca",
-    "simple_fa",
-]
-# Fixed nonzero offsets and the tied rigid weights fail the criterion.
-CRITERION_KINDS = [k for k in ZOO_KINDS if k not in ("sbn-fixed-offsets", "rigid_sbn")]
-
-
-def random_point(kind, seed, n=25):
-    """(model, data, evaluator, q) at random parameters and a random q.
-
-    q is not the posterior: Dirichlet rows over the finite states, or the
-    exact Gaussian moments with perturbed means and covariance.
-    """
-    rng = np.random.default_rng(seed)
-    model = zoo_model(kind)
-    model = mdl.replace_params(model, *mdl._random_params(model, rng))
-    _, data = mdl.sample_joint(model, rng, n)
-    ev = obj.evaluator(model, data)
-    exact = ev.posterior(model)
-    if isinstance(exact, np.ndarray):
-        q = rng.dirichlet(np.ones(exact.shape[1]), size=n)
-    else:
-        h = exact.cov.shape[0]
-        a = rng.normal(size=(h, h))
-        q = obj.GaussianMoments(
-            exact.means + 0.5 * rng.normal(size=exact.means.shape),
-            exact.cov + 0.3 * a @ a.T,
-        )
-    return model, data, ev, q
-
 
 class TestExactGradient:
     @pytest.mark.parametrize("kind", ZOO_KINDS)
