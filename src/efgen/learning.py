@@ -122,8 +122,9 @@ def _train(
     Stops at an ELBO plateau with a gradient norm below tolerance, or at the
     iteration cap. Gradient checks on a plateau back off exponentially: EM
     tails can hold an ELBO plateau for thousands of iterations before the
-    gradient drops below tolerance, and checking each of them would cost a
-    report and a gradient per iteration.
+    gradient drops below tolerance, and checking each of them would cost an
+    entropy sum and a gradient per iteration. A record reuses the
+    iteration's ELBO, so each iteration evaluates terms once.
     """
     trace = TrainingTrace()
     t0 = time.perf_counter()
@@ -142,14 +143,14 @@ def _train(
             check_interval, next_check = 1, it
         check_now = plateau and it >= next_check
         if check_now or it % config.record_every == 0 or it == config.max_iters:
-            report = ev.report(model, q)
+            rhs = ev.entropy_sum(model, q)
             grad = ev.grad_norm(model, q)
             trace.records.append(
                 TraceRecord(
                     iteration=it,
-                    elbo=report.elbo,
-                    entropy_sum=report.entropy_sum,
-                    gap=report.gap / max(1.0, abs(report.elbo)),
+                    elbo=elbo,
+                    entropy_sum=rhs,
+                    gap=abs(elbo - rhs) / max(1.0, abs(elbo)),
                     grad_norm=grad,
                     wall_time=time.perf_counter() - t0,
                 )
@@ -379,6 +380,27 @@ def _sbn_newton_direction(grad, states, curv, offsets_free):
     return np.concatenate([direction, sol[:, h]]) if offsets_free else direction
 
 
+def _armijo_step(evaluate, theta, direction, cur, slope):
+    """(cand, *evaluate(cand)) for the first cand = theta + t direction,
+    t = 1, 1/2, ... (60 halvings), whose gain is strictly positive and at
+    least 1e-4 t slope; None if there is none.
+
+    A strictly positive gain stops the walk once gains fall below float
+    granularity (boundary suprema). A candidate that rounds to theta ends the
+    search: every smaller t rounds to theta too, and theta gains nothing.
+    """
+    t = 1.0
+    for _ in range(60):
+        cand = theta + t * direction
+        if np.array_equal(cand, theta):
+            return None
+        new, *rest = evaluate(cand)
+        if new > cur and new - cur >= 1e-4 * t * slope:
+            return (cand, new, *rest)
+        t *= 0.5
+    return None
+
+
 def fit_sbn(
     model: GenerativeModel,
     data,
@@ -443,21 +465,11 @@ def fit_sbn(
             slope = float(g @ direction)
             if slope <= 0.0:  # fall back to plain ascent
                 direction, slope = g, float(g @ g)
-            # Unit initial step (damped Newton); requiring a strictly
-            # positive gain stops the walk once improvements fall below
-            # float granularity (boundary suprema), instead of treading
-            # water on zero-gain accepts.
-            t = 1.0
-            for _ in range(60):
-                cand = model.noise.params + t * direction
-                new, cand_etas, cand_g_eta = evaluate(cand)
-                if new > cur and new - cur >= 1e-4 * t * slope:
-                    model = replace_params(model, theta=cand)
-                    cur, etas, g_eta = new, cand_etas, cand_g_eta
-                    break
-                t *= 0.5
-            else:
+            accepted = _armijo_step(evaluate, model.noise.params, direction, cur, slope)
+            if accepted is None:
                 break
+            theta, cur, etas, g_eta = accepted
+            model = replace_params(model, theta=theta)
         return replace_params(model, psi=pi)
 
     return _train(ev, model, config, step)

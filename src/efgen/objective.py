@@ -266,8 +266,13 @@ class FiniteObjective(_Objective):
     masses) are built once per model, each by one batched call over all
     states, and kept for the latest model. Training, the objective reports
     and verify all evaluate through this class, so they share one
-    arithmetic: the posterior subtracts each row's maximum before
+    arithmetic: the posterior subtracts each point's maximum before
     exponentiating, and 0 log 0 is 0.
+
+    Per-point tables are states-major: loglik, posterior and state_table
+    return (N, S) transposes of C-ordered (S, N) arrays. With few states and
+    many points, every reduction over the points then runs over contiguous
+    memory, and terms, gradient and entropy_sum read one layout.
 
     f3 and the gradient read q through noise_expectation(); only posterior,
     marginal_loglik and kl_form (the tests' reference for terms) build the
@@ -311,28 +316,30 @@ class FiniteObjective(_Objective):
         return self._tables
 
     def state_table(self, model: GenerativeModel, q: VariationalState) -> np.ndarray:
-        """q's probabilities over the states, shape (N, S), checked against N."""
+        """q's probabilities over the states, shape (N, S) states-major, checked against N."""
         table = _as_state_table(model, q)
         self._check_n(len(table))
-        return table
+        return np.asfortranarray(table)
 
     def variational(self, table: np.ndarray) -> VariationalState:
         """The table as the model's public variational state."""
         return self._state_type(table)
 
     def loglik(self, model: GenerativeModel, pseudo: bool = False) -> np.ndarray:
-        """(N, S) log p(x_n | s); the pseudo variant drops the base measure."""
+        """(N, S) log p(x_n | s), states-major; the pseudo variant drops the base measure."""
         etas, log_parts, _ = self.tables(model)
-        ll = self.t @ etas.T - log_parts
-        return ll if pseudo else ll + self.log_h[:, None]
+        ll = etas @ self.t.T
+        ll -= log_parts[:, None]
+        return (ll if pseudo else ll + self.log_h).T
 
     def posterior(self, model: GenerativeModel) -> np.ndarray:
-        """The exact posterior over the states, shape (N, S)."""
-        scores = self.loglik(model, pseudo=True) + self.tables(model)[2]
-        scores -= scores.max(axis=1, keepdims=True)
-        table = np.exp(scores)
-        table /= table.sum(axis=1, keepdims=True)
-        return table
+        """The exact posterior over the states, shape (N, S) states-major."""
+        scores = self.loglik(model, pseudo=True).T
+        scores += self.tables(model)[2][:, None]
+        scores -= scores.max(axis=0)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=0)
+        return scores.T
 
     def _noise_expectation(self, model: GenerativeModel, table: np.ndarray):
         """noise_expectation() at the model's noise naturals and q's statistics."""

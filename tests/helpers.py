@@ -210,3 +210,18 @@ def sbn_newton_direction_oracle(grad, states, curv, offsets_free):
     if offsets_free:
         direction[d * h :] = dir_mu
     return direction
+
+
+def rowwise_posterior(ev, model):
+    """A FiniteObjective's posterior in points-major (N, S) arithmetic.
+
+    The max, exp and normalising sum run along each point's row of a
+    C-ordered table, as the evaluator did before its tables went
+    states-major.
+    """
+    etas, log_parts, log_prior = ev.tables(model)
+    scores = ev.t @ etas.T - log_parts + log_prior
+    scores -= scores.max(axis=1, keepdims=True)
+    table = np.exp(scores)
+    table /= table.sum(axis=1, keepdims=True)
+    return table

@@ -151,6 +151,22 @@ class TestEmMixture:
         # One more for the posterior the first M-step reads.
         assert len(builds) == 5 + 1
 
+    def test_one_terms_per_iteration(self, monkeypatch):
+        # A trace record reuses the iteration's ELBO instead of a report.
+        truth, data = separated_gmm(seed=4)
+        calls = []
+        terms = obj.FiniteObjective.terms
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return terms(self, *args, **kwargs)
+
+        monkeypatch.setattr(obj.FiniteObjective, "terms", counted)
+        cfg = lrn.TrainingConfig(seed=4, max_iters=5, record_every=1)
+        fit = lrn.em_mixture(truth, data, cfg)
+        assert len(fit.trace.records) == 5
+        assert len(calls) == 5
+
 
 class TestGammaShapeNewton:
     def test_round_trip(self):
@@ -209,6 +225,25 @@ class TestFitPpca:
         assert report.gap <= 1e-6 * max(1.0, abs(report.elbo))
 
 
+# The sbn-enumerate benchmark model: H = 8 latents, D = 12 observables.
+SBN8_PI = [0.3, 0.5, 0.7, 0.4, 0.6, 0.35, 0.55, 0.45]
+SBN8_W = [
+    [1.7, -1.5, 0.5, -2.0, -3.1, 1.1, -1.0, 0.2],
+    [1.7, -1.6, -1.4, 1.1, -0.4, -0.9, -0.5, -1.0],
+    [1.4, 1.0, 1.2, 0.7, 1.8, -2.0, -0.4, 0.8],
+    [1.7, 0.9, 0.1, -0.5, 0.7, -2.2, 2.5, -1.1],
+    [-1.1, 0.2, 1.3, 2.0, 2.2, -1.5, 2.6, 1.2],
+    [-1.5, -0.3, -0.8, 0.9, 2.2, 2.2, 1.9, -2.3],
+    [1.4, 0.4, 0.9, -2.3, 0.5, -0.5, -0.7, 1.2],
+    [1.7, -1.0, 0.4, -0.3, -0.3, 0.4, -1.2, 4.0],
+    [-0.5, 1.0, 0.2, 2.6, -0.6, 0.5, -2.4, 0.3],
+    [-0.5, -0.7, -2.2, -1.0, -0.4, -0.2, 1.3, 0.4],
+    [0.2, -3.2, 2.2, 0.8, -0.8, 1.9, 2.9, -1.5],
+    [0.0, -0.6, -1.3, -3.6, 1.8, 0.2, 0.8, -2.2],
+]
+SBN8_MU = [-0.6, -0.4, -0.6, 0.6, 0.1, -0.5, 0.0, -0.1, -0.4, 0.2, -0.3, 0.0]
+
+
 class TestFitSbn:
     def test_flat_model_posterior_equals_prior(self):
         model = mdl.make_sbn([0.5, 0.5], np.zeros((3, 2)), np.zeros(3))
@@ -255,6 +290,25 @@ class TestFitSbn:
         fit = lrn.fit_sbn(truth, data, lrn.TrainingConfig(seed=15, max_iters=60))
         elbos = [r.elbo for r in fit.trace.records]
         assert np.all(np.diff(elbos) >= -1e-10)
+
+    def test_line_search_never_evaluates_its_start_point(self, monkeypatch):
+        # Once t * direction is below the parameters' ulp, the candidate is
+        # the start point itself; it and every smaller t would be rejected.
+        model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
+        _, data = mdl.sample_joint(model, np.random.default_rng(1), 1000)
+        at_start = []
+        armijo = lrn._armijo_step
+
+        def spied(evaluate, theta, *args):
+            def recorded(cand):
+                at_start.append(np.array_equal(cand, theta))
+                return evaluate(cand)
+
+            return armijo(recorded, theta, *args)
+
+        monkeypatch.setattr(lrn, "_armijo_step", spied)
+        lrn.fit_sbn(model, data, lrn.TrainingConfig(max_iters=30, record_every=1000, seed=3))
+        assert at_start and not any(at_start)
 
 
 class TestSbnNewtonDirection:

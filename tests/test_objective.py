@@ -13,7 +13,7 @@ from efgen import families as fam
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import IncompatibilityError, UnsupportedModelError
-from helpers import elbo_gradient_oracle
+from helpers import elbo_gradient_oracle, rowwise_posterior
 
 
 def gmm(means=(-1.0, 1.5), variances=(1.0, 0.5), weights=(0.4, 0.6)):
@@ -165,12 +165,22 @@ class TestKlForm:
     def test_matches_three_term_form(self, kind, seed):
         # terms reads q's expected statistics; kl_form and the pseudo f3
         # below read the (N, S) log-likelihood table.
-        model, _, ev, q = random_point(kind, seed)
+        model, data, ev, q = random_point(kind, seed)
         elbo = ev.elbo(model, q)
         assert ev.kl_form(model, q) == pytest.approx(elbo, abs=1e-12 * max(1.0, abs(elbo)))
         f3 = ev.terms(model, q, pseudo=True)[2]
         table_f3 = -np.mean(np.sum(q * ev.loglik(model, pseudo=True), axis=1))
         assert f3 == pytest.approx(table_f3, abs=1e-12 * max(1.0, abs(table_f3)))
+
+        # Tables are states-major: (N, S) views of C-ordered (S, N) arrays.
+        post = ev.posterior(model)
+        assert ev.loglik(model).T.flags.c_contiguous and post.T.flags.c_contiguous
+        table = ev.state_table(model, ev.variational(q))
+        assert table.T.flags.c_contiguous and np.array_equal(table, q)
+        # A points-major copy of the posterior reads exactly as the states-major one.
+        c_copy = ev.variational(np.ascontiguousarray(post))
+        assert obj.elbo_terms(model, data, c_copy).elbo == ev.elbo(model, post)
+        assert np.max(np.abs(post - rowwise_posterior(ev, model))) <= 1e-15
 
     def test_q_equal_to_prior_has_zero_kl(self):
         model = gmm(weights=(0.3, 0.7))
