@@ -26,6 +26,7 @@ parts are resolved as least-squares residuals on parameter grids.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
@@ -692,10 +693,104 @@ def _default_z_samples(model: GenerativeModel, count: int, rng: np.random.Genera
     return rng.normal(0.0, 1.0, size=(count, support.dim))
 
 
-def _lstsq_residual(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
-    coeff, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    res = float(np.linalg.norm(a @ coeff - b))
-    return res / max(1.0, float(np.linalg.norm(b))), rank
+_EPS = np.finfo(float).eps
+
+
+def _relative(res: float, target: np.ndarray) -> float:
+    return res / max(1.0, math.sqrt(target @ target))
+
+
+def _merge_blocks(nonzero: np.ndarray, labels: np.ndarray):
+    """Coarsen a column partition until no row's nonzeros cross it.
+
+    labels[j] is the smallest column of column j's block. A row belongs to
+    the block of its first nonzero; every nonzero outside that block joins
+    the two blocks, and joined labels follow their links down to the
+    smallest. Returns the merged labels and each row's block, with the
+    column count standing for an all-zero row.
+    """
+    n = labels.size
+    if n == 0:  # every row is all-zero
+        return labels, np.zeros(len(nonzero), dtype=int)
+    while True:
+        row = labels[nonzero.argmax(axis=1)]
+        crossing = nonzero & (labels != row[:, None])
+        if not crossing.any():
+            return labels, np.where(nonzero.any(axis=1), row, n)
+        r, c = np.nonzero(crossing)
+        ends = row[r], labels[c]
+        lo, hi = np.minimum(*ends), np.maximum(*ends)
+        low = np.arange(n, dtype=labels.dtype)
+        np.minimum.at(low, hi, lo)
+        while True:
+            root = low[low]
+            if (root == low).all():
+                break
+            low = root
+        labels = low[labels]
+
+
+class _BlockLstsq:
+    """Least-squares residual ||a x - b|| and rank of a, solved block by block.
+
+    Called once per grid point, with systems of one shape. Columns fall into
+    blocks that no row's nonzeros cross: the partition found at the first
+    point, merged where a later point's nonzeros cross it. So each problem
+    is block-diagonal up to a permutation, and its minimum is the sum of the
+    blocks' minima. All blocks of one shape go to one batched SVD, each with
+    lstsq's default cutoff eps * max(m, n) * sigma_max; all-zero rows leave
+    their target entries in the residual. The gather plan is rebuilt only
+    when the gathered blocks miss some nonzero of a, so a point that keeps
+    the plan allocates no (m, n) array.
+    """
+
+    def __init__(self):
+        self.labels = None  # labels[j]: the smallest column of column j's block
+        self._groups = []  # (rows (g, m, 1), columns (g, 1, n), cutoff factor) per shape
+        self._empty = None  # rows that no block holds
+
+    def _gather(self, a: np.ndarray) -> list:
+        return [a[rows, cols] for rows, cols, _ in self._groups]
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
+        gathered = self._gather(a)
+        held = sum(np.count_nonzero(blk) for blk in gathered)
+        if self.labels is None or held < np.count_nonzero(a):
+            self._plan(a != 0.0)
+            gathered = self._gather(a)
+        empty = b[self._empty]
+        square = float(empty @ empty)
+        rank = 0
+        for (rows, _, cutoff), blk in zip(self._groups, gathered):
+            rhs = b[rows]
+            u, s, _ = np.linalg.svd(blk, full_matrices=False)
+            keep = s > cutoff * s[:, :1]
+            rank += int(np.count_nonzero(keep))
+            resid = rhs - u @ ((u.transpose(0, 2, 1) @ rhs) * keep[:, :, None])
+            square += float(np.vdot(resid, resid))
+        return math.sqrt(square), rank
+
+    def _plan(self, nonzero: np.ndarray) -> None:
+        m, n = nonzero.shape
+        if self.labels is None:
+            self.labels = np.arange(n, dtype=np.min_scalar_type(n))
+        self.labels, row = _merge_blocks(nonzero, self.labels)
+        rows_in = np.bincount(row, minlength=n + 1)
+        cols_in = np.bincount(self.labels, minlength=n)
+        # Rows and columns sorted by block; all-zero rows (block n) come last.
+        row_order = np.argsort(row, kind="stable")
+        col_order = np.argsort(self.labels, kind="stable")
+        row_start = np.cumsum(rows_in) - rows_in
+        col_start = np.cumsum(cols_in) - cols_in
+        blocks = np.flatnonzero(rows_in[:n])  # a block with no rows fits nothing
+        shapes = list(zip(rows_in[blocks].tolist(), cols_in[blocks].tolist()))
+        self._groups = []
+        for m_k, n_k in sorted(set(shapes)):
+            ks = blocks[[shape == (m_k, n_k) for shape in shapes]]
+            rows = row_order[row_start[ks, None, None] + np.arange(m_k)[:, None]]
+            cols = col_order[col_start[ks, None, None] + np.arange(n_k)]
+            self._groups.append((rows, cols, _EPS * max(m_k, n_k)))
+        self._empty = row_order[m - rows_in[n] :]
 
 
 def check_criterion(
@@ -715,6 +810,15 @@ def check_criterion(
     z_samples (beta may not depend on the latent value). Residuals are
     relative to max(1, ||target||); passes iff both stay below threshold.
     Grids default to the model's own parameters plus seeded random draws.
+
+    Both parts solve block by block (_BlockLstsq). Columns that no nonzero
+    row joins are independent, so a stacked SBN Jacobian splits into one
+    block of S rows per observable and a mixture's into one or more blocks
+    per component; a dense Jacobian (PPCA, the tied-weight SBN) is one block.
+    The partition comes from the first grid point and is merged where a
+    later point's nonzeros cross it; each point's blocks go to batched SVDs
+    before the next point's Jacobian is built. The residual and rank equal
+    one dense lstsq over the whole stack, up to roundoff.
     """
     rng = np.random.default_rng(seed)
     if psi_grid is None or theta_grid is None:
@@ -752,33 +856,37 @@ def check_criterion(
         raise CriterionSampleError(f"need at least {2 * s_dim} z samples, got {len(zs)}")
 
     prior_residual = 0.0
+    solve = _BlockLstsq()
     for psi in psi_grid:
         psi = np.asarray(psi, dtype=float)
         target = np.asarray(model.prior.zeta(psi), dtype=float)
         jac = jacobian_zeta(model, psi)
-        res, rank = _lstsq_residual(jac, target)
+        res, rank = solve(jac, target)
         if rank < min(jac.shape):
             warnings.warn(
                 f"prior Jacobian rank-deficient (rank {rank}) at a grid point",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        prior_residual = max(prior_residual, res)
+        prior_residual = max(prior_residual, _relative(res, target))
 
     noise_residual = 0.0
+    solve = _BlockLstsq()
     for theta in theta_grid:
         theta = np.asarray(theta, dtype=float)
-        jac = jacobian_eta(model, zs, theta)
-        stacked = jac.reshape(-1, jac.shape[-1])
+        stacked = jacobian_eta(model, zs, theta)
+        stacked = stacked.reshape(-1, stacked.shape[-1])
         target = np.asarray(model.noise.eta(zs, theta), dtype=float).reshape(-1)
-        res, rank = _lstsq_residual(stacked, target)
-        if rank < stacked.shape[1]:
+        res, rank = solve(stacked, target)
+        n_params = stacked.shape[1]
+        del stacked  # so the next point's Jacobian is built without this one
+        if rank < n_params:
             warnings.warn(
                 f"stacked noise Jacobian rank-deficient (rank {rank}) at a grid point",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        noise_residual = max(noise_residual, res)
+        noise_residual = max(noise_residual, _relative(res, target))
 
     return CriterionReport(
         prior_residual=prior_residual,

@@ -205,8 +205,9 @@ def noise_expectation(family, etas: np.ndarray, mass: np.ndarray, stats: np.ndar
 
 def _entropy_rows(table: np.ndarray) -> np.ndarray:
     """Per-row entropies -sum_s q log q, counting 0 log 0 as 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(table > 0.0, table * np.log(table), 0.0).sum(axis=1)
+    terms = np.log(table, out=np.zeros_like(table), where=table > 0.0)
+    terms *= table
+    return -terms.sum(axis=1)
 
 
 def _natural_entropy(family, n):

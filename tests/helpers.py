@@ -225,3 +225,19 @@ def rowwise_posterior(ev, model):
     table = np.exp(scores)
     table /= table.sum(axis=1, keepdims=True)
     return table
+
+
+def dense_lstsq(a, b):
+    """(||a x - b||, rank of a) from one dense np.linalg.lstsq over all of a.
+
+    The criterion check solved its stacked systems this way before it split
+    them into independent column blocks.
+    """
+    coeff, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    return float(np.linalg.norm(a @ coeff - b)), int(rank)
+
+
+def entropy_rows_reference(table):
+    """Per-row entropies -sum_s q log q in the np.where form, 0 log 0 as 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(table > 0.0, table * np.log(table), 0.0).sum(axis=1)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efgen import families as fam
 from efgen import models as mdl
 from efgen.errors import DomainError
 
-from helpers import finite_difference_gradient
+from helpers import dense_lstsq, finite_difference_gradient
 
 
 def gmm_1d(means=(-1.0, 1.0), variances=(1.0, 1.0), weights=(0.5, 0.5)):
@@ -278,6 +280,159 @@ class TestCriterion:
         report = mdl.check_criterion(model, seed=0)
         assert not report.passes
         assert report.noise_residual >= 0.1
+
+
+_ENTRY = st.integers(-3, 3).map(float)
+
+
+def _matrix(draw, m, n):
+    return np.array(
+        draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=m, max_size=m)),
+        dtype=float,
+    ).reshape(m, n)
+
+
+@st.composite
+def block_systems(draw):
+    """(a, b) with a block-diagonal up to shuffled rows and columns.
+
+    Blocks have unequal shapes and small integer entries, so rank deficiency
+    is exact: a block may get a last column equal to the sum of the others.
+    All-zero rows and columns ride along.
+    """
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=4)
+    )
+    blocks = []
+    for m, n in shapes:
+        block = _matrix(draw, m, n)
+        if n > 1 and draw(st.booleans()):
+            block[:, -1] = block[:, :-1].sum(axis=1)
+        blocks.append(block)
+    m = sum(blk.shape[0] for blk in blocks) + draw(st.integers(0, 2))
+    n = sum(blk.shape[1] for blk in blocks) + draw(st.integers(0, 2))
+    a = np.zeros((m, n))
+    r = c = 0
+    for blk in blocks:
+        a[r : r + blk.shape[0], c : c + blk.shape[1]] = blk
+        r, c = r + blk.shape[0], c + blk.shape[1]
+    rows = draw(st.permutations(range(m)))
+    cols = draw(st.permutations(range(n)))
+    b = np.array(draw(st.lists(_ENTRY, min_size=m, max_size=m)))
+    return a[np.ix_(rows, cols)], b
+
+
+class TestBlockLstsq:
+    @settings(max_examples=200, deadline=None)
+    @given(system=block_systems())
+    def test_matches_dense_lstsq(self, system):
+        a, b = system
+        res, rank = mdl._BlockLstsq()(a, b)
+        dense_res, dense_rank = dense_lstsq(a, b)
+        assert abs(res - dense_res) <= 1e-12
+        assert rank == dense_rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(system=block_systems(), data=st.data())
+    def test_grid_points_merge_and_reuse_the_partition(self, system, data):
+        a, b = system
+        # The grid's two points share a shape; the second one's extra rows
+        # are all-zero at the first.
+        extra = _matrix(data.draw, data.draw(st.integers(1, 2)), a.shape[1])
+        a1 = np.vstack([a, np.zeros_like(extra)])
+        a2 = np.vstack([a, extra])
+        b2 = np.concatenate([b, _matrix(data.draw, len(extra), 1).ravel()])
+        solve = mdl._BlockLstsq()
+        solve(a1, b2)
+        first = solve.labels
+        res, rank = solve(a2, b2)
+        labels = solve.labels
+        dense_res, dense_rank = dense_lstsq(a2, b2)
+        assert abs(res - dense_res) <= 1e-12
+        assert rank == dense_rank
+        # The merged partition is coarser than the first point's, and no row
+        # of the second point crosses it.
+        assert np.array_equal(labels[first], labels)
+        for row in a2:
+            assert len(set(labels[row != 0.0])) <= 1
+        # A third point whose nonzeros are a subset of the second's keeps
+        # the blocks; it may zero whole rows and columns.
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=a2.size, max_size=a2.size)))
+        a3 = a2 * keep.reshape(a2.shape)
+        res, rank = solve(a3, b2)
+        dense_res, dense_rank = dense_lstsq(a3, b2)
+        assert abs(res - dense_res) <= 1e-12
+        assert rank == dense_rank
+        assert np.array_equal(solve.labels, labels)
+
+    def test_merge_follows_the_earlier_partition(self):
+        a1 = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        solve = mdl._BlockLstsq()
+        solve(a1, np.ones(3))
+        assert solve.labels.tolist() == [0, 0, 2, 2]
+        # Only the middle row touches two columns; columns 0 and 3 join
+        # through the first point's blocks.
+        a2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        res, rank = solve(a2, np.array([1.0, 2.0, 3.0]))
+        assert solve.labels.tolist() == [0, 0, 0, 0]
+        assert rank == 3 and res == pytest.approx(0.0, abs=1e-15)
+
+    def test_all_zero_rows_keep_their_targets(self):
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        res, rank = mdl._BlockLstsq()(a, np.array([3.0, 5.0, 4.0]))
+        assert res == 5.0 and rank == 1
+        # A one-component mixture's prior has no parameters at all.
+        res, rank = mdl._BlockLstsq()(np.zeros((2, 0)), np.array([3.0, 4.0]))
+        assert res == 5.0 and rank == 0
+
+
+class TestCriterionSolves:
+    def test_sbn_enumerate_solves_no_system_taller_than_the_states(self, monkeypatch):
+        # H = 8 latents and D = 12 observables: 256 states and a 3072 x 108
+        # stacked noise Jacobian whose rows each touch one observable's
+        # 9 columns.
+        rng = np.random.default_rng(0)
+        model = mdl.make_sbn(
+            rng.uniform(0.2, 0.8, size=8), rng.normal(size=(12, 8)), rng.normal(size=12)
+        )
+        heights = []
+        for name in ("lstsq", "svd", "qr", "pinv"):
+
+            def recording(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+                heights.append(np.shape(a)[-2])
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        report = mdl.check_criterion(model, seed=0)
+        assert report.passes
+        assert heights and max(heights) <= 256
+
+    def test_rank_deficient_prior_jacobian_warns(self):
+        # zeta(psi) = (psi_0 + psi_1) (1, 1): a rank-one 2 x 2 Jacobian whose
+        # column space still holds zeta.
+        prior = mdl.PriorSpec(
+            fam.bernoulli_product(2),
+            np.array([0.3, 0.4]),
+            lambda p: np.full(2, p.sum()),
+            lambda p: np.ones((2, 2)),
+        )
+        noise = mdl.NoiseSpec(
+            fam.bernoulli_product(1), np.array([0.5]), np.array([0]), lambda z, t: t[0] * z[:, :1]
+        )
+        model = mdl.GenerativeModel(
+            prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(2)), "custom"
+        )
+        with pytest.warns(RuntimeWarning, match="prior Jacobian rank-deficient \\(rank 1\\)"):
+            report = mdl.check_criterion(model, seed=0)
+        assert report.passes
+
+    def test_rank_deficient_noise_jacobian_warns(self):
+        # At z = 0 every weight column of the SBN Jacobian vanishes; only the
+        # two offsets remain.
+        model = mdl.make_sbn([0.4, 0.7], np.array([[0.5, -1.0], [1.2, 0.3]]), [0.1, -0.4])
+        with pytest.warns(RuntimeWarning, match="noise Jacobian rank-deficient \\(rank 2\\)"):
+            report = mdl.check_criterion(model, z_samples=np.zeros((3, 2)), seed=0)
+        assert report.passes
 
 
 class TestSampleJoint:

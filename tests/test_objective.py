@@ -1,6 +1,7 @@
 """Objective identities: exact ELBO, KL form, entropy sums, pseudo variants."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,12 @@ from efgen import families as fam
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import IncompatibilityError, UnsupportedModelError
-from helpers import elbo_gradient_oracle, rowwise_posterior
+from helpers import (
+    dense_lstsq,
+    elbo_gradient_oracle,
+    entropy_rows_reference,
+    rowwise_posterior,
+)
 
 
 def gmm(means=(-1.0, 1.5), variances=(1.0, 0.5), weights=(0.4, 0.6)):
@@ -456,6 +462,36 @@ class TestBatchedStateTables:
         report = mdl.check_criterion(model, [model.prior.params], thetas)
         assert report.passes
         assert calls == [1024, 1024, 1024]
+
+
+class TestEntropyRows:
+    @pytest.mark.parametrize("shape", [(50_000, 3), (1000, 256), (2000, 4)])
+    @pytest.mark.parametrize("states_major", [True, False], ids=["states-major", "c-order"])
+    def test_matches_where_form_bit_for_bit(self, shape, states_major):
+        rng = np.random.default_rng(0)
+        n, s = shape
+        table = rng.dirichlet(np.ones(s), size=n)
+        table[rng.random((n, s)) < 0.2] = 0.0
+        table[0] = 0.0
+        if states_major:
+            table = np.ascontiguousarray(table.T).T
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            rows = obj._entropy_rows(table)
+        np.testing.assert_array_equal(rows, entropy_rows_reference(table))
+
+
+class TestCriterionAgainstDenseLstsq:
+    @pytest.mark.parametrize("kind", ZOO_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_block_solve_matches_one_dense_solve(self, kind, seed, monkeypatch):
+        model = zoo_model(kind)
+        blocks = mdl.check_criterion(model, seed=seed)
+        monkeypatch.setattr(mdl, "_BlockLstsq", lambda: dense_lstsq)
+        dense = mdl.check_criterion(model, seed=seed)
+        assert blocks.passes == dense.passes == (kind in CRITERION_KINDS)
+        assert abs(blocks.prior_residual - dense.prior_residual) <= 1e-12
+        assert abs(blocks.noise_residual - dense.noise_residual) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
