@@ -5,8 +5,9 @@ Sigmoid belief nets with enumerated posteriors
 Binary latents allow exact inference by enumerating all 2^H states, so both
 the ELBO and its entropy-sum counterpart are computed without Monte Carlo
 noise. Training alternates exact E-steps, a closed-form update of the latent
-probabilities, and backtracking gradient ascent on weights and offsets; the
-entropy-sum gap closes as the finite-difference gradient vanishes.
+probabilities, and damped Newton ascent with an Armijo line search on
+weights and offsets; the entropy-sum gap closes as the exact gradient
+vanishes.
 """
 
 import numpy as np

@@ -33,7 +33,13 @@ from . import __version__
 from . import families as fam
 from . import models as mdl
 from . import objective as obj
-from .errors import ConfigError, CriterionSampleError
+from .errors import (
+    ConfigError,
+    CriterionSampleError,
+    DegenerateDataError,
+    EmptyClusterError,
+    NewtonConvergenceError,
+)
 from .learning import (
     TrainingConfig,
     TrainingTrace,
@@ -63,6 +69,8 @@ _WRITE_BLOCK_ROWS = 256
 
 
 def _require_keys(block: dict, required, optional, path: str):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
     unknown = set(block) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
@@ -167,6 +175,8 @@ def model_to_dict(model: mdl.GenerativeModel) -> dict:
 
 
 def model_from_dict(spec: dict, path: str = "model") -> mdl.GenerativeModel:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
     if "kind" not in spec:
         raise ConfigError(f"{path}: missing keys ['kind']")
     kind = spec["kind"]
@@ -262,7 +272,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
     else:
         raise ConfigError(f"config.data.source: unknown source {source!r}")
 
-    training_block = dict(raw.get("training", {}))
+    training_block = raw.get("training", {})
     _require_keys(
         training_block,
         [],
@@ -270,6 +280,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         "config.training",
     )
     _check_numbers(training_block, "config.training")
+    training_block = dict(training_block)
     init = training_block.pop("init", "auto")
     if init not in ("auto", "model"):
         raise ConfigError("config.training.init: must be 'auto' or 'model'")
@@ -298,6 +309,8 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
     out_block = raw.get("output", {})
     _require_keys(out_block, [], ["dir"], "config.output")
     output_dir = out_block.get("dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"config.output.dir: must be a string, got {output_dir!r}")
 
     if seed_override is not None:
         if seed_override < 0:
@@ -441,13 +454,19 @@ def _check_columns(data: np.ndarray, model: mdl.GenerativeModel, where: str):
         )
 
 
+def _data_field(config: ExperimentConfig) -> str:
+    """The config field that chose the dataset, for error messages."""
+    return "config.data.n" if config.data.source == "synthetic" else "config.data.path"
+
+
 def _load_nonempty_data(config: ExperimentConfig, model: mdl.GenerativeModel) -> np.ndarray:
     """The dataset train and verify work on: at least one row, and one column
     per observed coordinate of the model."""
     data = _load_data(config, model)
     if len(data) == 0:
-        where = "config.data.n" if config.data.source == "synthetic" else "config.data.path"
-        raise ConfigError(f"{where}: the dataset is empty; train and verify need at least one row")
+        raise ConfigError(
+            f"{_data_field(config)}: the dataset is empty; train and verify need at least one row"
+        )
     # Only a file dataset can disagree with the model that would generate it.
     _check_columns(data, model, "config.data.path")
     return data
@@ -481,16 +500,25 @@ def cmd_generate(config: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 
 
 def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
+    """Train by model kind. A trainer's data errors are user errors: they
+    name the dataset's config field, or config.model.w when a PPCA has as
+    many latents as observed dimensions."""
     kind = model.model_kind
-    if kind == "ef_mixture":
-        fit = em_mixture(model, data, config.training, init=config.training_init)
-        return fit.model, fit.q, fit.trace
-    if kind == "ppca":
-        fit = fit_ppca(data, model.info.latent_dim, config.training)
-        return fit.em_model, fit.em_q, fit.trace
-    if kind == "sbn":
-        fit = fit_sbn(model, data, config.training, init=config.training_init)
-        return fit.model, fit.q, fit.trace
+    try:
+        if kind == "ef_mixture":
+            fit = em_mixture(model, data, config.training, init=config.training_init)
+            return fit.model, fit.q, fit.trace
+        if kind == "ppca":
+            fit = fit_ppca(data, model.info.latent_dim, config.training)
+            return fit.em_model, fit.em_q, fit.trace
+        if kind == "sbn":
+            fit = fit_sbn(model, data, config.training, init=config.training_init)
+            return fit.model, fit.q, fit.trace
+    except (DegenerateDataError, EmptyClusterError, NewtonConvergenceError) as exc:
+        info = model.info
+        too_many_latents = kind == "ppca" and info.latent_dim >= info.data_dim
+        where = "config.model.w" if too_many_latents else _data_field(config)
+        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"training is not supported for model kind {kind!r}")
 
 
@@ -667,6 +695,8 @@ def cmd_report(summary_paths, out_path: Optional[str] = None) -> str:
                 summary = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(summary, dict):
+            raise ConfigError(f"{path}: must be a JSON object")
         if "run_id" not in summary:
             raise ConfigError(f"{path}: summary lacks a run_id")
         run_id = summary["run_id"]

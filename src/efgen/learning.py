@@ -22,6 +22,7 @@ from . import families as fam
 from . import objective as obj
 from .errors import (
     DegenerateDataError,
+    DomainError,
     EmptyClusterError,
     NewtonConvergenceError,
 )
@@ -221,7 +222,8 @@ def _weighted_component_update(family, data, resp_c, mass_c):
 
 
 def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -> GenerativeModel:
-    """Closed-form weighted moment matching; raises on an empty cluster."""
+    """Closed-form weighted moment matching; raises on an empty cluster and
+    on a component whose new parameters leave the family's domain."""
     info = model.info
     n = len(data)
     mass = resp.sum(axis=0)
@@ -232,12 +234,23 @@ def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -
             "restart with a different seed or fewer components"
         )
     weights = mass / n
-    rows = [
-        _weighted_component_update(info.component_family, data, resp[:, c], mass[c])
-        for c in range(info.n_components)
-    ]
-    new_theta = np.concatenate(rows) if rows else np.zeros(0)
-    return replace_params(model, psi=weights[:-1], theta=new_theta)
+    family = info.component_family
+    rows = np.array(
+        [
+            _weighted_component_update(family, data, resp[:, c], mass[c])
+            for c in range(info.n_components)
+        ]
+    )
+    try:
+        fam.check_standard(family, rows)  # one call: this runs every iteration
+    except DomainError:
+        for c, row in enumerate(rows):  # name the first component that left
+            try:
+                fam.check_standard(family, row)
+            except DomainError as exc:
+                raise DegenerateDataError(f"component {c} collapsed: {exc}") from exc
+        raise
+    return replace_params(model, psi=weights[:-1], theta=rows.ravel())
 
 
 def _kmeanspp_init(model: GenerativeModel, data: np.ndarray, rng) -> np.ndarray:
@@ -327,7 +340,7 @@ def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
             "h must be strictly below the data dimension (noise variance would vanish)"
         )
     if n <= d:
-        raise ValueError("need more data points than dimensions")
+        raise DegenerateDataError("need more data points than dimensions")
 
     w_ml, mean, sigma2_ml, cov = _ppca_ml_solution(data, h)
     model_ml = make_ppca(w_ml, mean, sigma2_ml, tau=1.0)

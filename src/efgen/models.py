@@ -12,9 +12,12 @@ Noise maps work on stacks of latent states: eta(Z, theta) takes an (S,)
 array of component indices (mixtures) or an (S, H) array of latent vectors
 and returns the (S, L) natural parameters, and its Jacobian is (S, L, P)
 over the P criterion parameters. Mixtures index rows of their component
-naturals; the linear models compute Z W^T + mu. vjp_eta contracts the
-Jacobian over all of theta with per-state weights, which is the ELBO
-gradient's noise part.
+naturals; the linear models compute Z W^T + mu. Every Jacobian is analytic:
+a PriorSpec needs its zeta_jacobian and a NoiseSpec its eta_jacobian, and
+priors trained in their family's own parameters use the family's natural map
+and its Jacobian. vjp_eta contracts the noise Jacobian over all of theta with
+per-state weights, which is the ELBO gradient's noise part; it needs the
+model's eta_vjp or a criterion subset that is all of theta.
 
 The parameterization check asks, numerically, whether the natural-parameter
 vectors lie in the column spaces of their own Jacobians: the prior map must
@@ -29,12 +32,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import families as fam
-from .errors import CriterionSampleError, DomainError
+from .errors import CriterionSampleError, DomainError, UnsupportedModelError
 from .families import FamilyDescriptor
 
 __all__ = [
@@ -104,16 +108,21 @@ class PriorSpec:
     family: FamilyDescriptor
     params: np.ndarray  # trainable prior parameter vector psi
     zeta: Callable[[np.ndarray], np.ndarray]
-    zeta_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    zeta_jacobian: Callable[[np.ndarray], np.ndarray]  # psi -> (K, R)
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """A noise family, its trainable theta and its natural map with analytic
+    derivatives: eta_jacobian over the criterion subset, and an optional
+    eta_vjp over all of theta, which vjp_eta needs unless that subset is all
+    of theta."""
+
     family: FamilyDescriptor
     params: np.ndarray  # trainable noise parameter vector theta (flat)
     theta_subset: np.ndarray  # indices into theta used for the criterion Jacobian
     eta: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L)
-    eta_jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # (S, L, P)
+    eta_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L, P)
     # (states, theta, G (S, L)) -> sum_s J_eta(z_s)^T G_s over all of theta, (P_all,)
     eta_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -180,6 +189,11 @@ def _component_natural_jacobian(family: FamilyDescriptor, params: np.ndarray) ->
     if name == "bernoulli_product":
         p = params
         return np.eye(d) * (1.0 / (p * (1.0 - p)))[..., None, :]
+    if name == "categorical":
+        # The implicit last weight 1 - sum(psi) enters every coordinate.
+        last = 1.0 - params.sum(axis=-1)
+        diag = np.eye(params.shape[-1]) * (1.0 / params)[..., None, :]
+        return diag + (1.0 / last)[..., None, None]
     if name == "gaussian_scalar_var":
         mu, s2 = params[..., :-1], params[..., -1:]
         jac = np.zeros(params.shape[:-1] + (2 * d, d + 1))
@@ -208,6 +222,17 @@ def _affine_rows(w: np.ndarray, z: np.ndarray, mu) -> np.ndarray:
     Z @ W.T, it rounds each row exactly as W @ z for that row alone.
     """
     return (w @ z[:, :, None])[:, :, 0] + mu
+
+
+def _natural_prior(family: FamilyDescriptor, psi) -> PriorSpec:
+    """A prior trained in its family's standard parameters: zeta is the
+    family's natural map and zeta_jacobian that map's Jacobian."""
+    return PriorSpec(
+        family,
+        _frozen(psi),
+        partial(fam.to_natural, family),
+        partial(_component_natural_jacobian, family),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +266,6 @@ def make_ef_mixture(
         )
     fam.check_standard(component_family, comp)
 
-    prior_family = fam.categorical(c)
-
-    def zeta(psi):
-        return fam.to_natural(prior_family, psi)
-
-    def zeta_jac(psi):
-        pi_last = 1.0 - psi.sum()
-        return np.diag(1.0 / psi) + 1.0 / pi_last
-
     def eta(z, theta):
         rows = fam.to_natural(component_family, theta.reshape(c, ldim))
         return rows[np.asarray(z, dtype=int)]
@@ -262,7 +278,7 @@ def make_ef_mixture(
         return jac.reshape(z.size, component_family.natural_dim, c * ldim)
 
     return GenerativeModel(
-        prior=PriorSpec(prior_family, _frozen(weights[:-1]), zeta, zeta_jac),
+        prior=_natural_prior(fam.categorical(c), weights[:-1]),
         noise=NoiseSpec(
             component_family,
             _frozen(comp.ravel()),
@@ -276,9 +292,8 @@ def make_ef_mixture(
     )
 
 
-def _scalar_var_gaussian_prior(h: int):
+def _scalar_var_gaussian_prior(h: int, tau: float) -> PriorSpec:
     """Zero-mean Gaussian prior on R^h with a single trainable variance."""
-    prior_family = fam.gaussian_scalar_var(h)
 
     def zeta(psi):
         tau = psi[0]
@@ -290,22 +305,7 @@ def _scalar_var_gaussian_prior(h: int):
         tau = psi[0]
         return np.concatenate([np.zeros(h), np.full(h, 0.5 / tau**2)])[:, None]
 
-    return prior_family, zeta, zeta_jac
-
-
-def _bernoulli_prior(h: int):
-    """Independent Bernoulli latents on {0,1}^h, trained as probabilities."""
-    prior_family = fam.bernoulli_product(h)
-
-    def zeta(psi):
-        if not np.all((psi > 0.0) & (psi < 1.0)):
-            raise DomainError("latent probabilities must lie in the open (0,1)")
-        return np.log(psi) - np.log1p(-psi)
-
-    def zeta_jac(psi):
-        return np.diag(1.0 / (psi * (1.0 - psi)))
-
-    return prior_family, zeta, zeta_jac
+    return PriorSpec(fam.gaussian_scalar_var(h), _frozen([tau]), zeta, zeta_jac)
 
 
 def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
@@ -326,7 +326,6 @@ def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
     if not tau > 0.0:
         raise DomainError("tau must be positive")
 
-    prior_family, zeta, zeta_jac = _scalar_var_gaussian_prior(h)
     noise_family = fam.gaussian_scalar_var(d)
     n_w = d * h
 
@@ -340,7 +339,7 @@ def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
 
     theta = np.concatenate([w.ravel(order="F"), mu, [sigma2]])
     return GenerativeModel(
-        prior=PriorSpec(prior_family, _frozen([tau]), zeta, zeta_jac),
+        prior=_scalar_var_gaussian_prior(h, tau),
         noise=NoiseSpec(
             noise_family, _frozen(theta), np.array([n_w + d]), eta, eta_jac
         ),
@@ -370,7 +369,6 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
     if not tau > 0.0:
         raise DomainError("tau must be positive")
 
-    prior_family, zeta, zeta_jac = _scalar_var_gaussian_prior(1)
     noise_family = fam.gaussian_diag_cov(d)
 
     def eta(z, theta):
@@ -388,7 +386,7 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
 
     theta = np.concatenate([sigma2s, w])
     return GenerativeModel(
-        prior=PriorSpec(prior_family, _frozen([tau]), zeta, zeta_jac),
+        prior=_scalar_var_gaussian_prior(1, tau),
         noise=NoiseSpec(noise_family, _frozen(theta), np.arange(d), eta, eta_jac),
         latent_support=RealVector(1),
         model_kind="simple_fa",
@@ -417,14 +415,23 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
     if mu.shape != (d,):
         raise DomainError(f"mu must have shape ({d},)")
 
-    prior_family, zeta, zeta_jac = _bernoulli_prior(h)
     noise_family = fam.bernoulli_product(d)
     n_w = d * h
+    fixed_mu = None if offsets_free else _frozen(mu)
 
-    def weight_jac(z):
-        # d eta_i / d W[j, k] = z_k [i == j], columns in theta's order (k major).
-        jac = z[:, None, :, None] * np.eye(d)[None, :, None, :]
-        return jac.reshape(len(z), d, n_w)
+    def eta(z, theta):
+        offsets = theta[n_w:] if offsets_free else fixed_mu
+        return _affine_rows(theta[:n_w].reshape(d, h, order="F"), z, offsets)
+
+    def eta_jac(z, theta):
+        # d eta_i / d W[i, k] = z_k at column k * D + i (theta's order, k
+        # major), and d eta_i / d mu_i = 1 at column n_w + i for free offsets.
+        jac = np.zeros((len(z), d, theta.size))
+        rows = np.arange(d)
+        jac[:, rows[:, None], np.arange(h) * d + rows[:, None]] = z[:, None, :]
+        if offsets_free:
+            jac[:, rows, n_w + rows] = 1.0
+        return jac
 
     def eta_vjp(z, theta, g):
         # sum_s J_eta(z_s)^T g_s without forming J: G^T Z for W (theta's
@@ -432,37 +439,15 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
         grad_w = (g.T @ z).ravel(order="F")
         return np.concatenate([grad_w, g.sum(axis=0)]) if offsets_free else grad_w
 
-    if offsets_free:
-
-        def eta(z, theta):
-            return _affine_rows(theta[:n_w].reshape(d, h, order="F"), z, theta[n_w:])
-
-        def eta_jac(z, theta):
-            offsets = np.broadcast_to(np.eye(d), (len(z), d, d))
-            return np.concatenate([weight_jac(z), offsets], axis=2)
-
-        theta = np.concatenate([w.ravel(order="F"), mu])
-        info = SbnInfo(h, d, True)
-    else:
-        fixed_mu = _frozen(mu)
-
-        def eta(z, theta):
-            return _affine_rows(theta.reshape(d, h, order="F"), z, fixed_mu)
-
-        def eta_jac(z, theta):
-            return weight_jac(z)
-
-        theta = w.ravel(order="F")
-        info = SbnInfo(h, d, False, fixed_mu)
-
+    theta = np.concatenate([w.ravel(order="F"), mu]) if offsets_free else w.ravel(order="F")
     return GenerativeModel(
-        prior=PriorSpec(prior_family, _frozen(pi), zeta, zeta_jac),
+        prior=_natural_prior(fam.bernoulli_product(h), pi),
         noise=NoiseSpec(
             noise_family, _frozen(theta), np.arange(theta.size), eta, eta_jac, eta_vjp
         ),
         latent_support=FiniteStates(enumerate_binary_states(h)),
         model_kind="sbn",
-        info=info,
+        info=SbnInfo(h, d, offsets_free, fixed_mu),
     )
 
 
@@ -476,7 +461,6 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
     if not 0.0 < pi < 1.0:
         raise DomainError("pi must lie in the open (0,1)")
 
-    prior_family, zeta, zeta_jac = _bernoulli_prior(1)
     noise_family = fam.bernoulli_product(2)
 
     def eta(z, theta):
@@ -487,7 +471,7 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
         return np.repeat(z[:, None, :1], 2, axis=1)
 
     return GenerativeModel(
-        prior=PriorSpec(prior_family, _frozen([pi]), zeta, zeta_jac),
+        prior=_natural_prior(fam.bernoulli_product(1), [pi]),
         noise=NoiseSpec(noise_family, _frozen([v]), np.array([0]), eta, eta_jac),
         latent_support=FiniteStates(enumerate_binary_states(1)),
         model_kind="rigid_sbn",
@@ -561,67 +545,37 @@ def replace_params(
 # ---------------------------------------------------------------------------
 # Jacobians.
 
-_FD_REL_STEP = 1e-6
-
-
-def _fd_jacobian(f, x) -> np.ndarray:
-    """Central differences of f over x; a column of f's output per x entry.
-
-    f may return a vector or a stack of rows, so one call per step covers
-    every latent state.
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        h = _FD_REL_STEP * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
 
 def jacobian_zeta(model: GenerativeModel, psi=None) -> np.ndarray:
     """Jacobian of the prior natural-parameter map, shape (K, R)."""
     psi = model.prior.params if psi is None else np.asarray(psi, dtype=float)
-    if model.prior.zeta_jacobian is not None:
-        return np.atleast_2d(np.asarray(model.prior.zeta_jacobian(psi), dtype=float))
-    return _fd_jacobian(model.prior.zeta, psi)
+    return np.atleast_2d(np.asarray(model.prior.zeta_jacobian(psi), dtype=float))
 
 
 def jacobian_eta(model: GenerativeModel, z, theta=None) -> np.ndarray:
     """Jacobians of the noise natural map w.r.t. the theta subset at a stack
     of latent states z, shape (S, L, P)."""
     theta = model.noise.params if theta is None else np.asarray(theta, dtype=float)
-    z = np.asarray(z)
-    if model.noise.eta_jacobian is not None:
-        return np.asarray(model.noise.eta_jacobian(z, theta), dtype=float)
-    subset = model.noise.theta_subset
-
-    def f(sub):
-        full = theta.copy()
-        full[subset] = sub
-        return model.noise.eta(z, full)
-
-    return _fd_jacobian(f, theta[subset])
+    return np.asarray(model.noise.eta_jacobian(np.asarray(z), theta), dtype=float)
 
 
 def vjp_eta(model: GenerativeModel, z, g) -> np.ndarray:
     """sum_s J_eta(z_s; theta)^T g_s over all of theta, for g of shape (S, L).
 
     Models with an eta_vjp contract without forming a Jacobian. Otherwise the
-    criterion Jacobian is contracted when its subset is all of theta, and
-    finite differences of eta over the full theta stand in when it is not.
+    criterion Jacobian is contracted, which covers all of theta only when
+    its subset does; any other model raises UnsupportedModelError.
     """
     theta = model.noise.params
     z = np.asarray(z)
     if model.noise.eta_vjp is not None:
         return np.asarray(model.noise.eta_vjp(z, theta, g), dtype=float)
-    if np.array_equal(model.noise.theta_subset, np.arange(theta.size)):
-        jac = jacobian_eta(model, z, theta)
-    else:
-        jac = _fd_jacobian(lambda full: model.noise.eta(z, full), theta)
-    return np.einsum("slp,sl->p", jac, g)
+    if not np.array_equal(model.noise.theta_subset, np.arange(theta.size)):
+        raise UnsupportedModelError(
+            f"{model.model_kind}: the noise gradient needs an eta_vjp or a "
+            "criterion subset that is all of theta"
+        )
+    return np.einsum("slp,sl->p", jacobian_eta(model, z, theta), g)
 
 
 # ---------------------------------------------------------------------------

@@ -241,3 +241,50 @@ def entropy_rows_reference(table):
     """Per-row entropies -sum_s q log q in the np.where form, 0 log 0 as 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return -np.where(table > 0.0, table * np.log(table), 0.0).sum(axis=1)
+
+
+# The sbn-enumerate benchmark model: H = 8 latents, D = 12 observables.
+SBN8_PI = [0.3, 0.5, 0.7, 0.4, 0.6, 0.35, 0.55, 0.45]
+SBN8_W = [
+    [1.7, -1.5, 0.5, -2.0, -3.1, 1.1, -1.0, 0.2],
+    [1.7, -1.6, -1.4, 1.1, -0.4, -0.9, -0.5, -1.0],
+    [1.4, 1.0, 1.2, 0.7, 1.8, -2.0, -0.4, 0.8],
+    [1.7, 0.9, 0.1, -0.5, 0.7, -2.2, 2.5, -1.1],
+    [-1.1, 0.2, 1.3, 2.0, 2.2, -1.5, 2.6, 1.2],
+    [-1.5, -0.3, -0.8, 0.9, 2.2, 2.2, 1.9, -2.3],
+    [1.4, 0.4, 0.9, -2.3, 0.5, -0.5, -0.7, 1.2],
+    [1.7, -1.0, 0.4, -0.3, -0.3, 0.4, -1.2, 4.0],
+    [-0.5, 1.0, 0.2, 2.6, -0.6, 0.5, -2.4, 0.3],
+    [-0.5, -0.7, -2.2, -1.0, -0.4, -0.2, 1.3, 0.4],
+    [0.2, -3.2, 2.2, 0.8, -0.8, 1.9, 2.9, -1.5],
+    [0.0, -0.6, -1.3, -3.6, 1.8, 0.2, 0.8, -2.2],
+]
+SBN8_MU = [-0.6, -0.4, -0.6, 0.6, 0.1, -0.5, 0.0, -0.1, -0.4, 0.2, -0.3, 0.0]
+
+
+def sbn_eta_jacobian_reference(z, d, offsets_free):
+    """The SBN noise Jacobian at an (S, H) stack z, built in two parts.
+
+    The weight columns come from an (S, D, H, D) product with the identity,
+    reshaped to theta's order (k major); free offsets append an identity
+    block by concatenation. make_sbn built its Jacobian this way before it
+    wrote z into one zeros array.
+    """
+    jac = z[:, None, :, None] * np.eye(d)[None, :, None, :]
+    jac = jac.reshape(len(z), d, d * z.shape[1])
+    if not offsets_free:
+        return jac
+    return np.concatenate([jac, np.broadcast_to(np.eye(d), (len(z), d, d))], axis=2)
+
+
+def bernoulli_prior_reference(psi):
+    """(zeta, J_zeta) of independent Bernoulli latents trained as
+    probabilities, as the SBN constructors' own closures computed them."""
+    return np.log(psi) - np.log1p(-psi), np.diag(1.0 / (psi * (1.0 - psi)))
+
+
+def categorical_prior_jacobian_reference(psi):
+    """J_zeta of a mixture's categorical prior over its first C - 1 weights,
+    as make_ef_mixture's own closure computed it."""
+    pi_last = 1.0 - psi.sum()
+    return np.diag(1.0 / psi) + 1.0 / pi_last

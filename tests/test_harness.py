@@ -349,6 +349,19 @@ def _ppca_with_one_z_sample(raw, _):
     raw["verification"] = {"criterion_z_samples": 1}
 
 
+def _ppca_with_as_many_latents_as_dimensions(raw, _):
+    raw["model"] = {"kind": "ppca", "w": [[1.0, 0.0], [0.0, 1.0]], "mu": [0.0, 0.0], "sigma2": 0.5}
+
+
+def _ppca_with_two_points_in_two_dimensions(raw, _):
+    raw["model"] = {"kind": "ppca", "w": [[1.0], [0.5]], "mu": [0.0, 0.0], "sigma2": 0.5}
+    raw["data"]["n"] = 2
+
+
+def _summary_holding_a_number(raw, tmp_path):
+    (tmp_path / "summary.json").write_text("7\n")
+
+
 def _case(command, edit, field, case_id):
     return pytest.param(command, edit, field, id=case_id)
 
@@ -397,18 +410,62 @@ USER_ERRORS = [
         "config.verification.criterion_z_samples",
         "ppca-one-z-sample",
     ),
+    # Blocks of the wrong JSON type. An edit that returns a value replaces
+    # the whole config with it.
+    _case("train", lambda raw, _: 5, "config: must be a JSON object", "config-number"),
+    _case(
+        "train",
+        lambda raw, _: raw.update(training=5),
+        "config.training: must be a JSON object",
+        "training-number",
+    ),
+    _case(
+        "train",
+        lambda raw, _: raw.update(model=5),
+        "config.model: must be a JSON object",
+        "model-number",
+    ),
+    _case(
+        "train", lambda raw, _: raw.update(data=5), "config.data: must be a JSON object", "data-number"
+    ),
+    _case(
+        "verify",
+        lambda raw, _: raw.update(verification=[]),
+        "config.verification: must be a JSON object",
+        "verification-list",
+    ),
+    _case(
+        "train",
+        lambda raw, _: raw.update(output={"dir": 5}),
+        "config.output.dir: must be a string",
+        "output-dir-number",
+    ),
+    _case("report", _summary_holding_a_number, "summary.json: must be a JSON object", "summary-number"),
+    # Data a trainer cannot fit.
+    _case("train", _ppca_with_as_many_latents_as_dimensions, "config.model.w", "ppca-h-equals-d"),
+    _case("train", _ppca_with_two_points_in_two_dimensions, "config.data.n", "ppca-n-equals-d"),
+    _case(
+        "train",
+        lambda raw, _: raw["data"].update(n=1),
+        "config.data.n: component",
+        "gmm-one-point",
+    ),
 ]
 
 
 @pytest.mark.parametrize("command, edit, field", USER_ERRORS)
 def test_user_errors_exit_2_with_field_path(tmp_path, capsys, command, edit, field):
     raw = gmm_config(tmp_path)
-    edit(raw, tmp_path)
-    model_path = os.path.join(tmp_path, "model.json")
-    with open(model_path, "w") as fh:
-        json.dump(raw["model"], fh)
-    args = [command, "--config", write_config(tmp_path, raw), "--quiet"]
+    replaced = edit(raw, tmp_path)
+    raw = raw if replaced is None else replaced
+    if command == "report":
+        args = [command, os.path.join(tmp_path, "summary.json"), "--quiet"]
+    else:
+        args = [command, "--config", write_config(tmp_path, raw), "--quiet"]
     if command == "verify":
+        model_path = os.path.join(tmp_path, "model.json")
+        with open(model_path, "w") as fh:
+            json.dump(raw["model"], fh)
         args += ["--model", model_path]
     assert cli_main(args) == 2
     err = capsys.readouterr().err

@@ -10,7 +10,7 @@ from efgen import learning as lrn
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import DegenerateDataError, EmptyClusterError, NewtonConvergenceError
-from helpers import sbn_newton_direction_oracle
+from helpers import SBN8_MU, SBN8_PI, SBN8_W, sbn_newton_direction_oracle
 
 
 def separated_gmm(n=500, seed=0):
@@ -223,25 +223,6 @@ class TestFitPpca:
         report = obj.elbo_terms(fit.model, data, fit.q)
         assert lrn.grad_norm_all_params(fit.model, data, fit.q) < 1e-6
         assert report.gap <= 1e-6 * max(1.0, abs(report.elbo))
-
-
-# The sbn-enumerate benchmark model: H = 8 latents, D = 12 observables.
-SBN8_PI = [0.3, 0.5, 0.7, 0.4, 0.6, 0.35, 0.55, 0.45]
-SBN8_W = [
-    [1.7, -1.5, 0.5, -2.0, -3.1, 1.1, -1.0, 0.2],
-    [1.7, -1.6, -1.4, 1.1, -0.4, -0.9, -0.5, -1.0],
-    [1.4, 1.0, 1.2, 0.7, 1.8, -2.0, -0.4, 0.8],
-    [1.7, 0.9, 0.1, -0.5, 0.7, -2.2, 2.5, -1.1],
-    [-1.1, 0.2, 1.3, 2.0, 2.2, -1.5, 2.6, 1.2],
-    [-1.5, -0.3, -0.8, 0.9, 2.2, 2.2, 1.9, -2.3],
-    [1.4, 0.4, 0.9, -2.3, 0.5, -0.5, -0.7, 1.2],
-    [1.7, -1.0, 0.4, -0.3, -0.3, 0.4, -1.2, 4.0],
-    [-0.5, 1.0, 0.2, 2.6, -0.6, 0.5, -2.4, 0.3],
-    [-0.5, -0.7, -2.2, -1.0, -0.4, -0.2, 1.3, 0.4],
-    [0.2, -3.2, 2.2, 0.8, -0.8, 1.9, 2.9, -1.5],
-    [0.0, -0.6, -1.3, -3.6, 1.8, 0.2, 0.8, -2.2],
-]
-SBN8_MU = [-0.6, -0.4, -0.6, 0.6, 0.1, -0.5, 0.0, -0.1, -0.4, 0.2, -0.3, 0.0]
 
 
 class TestFitSbn:

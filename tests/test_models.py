@@ -1,6 +1,7 @@
 """Model zoo: constructors, Jacobians, criterion checker, ancestral sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,18 @@ from hypothesis import strategies as st
 
 from efgen import families as fam
 from efgen import models as mdl
-from efgen.errors import DomainError
+from efgen.errors import DomainError, UnsupportedModelError
 
-from helpers import dense_lstsq, finite_difference_gradient
+from helpers import (
+    SBN8_MU,
+    SBN8_PI,
+    SBN8_W,
+    bernoulli_prior_reference,
+    categorical_prior_jacobian_reference,
+    dense_lstsq,
+    finite_difference_gradient,
+    sbn_eta_jacobian_reference,
+)
 
 
 def gmm_1d(means=(-1.0, 1.0), variances=(1.0, 1.0), weights=(0.5, 0.5)):
@@ -178,8 +188,68 @@ class TestJacobians:
             np.testing.assert_allclose(jac[i], fd, atol=1e-5)
         # Vector-Jacobian product over all of theta: the gradient of <g, eta>.
         g = np.random.default_rng(0).normal(size=(len(zs), model.noise.family.natural_dim))
+        if model.model_kind in ("ppca", "simple_fa"):
+            # Their criterion subset leaves out the means, and they have no
+            # eta_vjp: GaussianObjective supplies their gradient instead.
+            with pytest.raises(UnsupportedModelError):
+                mdl.vjp_eta(model, zs, g)
+            return
         fd = finite_difference_gradient(lambda t: np.sum(g * model.noise.eta(zs, t)), theta)
         np.testing.assert_allclose(mdl.vjp_eta(model, zs, g), fd, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 6),
+        d=st.integers(1, 5),
+        offsets_free=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sbn_jacobians_equal_the_two_part_reference(self, h, d, offsets_free, seed):
+        rng = np.random.default_rng(seed)
+        pi = rng.uniform(0.01, 0.99, size=h)
+        model = mdl.make_sbn(pi, rng.normal(size=(d, h)), rng.normal(size=d), offsets_free)
+        zs = np.vstack([mdl.enumerate_binary_states(h), rng.normal(size=(4, h))])
+        theta = model.noise.params + rng.normal(size=model.noise.params.size)
+        np.testing.assert_array_equal(
+            mdl.jacobian_eta(model, zs, theta),
+            sbn_eta_jacobian_reference(zs, d, offsets_free),
+            strict=True,
+        )
+        zeta, jac = bernoulli_prior_reference(model.prior.params)
+        np.testing.assert_array_equal(model.prior.zeta(model.prior.params), zeta, strict=True)
+        np.testing.assert_array_equal(mdl.jacobian_zeta(model), jac, strict=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_categorical_prior_jacobian_equals_the_reference(self, c, seed):
+        weights = np.random.default_rng(seed).dirichlet(np.ones(c))
+        model = mdl.make_ef_mixture(fam.poisson_product(1), weights, np.ones((c, 1)))
+        np.testing.assert_array_equal(
+            mdl.jacobian_zeta(model),
+            categorical_prior_jacobian_reference(model.prior.params),
+            strict=True,
+        )
+
+    def test_sbn_jacobian_allocates_only_its_output(self):
+        model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
+        states = model.latent_support.states
+        mdl.jacobian_eta(model, states)  # first-call allocations are not the Jacobian's
+        tracemalloc.start()
+        try:
+            jac = mdl.jacobian_eta(model, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert jac.shape == (256, 12, 108)
+        assert peak <= 1.1 * jac.nbytes
+
+    def test_specs_require_their_jacobians(self):
+        with pytest.raises(TypeError):
+            mdl.PriorSpec(fam.bernoulli_product(1), np.array([0.5]), lambda p: p)
+        with pytest.raises(TypeError):
+            mdl.NoiseSpec(
+                fam.bernoulli_product(1), np.array([0.5]), np.array([0]), lambda z, t: t * z
+            )
 
 
 class TestCriterion:
@@ -234,19 +304,20 @@ class TestCriterion:
         with pytest.raises(ValueError):
             mdl.check_criterion(gmm_1d(), psi_grid=[], theta_grid=[])
 
-    def test_custom_model_uses_finite_difference_jacobians(self):
-        # Hand-assembled model with no analytic Jacobians: Bernoulli latent
-        # whose natural parameter is psi^3, two Bernoulli observables with
-        # natural parameters theta * (z, 2z). Both maps stay inside the
-        # column spaces of their own Jacobians, so the check must pass.
+    def test_custom_model_with_hand_written_jacobians_passes(self):
+        # Hand-assembled model: Bernoulli latent whose natural parameter is
+        # psi^3, two Bernoulli observables with natural parameters
+        # theta * (z, 2z). Both maps stay inside the column spaces of their
+        # own Jacobians, so the check must pass.
         prior = mdl.PriorSpec(
-            fam.bernoulli_product(1), np.array([0.7]), lambda p: p**3
+            fam.bernoulli_product(1), np.array([0.7]), lambda p: p**3, lambda p: np.diag(3 * p**2)
         )
         noise = mdl.NoiseSpec(
             fam.bernoulli_product(2),
             np.array([1.3]),
             np.array([0]),
             lambda z, t: t[0] * np.column_stack([z[:, 0], 2.0 * z[:, 0]]),
+            lambda z, t: np.column_stack([z[:, 0], 2.0 * z[:, 0]])[:, :, None],
         )
         model = mdl.GenerativeModel(
             prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(1)), "custom"
@@ -263,16 +334,20 @@ class TestCriterion:
         assert report.passes
 
     def test_custom_model_with_tied_offset_fails(self):
-        # Same skeleton but eta = (theta*z, theta*z + z) leaves the Jacobian
-        # column space: finite differences alone must expose the failure.
+        # Same skeleton but eta = (theta*z, theta*z + z) leaves the column
+        # space of its Jacobian (z, z): the check must expose the failure.
         prior = mdl.PriorSpec(
-            fam.bernoulli_product(1), np.array([0.5]), lambda p: np.log(p) - np.log1p(-p)
+            fam.bernoulli_product(1),
+            np.array([0.5]),
+            lambda p: np.log(p) - np.log1p(-p),
+            lambda p: np.diag(1.0 / (p * (1.0 - p))),
         )
         noise = mdl.NoiseSpec(
             fam.bernoulli_product(2),
             np.array([0.0]),
             np.array([0]),
             lambda z, t: np.column_stack([t[0] * z[:, 0], (t[0] + 1.0) * z[:, 0]]),
+            lambda z, t: np.column_stack([z[:, 0], z[:, 0]])[:, :, None],
         )
         model = mdl.GenerativeModel(
             prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(1)), "custom"
@@ -417,7 +492,11 @@ class TestCriterionSolves:
             lambda p: np.ones((2, 2)),
         )
         noise = mdl.NoiseSpec(
-            fam.bernoulli_product(1), np.array([0.5]), np.array([0]), lambda z, t: t[0] * z[:, :1]
+            fam.bernoulli_product(1),
+            np.array([0.5]),
+            np.array([0]),
+            lambda z, t: t[0] * z[:, :1],
+            lambda z, t: z[:, :1, None],
         )
         model = mdl.GenerativeModel(
             prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(2)), "custom"

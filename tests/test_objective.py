@@ -526,6 +526,32 @@ class TestExactGradient:
             grad, obj.FiniteObjective(via_jac, data).gradient(via_jac, q), rtol=1e-12
         )
 
+    def test_partial_subset_without_vjp_is_unsupported(self):
+        # theta = (a, b) with eta = (a z, b z), but the criterion subset is
+        # a alone and there is no eta_vjp: the noise gradient over all of
+        # theta has no analytic source, so it must not be approximated.
+        prior_family = fam.bernoulli_product(1)
+        prior = mdl.PriorSpec(
+            prior_family,
+            np.array([0.4]),
+            lambda p: fam.to_natural(prior_family, p),
+            lambda p: np.diag(1.0 / (p * (1.0 - p))),
+        )
+        noise = mdl.NoiseSpec(
+            fam.bernoulli_product(2),
+            np.array([0.8, -0.5]),
+            np.array([0]),
+            lambda z, t: z[:, :1] * t,
+            lambda z, t: np.column_stack([z[:, 0], np.zeros(len(z))])[:, :, None],
+        )
+        model = mdl.GenerativeModel(
+            prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(1)), "custom"
+        )
+        data = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        ev = obj.FiniteObjective(model, data)
+        with pytest.raises(UnsupportedModelError, match="eta_vjp"):
+            ev.gradient(model, ev.posterior(model))
+
 
 class TestProofStep:
     """elbo - entropy_sum = alpha . grad_psi + beta . grad_theta at any point.
