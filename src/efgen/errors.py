@@ -29,9 +29,5 @@ class DegenerateDataError(ValueError):
     """Data covariance rank too low for the requested latent dimension."""
 
 
-class CriterionSampleError(ValueError):
-    """Too few latent samples for the criterion's stacked least squares."""
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries field diagnostics."""

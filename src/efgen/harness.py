@@ -14,15 +14,17 @@ artifacts into a run directory:
                  one verdict per check with the numbers it derives from
 
 Configs are versioned and parsed strictly: unknown keys anywhere are
-rejected with a field path in the message. Exit codes: 0 success (including
+rejected with a field path in the message. They hold no verify settings:
+verify's tolerances are the fixed GRAD_NORM_THRESHOLD and GAP_RTOL here and
+the criterion's constants in models. Exit codes: 0 success (including
 valid-but-unconverged runs), 1 internal failure, 2 user or config error.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -35,7 +37,6 @@ from . import models as mdl
 from . import objective as obj
 from .errors import (
     ConfigError,
-    CriterionSampleError,
     DegenerateDataError,
     EmptyClusterError,
     NewtonConvergenceError,
@@ -51,6 +52,12 @@ from .learning import (
 )
 
 SCHEMA_VERSION = 1
+
+# verify's fixed tolerances. "Stationary" means what it means to training:
+# an exact gradient norm below training's default tolerance. A gap passes
+# when |elbo - entropy sum| <= GAP_RTOL * max(1, |elbo|).
+GRAD_NORM_THRESHOLD = TrainingConfig.grad_norm_tol
+GAP_RTOL = 1e-6
 
 _FAMILY_FACTORIES = {
     "bernoulli_product": fam.bernoulli_product,
@@ -80,23 +87,26 @@ def _require_keys(block: dict, required, optional, path: str):
 
 
 # Numeric config fields: integers with their least allowed value, and
-# tolerances or thresholds, which must be positive finite numbers.
+# tolerances, which must be positive finite numbers.
 _INTEGER_FIELDS = {
+    "schema_version": 1,
     "n": 0,
     "seed": 0,
     "max_iters": 1,
     "record_every": 1,
-    "criterion_grid_points": 1,
-    "criterion_z_samples": 1,
-    "criterion_seed": 0,
+    "data_dim": 1,
 }
-_POSITIVE_FIELDS = (
-    "elbo_rel_tol",
-    "grad_norm_tol",
-    "criterion_threshold",
-    "gap_rtol",
-    "grad_norm_threshold",
-)
+_POSITIVE_FIELDS = ("elbo_rel_tol", "grad_norm_tol")
+
+
+def _finite(value) -> bool:
+    """A finite JSON number: no boolean, NaN, infinity, or integer past the
+    float range."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _check_numbers(block: dict, path: str):
@@ -108,9 +118,30 @@ def _check_numbers(block: dict, path: str):
             if value < _INTEGER_FIELDS[key]:
                 raise ConfigError(f"{where}: must be at least {_INTEGER_FIELDS[key]}, got {value}")
         elif key in _POSITIVE_FIELDS:
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and 0 < value < math.inf):
+            if not (_finite(value) and value > 0):
                 raise ConfigError(f"{where}: must be a positive finite number, got {value!r}")
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: must be a string, got {value!r}")
+    return value
+
+
+def _numbers(spec: dict, key: str, path: str, ndim: int = 0):
+    """spec[key] as a float (ndim 0) or an ndim-dimensional float array.
+
+    Every entry must be _finite, so no string, boolean or null gets through
+    float() or np.asarray.
+    """
+    value = spec[key]
+    cells = np.array(value, dtype=object)
+    if cells.ndim != ndim or not all(_finite(v) for v in cells.flat):
+        if ndim == 0:
+            raise ConfigError(f"{path}.{key}: must be a finite number, got {value!r}")
+        nested = "a list of " + "lists of " * (ndim - 1)
+        raise ConfigError(f"{path}.{key}: must be {nested}finite numbers")
+    return float(cells) if ndim == 0 else cells.astype(float)
 
 
 @dataclass(frozen=True)
@@ -122,23 +153,12 @@ class DataSource:
 
 
 @dataclass(frozen=True)
-class VerificationConfig:
-    criterion_threshold: float = 1e-6
-    criterion_grid_points: int = 8
-    criterion_z_samples: int = 16
-    criterion_seed: int = 0
-    gap_rtol: float = 1e-6
-    grad_norm_threshold: float = 1e-7
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     run_id: str
     model_spec: dict
     data: DataSource
     training: TrainingConfig
     training_init: str
-    verification: VerificationConfig
     output_dir: str
 
 
@@ -188,39 +208,49 @@ def model_from_dict(spec: dict, path: str = "model") -> mdl.GenerativeModel:
                 [],
                 path,
             )
-            family_name = spec["component_family"]
+            family_name = _string(spec["component_family"], f"{path}.component_family")
             if family_name not in _FAMILY_FACTORIES:
                 raise ConfigError(f"{path}.component_family: unknown family {family_name!r}")
+            _check_numbers(spec, path)
             if family_name == "gamma" and spec["data_dim"] != 1:
                 raise ConfigError(f"{path}.data_dim: gamma components are scalar")
             family = _FAMILY_FACTORIES[family_name](spec["data_dim"])
             return mdl.make_ef_mixture(
-                family, np.asarray(spec["weights"]), np.asarray(spec["component_params"])
+                family,
+                _numbers(spec, "weights", path, 1),
+                _numbers(spec, "component_params", path, 2),
             )
         if kind == "ppca":
             _require_keys(spec, ["kind", "w", "mu", "sigma2"], ["tau"], path)
             return mdl.make_ppca(
-                np.asarray(spec["w"]),
-                np.asarray(spec["mu"]),
-                float(spec["sigma2"]),
-                tau=float(spec.get("tau", 1.0)),
+                _numbers(spec, "w", path, 2),
+                _numbers(spec, "mu", path, 1),
+                _numbers(spec, "sigma2", path),
+                tau=_numbers(spec, "tau", path) if "tau" in spec else 1.0,
             )
         if kind == "simple_fa":
             _require_keys(spec, ["kind", "w", "tau", "sigma2s"], [], path)
             return mdl.make_simple_fa(
-                np.asarray(spec["w"]), float(spec["tau"]), np.asarray(spec["sigma2s"])
+                _numbers(spec, "w", path, 1),
+                _numbers(spec, "tau", path),
+                _numbers(spec, "sigma2s", path, 1),
             )
         if kind == "sbn":
             _require_keys(spec, ["kind", "pi", "w"], ["mu", "offsets_free"], path)
+            offsets_free = spec.get("offsets_free", True)
+            if not isinstance(offsets_free, bool):
+                raise ConfigError(
+                    f"{path}.offsets_free: must be true or false, got {offsets_free!r}"
+                )
             return mdl.make_sbn(
-                np.asarray(spec["pi"]),
-                np.asarray(spec["w"]),
-                None if spec.get("mu") is None else np.asarray(spec["mu"]),
-                offsets_free=bool(spec.get("offsets_free", True)),
+                _numbers(spec, "pi", path, 1),
+                _numbers(spec, "w", path, 2),
+                None if spec.get("mu") is None else _numbers(spec, "mu", path, 1),
+                offsets_free=offsets_free,
             )
         if kind == "rigid_sbn":
             _require_keys(spec, ["kind", "pi", "v"], [], path)
-            return mdl.make_rigid_sbn(float(spec["pi"]), float(spec["v"]))
+            return mdl.make_rigid_sbn(_numbers(spec, "pi", path), _numbers(spec, "v", path))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -243,9 +273,10 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
     _require_keys(
         raw,
         ["schema_version", "run_id", "model", "data"],
-        ["training", "verification", "output"],
+        ["training", "output"],
         "config",
     )
+    _check_numbers(raw, "config")
     if raw["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
@@ -268,7 +299,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
             raise ConfigError("config.data: file source requires 'path'")
         if "seed" in data_block or "n" in data_block:
             raise ConfigError("config.data: exactly one data source; drop 'seed'/'n'")
-        data = DataSource("file", path=str(data_block["path"]))
+        data = DataSource("file", path=_string(data_block["path"], "config.data.path"))
     else:
         raise ConfigError(f"config.data.source: unknown source {source!r}")
 
@@ -289,28 +320,9 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.training: {exc}") from exc
 
-    ver_block = raw.get("verification", {})
-    _require_keys(
-        ver_block,
-        [],
-        [
-            "criterion_threshold",
-            "criterion_grid_points",
-            "criterion_z_samples",
-            "criterion_seed",
-            "gap_rtol",
-            "grad_norm_threshold",
-        ],
-        "config.verification",
-    )
-    _check_numbers(ver_block, "config.verification")
-    verification = VerificationConfig(**ver_block)
-
     out_block = raw.get("output", {})
     _require_keys(out_block, [], ["dir"], "config.output")
-    output_dir = out_block.get("dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"config.output.dir: must be a string, got {output_dir!r}")
+    output_dir = _string(out_block.get("dir", "."), "config.output.dir")
 
     if seed_override is not None:
         if seed_override < 0:
@@ -320,12 +332,11 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         training = replace(training, seed=seed_override)
 
     return ExperimentConfig(
-        run_id=str(raw["run_id"]),
+        run_id=_string(raw["run_id"], "config.run_id"),
         model_spec=model_spec,
         data=data,
         training=training,
         training_init=init,
-        verification=verification,
         output_dir=output_dir,
     )
 
@@ -587,9 +598,12 @@ def cmd_verify(
 ) -> dict:
     """Check the criterion and the entropy-sum gaps of a trained model.
 
-    The gap verdicts are asserted only when the stationarity premise holds
-    (grad_norm below threshold) and the criterion itself passes; otherwise
-    they are skipped or failed with the reason recorded.
+    The checks take no settings: the criterion uses its fixed threshold and
+    grid (models.CRITERION_THRESHOLD, CRITERION_GRID_POINTS) at seed 0, and a
+    gap passes within GAP_RTOL * max(1, |elbo|). The gap verdicts are
+    asserted only when the criterion passes and the stationarity premise
+    holds (grad_norm below GRAD_NORM_THRESHOLD, which each verdict records);
+    otherwise they are skipped or failed with the reason recorded.
     """
     if not os.path.exists(model_path):
         raise ConfigError(f"trained model file not found: {model_path}")
@@ -599,23 +613,13 @@ def cmd_verify(
     # trained one, so verification sees the same dataset training did.
     data = _load_nonempty_data(config, model_from_dict(config.model_spec))
     _check_columns(data, model, model_path)
-    ver = config.verification
 
-    try:
-        criterion = mdl.check_criterion(
-            model,
-            threshold=ver.criterion_threshold,
-            n_grid=ver.criterion_grid_points,
-            n_z_samples=ver.criterion_z_samples,
-            seed=ver.criterion_seed,
-        )
-    except CriterionSampleError as exc:
-        raise ConfigError(f"config.verification.criterion_z_samples: {exc}") from exc
+    criterion = mdl.check_criterion(model)
     ev = obj.evaluator(model, data)
     table = ev.posterior(model)
     standard, pseudo = ev.report(model, table), ev.report(model, table, pseudo=True)
     grad = ev.grad_norm(model, table)
-    premise = grad < ver.grad_norm_threshold
+    premise = grad < GRAD_NORM_THRESHOLD
 
     verdicts = {
         "criterion": {
@@ -626,7 +630,7 @@ def cmd_verify(
         }
     }
     for name, report in (("gap_standard", standard), ("gap_pseudo", pseudo)):
-        bound = ver.gap_rtol * max(1.0, abs(report.elbo))
+        bound = GAP_RTOL * max(1.0, abs(report.elbo))
         if not criterion.passes:
             verdicts[name] = {"status": "skipped", "reason": "criterion not satisfied"}
             continue
@@ -639,27 +643,15 @@ def cmd_verify(
             }
             continue
         within = report.gap <= bound
+        numbers = {"gap": report.gap, "bound": bound, "grad_norm_threshold": GRAD_NORM_THRESHOLD}
+        unmet = f"stationarity premise not met (grad_norm={grad:.3e})"
         if premise:
-            verdicts[name] = {
-                "status": "pass" if within else "fail",
-                "gap": report.gap,
-                "bound": bound,
-                "grad_norm": grad,
-            }
+            verdict = {"status": "pass" if within else "fail", "grad_norm": grad}
         elif within:
-            verdicts[name] = {
-                "status": "skipped",
-                "reason": f"stationarity premise not met (grad_norm={grad:.3e})",
-                "gap": report.gap,
-                "bound": bound,
-            }
+            verdict = {"status": "skipped", "reason": unmet}
         else:
-            verdicts[name] = {
-                "status": "fail",
-                "annotation": f"stationarity premise not met (grad_norm={grad:.3e})",
-                "gap": report.gap,
-                "bound": bound,
-            }
+            verdict = {"status": "fail", "annotation": unmet}
+        verdicts[name] = {**verdict, **numbers}
 
     out = _resolve_out(config, out_dir)
     path = os.path.join(out, "verify_report.json")
@@ -669,7 +661,7 @@ def cmd_verify(
             "run_id": config.run_id,
             "tool_version": __version__,
             "schema_version": SCHEMA_VERSION,
-            "config": {"data": asdict(config.data), "verification": asdict(ver)},
+            "config": {"data": asdict(config.data)},
             "model": model_to_dict(model),
             "criterion": asdict(criterion),
             "objective_standard": asdict(standard),

@@ -38,11 +38,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import families as fam
-from .errors import CriterionSampleError, DomainError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .families import FamilyDescriptor
 
 __all__ = [
     "SBN_ENUMERATION_CAP",
+    "CRITERION_THRESHOLD",
+    "CRITERION_GRID_POINTS",
     "FiniteStates",
     "RealVector",
     "PriorSpec",
@@ -76,6 +78,11 @@ __all__ = [
 # Exact enumeration of 2^H binary latent states is used downstream; this cap
 # keeps posteriors and objective terms exactly computable.
 SBN_ENUMERATION_CAP = 14
+
+# The criterion passes when both relative residuals stay below this, on the
+# model's own parameters plus seeded random draws up to this many grid points.
+CRITERION_THRESHOLD = 1e-6
+CRITERION_GRID_POINTS = 8
 
 
 def _frozen(a) -> np.ndarray:
@@ -752,9 +759,6 @@ def check_criterion(
     psi_grid=None,
     theta_grid=None,
     z_samples=None,
-    threshold: float = 1e-6,
-    n_grid: int = 8,
-    n_z_samples: int = 16,
     seed: int = 0,
 ) -> CriterionReport:
     """Least-squares test of the two column-space conditions on grids.
@@ -762,8 +766,11 @@ def check_criterion(
     The prior part solves zeta(psi) = J_zeta(psi) alpha per grid point; the
     noise part solves ONE shared beta over the system stacked across all
     z_samples (beta may not depend on the latent value). Residuals are
-    relative to max(1, ||target||); passes iff both stay below threshold.
-    Grids default to the model's own parameters plus seeded random draws.
+    relative to max(1, ||target||); passes iff both stay below
+    CRITERION_THRESHOLD. Grids default to the model's own parameters plus
+    seeded random draws, up to CRITERION_GRID_POINTS points. Finite latents
+    test every state; real latents draw max(16, 2 P) z, P being the size of
+    the criterion subset, and explicit real z_samples need at least 2 P.
 
     Both parts solve block by block (_BlockLstsq). Columns that no nonzero
     row joins are independent, so a stacked SBN Jacobian splits into one
@@ -792,7 +799,7 @@ def check_criterion(
         thetas = [model.noise.params]
         attempts = 0
         with np.errstate(all="ignore"):
-            while len(psis) < n_grid and attempts < 50 * n_grid:
+            while len(psis) < CRITERION_GRID_POINTS and attempts < 50 * CRITERION_GRID_POINTS:
                 attempts += 1
                 p, t = _random_params(model, rng)
                 if valid(p, t):
@@ -802,12 +809,12 @@ def check_criterion(
         theta_grid = thetas if theta_grid is None else theta_grid
     if len(psi_grid) == 0 or len(theta_grid) == 0:
         raise ValueError("grids must be non-empty")
-    if z_samples is None:
-        z_samples = _default_z_samples(model, n_z_samples, rng)
-    zs = np.asarray(z_samples)
     s_dim = model.noise.theta_subset.size
+    if z_samples is None:
+        z_samples = _default_z_samples(model, max(16, 2 * s_dim), rng)
+    zs = np.asarray(z_samples)
     if len(zs) < 2 * s_dim and isinstance(model.latent_support, RealVector):
-        raise CriterionSampleError(f"need at least {2 * s_dim} z samples, got {len(zs)}")
+        raise ValueError(f"need at least {2 * s_dim} z samples, got {len(zs)}")
 
     prior_residual = 0.0
     solve = _BlockLstsq()
@@ -845,9 +852,9 @@ def check_criterion(
     return CriterionReport(
         prior_residual=prior_residual,
         noise_residual=noise_residual,
-        passes=bool(max(prior_residual, noise_residual) < threshold),
+        passes=bool(max(prior_residual, noise_residual) < CRITERION_THRESHOLD),
         tested_points=len(psi_grid) + len(theta_grid),
-        threshold=threshold,
+        threshold=CRITERION_THRESHOLD,
     )
 
 

@@ -15,6 +15,17 @@ from scipy import integrate
 from efgen import families as fam
 from efgen import models as mdl
 
+# pyproject.toml's filterwarnings reach only the pytest process; Python
+# subprocesses that tests start get the same filters as interpreter flags.
+WARNINGS_AS_ERRORS = (
+    "-W",
+    "error::RuntimeWarning",
+    "-W",
+    "error::DeprecationWarning",
+    "-W",
+    "error::FutureWarning",
+)
+
 # Deterministic parameter grid: (family, standard params) pairs covering every
 # family at a few interior points of its domain.
 FAMILY_GRID = [

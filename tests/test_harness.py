@@ -1,18 +1,25 @@
 """Harness: strict configs, dataset round-trips, pipeline commands, CLI."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efgen import harness as hns
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.cli import main as cli_main
 from efgen.errors import ConfigError
+from efgen.learning import TrainingConfig
+
+from helpers import WARNINGS_AS_ERRORS
 
 
 def gmm_config(tmp_path, n=200, seed=7, max_iters=500, run_id="gmm-run"):
@@ -304,6 +311,39 @@ class TestVerify:
         v = result["verdicts"]["gap_standard"]
         assert v["status"] == "fail"
         assert "premise not met" in v["annotation"]
+        assert v["grad_norm_threshold"] == hns.GRAD_NORM_THRESHOLD
+
+    def test_premise_threshold_is_training_default_and_recorded(self, tmp_path, monkeypatch):
+        # One definition of "stationary": training's default tolerance. Each
+        # gap verdict that reads the premise records the threshold it used.
+        assert hns.GRAD_NORM_THRESHOLD == TrainingConfig().grad_norm_tol
+        config, paths = self._trained_paths(tmp_path)
+        v = hns.cmd_verify(config, paths["model"])["verdicts"]["gap_pseudo"]
+        assert v["status"] == "pass"
+        assert v["grad_norm"] < v["grad_norm_threshold"] == hns.GRAD_NORM_THRESHOLD
+        monkeypatch.setattr(hns, "GRAD_NORM_THRESHOLD", 0.0)
+        v = hns.cmd_verify(config, paths["model"])["verdicts"]["gap_pseudo"]
+        assert v["status"] == "skipped" and "premise not met" in v["reason"]
+        assert v["grad_norm_threshold"] == 0.0
+
+    def test_nine_dimensional_factor_analyzer_verifies_with_defaults(self, tmp_path):
+        # Its criterion subset holds 9 variances, so the criterion needs 18
+        # latent draws, more than its usual 16.
+        raw = gmm_config(tmp_path, run_id="fa9")
+        raw["model"] = {
+            "kind": "simple_fa",
+            "w": [1.0, -0.5, 0.8, 0.3, -1.2, 0.6, 0.9, -0.4, 0.7],
+            "tau": 1.0,
+            "sigma2s": [0.5, 0.8, 1.0, 1.2, 0.6, 0.9, 1.5, 0.7, 1.1],
+        }
+        model_path = os.path.join(tmp_path, "model.json")
+        with open(model_path, "w") as fh:
+            json.dump(raw["model"], fh)
+        args = ["verify", "--config", write_config(tmp_path, raw), "--model", model_path]
+        assert cli_main(args + ["--quiet"]) == 0
+        with open(os.path.join(tmp_path, "verify_report.json")) as fh:
+            report = json.load(fh)
+        assert report["verdicts"]["criterion"]["status"] == "pass"
 
     def test_missing_model_file(self, tmp_path):
         config = hns.parse_config(gmm_config(tmp_path))
@@ -342,13 +382,6 @@ def _dataset_with_two_columns(raw, tmp_path):
     raw["data"] = {"source": "file", "path": str(path)}
 
 
-def _ppca_with_one_z_sample(raw, _):
-    # One latent draw cannot identify the shared criterion coefficient; ppca
-    # needs two (twice its one-parameter criterion subset).
-    raw["model"] = {"kind": "ppca", "w": [[1.0], [0.5]], "mu": [0.0, 0.0], "sigma2": 0.5}
-    raw["verification"] = {"criterion_z_samples": 1}
-
-
 def _ppca_with_as_many_latents_as_dimensions(raw, _):
     raw["model"] = {"kind": "ppca", "w": [[1.0, 0.0], [0.0, 1.0]], "mu": [0.0, 0.0], "sigma2": 0.5}
 
@@ -362,22 +395,34 @@ def _summary_holding_a_number(raw, tmp_path):
     (tmp_path / "summary.json").write_text("7\n")
 
 
+def _model(base, **fields):
+    """An edit that replaces the config's model with base updated by fields."""
+    return lambda raw, _: raw.update(model={**base, **fields})
+
+
+SBN = {"kind": "sbn", "pi": [0.5], "w": [[1.0], [0.5]]}
+PPCA = {"kind": "ppca", "w": [[1.0], [0.5]], "mu": [0.0, 0.0], "sigma2": 0.5}
+RIGID_SBN = {"kind": "rigid_sbn", "pi": 0.5, "v": 0.0}
+ONE_GAUSSIAN = {
+    "kind": "ef_mixture",
+    "component_family": "gaussian_scalar_var",
+    "data_dim": 1,
+    "weights": [1.0],
+    "component_params": [[0.0, 1.0]],
+}
+
+
 def _case(command, edit, field, case_id):
     return pytest.param(command, edit, field, id=case_id)
 
 
 USER_ERRORS = [
+    # verify has no settings; an old config's block is an unknown key.
     _case(
         "verify",
-        lambda raw, _: raw.update(verification={"gap_rtol": "abc"}),
-        "config.verification.gap_rtol",
-        "gap-rtol-text",
-    ),
-    _case(
-        "verify",
-        lambda raw, _: raw.update(verification={"criterion_grid_points": -3}),
-        "config.verification.criterion_grid_points",
-        "grid-points-negative",
+        lambda raw, _: raw.update(verification={}),
+        "config: unknown keys ['verification']",
+        "verification-block",
     ),
     _case("generate", lambda raw, _: raw["data"].update(n=5.7), "config.data.n", "n-float"),
     _case("generate", lambda raw, _: raw["data"].update(n="5"), "config.data.n", "n-text"),
@@ -404,12 +449,6 @@ USER_ERRORS = [
     _case("verify", lambda raw, _: raw["data"].update(n=0), "config.data.n", "verify-empty"),
     _case("train", _dataset_with_two_columns, "config.data.path", "train-dataset-columns"),
     _case("verify", _dataset_with_two_columns, "config.data.path", "verify-dataset-columns"),
-    _case(
-        "verify",
-        _ppca_with_one_z_sample,
-        "config.verification.criterion_z_samples",
-        "ppca-one-z-sample",
-    ),
     # Blocks of the wrong JSON type. An edit that returns a value replaces
     # the whole config with it.
     _case("train", lambda raw, _: 5, "config: must be a JSON object", "config-number"),
@@ -429,18 +468,56 @@ USER_ERRORS = [
         "train", lambda raw, _: raw.update(data=5), "config.data: must be a JSON object", "data-number"
     ),
     _case(
-        "verify",
-        lambda raw, _: raw.update(verification=[]),
-        "config.verification: must be a JSON object",
-        "verification-list",
-    ),
-    _case(
         "train",
         lambda raw, _: raw.update(output={"dir": 5}),
         "config.output.dir: must be a string",
         "output-dir-number",
     ),
     _case("report", _summary_holding_a_number, "summary.json: must be a JSON object", "summary-number"),
+    # Fields read as the JSON types they declare: no coercion through bool(),
+    # str(), float() or np.asarray, and no NaN or infinity.
+    _case(
+        "train", _model(SBN, offsets_free="false"), "config.model.offsets_free", "offsets-free-text"
+    ),
+    _case(
+        "train",
+        lambda raw, _: raw["model"].update(data_dim=True),
+        "config.model.data_dim: must be an integer",
+        "data-dim-bool",
+    ),
+    _case(
+        "train",
+        lambda raw, _: raw["model"].update(data_dim=2.0),
+        "config.model.data_dim: must be an integer",
+        "data-dim-float",
+    ),
+    _case("train", _model(PPCA, sigma2="2"), "config.model.sigma2", "ppca-sigma2-text"),
+    _case("train", _model(PPCA, tau=True), "config.model.tau", "ppca-tau-bool"),
+    _case("train", _model(PPCA, sigma2=math.inf), "config.model.sigma2", "ppca-sigma2-infinity"),
+    _case("verify", _model(RIGID_SBN, pi="0.3"), "config.model.pi", "rigid-pi-text"),
+    _case("verify", _model(RIGID_SBN, v="1"), "config.model.v", "rigid-v-text"),
+    _case("train", _model(SBN, pi="0.5"), "config.model.pi", "sbn-pi-text"),
+    _case("train", _model(SBN, w=[[math.nan], [1.0]]), "config.model.w", "sbn-w-nan"),
+    _case("train", _model(ONE_GAUSSIAN, weights=[True]), "config.model.weights", "weights-bool"),
+    _case(
+        "train",
+        _model(ONE_GAUSSIAN, component_params=[["0.5", "1.0"]]),
+        "config.model.component_params",
+        "component-params-text",
+    ),
+    _case(
+        "train",
+        lambda raw, _: raw["training"].update(grad_norm_tol=10**400),
+        "config.training.grad_norm_tol: must be a positive finite number",
+        "grad-norm-tol-past-float-range",
+    ),
+    _case("train", lambda raw, _: raw.update(run_id=None), "config.run_id", "run-id-null"),
+    _case(
+        "train",
+        lambda raw, _: raw.update(data={"source": "file", "path": 5}),
+        "config.data.path: must be a string",
+        "data-path-number",
+    ),
     # Data a trainer cannot fit.
     _case("train", _ppca_with_as_many_latents_as_dimensions, "config.model.w", "ppca-h-equals-d"),
     _case("train", _ppca_with_two_points_in_two_dimensions, "config.data.n", "ppca-n-equals-d"),
@@ -485,6 +562,94 @@ def test_verify_refuses_a_model_of_another_dimension(tmp_path, capsys):
     assert cli_main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and model_path in err, err
+
+
+def _fuzz_config(model, data=None):
+    """A valid config that sets every training and output field."""
+    return {
+        "schema_version": 1,
+        "run_id": "fuzz",
+        "model": model,
+        "data": data or {"source": "synthetic", "seed": 1, "n": 10},
+        "training": {
+            "max_iters": 5,
+            "elbo_rel_tol": 1e-12,
+            "grad_norm_tol": 1e-7,
+            "seed": 0,
+            "record_every": 1,
+            "init": "auto",
+        },
+        "output": {"dir": "out"},
+    }
+
+
+# Together these hold every field a config can set, optional ones included.
+FUZZ_CONFIGS = {
+    "gmm": _fuzz_config(gmm_config(".")["model"]),
+    "gmm-file": _fuzz_config(ONE_GAUSSIAN, {"source": "file", "path": "data.csv"}),
+    "ppca": _fuzz_config({**PPCA, "tau": 1.0}),
+    "simple_fa": _fuzz_config(
+        {"kind": "simple_fa", "w": [0.6, 0.8], "tau": 1.5, "sigma2s": [0.5, 2.0]}
+    ),
+    "sbn": _fuzz_config({**SBN, "mu": [0.1, -0.1], "offsets_free": False}),
+    "rigid_sbn": _fuzz_config(RIGID_SBN),
+}
+
+# The only values of another JSON type that the parser accepts on purpose.
+ACCEPTED_ON_PURPOSE = [("sbn", ("model", "mu"), None)]
+
+_SCALARS = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(), st.integers(-3, 3), st.floats(-3.0, 3.0)
+)
+_VALUES = {
+    "string": st.text(max_size=6),
+    "boolean": st.booleans(),
+    "null": st.none(),
+    "integer": st.integers(-(10**6), 10**6),
+    "number": st.floats(allow_nan=False, allow_infinity=False),
+    "list": st.lists(_SCALARS, max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2),
+    "nan": st.just(math.nan),
+    "infinity": st.sampled_from([math.inf, -math.inf]),
+}
+# The value types each field type admits; a number field also takes integers.
+_ADMITS = {"number": ("number", "integer")}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    names = {int: "integer", float: "number", str: "string", list: "list", dict: "object"}
+    return names[type(value)]
+
+
+def _field_paths(block, prefix=()):
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_field_of_another_json_type_is_a_config_error(data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    raw = copy.deepcopy(FUZZ_CONFIGS[name])
+    path = data.draw(st.sampled_from(list(_field_paths(raw))))
+    block = raw
+    for key in path[:-1]:
+        block = block[key]
+    kind = _json_type(block[path[-1]])
+    others = [t for t in _VALUES if t not in _ADMITS.get(kind, (kind,))]
+    value = data.draw(st.sampled_from(others).flatmap(_VALUES.get))
+    block[path[-1]] = value
+    if (name, path, value) in ACCEPTED_ON_PURPOSE:
+        hns.parse_config(raw)
+        return
+    with pytest.raises(ConfigError) as info:
+        hns.parse_config(raw)
+    where = ".".join(("config",) + path)
+    assert str(info.value).startswith(f"{where}:"), (where, value, str(info.value))
 
 
 class TestTrainVerifyAgreement:
@@ -607,7 +772,7 @@ class TestCli:
     def test_subprocess_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, gmm_config(tmp_path, n=40))
         proc = subprocess.run(
-            [sys.executable, "-m", "efgen", "generate", "--config", cfg_path],
+            [sys.executable, *WARNINGS_AS_ERRORS, "-m", "efgen", "generate", "--config", cfg_path],
             capture_output=True,
             text=True,
         )

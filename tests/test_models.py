@@ -300,6 +300,14 @@ class TestCriterion:
         assert fwd.prior_residual == pytest.approx(rev.prior_residual, abs=1e-12)
         assert fwd.noise_residual == pytest.approx(rev.noise_residual, abs=1e-12)
 
+    def test_real_latents_need_twice_the_subset_in_z_samples(self):
+        # One latent draw cannot identify PPCA's shared coefficient for its
+        # one-parameter criterion subset; two can.
+        ppca = mdl.make_ppca(np.array([[1.0], [0.5]]), np.zeros(2), 0.5)
+        with pytest.raises(ValueError, match="need at least 2 z samples, got 1"):
+            mdl.check_criterion(ppca, z_samples=np.ones((1, 1)))
+        assert mdl.check_criterion(ppca, z_samples=np.array([[1.0], [-0.5]])).passes
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             mdl.check_criterion(gmm_1d(), psi_grid=[], theta_grid=[])

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import WARNINGS_AS_ERRORS
+
 ROOT = Path(__file__).resolve().parents[1]
 NOTEBOOKS = sorted((ROOT / "notebooks").glob("*.py"))
 
@@ -20,7 +22,12 @@ def test_notebook_runs(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *WARNINGS_AS_ERRORS, str(path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
