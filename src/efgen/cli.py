@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import argparse
+
+# argparse imports locale when it first looks up its message translations,
+# during the first parse. Importing it with the CLI counts that one-time
+# cost as start-up instead of as part of the first command.
+import locale  # noqa: F401
 import sys
 
 from .errors import ConfigError

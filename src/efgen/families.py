@@ -30,7 +30,11 @@ square: T(x) = (x_1..x_D, x_1^2..x_D^2).
 
 Data points are handled in rows too: batch_sufficient_stats and
 batch_log_base_measure take an (N, data_dim) array (N state indices for
-categorical). Log-gamma, digamma and log-factorials come from scipy.special.
+categorical). Log-gamma, digamma, trigamma, log-factorials and logsumexp come
+from scipy.special, which no other efgen module names. It is imported on first
+use, so models that need none of these never load it. gamma_family and
+poisson_product import it when they build their family: a gamma or Poisson
+model loads it while its config or model file is read, not during training.
 
 Natural-domain membership checks are strict inequalities with no epsilon
 slack; callers clamp if needed. All functions are pure.
@@ -42,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import DomainError, SupportError
 
@@ -87,6 +90,34 @@ _POISSON_WINDOW_SDS = 10.0
 _POISSON_WINDOW_PAD = 30
 _POISSON_TAIL_MASS = 1e-13
 _POISSON_ASYMPTOTIC_RATE = 1e4
+
+
+def gammaln(x):
+    """scipy.special.gammaln, importing scipy.special on first use."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
+
+
+def digamma(x):
+    """scipy.special.digamma, importing scipy.special on first use."""
+    from scipy.special import digamma
+
+    return digamma(x)
+
+
+def polygamma(n, x):
+    """scipy.special.polygamma, importing scipy.special on first use."""
+    from scipy.special import polygamma
+
+    return polygamma(n, x)
+
+
+def logsumexp(a, axis=None):
+    """scipy.special.logsumexp, importing scipy.special on first use."""
+    from scipy.special import logsumexp
+
+    return logsumexp(a, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -156,10 +187,14 @@ def gaussian_diag_cov(data_dim: int) -> FamilyDescriptor:
 
 
 def gamma_family() -> FamilyDescriptor:
+    import scipy.special  # noqa: F401  (so that training never pays the import)
+
     return FamilyDescriptor("gamma", 1, 2)
 
 
 def poisson_product(data_dim: int) -> FamilyDescriptor:
+    import scipy.special  # noqa: F401  (so that training never pays the import)
+
     return FamilyDescriptor("poisson_product", data_dim, data_dim, "poisson_factorial")
 
 

@@ -68,6 +68,9 @@ _FAMILY_FACTORIES = {
 }
 
 _INTEGER_FAMILIES = ("poisson_product", "bernoulli_product")
+# Most values (rows times data_dim) a synthetic dataset may hold: 10^8
+# float64 values are 0.8 GB, checked before anything is allocated.
+MAX_SYNTHETIC_VALUES = 10**8
 _WRITE_BLOCK_ROWS = 256
 
 
@@ -282,7 +285,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
             f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
         )
     model_spec = raw["model"]
-    model_from_dict(model_spec, "config.model")  # validate eagerly
+    data_dim = model_from_dict(model_spec, "config.model").noise.family.data_dim
 
     data_block = raw["data"]
     _require_keys(data_block, ["source"], ["seed", "n", "path"], "config.data")
@@ -293,7 +296,13 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
             raise ConfigError("config.data: synthetic source requires 'seed' and 'n'")
         if "path" in data_block:
             raise ConfigError("config.data: exactly one data source; drop 'path'")
-        data = DataSource("synthetic", seed=data_block["seed"], n=data_block["n"])
+        n = data_block["n"]
+        if n * data_dim > MAX_SYNTHETIC_VALUES:
+            raise ConfigError(
+                f"config.data.n: at most {MAX_SYNTHETIC_VALUES // data_dim} rows of "
+                f"{data_dim} values each, got {n}"
+            )
+        data = DataSource("synthetic", seed=data_block["seed"], n=n)
     elif source == "file":
         if "path" not in data_block:
             raise ConfigError("config.data: file source requires 'path'")

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, polygamma
 
 from . import families as fam
 from . import objective as obj
@@ -26,6 +25,7 @@ from .errors import (
     EmptyClusterError,
     NewtonConvergenceError,
 )
+from .families import digamma, polygamma
 from .models import GenerativeModel, make_ppca, ppca_components, replace_params, vjp_eta
 
 __all__ = [

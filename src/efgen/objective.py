@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import families as fam
 from . import models as mdl
@@ -391,7 +390,7 @@ class FiniteObjective(_Objective):
 
     def marginal_loglik(self, model: GenerativeModel) -> float:
         scores = self.loglik(model, pseudo=True) + self.tables(model)[2] + self.log_h[:, None]
-        return float(np.mean(logsumexp(scores, axis=1)))
+        return float(np.mean(fam.logsumexp(scores, axis=1)))
 
 
 def _gaussian_model_parts(model: GenerativeModel):

@@ -77,6 +77,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="config.model"):
             hns.parse_config(raw)
 
+    def test_synthetic_values_are_bounded_before_allocation(self, tmp_path):
+        # A two-dimensional Poisson mixture: the bound counts rows times data_dim.
+        raw = gmm_config(tmp_path)
+        raw["model"] = {
+            "kind": "ef_mixture",
+            "component_family": "poisson_product",
+            "data_dim": 2,
+            "weights": [0.5, 0.5],
+            "component_params": [[1.0, 6.0], [7.0, 0.5]],
+        }
+        most = hns.MAX_SYNTHETIC_VALUES // 2
+        raw["data"]["n"] = most
+        assert hns.parse_config(raw).data.n == most
+        raw["data"]["n"] = most + 1
+        with pytest.raises(ConfigError, match=rf"^config\.data\.n: at most {most} rows"):
+            hns.parse_config(raw)
+
     def test_seed_override(self, tmp_path):
         cfg = hns.parse_config(gmm_config(tmp_path, seed=7), seed_override=99)
         assert cfg.data.seed == 99
@@ -445,6 +462,13 @@ USER_ERRORS = [
         "max-iters-float",
     ),
     _case("train", _dataset_with_text_cell, "cells.csv: row 3", "dataset-text-cell"),
+    # 10^13 rows would need 72.8 TiB; each command refuses them while parsing.
+    *[
+        _case(
+            command, lambda raw, _: raw["data"].update(n=10**13), "config.data.n", f"{command}-n-huge"
+        )
+        for command in ("generate", "train", "verify")
+    ],
     _case("train", lambda raw, _: raw["data"].update(n=0), "config.data.n", "train-empty"),
     _case("verify", lambda raw, _: raw["data"].update(n=0), "config.data.n", "verify-empty"),
     _case("train", _dataset_with_two_columns, "config.data.path", "train-dataset-columns"),
@@ -778,3 +802,76 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "dataset.csv" in proc.stdout
+
+
+# Runs in a fresh interpreter, because the test process has imported scipy
+# itself. Mode "run" sends every config through generate, train and verify;
+# mode "parse" only reads each one. Prints the scipy modules then loaded.
+_SCIPY_PROBE = """
+import json, os, sys
+import efgen.cli, efgen.harness
+mode, *configs = sys.argv[1:]
+for path in configs:
+    if mode == "parse":
+        efgen.harness.load_config(path)
+        continue
+    model = os.path.join(os.path.dirname(path), "model.json")
+    for argv in (["generate"], ["train"], ["verify", "--model", model]):
+        if efgen.cli.main([*argv, "--config", path, "--quiet"]) != 0:
+            sys.exit(f"{argv[0]} failed on {path}")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+GAMMA_MIXTURE = {
+    "kind": "ef_mixture",
+    "component_family": "gamma",
+    "data_dim": 1,
+    "weights": [0.5, 0.5],
+    "component_params": [[2.0, 1.0], [5.0, 0.5]],
+}
+POISSON_MIXTURE = {
+    "kind": "ef_mixture",
+    "component_family": "poisson_product",
+    "data_dim": 2,
+    "weights": [0.4, 0.6],
+    "component_params": [[1.0, 6.0], [7.0, 0.5]],
+}
+SMALL_SBN = {
+    "kind": "sbn",
+    "pi": [0.4, 0.7],
+    "w": [[1.0, -0.5], [0.0, 2.0]],
+    "mu": [0.1, -0.1],
+    "offsets_free": True,
+}
+
+
+def _scipy_modules_loaded(tmp_path, mode, models):
+    configs = []
+    for i, model in enumerate(models):
+        out = tmp_path / str(i)
+        out.mkdir()
+        configs.append(write_config(out, {**gmm_config(out, n=60, max_iters=20), "model": model}))
+    # The probe imports the efgen this suite imports, whatever PYTHONPATH says.
+    src = os.path.dirname(os.path.dirname(hns.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, *WARNINGS_AS_ERRORS, "-c", _SCIPY_PROBE, mode, *configs],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestScipyImport:
+    """scipy.special is loaded only by the families that need it."""
+
+    def test_gaussian_mixture_and_sbn_commands_never_load_scipy(self, tmp_path):
+        models = [gmm_config(tmp_path)["model"], SMALL_SBN]
+        assert _scipy_modules_loaded(tmp_path, "run", models) == []
+
+    @pytest.mark.parametrize("model", [GAMMA_MIXTURE, POISSON_MIXTURE], ids=["gamma", "poisson"])
+    def test_gamma_and_poisson_configs_load_scipy_while_parsed(self, tmp_path, model):
+        assert "scipy.special" in _scipy_modules_loaded(tmp_path, "parse", [model])

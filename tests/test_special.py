@@ -1,12 +1,15 @@
-"""Accuracy contracts of the special functions efgen takes from scipy.special.
+"""Accuracy contracts of the special functions efgen calls.
 
-Log-gamma, digamma and trigamma are scipy's gammaln, digamma and
-polygamma(1, .); log-factorials are efgen.families.log_factorial, gammaln(k + 1)
-behind a check for non-negative integers. Expected values marked as
-oracle-derived were computed with the independent oracles in this file
-(mpmath quadrature of the gamma integral, high-precision central differences
-of log-gamma) and frozen; the oracles are kept here so the numbers stay
-auditable.
+efgen.families is the package's only route to scipy.special: its gammaln,
+digamma, polygamma and logsumexp import scipy.special on first use and call
+the function of the same name, and TestWrappers checks that each returns
+scipy's result bit for bit. The contracts below test those wrappers, since
+they are what the library calls. Log-factorials are
+efgen.families.log_factorial, gammaln(k + 1) behind a check for non-negative
+integers. Expected values marked as oracle-derived were computed with the
+independent oracles in this file (mpmath quadrature of the gamma integral,
+high-precision central differences of log-gamma) and frozen; the oracles are
+kept here so the numbers stay auditable.
 """
 
 import math
@@ -14,12 +17,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma, polygamma
-from scipy.special import gammaln as log_gamma
 
-from efgen.families import log_factorial
+from efgen.families import digamma, log_factorial, logsumexp, polygamma
+from efgen.families import gammaln as log_gamma
 
 mp.mp.dps = 40
 
@@ -122,6 +125,61 @@ class TestTrigamma:
             h = 1e-5 * max(1.0, x)
             fd = (digamma(x + h) - digamma(x - h)) / (2 * h)
             assert abs(trigamma(x) - fd) <= 1e-5 * max(1.0, trigamma(x)), x
+
+
+class TestLogSumExp:
+    def test_matches_high_precision_sum(self):
+        a = np.array([-3.0, 0.5, 2.0, 7.25])
+        ref = float(mp.log(mp.fsum(mp.exp(mp.mpf(v)) for v in a)))
+        assert logsumexp(a) == pytest.approx(ref, abs=1e-14)
+
+    def test_no_overflow_or_underflow_at_large_offsets(self):
+        for offset in (1000.0, -1000.0):
+            pair = np.array([offset, offset])
+            assert logsumexp(pair) == pytest.approx(offset + math.log(2.0), abs=1e-12)
+
+    def test_axis_reduces_rows(self):
+        rows = np.array([[0.0, 0.0], [1.0, -np.inf], [-2.0, 3.0]])
+        expected = [math.log(2.0), 1.0, 3.0 + math.log1p(math.exp(-5.0))]
+        np.testing.assert_allclose(logsumexp(rows, axis=1), expected, rtol=0, atol=1e-15)
+
+
+def _same_bits(ours, theirs):
+    return (
+        type(ours) is type(theirs)
+        and np.asarray(ours).dtype == np.asarray(theirs).dtype
+        and np.shape(ours) == np.shape(theirs)
+        and np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+    )
+
+
+class TestWrappers:
+    """Each wrapper returns exactly what its scipy.special function returns."""
+
+    ARGUMENTS = [
+        0.5,
+        7.25,
+        -2.5,
+        1e5,
+        np.logspace(-3, 6, 50),
+        np.linspace(0.1, 20.0, 12).reshape(3, 4),
+    ]
+
+    @pytest.mark.parametrize("x", ARGUMENTS)
+    def test_gammaln_and_digamma(self, x):
+        assert _same_bits(log_gamma(x), scipy.special.gammaln(x))
+        assert _same_bits(digamma(x), scipy.special.digamma(x))
+
+    @pytest.mark.parametrize("x", ARGUMENTS)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_polygamma(self, n, x):
+        assert _same_bits(polygamma(n, x), scipy.special.polygamma(n, x))
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    def test_logsumexp(self, axis):
+        a = np.random.default_rng(0).normal(scale=30.0, size=(5, 7))
+        a[1, 2] = -np.inf
+        assert _same_bits(logsumexp(a, axis=axis), scipy.special.logsumexp(a, axis=axis))
 
 
 class TestLogFactorial:
