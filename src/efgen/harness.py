@@ -40,6 +40,7 @@ from .errors import (
     DegenerateDataError,
     EmptyClusterError,
     NewtonConvergenceError,
+    SupportError,
 )
 from .learning import (
     TrainingConfig,
@@ -99,7 +100,7 @@ _INTEGER_FIELDS = {
     "record_every": 1,
     "data_dim": 1,
 }
-_POSITIVE_FIELDS = ("elbo_rel_tol", "grad_norm_tol")
+_POSITIVE_FIELDS = ("grad_norm_tol",)
 
 
 def _finite(value) -> bool:
@@ -316,7 +317,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
     _require_keys(
         training_block,
         [],
-        ["max_iters", "elbo_rel_tol", "grad_norm_tol", "seed", "record_every", "init"],
+        ["max_iters", "grad_norm_tol", "seed", "record_every", "init"],
         "config.training",
     )
     _check_numbers(training_block, "config.training")
@@ -520,21 +521,24 @@ def cmd_generate(config: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 
 
 def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
-    """Train by model kind. A trainer's data errors are user errors: they
-    name the dataset's config field, or config.model.w when a PPCA has as
-    many latents as observed dimensions."""
+    """Train by model kind. A trainer's data errors, out-of-support cells
+    included, are user errors: they name the dataset's config field, or
+    config.model.w when a PPCA has as many latents as observed dimensions.
+    PPCA refuses training.init "model": it starts from its closed form."""
     kind = model.model_kind
     try:
         if kind == "ef_mixture":
             fit = em_mixture(model, data, config.training, init=config.training_init)
             return fit.model, fit.q, fit.trace
         if kind == "ppca":
+            if config.training_init == "model":
+                raise ConfigError("config.training.init: ppca starts from its closed form")
             fit = fit_ppca(data, model.info.latent_dim, config.training)
             return fit.em_model, fit.em_q, fit.trace
         if kind == "sbn":
             fit = fit_sbn(model, data, config.training, init=config.training_init)
             return fit.model, fit.q, fit.trace
-    except (DegenerateDataError, EmptyClusterError, NewtonConvergenceError) as exc:
+    except (DegenerateDataError, EmptyClusterError, NewtonConvergenceError, SupportError) as exc:
         info = model.info
         too_many_latents = kind == "ppca" and info.latent_dim >= info.data_dim
         where = "config.model.w" if too_many_latents else _data_field(config)
@@ -624,7 +628,10 @@ def cmd_verify(
     _check_columns(data, model, model_path)
 
     criterion = mdl.check_criterion(model)
-    ev = obj.evaluator(model, data)
+    try:
+        ev = obj.evaluator(model, data)
+    except SupportError as exc:
+        raise ConfigError(f"{_data_field(config)}: {exc}") from exc
     table = ev.posterior(model)
     standard, pseudo = ev.report(model, table), ev.report(model, table, pseudo=True)
     grad = ev.grad_norm(model, table)

@@ -29,6 +29,7 @@ from .families import digamma, polygamma
 from .models import GenerativeModel, make_ppca, ppca_components, replace_params, vjp_eta
 
 __all__ = [
+    "ELBO_REL_TOL",
     "TrainingConfig",
     "TraceRecord",
     "TrainingTrace",
@@ -44,11 +45,12 @@ __all__ = [
 
 _EMPTY_CLUSTER_MASS = 1e-12
 
+ELBO_REL_TOL = 1e-12  # a plateau: successive ELBOs differ by < this * max(1, |elbo|)
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
     max_iters: int = 500
-    elbo_rel_tol: float = 1e-12
     grad_norm_tol: float = 1e-7
     seed: int = 0
     record_every: int = 1
@@ -56,8 +58,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.elbo_rel_tol > 0 and self.grad_norm_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.grad_norm_tol > 0:
+            raise ValueError("grad_norm_tol must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -138,7 +140,7 @@ def _train(
         elbo = ev.elbo(model, q)
         plateau = (
             prev_elbo is not None
-            and abs(elbo - prev_elbo) < config.elbo_rel_tol * max(1.0, abs(elbo))
+            and abs(elbo - prev_elbo) < ELBO_REL_TOL * max(1.0, abs(elbo))
         )
         if not plateau:
             check_interval, next_check = 1, it
@@ -186,6 +188,8 @@ def gamma_shape_newton(s: float, max_iters: int = 100, tol: float = 1e-12) -> fl
     for _ in range(max_iters):
         f = math.log(a) - digamma(a) - s
         fprime = 1.0 / a - polygamma(1, a)
+        if not fprime < 0.0:  # s at rounding level: the slope rounds to flat
+            raise NewtonConvergenceError(f"shape equation flat at a={a:.3g}: degenerate data")
         step = f / fprime
         new = a - step
         while new <= 0.0:
@@ -221,9 +225,37 @@ def _weighted_component_update(family, data, resp_c, mass_c):
     raise ValueError(f"no M-step for component family {name}")
 
 
+# mu / sigma2 and 0.5 / sigma2 get squared and multiplied in the Gaussian
+# formulas, so they must stay below a quarter of sqrt(float max).
+_GAUSSIAN_NATURAL_MAX = 0.25 * math.sqrt(np.finfo(float).max)
+
+
+def _collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
+    """The first component within rounding of its domain's edge, where the
+    likelihood's supremum sits (a Gaussian point mass, a zero Poisson rate,
+    a constant Bernoulli coordinate), or with Gaussian natural parameters
+    past _GAUSSIAN_NATURAL_MAX; None if there is none. Rounding is relative
+    to each coordinate's mean or mean square, which the weighted rows give."""
+    eps, d = np.finfo(float).eps, family.data_dim
+    if family.name == "bernoulli_product":
+        near = np.minimum(rows, 1.0 - rows) <= eps
+    elif family.name == "poisson_product":
+        near = rows <= eps * (weights @ rows)
+    elif family.name.startswith("gaussian"):
+        mu, var = rows[:, :d], rows[:, d:]  # one shared var column for gaussian_scalar_var
+        near = (var <= eps * eps * (weights @ (mu * mu + var))) | (
+            np.maximum(np.abs(mu), 0.5) >= _GAUSSIAN_NATURAL_MAX * var
+        )
+    else:
+        return None
+    hit = near.any(axis=1)
+    return int(hit.argmax()) if hit.any() else None
+
+
 def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -> GenerativeModel:
     """Closed-form weighted moment matching; raises on an empty cluster and
-    on a component whose new parameters leave the family's domain."""
+    on a component whose new parameters leave the family's domain or come
+    within rounding of its edge."""
     info = model.info
     n = len(data)
     mass = resp.sum(axis=0)
@@ -241,6 +273,9 @@ def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -
             for c in range(info.n_components)
         ]
     )
+    c = _collapsed_component(family, rows, weights)
+    if c is not None:
+        raise DegenerateDataError(f"component {c} collapsed to the edge of its domain")
     try:
         fam.check_standard(family, rows)  # one call: this runs every iteration
     except DomainError:
@@ -312,7 +347,8 @@ def _ppca_ml_solution(data: np.ndarray, h: int):
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     sigma2 = float(np.mean(evals[h:]))
-    if sigma2 <= 0.0 or np.linalg.matrix_rank(cov) < h:
+    # Rank h leaves sigma2 at rounding level, where EM can take it below zero.
+    if sigma2 <= 0.0 or np.linalg.matrix_rank(cov) <= h:
         raise DegenerateDataError("data covariance rank too low for the requested h")
     if evals[h - 1] <= sigma2:
         raise DegenerateDataError(

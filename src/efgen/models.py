@@ -598,30 +598,19 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
         logits = rng.normal(0.0, 0.7, size=c)
         pi = np.exp(logits - logits.max())
         pi = pi / pi.sum()
-        psi = pi[:-1]
-        rows = []
-        name = info.component_family.name
         d = info.component_family.data_dim
-        for _ in range(c):
-            if name == "bernoulli_product":
-                rows.append(1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.2, size=d))))
-            elif name == "gaussian_scalar_var":
-                rows.append(
-                    np.concatenate([rng.normal(0.0, 2.0, size=d), [rng.lognormal(0.0, 0.5)]])
-                )
-            elif name == "gaussian_diag_cov":
-                rows.append(
-                    np.concatenate(
-                        [rng.normal(0.0, 2.0, size=d), rng.lognormal(0.0, 0.5, size=d)]
-                    )
-                )
-            elif name == "gamma":
-                rows.append(rng.lognormal(0.5, 0.5, size=2))
-            elif name == "poisson_product":
-                rows.append(rng.lognormal(0.5, 0.6, size=d))
-            else:
-                raise ValueError(name)
-        return psi, np.concatenate(rows)
+        draw = {
+            "bernoulli_product": lambda: 1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.2, size=d))),
+            "gaussian_scalar_var": lambda: np.append(
+                rng.normal(0.0, 2.0, size=d), rng.lognormal(0.0, 0.5)
+            ),
+            "gaussian_diag_cov": lambda: np.append(
+                rng.normal(0.0, 2.0, size=d), rng.lognormal(0.0, 0.5, size=d)
+            ),
+            "gamma": lambda: rng.lognormal(0.5, 0.5, size=2),
+            "poisson_product": lambda: rng.lognormal(0.5, 0.6, size=d),
+        }[info.component_family.name]
+        return pi[:-1], np.concatenate([draw() for _ in range(c)])
     if kind in ("ppca", "simple_fa"):
         info = model.info
         psi = np.array([rng.lognormal(0.0, 0.4)])
@@ -647,18 +636,19 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
     return psi, theta
 
 
-def _default_z_samples(model: GenerativeModel, count: int, rng: np.random.Generator):
-    support = model.latent_support
-    if isinstance(support, FiniteStates):
-        return support.states
-    return rng.normal(0.0, 1.0, size=(count, support.dim))
-
-
 _EPS = np.finfo(float).eps
 
 
-def _relative(res: float, target: np.ndarray) -> float:
-    return res / max(1.0, math.sqrt(target @ target))
+def _relative_residual(solve, a: np.ndarray, b, what: str, full_rank: int) -> float:
+    """solve's residual ||a x - b||, relative to max(1, ||b||); warns when a
+    has a rank below full_rank."""
+    b = np.asarray(b, dtype=float).reshape(-1)
+    res, rank = solve(a, b)
+    if rank < full_rank:
+        warnings.warn(
+            f"{what} rank-deficient (rank {rank}) at a grid point", RuntimeWarning, stacklevel=3
+        )
+    return res / max(1.0, math.sqrt(b @ b))
 
 
 def _merge_blocks(nonzero: np.ndarray, labels: np.ndarray):
@@ -754,106 +744,72 @@ class _BlockLstsq:
         self._empty = row_order[m - rows_in[n] :]
 
 
-def check_criterion(
-    model: GenerativeModel,
-    psi_grid=None,
-    theta_grid=None,
-    z_samples=None,
-    seed: int = 0,
-) -> CriterionReport:
-    """Least-squares test of the two column-space conditions on grids.
+def _grid_points(model: GenerativeModel, zs: np.ndarray, rng: np.random.Generator):
+    """(psi, theta, zeta(psi), eta(zs, theta)) at the model's own parameters,
+    then at seeded _random_params draws: up to CRITERION_GRID_POINTS points
+    from at most 50 CRITERION_GRID_POINTS draws. A draw whose maps raise a
+    domain error or are non-finite is skipped; the model's own point is not."""
+    psi, theta = model.prior.params, model.noise.params
+    yield psi, theta, model.prior.zeta(psi), model.noise.eta(zs, theta)
+    points = 1
+    for _ in range(50 * CRITERION_GRID_POINTS):
+        if points == CRITERION_GRID_POINTS:
+            return
+        with np.errstate(all="ignore"):
+            psi, theta = _random_params(model, rng)
+            try:
+                zeta, eta = model.prior.zeta(psi), model.noise.eta(zs, theta)
+            except (DomainError, FloatingPointError, ValueError):
+                continue
+        if np.all(np.isfinite(zeta)) and np.all(np.isfinite(eta)):
+            points += 1
+            yield psi, theta, zeta, eta
+
+
+def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
+    """Least-squares test of the two column-space conditions on a seeded grid.
 
     The prior part solves zeta(psi) = J_zeta(psi) alpha per grid point; the
     noise part solves ONE shared beta over the system stacked across all
-    z_samples (beta may not depend on the latent value). Residuals are
-    relative to max(1, ||target||); passes iff both stay below
-    CRITERION_THRESHOLD. Grids default to the model's own parameters plus
-    seeded random draws, up to CRITERION_GRID_POINTS points. Finite latents
-    test every state; real latents draw max(16, 2 P) z, P being the size of
-    the criterion subset, and explicit real z_samples need at least 2 P.
+    latent samples z (beta may not depend on the latent value), on the grid
+    of _grid_points. Residuals are relative to max(1, ||target||); passes
+    iff both stay below CRITERION_THRESHOLD. Finite latents test every
+    state; real latents first draw max(16, 2 P) z, P being the size of the
+    criterion subset, so that one shared beta is identified.
 
-    Both parts solve block by block (_BlockLstsq). Columns that no nonzero
-    row joins are independent, so a stacked SBN Jacobian splits into one
-    block of S rows per observable and a mixture's into one or more blocks
-    per component; a dense Jacobian (PPCA, the tied-weight SBN) is one block.
-    The partition comes from the first grid point and is merged where a
-    later point's nonzeros cross it; each point's blocks go to batched SVDs
-    before the next point's Jacobian is built. The residual and rank equal
-    one dense lstsq over the whole stack, up to roundoff.
+    Both parts solve block by block (_BlockLstsq): a stacked SBN Jacobian
+    splits into one block of S rows per observable, a mixture's into one or
+    more per component. Each point is solved before the next point's
+    Jacobian is built; residual and rank equal one dense lstsq, up to roundoff.
     """
     rng = np.random.default_rng(seed)
-    if psi_grid is None or theta_grid is None:
-        probe_z = _default_z_samples(model, 1, rng)[:1]
+    support = model.latent_support
+    if isinstance(support, FiniteStates):
+        zs = support.states
+    else:
+        count = max(16, 2 * model.noise.theta_subset.size)
+        zs = rng.normal(0.0, 1.0, size=(count, support.dim))
 
-        def valid(p, t):
-            try:
-                ok_p = np.all(np.isfinite(model.prior.zeta(np.asarray(p, dtype=float))))
-                ok_t = np.all(
-                    np.isfinite(model.noise.eta(probe_z, np.asarray(t, dtype=float)))
-                )
-            except (DomainError, FloatingPointError, ValueError):
-                return False
-            return bool(ok_p and ok_t)
-
-        psis = [model.prior.params]
-        thetas = [model.noise.params]
-        attempts = 0
-        with np.errstate(all="ignore"):
-            while len(psis) < CRITERION_GRID_POINTS and attempts < 50 * CRITERION_GRID_POINTS:
-                attempts += 1
-                p, t = _random_params(model, rng)
-                if valid(p, t):
-                    psis.append(p)
-                    thetas.append(t)
-        psi_grid = psis if psi_grid is None else psi_grid
-        theta_grid = thetas if theta_grid is None else theta_grid
-    if len(psi_grid) == 0 or len(theta_grid) == 0:
-        raise ValueError("grids must be non-empty")
-    s_dim = model.noise.theta_subset.size
-    if z_samples is None:
-        z_samples = _default_z_samples(model, max(16, 2 * s_dim), rng)
-    zs = np.asarray(z_samples)
-    if len(zs) < 2 * s_dim and isinstance(model.latent_support, RealVector):
-        raise ValueError(f"need at least {2 * s_dim} z samples, got {len(zs)}")
-
-    prior_residual = 0.0
-    solve = _BlockLstsq()
-    for psi in psi_grid:
-        psi = np.asarray(psi, dtype=float)
-        target = np.asarray(model.prior.zeta(psi), dtype=float)
+    prior_solve, noise_solve = _BlockLstsq(), _BlockLstsq()
+    prior_residual = noise_residual = 0.0
+    points = 0
+    for psi, theta, zeta, eta in _grid_points(model, zs, rng):
+        points += 1
         jac = jacobian_zeta(model, psi)
-        res, rank = solve(jac, target)
-        if rank < min(jac.shape):
-            warnings.warn(
-                f"prior Jacobian rank-deficient (rank {rank}) at a grid point",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        prior_residual = max(prior_residual, _relative(res, target))
-
-    noise_residual = 0.0
-    solve = _BlockLstsq()
-    for theta in theta_grid:
-        theta = np.asarray(theta, dtype=float)
+        prior = _relative_residual(prior_solve, jac, zeta, "prior Jacobian", min(jac.shape))
         stacked = jacobian_eta(model, zs, theta)
         stacked = stacked.reshape(-1, stacked.shape[-1])
-        target = np.asarray(model.noise.eta(zs, theta), dtype=float).reshape(-1)
-        res, rank = solve(stacked, target)
-        n_params = stacked.shape[1]
+        noise = _relative_residual(
+            noise_solve, stacked, eta, "stacked noise Jacobian", stacked.shape[1]
+        )
         del stacked  # so the next point's Jacobian is built without this one
-        if rank < n_params:
-            warnings.warn(
-                f"stacked noise Jacobian rank-deficient (rank {rank}) at a grid point",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        noise_residual = max(noise_residual, _relative(res, target))
+        prior_residual, noise_residual = max(prior_residual, prior), max(noise_residual, noise)
 
     return CriterionReport(
         prior_residual=prior_residual,
         noise_residual=noise_residual,
         passes=bool(max(prior_residual, noise_residual) < CRITERION_THRESHOLD),
-        tested_points=len(psi_grid) + len(theta_grid),
+        tested_points=2 * points,
         threshold=CRITERION_THRESHOLD,
     )
 

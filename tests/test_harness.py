@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +410,24 @@ def _ppca_with_two_points_in_two_dimensions(raw, _):
     raw["data"]["n"] = 2
 
 
+def _write_rows(path, rows):
+    """A dataset CSV holding rows, under the header for their column count."""
+    header = ",".join(f"x{i + 1}" for i in range(len(rows[0])))
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
+
+
+def _dataset_outside_support(model, rows):
+    """An edit that trains model on a file dataset whose cells lie outside
+    its observation family's support."""
+
+    def edit(raw, tmp_path):
+        _write_rows(tmp_path / "support.csv", rows)
+        raw.update(model=model, data={"source": "file", "path": str(tmp_path / "support.csv")})
+
+    return edit
+
+
 def _summary_holding_a_number(raw, tmp_path):
     (tmp_path / "summary.json").write_text("7\n")
 
@@ -417,7 +437,19 @@ def _model(base, **fields):
     return lambda raw, _: raw.update(model={**base, **fields})
 
 
+def _mixture(family, data_dim, component_params):
+    return {
+        "kind": "ef_mixture",
+        "component_family": family,
+        "data_dim": data_dim,
+        "weights": [0.5, 0.5],
+        "component_params": component_params,
+    }
+
+
 SBN = {"kind": "sbn", "pi": [0.5], "w": [[1.0], [0.5]]}
+POISSON_MIXTURE = _mixture("poisson_product", 1, [[1.0], [6.0]])
+GAMMA_MIXTURE = _mixture("gamma", 1, [[2.0, 1.0], [5.0, 2.0]])
 PPCA = {"kind": "ppca", "w": [[1.0], [0.5]], "mu": [0.0, 0.0], "sigma2": 0.5}
 RIGID_SBN = {"kind": "rigid_sbn", "pi": 0.5, "v": 0.0}
 ONE_GAUSSIAN = {
@@ -455,6 +487,13 @@ USER_ERRORS = [
         "config.training.seed",
         "training-seed-bool",
     ),
+    # elbo_rel_tol is the constant learning.ELBO_REL_TOL.
+    _case(
+        "train",
+        lambda raw, _: raw["training"].update(elbo_rel_tol=1e-12),
+        "config.training: unknown keys ['elbo_rel_tol']",
+        "elbo-rel-tol",
+    ),
     _case(
         "train",
         lambda raw, _: raw["training"].update(max_iters=2.5),
@@ -472,6 +511,28 @@ USER_ERRORS = [
     _case("train", lambda raw, _: raw["data"].update(n=0), "config.data.n", "train-empty"),
     _case("verify", lambda raw, _: raw["data"].update(n=0), "config.data.n", "verify-empty"),
     _case("train", _dataset_with_two_columns, "config.data.path", "train-dataset-columns"),
+    # Cells outside the observation family's support.
+    *[
+        _case(
+            command,
+            _dataset_outside_support(POISSON_MIXTURE, [[2], [1.5]]),
+            "config.data.path: poisson observations must be non-negative integers",
+            f"{command}-poisson-fraction",
+        )
+        for command in ("train", "verify")
+    ],
+    _case(
+        "train",
+        _dataset_outside_support(SBN, [[0, 1], [0.5, 1]]),
+        "config.data.path: bernoulli observations must be 0/1",
+        "train-sbn-half",
+    ),
+    _case(
+        "verify",
+        _dataset_outside_support(GAMMA_MIXTURE, [[1.0], [-1]]),
+        "config.data.path: gamma observations must be positive",
+        "verify-gamma-negative",
+    ),
     _case("verify", _dataset_with_two_columns, "config.data.path", "verify-dataset-columns"),
     # Blocks of the wrong JSON type. An edit that returns a value replaces
     # the whole config with it.
@@ -547,6 +608,12 @@ USER_ERRORS = [
     _case("train", _ppca_with_two_points_in_two_dimensions, "config.data.n", "ppca-n-equals-d"),
     _case(
         "train",
+        lambda raw, _: raw.update(model=PPCA, training={"init": "model"}),
+        "config.training.init: ppca starts from its closed form",
+        "ppca-init-model",
+    ),
+    _case(
+        "train",
         lambda raw, _: raw["data"].update(n=1),
         "config.data.n: component",
         "gmm-one-point",
@@ -597,7 +664,6 @@ def _fuzz_config(model, data=None):
         "data": data or {"source": "synthetic", "seed": 1, "n": 10},
         "training": {
             "max_iters": 5,
-            "elbo_rel_tol": 1e-12,
             "grad_norm_tol": 1e-7,
             "seed": 0,
             "record_every": 1,
@@ -674,6 +740,64 @@ def test_a_field_of_another_json_type_is_a_config_error(data):
         hns.parse_config(raw)
     where = ".".join(("config",) + path)
     assert str(info.value).startswith(f"{where}:"), (where, value, str(info.value))
+
+
+# Every trainable model; the SBN and the PPCA observe two coordinates.
+TRAINABLE = {
+    "gaussian": _mixture("gaussian_diag_cov", 2, [[-1.0, 0.0, 1.0, 1.0], [1.0, 0.5, 0.5, 2.0]]),
+    "bernoulli": _mixture("bernoulli_product", 2, [[0.2, 0.7], [0.8, 0.4]]),
+    "poisson": _mixture("poisson_product", 2, [[1.0, 4.0], [6.0, 0.5]]),
+    "gamma": GAMMA_MIXTURE,
+    "sbn": SBN,
+    "ppca": PPCA,
+}
+# Finite cells of every kind: small integers (in and out of discrete
+# supports), halves, and wide floats of either sign. A dataset draws all its
+# cells from one of these, so that some datasets lie inside every support
+# and training runs.
+_CELLS = [
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.floats(1e-3, 1e6),
+    st.one_of(
+        st.integers(-2, 3),
+        st.sampled_from([0.5, 1.5, -0.5]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(TRAINABLE)), data=st.data())
+def test_a_file_dataset_never_fails_train_or_verify_internally(name, data):
+    model = TRAINABLE[name]
+    d = model.get("data_dim", 2)
+    cells = data.draw(st.sampled_from(_CELLS))
+    rows = data.draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=12))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # The criterion's rank-deficiency diagnostic is a RuntimeWarning by
+        # design, which a plain CLI run prints before exiting 0; numpy's
+        # floating-point warnings still raise.
+        warnings.filterwarnings(
+            "ignore", "(prior|stacked noise) Jacobian rank-deficient", RuntimeWarning
+        )
+        path = os.path.join(tmp, "data.csv")
+        _write_rows(path, rows)
+        cfg = {
+            "schema_version": 1,
+            "run_id": "fuzz",
+            "model": model,
+            "data": {"source": "file", "path": path},
+            "training": {"max_iters": 50},
+            "output": {"dir": tmp},
+        }
+        config = write_config(tmp, cfg)
+        code = cli_main(["train", "--config", config, "--quiet"])
+        assert code in (0, 2), (name, rows)
+        if code == 0:
+            model_path = os.path.join(tmp, "model.json")
+            code = cli_main(["verify", "--config", config, "--model", model_path, "--quiet"])
+            assert code in (0, 2), (name, rows)
 
 
 class TestTrainVerifyAgreement:

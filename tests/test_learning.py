@@ -81,6 +81,39 @@ class TestEmMixture:
         report = obj.elbo_terms(fit.model, data, fit.q)
         assert report.gap <= 1e-6 * max(1.0, abs(report.elbo))
 
+    # Component 0 holds the point x = 1 with mass 1e-300 only, so its
+    # variance, probability or rate lands about 1e-300 from the domain's
+    # edge. Two points 2e-129 apart give a variance of 1e-258: far above
+    # their rounding, but 0.5 / sigma2 would be squared past the float range.
+    @pytest.mark.parametrize(
+        "family, comp, data, resp",
+        [
+            *[
+                (family, comp, [[0.0], [1.0]], [[1.0, 0.0], [1e-300, 1.0]])
+                for family, comp in [
+                    (fam.gaussian_scalar_var(1), [0.0, 1.0]),
+                    (fam.gaussian_diag_cov(1), [0.0, 1.0]),
+                    (fam.bernoulli_product(1), [0.5]),
+                    (fam.poisson_product(1), [1.0]),
+                ]
+            ],
+            (fam.gaussian_scalar_var(1), [0.0, 1.0], [[1e-129], [3e-129]], [[0.5, 0.5]] * 2),
+            (fam.gaussian_diag_cov(1), [0.0, 1.0], [[1e-129], [3e-129]], [[0.5, 0.5]] * 2),
+        ],
+        ids=[
+            "gaussian-point-mass",
+            "diag-point-mass",
+            "bernoulli-constant",
+            "poisson-zero",
+            "gaussian-past-float-range",
+            "diag-past-float-range",
+        ],
+    )
+    def test_component_at_the_edge_of_its_domain_collapses(self, family, comp, data, resp):
+        model = mdl.make_ef_mixture(family, [0.5, 0.5], np.array([comp, comp]))
+        with pytest.raises(DegenerateDataError, match="component 0 collapsed"):
+            lrn.mixture_m_step(model, np.array(data), np.array(resp))
+
     def test_monotone_elbo(self):
         truth, data = separated_gmm(seed=4)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=4, record_every=1))
@@ -178,6 +211,12 @@ class TestGammaShapeNewton:
         with pytest.raises(NewtonConvergenceError):
             lrn.gamma_shape_newton(0.0)
 
+    def test_rounding_level_s_rejected(self):
+        # Identical gamma observations leave s at rounding level, where the
+        # shape equation's slope rounds to zero.
+        with pytest.raises(NewtonConvergenceError, match="flat"):
+            lrn.gamma_shape_newton(2.0**-53)
+
 
 class TestFitPpca:
     def test_variance_recovery(self):
@@ -192,6 +231,12 @@ class TestFitPpca:
         data = np.random.default_rng(9).normal(size=(100, 3))
         with pytest.raises(DegenerateDataError):
             lrn.fit_ppca(data, 3, lrn.TrainingConfig())
+
+    def test_data_on_an_h_dimensional_line_rejected(self):
+        # Rank-one data leave sigma2 at rounding level for h = 1.
+        data = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.5]])
+        with pytest.raises(DegenerateDataError, match="rank too low"):
+            lrn.fit_ppca(data, 1, lrn.TrainingConfig())
 
     def test_closed_form_likelihood_identity(self):
         w = np.array([[1.2, 0.0], [0.4, 0.9], [-0.5, 0.3], [0.0, -0.7]])
@@ -353,7 +398,7 @@ class TestGradNorm:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_iters": 0}, {"elbo_rel_tol": 0.0}, {"grad_norm_tol": -1.0}, {"record_every": 0}],
+        [{"max_iters": 0}, {"grad_norm_tol": -1.0}, {"record_every": 0}],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,32 +286,25 @@ class TestCriterion:
         assert report.tested_points == 16
 
     def test_permutation_invariance(self):
+        # The block solver's worst residual over a grid does not depend on
+        # the order of the grid points or of the stacked latent states.
         model = mdl.make_sbn([0.3], np.array([[0.5], [1.5], [-0.7]]), [0.2, 0.0, -0.1])
         rng = np.random.default_rng(5)
-        psis = [model.prior.params] + [
-            1.0 / (1.0 + np.exp(-rng.normal(size=1))) for _ in range(5)
-        ]
         thetas = [model.noise.params] + [
             model.noise.params + rng.normal(size=model.noise.params.size) for _ in range(5)
         ]
-        zs = list(mdl.enumerate_binary_states(1))
-        fwd = mdl.check_criterion(model, psis, thetas, zs)
-        rev = mdl.check_criterion(model, psis[::-1], thetas[::-1], zs[::-1])
-        assert fwd.passes == rev.passes
-        assert fwd.prior_residual == pytest.approx(rev.prior_residual, abs=1e-12)
-        assert fwd.noise_residual == pytest.approx(rev.noise_residual, abs=1e-12)
+        zs = mdl.enumerate_binary_states(1)
 
-    def test_real_latents_need_twice_the_subset_in_z_samples(self):
-        # One latent draw cannot identify PPCA's shared coefficient for its
-        # one-parameter criterion subset; two can.
-        ppca = mdl.make_ppca(np.array([[1.0], [0.5]]), np.zeros(2), 0.5)
-        with pytest.raises(ValueError, match="need at least 2 z samples, got 1"):
-            mdl.check_criterion(ppca, z_samples=np.ones((1, 1)))
-        assert mdl.check_criterion(ppca, z_samples=np.array([[1.0], [-0.5]])).passes
+        def worst(thetas, zs):
+            solve = mdl._BlockLstsq()
+            residuals = []
+            for theta in thetas:
+                jac = mdl.jacobian_eta(model, zs, theta)
+                res, _ = solve(jac.reshape(-1, jac.shape[-1]), model.noise.eta(zs, theta).ravel())
+                residuals.append(res)
+            return max(residuals)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            mdl.check_criterion(gmm_1d(), psi_grid=[], theta_grid=[])
+        assert worst(thetas, zs) == pytest.approx(worst(thetas[::-1], zs[::-1]), abs=1e-12)
 
     def test_custom_model_with_hand_written_jacobians_passes(self):
         # Hand-assembled model: Bernoulli latent whose natural parameter is
@@ -517,8 +511,9 @@ class TestCriterionSolves:
         # At z = 0 every weight column of the SBN Jacobian vanishes; only the
         # two offsets remain.
         model = mdl.make_sbn([0.4, 0.7], np.array([[0.5, -1.0], [1.2, 0.3]]), [0.1, -0.4])
+        model = replace(model, latent_support=mdl.FiniteStates(np.zeros((3, 2))))
         with pytest.warns(RuntimeWarning, match="noise Jacobian rank-deficient \\(rank 2\\)"):
-            report = mdl.check_criterion(model, z_samples=np.zeros((3, 2)), seed=0)
+            report = mdl.check_criterion(model, seed=0)
         assert report.passes
 
 

@@ -456,12 +456,13 @@ class TestBatchedStateTables:
         )
 
     def test_criterion_calls_eta_once_per_theta_grid_point(self):
+        # Each grid point's eta serves both the draw's finiteness check and
+        # the solve's target, over all states at once.
         calls = []
         model = self.counted_sbn(calls)
-        thetas = [model.noise.params, model.noise.params + 0.1, model.noise.params - 0.2]
-        report = mdl.check_criterion(model, [model.prior.params], thetas)
-        assert report.passes
-        assert calls == [1024, 1024, 1024]
+        report = mdl.check_criterion(model)
+        assert report.passes and report.tested_points == 2 * mdl.CRITERION_GRID_POINTS
+        assert calls == [1024] * mdl.CRITERION_GRID_POINTS
 
 
 class TestEntropyRows:
