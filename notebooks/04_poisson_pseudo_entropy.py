@@ -27,10 +27,10 @@ _, data = mdl.sample_joint(truth, rng, 400)
 
 # The two objectives differ by the data's mean log base measure -- at every
 # parameter setting, not only at convergence.
-q0 = obj.exact_posterior(truth, data)
-std = obj.elbo_terms(truth, data, q0)
-pse = obj.pseudo_elbo_terms(truth, data, q0)
-offset = obj.mean_log_base_measure(truth, data)
+ev = obj.evaluator(truth, data)
+q0 = ev.posterior(truth)
+std, pse = ev.report(truth, q0), ev.report(truth, q0, pseudo=True)
+offset = ev.mean_log_h
 print("elbo                      :", std.elbo)
 print("pseudo elbo               :", pse.elbo)
 print("difference                :", pse.elbo - std.elbo)
@@ -39,16 +39,16 @@ print("-(1/N) sum log h(x)       :", -offset)
 fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(max_iters=2000, seed=11))
 print("\nconverged:", fit.trace.converged)
 
-final_std = obj.elbo_terms(fit.model, data, fit.q)
-final_pse = obj.pseudo_elbo_terms(fit.model, data, fit.q)
+final_std = ev.report(fit.model, fit.q)
+final_pse = ev.report(fit.model, fit.q, pseudo=True)
 print("standard gap at fixed point:", final_std.gap, " (entropy sum needs truncation)")
 print("pseudo   gap at fixed point:", final_pse.gap, " (all terms closed-form)")
 
 # Reconstruct the closed-form right-hand side by hand.
 weights = mdl.mixture_weights(fit.model)
 rates = mdl.mixture_component_params(fit.model)
-qbar = fit.q.resp.mean(axis=0)
-avg_h_q = float(np.mean(-np.sum(fit.q.resp * np.log(fit.q.resp + 1e-300), axis=1)))
+qbar = fit.q.mean(axis=0)
+avg_h_q = float(np.mean(-np.sum(fit.q * np.log(fit.q + 1e-300), axis=1)))
 prior_h = -float(np.sum(weights * np.log(weights)))
 noise_term = float(sum(qb * np.sum(lam * (1 - np.log(lam))) for qb, lam in zip(qbar, rates)))
 print("\nclosed-form pseudo entropy sum:", avg_h_q - prior_h - noise_term)

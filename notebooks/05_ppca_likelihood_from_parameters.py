@@ -27,7 +27,8 @@ fit = lrn.fit_ppca(data, 2, lrn.TrainingConfig(seed=5, max_iters=2000))
 w, mu, sigma2, tau = mdl.ppca_components(fit.model)
 print("recovered noise variance:", sigma2, " (truth 0.7)")
 
-direct = obj.marginal_loglik(fit.model, data)
+ev = obj.evaluator(fit.model, data)
+direct = ev.marginal_loglik(fit.model)
 formula = -0.5 * np.linalg.slogdet(w.T @ w / sigma2 + np.eye(2))[1] - 2.5 * np.log(
     2 * np.pi * np.e * sigma2
 )
@@ -36,11 +37,11 @@ print("log-likelihood from parameters :", formula)
 print("difference                     :", abs(direct - formula))
 
 # Exact posteriors make the ELBO tight, so the entropy-sum value matches too.
-report = obj.elbo_terms(fit.model, data, fit.q)
+report = ev.report(fit.model, fit.q)
 print("\nelbo with exact posteriors     :", report.elbo)
 print("entropy sum                    :", report.entropy_sum)
 print("gap                            :", report.gap)
 
 print("\nEM-refined vs eigen solution (likelihoods):")
-print("  eigen:", obj.marginal_loglik(fit.model, data))
-print("  EM   :", obj.marginal_loglik(fit.em_model, data))
+print("  eigen:", direct)
+print("  EM   :", ev.marginal_loglik(fit.em_model))

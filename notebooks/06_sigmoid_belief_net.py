@@ -30,11 +30,12 @@ for r in fit.trace.records[:6] + fit.trace.records[-2:]:
 pi, w, mu = mdl.sbn_components(fit.model)
 print("\nfitted latent probability:", pi, " weights:", w.ravel(), " offsets:", mu)
 
-report = obj.elbo_terms(fit.model, data, fit.q)
+ev = obj.evaluator(fit.model, data)
+report = ev.report(fit.model, fit.q)
 print("\nelbo            :", report.elbo)
 print("entropy sum     :", report.entropy_sum)
 print("absolute gap    :", report.gap)
-print("marginal loglik :", obj.marginal_loglik(fit.model, data))
+print("marginal loglik :", ev.marginal_loglik(fit.model))
 
 # Enumeration scales to ~a thousand states; the ELBO stays exactly tight.
 rng = np.random.default_rng(7)
@@ -42,8 +43,8 @@ wide = mdl.make_sbn(
     rng.uniform(0.3, 0.7, size=10), 0.8 * rng.normal(size=(6, 10)), 0.3 * rng.normal(size=6)
 )
 _, xs = mdl.sample_joint(wide, rng, 50)
-q = obj.exact_posterior(wide, xs)
+ev = obj.evaluator(wide, xs)
 print(
     "\nH=10 (1024 states): |elbo - loglik| =",
-    abs(obj.elbo_terms(wide, xs, q).elbo - obj.marginal_loglik(wide, xs)),
+    abs(ev.elbo(wide, ev.posterior(wide)) - ev.marginal_loglik(wide)),
 )

@@ -90,6 +90,8 @@ _POISSON_WINDOW_SDS = 10.0
 _POISSON_WINDOW_PAD = 30
 _POISSON_TAIL_MASS = 1e-13
 _POISSON_ASYMPTOTIC_RATE = 1e4
+# The largest |x| whose square, a Gaussian sufficient statistic, is finite.
+_GAUSSIAN_DATA_MAX = math.sqrt(np.finfo(float).max)
 
 
 def gammaln(x):
@@ -440,6 +442,8 @@ def batch_sufficient_stats(family: FamilyDescriptor, data) -> np.ndarray:
             raise SupportError("bernoulli observations must be 0/1")
         return data.copy()
     if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+        if data.size and np.max(np.abs(data)) > _GAUSSIAN_DATA_MAX:
+            raise SupportError(f"gaussian observations must lie within +-{_GAUSSIAN_DATA_MAX:.4g}")
         return np.hstack([data, data * data])
     if name == "gamma":
         if data.size and not np.all(data > 0.0):

@@ -554,8 +554,7 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
 
     out = _resolve_out(config, out_dir)
     ev = obj.evaluator(fitted, data)
-    table = ev.state_table(fitted, q)
-    standard, pseudo = ev.report(fitted, table), ev.report(fitted, table, pseudo=True)
+    standard, pseudo = ev.report(fitted, q), ev.report(fitted, q, pseudo=True)
     last = trace.last() if trace.records else None
     report = {
         "run_id": config.run_id,

@@ -56,6 +56,7 @@ __all__ = [
     "SbnInfo",
     "RigidSbnInfo",
     "enumerate_binary_states",
+    "collapsed_component",
     "make_ef_mixture",
     "make_ppca",
     "make_simple_fa",
@@ -246,6 +247,34 @@ def _natural_prior(family: FamilyDescriptor, psi) -> PriorSpec:
 # Constructors.
 
 
+# mu / sigma2 and 0.5 / sigma2 get squared and multiplied in the Gaussian
+# formulas, so they must stay below a quarter of sqrt(float max).
+_GAUSSIAN_NATURAL_MAX = 0.25 * math.sqrt(np.finfo(float).max)
+
+
+def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
+    """The first mixture component within rounding of its domain's edge (a
+    Gaussian point mass, a zero Poisson rate, a constant Bernoulli
+    coordinate) or with Gaussian naturals past _GAUSSIAN_NATURAL_MAX; None if
+    there is none. Rounding is relative to each coordinate's weighted mean or
+    mean square. make_ef_mixture and the EM M-step refuse such a component."""
+    eps, d = np.finfo(float).eps, family.data_dim
+    if family.name == "bernoulli_product":
+        near = np.minimum(rows, 1.0 - rows) <= eps
+    elif family.name == "poisson_product":
+        near = rows <= eps * (weights @ rows)
+    elif family.name.startswith("gaussian"):
+        mu, var = rows[:, :d], rows[:, d:]  # one shared var column for gaussian_scalar_var
+        with np.errstate(over="ignore"):  # an infinite product decides as a finite one would
+            near = (var <= eps * eps * (weights @ (mu * mu + var))) | (
+                np.maximum(np.abs(mu), 0.5) >= _GAUSSIAN_NATURAL_MAX * var
+            )
+    else:
+        return None
+    hit = near.any(axis=1)
+    return int(hit.argmax()) if hit.any() else None
+
+
 def make_ef_mixture(
     component_family: FamilyDescriptor,
     weights,
@@ -254,7 +283,8 @@ def make_ef_mixture(
     """Categorical latent over C components of one exponential family.
 
     weights is the full length-C probability vector (every entry positive,
-    summing to one); component_params is a (C, standard_dim) array.
+    summing to one); component_params is a (C, standard_dim) array, and no
+    component may lie at the edge of its domain (collapsed_component).
     """
     weights = np.asarray(weights, dtype=float)
     c = weights.size
@@ -272,6 +302,9 @@ def make_ef_mixture(
             f"component_params must have shape ({c}, {ldim}), got {comp.shape}"
         )
     fam.check_standard(component_family, comp)
+    collapsed = collapsed_component(component_family, comp, weights)
+    if collapsed is not None:
+        raise DomainError(f"component {collapsed} lies at the edge of its domain")
 
     def eta(z, theta):
         rows = fam.to_natural(component_family, theta.reshape(c, ldim))

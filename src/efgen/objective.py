@@ -1,5 +1,11 @@
 """ELBO evaluation, entropy-sum right-hand sides, and their gap.
 
+evaluator(model, data) is the one way in: it returns the model's exact
+evaluator, whose methods give every quantity below. The variational
+distribution q enters as per-point probabilities: for finite states the
+(N, S) row-stochastic table that posterior() returns or a caller supplies,
+for the linear-Gaussian models GaussianMoments.
+
 The ELBO is computed exactly, never by Monte Carlo: finite-state summation
 for mixtures and sigmoid belief nets (all 2^H states enumerated), closed-form
 Gaussian moment algebra for the linear-Gaussian models. It is split into
@@ -18,7 +24,7 @@ whose gap |elbo - rhs| closes at stationary points of training. The pseudo
 variant drops the observation base measure from the noise log-densities and
 replaces entropies with their base-measure-reweighted counterparts, which
 stay closed-form even for Poisson observables; the two variants differ by
-exactly the data's mean log base measure.
+exactly the data's mean log base measure, the evaluator's mean_log_h.
 
 For finite states the noise term reads q only through each state's mass
 w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n):
@@ -27,14 +33,15 @@ last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s).
 
 Two evaluators share one interface (posterior, state_table, terms, elbo,
-entropy_sum, report, kl_form, marginal_loglik, gradient, grad_norm):
+entropy_sum, report, marginal_loglik, mean_log_h, gradient, grad_norm):
 FiniteObjective sums over the enumerated states of mixtures and sigmoid
 belief nets, and GaussianObjective does the moment algebra of the
 linear-Gaussian models.
-evaluator() picks one from the model's latent support. The public functions
-below and the training loop all go through them, so reports and verify
-recompute a trained model's ELBO, entropy sum and stationarity gradient with
-the arithmetic training recorded them with.
+evaluator() picks one from the model's latent support. The training loop,
+the reports and verify all go through them, so verify recomputes a trained
+model's ELBO, entropy sum and stationarity gradient with the arithmetic
+training recorded them with. exact_posterior, elbo_terms and
+pseudo_elbo_terms remain only as names the benchmark's tracer wraps.
 
 The stationarity gradient is exact, with q held fixed. For finite states it
 is the moment-matching identity of exponential families (Wainwright and
@@ -54,18 +61,10 @@ import numpy as np
 from . import families as fam
 from . import models as mdl
 from .errors import IncompatibilityError, UnsupportedModelError
-from .models import (
-    FiniteStates,
-    GenerativeModel,
-    fa_components,
-    ppca_components,
-)
+from .models import FiniteStates, GenerativeModel, fa_components, ppca_components
 
 __all__ = [
-    "CategoricalTable",
-    "EnumeratedTable",
     "GaussianMoments",
-    "VariationalState",
     "ObjectiveReport",
     "FiniteObjective",
     "GaussianObjective",
@@ -74,48 +73,9 @@ __all__ = [
     "exact_posterior",
     "elbo_terms",
     "pseudo_elbo_terms",
-    "elbo_kl_form",
-    "entropy_sum_rhs",
-    "pseudo_entropy_sum_rhs",
-    "marginal_loglik",
-    "pseudo_loglik",
-    "mean_log_base_measure",
 ]
 
 _ROW_NORM_TOL = 1e-9
-
-
-def _check_rows_normalized(p: np.ndarray, what: str):
-    if p.ndim != 2:
-        raise ValueError(f"{what} must be 2-D")
-    if p.shape[0] == 0:
-        return
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError(f"{what} entries must lie in [0, 1]")
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > _ROW_NORM_TOL:
-        raise ValueError(f"{what} rows must sum to 1")
-
-
-@dataclass(frozen=True)
-class CategoricalTable:
-    """Per-point responsibilities over mixture components, shape (N, C)."""
-
-    resp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "resp", np.asarray(self.resp, dtype=float))
-        _check_rows_normalized(self.resp, "responsibilities")
-
-
-@dataclass(frozen=True)
-class EnumeratedTable:
-    """Per-point probabilities over all enumerated latent states, shape (N, S)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        _check_rows_normalized(self.probs, "state probabilities")
 
 
 @dataclass(frozen=True)
@@ -145,9 +105,6 @@ class GaussianMoments:
             raise ValueError("cov must be positive definite") from None
 
 
-VariationalState = Union[CategoricalTable, EnumeratedTable, GaussianMoments]
-
-
 @dataclass(frozen=True)
 class ObjectiveReport:
     f1: float
@@ -170,26 +127,6 @@ def _check_data(model: GenerativeModel, data) -> np.ndarray:
             f"data must be (N, {model.noise.family.data_dim}), got {data.shape}"
         )
     return data
-
-
-def _finite_states(model: GenerativeModel) -> np.ndarray:
-    if not isinstance(model.latent_support, FiniteStates):
-        raise IncompatibilityError(f"{model.model_kind} has no finite latent states")
-    return model.latent_support.states
-
-
-def _as_state_table(model: GenerativeModel, q: VariationalState) -> np.ndarray:
-    """Probabilities over the model's finite states, shape (N, S)."""
-    s_count = len(_finite_states(model))
-    if isinstance(q, CategoricalTable):
-        if model.model_kind != "ef_mixture" or q.resp.shape[1] != s_count:
-            raise IncompatibilityError("responsibility table does not match the model")
-        return q.resp
-    if isinstance(q, EnumeratedTable):
-        if q.probs.shape[1] != s_count:
-            raise IncompatibilityError("enumerated table does not match the state count")
-        return q.probs
-    raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
 
 
 def noise_expectation(family, etas: np.ndarray, mass: np.ndarray, stats: np.ndarray):
@@ -274,19 +211,17 @@ class FiniteObjective(_Objective):
     many points, every reduction over the points then runs over contiguous
     memory, and terms, gradient and entropy_sum read one layout.
 
-    f3 and the gradient read q through noise_expectation(); only posterior,
-    marginal_loglik and kl_form (the tests' reference for terms) build the
-    (N, S) log-likelihood table.
+    f3 and the gradient read q through noise_expectation(); only posterior
+    and marginal_loglik build the (N, S) log-likelihood table.
     """
 
     def __init__(self, model: GenerativeModel, data=None):
-        self.states = _finite_states(model)
+        if not isinstance(model.latent_support, FiniteStates):
+            raise IncompatibilityError(f"{model.model_kind} has no finite latent states")
+        self.states = model.latent_support.states
         prior = model.prior.family
         self.prior_t = fam.batch_sufficient_stats(prior, self.states)
         self.prior_log_h = fam.batch_log_base_measure(prior, self.states)
-        self._state_type = (
-            CategoricalTable if model.model_kind == "ef_mixture" else EnumeratedTable
-        )
         noise = model.noise.family
         self.n = None
         self.t, self.log_h = np.zeros((0, noise.natural_dim)), np.zeros(0)
@@ -315,26 +250,29 @@ class FiniteObjective(_Objective):
             self._model, self._tables = model, (etas, log_parts, log_prior)
         return self._tables
 
-    def state_table(self, model: GenerativeModel, q: VariationalState) -> np.ndarray:
-        """q's probabilities over the states, shape (N, S) states-major, checked against N."""
-        table = _as_state_table(model, q)
+    def state_table(self, model: GenerativeModel, q) -> np.ndarray:
+        """q checked as an (N, S) table over the states, entries in [0, 1] and
+        rows summing to 1, and returned states-major."""
+        table = np.asarray(q, dtype=float)
+        if table.ndim != 2 or table.shape[1] != len(self.states):
+            raise IncompatibilityError(f"q must be (N, {len(self.states)}), got {table.shape}")
         self._check_n(len(table))
+        if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails too
+            raise ValueError("q's entries must lie in [0, 1]")
+        if len(table) and np.max(np.abs(table.sum(axis=1) - 1.0)) > _ROW_NORM_TOL:
+            raise ValueError("q's rows must sum to 1")
         return np.asfortranarray(table)
 
-    def variational(self, table: np.ndarray) -> VariationalState:
-        """The table as the model's public variational state."""
-        return self._state_type(table)
-
-    def loglik(self, model: GenerativeModel, pseudo: bool = False) -> np.ndarray:
-        """(N, S) log p(x_n | s), states-major; the pseudo variant drops the base measure."""
+    def loglik(self, model: GenerativeModel) -> np.ndarray:
+        """(N, S) log p(x_n | s) - log h(x_n), states-major."""
         etas, log_parts, _ = self.tables(model)
         ll = etas @ self.t.T
         ll -= log_parts[:, None]
-        return (ll if pseudo else ll + self.log_h).T
+        return ll.T
 
     def posterior(self, model: GenerativeModel) -> np.ndarray:
         """The exact posterior over the states, shape (N, S) states-major."""
-        scores = self.loglik(model, pseudo=True).T
+        scores = self.loglik(model).T
         scores += self.tables(model)[2][:, None]
         scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
@@ -382,14 +320,11 @@ class FiniteObjective(_Objective):
             - float(qbar @ noise_entropies)
         )
 
-    def kl_form(self, model: GenerativeModel, table: np.ndarray) -> float:
-        """Expected log-likelihood minus the mean KL(q_n || prior)."""
-        expected_ll = float(np.mean(np.sum(table * self.loglik(model), axis=1)))
-        kl_rows = -_entropy_rows(table) - table @ self.tables(model)[2]
-        return expected_ll - float(np.mean(kl_rows))
-
     def marginal_loglik(self, model: GenerativeModel) -> float:
-        scores = self.loglik(model, pseudo=True) + self.tables(model)[2] + self.log_h[:, None]
+        """(1/N) sum_n log p(x_n), the states summed out."""
+        if not self.n:
+            raise ValueError("marginal log-likelihood of an empty dataset")
+        scores = self.loglik(model) + self.tables(model)[2] + self.log_h[:, None]
         return float(np.mean(fam.logsumexp(scores, axis=1)))
 
 
@@ -423,6 +358,8 @@ class GaussianObjective(_Objective):
     standard ones and `pseudo` only labels the report.
     """
 
+    mean_log_h = 0.0
+
     def __init__(self, model: GenerativeModel, data=None):
         self.data = None if data is None else _check_data(model, data)
         self.n = None if data is None else len(self.data)
@@ -434,16 +371,13 @@ class GaussianObjective(_Objective):
         cov = 0.5 * (cov + cov.T)
         return GaussianMoments(((self.data - mu) / s2s) @ w @ cov, cov)
 
-    def state_table(self, model: GenerativeModel, q: VariationalState) -> GaussianMoments:
+    def state_table(self, model: GenerativeModel, q) -> GaussianMoments:
         """q itself, checked against the model's latent dimension and N."""
         if not isinstance(q, GaussianMoments):
             raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
         if q.means.shape[1] != model.latent_support.dim:
             raise IncompatibilityError("latent dimension mismatch")
         self._check_n(len(q.means))
-        return q
-
-    def variational(self, q: GaussianMoments) -> GaussianMoments:
         return q
 
     def terms(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
@@ -489,15 +423,10 @@ class GaussianObjective(_Objective):
         noise_entropy = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * s2s)))
         return _q_entropy(q) - prior_entropy - noise_entropy
 
-    def kl_form(self, model: GenerativeModel, q: GaussianMoments) -> float:
-        """Expected log-likelihood minus KL(q || prior), the KL in closed form."""
-        tau = _gaussian_model_parts(model)[3]
-        h = q.means.shape[1]
-        _, logdet = np.linalg.slogdet(q.cov)
-        kl = 0.5 * (_second_moment(q) / tau - h + h * math.log(tau) - logdet)
-        return -self.terms(model, q)[2] - kl
-
     def marginal_loglik(self, model: GenerativeModel) -> float:
+        """(1/N) sum_n log p(x_n) under the Gaussian marginal."""
+        if not self.n:
+            raise ValueError("marginal log-likelihood of an empty dataset")
         w, mu, s2s, tau = _gaussian_model_parts(model)
         d = w.shape[0]
         cov = tau * (w @ w.T) + np.diag(s2s)
@@ -524,77 +453,23 @@ def evaluator(model: GenerativeModel, data=None) -> Union[FiniteObjective, Gauss
     raise UnsupportedModelError(f"{model.model_kind} admits no exact ELBO here")
 
 
-def exact_posterior(model: GenerativeModel, data) -> VariationalState:
-    """The model's exact per-point posterior in the matching representation."""
-    ev = evaluator(model, data)
-    return ev.variational(ev.posterior(model))
+# exact_posterior, elbo_terms and pseudo_elbo_terms are not called by the
+# library: the benchmark's tracer (perfbench/tracer.py) looks each one up by
+# name, and they go when its targets are moved to the evaluators.
 
 
-def _rhs(model: GenerativeModel, q: VariationalState, pseudo: bool) -> float:
-    ev = evaluator(model)
-    return ev.entropy_sum(model, ev.state_table(model, q), pseudo)
+def exact_posterior(model: GenerativeModel, data):
+    """The model's exact per-point posterior, as its evaluator returns it."""
+    return evaluator(model, data).posterior(model)
 
 
-def entropy_sum_rhs(model: GenerativeModel, q: VariationalState) -> float:
-    """Average variational entropy minus prior entropy minus expected noise entropy."""
-    return _rhs(model, q, pseudo=False)
-
-
-def pseudo_entropy_sum_rhs(model: GenerativeModel, q: VariationalState) -> float:
-    """Entropy-sum expression with base-measure-reweighted entropies.
-
-    The latent-side families here all carry unit base measures, so the
-    variational term is the plain entropy; only the noise term changes.
-    """
-    return _rhs(model, q, pseudo=True)
-
-
-def _report(model, data, q, pseudo: bool) -> ObjectiveReport:
-    ev = evaluator(model, data)
-    return ev.report(model, ev.state_table(model, q), pseudo)
-
-
-def elbo_terms(model: GenerativeModel, data, q: VariationalState) -> ObjectiveReport:
+def elbo_terms(model: GenerativeModel, data, q) -> ObjectiveReport:
     """Exact three-term ELBO evaluation with the entropy-sum comparison."""
-    return _report(model, data, q, pseudo=False)
+    ev = evaluator(model, data)
+    return ev.report(model, ev.state_table(model, q))
 
 
-def pseudo_elbo_terms(model: GenerativeModel, data, q: VariationalState) -> ObjectiveReport:
+def pseudo_elbo_terms(model: GenerativeModel, data, q) -> ObjectiveReport:
     """ELBO under the reweighted observation measure (base measure dropped)."""
-    return _report(model, data, q, pseudo=True)
-
-
-def elbo_kl_form(model: GenerativeModel, data, q: VariationalState) -> float:
-    """Expected log-likelihood minus KL(q || prior); equals elbo_terms().elbo."""
     ev = evaluator(model, data)
-    return ev.kl_form(model, ev.state_table(model, q))
-
-
-def mean_log_base_measure(model: GenerativeModel, data) -> float:
-    """(1/N) sum_n log h(x_n) under the model's observation family."""
-    data = _check_data(model, data)
-    if len(data) == 0:
-        return 0.0
-    return float(np.mean(fam.batch_log_base_measure(model.noise.family, data)))
-
-
-def marginal_loglik(model: GenerativeModel, data) -> float:
-    """(1/N) sum_n log p(x_n) by exact marginalization.
-
-    Finite sums for finite-latent models, the Gaussian marginal for the
-    linear-Gaussian ones; anything else is unsupported.
-    """
-    ev = evaluator(model, data)
-    if ev.n == 0:
-        raise ValueError("marginal log-likelihood of an empty dataset")
-    return ev.marginal_loglik(model)
-
-
-def pseudo_loglik(model: GenerativeModel, data) -> float:
-    """Marginal log-likelihood under the reweighted observation measure.
-
-    Differs from the standard one by the parameter-free constant
-    (1/N) sum_n log h(x_n).
-    """
-    return marginal_loglik(model, data) - mean_log_base_measure(model, data)
-
+    return ev.report(model, ev.state_table(model, q), pseudo=True)

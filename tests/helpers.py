@@ -4,7 +4,8 @@ The four checks here (gradient vs finite differences, normalization, entropy
 vs quadrature/summation, pseudo-entropy relation) are used both by the unit
 tests and by the acceptance suite. Each returns the worst absolute error over
 the supplied grid so callers can assert their own tolerance. The ELBO
-gradient oracle checks the evaluators' exact gradients the same way.
+gradient oracle checks the evaluators' exact gradients the same way, and
+kl_form is the reference for their three-term ELBO.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy import integrate
 
 from efgen import families as fam
 from efgen import models as mdl
+from efgen import objective as obj
 
 # pyproject.toml's filterwarnings reach only the pytest process; Python
 # subprocesses that tests start get the same filters as interpreter flags.
@@ -236,6 +238,25 @@ def rowwise_posterior(ev, model):
     table = np.exp(scores)
     table /= table.sum(axis=1, keepdims=True)
     return table
+
+
+def kl_form(ev, model, q):
+    """The ELBO as expected log-likelihood minus the mean KL(q_n || prior).
+
+    A second route to ev.elbo: finite states read the (N, S) log-likelihood
+    table, which terms never builds, and the linear-Gaussian models take the
+    KL in closed form.
+    """
+    if isinstance(ev, obj.FiniteObjective):
+        loglik = ev.loglik(model) + ev.log_h[:, None]
+        expected_ll = float(np.mean(np.sum(q * loglik, axis=1)))
+        kl_rows = -entropy_rows_reference(q) - q @ ev.tables(model)[2]
+        return expected_ll - float(np.mean(kl_rows))
+    tau = model.prior.params[0]
+    h = q.means.shape[1]
+    second_moment = np.trace(q.cov) + np.mean(np.sum(q.means**2, axis=1))
+    kl = 0.5 * (second_moment / tau - h + h * math.log(tau) - np.linalg.slogdet(q.cov)[1])
+    return -ev.terms(model, q)[2] - kl
 
 
 def dense_lstsq(a, b):

@@ -58,7 +58,7 @@ def test_acceptance_1_mixture_gap_at_stationarity():
         fit = lrn.em_mixture(truth, data, cfg)
         assert fit.trace.converged, f"seed {seed}: {fit.trace.stop_reason}"
         assert fit.trace.last().grad_norm < 1e-7
-        report = obj.elbo_terms(fit.model, data, fit.q)
+        report = obj.evaluator(fit.model, data).report(fit.model, fit.q)
         rel = report.gap / max(1.0, abs(report.elbo))
         worst = max(worst, rel)
         assert rel <= 1e-6, f"seed {seed}: relative gap {rel:.3e}"
@@ -79,7 +79,7 @@ def test_acceptance_2_sbn_gap_at_stationarity():
     fit = lrn.fit_sbn(truth, data, cfg)
     assert fit.trace.converged, fit.trace.stop_reason
     assert fit.trace.last().grad_norm < 1e-7
-    report = obj.elbo_terms(fit.model, data, fit.q)
+    report = obj.evaluator(fit.model, data).report(fit.model, fit.q)
     rel = report.gap / max(1.0, abs(report.elbo))
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -99,16 +99,16 @@ def test_acceptance_3_poisson_pseudo_gap_and_offset_identity():
             fam.poisson_product(2), [0.4, 0.6], np.array([[1.5, 7.0], [8.0, 0.8]])
         )
         _, data = mdl.sample_joint(truth, rng, 400)
-        offset = obj.mean_log_base_measure(truth, data)
+        ev = obj.evaluator(truth, data)
+        offset = ev.mean_log_h
 
         # Offset identity along the EM path, checked at every iterate.
         model = truth
-        q = obj.exact_posterior(model, data)
+        q = ev.posterior(model)
         for _ in range(25):
-            model = lrn.mixture_m_step(model, data, q.resp)
-            q = obj.exact_posterior(model, data)
-            std = obj.elbo_terms(model, data, q)
-            pse = obj.pseudo_elbo_terms(model, data, q)
+            model = lrn.mixture_m_step(model, data, q)
+            q = ev.posterior(model)
+            std, pse = ev.report(model, q), ev.report(model, q, pseudo=True)
             err = abs(pse.elbo - (std.elbo - offset))
             worst_offset = max(worst_offset, err)
             assert err <= 1e-10
@@ -117,7 +117,7 @@ def test_acceptance_3_poisson_pseudo_gap_and_offset_identity():
             truth, data, lrn.TrainingConfig(max_iters=3000, seed=seed, record_every=10_000)
         )
         assert fit.trace.converged, f"seed {seed}: {fit.trace.stop_reason}"
-        pse = obj.pseudo_elbo_terms(fit.model, data, fit.q)
+        pse = ev.report(fit.model, fit.q, pseudo=True)
         rel = pse.gap / max(1.0, abs(pse.elbo))
         worst_gap = max(worst_gap, rel)
         assert rel <= 1e-6, f"seed {seed}: pseudo gap {rel:.3e}"
@@ -215,23 +215,21 @@ def test_acceptance_7_exact_posterior_tightness():
     errors = {}
     gmm = _gmm_truth(3, 2, np.random.default_rng(70))
     _, data = mdl.sample_joint(gmm, np.random.default_rng(70), 300)
-    q = obj.exact_posterior(gmm, data)
-    errors["mixture"] = abs(obj.elbo_terms(gmm, data, q).elbo - obj.marginal_loglik(gmm, data))
+    ev = obj.evaluator(gmm, data)
+    errors["mixture"] = abs(ev.elbo(gmm, ev.posterior(gmm)) - ev.marginal_loglik(gmm))
 
     ppca = mdl.make_ppca(np.random.default_rng(71).normal(size=(4, 2)), np.zeros(4), 0.5)
     _, data = mdl.sample_joint(ppca, np.random.default_rng(71), 500)
-    q = obj.exact_posterior(ppca, data)
-    errors["ppca"] = abs(obj.elbo_terms(ppca, data, q).elbo - obj.marginal_loglik(ppca, data))
+    ev = obj.evaluator(ppca, data)
+    errors["ppca"] = abs(ev.elbo(ppca, ev.posterior(ppca)) - ev.marginal_loglik(ppca))
 
     rng = np.random.default_rng(72)
     sbn = mdl.make_sbn(
         rng.uniform(0.3, 0.7, size=10), rng.normal(size=(6, 10)) * 0.8, rng.normal(size=6) * 0.3
     )
     _, data = mdl.sample_joint(sbn, rng, 50)
-    q = obj.exact_posterior(sbn, data)
-    errors["sbn_1024_states"] = abs(
-        obj.elbo_terms(sbn, data, q).elbo - obj.marginal_loglik(sbn, data)
-    )
+    ev = obj.evaluator(sbn, data)
+    errors["sbn_1024_states"] = abs(ev.elbo(sbn, ev.posterior(sbn)) - ev.marginal_loglik(sbn))
     worst = max(errors.values())
     _verdict(
         7,
@@ -247,14 +245,15 @@ def test_acceptance_8_gap_detects_nonstationarity():
     _, data = mdl.sample_joint(truth, rng, 500)
     fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(max_iters=3000, seed=80))
     assert fit.trace.converged
-    converged_report = obj.elbo_terms(fit.model, data, fit.q)
+    ev = obj.evaluator(fit.model, data)
+    converged_report = ev.report(fit.model, fit.q)
     assert converged_report.gap <= 1e-6 * max(1.0, abs(converged_report.elbo))
     bumped = mdl.replace_params(
         fit.model,
         psi=fit.model.prior.params + 0.1,
         theta=fit.model.noise.params + 0.1,
     )
-    report = obj.elbo_terms(bumped, data, fit.q)
+    report = ev.report(bumped, fit.q)
     _verdict(
         8,
         "perturbation yields a visible gap",

@@ -417,15 +417,21 @@ def _write_rows(path, rows):
         fh.write("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
 
 
-def _dataset_outside_support(model, rows):
-    """An edit that trains model on a file dataset whose cells lie outside
-    its observation family's support."""
+def _file_dataset(model, rows):
+    """An edit that runs model on a file dataset holding rows."""
 
     def edit(raw, tmp_path):
-        _write_rows(tmp_path / "support.csv", rows)
-        raw.update(model=model, data={"source": "file", "path": str(tmp_path / "support.csv")})
+        _write_rows(tmp_path / "rows.csv", rows)
+        raw.update(model=model, data={"source": "file", "path": str(tmp_path / "rows.csv")})
 
     return edit
+
+
+def _collapsed_model_file(raw, tmp_path):
+    """Verify a model file whose first component is a point mass; the
+    config's own model is fine."""
+    model = {**raw["model"], "component_params": [[1.0, 1e-200], [5.0, 1.0]]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
 
 
 def _summary_holding_a_number(raw, tmp_path):
@@ -515,7 +521,7 @@ USER_ERRORS = [
     *[
         _case(
             command,
-            _dataset_outside_support(POISSON_MIXTURE, [[2], [1.5]]),
+            _file_dataset(POISSON_MIXTURE, [[2], [1.5]]),
             "config.data.path: poisson observations must be non-negative integers",
             f"{command}-poisson-fraction",
         )
@@ -523,17 +529,51 @@ USER_ERRORS = [
     ],
     _case(
         "train",
-        _dataset_outside_support(SBN, [[0, 1], [0.5, 1]]),
+        _file_dataset(SBN, [[0, 1], [0.5, 1]]),
         "config.data.path: bernoulli observations must be 0/1",
         "train-sbn-half",
     ),
     _case(
         "verify",
-        _dataset_outside_support(GAMMA_MIXTURE, [[1.0], [-1]]),
+        _file_dataset(GAMMA_MIXTURE, [[1.0], [-1]]),
         "config.data.path: gamma observations must be positive",
         "verify-gamma-negative",
     ),
     _case("verify", _dataset_with_two_columns, "config.data.path", "verify-dataset-columns"),
+    # Cells whose statistics overflow: a Gaussian square, the squared
+    # distances of k-means++ seeding, or a PPCA covariance.
+    *[
+        _case(
+            "train",
+            _file_dataset(model, [[1], [2], [big], [3]]),
+            f"config.data.path: {message}",
+            f"train-{name}-{big:g}",
+        )
+        for name, model, message in (
+            ("gaussian", gmm_config(".")["model"], "gaussian observations must lie within"),
+            ("poisson", POISSON_MIXTURE, "observations too large for k-means++ seeding"),
+        )
+        for big in (1e300, 1e200)
+    ],
+    _case(
+        "train",
+        _file_dataset(PPCA, [[1, 2], [1e300, 3], [3, 1], [0.5, 7]]),
+        "config.data.path: observations too large",
+        "train-ppca-1e+300",
+    ),
+    # A Gaussian component at the edge of its domain, from either route.
+    _case(
+        "train",
+        lambda raw, _: raw["model"].update(component_params=[[1.0, 1e-200], [5.0, 1.0]]),
+        "config.model: component 0 lies at the edge of its domain",
+        "train-point-mass-component",
+    ),
+    _case(
+        "verify",
+        _collapsed_model_file,
+        "model.json: component 0 lies at the edge of its domain",
+        "verify-point-mass-model-file",
+    ),
     # Blocks of the wrong JSON type. An edit that returns a value replaces
     # the whole config with it.
     _case("train", lambda raw, _: 5, "config: must be a JSON object", "config-number"),
@@ -632,8 +672,9 @@ def test_user_errors_exit_2_with_field_path(tmp_path, capsys, command, edit, fie
         args = [command, "--config", write_config(tmp_path, raw), "--quiet"]
     if command == "verify":
         model_path = os.path.join(tmp_path, "model.json")
-        with open(model_path, "w") as fh:
-            json.dump(raw["model"], fh)
+        if not os.path.exists(model_path):  # the edit wrote no model file of its own
+            with open(model_path, "w") as fh:
+                json.dump(raw["model"], fh)
         args += ["--model", model_path]
     assert cli_main(args) == 2
     err = capsys.readouterr().err

@@ -31,7 +31,7 @@ class TestEmMixture:
         # Gap/stationarity coupling holds at the trace level too: the recorded
         # relative gap vanishes wherever the recorded gradient norm does.
         assert last.gap <= 1e-6
-        report = obj.elbo_terms(fit.model, data, fit.q)
+        report = obj.evaluator(fit.model, data).report(fit.model, fit.q)
         assert report.gap <= 1e-6 * max(1.0, abs(report.elbo))
 
     def test_single_component_degenerate(self):
@@ -42,8 +42,9 @@ class TestEmMixture:
         data = rng.normal(2.0, 1.5, size=(200, 1))
         fit = lrn.em_mixture(model, data, lrn.TrainingConfig(seed=1))
         assert fit.trace.converged
-        assert obj.elbo_terms(fit.model, data, fit.q).elbo == pytest.approx(
-            obj.marginal_loglik(fit.model, data), abs=1e-10
+        ev = obj.evaluator(fit.model, data)
+        assert ev.elbo(fit.model, fit.q) == pytest.approx(
+            ev.marginal_loglik(fit.model), abs=1e-10
         )
         mu, s2 = mdl.mixture_component_params(fit.model)[0]
         assert mu == pytest.approx(data.mean(), abs=1e-10)
@@ -65,7 +66,7 @@ class TestEmMixture:
         _, data = mdl.sample_joint(truth, np.random.default_rng(3), 400)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=3))
         assert fit.trace.converged
-        pse = obj.pseudo_elbo_terms(fit.model, data, fit.q)
+        pse = obj.evaluator(fit.model, data).report(fit.model, fit.q, pseudo=True)
         assert pse.gap <= 1e-6 * max(1.0, abs(pse.elbo))
 
     def test_gamma_mixture_reaches_stationary_point(self):
@@ -78,7 +79,7 @@ class TestEmMixture:
         _, data = mdl.sample_joint(truth, np.random.default_rng(20), 600)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=20, max_iters=3000))
         assert fit.trace.converged, fit.trace.stop_reason
-        report = obj.elbo_terms(fit.model, data, fit.q)
+        report = obj.evaluator(fit.model, data).report(fit.model, fit.q)
         assert report.gap <= 1e-6 * max(1.0, abs(report.elbo))
 
     # Component 0 holds the point x = 1 with mass 1e-300 only, so its
@@ -143,7 +144,7 @@ class TestEmMixture:
                 rb.gap,
                 rb.grad_norm,
             )
-        np.testing.assert_array_equal(a.q.resp, b.q.resp)
+        np.testing.assert_array_equal(a.q, b.q)
 
     @pytest.mark.parametrize("trainer", ["em_mixture", "fit_ppca", "fit_sbn"])
     def test_iteration_cap_not_converged(self, trainer):
@@ -244,7 +245,7 @@ class TestFitPpca:
         _, data = mdl.sample_joint(truth, np.random.default_rng(10), 3000)
         fit = lrn.fit_ppca(data, 2, lrn.TrainingConfig(seed=10))
         w_ml, _, s2, _ = mdl.ppca_components(fit.model)
-        direct = obj.marginal_loglik(fit.model, data)
+        direct = obj.evaluator(fit.model, data).marginal_loglik(fit.model)
         d = 4
         formula = -0.5 * np.linalg.slogdet(w_ml.T @ w_ml / s2 + np.eye(2))[1] - (
             d / 2.0
@@ -256,8 +257,9 @@ class TestFitPpca:
         truth = mdl.make_ppca(w, np.zeros(3), 0.4)
         _, data = mdl.sample_joint(truth, np.random.default_rng(11), 2000)
         fit = lrn.fit_ppca(data, 1, lrn.TrainingConfig(seed=11, max_iters=5000))
-        l_eigen = obj.marginal_loglik(fit.model, data)
-        l_em = obj.marginal_loglik(fit.em_model, data)
+        ev = obj.evaluator(fit.model, data)
+        l_eigen = ev.marginal_loglik(fit.model)
+        l_em = ev.marginal_loglik(fit.em_model)
         assert l_em == pytest.approx(l_eigen, abs=1e-8)
 
     def test_gap_closes_at_ml_solution(self):
@@ -265,8 +267,9 @@ class TestFitPpca:
         truth = mdl.make_ppca(w, np.zeros(3), 0.6)
         _, data = mdl.sample_joint(truth, np.random.default_rng(12), 4000)
         fit = lrn.fit_ppca(data, 1, lrn.TrainingConfig(seed=12))
-        report = obj.elbo_terms(fit.model, data, fit.q)
-        assert lrn.grad_norm_all_params(fit.model, data, fit.q) < 1e-6
+        ev = obj.evaluator(fit.model, data)
+        report = ev.report(fit.model, fit.q)
+        assert ev.grad_norm(fit.model, fit.q) < 1e-6
         assert report.gap <= 1e-6 * max(1.0, abs(report.elbo))
 
 
@@ -274,8 +277,8 @@ class TestFitSbn:
     def test_flat_model_posterior_equals_prior(self):
         model = mdl.make_sbn([0.5, 0.5], np.zeros((3, 2)), np.zeros(3))
         data = np.random.default_rng(13).integers(0, 2, size=(20, 3)).astype(float)
-        q = obj.exact_posterior(model, data)
-        np.testing.assert_allclose(q.probs, 0.25, atol=1e-12)
+        q = obj.evaluator(model, data).posterior(model)
+        np.testing.assert_allclose(q, 0.25, atol=1e-12)
 
     def test_single_latent_training_reaches_stationary_point(self):
         truth = mdl.make_sbn([0.35], np.array([[2.0], [-1.5]]), np.array([0.3, -0.2]))
@@ -284,7 +287,7 @@ class TestFitSbn:
         assert fit.trace.converged, fit.trace.stop_reason
         last = fit.trace.last()
         assert last.grad_norm < 1e-7
-        report = obj.elbo_terms(fit.model, data, fit.q)
+        report = obj.evaluator(fit.model, data).report(fit.model, fit.q)
         assert report.gap <= 1e-5 * max(1.0, abs(report.elbo))
 
     def test_saturating_observables_survive_training(self):
@@ -299,7 +302,7 @@ class TestFitSbn:
         _, data = mdl.sample_joint(truth, rng, 200)
         data[:, 0] = 1.0
         fit = lrn.fit_sbn(truth, data, lrn.TrainingConfig(max_iters=300, seed=9, record_every=50))
-        report = obj.elbo_terms(fit.model, data, fit.q)
+        report = obj.evaluator(fit.model, data).report(fit.model, fit.q)
         assert np.isfinite(report.entropy_sum) and np.isfinite(report.elbo)
         assert all(np.isfinite(r.entropy_sum) for r in fit.trace.records)
         elbos = [r.elbo for r in fit.trace.records]
@@ -376,13 +379,14 @@ class TestGradNorm:
     def test_fixed_point_small_perturbed_large(self):
         truth, data = separated_gmm(seed=16)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=16))
-        assert lrn.grad_norm_all_params(fit.model, data, fit.q) < 1e-7
+        ev = obj.evaluator(fit.model, data)
+        assert ev.grad_norm(fit.model, fit.q) < 1e-7
         bumped = mdl.replace_params(
             fit.model,
             psi=fit.model.prior.params + 0.1,
             theta=fit.model.noise.params + 0.1,
         )
-        assert lrn.grad_norm_all_params(bumped, data, fit.q) > 1e-3
+        assert ev.grad_norm(bumped, fit.q) > 1e-3
 
     def test_two_point_single_component_closed_form_ml(self):
         # Smallest dataset with an interior ML point; the closed-form fit is
@@ -391,8 +395,8 @@ class TestGradNorm:
         model = mdl.make_ef_mixture(
             fam.gaussian_scalar_var(1), [1.0], np.array([[1.0, 1.0]])
         )
-        q = obj.CategoricalTable(np.ones((2, 1)))
-        assert lrn.grad_norm_all_params(model, data, q) < 1e-9
+        ev = obj.evaluator(model, data)
+        assert ev.grad_norm(model, ev.state_table(model, np.ones((2, 1)))) < 1e-9
 
 
 class TestConfigValidation:

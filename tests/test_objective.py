@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from efgen import families as fam
+from efgen import learning as lrn
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import IncompatibilityError, UnsupportedModelError
@@ -18,6 +19,7 @@ from helpers import (
     dense_lstsq,
     elbo_gradient_oracle,
     entropy_rows_reference,
+    kl_form,
     rowwise_posterior,
 )
 
@@ -133,13 +135,19 @@ def random_point(kind, seed, n=25):
     return model, data, ev, q
 
 
+def report_at(model, data, q):
+    """The evaluator's report at a caller's q, checked by state_table."""
+    ev = obj.evaluator(model, data)
+    return ev.report(model, ev.state_table(model, q))
+
+
 class TestElboTerms:
     def test_gmm_exact_posterior_is_tight_against_oracle(self):
         model = gmm()
         rng = np.random.default_rng(0)
         _, data = mdl.sample_joint(model, rng, 400)
-        q = obj.exact_posterior(model, data)
-        report = obj.elbo_terms(model, data, q)
+        ev = obj.evaluator(model, data)
+        report = ev.report(model, ev.posterior(model))
         oracle = gmm_loglik_oracle(model, data)
         assert report.elbo == pytest.approx(oracle, abs=1e-10)
         assert report.elbo == pytest.approx(report.f1 - report.f2 - report.f3, abs=1e-12)
@@ -147,21 +155,74 @@ class TestElboTerms:
     def test_uniform_q_uniform_prior_gives_prior_entropy(self):
         model = gmm(weights=(0.5, 0.5))
         data = np.array([[0.0], [1.0], [2.0]])
-        q = obj.CategoricalTable(np.full((3, 2), 0.5))
-        report = obj.elbo_terms(model, data, q)
+        report = report_at(model, data, np.full((3, 2), 0.5))
         assert report.f2 == pytest.approx(math.log(2.0), abs=1e-13)
 
     def test_single_state_latent_f1_zero(self):
         model = mdl.make_ef_mixture(fam.gaussian_scalar_var(1), [1.0], np.array([[0.0, 1.0]]))
         data = np.array([[0.7]])
-        q = obj.CategoricalTable(np.ones((1, 1)))
-        report = obj.elbo_terms(model, data, q)
+        report = report_at(model, data, np.ones((1, 1)))
         assert report.f1 == 0.0
         assert report.elbo == pytest.approx(gmm_loglik_oracle(model, data), abs=1e-12)
 
     def test_incompatible_state_rejected(self):
         with pytest.raises(IncompatibilityError):
-            obj.elbo_terms(gmm(), np.zeros((2, 1)), obj.CategoricalTable(np.ones((2, 3)) / 3))
+            report_at(gmm(), np.zeros((2, 1)), np.ones((2, 3)) / 3)
+
+
+class TestStateTable:
+    """FiniteObjective.state_table checks a caller's q once."""
+
+    @pytest.mark.parametrize(
+        "q, error, match",
+        [
+            (np.full(2, 0.5), IncompatibilityError, r"q must be \(N, 2\)"),
+            (np.full((2, 3), 1.0 / 3.0), IncompatibilityError, r"q must be \(N, 2\)"),
+            (np.full((3, 2), 0.5), ValueError, "disagree on N"),
+            (np.array([[1.5, -0.5], [0.5, 0.5]]), ValueError, r"\[0, 1\]"),
+            (np.array([[np.nan, np.nan], [0.5, 0.5]]), ValueError, r"\[0, 1\]"),
+            (np.array([[0.5, 0.4], [0.5, 0.5]]), ValueError, "sum to 1"),
+        ],
+        ids=["one-dimensional", "state-count", "point-count", "outside-unit", "nan", "unnormalised"],
+    )
+    def test_rejects(self, q, error, match):
+        model = gmm()
+        ev = obj.evaluator(model, np.zeros((2, 1)))
+        with pytest.raises(error, match=match):
+            ev.state_table(model, q)
+
+    def test_accepts_lists_and_returns_states_major(self):
+        model = gmm()
+        ev = obj.evaluator(model, np.zeros((2, 1)))
+        table = ev.state_table(model, [[0.25, 0.75], [1.0, 0.0]])
+        assert table.T.flags.c_contiguous
+        np.testing.assert_array_equal(table, [[0.25, 0.75], [1.0, 0.0]])
+
+    def test_without_data_any_n(self):
+        model = sbn()
+        ev = obj.evaluator(model)
+        assert ev.state_table(model, np.full((7, 4), 0.25)).shape == (7, 4)
+
+
+class TestTracedFunctions:
+    """exact_posterior, elbo_terms, pseudo_elbo_terms and
+    learning.grad_norm_all_params stay for the benchmark's tracer; each
+    returns what the evaluator does."""
+
+    @pytest.mark.parametrize("builder", [poisson_mix, sbn, ppca], ids=lambda b: b.__name__)
+    def test_match_the_evaluator(self, builder):
+        model = builder()
+        _, data = mdl.sample_joint(model, np.random.default_rng(1), 30)
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
+        exact = obj.exact_posterior(model, data)
+        if isinstance(q, np.ndarray):
+            np.testing.assert_array_equal(exact, q)
+        else:
+            np.testing.assert_array_equal(exact.means, q.means)
+        assert obj.elbo_terms(model, data, q) == ev.report(model, q)
+        assert obj.pseudo_elbo_terms(model, data, q) == ev.report(model, q, pseudo=True)
+        assert lrn.grad_norm_all_params(model, data, q) == ev.grad_norm(model, q)
 
 
 class TestKlForm:
@@ -173,34 +234,36 @@ class TestKlForm:
         # below read the (N, S) log-likelihood table.
         model, data, ev, q = random_point(kind, seed)
         elbo = ev.elbo(model, q)
-        assert ev.kl_form(model, q) == pytest.approx(elbo, abs=1e-12 * max(1.0, abs(elbo)))
+        assert kl_form(ev, model, q) == pytest.approx(elbo, abs=1e-12 * max(1.0, abs(elbo)))
         f3 = ev.terms(model, q, pseudo=True)[2]
-        table_f3 = -np.mean(np.sum(q * ev.loglik(model, pseudo=True), axis=1))
+        table_f3 = -np.mean(np.sum(q * ev.loglik(model), axis=1))
         assert f3 == pytest.approx(table_f3, abs=1e-12 * max(1.0, abs(table_f3)))
 
         # Tables are states-major: (N, S) views of C-ordered (S, N) arrays.
         post = ev.posterior(model)
         assert ev.loglik(model).T.flags.c_contiguous and post.T.flags.c_contiguous
-        table = ev.state_table(model, ev.variational(q))
+        table = ev.state_table(model, q)
         assert table.T.flags.c_contiguous and np.array_equal(table, q)
         # A points-major copy of the posterior reads exactly as the states-major one.
-        c_copy = ev.variational(np.ascontiguousarray(post))
-        assert obj.elbo_terms(model, data, c_copy).elbo == ev.elbo(model, post)
+        c_copy = np.ascontiguousarray(post)
+        assert report_at(model, data, c_copy).elbo == ev.elbo(model, post)
         assert np.max(np.abs(post - rowwise_posterior(ev, model))) <= 1e-15
 
     def test_q_equal_to_prior_has_zero_kl(self):
         model = gmm(weights=(0.3, 0.7))
         data = np.array([[0.1], [-0.4]])
-        q = obj.CategoricalTable(np.tile([0.3, 0.7], (2, 1)))
-        ll = obj.FiniteObjective(model, data).loglik(model)
-        expected_ll = float(np.mean(np.sum(q.resp * ll, axis=1)))
-        assert obj.elbo_kl_form(model, data, q) == pytest.approx(expected_ll, abs=1e-12)
+        q = np.tile([0.3, 0.7], (2, 1))
+        ev = obj.FiniteObjective(model, data)
+        ll = ev.loglik(model) + ev.log_h[:, None]
+        expected_ll = float(np.mean(np.sum(q * ll, axis=1)))
+        assert kl_form(ev, model, q) == pytest.approx(expected_ll, abs=1e-12)
 
     def test_ppca_exact_posterior_matches_gaussian_marginal(self):
         model = ppca()
         rng = np.random.default_rng(2)
         _, data = mdl.sample_joint(model, rng, 200)
-        q = obj.exact_posterior(model, data)
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
         w, mu, s2, tau = mdl.ppca_components(model)
         oracle = float(
             np.mean(
@@ -209,9 +272,9 @@ class TestKlForm:
                 )
             )
         )
-        assert obj.elbo_kl_form(model, data, q) == pytest.approx(oracle, abs=1e-9)
-        assert obj.elbo_terms(model, data, q).elbo == pytest.approx(oracle, abs=1e-9)
-        assert obj.marginal_loglik(model, data) == pytest.approx(oracle, abs=1e-10)
+        assert kl_form(ev, model, q) == pytest.approx(oracle, abs=1e-9)
+        assert ev.elbo(model, q) == pytest.approx(oracle, abs=1e-9)
+        assert ev.marginal_loglik(model) == pytest.approx(oracle, abs=1e-10)
 
 
 class TestEntropySumRhs:
@@ -219,38 +282,41 @@ class TestEntropySumRhs:
         model = ppca()
         rng = np.random.default_rng(3)
         _, data = mdl.sample_joint(model, rng, 50)
-        q = obj.exact_posterior(model, data)
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
         _, _, s2, tau = mdl.ppca_components(model)
         h = q.means.shape[1]
         _, logdet = np.linalg.slogdet(q.cov)
         avg_q_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e) + 0.5 * logdet
         prior_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e * tau)
-        noise_term = avg_q_entropy - prior_entropy - obj.entropy_sum_rhs(model, q)
+        noise_term = avg_q_entropy - prior_entropy - ev.entropy_sum(model, q)
         assert noise_term == pytest.approx(1.5 * math.log(2.0 * math.pi * math.e * s2), abs=1e-12)
         # Same constant under a different variational state.
         q2 = obj.GaussianMoments(q.means * 0.1, q.cov * 2.0)
         avg2 = 0.5 * h * math.log(2.0 * math.pi * math.e) + 0.5 * np.linalg.slogdet(q2.cov)[1]
-        noise_term2 = avg2 - prior_entropy - obj.entropy_sum_rhs(model, q2)
+        noise_term2 = avg2 - prior_entropy - ev.entropy_sum(model, q2)
         assert noise_term2 == pytest.approx(noise_term, abs=1e-12)
 
     def test_gamma_mixture_aggregated_noise_entropies(self):
         model = gamma_mix()
         rng = np.random.default_rng(4)
-        q = obj.CategoricalTable(random_table(rng, 30, 2))
-        qbar = q.resp.mean(axis=0)
+        q = random_table(rng, 30, 2)
+        qbar = q.mean(axis=0)
         comps = mdl.mixture_component_params(model)
         manual = (
-            float(np.mean(-np.sum(q.resp * np.log(q.resp), axis=1)))
+            float(np.mean(-np.sum(q * np.log(q), axis=1)))
             - fam.entropy(fam.categorical(2), model.prior.params)
             - sum(qb * fam.entropy(fam.gamma_family(), row) for qb, row in zip(qbar, comps))
         )
-        assert obj.entropy_sum_rhs(model, q) == pytest.approx(manual, abs=1e-12)
+        ev = obj.evaluator(model)
+        assert ev.entropy_sum(model, ev.state_table(model, q)) == pytest.approx(manual, abs=1e-12)
 
     def test_degenerate_single_component(self):
         model = mdl.make_ef_mixture(fam.gaussian_scalar_var(1), [1.0], np.array([[0.3, 2.0]]))
-        q = obj.CategoricalTable(np.ones((5, 1)))
+        ev = obj.evaluator(model)
+        q = ev.state_table(model, np.ones((5, 1)))
         expected = -fam.entropy(fam.gaussian_scalar_var(1), [0.3, 2.0])
-        assert obj.entropy_sum_rhs(model, q) == pytest.approx(expected, abs=1e-12)
+        assert ev.entropy_sum(model, q) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPseudoVariants:
@@ -259,9 +325,9 @@ class TestPseudoVariants:
             model = builder()
             rng = np.random.default_rng(5)
             _, data = mdl.sample_joint(model, rng, 60)
-            q = obj.exact_posterior(model, data)
-            std = obj.elbo_terms(model, data, q)
-            pse = obj.pseudo_elbo_terms(model, data, q)
+            ev = obj.evaluator(model, data)
+            q = ev.posterior(model)
+            std, pse = ev.report(model, q), ev.report(model, q, pseudo=True)
             for field in ("f1", "f2", "f3", "elbo", "entropy_sum", "gap"):
                 assert getattr(std, field) == pytest.approx(
                     getattr(pse, field), abs=1e-12
@@ -270,19 +336,19 @@ class TestPseudoVariants:
     def test_poisson_all_zero_data_offset_vanishes(self):
         model = poisson_mix()
         data = np.zeros((4, 2), dtype=int)
-        q = obj.exact_posterior(model, data)
-        std = obj.elbo_terms(model, data, q)
-        pse = obj.pseudo_elbo_terms(model, data, q)
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
+        std, pse = ev.report(model, q), ev.report(model, q, pseudo=True)
         assert pse.elbo == pytest.approx(std.elbo, abs=1e-12)
 
     def test_poisson_offset_identity(self):
         model = poisson_mix()
         rng = np.random.default_rng(6)
         _, data = mdl.sample_joint(model, rng, 80)
-        q = obj.exact_posterior(model, data)
-        std = obj.elbo_terms(model, data, q)
-        pse = obj.pseudo_elbo_terms(model, data, q)
-        offset = obj.mean_log_base_measure(model, data)
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
+        std, pse = ev.report(model, q), ev.report(model, q, pseudo=True)
+        offset = ev.mean_log_h
         assert pse.elbo == pytest.approx(std.elbo - offset, abs=1e-10)
         # Explicit factorial form of the offset.
         manual = np.mean([sum(math.lgamma(int(v) + 1) for v in row) for row in data])
@@ -291,52 +357,54 @@ class TestPseudoVariants:
     def test_poisson_pseudo_noise_term(self):
         model = poisson_mix()
         rng = np.random.default_rng(7)
-        q = obj.CategoricalTable(random_table(rng, 25, 2))
-        qbar = q.resp.mean(axis=0)
+        q = random_table(rng, 25, 2)
+        qbar = q.mean(axis=0)
         comps = mdl.mixture_component_params(model)
         last_term = sum(
             qb * float(np.sum(lam * (1.0 - np.log(lam)))) for qb, lam in zip(qbar, comps)
         )
         manual = (
-            float(np.mean(-np.sum(q.resp * np.log(q.resp), axis=1)))
+            float(np.mean(-np.sum(q * np.log(q), axis=1)))
             - fam.entropy(fam.categorical(2), model.prior.params)
             - last_term
         )
-        assert obj.pseudo_entropy_sum_rhs(model, q) == pytest.approx(manual, abs=1e-12)
+        ev = obj.evaluator(model)
+        rhs = ev.entropy_sum(model, ev.state_table(model, q), pseudo=True)
+        assert rhs == pytest.approx(manual, abs=1e-12)
 
     def test_unit_rate_components_give_data_dim(self):
         comp = np.ones((2, 2))
         model = mdl.make_ef_mixture(fam.poisson_product(2), [0.5, 0.5], comp)
-        q = obj.CategoricalTable(np.full((10, 2), 0.5))
+        ev = obj.evaluator(model)
+        q = ev.state_table(model, np.full((10, 2), 0.5))
         # last term = D exactly when every rate is 1
         avg_h_q = math.log(2.0)
         prior_h = math.log(2.0)
-        assert obj.pseudo_entropy_sum_rhs(model, q) == pytest.approx(
+        assert ev.entropy_sum(model, q, pseudo=True) == pytest.approx(
             avg_h_q - prior_h - 2.0, abs=1e-12
         )
 
 
 class TestPseudoLoglik:
+    """The pseudo log-likelihood is marginal_loglik minus mean_log_h."""
+
     def test_gmm_no_offset(self):
         model = gmm()
         _, data = mdl.sample_joint(model, np.random.default_rng(8), 50)
-        assert obj.pseudo_loglik(model, data) == pytest.approx(
-            obj.marginal_loglik(model, data), abs=1e-13
-        )
+        assert obj.evaluator(model, data).mean_log_h == 0.0
 
     def test_poisson_toy_offset(self):
         comp = np.array([[1.0], [3.0]])
         model = mdl.make_ef_mixture(fam.poisson_product(1), [0.5, 0.5], comp)
         data = np.array([[0], [1], [2]])
-        diff = obj.pseudo_loglik(model, data) - obj.marginal_loglik(model, data)
-        assert diff == pytest.approx(math.log(2.0) / 3.0, abs=1e-13)
+        assert -obj.evaluator(model, data).mean_log_h == pytest.approx(
+            math.log(2.0) / 3.0, abs=1e-13
+        )
 
     def test_ppca_no_offset(self):
         model = ppca()
         _, data = mdl.sample_joint(model, np.random.default_rng(9), 40)
-        assert obj.pseudo_loglik(model, data) == pytest.approx(
-            obj.marginal_loglik(model, data), abs=1e-13
-        )
+        assert obj.evaluator(model, data).mean_log_h == 0.0
 
     def test_unsupported_model(self):
         model = ppca()
@@ -344,7 +412,14 @@ class TestPseudoLoglik:
             model.prior, model.noise, mdl.RealVector(2), "custom", None
         )
         with pytest.raises(UnsupportedModelError):
-            obj.marginal_loglik(broken, np.zeros((2, 3)))
+            obj.evaluator(broken, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("builder", [gmm, ppca], ids=lambda b: b.__name__)
+    def test_empty_dataset_rejected(self, builder):
+        model = builder()
+        ev = obj.evaluator(model, np.zeros((0, model.noise.family.data_dim)))
+        with pytest.raises(ValueError, match="empty dataset"):
+            ev.marginal_loglik(model)
 
 
 class TestDominanceAndTightness:
@@ -353,23 +428,19 @@ class TestDominanceAndTightness:
         model = builder()
         rng = np.random.default_rng(10)
         _, data = mdl.sample_joint(model, rng, 60)
-        loglik = obj.marginal_loglik(model, data)
+        ev = obj.evaluator(model, data)
+        loglik = ev.marginal_loglik(model)
         states = len(model.latent_support.states)
         for trial in range(5):
-            table = random_table(rng, len(data), states)
-            q = (
-                obj.CategoricalTable(table)
-                if model.model_kind == "ef_mixture"
-                else obj.EnumeratedTable(table)
-            )
-            assert obj.elbo_terms(model, data, q).elbo <= loglik + 1e-9
+            q = ev.state_table(model, random_table(rng, len(data), states))
+            assert ev.elbo(model, q) <= loglik + 1e-9
 
     def test_sbn_enumeration_tightness(self):
         model = sbn(h=3, d=4, seed=11)
         _, data = mdl.sample_joint(model, np.random.default_rng(11), 80)
-        q = obj.exact_posterior(model, data)
-        assert obj.elbo_terms(model, data, q).elbo == pytest.approx(
-            obj.marginal_loglik(model, data), abs=1e-9
+        ev = obj.evaluator(model, data)
+        assert ev.elbo(model, ev.posterior(model)) == pytest.approx(
+            ev.marginal_loglik(model), abs=1e-9
         )
 
 
@@ -377,9 +448,10 @@ class TestStationarityGap:
     def test_nonstationary_parameters_have_visible_gap(self):
         model = gmm()
         _, data = mdl.sample_joint(model, np.random.default_rng(13), 300)
-        q = obj.exact_posterior(model, data)
-        gap_std = obj.elbo_terms(model, data, q).gap
-        gap_pse = obj.pseudo_elbo_terms(model, data, q).gap
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
+        gap_std = ev.report(model, q).gap
+        gap_pse = ev.report(model, q, pseudo=True).gap
         # Ground-truth parameters are not a stationary point of this sample.
         assert gap_std > 1e-3
         assert gap_pse == pytest.approx(gap_std, abs=1e-12)
