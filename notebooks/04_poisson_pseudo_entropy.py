@@ -45,8 +45,8 @@ print("standard gap at fixed point:", final_std.gap, " (entropy sum needs trunca
 print("pseudo   gap at fixed point:", final_pse.gap, " (all terms closed-form)")
 
 # Reconstruct the closed-form right-hand side by hand.
-weights = mdl.mixture_weights(fit.model)
-rates = mdl.mixture_component_params(fit.model)
+args = mdl.constructor_args(fit.model)
+weights, rates = args["weights"], args["component_params"]
 qbar = fit.q.mean(axis=0)
 avg_h_q = float(np.mean(-np.sum(fit.q * np.log(fit.q + 1e-300), axis=1)))
 prior_h = -float(np.sum(weights * np.log(weights)))

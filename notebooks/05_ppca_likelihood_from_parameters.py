@@ -24,7 +24,8 @@ _, data = mdl.sample_joint(truth, rng, 5000)
 data = data - data.mean(axis=0)
 
 fit = lrn.fit_ppca(data, 2, lrn.TrainingConfig(seed=5, max_iters=2000))
-w, mu, sigma2, tau = mdl.ppca_components(fit.model)
+args = mdl.constructor_args(fit.model)
+w, sigma2 = args["w"], args["sigma2"]
 print("recovered noise variance:", sigma2, " (truth 0.7)")
 
 ev = obj.evaluator(fit.model, data)

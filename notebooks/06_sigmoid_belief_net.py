@@ -27,7 +27,8 @@ print(f"{'iter':>5s} {'elbo':>13s} {'rel gap':>10s} {'grad norm':>10s}")
 for r in fit.trace.records[:6] + fit.trace.records[-2:]:
     print(f"{r.iteration:5d} {r.elbo:13.8f} {r.gap:10.2e} {r.grad_norm:10.2e}")
 
-pi, w, mu = mdl.sbn_components(fit.model)
+args = mdl.constructor_args(fit.model)
+pi, w, mu = args["pi"], args["w"], args["mu"]
 print("\nfitted latent probability:", pi, " weights:", w.ravel(), " offsets:", mu)
 
 ev = obj.evaluator(fit.model, data)

@@ -22,6 +22,7 @@ valid-but-unconverged runs), 1 internal failure, 2 user or config error.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ from .errors import (
     EmptyClusterError,
     NewtonConvergenceError,
     SupportError,
+    UnsupportedModelError,
 )
 from .learning import (
     TrainingConfig,
@@ -166,36 +168,59 @@ class ExperimentConfig:
     output_dir: str
 
 
+# Each model kind's JSON fields in reading order, with the type each is read
+# as: a number (0) or a list of them nested 1 or 2 deep, "list or null", a
+# "boolean", or "family" for a mixture's component_family and data_dim, which
+# make one family argument. Every other field is a keyword argument of the
+# kind's models.CONSTRUCTORS entry, and may be left out where it has a default.
+_MODEL_FIELDS = {
+    "ef_mixture": {
+        "component_family": "family",
+        "data_dim": "family",
+        "weights": 1,
+        "component_params": 2,
+    },
+    "ppca": {"w": 2, "mu": 1, "sigma2": 0, "tau": 0},
+    "simple_fa": {"w": 1, "tau": 0, "sigma2s": 1},
+    "sbn": {"offsets_free": "boolean", "pi": 1, "w": 2, "mu": "list or null"},
+    "rigid_sbn": {"pi": 0, "v": 0},
+}
+
+
 def model_to_dict(model: mdl.GenerativeModel) -> dict:
-    kind = model.model_kind
-    if kind == "ef_mixture":
-        info = model.info
-        return {
-            "kind": kind,
-            "component_family": info.component_family.name,
-            "data_dim": info.component_family.data_dim,
-            "weights": mdl.mixture_weights(model).tolist(),
-            "component_params": mdl.mixture_component_params(model).tolist(),
-        }
-    if kind == "ppca":
-        w, mu, sigma2, tau = mdl.ppca_components(model)
-        return {"kind": kind, "w": w.tolist(), "mu": mu.tolist(), "sigma2": sigma2, "tau": tau}
-    if kind == "simple_fa":
-        wv, s2s, tau = mdl.fa_components(model)
-        return {"kind": kind, "w": wv.tolist(), "tau": tau, "sigma2s": s2s.tolist()}
-    if kind == "sbn":
-        pi, w, mu = mdl.sbn_components(model)
-        return {
-            "kind": kind,
-            "pi": pi.tolist(),
-            "w": w.tolist(),
-            "mu": mu.tolist(),
-            "offsets_free": model.info.offsets_free,
-        }
-    if kind == "rigid_sbn":
-        pi, v = mdl.rigid_sbn_components(model)
-        return {"kind": kind, "pi": pi, "v": v}
-    raise ConfigError(f"model kind {kind!r} is not serializable")
+    """The model file's JSON: models.constructor_args, with the family split
+    into component_family and data_dim."""
+    try:
+        args = mdl.constructor_args(model)
+    except UnsupportedModelError:
+        raise ConfigError(f"model kind {model.model_kind!r} is not serializable") from None
+    spec = {"kind": model.model_kind}
+    for key, value in args.items():
+        if isinstance(value, fam.FamilyDescriptor):
+            spec.update(component_family=value.name, data_dim=value.data_dim)
+        else:
+            spec[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return spec
+
+
+def _model_field(spec: dict, key: str, type_: int | str, path: str):
+    """spec[key] read as its _MODEL_FIELDS type."""
+    value = spec[key]
+    if type_ == "family":
+        name = _string(value, f"{path}.{key}")
+        if name not in _FAMILY_FACTORIES:
+            raise ConfigError(f"{path}.{key}: unknown family {name!r}")
+        _check_numbers(spec, path)
+        if name == "gamma" and spec["data_dim"] != 1:
+            raise ConfigError(f"{path}.data_dim: gamma components are scalar")
+        return _FAMILY_FACTORIES[name](spec["data_dim"])
+    if type_ == "boolean":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}.{key}: must be true or false, got {value!r}")
+        return value
+    if type_ == "list or null":
+        return None if value is None else _numbers(spec, key, path, 1)
+    return _numbers(spec, key, path, type_)
 
 
 def model_from_dict(spec: dict, path: str = "model") -> mdl.GenerativeModel:
@@ -204,62 +229,23 @@ def model_from_dict(spec: dict, path: str = "model") -> mdl.GenerativeModel:
     if "kind" not in spec:
         raise ConfigError(f"{path}: missing keys ['kind']")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+        raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+    fields, constructor = _MODEL_FIELDS[kind], mdl.CONSTRUCTORS[kind]
+    params = inspect.signature(constructor).parameters
+    optional = [k for k in fields if k in params and params[k].default is not params[k].empty]
+    _require_keys(spec, ["kind", *(k for k in fields if k not in optional)], optional, path)
     try:
-        if kind == "ef_mixture":
-            _require_keys(
-                spec,
-                ["kind", "component_family", "data_dim", "weights", "component_params"],
-                [],
-                path,
-            )
-            family_name = _string(spec["component_family"], f"{path}.component_family")
-            if family_name not in _FAMILY_FACTORIES:
-                raise ConfigError(f"{path}.component_family: unknown family {family_name!r}")
-            _check_numbers(spec, path)
-            if family_name == "gamma" and spec["data_dim"] != 1:
-                raise ConfigError(f"{path}.data_dim: gamma components are scalar")
-            family = _FAMILY_FACTORIES[family_name](spec["data_dim"])
-            return mdl.make_ef_mixture(
-                family,
-                _numbers(spec, "weights", path, 1),
-                _numbers(spec, "component_params", path, 2),
-            )
-        if kind == "ppca":
-            _require_keys(spec, ["kind", "w", "mu", "sigma2"], ["tau"], path)
-            return mdl.make_ppca(
-                _numbers(spec, "w", path, 2),
-                _numbers(spec, "mu", path, 1),
-                _numbers(spec, "sigma2", path),
-                tau=_numbers(spec, "tau", path) if "tau" in spec else 1.0,
-            )
-        if kind == "simple_fa":
-            _require_keys(spec, ["kind", "w", "tau", "sigma2s"], [], path)
-            return mdl.make_simple_fa(
-                _numbers(spec, "w", path, 1),
-                _numbers(spec, "tau", path),
-                _numbers(spec, "sigma2s", path, 1),
-            )
-        if kind == "sbn":
-            _require_keys(spec, ["kind", "pi", "w"], ["mu", "offsets_free"], path)
-            offsets_free = spec.get("offsets_free", True)
-            if not isinstance(offsets_free, bool):
-                raise ConfigError(
-                    f"{path}.offsets_free: must be true or false, got {offsets_free!r}"
-                )
-            return mdl.make_sbn(
-                _numbers(spec, "pi", path, 1),
-                _numbers(spec, "w", path, 2),
-                None if spec.get("mu") is None else _numbers(spec, "mu", path, 1),
-                offsets_free=offsets_free,
-            )
-        if kind == "rigid_sbn":
-            _require_keys(spec, ["kind", "pi", "v"], [], path)
-            return mdl.make_rigid_sbn(_numbers(spec, "pi", path), _numbers(spec, "v", path))
+        args = {
+            key: _model_field(spec, key, type_, path)
+            for key, type_ in fields.items()
+            if key in spec and key != "data_dim"  # read with component_family
+        }
+        return constructor(**args)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -533,14 +519,13 @@ def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
         if kind == "ppca":
             if config.training_init == "model":
                 raise ConfigError("config.training.init: ppca starts from its closed form")
-            fit = fit_ppca(data, model.info.latent_dim, config.training)
+            fit = fit_ppca(data, model.latent_support.dim, config.training)
             return fit.em_model, fit.em_q, fit.trace
         if kind == "sbn":
             fit = fit_sbn(model, data, config.training, init=config.training_init)
             return fit.model, fit.q, fit.trace
     except (DegenerateDataError, EmptyClusterError, NewtonConvergenceError, SupportError) as exc:
-        info = model.info
-        too_many_latents = kind == "ppca" and info.latent_dim >= info.data_dim
+        too_many_latents = kind == "ppca" and model.latent_support.dim >= data.shape[1]
         where = "config.model.w" if too_many_latents else _data_field(config)
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"training is not supported for model kind {kind!r}")

@@ -26,7 +26,7 @@ from .errors import (
     NewtonConvergenceError,
 )
 from .families import digamma, polygamma
-from .models import GenerativeModel, collapsed_component, make_ppca, ppca_components
+from .models import GenerativeModel, collapsed_component, constructor_args, make_ppca
 from .models import replace_params, vjp_eta
 
 __all__ = [
@@ -236,7 +236,6 @@ def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -
     """Closed-form weighted moment matching; raises on an empty cluster and
     on a component whose new parameters leave the family's domain or come
     within rounding of its edge."""
-    info = model.info
     n = len(data)
     mass = resp.sum(axis=0)
     if np.any(mass < _EMPTY_CLUSTER_MASS):
@@ -246,11 +245,11 @@ def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -
             "restart with a different seed or fewer components"
         )
     weights = mass / n
-    family = info.component_family
+    family = model.noise.family
     rows = np.array(
         [
             _weighted_component_update(family, data, resp[:, c], mass[c])
-            for c in range(info.n_components)
+            for c in range(model.latent_support.n_states)
         ]
     )
     c = collapsed_component(family, rows, weights)
@@ -270,12 +269,11 @@ def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -
 
 def _kmeanspp_init(model: GenerativeModel, data: np.ndarray, rng) -> np.ndarray:
     """Soft responsibilities from k-means++ seeding on sufficient statistics."""
-    info = model.info
-    c = info.n_components
+    c = model.latent_support.n_states
     n = len(data)
     if c == 1:
         return np.ones((n, 1))
-    stats = fam.batch_sufficient_stats(info.component_family, data)
+    stats = fam.batch_sufficient_stats(model.noise.family, data)
     bound = 0.5 * math.sqrt(np.finfo(float).max / stats.size)  # keeps every d2 sum finite
     if np.max(np.abs(stats)) > bound:
         raise DegenerateDataError("observations too large for k-means++ seeding; rescale them")
@@ -370,7 +368,8 @@ def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
     def step(model, q):
         # Tipping & Bishop's EM update folds the posterior moments into the
         # sample covariance, so it reads the model and not q.
-        w, _, sigma2, _ = ppca_components(model)
+        args = constructor_args(model)
+        w, sigma2 = args["w"], args["sigma2"]
         hdim = w.shape[1]
         minv = np.linalg.inv(w.T @ w + sigma2 * np.eye(hdim))
         sw = cov @ w
@@ -458,14 +457,15 @@ def fit_sbn(
     if model.model_kind != "sbn":
         raise ValueError("fit_sbn expects an sbn model")
     data = np.asarray(data, dtype=float)
-    info = model.info
-    d, h = info.data_dim, info.n_latents
+    args = constructor_args(model)
+    d, h = args["w"].shape
+    offsets_free = args["offsets_free"]
     rng = np.random.default_rng(config.seed)
     if init == "auto":
         pi0 = 1.0 / (1.0 + np.exp(-rng.uniform(-1.0, 1.0, size=h)))
         w0 = 0.1 * rng.normal(size=(d, h))
         theta0 = w0.ravel(order="F")
-        if info.offsets_free:
+        if offsets_free:
             theta0 = np.concatenate([theta0, np.zeros(d)])
         model = replace_params(model, psi=pi0, theta=theta0)
     elif init != "model":
@@ -496,7 +496,7 @@ def fit_sbn(
             # Bernoulli observables: grad^2 A(eta_s) = diag(mean (1 - mean)).
             mean = fam.grad_log_partition(model.noise.family, etas)
             curv = mass[:, None] * mean * (1.0 - mean)
-            direction = _sbn_newton_direction(g, states, curv, info.offsets_free)
+            direction = _sbn_newton_direction(g, states, curv, offsets_free)
             slope = float(g @ direction)
             if slope <= 0.0:  # fall back to plain ascent
                 direction, slope = g, float(g @ g)

@@ -2,11 +2,13 @@
 
 A :class:`GenerativeModel` pairs a prior exponential family (with a map from
 trainable prior parameters to natural parameters) and a noise family (with a
-map from latent value and noise parameters to natural parameters). The zoo
-covers exponential-family mixtures, linear-Gaussian latent models (isotropic
-and diagonal observation noise), sigmoid belief nets with Bernoulli latents
-and observables, and a deliberately broken SBN variant whose tied weights
-admit no shared coefficient vector.
+map from latent value and noise parameters to natural parameters).
+CONSTRUCTORS builds each kind of the zoo from keyword arguments:
+exponential-family mixtures, linear-Gaussian latent models (isotropic and
+diagonal observation noise), sigmoid belief nets with Bernoulli latents and
+observables, and a deliberately broken SBN variant whose tied weights admit
+no shared coefficient vector. Those arguments are the only description of a
+kind: constructor_args reads them back off a model's parameters and shapes.
 
 Noise maps work on stacks of latent states: eta(Z, theta) takes an (S,)
 array of component indices (mixtures) or an (S, H) array of latent vectors
@@ -51,10 +53,6 @@ __all__ = [
     "NoiseSpec",
     "GenerativeModel",
     "CriterionReport",
-    "MixtureInfo",
-    "LinearGaussianInfo",
-    "SbnInfo",
-    "RigidSbnInfo",
     "enumerate_binary_states",
     "collapsed_component",
     "make_ef_mixture",
@@ -62,12 +60,8 @@ __all__ = [
     "make_simple_fa",
     "make_sbn",
     "make_rigid_sbn",
-    "mixture_weights",
-    "mixture_component_params",
-    "ppca_components",
-    "fa_components",
-    "sbn_components",
-    "rigid_sbn_components",
+    "CONSTRUCTORS",
+    "constructor_args",
     "replace_params",
     "jacobian_zeta",
     "jacobian_eta",
@@ -136,37 +130,11 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class MixtureInfo:
-    n_components: int
-    component_family: FamilyDescriptor
-
-
-@dataclass(frozen=True)
-class LinearGaussianInfo:
-    data_dim: int
-    latent_dim: int
-
-
-@dataclass(frozen=True)
-class SbnInfo:
-    n_latents: int
-    data_dim: int
-    offsets_free: bool
-    fixed_offsets: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class RigidSbnInfo:
-    pass
-
-
-@dataclass(frozen=True)
 class GenerativeModel:
     prior: PriorSpec
     noise: NoiseSpec
     latent_support: LatentSupport
-    model_kind: str  # ef_mixture | ppca | simple_fa | sbn | rigid_sbn | custom
-    info: object = None
+    model_kind: str  # a key of CONSTRUCTORS, or custom
 
 
 @dataclass(frozen=True)
@@ -248,16 +216,18 @@ def _natural_prior(family: FamilyDescriptor, psi) -> PriorSpec:
 
 
 # mu / sigma2 and 0.5 / sigma2 get squared and multiplied in the Gaussian
-# formulas, so they must stay below a quarter of sqrt(float max).
+# formulas, so they must stay below a quarter of sqrt(float max). So must
+# sigma2 itself: then sigma2^2 stays finite and (0.5 / sigma2)^2 normal.
 _GAUSSIAN_NATURAL_MAX = 0.25 * math.sqrt(np.finfo(float).max)
 
 
 def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
     """The first mixture component within rounding of its domain's edge (a
     Gaussian point mass, a zero Poisson rate, a constant Bernoulli
-    coordinate) or with Gaussian naturals past _GAUSSIAN_NATURAL_MAX; None if
-    there is none. Rounding is relative to each coordinate's weighted mean or
-    mean square. make_ef_mixture and the EM M-step refuse such a component."""
+    coordinate) or with a Gaussian variance or natural parameter past
+    _GAUSSIAN_NATURAL_MAX; None if there is none. Rounding is relative to
+    each coordinate's weighted mean or mean square. make_ef_mixture and the
+    EM M-step refuse such a component."""
     eps, d = np.finfo(float).eps, family.data_dim
     if family.name == "bernoulli_product":
         near = np.minimum(rows, 1.0 - rows) <= eps
@@ -266,8 +236,10 @@ def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
     elif family.name.startswith("gaussian"):
         mu, var = rows[:, :d], rows[:, d:]  # one shared var column for gaussian_scalar_var
         with np.errstate(over="ignore"):  # an infinite product decides as a finite one would
-            near = (var <= eps * eps * (weights @ (mu * mu + var))) | (
-                np.maximum(np.abs(mu), 0.5) >= _GAUSSIAN_NATURAL_MAX * var
+            near = (
+                (var <= eps * eps * (weights @ (mu * mu + var)))
+                | (var >= _GAUSSIAN_NATURAL_MAX)
+                | (np.maximum(np.abs(mu), 0.5) >= _GAUSSIAN_NATURAL_MAX * var)
             )
     else:
         return None
@@ -328,7 +300,6 @@ def make_ef_mixture(
         ),
         latent_support=FiniteStates(np.arange(c)),
         model_kind="ef_mixture",
-        info=MixtureInfo(c, component_family),
     )
 
 
@@ -385,7 +356,6 @@ def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
         ),
         latent_support=RealVector(h),
         model_kind="ppca",
-        info=LinearGaussianInfo(d, h),
     )
 
 
@@ -430,7 +400,6 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
         noise=NoiseSpec(noise_family, _frozen(theta), np.arange(d), eta, eta_jac),
         latent_support=RealVector(1),
         model_kind="simple_fa",
-        info=LinearGaussianInfo(d, 1),
     )
 
 
@@ -487,7 +456,6 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
         ),
         latent_support=FiniteStates(enumerate_binary_states(h)),
         model_kind="sbn",
-        info=SbnInfo(h, d, offsets_free, fixed_mu),
     )
 
 
@@ -515,52 +483,46 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
         noise=NoiseSpec(noise_family, _frozen([v]), np.array([0]), eta, eta_jac),
         latent_support=FiniteStates(enumerate_binary_states(1)),
         model_kind="rigid_sbn",
-        info=RigidSbnInfo(),
     )
 
 
 # ---------------------------------------------------------------------------
-# Structured parameter access.
+# Rebuilding a model from its constructor's arguments.
 
 
-def mixture_weights(model: GenerativeModel) -> np.ndarray:
-    psi = model.prior.params
-    return np.concatenate([psi, [1.0 - psi.sum()]])
+CONSTRUCTORS = {
+    "ef_mixture": make_ef_mixture,
+    "ppca": make_ppca,
+    "simple_fa": make_simple_fa,
+    "sbn": make_sbn,
+    "rigid_sbn": make_rigid_sbn,
+}
 
 
-def mixture_component_params(model: GenerativeModel) -> np.ndarray:
-    info = model.info
-    return model.noise.params.reshape(info.n_components, -1)
-
-
-def ppca_components(model: GenerativeModel):
-    """Returns (W, mu, sigma2, tau)."""
-    d, h = model.info.data_dim, model.info.latent_dim
-    theta = model.noise.params
-    w = theta[: d * h].reshape(d, h, order="F")
-    return w, theta[d * h : d * h + d], float(theta[-1]), float(model.prior.params[0])
-
-
-def fa_components(model: GenerativeModel):
-    """Returns (w, sigma2s, tau)."""
-    d = model.info.data_dim
-    theta = model.noise.params
-    return theta[d:], theta[:d], float(model.prior.params[0])
-
-
-def sbn_components(model: GenerativeModel):
-    """Returns (pi, W, mu)."""
-    info = model.info
-    h, d = info.n_latents, info.data_dim
-    theta = model.noise.params
-    w = theta[: d * h].reshape(d, h, order="F")
-    mu = theta[d * h :] if info.offsets_free else info.fixed_offsets
-    return model.prior.params, w, mu
-
-
-def rigid_sbn_components(model: GenerativeModel):
-    """Returns (pi, v)."""
-    return float(model.prior.params[0]), float(model.noise.params[0])
+def constructor_args(model: GenerativeModel) -> dict:
+    """The keyword arguments with which CONSTRUCTORS[model.model_kind]
+    rebuilds the model. An SBN's offsets, fixed or trained, are its eta at
+    z = 0, and free when theta is longer than its D x H weights. Raises
+    UnsupportedModelError for a kind that CONSTRUCTORS lacks (custom)."""
+    kind, psi, theta = model.model_kind, model.prior.params, model.noise.params
+    d = model.noise.family.data_dim
+    if kind == "ef_mixture":
+        weights = np.concatenate([psi, [1.0 - psi.sum()]])
+        comp = theta.reshape(model.latent_support.n_states, -1)
+        return dict(component_family=model.noise.family, weights=weights, component_params=comp)
+    if kind == "ppca":  # theta is W (column-major), mu, sigma2
+        h = model.latent_support.dim
+        w, mu = theta[: d * h].reshape(d, h, order="F"), theta[d * h : -1]
+        return dict(w=w, mu=mu, sigma2=float(theta[-1]), tau=float(psi[0]))
+    if kind == "simple_fa":  # theta is sigma2s, w
+        return dict(w=theta[d:], tau=float(psi[0]), sigma2s=theta[:d])
+    if kind == "sbn":  # theta is W (column-major), then mu if the offsets are free
+        h = psi.size
+        w, mu = theta[: d * h].reshape(d, h, order="F"), model.noise.eta(np.zeros((1, h)), theta)[0]
+        return dict(pi=psi, w=w, mu=mu, offsets_free=theta.size > d * h)
+    if kind == "rigid_sbn":
+        return dict(pi=float(psi[0]), v=float(theta[0]))
+    raise UnsupportedModelError(f"model kind {kind!r} has no constructor to rebuild it")
 
 
 def replace_params(
@@ -626,12 +588,11 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
     """Domain-valid random (psi, theta) near moderate scales, per model kind."""
     kind = model.model_kind
     if kind == "ef_mixture":
-        info = model.info
-        c = info.n_components
+        family = model.noise.family
+        c, d = model.latent_support.n_states, family.data_dim
         logits = rng.normal(0.0, 0.7, size=c)
         pi = np.exp(logits - logits.max())
         pi = pi / pi.sum()
-        d = info.component_family.data_dim
         draw = {
             "bernoulli_product": lambda: 1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.2, size=d))),
             "gaussian_scalar_var": lambda: np.append(
@@ -642,22 +603,17 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
             ),
             "gamma": lambda: rng.lognormal(0.5, 0.5, size=2),
             "poisson_product": lambda: rng.lognormal(0.5, 0.6, size=d),
-        }[info.component_family.name]
+        }[family.name]
         return pi[:-1], np.concatenate([draw() for _ in range(c)])
     if kind in ("ppca", "simple_fa"):
-        info = model.info
         psi = np.array([rng.lognormal(0.0, 0.4)])
-        if kind == "ppca":
-            d, h = info.data_dim, info.latent_dim
-            theta = np.concatenate(
-                [rng.normal(0.0, 1.0, size=d * h + d), [rng.lognormal(0.0, 0.4)]]
-            )
-        else:
-            d = info.data_dim
-            wv = rng.normal(0.0, 1.0, size=d)
-            wv /= np.linalg.norm(wv)
-            theta = np.concatenate([rng.lognormal(0.0, 0.4, size=d), wv])
-        return psi, theta
+        if kind == "ppca":  # theta is W and mu, then sigma2
+            size = model.noise.params.size - 1
+            return psi, np.append(rng.normal(0.0, 1.0, size=size), rng.lognormal(0.0, 0.4))
+        d = model.noise.family.data_dim
+        wv = rng.normal(0.0, 1.0, size=d)
+        wv /= np.linalg.norm(wv)
+        return psi, np.concatenate([rng.lognormal(0.0, 0.4, size=d), wv])
     if kind in ("sbn", "rigid_sbn"):
         psi = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.0, size=model.prior.params.size)))
         theta = model.noise.params + rng.normal(0.0, 0.5, size=model.noise.params.size)

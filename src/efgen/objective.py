@@ -61,7 +61,7 @@ import numpy as np
 from . import families as fam
 from . import models as mdl
 from .errors import IncompatibilityError, UnsupportedModelError
-from .models import FiniteStates, GenerativeModel, fa_components, ppca_components
+from .models import FiniteStates, GenerativeModel, constructor_args
 
 __all__ = [
     "GaussianMoments",
@@ -186,8 +186,15 @@ class _Objective:
         )
 
     def grad_norm(self, model: GenerativeModel, q) -> float:
-        """Norm of the exact ELBO gradient over (psi, theta), q fixed."""
-        return float(np.linalg.norm(self.gradient(model, q)))
+        """Norm of the exact ELBO gradient over (psi, theta), q fixed; a plain
+        norm that overflows is retaken on g scaled by its largest |entry|."""
+        g = self.gradient(model, q)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(g))
+        if math.isinf(norm) and np.all(np.isfinite(g)):
+            scale = float(np.max(np.abs(g)))
+            norm = scale * float(np.linalg.norm(g / scale))
+        return norm
 
     def _check_n(self, n: int):
         if self.n is not None and n != self.n:
@@ -330,11 +337,11 @@ class FiniteObjective(_Objective):
 
 def _gaussian_model_parts(model: GenerativeModel):
     """Returns (W, mu, noise_variances (D,), tau) for ppca / simple_fa."""
+    args = constructor_args(model)
+    w, tau = args["w"], args["tau"]
     if model.model_kind == "ppca":
-        w, mu, s2, tau = ppca_components(model)
-        return w, mu, np.full(w.shape[0], s2), tau
-    wv, s2s, tau = fa_components(model)
-    return wv[:, None], np.zeros(wv.size), s2s, tau
+        return w, args["mu"], np.full(w.shape[0], args["sigma2"]), tau
+    return w[:, None], np.zeros(w.size), args["sigma2s"], tau
 
 
 def _second_moment(q: GaussianMoments) -> float:

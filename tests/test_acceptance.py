@@ -136,7 +136,8 @@ def test_acceptance_4_ppca_closed_form_likelihood():
     _, data = mdl.sample_joint(truth, rng, 5000)
     data = data - data.mean(axis=0)
     fit = lrn.fit_ppca(data, 2, lrn.TrainingConfig(seed=40))
-    w, mu, s2, tau = mdl.ppca_components(fit.model)
+    args = mdl.constructor_args(fit.model)
+    w, mu, s2, tau = (args[k] for k in ("w", "mu", "sigma2", "tau"))
     direct = float(
         np.mean(
             stats.multivariate_normal.logpdf(data, mean=mu, cov=tau * w @ w.T + s2 * np.eye(5))

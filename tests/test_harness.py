@@ -128,13 +128,21 @@ class TestModelSerialization:
                 "mu": [0.1, -0.1],
                 "offsets_free": True,
             },
+            {
+                "kind": "sbn",
+                "pi": [0.4, 0.7],
+                "w": [[1.0, -0.5], [0.0, 2.0]],
+                "mu": [0.3, -0.2],
+                "offsets_free": False,
+            },
             {"kind": "rigid_sbn", "pi": 0.5, "v": 0.0},
         ],
-        ids=lambda s: s["kind"],
+        ids=lambda s: s["kind"] + ("" if s.get("offsets_free", True) else "-fixed-offsets"),
     )
     def test_round_trip(self, spec):
         model = hns.model_from_dict(spec)
         back = hns.model_to_dict(model)
+        assert back == spec  # the model-file format, field for field
         model2 = hns.model_from_dict(back)
         np.testing.assert_allclose(model2.prior.params, model.prior.params, atol=1e-15)
         np.testing.assert_allclose(model2.noise.params, model.noise.params, atol=1e-15)
@@ -364,6 +372,26 @@ class TestVerify:
             report = json.load(fh)
         assert report["verdicts"]["criterion"]["status"] == "pass"
 
+    def test_gradient_past_the_float_range_has_a_finite_norm(self, tmp_path):
+        # The 1e200 count puts the gradient near 1e198, whose square overflows.
+        model = _mixture("poisson_product", 1, [[1.0], [6.0]])
+        _write_rows(tmp_path / "rows.csv", [[0], [1], [2], [1e200], [5]])
+        raw = gmm_config(tmp_path)
+        raw.update(model=model, data={"source": "file", "path": str(tmp_path / "rows.csv")})
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        config = write_config(tmp_path, raw)
+        assert cli_main(["verify", "--config", config, "--model", str(model_path), "--quiet"]) == 0
+
+        def not_json(constant):
+            raise AssertionError(f"verify_report.json holds {constant}")
+
+        text = (tmp_path / "verify_report.json").read_text()
+        report = json.loads(text, parse_constant=not_json)
+        assert 1e198 < report["grad_norm"] < 1e199
+        annotation = report["verdicts"]["gap_pseudo"]["annotation"]
+        assert annotation.startswith("stationarity premise not met")
+
     def test_missing_model_file(self, tmp_path):
         config = hns.parse_config(gmm_config(tmp_path))
         with pytest.raises(ConfigError, match="model"):
@@ -427,11 +455,22 @@ def _file_dataset(model, rows):
     return edit
 
 
-def _collapsed_model_file(raw, tmp_path):
-    """Verify a model file whose first component is a point mass; the
+def _model_file(component_params):
+    """An edit that verifies a model file holding component_params; the
     config's own model is fine."""
-    model = {**raw["model"], "component_params": [[1.0, 1e-200], [5.0, 1.0]]}
-    (tmp_path / "model.json").write_text(json.dumps(model))
+
+    def edit(raw, tmp_path):
+        model = {**raw["model"], "component_params": component_params}
+        (tmp_path / "model.json").write_text(json.dumps(model))
+
+    return edit
+
+
+def _large_variance_training(raw, tmp_path):
+    """Train one Gaussian from the config's parameters on a dataset whose
+    1e100 cell gives it a variance of about 2e199 in the first M-step."""
+    _file_dataset(ONE_GAUSSIAN, [[0.1], [0.5], [-0.3], [1e100], [0.2]])(raw, tmp_path)
+    raw["training"]["init"] = "model"
 
 
 def _summary_holding_a_number(raw, tmp_path):
@@ -570,9 +609,22 @@ USER_ERRORS = [
     ),
     _case(
         "verify",
-        _collapsed_model_file,
+        _model_file([[1.0, 1e-200], [5.0, 1.0]]),
         "model.json: component 0 lies at the edge of its domain",
         "verify-point-mass-model-file",
+    ),
+    # A Gaussian variance so large that its square overflows, from either route.
+    _case(
+        "verify",
+        _model_file([[0.0, 1e170], [5.0, 1.0]]),
+        "model.json: component 0 lies at the edge of its domain",
+        "verify-large-variance-model-file",
+    ),
+    _case(
+        "train",
+        _large_variance_training,
+        "config.data.path: component 0 collapsed to the edge of its domain",
+        "train-large-variance-component",
     ),
     # Blocks of the wrong JSON type. An edit that returns a value replaces
     # the whole config with it.

@@ -46,7 +46,7 @@ class TestEmMixture:
         assert ev.elbo(fit.model, fit.q) == pytest.approx(
             ev.marginal_loglik(fit.model), abs=1e-10
         )
-        mu, s2 = mdl.mixture_component_params(fit.model)[0]
+        mu, s2 = mdl.constructor_args(fit.model)["component_params"][0]
         assert mu == pytest.approx(data.mean(), abs=1e-10)
         assert s2 == pytest.approx(data.var(), rel=1e-8)
 
@@ -55,7 +55,7 @@ class TestEmMixture:
         data = fam.sample(fam.gamma_family(), [3.0, 2.0], rng, 100_000)
         model = mdl.make_ef_mixture(fam.gamma_family(), [1.0], np.array([[1.0, 1.0]]))
         fit = lrn.em_mixture(model, data, lrn.TrainingConfig(seed=2))
-        alpha, beta = mdl.mixture_component_params(fit.model)[0]
+        alpha, beta = mdl.constructor_args(fit.model)["component_params"][0]
         assert abs(alpha - 3.0) / 3.0 < 0.05
         assert abs(beta - 2.0) / 2.0 < 0.05
 
@@ -86,6 +86,8 @@ class TestEmMixture:
     # variance, probability or rate lands about 1e-300 from the domain's
     # edge. Two points 2e-129 apart give a variance of 1e-258: far above
     # their rounding, but 0.5 / sigma2 would be squared past the float range.
+    # Two points at -+1e100 give a variance of 1e200, whose square overflows
+    # and whose 0.5 / sigma2 squares below the normal floats.
     @pytest.mark.parametrize(
         "family, comp, data, resp",
         [
@@ -100,6 +102,7 @@ class TestEmMixture:
             ],
             (fam.gaussian_scalar_var(1), [0.0, 1.0], [[1e-129], [3e-129]], [[0.5, 0.5]] * 2),
             (fam.gaussian_diag_cov(1), [0.0, 1.0], [[1e-129], [3e-129]], [[0.5, 0.5]] * 2),
+            (fam.gaussian_scalar_var(1), [0.0, 1.0], [[-1e100], [1e100]], [[0.5, 0.5]] * 2),
         ],
         ids=[
             "gaussian-point-mass",
@@ -108,6 +111,7 @@ class TestEmMixture:
             "poisson-zero",
             "gaussian-past-float-range",
             "diag-past-float-range",
+            "gaussian-variance-past-float-range",
         ],
     )
     def test_component_at_the_edge_of_its_domain_collapses(self, family, comp, data, resp):
@@ -225,7 +229,7 @@ class TestFitPpca:
         truth = mdl.make_ppca(w, np.array([0.2, -0.1, 0.4]), 0.5)
         _, data = mdl.sample_joint(truth, np.random.default_rng(8), 10_000)
         fit = lrn.fit_ppca(data, 1, lrn.TrainingConfig(seed=8))
-        _, _, s2, _ = mdl.ppca_components(fit.model)
+        s2 = mdl.constructor_args(fit.model)["sigma2"]
         assert abs(s2 - 0.5) / 0.5 < 0.05
 
     def test_h_equal_d_rejected(self):
@@ -244,7 +248,8 @@ class TestFitPpca:
         truth = mdl.make_ppca(w, np.zeros(4), 0.3)
         _, data = mdl.sample_joint(truth, np.random.default_rng(10), 3000)
         fit = lrn.fit_ppca(data, 2, lrn.TrainingConfig(seed=10))
-        w_ml, _, s2, _ = mdl.ppca_components(fit.model)
+        args = mdl.constructor_args(fit.model)
+        w_ml, s2 = args["w"], args["sigma2"]
         direct = obj.evaluator(fit.model, data).marginal_loglik(fit.model)
         d = 4
         formula = -0.5 * np.linalg.slogdet(w_ml.T @ w_ml / s2 + np.eye(2))[1] - (

@@ -48,8 +48,8 @@ def simple_sbn(pi=0.5, v=0.8, w=-1.1):
 class TestConstructors:
     def test_symmetric_gmm(self):
         m = gmm_1d()
-        np.testing.assert_allclose(mdl.mixture_weights(m), [0.5, 0.5])
-        assert m.info.n_components == 2
+        np.testing.assert_allclose(mdl.constructor_args(m)["weights"], [0.5, 0.5])
+        assert m.latent_support.n_states == 2
 
     def test_gamma_mixture_valid(self):
         assert gamma_mixture().noise.family.name == "gamma"
@@ -63,9 +63,9 @@ class TestConstructors:
     def test_ppca_valid(self):
         w = np.array([[1.0], [0.0], [0.0]])
         m = mdl.make_ppca(w, np.zeros(3), 1.0, tau=1.0)
-        got_w, got_mu, s2, tau = mdl.ppca_components(m)
-        np.testing.assert_allclose(got_w, w)
-        assert s2 == 1.0 and tau == 1.0
+        args = mdl.constructor_args(m)
+        np.testing.assert_allclose(args["w"], w)
+        assert args["sigma2"] == 1.0 and args["tau"] == 1.0
 
     def test_ppca_zero_variance_rejected(self):
         with pytest.raises(DomainError):
@@ -73,12 +73,12 @@ class TestConstructors:
 
     def test_simple_fa_valid(self):
         m = mdl.make_simple_fa([3.0, 4.0], 1.0, [0.5, 2.0])
-        wv, s2s, tau = mdl.fa_components(m)
-        np.testing.assert_allclose(wv, [0.6, 0.8])  # normalized loading
-        np.testing.assert_allclose(s2s, [0.5, 2.0])
+        args = mdl.constructor_args(m)
+        np.testing.assert_allclose(args["w"], [0.6, 0.8])  # normalized loading
+        np.testing.assert_allclose(args["sigma2s"], [0.5, 2.0])
 
     def test_sbn_fixture_and_random(self):
-        assert simple_sbn().info.offsets_free is False
+        assert mdl.constructor_args(simple_sbn())["offsets_free"] is False
         rng = np.random.default_rng(0)
         m = mdl.make_sbn(np.full(3, 0.5), rng.normal(size=(5, 3)), rng.normal(size=5))
         assert m.latent_support.n_states == 8
@@ -93,9 +93,73 @@ class TestConstructors:
 
     def test_rigid_sbn(self):
         m = mdl.make_rigid_sbn(0.3, 2.0)
-        assert mdl.rigid_sbn_components(m) == (0.3, 2.0)
+        assert mdl.constructor_args(m) == {"pi": 0.3, "v": 2.0}
         with pytest.raises(DomainError):
             mdl.make_rigid_sbn(0.0, 1.0)
+
+
+# A valid standard-parameter row of each component family, in dimension d.
+_COMPONENT_DRAWS = {
+    "bernoulli_product": lambda rng, d: rng.uniform(0.05, 0.95, size=d),
+    "gaussian_scalar_var": lambda rng, d: np.append(rng.normal(0, 3, size=d), rng.lognormal()),
+    "gaussian_diag_cov": lambda rng, d: np.append(
+        rng.normal(0, 3, size=d), rng.lognormal(size=d)
+    ),
+    "gamma": lambda rng, d: rng.lognormal(size=2),
+    "poisson_product": lambda rng, d: rng.lognormal(size=d),
+}
+
+
+def random_model(kind, rng):
+    """A model of kind built by its constructor from random valid arguments
+    and shapes; "sbn-fixed-offsets" is an SBN with offsets_free=False."""
+    d, h = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    if kind == "ef_mixture":
+        name = str(rng.choice(sorted(_COMPONENT_DRAWS)))
+        family = fam.gamma_family() if name == "gamma" else getattr(fam, name)(d)
+        c = int(rng.integers(1, 4))
+        rows = [_COMPONENT_DRAWS[name](rng, family.data_dim) for _ in range(c)]
+        return mdl.make_ef_mixture(family, rng.dirichlet(np.ones(c)), rows)
+    if kind == "ppca":
+        w, mu = rng.normal(size=(d, h)), rng.normal(size=d)
+        return mdl.make_ppca(w, mu, rng.lognormal(), tau=rng.lognormal())
+    if kind == "simple_fa":
+        return mdl.make_simple_fa(rng.normal(size=d), rng.lognormal(), rng.lognormal(size=d))
+    if kind.startswith("sbn"):
+        pi, w, mu = rng.uniform(0.05, 0.95, size=h), rng.normal(size=(d, h)), rng.normal(size=d)
+        return mdl.make_sbn(pi, w, mu, offsets_free=kind == "sbn")
+    return mdl.make_rigid_sbn(rng.uniform(0.05, 0.95), rng.normal())
+
+
+class TestConstructorArgs:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["ef_mixture", "ppca", "simple_fa", "sbn", "sbn-fixed-offsets", "rigid_sbn"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_constructor_rebuilds_the_model(self, kind, seed):
+        model = random_model(kind, np.random.default_rng(seed))
+        args = mdl.constructor_args(model)
+        rebuilt = mdl.CONSTRUCTORS[model.model_kind](**args)
+        assert rebuilt.model_kind == model.model_kind
+        assert type(rebuilt.latent_support) is type(model.latent_support)
+        # The constructors renormalize mixture weights and FA loadings.
+        for got, want in [(rebuilt.prior, model.prior), (rebuilt.noise, model.noise)]:
+            assert got.params.shape == want.params.shape
+            np.testing.assert_allclose(got.params, want.params, rtol=0, atol=1e-15)
+        if kind.startswith("sbn"):
+            assert args["offsets_free"] is (kind == "sbn")
+            # Fixed offsets live in eta alone; they come back exactly.
+            z = np.zeros((1, model.prior.params.size))
+            offsets = [m.noise.eta(z, m.noise.params) for m in (rebuilt, model)]
+            np.testing.assert_array_equal(*offsets)
+
+    def test_a_custom_model_is_not_rebuilt(self):
+        custom = replace(gmm_1d(), model_kind="custom")
+        with pytest.raises(UnsupportedModelError, match="custom"):
+            mdl.constructor_args(custom)
 
 
 class TestJacobians:
@@ -604,10 +668,10 @@ class TestReplaceParams:
     def test_round_trip(self):
         m = gmm_1d()
         m2 = mdl.replace_params(m, psi=[0.3], theta=m.noise.params * 1.5)
-        np.testing.assert_allclose(mdl.mixture_weights(m2), [0.3, 0.7])
+        np.testing.assert_allclose(mdl.constructor_args(m2)["weights"], [0.3, 0.7])
         np.testing.assert_allclose(m2.noise.params, m.noise.params * 1.5)
         # Original untouched.
-        np.testing.assert_allclose(mdl.mixture_weights(m), [0.5, 0.5])
+        np.testing.assert_allclose(mdl.constructor_args(m)["weights"], [0.5, 0.5])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -58,8 +58,8 @@ def random_table(rng, n, c):
 
 def gmm_loglik_oracle(model, data):
     """Direct mixture log-likelihood via scipy normal pdfs."""
-    pis = mdl.mixture_weights(model)
-    comps = mdl.mixture_component_params(model)
+    args = mdl.constructor_args(model)
+    pis, comps = args["weights"], args["component_params"]
     dens = np.zeros(len(data))
     for pi_c, (m, v) in zip(pis, comps):
         dens += pi_c * stats.norm.pdf(data[:, 0], loc=m, scale=math.sqrt(v))
@@ -264,7 +264,8 @@ class TestKlForm:
         _, data = mdl.sample_joint(model, rng, 200)
         ev = obj.evaluator(model, data)
         q = ev.posterior(model)
-        w, mu, s2, tau = mdl.ppca_components(model)
+        args = mdl.constructor_args(model)
+        w, mu, s2, tau = (args[k] for k in ("w", "mu", "sigma2", "tau"))
         oracle = float(
             np.mean(
                 stats.multivariate_normal.logpdf(
@@ -284,7 +285,8 @@ class TestEntropySumRhs:
         _, data = mdl.sample_joint(model, rng, 50)
         ev = obj.evaluator(model, data)
         q = ev.posterior(model)
-        _, _, s2, tau = mdl.ppca_components(model)
+        args = mdl.constructor_args(model)
+        s2, tau = args["sigma2"], args["tau"]
         h = q.means.shape[1]
         _, logdet = np.linalg.slogdet(q.cov)
         avg_q_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e) + 0.5 * logdet
@@ -302,7 +304,7 @@ class TestEntropySumRhs:
         rng = np.random.default_rng(4)
         q = random_table(rng, 30, 2)
         qbar = q.mean(axis=0)
-        comps = mdl.mixture_component_params(model)
+        comps = mdl.constructor_args(model)["component_params"]
         manual = (
             float(np.mean(-np.sum(q * np.log(q), axis=1)))
             - fam.entropy(fam.categorical(2), model.prior.params)
@@ -359,7 +361,7 @@ class TestPseudoVariants:
         rng = np.random.default_rng(7)
         q = random_table(rng, 25, 2)
         qbar = q.mean(axis=0)
-        comps = mdl.mixture_component_params(model)
+        comps = mdl.constructor_args(model)["component_params"]
         last_term = sum(
             qb * float(np.sum(lam * (1.0 - np.log(lam)))) for qb, lam in zip(qbar, comps)
         )
@@ -409,7 +411,7 @@ class TestPseudoLoglik:
     def test_unsupported_model(self):
         model = ppca()
         broken = mdl.GenerativeModel(
-            model.prior, model.noise, mdl.RealVector(2), "custom", None
+            model.prior, model.noise, mdl.RealVector(2), "custom"
         )
         with pytest.raises(UnsupportedModelError):
             obj.evaluator(broken, np.zeros((2, 3)))
@@ -583,6 +585,13 @@ class TestExactGradient:
             np.abs(exact - oracle), 1e-6 * np.maximum(1.0, np.abs(oracle))
         )
         assert ev.grad_norm(model, q) == pytest.approx(np.linalg.norm(exact), rel=1e-15)
+
+    def test_grad_norm_stays_finite_when_squares_overflow(self, monkeypatch):
+        model, _, ev, q = random_point("mixture-poisson_product", 0)
+        # In range it is the plain norm, bit for bit.
+        assert ev.grad_norm(model, q) == np.linalg.norm(ev.gradient(model, q))
+        monkeypatch.setattr(ev, "gradient", lambda m, q: np.array([3e200, -4e200, 0.0]))
+        assert ev.grad_norm(model, q) == pytest.approx(5e200, rel=1e-15)
 
     @pytest.mark.parametrize("kind", ["sbn-free-offsets", "sbn-fixed-offsets"])
     def test_sbn_gradient_forms_no_jacobian(self, kind):

@@ -40,6 +40,54 @@ def test_objective_exports_the_evaluators_and_the_traced_functions():
     )
 
 
+def test_models_exports_constructors_and_no_per_kind_accessors():
+    from efgen import models
+
+    assert sorted(models.__all__) == sorted(
+        [
+            "SBN_ENUMERATION_CAP",
+            "CRITERION_THRESHOLD",
+            "CRITERION_GRID_POINTS",
+            "FiniteStates",
+            "RealVector",
+            "PriorSpec",
+            "NoiseSpec",
+            "GenerativeModel",
+            "CriterionReport",
+            "enumerate_binary_states",
+            "collapsed_component",
+            "make_ef_mixture",
+            "make_ppca",
+            "make_simple_fa",
+            "make_sbn",
+            "make_rigid_sbn",
+            "CONSTRUCTORS",
+            "constructor_args",
+            "replace_params",
+            "jacobian_zeta",
+            "jacobian_eta",
+            "vjp_eta",
+            "check_criterion",
+            "sample_joint",
+        ]
+    )
+    # A model kind is described by its constructor's arguments alone.
+    gone = [
+        "MixtureInfo",
+        "LinearGaussianInfo",
+        "SbnInfo",
+        "RigidSbnInfo",
+        "mixture_weights",
+        "mixture_component_params",
+        "ppca_components",
+        "fa_components",
+        "sbn_components",
+        "rigid_sbn_components",
+    ]
+    assert not [name for name in gone if hasattr(models, name)]
+    assert "info" not in models.GenerativeModel.__dataclass_fields__
+
+
 def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     """A hypothesis failure report imports libcst, whose mypy_extensions
     import warns; under the suite's warning filters that warning must not
