@@ -1,11 +1,12 @@
 """Exponential-family distributions in natural-parameter form.
 
-Each family is described by a :class:`FamilyDescriptor`. Parameters are float
-arrays of shape (..., dim): a 1-D vector is one parameter point, and leading
-axes stack rows. Every function works row by row and reduces over the last
-axis only, so a vector gives a scalar and an (S, dim) stack gives S values
-from one call, validated once. Standard parameters use the conventional
-layouts:
+Each family is a :class:`FamilyDescriptor`, built from its name and size
+alone; DIMENSIONS gives its natural and standard dimensions. Parameters are
+float arrays of shape (..., dim): a 1-D vector is one parameter point, and
+leading axes stack rows. Every function works row by row and reduces over the
+last axis only, so a vector gives a scalar and an (S, dim) stack gives S
+values from one call, validated once. Standard parameters use the
+conventional layouts:
 
 ====================  =======================================  ===========
 family                standard parameters                      natural dim
@@ -32,9 +33,9 @@ Data points are handled in rows too: batch_sufficient_stats and
 batch_log_base_measure take an (N, data_dim) array (N state indices for
 categorical). Log-gamma, digamma, trigamma, log-factorials and logsumexp come
 from scipy.special, which no other efgen module names. It is imported on first
-use, so models that need none of these never load it. gamma_family and
-poisson_product import it when they build their family: a gamma or Poisson
-model loads it while its config or model file is read, not during training.
+use, so models that need none of these never load it. A gamma or Poisson
+FamilyDescriptor imports it when it is built, so such a model loads it while
+its config or model file is read, not during training.
 
 Natural-domain membership checks are strict inequalities with no epsilon
 slack; callers clamp if needed. All functions are pure.
@@ -43,7 +44,7 @@ slack; callers clamp if needed. All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +58,7 @@ __all__ = [
     "gaussian_diag_cov",
     "gamma_family",
     "poisson_product",
-    "standard_dim",
+    "DIMENSIONS",
     "check_standard",
     "check_natural",
     "to_natural",
@@ -73,14 +74,16 @@ __all__ = [
     "sample",
 ]
 
-_FAMILY_NAMES = (
-    "bernoulli_product",
-    "categorical",
-    "gaussian_scalar_var",
-    "gaussian_diag_cov",
-    "gamma",
-    "poisson_product",
-)
+# Each family's (natural_dim, standard_dim) as a function of its size: the
+# number of states for categorical, data_dim for every other family.
+DIMENSIONS = {
+    "bernoulli_product": lambda d: (d, d),
+    "categorical": lambda c: (c - 1, c - 1),
+    "gaussian_scalar_var": lambda d: (2 * d, d + 1),
+    "gaussian_diag_cov": lambda d: (2 * d, 2 * d),
+    "gamma": lambda d: (2, 2),
+    "poisson_product": lambda d: (d, d),
+}
 
 # Poisson sums run over a window of lam -+ _POISSON_WINDOW_SDS standard
 # deviations, plus _POISSON_WINDOW_PAD points on the right, and stop early
@@ -92,6 +95,10 @@ _POISSON_TAIL_MASS = 1e-13
 _POISSON_ASYMPTOTIC_RATE = 1e4
 # The largest |x| whose square, a Gaussian sufficient statistic, is finite.
 _GAUSSIAN_DATA_MAX = math.sqrt(np.finfo(float).max)
+# The largest Poisson count accepted. Every float past 2**53 is integer-valued,
+# so the integer test would check nothing there, and counts near float max
+# overflow the E-step's statistics times log rates.
+_POISSON_COUNT_MAX = 2.0**53
 
 
 def gammaln(x):
@@ -124,92 +131,61 @@ def logsumexp(a, axis=None):
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """An exponential family: dimensions plus base-measure kind."""
+    """An exponential family, built from its name and size: data_dim, plus
+    n_states for a categorical. Its natural and standard dimensions and its
+    base measure follow from these (see DIMENSIONS)."""
 
     name: str
     data_dim: int
-    natural_dim: int
-    base_measure_kind: str = "unit_constant"
+    n_states: int = 0
+    natural_dim: int = field(init=False, repr=False)
+    standard_dim: int = field(init=False, repr=False)
+    base_measure_kind: str = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.name not in _FAMILY_NAMES:
+        if self.name not in DIMENSIONS:
             raise ValueError(f"unknown family name {self.name!r}")
-        # natural_dim 0 is the degenerate single-state categorical.
-        min_natural = 0 if self.name == "categorical" else 1
-        if self.data_dim < 1 or self.natural_dim < min_natural:
-            raise ValueError("dimensions must be positive")
-        expected_nat = {
-            "bernoulli_product": self.data_dim,
-            "categorical": self.natural_dim,  # free-standing, see below
-            "gaussian_scalar_var": 2 * self.data_dim,
-            "gaussian_diag_cov": 2 * self.data_dim,
-            "gamma": 2,
-            "poisson_product": self.data_dim,
-        }[self.name]
+        if self.data_dim < 1:
+            raise ValueError(f"data_dim must be at least 1, got {self.data_dim}")
         if self.name == "categorical":
-            if self.data_dim != 1:
-                raise ValueError("categorical data points are single state indices")
-        elif self.natural_dim != expected_nat:
-            raise ValueError(
-                f"{self.name} with data_dim={self.data_dim} needs "
-                f"natural_dim={expected_nat}, got {self.natural_dim}"
-            )
-        expected_base = (
-            "poisson_factorial" if self.name == "poisson_product" else "unit_constant"
-        )
-        if self.base_measure_kind != expected_base:
-            raise ValueError(
-                f"{self.name} requires base_measure_kind={expected_base!r}"
-            )
-
-    @property
-    def n_states(self) -> int:
-        """Number of categorical states C (categorical families only)."""
-        if self.name != "categorical":
+            if self.n_states < 1:
+                raise ValueError("categorical needs at least 1 state")
+        elif self.n_states:
             raise ValueError("n_states is defined for categorical families only")
-        return self.natural_dim + 1
+        if self.name in ("categorical", "gamma") and self.data_dim != 1:
+            raise ValueError(f"{self.name} takes data_dim 1, got {self.data_dim}")
+        if self.name in ("gamma", "poisson_product"):
+            import scipy.special  # noqa: F401  (so that training never pays the import)
+        # Derived once here, so the checks on hot paths read plain attributes.
+        dims = DIMENSIONS[self.name](self.n_states or self.data_dim)
+        object.__setattr__(self, "natural_dim", dims[0])
+        object.__setattr__(self, "standard_dim", dims[1])
+        base = "poisson_factorial" if self.name == "poisson_product" else "unit_constant"
+        object.__setattr__(self, "base_measure_kind", base)
 
 
 def bernoulli_product(data_dim: int) -> FamilyDescriptor:
-    return FamilyDescriptor("bernoulli_product", data_dim, data_dim)
+    return FamilyDescriptor("bernoulli_product", data_dim)
 
 
 def categorical(n_states: int) -> FamilyDescriptor:
-    if n_states < 1:
-        raise ValueError("categorical needs at least 1 state")
-    return FamilyDescriptor("categorical", 1, n_states - 1)
+    return FamilyDescriptor("categorical", 1, n_states)
 
 
 def gaussian_scalar_var(data_dim: int) -> FamilyDescriptor:
-    return FamilyDescriptor("gaussian_scalar_var", data_dim, 2 * data_dim)
+    return FamilyDescriptor("gaussian_scalar_var", data_dim)
 
 
 def gaussian_diag_cov(data_dim: int) -> FamilyDescriptor:
-    return FamilyDescriptor("gaussian_diag_cov", data_dim, 2 * data_dim)
+    return FamilyDescriptor("gaussian_diag_cov", data_dim)
 
 
 def gamma_family() -> FamilyDescriptor:
-    import scipy.special  # noqa: F401  (so that training never pays the import)
-
-    return FamilyDescriptor("gamma", 1, 2)
+    return FamilyDescriptor("gamma", 1)
 
 
 def poisson_product(data_dim: int) -> FamilyDescriptor:
-    import scipy.special  # noqa: F401  (so that training never pays the import)
-
-    return FamilyDescriptor("poisson_product", data_dim, data_dim, "poisson_factorial")
-
-
-def standard_dim(family: FamilyDescriptor) -> int:
-    """Length of the standard parameter vector."""
-    return {
-        "bernoulli_product": family.data_dim,
-        "categorical": family.natural_dim,
-        "gaussian_scalar_var": family.data_dim + 1,
-        "gaussian_diag_cov": 2 * family.data_dim,
-        "gamma": 2,
-        "poisson_product": family.data_dim,
-    }[family.name]
+    return FamilyDescriptor("poisson_product", data_dim)
 
 
 def _as_rows(v, length: int, what: str) -> np.ndarray:
@@ -235,7 +211,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def check_standard(family: FamilyDescriptor, s) -> np.ndarray:
     """Validate standard parameter rows; returns them as a float array."""
-    s = _as_rows(s, standard_dim(family), "standard params")
+    s = _as_rows(s, family.standard_dim, "standard params")
     if not np.all(np.isfinite(s)):
         raise DomainError(f"{family.name}: non-finite standard params")
     name = family.name
@@ -450,8 +426,10 @@ def batch_sufficient_stats(family: FamilyDescriptor, data) -> np.ndarray:
             raise SupportError("gamma observations must be positive")
         return np.hstack([np.log(data), data])
     if name == "poisson_product":
-        if data.size and not np.all((data >= 0.0) & (data == np.floor(data))):
-            raise SupportError("poisson observations must be non-negative integers")
+        if data.size and not np.all(
+            (data >= 0.0) & (data <= _POISSON_COUNT_MAX) & (data == np.floor(data))
+        ):
+            raise SupportError("poisson observations must be non-negative integers up to 2**53")
         return data.copy()
     raise AssertionError(name)
 

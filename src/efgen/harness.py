@@ -13,11 +13,14 @@ artifacts into a run directory:
   report.json    config echo, criterion residuals, objective reports, and
                  one verdict per check with the numbers it derives from
 
-Configs are versioned and parsed strictly: unknown keys anywhere are
-rejected with a field path in the message. They hold no verify settings:
-verify's tolerances are the fixed GRAD_NORM_THRESHOLD and GAP_RTOL here and
-the criterion's constants in models. Exit codes: 0 success (including
-valid-but-unconverged runs), 1 internal failure, 2 user or config error.
+Configs are versioned and parsed strictly. One block reader serves every
+config block and every model file, each from a table that declares each key's
+JSON type: unknown keys, missing keys and values of another type are rejected
+with a field path in the message. A mixture's family is built from its name
+and data_dim. Configs hold no verify settings: verify's tolerances are the
+fixed GRAD_NORM_THRESHOLD and GAP_RTOL here and the criterion's constants in
+models. Exit codes: 0 success (including valid-but-unconverged runs),
+1 internal failure, 2 user or config error.
 """
 
 from __future__ import annotations
@@ -62,14 +65,6 @@ SCHEMA_VERSION = 1
 GRAD_NORM_THRESHOLD = TrainingConfig.grad_norm_tol
 GAP_RTOL = 1e-6
 
-_FAMILY_FACTORIES = {
-    "bernoulli_product": fam.bernoulli_product,
-    "gaussian_scalar_var": fam.gaussian_scalar_var,
-    "gaussian_diag_cov": fam.gaussian_diag_cov,
-    "gamma": lambda d: fam.gamma_family(),
-    "poisson_product": fam.poisson_product,
-}
-
 _INTEGER_FAMILIES = ("poisson_product", "bernoulli_product")
 # Most values (rows times data_dim) a synthetic dataset may hold: 10^8
 # float64 values are 0.8 GB, checked before anything is allocated.
@@ -79,30 +74,6 @@ _WRITE_BLOCK_ROWS = 256
 
 # ---------------------------------------------------------------------------
 # Strict config parsing.
-
-
-def _require_keys(block: dict, required, optional, path: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: must be a JSON object")
-    unknown = set(block) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(block)
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-
-
-# Numeric config fields: integers with their least allowed value, and
-# tolerances, which must be positive finite numbers.
-_INTEGER_FIELDS = {
-    "schema_version": 1,
-    "n": 0,
-    "seed": 0,
-    "max_iters": 1,
-    "record_every": 1,
-    "data_dim": 1,
-}
-_POSITIVE_FIELDS = ("grad_norm_tol",)
 
 
 def _finite(value) -> bool:
@@ -115,39 +86,96 @@ def _finite(value) -> bool:
     )
 
 
-def _check_numbers(block: dict, path: str):
-    for key, value in block.items():
-        where = f"{path}.{key}"
-        if key in _INTEGER_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{where}: must be an integer, got {value!r}")
-            if value < _INTEGER_FIELDS[key]:
-                raise ConfigError(f"{where}: must be at least {_INTEGER_FIELDS[key]}, got {value}")
-        elif key in _POSITIVE_FIELDS:
-            if not (_finite(value) and value > 0):
-                raise ConfigError(f"{where}: must be a positive finite number, got {value!r}")
+# Field types: the JSON type each field is read as.
+#   ("integer", least)        an integer of at least `least`
+#   ("choice", noun, names)   one of the strings `names`, each a `noun`
+#   "positive"                a positive finite number
+#   "string", "boolean"       a string; true or false
+#   0, 1 or 2                 finite numbers nested that deep, read as floats
+#   "list or null"            numbers nested 1 deep, or null
+#   "object"                  a JSON object, read later as a block of its own
+#   "family"                  a mixture's component_family, read with the
+#                             block's data_dim into a FamilyDescriptor
+_COMPONENT_FAMILIES = tuple(name for name in fam.DIMENSIONS if name != "categorical")
 
 
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: must be a string, got {value!r}")
+def _read_field(block: dict, key: str, type_, path: str):
+    """block[key] read as type_; a ConfigError names path.key."""
+    value, where = block[key], f"{path}.{key}"
+    if isinstance(type_, int):
+        cells = np.array(value, dtype=object)
+        if cells.ndim == type_ and all(_finite(v) for v in cells.flat):
+            return float(cells) if type_ == 0 else cells.astype(float)
+        if type_ == 0:
+            raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+        raise ConfigError(f"{where}: must be a list of {'lists of ' * (type_ - 1)}finite numbers")
+    if type_ == "list or null":
+        return None if value is None else _read_field(block, key, 1, path)
+    if type_ == "family":
+        name = _read_field(block, key, ("choice", "family", _COMPONENT_FAMILIES), path)
+        data_dim = _read_field(block, "data_dim", ("integer", 1), path)
+        try:
+            return fam.FamilyDescriptor(name, data_dim)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.data_dim: {exc}") from None
+    if isinstance(type_, tuple) and type_[0] == "integer":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where}: must be an integer, got {value!r}")
+        if value < type_[1]:
+            raise ConfigError(f"{where}: must be at least {type_[1]}, got {value}")
+    elif isinstance(type_, tuple):
+        if value not in type_[2]:
+            raise ConfigError(f"{where}: unknown {type_[1]} {value!r}")
+    elif type_ == "positive":
+        if not (_finite(value) and value > 0):
+            raise ConfigError(f"{where}: must be a positive finite number, got {value!r}")
+    elif type_ == "object":
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: must be a JSON object")
+    elif type_ == "string":
+        if not isinstance(value, str):
+            raise ConfigError(f"{where}: must be a string, got {value!r}")
+    elif not isinstance(value, bool):
+        raise ConfigError(f"{where}: must be true or false, got {value!r}")
     return value
 
 
-def _numbers(spec: dict, key: str, path: str, ndim: int = 0):
-    """spec[key] as a float (ndim 0) or an ndim-dimensional float array.
+def _read_block(block, path: str, fields: dict, required=()) -> dict:
+    """block, a JSON object with only the keys of fields and every required
+    one, read as {key: value} in the order of fields."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    unknown = set(block) - set(fields)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(block)
+    if missing:
+        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+    return {key: _read_field(block, key, t, path) for key, t in fields.items() if key in block}
 
-    Every entry must be _finite, so no string, boolean or null gets through
-    float() or np.asarray.
-    """
-    value = spec[key]
-    cells = np.array(value, dtype=object)
-    if cells.ndim != ndim or not all(_finite(v) for v in cells.flat):
-        if ndim == 0:
-            raise ConfigError(f"{path}.{key}: must be a finite number, got {value!r}")
-        nested = "a list of " + "lists of " * (ndim - 1)
-        raise ConfigError(f"{path}.{key}: must be {nested}finite numbers")
-    return float(cells) if ndim == 0 else cells.astype(float)
+
+_CONFIG_FIELDS = {
+    "schema_version": ("integer", 1),
+    "run_id": "string",
+    "model": "object",
+    "data": "object",
+    "training": "object",
+    "output": "object",
+}
+_DATA_FIELDS = {
+    "source": ("choice", "source", ("synthetic", "file")),
+    "seed": ("integer", 0),
+    "n": ("integer", 0),
+    "path": "string",
+}
+_TRAINING_FIELDS = {
+    "max_iters": ("integer", 1),
+    "grad_norm_tol": "positive",
+    "seed": ("integer", 0),
+    "record_every": ("integer", 1),
+    "init": ("choice", "init", ("auto", "model")),
+}
+_OUTPUT_FIELDS = {"dir": "string"}
 
 
 @dataclass(frozen=True)
@@ -168,15 +196,14 @@ class ExperimentConfig:
     output_dir: str
 
 
-# Each model kind's JSON fields in reading order, with the type each is read
-# as: a number (0) or a list of them nested 1 or 2 deep, "list or null", a
-# "boolean", or "family" for a mixture's component_family and data_dim, which
-# make one family argument. Every other field is a keyword argument of the
-# kind's models.CONSTRUCTORS entry, and may be left out where it has a default.
+# Each model kind's JSON fields in reading order, with their field types.
+# Every field but data_dim, which the "family" type reads, is a keyword
+# argument of the kind's models.CONSTRUCTORS entry, and may be left out where
+# that has a default.
 _MODEL_FIELDS = {
     "ef_mixture": {
         "component_family": "family",
-        "data_dim": "family",
+        "data_dim": ("integer", 1),
         "weights": 1,
         "component_params": 2,
     },
@@ -185,6 +212,7 @@ _MODEL_FIELDS = {
     "sbn": {"offsets_free": "boolean", "pi": 1, "w": 2, "mu": "list or null"},
     "rigid_sbn": {"pi": 0, "v": 0},
 }
+_MODEL_KIND = ("choice", "model kind", tuple(_MODEL_FIELDS))
 
 
 def model_to_dict(model: mdl.GenerativeModel) -> dict:
@@ -203,47 +231,18 @@ def model_to_dict(model: mdl.GenerativeModel) -> dict:
     return spec
 
 
-def _model_field(spec: dict, key: str, type_: int | str, path: str):
-    """spec[key] read as its _MODEL_FIELDS type."""
-    value = spec[key]
-    if type_ == "family":
-        name = _string(value, f"{path}.{key}")
-        if name not in _FAMILY_FACTORIES:
-            raise ConfigError(f"{path}.{key}: unknown family {name!r}")
-        _check_numbers(spec, path)
-        if name == "gamma" and spec["data_dim"] != 1:
-            raise ConfigError(f"{path}.data_dim: gamma components are scalar")
-        return _FAMILY_FACTORIES[name](spec["data_dim"])
-    if type_ == "boolean":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: must be true or false, got {value!r}")
-        return value
-    if type_ == "list or null":
-        return None if value is None else _numbers(spec, key, path, 1)
-    return _numbers(spec, key, path, type_)
-
-
 def model_from_dict(spec: dict, path: str = "model") -> mdl.GenerativeModel:
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be a JSON object")
     if "kind" not in spec:
         raise ConfigError(f"{path}: missing keys ['kind']")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
-        raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+    kind = _read_field(spec, "kind", _MODEL_KIND, path)
     fields, constructor = _MODEL_FIELDS[kind], mdl.CONSTRUCTORS[kind]
     params = inspect.signature(constructor).parameters
-    optional = [k for k in fields if k in params and params[k].default is not params[k].empty]
-    _require_keys(spec, ["kind", *(k for k in fields if k not in optional)], optional, path)
+    required = [k for k in fields if k not in params or params[k].default is params[k].empty]
+    args = _read_block(spec, path, {"kind": _MODEL_KIND, **fields}, required)
     try:
-        args = {
-            key: _model_field(spec, key, type_, path)
-            for key, type_ in fields.items()
-            if key in spec and key != "data_dim"  # read with component_family
-        }
-        return constructor(**args)
-    except ConfigError:
-        raise
+        return constructor(**{key: args[key] for key in params if key in args})
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -260,65 +259,36 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
 
 
 def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentConfig:
-    _require_keys(
-        raw,
-        ["schema_version", "run_id", "model", "data"],
-        ["training", "output"],
-        "config",
-    )
-    _check_numbers(raw, "config")
-    if raw["schema_version"] != SCHEMA_VERSION:
+    required = ["schema_version", "run_id", "model", "data"]
+    top = _read_block(raw, "config", _CONFIG_FIELDS, required)
+    if top["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
-            f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
+            f"config.schema_version: expected {SCHEMA_VERSION}, got {top['schema_version']!r}"
         )
-    model_spec = raw["model"]
+    model_spec = top["model"]
     data_dim = model_from_dict(model_spec, "config.model").noise.family.data_dim
 
-    data_block = raw["data"]
-    _require_keys(data_block, ["source"], ["seed", "n", "path"], "config.data")
-    _check_numbers(data_block, "config.data")
-    source = data_block["source"]
-    if source == "synthetic":
-        if "seed" not in data_block or "n" not in data_block:
+    data = DataSource(**_read_block(top["data"], "config.data", _DATA_FIELDS, ["source"]))
+    if data.source == "synthetic":
+        if data.seed is None or data.n is None:
             raise ConfigError("config.data: synthetic source requires 'seed' and 'n'")
-        if "path" in data_block:
+        if data.path is not None:
             raise ConfigError("config.data: exactly one data source; drop 'path'")
-        n = data_block["n"]
-        if n * data_dim > MAX_SYNTHETIC_VALUES:
+        if data.n * data_dim > MAX_SYNTHETIC_VALUES:
             raise ConfigError(
                 f"config.data.n: at most {MAX_SYNTHETIC_VALUES // data_dim} rows of "
-                f"{data_dim} values each, got {n}"
+                f"{data_dim} values each, got {data.n}"
             )
-        data = DataSource("synthetic", seed=data_block["seed"], n=n)
-    elif source == "file":
-        if "path" not in data_block:
-            raise ConfigError("config.data: file source requires 'path'")
-        if "seed" in data_block or "n" in data_block:
-            raise ConfigError("config.data: exactly one data source; drop 'seed'/'n'")
-        data = DataSource("file", path=_string(data_block["path"], "config.data.path"))
     else:
-        raise ConfigError(f"config.data.source: unknown source {source!r}")
+        if data.path is None:
+            raise ConfigError("config.data: file source requires 'path'")
+        if data.seed is not None or data.n is not None:
+            raise ConfigError("config.data: exactly one data source; drop 'seed'/'n'")
 
-    training_block = raw.get("training", {})
-    _require_keys(
-        training_block,
-        [],
-        ["max_iters", "grad_norm_tol", "seed", "record_every", "init"],
-        "config.training",
-    )
-    _check_numbers(training_block, "config.training")
-    training_block = dict(training_block)
-    init = training_block.pop("init", "auto")
-    if init not in ("auto", "model"):
-        raise ConfigError("config.training.init: must be 'auto' or 'model'")
-    try:
-        training = TrainingConfig(**training_block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.training: {exc}") from exc
-
-    out_block = raw.get("output", {})
-    _require_keys(out_block, [], ["dir"], "config.output")
-    output_dir = _string(out_block.get("dir", "."), "config.output.dir")
+    training = _read_block(top.get("training", {}), "config.training", _TRAINING_FIELDS)
+    init = training.pop("init", "auto")
+    training = TrainingConfig(**training)
+    output = _read_block(top.get("output", {}), "config.output", _OUTPUT_FIELDS)
 
     if seed_override is not None:
         if seed_override < 0:
@@ -328,12 +298,12 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         training = replace(training, seed=seed_override)
 
     return ExperimentConfig(
-        run_id=_string(raw["run_id"], "config.run_id"),
+        run_id=top["run_id"],
         model_spec=model_spec,
         data=data,
         training=training,
         training_init=init,
-        output_dir=output_dir,
+        output_dir=output.get("dir", "."),
     )
 
 

@@ -185,14 +185,20 @@ def _train(
 # Mixture EM.
 
 
-def gamma_shape_newton(s: float, max_iters: int = 100, tol: float = 1e-12) -> float:
+# The gamma shape's Newton iteration stops once a step moves the shape by less
+# than _SHAPE_TOL * max(1, a), and fails after _SHAPE_MAX_ITERS steps.
+_SHAPE_MAX_ITERS = 100
+_SHAPE_TOL = 1e-12
+
+
+def gamma_shape_newton(s: float) -> float:
     """Solve log(a) - digamma(a) = s for the shape a > 0 by Newton iteration."""
     if not (s > 0.0) or not math.isfinite(s):
         raise NewtonConvergenceError(
             f"shape equation needs s > 0 (got {s!r}); data may be degenerate"
         )
     a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(max_iters):
+    for _ in range(_SHAPE_MAX_ITERS):
         f = math.log(a) - digamma(a) - s
         fprime = 1.0 / a - polygamma(1, a)
         if not fprime < 0.0:  # s at rounding level: the slope rounds to flat
@@ -202,7 +208,7 @@ def gamma_shape_newton(s: float, max_iters: int = 100, tol: float = 1e-12) -> fl
         while new <= 0.0:
             step *= 0.5
             new = a - step
-        if abs(new - a) < tol * max(1.0, a):
+        if abs(new - a) < _SHAPE_TOL * max(1.0, a):
             return new
         a = new
     raise NewtonConvergenceError(f"shape update failed to converge (s={s})")

@@ -268,7 +268,7 @@ def make_ef_mixture(
         raise DomainError("mixture weights must sum to 1")
     weights = weights / weights.sum()
     comp = np.asarray(component_params, dtype=float)
-    ldim = fam.standard_dim(component_family)
+    ldim = component_family.standard_dim
     if comp.shape != (c, ldim):
         raise DomainError(
             f"component_params must have shape ({c}, {ldim}), got {comp.shape}"

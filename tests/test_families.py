@@ -32,11 +32,30 @@ class TestDescriptors:
         assert fam.gaussian_diag_cov(3).natural_dim == 6
         assert fam.poisson_product(2).base_measure_kind == "poisson_factorial"
 
-    def test_inconsistent_dims_rejected(self):
+    @pytest.mark.parametrize("name", sorted(fam.DIMENSIONS))
+    def test_dimensions_are_the_widths_of_the_maps(self, name):
+        # A family's size alone fixes its natural and standard dimensions.
+        family = fam.FamilyDescriptor(name, *{"categorical": (1, 4), "gamma": (1,)}.get(name, (3,)))
+        row = random_standard_rows(family, np.random.default_rng(0), 1)[0]
+        assert fam.check_standard(family, row).shape == (family.standard_dim,)
         with pytest.raises(ValueError):
-            fam.FamilyDescriptor("gaussian_diag_cov", 3, 5)
+            fam.check_standard(family, np.append(row, 0.5))
+        assert fam.to_natural(family, row).shape == (family.natural_dim,)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(("gaussian", 2), id="unknown-name"),
+            pytest.param(("poisson_product", 0), id="no-data-dimension"),
+            pytest.param(("categorical", 1), id="categorical-without-states"),
+            pytest.param(("bernoulli_product", 2, 3), id="states-on-another-family"),
+            pytest.param(("categorical", 2, 3), id="categorical-data-dim-2"),
+            pytest.param(("gamma", 2), id="gamma-data-dim-2"),
+        ],
+    )
+    def test_refused(self, args):
         with pytest.raises(ValueError):
-            fam.FamilyDescriptor("gamma", 1, 2, "poisson_factorial")
+            fam.FamilyDescriptor(*args)
 
 
 class TestToNatural:

@@ -373,9 +373,10 @@ class TestVerify:
         assert report["verdicts"]["criterion"]["status"] == "pass"
 
     def test_gradient_past_the_float_range_has_a_finite_norm(self, tmp_path):
-        # The 1e200 count puts the gradient near 1e198, whose square overflows.
-        model = _mixture("poisson_product", 1, [[1.0], [6.0]])
-        _write_rows(tmp_path / "rows.csv", [[0], [1], [2], [1e200], [5]])
+        # The 1e154 cells put the variance gradients near 1e306, whose squares
+        # overflow. (Poisson counts that large are out of support.)
+        model = _mixture("gaussian_diag_cov", 2, [[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
+        _write_rows(tmp_path / "rows.csv", [[0.0, 0.0], [1.0, 1.0], [1e154, 1e154], [-1.0, 0.5]])
         raw = gmm_config(tmp_path)
         raw.update(model=model, data={"source": "file", "path": str(tmp_path / "rows.csv")})
         model_path = tmp_path / "model.json"
@@ -388,7 +389,7 @@ class TestVerify:
 
         text = (tmp_path / "verify_report.json").read_text()
         report = json.loads(text, parse_constant=not_json)
-        assert 1e198 < report["grad_norm"] < 1e199
+        assert 1e306 < report["grad_norm"] < 1e307
         annotation = report["verdicts"]["gap_pseudo"]["annotation"]
         assert annotation.startswith("stationarity premise not met")
 
@@ -495,6 +496,7 @@ def _mixture(family, data_dim, component_params):
 SBN = {"kind": "sbn", "pi": [0.5], "w": [[1.0], [0.5]]}
 POISSON_MIXTURE = _mixture("poisson_product", 1, [[1.0], [6.0]])
 GAMMA_MIXTURE = _mixture("gamma", 1, [[2.0, 1.0], [5.0, 2.0]])
+POISSON_TOO_LARGE = "poisson observations must be non-negative integers up to 2**53"
 PPCA = {"kind": "ppca", "w": [[1.0], [0.5]], "mu": [0.0, 0.0], "sigma2": 0.5}
 RIGID_SBN = {"kind": "rigid_sbn", "pi": 0.5, "v": 0.0}
 ONE_GAUSSIAN = {
@@ -579,8 +581,8 @@ USER_ERRORS = [
         "verify-gamma-negative",
     ),
     _case("verify", _dataset_with_two_columns, "config.data.path", "verify-dataset-columns"),
-    # Cells whose statistics overflow: a Gaussian square, the squared
-    # distances of k-means++ seeding, or a PPCA covariance.
+    # Cells whose statistics overflow: a Gaussian square, a Poisson count past
+    # 2**53 (where every float is integer-valued), or a PPCA covariance.
     *[
         _case(
             "train",
@@ -590,9 +592,19 @@ USER_ERRORS = [
         )
         for name, model, message in (
             ("gaussian", gmm_config(".")["model"], "gaussian observations must lie within"),
-            ("poisson", POISSON_MIXTURE, "observations too large for k-means++ seeding"),
+            ("poisson", POISSON_MIXTURE, POISSON_TOO_LARGE),
         )
         for big in (1e300, 1e200)
+    ],
+    # verify reads any dataset, so it checks the same support.
+    *[
+        _case(
+            "verify",
+            _file_dataset(POISSON_MIXTURE, [[0], [1], [2], [big], [5]]),
+            f"config.data.path: {POISSON_TOO_LARGE}",
+            f"verify-poisson-{big:g}",
+        )
+        for big in (1.7e308, 1e300)
     ],
     _case(
         "train",
@@ -667,6 +679,13 @@ USER_ERRORS = [
         lambda raw, _: raw["model"].update(data_dim=2.0),
         "config.model.data_dim: must be an integer",
         "data-dim-float",
+    ),
+    # The family's descriptor refuses the size; the message names the field.
+    _case(
+        "train",
+        _model(_mixture("gamma", 2, [[2.0, 1.0], [5.0, 2.0]])),
+        "config.model.data_dim: gamma takes data_dim 1, got 2",
+        "gamma-data-dim-2",
     ),
     _case("train", _model(PPCA, sigma2="2"), "config.model.sigma2", "ppca-sigma2-text"),
     _case("train", _model(PPCA, tau=True), "config.model.tau", "ppca-tau-bool"),
