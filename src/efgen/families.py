@@ -566,5 +566,13 @@ def sample(family: FamilyDescriptor, s, rng: np.random.Generator, count: int):
     if name == "gamma":
         return rng.gamma(shape=s[..., :1], scale=1.0 / s[..., 1:], size=size + (1,))
     if name == "poisson_product":
-        return rng.poisson(s, size=size + (d,)).astype(np.int64)
+        # Rates just under 2**53 draw past it too; numpy refuses rates past
+        # about 9.2e18, so larger ones are refused before drawing.
+        past = "poisson rates near or above 2**53 draw counts past the support"
+        if np.any(s > _POISSON_COUNT_MAX):
+            raise DomainError(past)
+        counts = rng.poisson(s, size=size + (d,)).astype(np.int64)
+        if np.any(counts > int(_POISSON_COUNT_MAX)):
+            raise DomainError(past)
+        return counts
     raise AssertionError(name)

@@ -42,6 +42,7 @@ from . import objective as obj
 from .errors import (
     ConfigError,
     DegenerateDataError,
+    DomainError,
     EmptyClusterError,
     NewtonConvergenceError,
     SupportError,
@@ -419,7 +420,10 @@ def _load_data(config: ExperimentConfig, model: mdl.GenerativeModel) -> np.ndarr
     if config.data.source == "file":
         return read_dataset(config.data.path)
     rng = np.random.default_rng(config.data.seed)
-    _, xs = mdl.sample_joint(model, rng, config.data.n)
+    try:
+        _, xs = mdl.sample_joint(model, rng, config.data.n)
+    except DomainError as exc:  # a model the sampler cannot draw from
+        raise ConfigError(f"config.model: {exc}") from exc
     return np.asarray(xs, dtype=float)
 
 
@@ -477,7 +481,8 @@ def cmd_generate(config: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 
 
 def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
-    """Train by model kind. A trainer's data errors, out-of-support cells
+    """Train by model kind: the trained model, its q, the trace, and the
+    evaluator that trained it. A trainer's data errors, out-of-support cells
     included, are user errors: they name the dataset's config field, or
     config.model.w when a PPCA has as many latents as observed dimensions.
     PPCA refuses training.init "model": it starts from its closed form."""
@@ -485,15 +490,15 @@ def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
     try:
         if kind == "ef_mixture":
             fit = em_mixture(model, data, config.training, init=config.training_init)
-            return fit.model, fit.q, fit.trace
+            return fit.model, fit.q, fit.trace, fit.evaluator
         if kind == "ppca":
             if config.training_init == "model":
                 raise ConfigError("config.training.init: ppca starts from its closed form")
             fit = fit_ppca(data, model.latent_support.dim, config.training)
-            return fit.em_model, fit.em_q, fit.trace
+            return fit.em_model, fit.em_q, fit.trace, fit.evaluator
         if kind == "sbn":
             fit = fit_sbn(model, data, config.training, init=config.training_init)
-            return fit.model, fit.q, fit.trace
+            return fit.model, fit.q, fit.trace, fit.evaluator
     except (DegenerateDataError, EmptyClusterError, NewtonConvergenceError, SupportError) as exc:
         too_many_latents = kind == "ppca" and model.latent_support.dim >= data.shape[1]
         where = "config.model.w" if too_many_latents else _data_field(config)
@@ -505,10 +510,10 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Train to convergence or the iteration cap; emit report, trace, summary."""
     model = model_from_dict(config.model_spec)
     data = _load_nonempty_data(config, model)
-    fitted, q, trace = _train_dispatch(config, model, data)
+    # The reports come from the evaluator that trained, as q is in its form.
+    fitted, q, trace, ev = _train_dispatch(config, model, data)
 
     out = _resolve_out(config, out_dir)
-    ev = obj.evaluator(fitted, data)
     standard, pseudo = ev.report(fitted, q), ev.report(fitted, q, pseudo=True)
     last = trace.last() if trace.records else None
     report = {

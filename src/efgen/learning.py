@@ -87,14 +87,18 @@ class TrainingTrace:
 
 @dataclass(frozen=True)
 class Fit:
-    """The trained model, its exact posterior and the training trace.
+    """The trained model, its exact posterior, the training trace, and the
+    evaluator that trained it.
 
-    q is the evaluator's: an (N, S) state table or GaussianMoments.
+    q is in the evaluator's form: for finite states a (U, S) table over its
+    distinct data rows (row evaluator.inverse[n] is data point n's), else
+    GaussianMoments.
     """
 
     model: GenerativeModel
     q: np.ndarray | obj.GaussianMoments
     trace: TrainingTrace
+    evaluator: obj.FiniteObjective | obj.GaussianObjective
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,7 @@ class PpcaFit:
     trace: TrainingTrace  # from the EM refinement
     em_model: GenerativeModel
     em_q: obj.GaussianMoments
+    evaluator: obj.GaussianObjective
 
 
 # Not called by the library: the benchmark's tracer (perfbench/tracer.py)
@@ -178,7 +183,7 @@ def _train(
             f"iteration cap {config.max_iters} reached "
             f"(grad_norm {grad:.3e}, tol {config.grad_norm_tol:.1e})"
         )
-    return Fit(model, q, trace)
+    return Fit(model, q, trace, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +243,21 @@ def _weighted_component_update(family, data, resp_c, mass_c):
     raise ValueError(f"no M-step for component family {name}")
 
 
-def mixture_m_step(model: GenerativeModel, data: np.ndarray, resp: np.ndarray) -> GenerativeModel:
+def mixture_m_step(
+    model: GenerativeModel, data: np.ndarray, resp: np.ndarray, counts=None
+) -> GenerativeModel:
     """Closed-form weighted moment matching; raises on an empty cluster and
     on a component whose new parameters leave the family's domain or come
-    within rounding of its edge."""
-    n = len(data)
+    within rounding of its edge.
+
+    resp holds each row's responsibilities. counts, if given, is how many
+    data points each row stands for (an evaluator's distinct rows); without
+    it every row is one point.
+    """
+    if counts is None:
+        n = len(data)
+    else:
+        n, resp = counts.sum(), (resp.T * counts).T
     mass = resp.sum(axis=0)
     if np.any(mass < _EMPTY_CLUSTER_MASS):
         dead = int(np.argmin(mass))
@@ -308,6 +323,9 @@ def em_mixture(
 
     init="auto" seeds responsibilities k-means++-style on sufficient
     statistics; init="model" starts from the passed model's parameters.
+    The E- and M-steps run on the evaluator's distinct rows, weighted by
+    their counts; the seeding reads every row, so its draws do not depend on
+    the grouping.
     """
     if model.model_kind != "ef_mixture":
         raise ValueError("em_mixture expects an ef_mixture model")
@@ -318,7 +336,7 @@ def em_mixture(
         model = mixture_m_step(model, data, _kmeanspp_init(model, data, rng))
     elif init != "model":
         raise ValueError("init must be 'auto' or 'model'")
-    return _train(ev, model, config, lambda m, resp: mixture_m_step(m, data, resp))
+    return _train(ev, model, config, lambda m, q: mixture_m_step(m, ev.rows, q, ev.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +405,7 @@ def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
     model0 = make_ppca(w_ml + 0.05 * rng.normal(size=w_ml.shape), mean, sigma2_ml * 1.2, tau=1.0)
     ev = obj.GaussianObjective(model_ml, data)
     fit = _train(ev, model0, config, step)
-    return PpcaFit(model_ml, ev.posterior(model_ml), fit.trace, fit.model, fit.q)
+    return PpcaFit(model_ml, ev.posterior(model_ml), fit.trace, fit.model, fit.q, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +500,12 @@ def fit_sbn(
     inner_tol = max(0.1 * config.grad_norm_tol, 1e-11)
 
     def step(model, table):
+        mass, stats = ev.state_sums(table)
         # Latent probabilities: exact coordinate maximizer given q.
-        marginals = table.mean(axis=0) @ states
-        pi = np.clip(marginals, 1e-12, 1.0 - 1e-12)
+        qbar = mass / ev.n
+        pi = np.clip(qbar @ states, 1e-12, 1.0 - 1e-12)
 
         # Weights and offsets: ascend the q-expected noise term.
-        mass, stats = table.sum(axis=0), table.T @ ev.t
-
         def evaluate(theta):
             etas = model.noise.eta(states, theta)
             value, g_eta = obj.noise_expectation(model.noise.family, etas, mass, stats)

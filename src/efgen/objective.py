@@ -2,9 +2,10 @@
 
 evaluator(model, data) is the one way in: it returns the model's exact
 evaluator, whose methods give every quantity below. The variational
-distribution q enters as per-point probabilities: for finite states the
-(N, S) row-stochastic table that posterior() returns or a caller supplies,
-for the linear-Gaussian models GaussianMoments.
+distribution q enters as per-point probabilities: for finite states a
+row-stochastic table over the evaluator's distinct data rows, as posterior()
+returns it, or a caller's table with one row per data point; for the
+linear-Gaussian models GaussianMoments.
 
 The ELBO is computed exactly, never by Monte Carlo: finite-state summation
 for mixtures and sigmoid belief nets (all 2^H states enumerated), closed-form
@@ -26,8 +27,18 @@ replaces entropies with their base-measure-reweighted counterparts, which
 stay closed-form even for Poisson observables; the two variants differ by
 exactly the data's mean log base measure, the evaluator's mean_log_h.
 
+Every term is an average over data points, and a point enters only through
+x_n, so equal rows of integer-valued data (Bernoulli, Poisson, categorical)
+have the same exact posterior. FiniteObjective keeps each distinct row once,
+in order of first occurrence, with the count of points it stands for, and
+every sum over the points above becomes a count-weighted sum over the U
+distinct rows. Real-valued data, and data with no repeated row, are kept as
+they are (U = N), and no sum is weighted. A caller's table with one row per
+point still evaluates exactly: f1 and f2 sum over its rows, and its masses
+and statistics are summed per distinct row.
+
 For finite states the noise term reads q only through each state's mass
-w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n):
+w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n) (state_sums()):
 N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
 last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s).
@@ -76,6 +87,16 @@ __all__ = [
 ]
 
 _ROW_NORM_TOL = 1e-9
+
+# Integer-valued observables, whose equal rows FiniteObjective groups.
+# Real-valued rows rarely repeat, so looking for repeats would only cost.
+_COUNT_FAMILIES = ("bernoulli_product", "categorical", "poisson_product")
+# Rows are grouped through a dense table indexed by their keys while the keys
+# span at most this many values (an 8 MB table), else by a lexsort. Measured
+# on 3 columns of counts, the table is 3-4 times faster from 10,000 rows, at
+# most 0.5 ms slower below, and slower past 2**22 values. poisson-bulk's keys
+# span 3.2e4 to 4.1e4 values, sbn-enumerate's 2**12.
+_DENSE_KEYS = 2**20
 
 
 @dataclass(frozen=True)
@@ -139,6 +160,43 @@ def noise_expectation(family, etas: np.ndarray, mass: np.ndarray, stats: np.ndar
     return value, stats - mass[:, None] * fam.grad_log_partition(family, etas)
 
 
+def _group_rows(data: np.ndarray):
+    """(first, inverse, counts) of the distinct rows of non-negative integer
+    data, in order of first occurrence: data[first] holds the distinct rows,
+    data[first][inverse] is data, and counts[u] rows equal row u.
+
+    While the rows' keys, their indices in an array shaped by the columns'
+    ranges (np.ravel_multi_index's, built a column at a time so that no
+    integer copy of data exists), span at most _DENSE_KEYS values, each key's
+    first row is scattered into a table of that size; otherwise the rows are
+    compared by a lexicographic sort.
+    """
+    n = len(data)
+    dims = [int(top) + 1 for top in data.max(axis=0)]
+    size = math.prod(dims)
+    if size <= _DENSE_KEYS:
+        key = np.zeros(n, dtype=np.int64)
+        for column, dim in zip(data.T, dims):
+            key *= dim
+            key += column.astype(np.int64)
+        index = np.arange(n)
+        label = np.full(size, n)  # each key's first row, then its group
+        np.minimum.at(label, key, index)
+        first = np.flatnonzero(label[key] == index)
+        label[key[first]] = np.arange(len(first))
+        inverse = label[key]
+        return first, inverse, np.bincount(inverse)
+    order = np.lexsort(data.T)
+    new = np.concatenate([[True], np.any(np.diff(data[order], axis=0) != 0, axis=1)])
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each group's first row
+    rank = np.argsort(first)
+    label = np.empty_like(rank)
+    label[rank] = np.arange(len(rank))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = label[np.cumsum(new) - 1]
+    return first[rank], inverse, np.bincount(inverse)
+
+
 def _entropy_rows(table: np.ndarray) -> np.ndarray:
     """Per-row entropies -sum_s q log q, counting 0 log 0 as 0."""
     terms = np.log(table, out=np.zeros_like(table), where=table > 0.0)
@@ -196,30 +254,37 @@ class _Objective:
             norm = scale * float(np.linalg.norm(g / scale))
         return norm
 
-    def _check_n(self, n: int):
-        if self.n is not None and n != self.n:
-            raise ValueError("data and variational state disagree on N")
-
 
 class FiniteObjective(_Objective):
     """Every finite-state ELBO quantity of one dataset, from one set of tables.
 
-    The data are checked and their sufficient statistics and log base
-    measures computed once, and so are the prior's statistics of the latent
-    states. The per-state tables (noise naturals, log partitions, log prior
-    masses) are built once per model, each by one batched call over all
-    states, and kept for the latest model. Training, the objective reports
-    and verify all evaluate through this class, so they share one
-    arithmetic: the posterior subtracts each point's maximum before
-    exponentiating, and 0 log 0 is 0.
+    The data are checked on every row, then integer-valued rows are grouped:
+    rows (U, D) holds each distinct row once, in order of first occurrence,
+    counts (U,) how many data points it stands for, and inverse (N,) each
+    point's distinct row, so rows[inverse] is the data. Real-valued rows, and
+    rows none of which repeats, are kept as they are, with counts None, and
+    no sum is weighted. The distinct rows' sufficient statistics t (U, L) and
+    log base measures log_h (U,) are computed once, and so are the prior's
+    statistics of the latent states; n stays the number of data points.
+    The per-state tables (noise naturals, log partitions, log prior masses)
+    are built once per model, each by one batched call over all states, and
+    kept for the latest model. Training, the objective reports and verify
+    all evaluate through this class, so they share one arithmetic: the
+    posterior subtracts each row's maximum before exponentiating, and
+    0 log 0 is 0.
 
-    Per-point tables are states-major: loglik, posterior and state_table
-    return (N, S) transposes of C-ordered (S, N) arrays. With few states and
-    many points, every reduction over the points then runs over contiguous
+    q is a (U, S) table over the distinct rows, as posterior() returns it,
+    or a caller's (N, S) table with one row per data point; every mean over
+    the points weights a distinct row of grouped data by its count. With no
+    repeated rows the two coincide, and every table is the one each point
+    would give.
+    Per-row tables are states-major: loglik, posterior and state_table
+    return (U, S) or (N, S) transposes of C-ordered arrays. With few states
+    and many rows, every reduction over the rows then runs over contiguous
     memory, and terms, gradient and entropy_sum read one layout.
 
-    f3 and the gradient read q through noise_expectation(); only posterior
-    and marginal_loglik build the (N, S) log-likelihood table.
+    f3 and the gradient read q through state_sums() and noise_expectation();
+    only posterior and marginal_loglik build the (U, S) log-likelihood table.
     """
 
     def __init__(self, model: GenerativeModel, data=None):
@@ -230,15 +295,21 @@ class FiniteObjective(_Objective):
         self.prior_t = fam.batch_sufficient_stats(prior, self.states)
         self.prior_log_h = fam.batch_log_base_measure(prior, self.states)
         noise = model.noise.family
-        self.n = None
+        self.n = self.rows = self.counts = self.inverse = None
         self.t, self.log_h = np.zeros((0, noise.natural_dim)), np.zeros(0)
         if data is not None:
             data = _check_data(model, data)
             self.n = len(data)
+            self.rows, self.inverse = data, np.arange(self.n)
             if self.n:
-                self.t = fam.batch_sufficient_stats(noise, data)
-                self.log_h = fam.batch_log_base_measure(noise, data)
-        self.mean_log_h = float(np.mean(self.log_h)) if self.n else 0.0
+                self.t = fam.batch_sufficient_stats(noise, data)  # checks every row
+                if noise.name in _COUNT_FAMILIES:
+                    first, inverse, counts = _group_rows(data)
+                    if len(first) < self.n:
+                        self.rows, self.t = data[first], self.t[first]
+                        self.counts, self.inverse = counts.astype(float), inverse
+                self.log_h = fam.batch_log_base_measure(noise, self.rows)
+        self.mean_log_h = float(self._mean(self.log_h)) if self.n else 0.0
         self._model = None
         self._tables = None
 
@@ -258,27 +329,59 @@ class FiniteObjective(_Objective):
         return self._tables
 
     def state_table(self, model: GenerativeModel, q) -> np.ndarray:
-        """q checked as an (N, S) table over the states, entries in [0, 1] and
-        rows summing to 1, and returned states-major."""
+        """q checked as a (U, S) table over the distinct rows or an (N, S)
+        table over the data points, entries in [0, 1] and rows summing to 1,
+        and returned states-major. Without data any number of rows is
+        accepted, each standing for one point."""
         table = np.asarray(q, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(self.states):
-            raise IncompatibilityError(f"q must be (N, {len(self.states)}), got {table.shape}")
-        self._check_n(len(table))
+            raise IncompatibilityError(
+                f"q must be (N, {len(self.states)}) over the data points or "
+                f"(U, {len(self.states)}) over the distinct rows, got {table.shape}"
+            )
+        if self.n is not None and len(table) not in (self.n, len(self.rows)):
+            raise ValueError("data and variational state disagree on N")
         if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails too
             raise ValueError("q's entries must lie in [0, 1]")
         if len(table) and np.max(np.abs(table.sum(axis=1) - 1.0)) > _ROW_NORM_TOL:
             raise ValueError("q's rows must sum to 1")
         return np.asfortranarray(table)
 
+    def _over_rows(self, table: np.ndarray) -> bool:
+        """Whether table has one row per distinct row of grouped data (else
+        one per point)."""
+        return self.counts is not None and len(table) == len(self.counts)
+
+    def _mean(self, values: np.ndarray):
+        """The mean over the data points of values given per row of a q table,
+        along its first axis: a distinct row counts as many points as it
+        stands for."""
+        if self._over_rows(values):
+            values = (values.T * self.counts).T
+        return np.sum(values, axis=0) / (len(values) if self.n is None else self.n)
+
+    def state_sums(self, table: np.ndarray):
+        """Each state's mass w_s = sum_n q_ns (S,) and statistics
+        B_s = sum_n q_ns t(x_n) (S, L), from q summed per distinct row."""
+        if self.counts is None:  # no row repeats: one row per point
+            summed = table
+        elif self._over_rows(table):
+            summed = (table.T * self.counts).T
+        else:  # a caller's row per data point
+            summed = np.zeros((len(self.counts), table.shape[1]), order="F")
+            np.add.at(summed, self.inverse, table)
+        return summed.sum(axis=0), summed.T @ self.t
+
     def loglik(self, model: GenerativeModel) -> np.ndarray:
-        """(N, S) log p(x_n | s) - log h(x_n), states-major."""
+        """(U, S) log p(x_u | s) - log h(x_u) of the distinct rows, states-major."""
         etas, log_parts, _ = self.tables(model)
         ll = etas @ self.t.T
         ll -= log_parts[:, None]
         return ll.T
 
     def posterior(self, model: GenerativeModel) -> np.ndarray:
-        """The exact posterior over the states, shape (N, S) states-major."""
+        """The exact posterior over the states of each distinct row, shape
+        (U, S) states-major; data point n's is row inverse[n]."""
         scores = self.loglik(model).T
         scores += self.tables(model)[2][:, None]
         scores -= scores.max(axis=0)
@@ -286,17 +389,16 @@ class FiniteObjective(_Objective):
         scores /= scores.sum(axis=0)
         return scores.T
 
-    def _noise_expectation(self, model: GenerativeModel, table: np.ndarray):
-        """noise_expectation() at the model's noise naturals and q's statistics."""
-        etas = self.tables(model)[0]
-        return noise_expectation(model.noise.family, etas, table.sum(axis=0), table.T @ self.t)
+    def _noise_expectation(self, model: GenerativeModel, mass, stats):
+        """noise_expectation() at the model's noise naturals."""
+        return noise_expectation(model.noise.family, self.tables(model)[0], mass, stats)
 
     def terms(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring."""
         log_prior = self.tables(model)[2]
-        f1 = float(np.mean(_entropy_rows(table)))
-        f2 = float(-np.mean(table @ log_prior))
-        f3 = float(-self._noise_expectation(model, table)[0] / self.n)
+        f1 = float(self._mean(_entropy_rows(table)))
+        f2 = float(-self._mean(table @ log_prior))
+        f3 = float(-self._noise_expectation(model, *self.state_sums(table))[0] / self.n)
         return f1, f2, f3 if pseudo else f3 - self.mean_log_h
 
     def gradient(self, model: GenerativeModel, table: np.ndarray) -> np.ndarray:
@@ -307,10 +409,11 @@ class FiniteObjective(_Objective):
         (1/N) sum_s J_eta(z_s)^T G_s with G from noise_expectation(). Both
         variants share it: log h(x) is constant.
         """
-        qbar = table.mean(axis=0)
+        mass, stats = self.state_sums(table)
+        qbar = mass / self.n
         zeta = model.prior.zeta(model.prior.params)
         g_zeta = qbar @ self.prior_t - fam.grad_log_partition(model.prior.family, zeta)
-        g_eta = self._noise_expectation(model, table)[1] / self.n
+        g_eta = self._noise_expectation(model, mass, stats)[1] / self.n
         return np.concatenate(
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
         )
@@ -320,11 +423,10 @@ class FiniteObjective(_Objective):
         etas = self.tables(model)[0]
         prior_entropy = entropy(model.prior.family, model.prior.zeta(model.prior.params))
         noise_entropies = entropy(model.noise.family, etas)
-        qbar = table.mean(axis=0)
         return (
-            float(np.mean(_entropy_rows(table)))
+            float(self._mean(_entropy_rows(table)))
             - prior_entropy
-            - float(qbar @ noise_entropies)
+            - float(self._mean(table) @ noise_entropies)
         )
 
     def marginal_loglik(self, model: GenerativeModel) -> float:
@@ -332,7 +434,7 @@ class FiniteObjective(_Objective):
         if not self.n:
             raise ValueError("marginal log-likelihood of an empty dataset")
         scores = self.loglik(model) + self.tables(model)[2] + self.log_h[:, None]
-        return float(np.mean(fam.logsumexp(scores, axis=1)))
+        return float(self._mean(fam.logsumexp(scores, axis=1)))
 
 
 def _gaussian_model_parts(model: GenerativeModel):
@@ -384,7 +486,8 @@ class GaussianObjective(_Objective):
             raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
         if q.means.shape[1] != model.latent_support.dim:
             raise IncompatibilityError("latent dimension mismatch")
-        self._check_n(len(q.means))
+        if self.n is not None and len(q.means) != self.n:
+            raise ValueError("data and variational state disagree on N")
         return q
 
     def terms(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
@@ -466,7 +569,8 @@ def evaluator(model: GenerativeModel, data=None) -> Union[FiniteObjective, Gauss
 
 
 def exact_posterior(model: GenerativeModel, data):
-    """The model's exact per-point posterior, as its evaluator returns it."""
+    """The model's exact posterior, as its evaluator returns it: for finite
+    states per distinct data row (row inverse[n] is point n's)."""
     return evaluator(model, data).posterior(model)
 
 

@@ -240,15 +240,58 @@ def rowwise_posterior(ev, model):
     return table
 
 
+def repeated_rows(model, data, q):
+    """A FiniteObjective's quantities summed over every data row, none grouped.
+
+    The arithmetic the evaluator used before it kept each distinct row once:
+    every mean runs over the N rows of data and of the (N, S) table q. Returns
+    the posterior (N, S), the terms and entropy sums of both variants, the
+    gradient, marginal_loglik and mean_log_h.
+    """
+    family, prior = model.noise.family, model.prior.family
+    states = model.latent_support.states
+    t = fam.batch_sufficient_stats(family, data)
+    log_h = fam.batch_log_base_measure(family, data)
+    etas, log_parts, log_prior = obj.FiniteObjective(model).tables(model)
+    n = len(data)
+    value, g_eta = obj.noise_expectation(family, etas, q.sum(axis=0), q.T @ t)
+    f1 = float(np.mean(entropy_rows_reference(q)))
+    f2 = float(-np.mean(q @ log_prior))
+    qbar = q.mean(axis=0)
+    zeta = model.prior.zeta(model.prior.params)
+    g_zeta = qbar @ fam.batch_sufficient_stats(prior, states) - fam.grad_log_partition(prior, zeta)
+    scores = t @ etas.T - log_parts + log_prior
+    posterior = np.exp(scores - fam.logsumexp(scores, axis=1)[:, None])
+    out = {
+        "posterior": posterior,
+        "terms": (f1, f2, float(-value / n - np.mean(log_h))),
+        "pseudo_terms": (f1, f2, float(-value / n)),
+        "gradient": np.concatenate(
+            [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, states, g_eta / n)]
+        ),
+        "marginal_loglik": float(np.mean(fam.logsumexp(scores + log_h[:, None], axis=1))),
+        "mean_log_h": float(np.mean(log_h)),
+    }
+    for key, entropy in (
+        ("entropy_sum", obj._natural_entropy),
+        ("pseudo_entropy_sum", fam.pseudo_entropy),
+    ):
+        out[key] = f1 - entropy(prior, zeta) - float(qbar @ entropy(family, etas))
+    return out
+
+
 def kl_form(ev, model, q):
     """The ELBO as expected log-likelihood minus the mean KL(q_n || prior).
 
-    A second route to ev.elbo: finite states read the (N, S) log-likelihood
-    table, which terms never builds, and the linear-Gaussian models take the
-    KL in closed form.
+    A second route to ev.elbo: finite states read the log-likelihood table,
+    which terms never builds, repeated to one row per data point (as is a q
+    over the distinct rows), and the linear-Gaussian models take the KL in
+    closed form.
     """
     if isinstance(ev, obj.FiniteObjective):
-        loglik = ev.loglik(model) + ev.log_h[:, None]
+        if len(q) < ev.n:
+            q = q[ev.inverse]
+        loglik = (ev.loglik(model) + ev.log_h[:, None])[ev.inverse]
         expected_ll = float(np.mean(np.sum(q * loglik, axis=1)))
         kl_rows = -entropy_rows_reference(q) - q @ ev.tables(model)[2]
         return expected_ll - float(np.mean(kl_rows))

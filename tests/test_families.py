@@ -330,6 +330,13 @@ class TestSampling:
         with pytest.raises(DomainError):
             fam.sample(fam.bernoulli_product(1), [1.0], np.random.default_rng(0), 10)
 
+    @pytest.mark.parametrize("rate", [2.0**53 - 1e6, 2.0**53 * (1 + 2**-52), 1e19])
+    def test_poisson_rate_past_the_support_rejected(self, rate):
+        # About half its counts pass 2**53, and past about 9.2e18 numpy
+        # refuses it.
+        with pytest.raises(DomainError, match="poisson rates near or above 2"):
+            fam.sample(fam.poisson_product(2), [1.0, rate], np.random.default_rng(0), 64)
+
     def test_poisson_mean_within_five_sigma(self):
         rng = np.random.default_rng(7)
         xs = fam.sample(fam.poisson_product(1), [4.0], rng, 100_000)

@@ -20,6 +20,7 @@ from helpers import (
     elbo_gradient_oracle,
     entropy_rows_reference,
     kl_form,
+    repeated_rows,
     rowwise_posterior,
 )
 
@@ -225,18 +226,174 @@ class TestTracedFunctions:
         assert lrn.grad_norm_all_params(model, data, q) == ev.grad_norm(model, q)
 
 
+# ---------------------------------------------------------------------------
+# Grouped rows: each distinct integer-valued row is evaluated once.
+
+GROUPED_KINDS = ["sbn", "mixture-poisson", "mixture-bernoulli", "mixture-categorical"]
+
+
+def grouped_model(kind, rng, data_dim=2):
+    """A finite-state model of kind at random parameters, observing
+    integer-valued rows of data_dim columns."""
+    if kind == "sbn":
+        model = mdl.make_sbn([0.3, 0.6], rng.normal(size=(data_dim, 2)), rng.normal(size=data_dim))
+    elif kind == "mixture-categorical":
+        comp = rng.dirichlet(np.ones(4), size=3)[:, :-1]
+        return mdl.make_ef_mixture(fam.categorical(4), rng.dirichlet(np.ones(3)), comp)
+    else:
+        factory = fam.poisson_product if kind == "mixture-poisson" else fam.bernoulli_product
+        family = factory(data_dim)
+        comp = np.tile(_COMPONENT_PARAMS[family.name][0], (3, data_dim))
+        model = mdl.make_ef_mixture(family, [0.2, 0.3, 0.5], comp)
+    return mdl.replace_params(model, *mdl._random_params(model, rng))
+
+
+def planted_repeats(rows, rng):
+    """rows (an (R, D) array), each repeated 1 to 5 times, in shuffled order."""
+    data = np.repeat(rows, rng.integers(1, 6, size=len(rows)), axis=0)
+    return data[rng.permutation(len(data))]
+
+
+def assert_close(actual, expected):
+    """Equal within 1e-12 relative to the largest |entry| of expected (or 1)."""
+    expected = np.asarray(expected, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+def check_grouping(ev, data):
+    """ev keeps each distinct row of data once, in order of first occurrence,
+    with its count and every point's row."""
+    np.testing.assert_array_equal(ev.rows[ev.inverse], data)
+    assert len(np.unique(ev.rows, axis=0)) == len(ev.rows)
+    first = [int(np.flatnonzero(ev.inverse == u)[0]) for u in range(len(ev.rows))]
+    assert first == sorted(first)
+    counts = np.bincount(ev.inverse)
+    if ev.counts is None:  # no row repeats, so none is weighted
+        assert np.all(counts == 1)
+    else:
+        np.testing.assert_array_equal(ev.counts, counts)
+        assert np.any(counts > 1)
+    assert ev.n == len(data)
+
+
+def check_against_repeated_rows(ev, model, data, q):
+    """Every quantity at q (over the distinct rows or the data points)
+    equals the one the repeated rows give."""
+    oracle = repeated_rows(model, data, q[ev.inverse] if len(q) < len(data) else q)
+    assert_close(ev.terms(model, q), oracle["terms"])
+    assert_close(ev.terms(model, q, pseudo=True), oracle["pseudo_terms"])
+    assert_close(ev.entropy_sum(model, q), oracle["entropy_sum"])
+    assert_close(ev.entropy_sum(model, q, pseudo=True), oracle["pseudo_entropy_sum"])
+    assert_close(ev.gradient(model, q), oracle["gradient"])
+    assert_close(ev.marginal_loglik(model), oracle["marginal_loglik"])
+    assert_close(ev.mean_log_h, oracle["mean_log_h"])
+    return oracle
+
+
+class TestGroupedRows:
+    """FiniteObjective keeps each distinct integer-valued row once, with its
+    count, and every quantity equals the one summed over the repeated rows."""
+
+    @pytest.mark.parametrize("kind", GROUPED_KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_planted_repeats_match_the_repeated_rows(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = grouped_model(kind, rng)
+        _, rows = mdl.sample_joint(model, rng, int(rng.integers(1, 9)))
+        data = planted_repeats(np.reshape(rows, (len(rows), -1)), rng)
+        ev = obj.evaluator(model, data)
+        check_grouping(ev, data)
+        q = ev.posterior(model)
+        assert q.shape == (len(ev.rows), len(model.latent_support.states))
+        oracle = check_against_repeated_rows(ev, model, data, q)
+        assert_close(q[ev.inverse], oracle["posterior"])
+        # A caller's table, one row per point, gives equal rows different q.
+        q_points = ev.state_table(model, rng.dirichlet(np.ones(q.shape[1]), size=len(data)))
+        check_against_repeated_rows(ev, model, data, q_points)
+
+    @pytest.mark.parametrize(
+        "kind, data_dim, top",
+        [
+            ("mixture-poisson", 3, 2**53),  # the key passes int64
+            ("mixture-bernoulli", 70, 1),  # the key passes int64
+        ],
+        ids=["poisson-near-2**53", "bernoulli-70"],
+    )
+    def test_keys_past_a_dense_table(self, kind, data_dim, top):
+        rng = np.random.default_rng(data_dim)
+        model = grouped_model(kind, rng, data_dim)
+        if top > 1:  # counts within 3 of 2**53, at rates of that size
+            model = mdl.replace_params(model, theta=rng.uniform(0.8, 1.0, 9) * 2.0**53)
+            rows = top - rng.integers(0, 4, size=(6, data_dim)).astype(float)
+        else:
+            rows = rng.integers(0, 2, size=(6, data_dim)).astype(float)
+        data = planted_repeats(rows, rng)
+        assert math.prod(int(c) + 1 for c in data.max(axis=0)) > 2**63
+        ev = obj.evaluator(model, data)
+        check_grouping(ev, data)
+        q = ev.posterior(model)
+        check_against_repeated_rows(ev, model, data, q)
+        q_points = ev.state_table(model, rng.dirichlet(np.ones(q.shape[1]), size=len(data)))
+        check_against_repeated_rows(ev, model, data, q_points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(1, 4),
+        top=st.sampled_from([1, 3, obj._DENSE_KEYS - 1, obj._DENSE_KEYS, 2**53]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_group_rows_on_every_path(self, n, d, top, seed):
+        # Keys spanning up to _DENSE_KEYS values take the dense table, wider
+        # ones the lexsort; the first row pins the span at (top + 1)**d.
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, top, size=(n, d), endpoint=True).astype(float)
+        distinct[0] = top
+        data = planted_repeats(distinct, rng)
+        first, inverse, counts = obj._group_rows(data)
+        np.testing.assert_array_equal(data[first][inverse], data)
+        np.testing.assert_array_equal(first, np.sort(first))
+        np.testing.assert_array_equal(inverse[first], np.arange(len(first)))
+        assert len(np.unique(data[first], axis=0)) == len(first)
+        np.testing.assert_array_equal(counts, np.bincount(inverse))
+
+    @pytest.mark.parametrize("case", ["gaussian-mixture", "bernoulli-distinct"])
+    def test_rows_without_repeats_are_every_row(self, case):
+        # The path real-valued data always take: no row is dropped, and
+        # posterior and loglik are the per-point tables.
+        rng = np.random.default_rng(17)
+        if case == "gaussian-mixture":
+            model = gmm()
+            _, data = mdl.sample_joint(model, rng, 200)
+        else:
+            model = sbn(h=2, d=6)
+            data = rng.permutation(mdl.enumerate_binary_states(6))[:40].astype(float)
+        ev = obj.evaluator(model, data)
+        assert ev.rows is data or np.array_equal(ev.rows, data)
+        assert ev.counts is None
+        np.testing.assert_array_equal(ev.inverse, np.arange(len(data)))
+        etas, log_parts, _ = ev.tables(model)
+        t = fam.batch_sufficient_stats(model.noise.family, data)
+        np.testing.assert_array_equal(ev.t, t)
+        loglik = t @ etas.T - log_parts
+        assert np.max(np.abs(ev.loglik(model) - loglik)) <= 1e-15 * max(1.0, np.max(np.abs(loglik)))
+        assert np.max(np.abs(ev.posterior(model) - rowwise_posterior(ev, model))) <= 1e-15
+
+
 class TestKlForm:
     @pytest.mark.parametrize("kind", FINITE_KINDS)
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_three_term_form(self, kind, seed):
         # terms reads q's expected statistics; kl_form and the pseudo f3
-        # below read the (N, S) log-likelihood table.
+        # below read the log-likelihood table, one row per data point.
         model, data, ev, q = random_point(kind, seed)
         elbo = ev.elbo(model, q)
         assert kl_form(ev, model, q) == pytest.approx(elbo, abs=1e-12 * max(1.0, abs(elbo)))
         f3 = ev.terms(model, q, pseudo=True)[2]
-        table_f3 = -np.mean(np.sum(q * ev.loglik(model), axis=1))
+        table_f3 = -np.mean(np.sum(q * ev.loglik(model)[ev.inverse], axis=1))
         assert f3 == pytest.approx(table_f3, abs=1e-12 * max(1.0, abs(table_f3)))
 
         # Tables are states-major: (N, S) views of C-ordered (S, N) arrays.
