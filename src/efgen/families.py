@@ -132,8 +132,9 @@ def logsumexp(a, axis=None):
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """An exponential family, built from its name and size: data_dim, plus
-    n_states for a categorical. Its natural and standard dimensions and its
-    base measure follow from these (see DIMENSIONS)."""
+    n_states for a categorical. Its natural and standard dimensions (see
+    DIMENSIONS), its base measure and whether its observations are integers
+    follow from these."""
 
     name: str
     data_dim: int
@@ -141,6 +142,7 @@ class FamilyDescriptor:
     natural_dim: int = field(init=False, repr=False)
     standard_dim: int = field(init=False, repr=False)
     base_measure_kind: str = field(init=False, repr=False)
+    integer_valued: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.name not in DIMENSIONS:
@@ -162,6 +164,8 @@ class FamilyDescriptor:
         object.__setattr__(self, "standard_dim", dims[1])
         base = "poisson_factorial" if self.name == "poisson_product" else "unit_constant"
         object.__setattr__(self, "base_measure_kind", base)
+        integer = self.name in ("bernoulli_product", "categorical", "poisson_product")
+        object.__setattr__(self, "integer_valued", integer)
 
 
 def bernoulli_product(data_dim: int) -> FamilyDescriptor:

@@ -1,7 +1,8 @@
 """Experiment harness: strict JSON configs, CSV datasets, reports.
 
 Pipelines run as generate -> train -> verify, each emitting machine-readable
-artifacts into a run directory:
+artifacts into a run directory. train calls the model kind's trainer as
+trainer(model, data, config.training) and writes from the Fit it returns:
 
   dataset.csv    one observation per row, header x1..xD; floats carry 17
                  significant digits so values round-trip bit-exactly,
@@ -10,8 +11,9 @@ artifacts into a run directory:
   model.json     trained model, loadable by verify
   trace.csv      per-iteration elbo / entropy_sum / gap / grad_norm / time
   summary.json   run id plus final-record digest, consumed by `report`
-  report.json    config echo, criterion residuals, objective reports, and
-                 one verdict per check with the numbers it derives from
+  report.json    config echo (every training setting, init included),
+                 criterion residuals, objective reports, and one verdict
+                 per check with the numbers it derives from
 
 Configs are versioned and parsed strictly. One block reader serves every
 config block and every model file, each from a table that declares each key's
@@ -66,7 +68,6 @@ SCHEMA_VERSION = 1
 GRAD_NORM_THRESHOLD = TrainingConfig.grad_norm_tol
 GAP_RTOL = 1e-6
 
-_INTEGER_FAMILIES = ("poisson_product", "bernoulli_product")
 # Most values (rows times data_dim) a synthetic dataset may hold: 10^8
 # float64 values are 0.8 GB, checked before anything is allocated.
 MAX_SYNTHETIC_VALUES = 10**8
@@ -193,7 +194,6 @@ class ExperimentConfig:
     model_spec: dict
     data: DataSource
     training: TrainingConfig
-    training_init: str
     output_dir: str
 
 
@@ -287,7 +287,6 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
             raise ConfigError("config.data: exactly one data source; drop 'seed'/'n'")
 
     training = _read_block(top.get("training", {}), "config.training", _TRAINING_FIELDS)
-    init = training.pop("init", "auto")
     training = TrainingConfig(**training)
     output = _read_block(top.get("output", {}), "config.output", _OUTPUT_FIELDS)
 
@@ -303,7 +302,6 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         model_spec=model_spec,
         data=data,
         training=training,
-        training_init=init,
         output_dir=output.get("dir", "."),
     )
 
@@ -313,7 +311,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
 
 
 def write_dataset(path: str, data: np.ndarray, family: fam.FamilyDescriptor):
-    integer = family.name in _INTEGER_FAMILIES
+    integer = family.integer_valued
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(family.data_dim)) + "\n")
         if not len(data):
@@ -481,29 +479,24 @@ def cmd_generate(config: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 
 
 def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
-    """Train by model kind: the trained model, its q, the trace, and the
-    evaluator that trained it. A trainer's data errors, out-of-support cells
-    included, are user errors: they name the dataset's config field, or
+    """The Fit of the model kind's trainer. Its data errors, out-of-support
+    cells included, are user errors naming the dataset's config field, or
     config.model.w when a PPCA has as many latents as observed dimensions.
     PPCA refuses training.init "model": it starts from its closed form."""
+    # Looked up on each call: the benchmark's tracer (perfbench/tracer.py)
+    # replaces this module's em_mixture and fit_sbn with wrapped ones.
+    trainers = {"ef_mixture": em_mixture, "ppca": fit_ppca, "sbn": fit_sbn}
     kind = model.model_kind
+    if kind not in trainers:
+        raise ConfigError(f"training is not supported for model kind {kind!r}")
+    if kind == "ppca" and config.training.init == "model":
+        raise ConfigError("config.training.init: ppca starts from its closed form")
     try:
-        if kind == "ef_mixture":
-            fit = em_mixture(model, data, config.training, init=config.training_init)
-            return fit.model, fit.q, fit.trace, fit.evaluator
-        if kind == "ppca":
-            if config.training_init == "model":
-                raise ConfigError("config.training.init: ppca starts from its closed form")
-            fit = fit_ppca(data, model.latent_support.dim, config.training)
-            return fit.em_model, fit.em_q, fit.trace, fit.evaluator
-        if kind == "sbn":
-            fit = fit_sbn(model, data, config.training, init=config.training_init)
-            return fit.model, fit.q, fit.trace, fit.evaluator
+        return trainers[kind](model, data, config.training)
     except (DegenerateDataError, EmptyClusterError, NewtonConvergenceError, SupportError) as exc:
         too_many_latents = kind == "ppca" and model.latent_support.dim >= data.shape[1]
         where = "config.model.w" if too_many_latents else _data_field(config)
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"training is not supported for model kind {kind!r}")
 
 
 def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
@@ -511,10 +504,11 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     model = model_from_dict(config.model_spec)
     data = _load_nonempty_data(config, model)
     # The reports come from the evaluator that trained, as q is in its form.
-    fitted, q, trace, ev = _train_dispatch(config, model, data)
+    fit = _train_dispatch(config, model, data)
+    fitted, trace, ev = fit.model, fit.trace, fit.evaluator
 
     out = _resolve_out(config, out_dir)
-    standard, pseudo = ev.report(fitted, q), ev.report(fitted, q, pseudo=True)
+    standard, pseudo = ev.report(fitted, fit.q), ev.report(fitted, fit.q, pseudo=True)
     last = trace.last() if trace.records else None
     report = {
         "run_id": config.run_id,

@@ -1,12 +1,17 @@
 """Training to stationary points: mixture EM, linear-Gaussian fits, SBN ascent.
 
-One loop, _train, runs every trainer: it alternates the trainer's M-step
-with an exact E-step from the model's evaluator (objective.FiniteObjective
-or objective.GaussianObjective). Exact E-steps make the reached fixed points
+Every trainer has one shape, trainer(model, data, config) -> Fit, and one
+loop, _train, runs them all: it alternates the trainer's M-step with an exact
+E-step from the model's evaluator (objective.FiniteObjective or
+objective.GaussianObjective). Exact E-steps make the reached fixed points
 true stationary points of the ELBO in all parameters (variational-side
 stationarity is implied by exact-posterior optimality). Stopping demands
 both an ELBO plateau and a small exact gradient norm (the evaluator's
 closed form, q held fixed); a plateau alone is not accepted.
+
+Both finite-state M-steps read q only through each state's mass w_s and
+statistics B_s (the evaluator's state_sums). The mixture M-step is moment
+matching: grad A(eta_s) = B_s / w_s zeroes the noise gradient G_s.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ __all__ = [
     "TraceRecord",
     "TrainingTrace",
     "Fit",
-    "PpcaFit",
     "em_mixture",
     "mixture_m_step",
     "fit_ppca",
+    "ppca_closed_form",
     "fit_sbn",
     "grad_norm_all_params",
     "gamma_shape_newton",
@@ -55,6 +60,7 @@ class TrainingConfig:
     grad_norm_tol: float = 1e-7
     seed: int = 0
     record_every: int = 1
+    init: str = "auto"  # "auto": the trainer's own start; "model": the model passed
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -63,6 +69,8 @@ class TrainingConfig:
             raise ValueError("grad_norm_tol must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        if self.init not in ("auto", "model"):
+            raise ValueError("init must be 'auto' or 'model'")
 
 
 @dataclass(frozen=True)
@@ -101,18 +109,6 @@ class Fit:
     evaluator: obj.FiniteObjective | obj.GaussianObjective
 
 
-@dataclass(frozen=True)
-class PpcaFit:
-    """Eigendecomposition maximum-likelihood solution plus the EM-refined one."""
-
-    model: GenerativeModel  # closed-form eigen solution
-    q: obj.GaussianMoments
-    trace: TrainingTrace  # from the EM refinement
-    em_model: GenerativeModel
-    em_q: obj.GaussianMoments
-    evaluator: obj.GaussianObjective
-
-
 # Not called by the library: the benchmark's tracer (perfbench/tracer.py)
 # looks this name up in learning and harness, so it stays until the tracer's
 # targets move to the evaluators.
@@ -126,13 +122,9 @@ def grad_norm_all_params(model: GenerativeModel, data, q) -> float:
     return ev.grad_norm(model, ev.state_table(model, q))
 
 
-def _train(
-    ev: obj.FiniteObjective | obj.GaussianObjective,
-    model: GenerativeModel,
-    config: TrainingConfig,
-    step,
-) -> Fit:
-    """Alternate model = step(model, q) with exact E-steps q = ev.posterior(model).
+def _train(ev, model: GenerativeModel, config: TrainingConfig, step) -> Fit:
+    """Alternate model = step(model, q) with exact E-steps q = ev.posterior(model)
+    from the evaluator ev.
 
     Stops at an ELBO plateau with a gradient norm below tolerance, or at the
     iteration cap. Gradient checks on a plateau back off exponentially: EM
@@ -219,60 +211,40 @@ def gamma_shape_newton(s: float) -> float:
     raise NewtonConvergenceError(f"shape update failed to converge (s={s})")
 
 
-def _weighted_component_update(family, data, resp_c, mass_c):
-    """Weighted maximum-likelihood parameters of one mixture component."""
-    w = resp_c / mass_c
-    name = family.name
+def _moment_match(family, means: np.ndarray) -> np.ndarray:
+    """Standard parameter rows whose expected statistics are the rows of
+    means; a gaussian_scalar_var's variance averages the dimensions'."""
+    name, d = family.name, family.data_dim
+    if name in ("bernoulli_product", "poisson_product"):
+        return means
     if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
-        mu = w @ data
-        sq = w @ (data - mu) ** 2
+        mu = means[:, :d]
+        var = means[:, d:] - mu * mu
         if name == "gaussian_scalar_var":
-            return np.concatenate([mu, [float(np.mean(sq))]])
-        return np.concatenate([mu, sq])
-    if name == "poisson_product":
-        return w @ data
-    if name == "bernoulli_product":
-        return w @ data
-    if name == "gamma":
-        x = data[:, 0]
-        mean = float(w @ x)
-        mean_log = float(w @ np.log(x))
-        s = math.log(mean) - mean_log
-        alpha = gamma_shape_newton(s)
-        return np.array([alpha, alpha / mean])
+            var = var.mean(axis=1, keepdims=True)
+        return np.hstack([mu, var])
+    if name == "gamma":  # statistics (log x, x)
+        alpha = np.array([gamma_shape_newton(math.log(x) - log_x) for log_x, x in means])
+        return np.stack([alpha, alpha / means[:, 1]], axis=1)
     raise ValueError(f"no M-step for component family {name}")
 
 
-def mixture_m_step(
-    model: GenerativeModel, data: np.ndarray, resp: np.ndarray, counts=None
-) -> GenerativeModel:
-    """Closed-form weighted moment matching; raises on an empty cluster and
-    on a component whose new parameters leave the family's domain or come
-    within rounding of its edge.
-
-    resp holds each row's responsibilities. counts, if given, is how many
-    data points each row stands for (an evaluator's distinct rows); without
-    it every row is one point.
+def mixture_m_step(model: GenerativeModel, mass, stats) -> GenerativeModel:
+    """Closed-form moment matching from each component's responsibility mass
+    w_c (C,) and statistics B_c (C, L), as FiniteObjective.state_sums gives
+    them: weights w / sum(w), and components whose expected statistics are
+    B_c / w_c. Raises on an empty cluster and on a component whose new
+    parameters leave the family's domain or come within rounding of its edge.
     """
-    if counts is None:
-        n = len(data)
-    else:
-        n, resp = counts.sum(), (resp.T * counts).T
-    mass = resp.sum(axis=0)
     if np.any(mass < _EMPTY_CLUSTER_MASS):
         dead = int(np.argmin(mass))
         raise EmptyClusterError(
             f"component {dead} received ~zero responsibility mass; "
             "restart with a different seed or fewer components"
         )
-    weights = mass / n
+    weights = mass / mass.sum()
     family = model.noise.family
-    rows = np.array(
-        [
-            _weighted_component_update(family, data, resp[:, c], mass[c])
-            for c in range(model.latent_support.n_states)
-        ]
-    )
+    rows = _moment_match(family, stats / mass[:, None])
     c = collapsed_component(family, rows, weights)
     if c is not None:
         raise DegenerateDataError(f"component {c} collapsed to the edge of its domain")
@@ -313,38 +285,43 @@ def _kmeanspp_init(model: GenerativeModel, data: np.ndarray, rng) -> np.ndarray:
     return resp / resp.sum(axis=1, keepdims=True)
 
 
-def em_mixture(
-    model: GenerativeModel,
-    data,
-    config: TrainingConfig,
-    init: str = "auto",
-) -> Fit:
+def em_mixture(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     """Exact-posterior EM for exponential-family mixtures.
 
-    init="auto" seeds responsibilities k-means++-style on sufficient
-    statistics; init="model" starts from the passed model's parameters.
-    The E- and M-steps run on the evaluator's distinct rows, weighted by
-    their counts; the seeding reads every row, so its draws do not depend on
-    the grouping.
+    config.init "auto" seeds responsibilities k-means++-style on sufficient
+    statistics; "model" starts from the passed model's parameters. Both
+    steps read q through the evaluator's state sums, over its distinct rows;
+    the seeding reads every row, so its draws do not depend on the grouping.
     """
     if model.model_kind != "ef_mixture":
         raise ValueError("em_mixture expects an ef_mixture model")
     data = np.asarray(data, dtype=float)
     ev = obj.FiniteObjective(model, data)
-    rng = np.random.default_rng(config.seed)
-    if init == "auto":
-        model = mixture_m_step(model, data, _kmeanspp_init(model, data, rng))
-    elif init != "model":
-        raise ValueError("init must be 'auto' or 'model'")
-    return _train(ev, model, config, lambda m, q: mixture_m_step(m, ev.rows, q, ev.counts))
+    if config.init == "auto":
+        rng = np.random.default_rng(config.seed)
+        model = mixture_m_step(model, *ev.state_sums(_kmeanspp_init(model, data, rng)))
+    return _train(ev, model, config, lambda m, q: mixture_m_step(m, *ev.state_sums(q)))
 
 
 # ---------------------------------------------------------------------------
 # Probabilistic PCA.
 
 
-def _ppca_ml_solution(data: np.ndarray, h: int):
+def _ppca_ml_solution(data, h: int):
+    """(W, mean, sigma2) of the eigen solution for (N, D) data, 1 <= h < D < N,
+    and the data's covariance."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValueError("data must be (N, D)")
     n, d = data.shape
+    if h < 1:
+        raise ValueError("h must be at least 1")
+    if h >= d:
+        raise DegenerateDataError(
+            "h must be strictly below the data dimension (noise variance would vanish)"
+        )
+    if n <= d:
+        raise DegenerateDataError("need more data points than dimensions")
     # Keeps the mean's sums and every entry of centered.T @ centered finite.
     if np.max(np.abs(data)) > 0.5 * math.sqrt(np.finfo(float).max / n):
         raise DegenerateDataError("observations too large: their covariance would overflow")
@@ -359,35 +336,29 @@ def _ppca_ml_solution(data: np.ndarray, h: int):
     if sigma2 <= 0.0 or np.linalg.matrix_rank(cov) <= h:
         raise DegenerateDataError("data covariance rank too low for the requested h")
     if evals[h - 1] <= sigma2:
-        raise DegenerateDataError(
-            "leading eigenvalues do not separate from the noise floor"
-        )
+        raise DegenerateDataError("leading eigenvalues do not separate from the noise floor")
     w = evecs[:, :h] * np.sqrt(evals[:h] - sigma2)
     return w, mean, sigma2, cov
 
 
-def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
-    """Closed-form eigen solution plus an EM-refined fit with exact posteriors.
+def ppca_closed_form(data, h: int) -> GenerativeModel:
+    """The maximum-likelihood PPCA with h latents, by eigendecomposition."""
+    w, mean, sigma2, _ = _ppca_ml_solution(data, h)
+    return make_ppca(w, mean, sigma2, tau=1.0)
 
-    Requires 1 <= h < D < N; the mean is fitted jointly as the sample mean.
-    The EM refinement starts from a seeded perturbation of the closed-form
-    solution, so the agreement between the two is informative.
+
+def fit_ppca(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
+    """EM with exact posteriors for a PPCA with the model's number of latents.
+
+    Starts from a seeded perturbation of the closed-form solution
+    (ppca_closed_form), so the agreement between the two is informative;
+    config.init "model" is refused, as the passed parameters are not read.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("data must be (N, D)")
-    n, d = data.shape
-    if h < 1:
-        raise ValueError("h must be at least 1")
-    if h >= d:
-        raise DegenerateDataError(
-            "h must be strictly below the data dimension (noise variance would vanish)"
-        )
-    if n <= d:
-        raise DegenerateDataError("need more data points than dimensions")
-
-    w_ml, mean, sigma2_ml, cov = _ppca_ml_solution(data, h)
-    model_ml = make_ppca(w_ml, mean, sigma2_ml, tau=1.0)
+    if model.model_kind != "ppca":
+        raise ValueError("fit_ppca expects a ppca model")
+    if config.init == "model":
+        raise ValueError("fit_ppca starts from the closed-form solution, not the model")
+    w_ml, mean, sigma2_ml, cov = _ppca_ml_solution(data, model.latent_support.dim)
 
     def step(model, q):
         # Tipping & Bishop's EM update folds the posterior moments into the
@@ -398,14 +369,12 @@ def fit_ppca(data, h: int, config: TrainingConfig) -> PpcaFit:
         minv = np.linalg.inv(w.T @ w + sigma2 * np.eye(hdim))
         sw = cov @ w
         w_new = sw @ np.linalg.inv(sigma2 * np.eye(hdim) + minv @ w.T @ sw)
-        sigma2_new = float(np.trace(cov - sw @ minv @ w_new.T)) / d
+        sigma2_new = float(np.trace(cov - sw @ minv @ w_new.T)) / len(cov)
         return make_ppca(w_new, mean, sigma2_new, tau=1.0)
 
     rng = np.random.default_rng(config.seed)
     model0 = make_ppca(w_ml + 0.05 * rng.normal(size=w_ml.shape), mean, sigma2_ml * 1.2, tau=1.0)
-    ev = obj.GaussianObjective(model_ml, data)
-    fit = _train(ev, model0, config, step)
-    return PpcaFit(model_ml, ev.posterior(model_ml), fit.trace, fit.model, fit.q, ev)
+    return _train(obj.GaussianObjective(model0, data), model0, config, step)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +428,10 @@ def _armijo_step(evaluate, theta, direction, cur, slope):
     return None
 
 
-def fit_sbn(
-    model: GenerativeModel,
-    data,
-    config: TrainingConfig,
-    init: str = "auto",
-) -> Fit:
+def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     """Exact enumerated E-steps alternated with closed-form latent-probability
-    updates and damped Newton ascent on weights and offsets.
+    updates and damped Newton ascent on weights and offsets. config.init
+    "auto" starts from seeded small weights, "model" from the model passed.
 
     The weights-and-offsets step maximizes the q-expected noise term,
     objective.noise_expectation() at the model's own eta, with its gradient
@@ -484,16 +449,14 @@ def fit_sbn(
     args = constructor_args(model)
     d, h = args["w"].shape
     offsets_free = args["offsets_free"]
-    rng = np.random.default_rng(config.seed)
-    if init == "auto":
+    if config.init == "auto":
+        rng = np.random.default_rng(config.seed)
         pi0 = 1.0 / (1.0 + np.exp(-rng.uniform(-1.0, 1.0, size=h)))
         w0 = 0.1 * rng.normal(size=(d, h))
         theta0 = w0.ravel(order="F")
         if offsets_free:
             theta0 = np.concatenate([theta0, np.zeros(d)])
         model = replace_params(model, psi=pi0, theta=theta0)
-    elif init != "model":
-        raise ValueError("init must be 'auto' or 'model'")
 
     ev = obj.FiniteObjective(model, data)
     states = ev.states

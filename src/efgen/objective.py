@@ -88,9 +88,6 @@ __all__ = [
 
 _ROW_NORM_TOL = 1e-9
 
-# Integer-valued observables, whose equal rows FiniteObjective groups.
-# Real-valued rows rarely repeat, so looking for repeats would only cost.
-_COUNT_FAMILIES = ("bernoulli_product", "categorical", "poisson_product")
 # Rows are grouped through a dense table indexed by their keys while the keys
 # span at most this many values (an 8 MB table), else by a lexsort. Measured
 # on 3 columns of counts, the table is 3-4 times faster from 10,000 rows, at
@@ -303,7 +300,8 @@ class FiniteObjective(_Objective):
             self.rows, self.inverse = data, np.arange(self.n)
             if self.n:
                 self.t = fam.batch_sufficient_stats(noise, data)  # checks every row
-                if noise.name in _COUNT_FAMILIES:
+                # Real-valued rows rarely repeat: looking for repeats would only cost.
+                if noise.integer_valued:
                     first, inverse, counts = _group_rows(data)
                     if len(first) < self.n:
                         self.rows, self.t = data[first], self.t[first]

@@ -4,8 +4,9 @@ The four checks here (gradient vs finite differences, normalization, entropy
 vs quadrature/summation, pseudo-entropy relation) are used both by the unit
 tests and by the acceptance suite. Each returns the worst absolute error over
 the supplied grid so callers can assert their own tolerance. The ELBO
-gradient oracle checks the evaluators' exact gradients the same way, and
-kl_form is the reference for their three-term ELBO.
+gradient oracle checks the evaluators' exact gradients the same way,
+kl_form is the reference for their three-term ELBO, and
+weighted_component_update the two-pass reference for the mixture M-step.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from efgen import families as fam
+from efgen import learning as lrn
 from efgen import models as mdl
 from efgen import objective as obj
 
@@ -223,6 +225,29 @@ def sbn_newton_direction_oracle(grad, states, curv, offsets_free):
     if offsets_free:
         direction[d * h :] = dir_mu
     return direction
+
+
+def weighted_component_update(family, data, resp_c, mass_c):
+    """Weighted maximum-likelihood parameters of one mixture component, read
+    off the data rows: the Gaussian variances are weighted mean squares of
+    the rows less their weighted mean (two passes)."""
+    w = resp_c / mass_c
+    name = family.name
+    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+        mu = w @ data
+        sq = w @ (data - mu) ** 2
+        if name == "gaussian_scalar_var":
+            return np.concatenate([mu, [float(np.mean(sq))]])
+        return np.concatenate([mu, sq])
+    if name in ("poisson_product", "bernoulli_product"):
+        return w @ data
+    if name == "gamma":
+        x = data[:, 0]
+        mean = float(w @ x)
+        mean_log = float(w @ np.log(x))
+        alpha = lrn.gamma_shape_newton(math.log(mean) - mean_log)
+        return np.array([alpha, alpha / mean])
+    raise ValueError(f"no M-step for component family {name}")
 
 
 def rowwise_posterior(ev, model):

@@ -106,7 +106,7 @@ def test_acceptance_3_poisson_pseudo_gap_and_offset_identity():
         model = truth
         q = ev.posterior(model)
         for _ in range(25):
-            model = lrn.mixture_m_step(model, ev.rows, q, ev.counts)
+            model = lrn.mixture_m_step(model, *ev.state_sums(q))
             q = ev.posterior(model)
             std, pse = ev.report(model, q), ev.report(model, q, pseudo=True)
             err = abs(pse.elbo - (std.elbo - offset))
@@ -135,8 +135,7 @@ def test_acceptance_4_ppca_closed_form_likelihood():
     truth = mdl.make_ppca(w_true, np.zeros(5), 0.7)
     _, data = mdl.sample_joint(truth, rng, 5000)
     data = data - data.mean(axis=0)
-    fit = lrn.fit_ppca(data, 2, lrn.TrainingConfig(seed=40))
-    args = mdl.constructor_args(fit.model)
+    args = mdl.constructor_args(lrn.ppca_closed_form(data, 2))
     w, mu, s2, tau = (args[k] for k in ("w", "mu", "sigma2", "tau"))
     direct = float(
         np.mean(

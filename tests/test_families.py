@@ -42,6 +42,17 @@ class TestDescriptors:
             fam.check_standard(family, np.append(row, 0.5))
         assert fam.to_natural(family, row).shape == (family.natural_dim,)
 
+    @pytest.mark.parametrize("name", sorted(fam.DIMENSIONS))
+    def test_integer_valued_families_draw_integers(self, name):
+        # Bernoulli, categorical and Poisson observations are integers, and
+        # draws from the real-valued families are not.
+        family = fam.FamilyDescriptor(name, *{"categorical": (1, 4), "gamma": (1,)}.get(name, (3,)))
+        row = random_standard_rows(family, np.random.default_rng(0), 1)[0]
+        x = fam.sample(family, row, np.random.default_rng(1), 50)
+        assert family.integer_valued == bool(np.all(x == np.floor(x)))
+        integer = name in ("bernoulli_product", "categorical", "poisson_product")
+        assert family.integer_valued == integer
+
     @pytest.mark.parametrize(
         "args",
         [

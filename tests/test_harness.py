@@ -278,6 +278,14 @@ class TestTrain:
         with pytest.raises(ConfigError, match="nope.csv"):
             hns.cmd_train(hns.parse_config(raw))
 
+    @pytest.mark.parametrize("init", ["auto", "model"])
+    def test_report_echoes_how_training_started(self, tmp_path, init):
+        raw = gmm_config(tmp_path, max_iters=2)
+        raw["training"]["init"] = init
+        paths = hns.cmd_train(hns.parse_config(raw))
+        with open(paths["report"]) as fh:
+            assert json.load(fh)["config"]["training"]["init"] == init
+
 
 class TestVerify:
     def _trained_paths(self, tmp_path):

@@ -4,13 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efgen import families as fam
 from efgen import learning as lrn
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import DegenerateDataError, EmptyClusterError, NewtonConvergenceError
-from helpers import SBN8_MU, SBN8_PI, SBN8_W, sbn_newton_direction_oracle
+from helpers import (
+    SBN8_MU,
+    SBN8_PI,
+    SBN8_W,
+    sbn_newton_direction_oracle,
+    weighted_component_update,
+)
 
 
 def separated_gmm(n=500, seed=0):
@@ -116,8 +124,9 @@ class TestEmMixture:
     )
     def test_component_at_the_edge_of_its_domain_collapses(self, family, comp, data, resp):
         model = mdl.make_ef_mixture(family, [0.5, 0.5], np.array([comp, comp]))
+        ev = obj.FiniteObjective(model, np.array(data))
         with pytest.raises(DegenerateDataError, match="component 0 collapsed"):
-            lrn.mixture_m_step(model, np.array(data), np.array(resp))
+            lrn.mixture_m_step(model, *ev.state_sums(ev.state_table(model, resp)))
 
     def test_monotone_elbo(self):
         truth, data = separated_gmm(seed=4)
@@ -132,7 +141,7 @@ class TestEmMixture:
             fam.gaussian_scalar_var(1), [0.5, 0.5], np.array([[0.0, 0.01], [1e6, 0.01]])
         )
         with pytest.raises(EmptyClusterError, match="restart"):
-            lrn.em_mixture(bad, data, lrn.TrainingConfig(seed=5), init="model")
+            lrn.em_mixture(bad, data, lrn.TrainingConfig(seed=5, init="model"))
 
     def test_determinism_bitwise(self):
         truth, data = separated_gmm(seed=6)
@@ -161,7 +170,7 @@ class TestEmMixture:
         elif trainer == "fit_ppca":
             truth = mdl.make_ppca(np.array([[1.0], [0.6], [-0.3]]), np.zeros(3), 0.5)
             _, data = mdl.sample_joint(truth, np.random.default_rng(7), 500)
-            fit = lrn.fit_ppca(data, 1, cfg)
+            fit = lrn.fit_ppca(truth, data, cfg)
         else:
             truth = mdl.make_sbn([0.35], np.array([[2.0], [-1.5]]), np.array([0.3, -0.2]))
             _, data = mdl.sample_joint(truth, np.random.default_rng(7), 200)
@@ -206,6 +215,96 @@ class TestEmMixture:
         assert len(calls) == 5
 
 
+def _component_rows(family, rng, n, repeated):
+    """At most n in-support rows of family: with repeated, n rows drawn from
+    3 distinct ones, else rows none of which repeats. Every column of the
+    distinct rows takes two values at least, so no component collapses."""
+    d = family.data_dim
+    name = family.name
+    if name == "bernoulli_product":  # all zeros and all ones come first
+        base = np.array([[i >> k & 1 for k in range(d)] for i in range(2**d)], dtype=float)
+        base = base[np.r_[0, 2**d - 1, 1 + rng.permutation(2**d - 2)]]
+    elif name == "poisson_product":
+        base = rng.permutation(np.unique(rng.poisson(4.0, size=(3 * n, d)), axis=0))
+        base[0] = base.max(axis=0) + 1.0  # a new row, and no column all zero
+    elif name == "gamma":
+        base = rng.gamma(rng.uniform(0.5, 5.0), rng.uniform(0.2, 3.0), size=(n, 1))
+    else:
+        base = rng.normal(rng.normal(0.0, 3.0, size=d), rng.uniform(0.1, 3.0), size=(n, d))
+    if not repeated:
+        return base[:n]
+    return base[:3][rng.permutation(np.r_[0, 1, 2, rng.integers(3, size=n - 3)])]
+
+
+_M_STEP_FAMILIES = [
+    fam.bernoulli_product(3),
+    fam.poisson_product(2),
+    fam.gaussian_diag_cov(2),
+    fam.gaussian_scalar_var(3),
+    fam.gamma_family(),
+]
+
+
+class TestMixtureMStep:
+    """Moment matching from the evaluator's state sums, against the two-pass
+    weighted update on the data rows that it replaced."""
+
+    @pytest.mark.parametrize("family", _M_STEP_FAMILIES, ids=lambda f: f.name)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        repeated=st.booleans(),
+        per_point=st.booleans(),
+        c=st.integers(1, 3),
+    )
+    def test_matches_the_weighted_update_and_the_moments(self, family, seed, repeated, per_point, c):
+        rng = np.random.default_rng(seed)
+        data = _component_rows(family, rng, 30, repeated)
+        comp = weighted_component_update(family, data, np.ones(len(data)), len(data))
+        model = mdl.make_ef_mixture(family, np.full(c, 1.0 / c), np.tile(comp, (c, 1)))
+        ev = obj.FiniteObjective(model, data)
+        assert (ev.counts is not None) == (repeated and family.integer_valued)
+        rows = data if per_point or ev.counts is None else ev.rows
+        q = rng.uniform(0.05, 1.0, size=(len(rows), c))
+        q /= q.sum(axis=1, keepdims=True)
+        # The oracle's responsibilities: one row per point, or a distinct
+        # row's weighted by its count.
+        resp = q if rows is data else q * ev.counts[:, None]
+
+        mass, stats = ev.state_sums(ev.state_table(model, q))
+        args = mdl.constructor_args(lrn.mixture_m_step(model, mass, stats))
+        weights, got = args["weights"], args["component_params"]
+        oracle = np.array([weighted_component_update(family, rows, r, r.sum()) for r in resp.T])
+        np.testing.assert_allclose(weights, resp.sum(axis=0) / len(data), rtol=1e-12)
+
+        d = family.data_dim
+        eps = np.finfo(float).eps
+        if family.name == "gamma":  # within the Newton iteration's tolerance
+            np.testing.assert_allclose(got, oracle, rtol=1e-10)
+        elif family.name.startswith("gaussian"):
+            scale = np.max(np.abs(rows))
+            np.testing.assert_allclose(got[:, :d], oracle[:, :d], rtol=1e-12, atol=1e-12 * scale)
+            # One pass takes the squared mean from the second moment, so the
+            # variance carries an absolute error of order eps E[x^2].
+            second = (resp.T @ rows**2) / resp.sum(axis=0)[:, None]
+            if family.name == "gaussian_scalar_var":
+                second = second.mean(axis=1, keepdims=True)
+            bound = 64.0 * eps * second
+            assert np.all(np.abs(got[:, d:] - oracle[:, d:]) <= bound)
+        else:
+            np.testing.assert_allclose(got, oracle, rtol=1e-12)
+
+        # Each component's expected statistics are its state's B_s / w_s; a
+        # shared variance matches the second moments summed over dimensions.
+        target = stats / mass[:, None]
+        moments = fam.grad_log_partition(family, fam.to_natural(family, got))
+        if family.name == "gaussian_scalar_var":
+            moments = np.hstack([moments[:, :d], moments[:, d:].sum(axis=1, keepdims=True)])
+            target = np.hstack([target[:, :d], target[:, d:].sum(axis=1, keepdims=True)])
+        atol = 1e-10 if family.name == "gamma" else 1e-12 * np.max(np.abs(target))
+        np.testing.assert_allclose(moments, target, rtol=1e-10, atol=atol)
+
+
 class TestGammaShapeNewton:
     def test_round_trip(self):
         for alpha in (0.3, 1.0, 2.5, 17.0):
@@ -228,29 +327,28 @@ class TestFitPpca:
         w = np.array([[1.0], [0.6], [-0.3]])
         truth = mdl.make_ppca(w, np.array([0.2, -0.1, 0.4]), 0.5)
         _, data = mdl.sample_joint(truth, np.random.default_rng(8), 10_000)
-        fit = lrn.fit_ppca(data, 1, lrn.TrainingConfig(seed=8))
-        s2 = mdl.constructor_args(fit.model)["sigma2"]
+        s2 = mdl.constructor_args(lrn.ppca_closed_form(data, 1))["sigma2"]
         assert abs(s2 - 0.5) / 0.5 < 0.05
 
     def test_h_equal_d_rejected(self):
         data = np.random.default_rng(9).normal(size=(100, 3))
         with pytest.raises(DegenerateDataError):
-            lrn.fit_ppca(data, 3, lrn.TrainingConfig())
+            lrn.ppca_closed_form(data, 3)
 
     def test_data_on_an_h_dimensional_line_rejected(self):
         # Rank-one data leave sigma2 at rounding level for h = 1.
         data = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.5]])
         with pytest.raises(DegenerateDataError, match="rank too low"):
-            lrn.fit_ppca(data, 1, lrn.TrainingConfig())
+            lrn.ppca_closed_form(data, 1)
 
     def test_closed_form_likelihood_identity(self):
         w = np.array([[1.2, 0.0], [0.4, 0.9], [-0.5, 0.3], [0.0, -0.7]])
         truth = mdl.make_ppca(w, np.zeros(4), 0.3)
         _, data = mdl.sample_joint(truth, np.random.default_rng(10), 3000)
-        fit = lrn.fit_ppca(data, 2, lrn.TrainingConfig(seed=10))
-        args = mdl.constructor_args(fit.model)
+        model = lrn.ppca_closed_form(data, 2)
+        args = mdl.constructor_args(model)
         w_ml, s2 = args["w"], args["sigma2"]
-        direct = obj.evaluator(fit.model, data).marginal_loglik(fit.model)
+        direct = obj.evaluator(model, data).marginal_loglik(model)
         d = 4
         formula = -0.5 * np.linalg.slogdet(w_ml.T @ w_ml / s2 + np.eye(2))[1] - (
             d / 2.0
@@ -261,20 +359,22 @@ class TestFitPpca:
         w = np.array([[1.0], [0.5], [-0.2]])
         truth = mdl.make_ppca(w, np.zeros(3), 0.4)
         _, data = mdl.sample_joint(truth, np.random.default_rng(11), 2000)
-        fit = lrn.fit_ppca(data, 1, lrn.TrainingConfig(seed=11, max_iters=5000))
-        ev = obj.evaluator(fit.model, data)
-        l_eigen = ev.marginal_loglik(fit.model)
-        l_em = ev.marginal_loglik(fit.em_model)
+        eigen = lrn.ppca_closed_form(data, 1)
+        fit = lrn.fit_ppca(truth, data, lrn.TrainingConfig(seed=11, max_iters=5000))
+        ev = obj.evaluator(eigen, data)
+        l_eigen = ev.marginal_loglik(eigen)
+        l_em = ev.marginal_loglik(fit.model)
         assert l_em == pytest.approx(l_eigen, abs=1e-8)
 
     def test_gap_closes_at_ml_solution(self):
         w = np.array([[0.9], [-0.4], [0.1]])
         truth = mdl.make_ppca(w, np.zeros(3), 0.6)
         _, data = mdl.sample_joint(truth, np.random.default_rng(12), 4000)
-        fit = lrn.fit_ppca(data, 1, lrn.TrainingConfig(seed=12))
-        ev = obj.evaluator(fit.model, data)
-        report = ev.report(fit.model, fit.q)
-        assert ev.grad_norm(fit.model, fit.q) < 1e-6
+        model = lrn.ppca_closed_form(data, 1)
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
+        report = ev.report(model, q)
+        assert ev.grad_norm(model, q) < 1e-6
         assert report.gap <= 1e-6 * max(1.0, abs(report.elbo))
 
 
@@ -407,7 +507,7 @@ class TestGradNorm:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_iters": 0}, {"grad_norm_tol": -1.0}, {"record_every": 0}],
+        [{"max_iters": 0}, {"grad_norm_tol": -1.0}, {"record_every": 0}, {"init": "warm"}],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -88,6 +88,29 @@ def test_models_exports_constructors_and_no_per_kind_accessors():
     assert "info" not in models.GenerativeModel.__dataclass_fields__
 
 
+def test_learning_exports_one_result_type_and_the_closed_form_ppca():
+    from efgen import learning
+
+    assert sorted(learning.__all__) == sorted(
+        [
+            "ELBO_REL_TOL",
+            "TrainingConfig",
+            "TraceRecord",
+            "TrainingTrace",
+            "Fit",
+            "em_mixture",
+            "mixture_m_step",
+            "fit_ppca",
+            "ppca_closed_form",
+            "fit_sbn",
+            "grad_norm_all_params",
+            "gamma_shape_newton",
+        ]
+    )
+    # Every trainer returns a Fit; PPCA's eigen solution is a plain model.
+    assert not hasattr(learning, "PpcaFit")
+
+
 def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     """A hypothesis failure report imports libcst, whose mypy_extensions
     import warns; under the suite's warning filters that warning must not
