@@ -222,12 +222,14 @@ _GAUSSIAN_NATURAL_MAX = 0.25 * math.sqrt(np.finfo(float).max)
 
 
 def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
-    """The first mixture component within rounding of its domain's edge (a
-    Gaussian point mass, a zero Poisson rate, a constant Bernoulli
-    coordinate) or with a Gaussian variance or natural parameter past
-    _GAUSSIAN_NATURAL_MAX; None if there is none. Rounding is relative to
-    each coordinate's weighted mean or mean square. make_ef_mixture and the
-    EM M-step refuse such a component."""
+    """The first mixture component with a non-finite coordinate, within
+    rounding of its domain's edge (a Gaussian point mass, a zero Poisson
+    rate, a constant Bernoulli coordinate) or with a Gaussian variance or
+    natural parameter past _GAUSSIAN_NATURAL_MAX; None if there is none.
+    Rounding is relative to each coordinate's weighted mean or mean square,
+    so a row past the edge is flagged too, and a component that passes lies
+    in its family's standard domain (fam.check_standard). make_ef_mixture
+    and the EM M-step refuse such a component."""
     eps, d = np.finfo(float).eps, family.data_dim
     if family.name == "bernoulli_product":
         near = np.minimum(rows, 1.0 - rows) <= eps
@@ -241,9 +243,9 @@ def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
                 | (var >= _GAUSSIAN_NATURAL_MAX)
                 | (np.maximum(np.abs(mu), 0.5) >= _GAUSSIAN_NATURAL_MAX * var)
             )
-    else:
-        return None
-    hit = near.any(axis=1)
+    else:  # gamma: the M-step's shape Newton keeps a > 0, and so the rate
+        near = np.zeros(rows.shape, dtype=bool)
+    hit = near.any(axis=1) | ~np.isfinite(rows).all(axis=1)
     return int(hit.argmax()) if hit.any() else None
 
 

@@ -144,6 +144,8 @@ def _check_data(model: GenerativeModel, data) -> np.ndarray:
         raise ValueError(
             f"data must be (N, {model.noise.family.data_dim}), got {data.shape}"
         )
+    if not len(data):
+        raise ValueError("empty dataset: data must hold at least one row")
     return data
 
 
@@ -217,9 +219,9 @@ def _natural_entropy(family, n):
 class _Objective:
     """What both evaluators derive from their (f1, f2, f3) and entropy sum.
 
-    Each evaluator holds one dataset (or none, for entropy sums alone) and
-    takes the model and q per call; q is in the evaluator's own form, as
-    returned by posterior() or state_table().
+    Each evaluator holds one non-empty dataset and takes the model and q
+    per call; q is in the evaluator's own form, as returned by posterior()
+    or state_table().
     """
 
     def elbo(self, model: GenerativeModel, q) -> float:
@@ -284,7 +286,7 @@ class FiniteObjective(_Objective):
     only posterior and marginal_loglik build the (U, S) log-likelihood table.
     """
 
-    def __init__(self, model: GenerativeModel, data=None):
+    def __init__(self, model: GenerativeModel, data):
         if not isinstance(model.latent_support, FiniteStates):
             raise IncompatibilityError(f"{model.model_kind} has no finite latent states")
         self.states = model.latent_support.states
@@ -292,22 +294,18 @@ class FiniteObjective(_Objective):
         self.prior_t = fam.batch_sufficient_stats(prior, self.states)
         self.prior_log_h = fam.batch_log_base_measure(prior, self.states)
         noise = model.noise.family
-        self.n = self.rows = self.counts = self.inverse = None
-        self.t, self.log_h = np.zeros((0, noise.natural_dim)), np.zeros(0)
-        if data is not None:
-            data = _check_data(model, data)
-            self.n = len(data)
-            self.rows, self.inverse = data, np.arange(self.n)
-            if self.n:
-                self.t = fam.batch_sufficient_stats(noise, data)  # checks every row
-                # Real-valued rows rarely repeat: looking for repeats would only cost.
-                if noise.integer_valued:
-                    first, inverse, counts = _group_rows(data)
-                    if len(first) < self.n:
-                        self.rows, self.t = data[first], self.t[first]
-                        self.counts, self.inverse = counts.astype(float), inverse
-                self.log_h = fam.batch_log_base_measure(noise, self.rows)
-        self.mean_log_h = float(self._mean(self.log_h)) if self.n else 0.0
+        data = _check_data(model, data)
+        self.n = len(data)
+        self.rows, self.inverse, self.counts = data, np.arange(self.n), None
+        self.t = fam.batch_sufficient_stats(noise, data)  # checks every row
+        # Real-valued rows rarely repeat: looking for repeats would only cost.
+        if noise.integer_valued:
+            first, inverse, counts = _group_rows(data)
+            if len(first) < self.n:
+                self.rows, self.t = data[first], self.t[first]
+                self.counts, self.inverse = counts.astype(float), inverse
+        self.log_h = fam.batch_log_base_measure(noise, self.rows)
+        self.mean_log_h = float(self._mean(self.log_h))
         self._model = None
         self._tables = None
 
@@ -329,19 +327,18 @@ class FiniteObjective(_Objective):
     def state_table(self, model: GenerativeModel, q) -> np.ndarray:
         """q checked as a (U, S) table over the distinct rows or an (N, S)
         table over the data points, entries in [0, 1] and rows summing to 1,
-        and returned states-major. Without data any number of rows is
-        accepted, each standing for one point."""
+        and returned states-major."""
         table = np.asarray(q, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(self.states):
             raise IncompatibilityError(
                 f"q must be (N, {len(self.states)}) over the data points or "
                 f"(U, {len(self.states)}) over the distinct rows, got {table.shape}"
             )
-        if self.n is not None and len(table) not in (self.n, len(self.rows)):
+        if len(table) not in (self.n, len(self.rows)):
             raise ValueError("data and variational state disagree on N")
         if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails too
             raise ValueError("q's entries must lie in [0, 1]")
-        if len(table) and np.max(np.abs(table.sum(axis=1) - 1.0)) > _ROW_NORM_TOL:
+        if np.max(np.abs(table.sum(axis=1) - 1.0)) > _ROW_NORM_TOL:
             raise ValueError("q's rows must sum to 1")
         return np.asfortranarray(table)
 
@@ -356,7 +353,7 @@ class FiniteObjective(_Objective):
         stands for."""
         if self._over_rows(values):
             values = (values.T * self.counts).T
-        return np.sum(values, axis=0) / (len(values) if self.n is None else self.n)
+        return np.sum(values, axis=0) / self.n
 
     def state_sums(self, table: np.ndarray):
         """Each state's mass w_s = sum_n q_ns (S,) and statistics
@@ -429,8 +426,6 @@ class FiniteObjective(_Objective):
 
     def marginal_loglik(self, model: GenerativeModel) -> float:
         """(1/N) sum_n log p(x_n), the states summed out."""
-        if not self.n:
-            raise ValueError("marginal log-likelihood of an empty dataset")
         scores = self.loglik(model) + self.tables(model)[2] + self.log_h[:, None]
         return float(self._mean(fam.logsumexp(scores, axis=1)))
 
@@ -467,9 +462,9 @@ class GaussianObjective(_Objective):
 
     mean_log_h = 0.0
 
-    def __init__(self, model: GenerativeModel, data=None):
-        self.data = None if data is None else _check_data(model, data)
-        self.n = None if data is None else len(self.data)
+    def __init__(self, model: GenerativeModel, data):
+        self.data = _check_data(model, data)
+        self.n = len(self.data)
 
     def posterior(self, model: GenerativeModel) -> GaussianMoments:
         w, mu, s2s, tau = _gaussian_model_parts(model)
@@ -484,7 +479,7 @@ class GaussianObjective(_Objective):
             raise IncompatibilityError(f"unsupported variational state {type(q).__name__}")
         if q.means.shape[1] != model.latent_support.dim:
             raise IncompatibilityError("latent dimension mismatch")
-        if self.n is not None and len(q.means) != self.n:
+        if len(q.means) != self.n:
             raise ValueError("data and variational state disagree on N")
         return q
 
@@ -533,8 +528,6 @@ class GaussianObjective(_Objective):
 
     def marginal_loglik(self, model: GenerativeModel) -> float:
         """(1/N) sum_n log p(x_n) under the Gaussian marginal."""
-        if not self.n:
-            raise ValueError("marginal log-likelihood of an empty dataset")
         w, mu, s2s, tau = _gaussian_model_parts(model)
         d = w.shape[0]
         cov = tau * (w @ w.T) + np.diag(s2s)
@@ -549,11 +542,9 @@ class GaussianObjective(_Objective):
 # Public operations.
 
 
-def evaluator(model: GenerativeModel, data=None) -> Union[FiniteObjective, GaussianObjective]:
-    """The model's exact evaluator, picked from its latent support.
-
-    Without data it serves only the entropy sums, which read none.
-    """
+def evaluator(model: GenerativeModel, data) -> Union[FiniteObjective, GaussianObjective]:
+    """The model's exact evaluator of data, a non-empty (N, D) array, picked
+    from its latent support; empty data raise ValueError."""
     if isinstance(model.latent_support, FiniteStates):
         return FiniteObjective(model, data)
     if model.model_kind in ("ppca", "simple_fa"):

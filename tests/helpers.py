@@ -277,7 +277,7 @@ def repeated_rows(model, data, q):
     states = model.latent_support.states
     t = fam.batch_sufficient_stats(family, data)
     log_h = fam.batch_log_base_measure(family, data)
-    etas, log_parts, log_prior = obj.FiniteObjective(model).tables(model)
+    etas, log_parts, log_prior = obj.FiniteObjective(model, data).tables(model)
     n = len(data)
     value, g_eta = obj.noise_expectation(family, etas, q.sum(axis=0), q.T @ t)
     f1 = float(np.mean(entropy_rows_reference(q)))

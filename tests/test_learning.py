@@ -128,6 +128,16 @@ class TestEmMixture:
         with pytest.raises(DegenerateDataError, match="component 0 collapsed"):
             lrn.mixture_m_step(model, *ev.state_sums(ev.state_table(model, resp)))
 
+    @pytest.mark.parametrize("family", [fam.gaussian_scalar_var(1), fam.gaussian_diag_cov(1)])
+    def test_non_finite_state_sums_name_the_component(self, family):
+        # Component 1's statistics give mean inf and variance inf - inf.
+        model = mdl.make_ef_mixture(family, [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 1.0]]))
+        stats = np.array([[0.0, 1.0], [np.inf, np.inf]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DegenerateDataError, match="component 1 collapsed"
+        ):
+            lrn.mixture_m_step(model, np.array([1.0, 1.0]), stats)
+
     def test_monotone_elbo(self):
         truth, data = separated_gmm(seed=4)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=4, record_every=1))
@@ -443,6 +453,66 @@ class TestFitSbn:
         monkeypatch.setattr(lrn, "_armijo_step", spied)
         lrn.fit_sbn(model, data, lrn.TrainingConfig(max_iters=30, record_every=1000, seed=3))
         assert at_start and not any(at_start)
+
+
+class TestSbnNewtonStop:
+    """fit_sbn's Newton loop ends on its own decrement: at the same step
+    whatever the rows' order, and short of its step cap on a constant
+    observable."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_row_order_does_not_change_m_step_cost(self, monkeypatch, seed):
+        # Permuting the rows reorders the grouped rows, and so the rounding of
+        # every sum over them; a stop at the gradient's rounding floor read it.
+        model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
+        _, data = mdl.sample_joint(model, np.random.default_rng(seed), 1000)
+        shuffled = data[np.random.default_rng(1000 + seed).permutation(len(data))]
+        evaluations = []
+        noise_expectation = obj.noise_expectation
+
+        def counted(*args):
+            evaluations.append(args)
+            return noise_expectation(*args)
+
+        monkeypatch.setattr(obj, "noise_expectation", counted)
+        cfg = lrn.TrainingConfig(seed=3, max_iters=30, record_every=1000)
+        costs = []
+        for rows in (data, shuffled):
+            evaluations.clear()
+            lrn.fit_sbn(model, rows, cfg)
+            costs.append(len(evaluations))
+        assert costs[0] == costs[1]
+
+    @pytest.mark.parametrize("zeroed", ["all-columns", "one-column"])
+    def test_constant_observable_stops_short_of_the_step_cap(self, monkeypatch, zeroed):
+        # An all-zero observable's optimum is at infinity: the objective
+        # shrinks toward 0, and a stop relative to it alone chases it.
+        model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
+        _, data = mdl.sample_joint(model, np.random.default_rng(0), 1000)
+        data[:, slice(None) if zeroed == "all-columns" else 0] = 0.0
+        directions, per_step = [], []
+        direction, train = lrn._sbn_newton_direction, lrn._train
+
+        def counted_direction(*args):
+            directions.append(args)
+            return direction(*args)
+
+        def counted_train(ev, model, config, step):
+            def counted_step(model, q):
+                before = len(directions)
+                model = step(model, q)
+                per_step.append(len(directions) - before)
+                return model
+
+            return train(ev, model, config, counted_step)
+
+        monkeypatch.setattr(lrn, "_sbn_newton_direction", counted_direction)
+        monkeypatch.setattr(lrn, "_train", counted_train)
+        cfg = lrn.TrainingConfig(seed=3, max_iters=30, record_every=1000)
+        fit = lrn.fit_sbn(model, data, cfg)
+        assert per_step and max(per_step) < 200
+        if zeroed == "all-columns":
+            assert fit.trace.converged and fit.trace.last().iteration == 2
 
 
 class TestSbnNewtonDirection:

@@ -131,6 +131,30 @@ def random_model(kind, rng):
     return mdl.make_rigid_sbn(rng.uniform(0.05, 0.95), rng.normal())
 
 
+class TestCollapsedComponent:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "family, row",
+        [
+            (fam.bernoulli_product(2), [0.3, 0.6]),
+            (fam.poisson_product(2), [1.0, 4.0]),
+            (fam.gaussian_scalar_var(1), [0.0, 1.0]),
+            (fam.gaussian_diag_cov(1), [0.0, 1.0]),
+            (fam.gamma_family(), [2.0, 3.0]),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_a_non_finite_coordinate_is_flagged(self, family, row, bad):
+        # The mixture M-step's only domain check: a flagged row is refused.
+        # An infinite coordinate can put the other row within rounding of the
+        # edge too, relative to an infinite weighted mean, and name it first.
+        for coord in range(len(row)):
+            rows = np.array([row, row])
+            rows[1, coord] = bad
+            flagged = mdl.collapsed_component(family, rows, np.array([0.5, 0.5]))
+            assert flagged == 1 if math.isnan(bad) else flagged is not None
+
+
 class TestConstructorArgs:
     @settings(max_examples=100, deadline=None)
     @given(
