@@ -31,8 +31,8 @@ square: T(x) = (x_1..x_D, x_1^2..x_D^2).
 
 Data points are handled in rows too: batch_sufficient_stats and
 batch_log_base_measure take an (N, data_dim) array (N state indices for
-categorical). Log-gamma, digamma, trigamma, log-factorials and logsumexp come
-from scipy.special, which no other efgen module names. It is imported on first
+categorical). Log-gamma, digamma, trigamma and log-factorials come from
+scipy.special, which no other efgen module names. It is imported on first
 use, so models that need none of these never load it. A gamma or Poisson
 FamilyDescriptor imports it when it is built, so such a model loads it while
 its config or model file is read, not during training.
@@ -120,13 +120,6 @@ def polygamma(n, x):
     from scipy.special import polygamma
 
     return polygamma(n, x)
-
-
-def logsumexp(a, axis=None):
-    """scipy.special.logsumexp, importing scipy.special on first use."""
-    from scipy.special import logsumexp
-
-    return logsumexp(a, axis=axis)
 
 
 @dataclass(frozen=True)

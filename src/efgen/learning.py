@@ -118,15 +118,18 @@ def grad_norm_all_params(model: GenerativeModel, data, q) -> float:
 
 
 def _train(ev, model: GenerativeModel, config: TrainingConfig, step) -> Fit:
-    """Alternate model = step(model, q) with exact E-steps q = ev.posterior(model)
-    from the evaluator ev.
+    """Alternate model = step(model, q) with exact E-steps q, elbo =
+    ev.e_step(model) from the evaluator ev.
 
     Stops at an ELBO plateau with a gradient norm below tolerance, or at the
     iteration cap. Gradient checks on a plateau back off exponentially: EM
     tails can hold an ELBO plateau for thousands of iterations before the
     gradient drops below tolerance, and checking each of them would cost an
-    entropy sum and a gradient per iteration. A record reuses the
-    iteration's ELBO, so each iteration evaluates terms once.
+    entropy sum and a gradient per iteration. Only the plateau test reads the
+    E-step's ELBO, the mean log marginal likelihood from the posterior's
+    normalisers; a record takes its ELBO and entropy sum from one report, in
+    the f1 - f2 - f3 form that the reports and verify evaluate, so an
+    iteration that records nothing evaluates no terms.
     """
     trace = TrainingTrace()
     t0 = time.perf_counter()
@@ -135,8 +138,7 @@ def _train(ev, model: GenerativeModel, config: TrainingConfig, step) -> Fit:
     check_interval, next_check = 1, 0
     for it in range(1, config.max_iters + 1):
         model = step(model, q)
-        q = ev.posterior(model)
-        elbo = ev.elbo(model, q)
+        q, elbo = ev.e_step(model)
         plateau = (
             prev_elbo is not None
             and abs(elbo - prev_elbo) < ELBO_REL_TOL * max(1.0, abs(elbo))
@@ -145,14 +147,14 @@ def _train(ev, model: GenerativeModel, config: TrainingConfig, step) -> Fit:
             check_interval, next_check = 1, it
         check_now = plateau and it >= next_check
         if check_now or it % config.record_every == 0 or it == config.max_iters:
-            rhs = ev.entropy_sum(model, q)
+            report = ev.report(model, q)
             grad = ev.grad_norm(model, q)
             trace.records.append(
                 TraceRecord(
                     iteration=it,
-                    elbo=elbo,
-                    entropy_sum=rhs,
-                    gap=abs(elbo - rhs) / max(1.0, abs(elbo)),
+                    elbo=report.elbo,
+                    entropy_sum=report.entropy_sum,
+                    gap=report.gap / max(1.0, abs(report.elbo)),
                     grad_norm=grad,
                     wall_time=time.perf_counter() - t0,
                 )

@@ -43,15 +43,19 @@ N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
 last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s).
 
-Two evaluators share one interface (posterior, state_table, terms, elbo,
-entropy_sum, report, marginal_loglik, mean_log_h, gradient, grad_norm):
+Two evaluators share one interface (e_step, posterior, state_table, terms,
+elbo, entropy_sum, report, marginal_loglik, mean_log_h, gradient, grad_norm):
 FiniteObjective sums over the enumerated states of mixtures and sigmoid
 belief nets, and GaussianObjective does the moment algebra of the
 linear-Gaussian models.
 evaluator() picks one from the model's latent support. The training loop,
 the reports and verify all go through them, so verify recomputes a trained
 model's ELBO, entropy sum and stationarity gradient with the arithmetic
-training recorded them with. exact_posterior, elbo_terms and
+training recorded them with. At the exact posterior the ELBO equals the mean
+log marginal likelihood (1/N) sum_n log p(x_n), so e_step() returns the
+posterior with the ELBO at it; for finite states one normalisation gives both.
+Only the training loop's plateau test reads that value: its records, the
+reports and verify evaluate f1 - f2 - f3. exact_posterior, elbo_terms and
 pseudo_elbo_terms remain only as names the benchmark's tracer wraps.
 
 The stationarity gradient is exact, with q held fixed. For finite states it
@@ -224,13 +228,22 @@ class _Objective:
     or state_table().
     """
 
+    def e_step(self, model: GenerativeModel):
+        """(q, elbo): the exact posterior and the ELBO at it."""
+        q = self.posterior(model)
+        return q, self.elbo(model, q)
+
     def elbo(self, model: GenerativeModel, q) -> float:
         f1, f2, f3 = self.terms(model, q)
         return f1 - f2 - f3
 
+    def entropy_sum(self, model: GenerativeModel, q, pseudo: bool = False) -> float:
+        return self._entropy_sum(model, q, self._f1(q), pseudo)
+
     def report(self, model: GenerativeModel, q, pseudo: bool = False) -> ObjectiveReport:
+        """The terms and the entropy sum, which share one f1."""
         f1, f2, f3 = self.terms(model, q, pseudo)
-        rhs = self.entropy_sum(model, q, pseudo)
+        rhs = self._entropy_sum(model, q, f1, pseudo)
         elbo = f1 - f2 - f3
         return ObjectiveReport(
             f1=f1,
@@ -283,7 +296,8 @@ class FiniteObjective(_Objective):
     memory, and terms, gradient and entropy_sum read one layout.
 
     f3 and the gradient read q through state_sums() and noise_expectation();
-    only posterior and marginal_loglik build the (U, S) log-likelihood table.
+    only e_step, which posterior and marginal_loglik read, builds the (U, S)
+    log-likelihood table.
     """
 
     def __init__(self, model: GenerativeModel, data):
@@ -374,15 +388,23 @@ class FiniteObjective(_Objective):
         ll -= log_parts[:, None]
         return ll.T
 
-    def posterior(self, model: GenerativeModel) -> np.ndarray:
-        """The exact posterior over the states of each distinct row, shape
-        (U, S) states-major; data point n's is row inverse[n]."""
+    def e_step(self, model: GenerativeModel):
+        """(q, elbo) from one normalisation: q is the exact posterior over the
+        states of each distinct row, shape (U, S) states-major (data point n's
+        is row inverse[n]), and elbo the ELBO at q, the mean over the points of
+        each row's log normaliser plus mean_log_h."""
         scores = self.loglik(model).T
         scores += self.tables(model)[2][:, None]
-        scores -= scores.max(axis=0)
+        top = scores.max(axis=0)
+        scores -= top
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=0)
-        return scores.T
+        total = scores.sum(axis=0)
+        scores /= total
+        return scores.T, float(self._mean(top + np.log(total))) + self.mean_log_h
+
+    def posterior(self, model: GenerativeModel) -> np.ndarray:
+        """e_step's posterior, (U, S) states-major."""
+        return self.e_step(model)[0]
 
     def _noise_expectation(self, model: GenerativeModel, mass, stats):
         """noise_expectation() at the model's noise naturals."""
@@ -391,7 +413,7 @@ class FiniteObjective(_Objective):
     def terms(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring."""
         log_prior = self.tables(model)[2]
-        f1 = float(self._mean(_entropy_rows(table)))
+        f1 = self._f1(table)
         f2 = float(-self._mean(table @ log_prior))
         f3 = float(-self._noise_expectation(model, *self.state_sums(table))[0] / self.n)
         return f1, f2, f3 if pseudo else f3 - self.mean_log_h
@@ -413,21 +435,19 @@ class FiniteObjective(_Objective):
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
         )
 
-    def entropy_sum(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
+    def _f1(self, table: np.ndarray) -> float:
+        return float(self._mean(_entropy_rows(table)))
+
+    def _entropy_sum(self, model: GenerativeModel, table: np.ndarray, f1: float, pseudo: bool):
         entropy = fam.pseudo_entropy if pseudo else _natural_entropy
         etas = self.tables(model)[0]
         prior_entropy = entropy(model.prior.family, model.prior.zeta(model.prior.params))
         noise_entropies = entropy(model.noise.family, etas)
-        return (
-            float(self._mean(_entropy_rows(table)))
-            - prior_entropy
-            - float(self._mean(table) @ noise_entropies)
-        )
+        return f1 - prior_entropy - float(self._mean(table) @ noise_entropies)
 
     def marginal_loglik(self, model: GenerativeModel) -> float:
-        """(1/N) sum_n log p(x_n), the states summed out."""
-        scores = self.loglik(model) + self.tables(model)[2] + self.log_h[:, None]
-        return float(self._mean(fam.logsumexp(scores, axis=1)))
+        """(1/N) sum_n log p(x_n), the states summed out: e_step's ELBO."""
+        return self.e_step(model)[1]
 
 
 def _gaussian_model_parts(model: GenerativeModel):
@@ -483,6 +503,8 @@ class GaussianObjective(_Objective):
             raise ValueError("data and variational state disagree on N")
         return q
 
+    _f1 = staticmethod(_q_entropy)
+
     def terms(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring."""
         w, mu, s2s, tau = _gaussian_model_parts(model)
@@ -519,12 +541,12 @@ class GaussianObjective(_Objective):
             d_theta = [d_s2, d_w[:, 0]]
         return np.concatenate([[d_tau], *d_theta])
 
-    def entropy_sum(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
+    def _entropy_sum(self, model: GenerativeModel, q: GaussianMoments, f1: float, pseudo: bool):
         _, _, s2s, tau = _gaussian_model_parts(model)
         h = q.means.shape[1]
         prior_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e * tau)
         noise_entropy = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * s2s)))
-        return _q_entropy(q) - prior_entropy - noise_entropy
+        return f1 - prior_entropy - noise_entropy
 
     def marginal_loglik(self, model: GenerativeModel) -> float:
         """(1/N) sum_n log p(x_n) under the Gaussian marginal."""

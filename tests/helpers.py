@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import logsumexp
 
 from efgen import families as fam
 from efgen import learning as lrn
@@ -286,7 +287,7 @@ def repeated_rows(model, data, q):
     zeta = model.prior.zeta(model.prior.params)
     g_zeta = qbar @ fam.batch_sufficient_stats(prior, states) - fam.grad_log_partition(prior, zeta)
     scores = t @ etas.T - log_parts + log_prior
-    posterior = np.exp(scores - fam.logsumexp(scores, axis=1)[:, None])
+    posterior = np.exp(scores - logsumexp(scores, axis=1)[:, None])
     out = {
         "posterior": posterior,
         "terms": (f1, f2, float(-value / n - np.mean(log_h))),
@@ -294,7 +295,7 @@ def repeated_rows(model, data, q):
         "gradient": np.concatenate(
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, states, g_eta / n)]
         ),
-        "marginal_loglik": float(np.mean(fam.logsumexp(scores + log_h[:, None], axis=1))),
+        "marginal_loglik": float(np.mean(logsumexp(scores + log_h[:, None], axis=1))),
         "mean_log_h": float(np.mean(log_h)),
     }
     for key, entropy in (

@@ -209,7 +209,7 @@ class TestEmMixture:
         assert len(builds) == 5 + 1
 
     def test_one_terms_per_iteration(self, monkeypatch):
-        # A trace record reuses the iteration's ELBO instead of a report.
+        # A trace record takes its ELBO and entropy sum from one report.
         truth, data = separated_gmm(seed=4)
         calls = []
         terms = obj.FiniteObjective.terms
@@ -223,6 +223,32 @@ class TestEmMixture:
         fit = lrn.em_mixture(truth, data, cfg)
         assert len(fit.trace.records) == 5
         assert len(calls) == 5
+
+    def test_terms_only_for_records(self, monkeypatch):
+        # The plateau test reads the E-step's ELBO, so an iteration that
+        # records nothing evaluates no terms; a report computes the average
+        # variational entropy once, for f1 and the entropy sum.
+        truth, data = separated_gmm(seed=4)
+        terms_calls, entropy_calls = [], []
+        terms, entropy_rows = obj.FiniteObjective.terms, obj._entropy_rows
+
+        def counted_terms(self, *args, **kwargs):
+            terms_calls.append(args)
+            return terms(self, *args, **kwargs)
+
+        def counted_entropy_rows(table):
+            entropy_calls.append(table.shape)
+            return entropy_rows(table)
+
+        monkeypatch.setattr(obj.FiniteObjective, "terms", counted_terms)
+        monkeypatch.setattr(obj, "_entropy_rows", counted_entropy_rows)
+        cfg = lrn.TrainingConfig(seed=4, max_iters=5, record_every=1000)
+        fit = lrn.em_mixture(truth, data, cfg)
+        assert [r.iteration for r in fit.trace.records] == [5]
+        assert len(terms_calls) == 1
+        assert len(entropy_calls) == 1
+        fit.evaluator.report(fit.model, fit.q)
+        assert len(entropy_calls) == 2
 
 
 def _component_rows(family, rng, n, repeated):

@@ -1,8 +1,8 @@
 """Accuracy contracts of the special functions efgen calls.
 
 efgen.families is the package's only route to scipy.special: its gammaln,
-digamma, polygamma and logsumexp import scipy.special on first use and call
-the function of the same name, and TestWrappers checks that each returns
+digamma and polygamma import scipy.special on first use and call the
+function of the same name, and TestWrappers checks that each returns
 scipy's result bit for bit. The contracts below test those wrappers, since
 they are what the library calls. Log-factorials are
 efgen.families.log_factorial, gammaln(k + 1) behind a check for non-negative
@@ -21,7 +21,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efgen.families import digamma, log_factorial, logsumexp, polygamma
+from efgen.families import digamma, log_factorial, polygamma
 from efgen.families import gammaln as log_gamma
 
 mp.mp.dps = 40
@@ -127,23 +127,6 @@ class TestTrigamma:
             assert abs(trigamma(x) - fd) <= 1e-5 * max(1.0, trigamma(x)), x
 
 
-class TestLogSumExp:
-    def test_matches_high_precision_sum(self):
-        a = np.array([-3.0, 0.5, 2.0, 7.25])
-        ref = float(mp.log(mp.fsum(mp.exp(mp.mpf(v)) for v in a)))
-        assert logsumexp(a) == pytest.approx(ref, abs=1e-14)
-
-    def test_no_overflow_or_underflow_at_large_offsets(self):
-        for offset in (1000.0, -1000.0):
-            pair = np.array([offset, offset])
-            assert logsumexp(pair) == pytest.approx(offset + math.log(2.0), abs=1e-12)
-
-    def test_axis_reduces_rows(self):
-        rows = np.array([[0.0, 0.0], [1.0, -np.inf], [-2.0, 3.0]])
-        expected = [math.log(2.0), 1.0, 3.0 + math.log1p(math.exp(-5.0))]
-        np.testing.assert_allclose(logsumexp(rows, axis=1), expected, rtol=0, atol=1e-15)
-
-
 def _same_bits(ours, theirs):
     return (
         type(ours) is type(theirs)
@@ -174,12 +157,6 @@ class TestWrappers:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_polygamma(self, n, x):
         assert _same_bits(polygamma(n, x), scipy.special.polygamma(n, x))
-
-    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
-    def test_logsumexp(self, axis):
-        a = np.random.default_rng(0).normal(scale=30.0, size=(5, 7))
-        a[1, 2] = -np.inf
-        assert _same_bits(logsumexp(a, axis=axis), scipy.special.logsumexp(a, axis=axis))
 
 
 class TestLogFactorial:
