@@ -26,16 +26,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config JSON")
+            p.add_argument("--seed", type=int, default=None, help="override config seeds")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
-    p_gen = sub.add_parser("generate", help="sample a synthetic dataset + manifest")
-    add_common(p_gen)
-    p_gen.add_argument("--seed", type=int, default=None, help="override config seeds")
-
-    p_train = sub.add_parser("train", help="train to convergence or iteration cap")
-    add_common(p_train)
-    p_train.add_argument("--seed", type=int, default=None, help="override config seeds")
+    add_common(sub.add_parser("generate", help="sample a synthetic dataset + manifest"))
+    add_common(sub.add_parser("train", help="train to convergence or iteration cap"))
 
     p_verify = sub.add_parser("verify", help="criterion + entropy-sum gap verdicts")
     add_common(p_verify)
@@ -53,18 +49,17 @@ def main(argv=None) -> int:
     from . import harness
 
     try:
-        if args.command == "generate":
+        if args.command != "report":
             config = harness.load_config(args.config, seed_override=args.seed)
+        if args.command == "generate":
             paths = harness.cmd_generate(config, out_dir=args.out)
             if not args.quiet:
                 print(f"wrote {paths['dataset']} and {paths['manifest']}")
         elif args.command == "train":
-            config = harness.load_config(args.config, seed_override=args.seed)
             paths = harness.cmd_train(config, out_dir=args.out)
             if not args.quiet:
                 print(f"wrote {paths['report']}")
         elif args.command == "verify":
-            config = harness.load_config(args.config)
             result = harness.cmd_verify(config, args.model, out_dir=args.out)
             if not args.quiet:
                 for name, verdict in result["verdicts"].items():

@@ -21,8 +21,11 @@ JSON type: unknown keys, missing keys and values of another type are rejected
 with a field path in the message. A mixture's family is built from its name
 and data_dim. Configs hold no verify settings: verify's tolerances are the
 fixed GRAD_NORM_THRESHOLD and GAP_RTOL here and the criterion's constants in
-models. Exit codes: 0 success (including valid-but-unconverged runs),
-1 internal failure, 2 user or config error.
+models. One reader reads every JSON file a user names (config, model file,
+summary): a file that is missing, not UTF-8, not JSON or nested too deeply
+is a user error naming it, as is a dataset that is not UTF-8. Exit codes:
+0 success (including valid-but-unconverged runs), 1 internal failure, 2 user
+or config error.
 """
 
 from __future__ import annotations
@@ -248,15 +251,27 @@ def model_from_dict(spec: dict, path: str = "model") -> mdl.GenerativeModel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path, a `what` file. A file that is
+    missing, unreadable, not UTF-8, not JSON or nested past the recursion
+    limit is a ConfigError naming path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the {what} file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
+
+
 def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_config(raw, seed_override=seed_override)
+    return parse_config(_read_json(path, "config"), seed_override=seed_override)
 
 
 def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -357,23 +372,26 @@ def _parse_rows(path: str, d: int) -> np.ndarray:
 def read_dataset(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise ConfigError(f"dataset file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    if not header.startswith("x1"):
-        raise ConfigError(f"{path}: malformed dataset header {header!r}")
-    d = len(header.split(","))
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file
-            out = np.loadtxt(
-                path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
-            )
-    except ValueError:
-        out = None
-    if out is None or (out.size and out.shape[1] != d) or not np.all(np.isfinite(out)):
-        # Whatever loadtxt refuses or reads as non-finite is re-read by rows,
-        # for the error message.
-        out = _parse_rows(path, d)
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+        if not header.startswith("x1"):
+            raise ConfigError(f"{path}: malformed dataset header {header!r}")
+        d = len(header.split(","))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                out = np.loadtxt(
+                    path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
+                )
+        except ValueError:
+            out = None
+        if out is None or (out.size and out.shape[1] != d) or not np.all(np.isfinite(out)):
+            # Whatever loadtxt refuses or reads as non-finite is re-read by
+            # rows, for the error message.
+            out = _parse_rows(path, d)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if out.size == 0:
         out = np.empty((0, d))
     return out
@@ -571,10 +589,7 @@ def cmd_verify(
     holds (grad_norm below GRAD_NORM_THRESHOLD, which each verdict records);
     otherwise they are skipped or failed with the reason recorded.
     """
-    if not os.path.exists(model_path):
-        raise ConfigError(f"trained model file not found: {model_path}")
-    with open(model_path, encoding="utf-8") as fh:
-        model = model_from_dict(json.load(fh), path=model_path)
+    model = model_from_dict(_read_json(model_path, "trained model"), path=model_path)
     # Synthetic data must come from the config's generating model, not the
     # trained one, so verification sees the same dataset training did.
     data = _load_nonempty_data(config, model_from_dict(config.model_spec))
@@ -642,25 +657,39 @@ def cmd_verify(
     return {"report": path, "verdicts": verdicts}
 
 
+# The summary fields in the report's columns after run_id, each headed by its
+# name without "final_".
+_SUMMARY_COLUMNS = (
+    "converged",
+    "n_iterations",
+    "final_elbo",
+    "final_entropy_sum",
+    "final_gap",
+    "final_grad_norm",
+)
+
+
 def cmd_report(summary_paths, out_path: Optional[str] = None) -> str:
-    """Aggregate run summaries into one CSV table (one row per run)."""
+    """Aggregate run summaries into one CSV table (one row per run), quoted
+    by the csv module where a cell needs it."""
+    import csv
+    import io
+
     if not summary_paths:
         raise ConfigError("report requires at least one summary file")
-    rows = []
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["run_id", *(key.removeprefix("final_") for key in _SUMMARY_COLUMNS)])
     seen = set()
     for path in summary_paths:
-        if not os.path.exists(path):
-            raise ConfigError(f"summary file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                summary = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc.msg}") from exc
+        summary = _read_json(path, "summary")
         if not isinstance(summary, dict):
             raise ConfigError(f"{path}: must be a JSON object")
         if "run_id" not in summary:
             raise ConfigError(f"{path}: summary lacks a run_id")
         run_id = summary["run_id"]
+        if not isinstance(run_id, str):
+            raise ConfigError(f"{path}: run_id must be a string, got {run_id!r}")
         if run_id in seen:
             raise ConfigError(f"duplicate run id {run_id!r} in {path}")
         seen.add(run_id)
@@ -671,22 +700,8 @@ def cmd_report(summary_paths, out_path: Optional[str] = None) -> str:
                 return "NA"
             return format(v, ".17g") if isinstance(v, float) else str(v)
 
-        rows.append(
-            ",".join(
-                [
-                    str(run_id),
-                    cell("converged"),
-                    cell("n_iterations"),
-                    cell("final_elbo"),
-                    cell("final_entropy_sum"),
-                    cell("final_gap"),
-                    cell("final_grad_norm"),
-                ]
-            )
-        )
-    table = "\n".join(
-        ["run_id,converged,n_iterations,elbo,entropy_sum,gap,grad_norm"] + rows
-    )
+        writer.writerow([run_id, *map(cell, _SUMMARY_COLUMNS)])
+    table = buffer.getvalue()[:-1]  # the last row's line end
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(table + "\n")

@@ -43,20 +43,21 @@ N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
 last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s).
 
-Two evaluators share one interface (e_step, posterior, state_table, terms,
-elbo, entropy_sum, report, marginal_loglik, mean_log_h, gradient, grad_norm):
-FiniteObjective sums over the enumerated states of mixtures and sigmoid
-belief nets, and GaussianObjective does the moment algebra of the
-linear-Gaussian models.
+Two evaluators share one interface (the methods e_step, posterior,
+marginal_loglik, state_table, terms, elbo, report, gradient and grad_norm,
+and the attribute mean_log_h): FiniteObjective sums over the enumerated
+states of mixtures and sigmoid belief nets, and GaussianObjective does the
+moment algebra of the linear-Gaussian models.
 evaluator() picks one from the model's latent support. The training loop,
 the reports and verify all go through them, so verify recomputes a trained
 model's ELBO, entropy sum and stationarity gradient with the arithmetic
 training recorded them with. At the exact posterior the ELBO equals the mean
-log marginal likelihood (1/N) sum_n log p(x_n), so e_step() returns the
-posterior with the ELBO at it; for finite states one normalisation gives both.
-Only the training loop's plateau test reads that value: its records, the
-reports and verify evaluate f1 - f2 - f3. exact_posterior, elbo_terms and
-pseudo_elbo_terms remain only as names the benchmark's tracer wraps.
+log marginal likelihood (1/N) sum_n log p(x_n): each evaluator defines only
+e_step(), which returns both, and posterior() and marginal_loglik() are its
+halves. Only the training loop's plateau test reads that ELBO: its records,
+the reports and verify evaluate f1 - f2 - f3, and report() alone gives the
+entropy sum. exact_posterior, elbo_terms and pseudo_elbo_terms remain only
+as names the benchmark's tracer wraps.
 
 The stationarity gradient is exact, with q held fixed. For finite states it
 is the moment-matching identity of exponential families (Wainwright and
@@ -221,24 +222,24 @@ def _natural_entropy(family, n):
 
 
 class _Objective:
-    """What both evaluators derive from their (f1, f2, f3) and entropy sum.
+    """What both evaluators derive from their e_step, terms and entropy sum.
 
     Each evaluator holds one non-empty dataset and takes the model and q
     per call; q is in the evaluator's own form, as returned by posterior()
     or state_table().
     """
 
-    def e_step(self, model: GenerativeModel):
-        """(q, elbo): the exact posterior and the ELBO at it."""
-        q = self.posterior(model)
-        return q, self.elbo(model, q)
+    def posterior(self, model: GenerativeModel):
+        """e_step's exact posterior, in the evaluator's form of q."""
+        return self.e_step(model)[0]
+
+    def marginal_loglik(self, model: GenerativeModel) -> float:
+        """(1/N) sum_n log p(x_n), e_step's ELBO at the exact posterior."""
+        return self.e_step(model)[1]
 
     def elbo(self, model: GenerativeModel, q) -> float:
         f1, f2, f3 = self.terms(model, q)
         return f1 - f2 - f3
-
-    def entropy_sum(self, model: GenerativeModel, q, pseudo: bool = False) -> float:
-        return self._entropy_sum(model, q, self._f1(q), pseudo)
 
     def report(self, model: GenerativeModel, q, pseudo: bool = False) -> ObjectiveReport:
         """The terms and the entropy sum, which share one f1."""
@@ -293,11 +294,10 @@ class FiniteObjective(_Objective):
     Per-row tables are states-major: loglik, posterior and state_table
     return (U, S) or (N, S) transposes of C-ordered arrays. With few states
     and many rows, every reduction over the rows then runs over contiguous
-    memory, and terms, gradient and entropy_sum read one layout.
+    memory, and terms, gradient and report read one layout.
 
     f3 and the gradient read q through state_sums() and noise_expectation();
-    only e_step, which posterior and marginal_loglik read, builds the (U, S)
-    log-likelihood table.
+    only e_step builds the (U, S) log-likelihood table.
     """
 
     def __init__(self, model: GenerativeModel, data):
@@ -402,10 +402,6 @@ class FiniteObjective(_Objective):
         scores /= total
         return scores.T, float(self._mean(top + np.log(total))) + self.mean_log_h
 
-    def posterior(self, model: GenerativeModel) -> np.ndarray:
-        """e_step's posterior, (U, S) states-major."""
-        return self.e_step(model)[0]
-
     def _noise_expectation(self, model: GenerativeModel, mass, stats):
         """noise_expectation() at the model's noise naturals."""
         return noise_expectation(model.noise.family, self.tables(model)[0], mass, stats)
@@ -413,7 +409,7 @@ class FiniteObjective(_Objective):
     def terms(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring."""
         log_prior = self.tables(model)[2]
-        f1 = self._f1(table)
+        f1 = float(self._mean(_entropy_rows(table)))
         f2 = float(-self._mean(table @ log_prior))
         f3 = float(-self._noise_expectation(model, *self.state_sums(table))[0] / self.n)
         return f1, f2, f3 if pseudo else f3 - self.mean_log_h
@@ -435,19 +431,12 @@ class FiniteObjective(_Objective):
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
         )
 
-    def _f1(self, table: np.ndarray) -> float:
-        return float(self._mean(_entropy_rows(table)))
-
     def _entropy_sum(self, model: GenerativeModel, table: np.ndarray, f1: float, pseudo: bool):
         entropy = fam.pseudo_entropy if pseudo else _natural_entropy
         etas = self.tables(model)[0]
         prior_entropy = entropy(model.prior.family, model.prior.zeta(model.prior.params))
         noise_entropies = entropy(model.noise.family, etas)
         return f1 - prior_entropy - float(self._mean(table) @ noise_entropies)
-
-    def marginal_loglik(self, model: GenerativeModel) -> float:
-        """(1/N) sum_n log p(x_n), the states summed out: e_step's ELBO."""
-        return self.e_step(model)[1]
 
 
 def _gaussian_model_parts(model: GenerativeModel):
@@ -486,12 +475,20 @@ class GaussianObjective(_Objective):
         self.data = _check_data(model, data)
         self.n = len(self.data)
 
-    def posterior(self, model: GenerativeModel) -> GaussianMoments:
+    def e_step(self, model: GenerativeModel):
+        """(q, elbo): q the exact posterior, and elbo the ELBO at q, the mean
+        log marginal likelihood under the Gaussian marginal
+        N(mu, tau W W^T + diag(noise variances)), from its Cholesky factor."""
         w, mu, s2s, tau = _gaussian_model_parts(model)
         precision = (w.T / s2s) @ w + np.eye(w.shape[1]) / tau
         cov = np.linalg.inv(precision)
         cov = 0.5 * (cov + cov.T)
-        return GaussianMoments(((self.data - mu) / s2s) @ w @ cov, cov)
+        q = GaussianMoments(((self.data - mu) / s2s) @ w @ cov, cov)
+        chol = np.linalg.cholesky(tau * (w @ w.T) + np.diag(s2s))
+        solved = np.linalg.solve(chol, (self.data - mu).T)
+        quad = np.mean(np.sum(solved**2, axis=0))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return q, float(-0.5 * (w.shape[0] * math.log(2.0 * math.pi) + logdet + quad))
 
     def state_table(self, model: GenerativeModel, q) -> GaussianMoments:
         """q itself, checked against the model's latent dimension and N."""
@@ -502,8 +499,6 @@ class GaussianObjective(_Objective):
         if len(q.means) != self.n:
             raise ValueError("data and variational state disagree on N")
         return q
-
-    _f1 = staticmethod(_q_entropy)
 
     def terms(self, model: GenerativeModel, q: GaussianMoments, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring."""
@@ -547,17 +542,6 @@ class GaussianObjective(_Objective):
         prior_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e * tau)
         noise_entropy = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * s2s)))
         return f1 - prior_entropy - noise_entropy
-
-    def marginal_loglik(self, model: GenerativeModel) -> float:
-        """(1/N) sum_n log p(x_n) under the Gaussian marginal."""
-        w, mu, s2s, tau = _gaussian_model_parts(model)
-        d = w.shape[0]
-        cov = tau * (w @ w.T) + np.diag(s2s)
-        chol = np.linalg.cholesky(cov)
-        solved = np.linalg.solve(chol, (self.data - mu).T)
-        quad = np.mean(np.sum(solved**2, axis=0))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return float(-0.5 * (d * math.log(2.0 * math.pi) + logdet + quad))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Harness: strict configs, dataset round-trips, pipeline commands, CLI."""
 
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -486,6 +488,26 @@ def _summary_holding_a_number(raw, tmp_path):
     (tmp_path / "summary.json").write_text("7\n")
 
 
+def _file_holding(name, content):
+    """An edit that writes the bytes content to the file name: the model file
+    verify reads, or the summary report reads; the config is fine."""
+
+    def edit(raw, tmp_path):
+        (tmp_path / name).write_bytes(content)
+
+    return edit
+
+
+def _dataset_with_a_byte_past_utf8(raw, tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_bytes(b"x1\n0.5\n\xff\n")
+    raw["data"] = {"source": "file", "path": str(path)}
+
+
+NOT_UTF8 = b"\xff\xfe"
+NESTED_PAST_RECURSION = b"[" * 100_000
+
+
 def _model(base, **fields):
     """An edit that replaces the config's model with base updated by fields."""
     return lambda raw, _: raw.update(model={**base, **fields})
@@ -683,6 +705,45 @@ USER_ERRORS = [
         "output-dir-number",
     ),
     _case("report", _summary_holding_a_number, "summary.json: must be a JSON object", "summary-number"),
+    _case(
+        "report",
+        _file_holding("summary.json", json.dumps({"run_id": [1]}).encode()),
+        "summary.json: run_id must be a string",
+        "summary-run-id-list",
+    ),
+    # Files that hold no JSON value. An edit that returns bytes replaces the
+    # config file's with them.
+    _case("verify", _file_holding("model.json", b"{bad"), "model.json: invalid JSON", "model-bad-json"),
+    _case(
+        "verify",
+        lambda raw, tmp_path: (tmp_path / "model.json").mkdir(),
+        "model.json: cannot read the trained model file",
+        "model-directory",
+    ),
+    _case("train", lambda raw, _: NOT_UTF8, "config.json: not UTF-8", "config-not-utf8"),
+    _case("verify", _file_holding("model.json", NOT_UTF8), "model.json: not UTF-8", "model-not-utf8"),
+    _case(
+        "report", _file_holding("summary.json", NOT_UTF8), "summary.json: not UTF-8", "summary-not-utf8"
+    ),
+    _case("train", _dataset_with_a_byte_past_utf8, "cells.csv: not UTF-8", "dataset-not-utf8"),
+    _case(
+        "train",
+        lambda raw, _: NESTED_PAST_RECURSION,
+        "config.json: JSON nested too deeply",
+        "config-nested",
+    ),
+    _case(
+        "verify",
+        _file_holding("model.json", NESTED_PAST_RECURSION),
+        "model.json: JSON nested too deeply",
+        "model-nested",
+    ),
+    _case(
+        "report",
+        _file_holding("summary.json", NESTED_PAST_RECURSION),
+        "summary.json: JSON nested too deeply",
+        "summary-nested",
+    ),
     # Fields read as the JSON types they declare: no coercion through bool(),
     # str(), float() or np.asarray, and no NaN or infinity.
     _case(
@@ -759,6 +820,9 @@ def test_user_errors_exit_2_with_field_path(tmp_path, capsys, command, edit, fie
     raw = raw if replaced is None else replaced
     if command == "report":
         args = [command, os.path.join(tmp_path, "summary.json"), "--quiet"]
+    elif isinstance(raw, bytes):
+        (tmp_path / "config.json").write_bytes(raw)
+        args = [command, "--config", str(tmp_path / "config.json"), "--quiet"]
     else:
         args = [command, "--config", write_config(tmp_path, raw), "--quiet"]
     if command == "verify":
@@ -1006,6 +1070,12 @@ class TestReport:
         with pytest.raises(ConfigError, match="duplicate run id"):
             hns.cmd_report([a, b])
 
+    def test_a_run_id_with_a_comma_is_quoted(self, tmp_path):
+        path = self._summary(tmp_path, "demo, comma")
+        rows = list(csv.reader(io.StringIO(hns.cmd_report([path]))))
+        assert [len(row) for row in rows] == [7, 7]
+        assert rows[1][0] == "demo, comma"
+
     def test_empty_trace_uses_na_markers(self, tmp_path):
         path = self._summary(
             tmp_path,
@@ -1051,6 +1121,21 @@ class TestCli:
         cli_main(["generate", "--config", cfg_path, "--seed", "1234", "--quiet"])
         second = hns.read_dataset(os.path.join(tmp_path, "dataset.csv"))
         assert not np.array_equal(first, second)
+
+    def test_verify_seed_sees_the_data_train_seed_trained_on(self, tmp_path):
+        # The config's data seed is 7; train and verify both draw at 1234.
+        cfg_path = write_config(tmp_path, gmm_config(tmp_path, n=120))
+        assert cli_main(["train", "--config", cfg_path, "--seed", "1234", "--quiet"]) == 0
+        model_path = os.path.join(tmp_path, "model.json")
+        args = ["verify", "--config", cfg_path, "--model", model_path, "--seed", "1234", "--quiet"]
+        assert cli_main(args) == 0
+        with open(os.path.join(tmp_path, "report.json")) as fh:
+            train = json.load(fh)
+        with open(os.path.join(tmp_path, "verify_report.json")) as fh:
+            verify = json.load(fh)
+        statuses = [verdict["status"] for verdict in verify["verdicts"].values()]
+        assert statuses == ["pass", "pass", "pass"]
+        assert verify["objective_standard"]["elbo"] == train["objective_standard"]["elbo"]
 
     def test_subprocess_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, gmm_config(tmp_path, n=40))

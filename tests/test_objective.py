@@ -279,8 +279,8 @@ def check_against_repeated_rows(ev, model, data, q):
     oracle = repeated_rows(model, data, q[ev.inverse] if len(q) < len(data) else q)
     assert_close(ev.terms(model, q), oracle["terms"])
     assert_close(ev.terms(model, q, pseudo=True), oracle["pseudo_terms"])
-    assert_close(ev.entropy_sum(model, q), oracle["entropy_sum"])
-    assert_close(ev.entropy_sum(model, q, pseudo=True), oracle["pseudo_entropy_sum"])
+    assert_close(ev.report(model, q).entropy_sum, oracle["entropy_sum"])
+    assert_close(ev.report(model, q, pseudo=True).entropy_sum, oracle["pseudo_entropy_sum"])
     assert_close(ev.gradient(model, q), oracle["gradient"])
     assert_close(ev.marginal_loglik(model), oracle["marginal_loglik"])
     assert_close(ev.mean_log_h, oracle["mean_log_h"])
@@ -432,12 +432,14 @@ class TestKlForm:
 
 
 class TestEStep:
-    """e_step normalises once: the posterior, and the ELBO at it as the mean of
-    each row's log normaliser plus mean_log_h, the mean log marginal
-    likelihood."""
+    """e_step gives the posterior and the ELBO at it, the mean log marginal
+    likelihood: for finite states from one normalisation, as the mean of each
+    row's log normaliser plus mean_log_h; for the linear-Gaussian models from
+    the marginal's Cholesky factor. posterior and marginal_loglik are its
+    halves."""
 
     @pytest.mark.parametrize("repeated", [True, False], ids=["repeated-rows", "distinct-rows"])
-    @pytest.mark.parametrize("kind", FINITE_KINDS)
+    @pytest.mark.parametrize("kind", ZOO_KINDS)
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_elbo_is_the_three_term_elbo_at_the_posterior(self, kind, repeated, seed):
@@ -449,9 +451,15 @@ class TestEStep:
         ev = obj.evaluator(model, data)
         q, elbo = ev.e_step(model)
         # Measured over 400 seeds of each case, the two forms differ by at
-        # most 20 eps relative; 1e-13 is about 450 eps.
+        # most 20 eps relative (2 eps for ppca and simple_fa); 1e-13 is about
+        # 450 eps.
         assert abs(elbo - ev.elbo(model, q)) <= 1e-13 * max(1.0, abs(elbo))
         assert ev.marginal_loglik(model) == elbo
+        if isinstance(q, obj.GaussianMoments):
+            posterior = ev.posterior(model)
+            np.testing.assert_array_equal(posterior.means, q.means)
+            np.testing.assert_array_equal(posterior.cov, q.cov)
+            return
         # The posterior is the states-major subtract-max, exp and normalise,
         # bit for bit.
         scores = ev.loglik(model).T + ev.tables(model)[2][:, None]
@@ -494,12 +502,12 @@ class TestEntropySumRhs:
         _, logdet = np.linalg.slogdet(q.cov)
         avg_q_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e) + 0.5 * logdet
         prior_entropy = 0.5 * h * math.log(2.0 * math.pi * math.e * tau)
-        noise_term = avg_q_entropy - prior_entropy - ev.entropy_sum(model, q)
+        noise_term = avg_q_entropy - prior_entropy - ev.report(model, q).entropy_sum
         assert noise_term == pytest.approx(1.5 * math.log(2.0 * math.pi * math.e * s2), abs=1e-12)
         # Same constant under a different variational state.
         q2 = obj.GaussianMoments(q.means * 0.1, q.cov * 2.0)
         avg2 = 0.5 * h * math.log(2.0 * math.pi * math.e) + 0.5 * np.linalg.slogdet(q2.cov)[1]
-        noise_term2 = avg2 - prior_entropy - ev.entropy_sum(model, q2)
+        noise_term2 = avg2 - prior_entropy - ev.report(model, q2).entropy_sum
         assert noise_term2 == pytest.approx(noise_term, abs=1e-12)
 
     def test_gamma_mixture_aggregated_noise_entropies(self):
@@ -514,14 +522,15 @@ class TestEntropySumRhs:
             - sum(qb * fam.entropy(fam.gamma_family(), row) for qb, row in zip(qbar, comps))
         )
         ev = obj.evaluator(model, np.ones((30, 1)))  # entropy sums read no data
-        assert ev.entropy_sum(model, ev.state_table(model, q)) == pytest.approx(manual, abs=1e-12)
+        rhs = ev.report(model, ev.state_table(model, q)).entropy_sum
+        assert rhs == pytest.approx(manual, abs=1e-12)
 
     def test_degenerate_single_component(self):
         model = mdl.make_ef_mixture(fam.gaussian_scalar_var(1), [1.0], np.array([[0.3, 2.0]]))
         ev = obj.evaluator(model, np.zeros((5, 1)))
         q = ev.state_table(model, np.ones((5, 1)))
         expected = -fam.entropy(fam.gaussian_scalar_var(1), [0.3, 2.0])
-        assert ev.entropy_sum(model, q) == pytest.approx(expected, abs=1e-12)
+        assert ev.report(model, q).entropy_sum == pytest.approx(expected, abs=1e-12)
 
 
 class TestPseudoVariants:
@@ -574,7 +583,7 @@ class TestPseudoVariants:
             - last_term
         )
         ev = obj.evaluator(model, np.zeros((25, 2)))  # entropy sums read no data
-        rhs = ev.entropy_sum(model, ev.state_table(model, q), pseudo=True)
+        rhs = ev.report(model, ev.state_table(model, q), pseudo=True).entropy_sum
         assert rhs == pytest.approx(manual, abs=1e-12)
 
     def test_unit_rate_components_give_data_dim(self):
@@ -585,7 +594,7 @@ class TestPseudoVariants:
         # last term = D exactly when every rate is 1
         avg_h_q = math.log(2.0)
         prior_h = math.log(2.0)
-        assert ev.entropy_sum(model, q, pseudo=True) == pytest.approx(
+        assert ev.report(model, q, pseudo=True).entropy_sum == pytest.approx(
             avg_h_q - prior_h - 2.0, abs=1e-12
         )
 
