@@ -3,14 +3,18 @@ The parameterization check that gates the entropy-sum identity
 ==============================================================
 
 The ELBO-equals-entropy-sums identity needs the model's natural-parameter
-maps to cooperate: zeta(psi) must lie in the column space of its own
-Jacobian, and eta(z; theta) must be reproducible as J_eta(z; theta) @ beta
-with ONE beta shared across every latent value z. check_criterion resolves
-both conditions as least-squares residuals on parameter grids.
+maps to cooperate: zeta(psi) must equal J_zeta(psi) @ alpha for some alpha,
+and eta(z; theta) must equal J_eta(z; theta) @ beta with ONE beta shared
+across every latent value z. Each model states its alpha(psi) and
+beta(theta) in closed form, and check_criterion evaluates the two
+residuals on a parameter grid. A passing witness proves the criterion on
+the grid; a failing one shows that the stated beta fails.
 
 Most textbook models pass. A deliberately broken sigmoid belief net whose
-two observable weights are tied as (v, v+1) cannot: no single coefficient
-reproduces both v and v+1 from the one-column Jacobian (z, z).
+two observable weights are tied as (v, v+1) cannot: its stated beta = v
+fails, and the least-squares solve at the end shows that every beta does,
+since no single coefficient reproduces both v and v+1 from the one-column
+Jacobian (z, z).
 """
 
 import numpy as np

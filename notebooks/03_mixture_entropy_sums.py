@@ -29,7 +29,8 @@ _, data = mdl.sample_joint(truth, rng, 500)
 fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(max_iters=2000, seed=3))
 print("converged:", fit.trace.converged, "|", fit.trace.stop_reason)
 print(f"{'iter':>5s} {'elbo':>14s} {'entropy sum':>14s} {'rel gap':>10s} {'grad norm':>10s}")
-for r in fit.trace.records[:8] + fit.trace.records[-3:]:
+records = fit.trace.records
+for r in records[:8] + records[max(8, len(records) - 3) :]:  # first 8, last 3, no repeats
     print(f"{r.iteration:5d} {r.elbo:14.8f} {r.entropy_sum:14.8f} {r.gap:10.2e} {r.grad_norm:10.2e}")
 
 # The model's evaluator gives every objective quantity at a q of our choice,

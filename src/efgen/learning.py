@@ -180,7 +180,8 @@ def _train(ev, model: GenerativeModel, config: TrainingConfig, step) -> Fit:
 
 
 # The gamma shape's Newton iteration stops once a step moves the shape by less
-# than _SHAPE_TOL * max(1, a), and fails after _SHAPE_MAX_ITERS steps.
+# than _SHAPE_TOL * max(1, a), or no less than the step before it (rounding
+# then drives the steps), and fails after _SHAPE_MAX_ITERS steps.
 _SHAPE_MAX_ITERS = 100
 _SHAPE_TOL = 1e-12
 
@@ -192,6 +193,7 @@ def gamma_shape_newton(s: float) -> float:
             f"shape equation needs s > 0 (got {s!r}); data may be degenerate"
         )
     a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    last = math.inf
     for _ in range(_SHAPE_MAX_ITERS):
         f = math.log(a) - digamma(a) - s
         fprime = 1.0 / a - polygamma(1, a)
@@ -202,9 +204,9 @@ def gamma_shape_newton(s: float) -> float:
         while new <= 0.0:
             step *= 0.5
             new = a - step
-        if abs(new - a) < _SHAPE_TOL * max(1.0, a):
+        if abs(new - a) < _SHAPE_TOL * max(1.0, a) or abs(new - a) >= last:
             return new
-        a = new
+        a, last = new, abs(new - a)
     raise NewtonConvergenceError(f"shape update failed to converge (s={s})")
 
 
@@ -251,25 +253,26 @@ def mixture_m_step(model: GenerativeModel, mass, stats) -> GenerativeModel:
 
 
 def _kmeanspp_init(model: GenerativeModel, ev: obj.FiniteObjective, rng) -> np.ndarray:
-    """Soft responsibilities (N, C) from k-means++ seeding on the sufficient
-    statistics of every data point, read from the evaluator ev."""
+    """Soft responsibilities (N, C) from k-means++ seeding on every data
+    point, read from the evaluator ev: on the data themselves, as a
+    Gaussian's x^2 statistic would outweigh x."""
     c = model.latent_support.n_states
     n = ev.n
     if c == 1:
         return np.ones((n, 1))
-    stats = ev.t[ev.inverse]
-    bound = 0.5 * math.sqrt(np.finfo(float).max / stats.size)  # keeps every d2 sum finite
-    if np.max(np.abs(stats)) > bound:
+    points = ev.rows[ev.inverse]
+    bound = 0.5 * math.sqrt(np.finfo(float).max / points.size)  # keeps every d2 sum finite
+    if np.max(np.abs(points)) > bound:
         raise DegenerateDataError("observations too large for k-means++ seeding; rescale them")
-    centers = [stats[rng.integers(n)]]
+    centers = [points[rng.integers(n)]]
     for _ in range(c - 1):
         d2 = np.min(
-            np.stack([np.sum((stats - ctr) ** 2, axis=1) for ctr in centers]), axis=0
+            np.stack([np.sum((points - ctr) ** 2, axis=1) for ctr in centers]), axis=0
         )
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centers.append(stats[rng.choice(n, p=probs)])
-    d2 = np.stack([np.sum((stats - ctr) ** 2, axis=1) for ctr in centers], axis=1)
+        centers.append(points[rng.choice(n, p=probs)])
+    d2 = np.stack([np.sum((points - ctr) ** 2, axis=1) for ctr in centers], axis=1)
     assign = np.argmin(d2, axis=1)
     resp = np.full((n, c), 0.05 / max(c - 1, 1))
     resp[np.arange(n), assign] = 0.95
@@ -279,11 +282,10 @@ def _kmeanspp_init(model: GenerativeModel, ev: obj.FiniteObjective, rng) -> np.n
 def em_mixture(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     """Exact-posterior EM for exponential-family mixtures.
 
-    config.init "auto" seeds responsibilities k-means++-style on sufficient
-    statistics; "model" starts from the passed model's parameters. Both
-    steps read q through the evaluator's state sums, over its distinct rows;
-    the seeding reads every point's statistics, so its draws do not depend on
-    the grouping.
+    config.init "auto" seeds responsibilities k-means++-style on the data;
+    "model" starts from the passed model's parameters. Both steps read q
+    through the evaluator's state sums, over its distinct rows; the seeding
+    reads every data point, so its draws do not depend on the grouping.
     """
     if model.model_kind != "ef_mixture":
         raise ValueError("em_mixture expects an ef_mixture model")

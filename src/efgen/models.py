@@ -21,18 +21,19 @@ and its Jacobian. vjp_eta contracts the noise Jacobian over all of theta with
 per-state weights, which is the ELBO gradient's noise part; it needs the
 model's eta_vjp or a criterion subset that is all of theta.
 
-The parameterization check asks, numerically, whether the natural-parameter
-vectors lie in the column spaces of their own Jacobians: the prior map must
-satisfy zeta(psi) = J_zeta(psi) alpha(psi) pointwise, and the noise map must
-admit ONE coefficient vector beta(theta), independent of the latent value,
-with eta(z; theta) = J_eta(z; theta) beta(theta) across all tested z. Both
-parts are resolved as least-squares residuals on parameter grids.
+The parameterization criterion asks whether the natural-parameter vectors
+lie in the column spaces of their own Jacobians: zeta(psi) =
+J_zeta(psi) alpha(psi), and eta(z; theta) = J_eta(z; theta) beta(theta)
+with ONE beta(theta) for every latent value z. Each model states these
+witnesses, PriorSpec.alpha and NoiseSpec.beta, and check_criterion evaluates
+their two residuals on a parameter grid. A passing witness proves the
+criterion on the grid; a failing one shows that the stated beta fails, not
+that no other beta exists.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Union
@@ -111,20 +112,22 @@ class PriorSpec:
     params: np.ndarray  # trainable prior parameter vector psi
     zeta: Callable[[np.ndarray], np.ndarray]
     zeta_jacobian: Callable[[np.ndarray], np.ndarray]  # psi -> (K, R)
+    alpha: Callable[[np.ndarray], np.ndarray]  # psi -> (R,): J_zeta alpha = zeta
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """A noise family, its trainable theta and its natural map with analytic
-    derivatives: eta_jacobian over the criterion subset, and an optional
-    eta_vjp over all of theta, which vjp_eta needs unless that subset is all
-    of theta."""
+    derivatives: eta_jacobian over the criterion subset, the criterion's
+    witness beta over that subset, and an optional eta_vjp over all of
+    theta, which vjp_eta needs unless that subset is all of theta."""
 
     family: FamilyDescriptor
     params: np.ndarray  # trainable noise parameter vector theta (flat)
     theta_subset: np.ndarray  # indices into theta used for the criterion Jacobian
     eta: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L)
     eta_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L, P)
+    beta: Callable[[np.ndarray], np.ndarray]  # theta -> (P,): J_eta(z) beta = eta(z) at every z
     # (states, theta, G (S, L)) -> sum_s J_eta(z_s)^T G_s over all of theta, (P_all,)
     eta_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -139,7 +142,7 @@ class GenerativeModel:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Grid residuals of the column-space membership test."""
+    """Worst relative residuals of the stated witnesses over the grid."""
 
     prior_residual: float
     noise_residual: float
@@ -191,6 +194,26 @@ def _component_natural_jacobian(family: FamilyDescriptor, params: np.ndarray) ->
     raise ValueError(f"no analytic natural-map Jacobian for {name}")
 
 
+def _natural_witness(family: FamilyDescriptor, params: np.ndarray) -> np.ndarray:
+    """Coefficients w with J w = to_natural at parameter rows (..., P), J
+    being _component_natural_jacobian's; shape (..., P)."""
+    name = family.name
+    natural = fam.to_natural(family, params)
+    if name == "bernoulli_product":
+        return params * (1.0 - params) * natural
+    if name == "categorical":
+        # Sherman-Morrison on diag(1/pi) + 1 1^T / pi_last, as pi sums to 1.
+        return params * (natural - (params * natural).sum(axis=-1, keepdims=True))
+    if name.startswith("gaussian"):  # the mean coordinates scale with 1/sigma2 alone
+        d = family.data_dim
+        return np.concatenate([np.zeros_like(params[..., :d]), -params[..., d:]], axis=-1)
+    if name == "gamma":
+        return natural * [1.0, -1.0]
+    if name == "poisson_product":
+        return params * natural
+    raise ValueError(f"no natural-map witness for {name}")
+
+
 def _affine_rows(w: np.ndarray, z: np.ndarray, mu) -> np.ndarray:
     """Z W^T + mu for an (S, H) stack of latent vectors.
 
@@ -202,12 +225,14 @@ def _affine_rows(w: np.ndarray, z: np.ndarray, mu) -> np.ndarray:
 
 def _natural_prior(family: FamilyDescriptor, psi) -> PriorSpec:
     """A prior trained in its family's standard parameters: zeta is the
-    family's natural map and zeta_jacobian that map's Jacobian."""
+    family's natural map, zeta_jacobian that map's Jacobian and alpha its
+    witness."""
     return PriorSpec(
         family,
         _frozen(psi),
         partial(fam.to_natural, family),
         partial(_component_natural_jacobian, family),
+        partial(_natural_witness, family),
     )
 
 
@@ -291,6 +316,9 @@ def make_ef_mixture(
         jac[np.arange(z.size), :, z, :] = blocks[z]
         return jac.reshape(z.size, component_family.natural_dim, c * ldim)
 
+    def beta(theta):
+        return _natural_witness(component_family, theta.reshape(c, ldim)).ravel()
+
     return GenerativeModel(
         prior=_natural_prior(fam.categorical(c), weights[:-1]),
         noise=NoiseSpec(
@@ -299,6 +327,7 @@ def make_ef_mixture(
             np.arange(c * ldim),
             eta,
             eta_jac,
+            beta,
         ),
         latent_support=FiniteStates(np.arange(c)),
         model_kind="ef_mixture",
@@ -318,14 +347,15 @@ def _scalar_var_gaussian_prior(h: int, tau: float) -> PriorSpec:
         tau = psi[0]
         return np.concatenate([np.zeros(h), np.full(h, 0.5 / tau**2)])[:, None]
 
-    return PriorSpec(fam.gaussian_scalar_var(h), _frozen([tau]), zeta, zeta_jac)
+    return PriorSpec(fam.gaussian_scalar_var(h), _frozen([tau]), zeta, zeta_jac, np.negative)
 
 
 def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
     """Linear-Gaussian model with isotropic observation noise.
 
     z ~ N(0, tau I_H), x ~ N(W z + mu, sigma2 I_D). The criterion Jacobian
-    uses the variance alone as its parameter subset.
+    uses the variance alone as its parameter subset; it is -eta / sigma2, so
+    the witnesses are alpha = -tau and beta = -sigma2.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
@@ -354,7 +384,7 @@ def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
     return GenerativeModel(
         prior=_scalar_var_gaussian_prior(h, tau),
         noise=NoiseSpec(
-            noise_family, _frozen(theta), np.array([n_w + d]), eta, eta_jac
+            noise_family, _frozen(theta), np.array([n_w + d]), eta, eta_jac, lambda t: -t[-1:]
         ),
         latent_support=RealVector(h),
         model_kind="ppca",
@@ -365,7 +395,8 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
     """Single-latent factor analysis with diagonal observation noise.
 
     z ~ N(0, tau), x ~ N(w z, diag(sigma2s)) with the loading held at unit
-    norm; the criterion Jacobian uses the D variances as its subset.
+    norm; the criterion Jacobian uses the D variances as its subset, with
+    the witnesses alpha = -tau and beta = -sigma2s.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 2:
@@ -399,7 +430,9 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
     theta = np.concatenate([sigma2s, w])
     return GenerativeModel(
         prior=_scalar_var_gaussian_prior(1, tau),
-        noise=NoiseSpec(noise_family, _frozen(theta), np.arange(d), eta, eta_jac),
+        noise=NoiseSpec(
+            noise_family, _frozen(theta), np.arange(d), eta, eta_jac, lambda t: -t[:d]
+        ),
         latent_support=RealVector(1),
         model_kind="simple_fa",
     )
@@ -411,6 +444,9 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
     The noise natural parameters are W z + mu. With offsets_free=False the
     offsets are frozen constants excluded from the trainable noise vector;
     the single-latent two-observable fixture with mu = 0 uses that form.
+    The criterion's witness is beta = theta, as eta is linear in W and free
+    offsets. Fixed offsets pass iff mu = 0: at z = 0 every Jacobian row
+    vanishes, so no beta fits a non-zero mu.
     """
     pi = np.asarray(pi, dtype=float)
     h = pi.size
@@ -454,7 +490,7 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
     return GenerativeModel(
         prior=_natural_prior(fam.bernoulli_product(h), pi),
         noise=NoiseSpec(
-            noise_family, _frozen(theta), np.arange(theta.size), eta, eta_jac, eta_vjp
+            noise_family, _frozen(theta), np.arange(theta.size), eta, eta_jac, lambda t: t, eta_vjp
         ),
         latent_support=FiniteStates(enumerate_binary_states(h)),
         model_kind="sbn",
@@ -465,8 +501,8 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
     """Two-observable SBN whose weights are tied as (v, v+1).
 
     The tied offset makes the noise natural map leave the column space of its
-    own one-column Jacobian, so the parameterization check must fail; kept as
-    a checker fixture.
+    own one-column Jacobian, so its witness beta = theta, like every beta,
+    fails the parameterization check; kept as a checker fixture.
     """
     if not 0.0 < pi < 1.0:
         raise DomainError("pi must lie in the open (0,1)")
@@ -482,7 +518,7 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
 
     return GenerativeModel(
         prior=_natural_prior(fam.bernoulli_product(1), [pi]),
-        noise=NoiseSpec(noise_family, _frozen([v]), np.array([0]), eta, eta_jac),
+        noise=NoiseSpec(noise_family, _frozen([v]), np.array([0]), eta, eta_jac, lambda t: t),
         latent_support=FiniteStates(enumerate_binary_states(1)),
         model_kind="rigid_sbn",
     )
@@ -627,112 +663,14 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
     return psi, theta
 
 
-_EPS = np.finfo(float).eps
+# States per jacobian_eta call in check_criterion: the (S, L, P) Jacobian
+# over all states is never formed.
+_CRITERION_CHUNK = 256
 
 
-def _relative_residual(solve, a: np.ndarray, b, what: str, full_rank: int) -> float:
-    """solve's residual ||a x - b||, relative to max(1, ||b||); warns when a
-    has a rank below full_rank."""
-    b = np.asarray(b, dtype=float).reshape(-1)
-    res, rank = solve(a, b)
-    if rank < full_rank:
-        warnings.warn(
-            f"{what} rank-deficient (rank {rank}) at a grid point", RuntimeWarning, stacklevel=3
-        )
-    return res / max(1.0, math.sqrt(b @ b))
-
-
-def _merge_blocks(nonzero: np.ndarray, labels: np.ndarray):
-    """Coarsen a column partition until no row's nonzeros cross it.
-
-    labels[j] is the smallest column of column j's block. A row belongs to
-    the block of its first nonzero; every nonzero outside that block joins
-    the two blocks, and joined labels follow their links down to the
-    smallest. Returns the merged labels and each row's block, with the
-    column count standing for an all-zero row.
-    """
-    n = labels.size
-    if n == 0:  # every row is all-zero
-        return labels, np.zeros(len(nonzero), dtype=int)
-    while True:
-        row = labels[nonzero.argmax(axis=1)]
-        crossing = nonzero & (labels != row[:, None])
-        if not crossing.any():
-            return labels, np.where(nonzero.any(axis=1), row, n)
-        r, c = np.nonzero(crossing)
-        ends = row[r], labels[c]
-        lo, hi = np.minimum(*ends), np.maximum(*ends)
-        low = np.arange(n, dtype=labels.dtype)
-        np.minimum.at(low, hi, lo)
-        while True:
-            root = low[low]
-            if (root == low).all():
-                break
-            low = root
-        labels = low[labels]
-
-
-class _BlockLstsq:
-    """Least-squares residual ||a x - b|| and rank of a, solved block by block.
-
-    Called once per grid point, with systems of one shape. Columns fall into
-    blocks that no row's nonzeros cross: the partition found at the first
-    point, merged where a later point's nonzeros cross it. So each problem
-    is block-diagonal up to a permutation, and its minimum is the sum of the
-    blocks' minima. All blocks of one shape go to one batched SVD, each with
-    lstsq's default cutoff eps * max(m, n) * sigma_max; all-zero rows leave
-    their target entries in the residual. The gather plan is rebuilt only
-    when the gathered blocks miss some nonzero of a, so a point that keeps
-    the plan allocates no (m, n) array.
-    """
-
-    def __init__(self):
-        self.labels = None  # labels[j]: the smallest column of column j's block
-        self._groups = []  # (rows (g, m, 1), columns (g, 1, n), cutoff factor) per shape
-        self._empty = None  # rows that no block holds
-
-    def _gather(self, a: np.ndarray) -> list:
-        return [a[rows, cols] for rows, cols, _ in self._groups]
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
-        gathered = self._gather(a)
-        held = sum(np.count_nonzero(blk) for blk in gathered)
-        if self.labels is None or held < np.count_nonzero(a):
-            self._plan(a != 0.0)
-            gathered = self._gather(a)
-        empty = b[self._empty]
-        square = float(empty @ empty)
-        rank = 0
-        for (rows, _, cutoff), blk in zip(self._groups, gathered):
-            rhs = b[rows]
-            u, s, _ = np.linalg.svd(blk, full_matrices=False)
-            keep = s > cutoff * s[:, :1]
-            rank += int(np.count_nonzero(keep))
-            resid = rhs - u @ ((u.transpose(0, 2, 1) @ rhs) * keep[:, :, None])
-            square += float(np.vdot(resid, resid))
-        return math.sqrt(square), rank
-
-    def _plan(self, nonzero: np.ndarray) -> None:
-        m, n = nonzero.shape
-        if self.labels is None:
-            self.labels = np.arange(n, dtype=np.min_scalar_type(n))
-        self.labels, row = _merge_blocks(nonzero, self.labels)
-        rows_in = np.bincount(row, minlength=n + 1)
-        cols_in = np.bincount(self.labels, minlength=n)
-        # Rows and columns sorted by block; all-zero rows (block n) come last.
-        row_order = np.argsort(row, kind="stable")
-        col_order = np.argsort(self.labels, kind="stable")
-        row_start = np.cumsum(rows_in) - rows_in
-        col_start = np.cumsum(cols_in) - cols_in
-        blocks = np.flatnonzero(rows_in[:n])  # a block with no rows fits nothing
-        shapes = list(zip(rows_in[blocks].tolist(), cols_in[blocks].tolist()))
-        self._groups = []
-        for m_k, n_k in sorted(set(shapes)):
-            ks = blocks[[shape == (m_k, n_k) for shape in shapes]]
-            rows = row_order[row_start[ks, None, None] + np.arange(m_k)[:, None]]
-            cols = col_order[col_start[ks, None, None] + np.arange(n_k)]
-            self._groups.append((rows, cols, _EPS * max(m_k, n_k)))
-        self._empty = row_order[m - rows_in[n] :]
+def _relative_norm(residual: np.ndarray, target: np.ndarray) -> float:
+    """||residual|| relative to max(1, ||target||)."""
+    return math.sqrt(np.vdot(residual, residual)) / max(1.0, math.sqrt(np.vdot(target, target)))
 
 
 def _grid_points(model: GenerativeModel, zs: np.ndarray, rng: np.random.Generator):
@@ -758,20 +696,15 @@ def _grid_points(model: GenerativeModel, zs: np.ndarray, rng: np.random.Generato
 
 
 def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
-    """Least-squares test of the two column-space conditions on a seeded grid.
+    """The stated witnesses' residuals on a seeded grid.
 
-    The prior part solves zeta(psi) = J_zeta(psi) alpha per grid point; the
-    noise part solves ONE shared beta over the system stacked across all
-    latent samples z (beta may not depend on the latent value), on the grid
-    of _grid_points. Residuals are relative to max(1, ||target||); passes
-    iff both stay below CRITERION_THRESHOLD. Finite latents test every
-    state; real latents first draw max(16, 2 P) z, P being the size of the
-    criterion subset, so that one shared beta is identified.
-
-    Both parts solve block by block (_BlockLstsq): a stacked SBN Jacobian
-    splits into one block of S rows per observable, a mixture's into one or
-    more per component. Each point is solved before the next point's
-    Jacobian is built; residual and rank equal one dense lstsq, up to roundoff.
+    The prior part is ||J_zeta(psi) alpha(psi) - zeta(psi)|| per grid point;
+    the noise part is ||J_eta(z) beta(theta) - eta(z)|| over all latent
+    samples z at once, with ONE beta(theta) for every z, contracted
+    _CRITERION_CHUNK states at a time. Residuals are relative to max(1, ||target||), on the
+    grid of _grid_points; passes iff both stay below CRITERION_THRESHOLD.
+    Finite latents test every state; real latents first draw max(16, 2 P)
+    z, P being the size of the criterion subset.
     """
     rng = np.random.default_rng(seed)
     support = model.latent_support
@@ -781,19 +714,17 @@ def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
         count = max(16, 2 * model.noise.theta_subset.size)
         zs = rng.normal(0.0, 1.0, size=(count, support.dim))
 
-    prior_solve, noise_solve = _BlockLstsq(), _BlockLstsq()
     prior_residual = noise_residual = 0.0
     points = 0
     for psi, theta, zeta, eta in _grid_points(model, zs, rng):
         points += 1
-        jac = jacobian_zeta(model, psi)
-        prior = _relative_residual(prior_solve, jac, zeta, "prior Jacobian", min(jac.shape))
-        stacked = jacobian_eta(model, zs, theta)
-        stacked = stacked.reshape(-1, stacked.shape[-1])
-        noise = _relative_residual(
-            noise_solve, stacked, eta, "stacked noise Jacobian", stacked.shape[1]
-        )
-        del stacked  # so the next point's Jacobian is built without this one
+        prior = _relative_norm(jacobian_zeta(model, psi) @ model.prior.alpha(psi) - zeta, zeta)
+        beta = model.noise.beta(theta)
+        fitted = [
+            jacobian_eta(model, zs[start : start + _CRITERION_CHUNK], theta) @ beta
+            for start in range(0, len(zs), _CRITERION_CHUNK)
+        ]
+        noise = _relative_norm(np.concatenate(fitted) - eta, eta)
         prior_residual, noise_residual = max(prior_residual, prior), max(noise_residual, noise)
 
     return CriterionReport(

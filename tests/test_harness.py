@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -973,13 +972,7 @@ def test_a_file_dataset_never_fails_train_or_verify_internally(name, data):
     # Rows repeat, in any order: integer-valued ones are grouped for training.
     repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
     rows = data.draw(st.permutations([row for row, k in zip(rows, repeats) for _ in range(k)]))
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        # The criterion's rank-deficiency diagnostic is a RuntimeWarning by
-        # design, which a plain CLI run prints before exiting 0; numpy's
-        # floating-point warnings still raise.
-        warnings.filterwarnings(
-            "ignore", "(prior|stacked noise) Jacobian rank-deficient", RuntimeWarning
-        )
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         _write_rows(path, rows)
         cfg = {
@@ -1136,6 +1129,19 @@ class TestCli:
         statuses = [verdict["status"] for verdict in verify["verdicts"].values()]
         assert statuses == ["pass", "pass", "pass"]
         assert verify["objective_standard"]["elbo"] == train["objective_standard"]["elbo"]
+
+    @pytest.mark.parametrize("seed", [2, 1234])
+    def test_kmeanspp_start_splits_the_clusters_by_sign(self, tmp_path, seed):
+        # Unit clusters at -5 and +5. Seeded on the (x, x^2) statistics, x^2
+        # outweighs x, the start splits the data by |x|, and EM runs to the
+        # iteration cap at the merged saddle (ELBO near -3.05). Seeded on x,
+        # it converges at once.
+        cfg_path = write_config(tmp_path, gmm_config(tmp_path))
+        assert cli_main(["train", "--config", cfg_path, "--seed", str(seed), "--quiet"]) == 0
+        with open(os.path.join(tmp_path, "report.json")) as fh:
+            report = json.load(fh)
+        assert report["converged"] is True
+        assert report["objective_standard"]["elbo"] > -2.5
 
     def test_subprocess_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, gmm_config(tmp_path, n=40))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,9 +205,10 @@ class TestEmMixture:
 
         monkeypatch.setattr(obj.FiniteObjective, "loglik", counted)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=4, max_iters=5))
-        assert fit.trace.last().iteration == 5
+        iterations = fit.trace.last().iteration
+        assert iterations > 1
         # One more for the posterior the first M-step reads.
-        assert len(builds) == 5 + 1
+        assert len(builds) == iterations + 1
 
     def test_one_terms_per_iteration(self, monkeypatch):
         # A trace record takes its ELBO and entropy sum from one report.
@@ -221,8 +223,10 @@ class TestEmMixture:
         monkeypatch.setattr(obj.FiniteObjective, "terms", counted)
         cfg = lrn.TrainingConfig(seed=4, max_iters=5, record_every=1)
         fit = lrn.em_mixture(truth, data, cfg)
-        assert len(fit.trace.records) == 5
-        assert len(calls) == 5
+        iterations = fit.trace.last().iteration
+        assert iterations > 1
+        assert len(fit.trace.records) == iterations
+        assert len(calls) == iterations
 
     def test_terms_only_for_records(self, monkeypatch):
         # The plateau test reads the E-step's ELBO, so an iteration that
@@ -244,7 +248,9 @@ class TestEmMixture:
         monkeypatch.setattr(obj, "_entropy_rows", counted_entropy_rows)
         cfg = lrn.TrainingConfig(seed=4, max_iters=5, record_every=1000)
         fit = lrn.em_mixture(truth, data, cfg)
-        assert [r.iteration for r in fit.trace.records] == [5]
+        iterations = fit.trace.last().iteration
+        assert iterations > 1
+        assert [r.iteration for r in fit.trace.records] == [iterations]
         assert len(terms_calls) == 1
         assert len(entropy_calls) == 1
         fit.evaluator.report(fit.model, fit.q)
@@ -356,6 +362,20 @@ class TestGammaShapeNewton:
         # shape equation's slope rounds to zero.
         with pytest.raises(NewtonConvergenceError, match="flat"):
             lrn.gamma_shape_newton(2.0**-53)
+
+    @pytest.mark.parametrize("s", [2.3496e-4, 1e-4, 1e-5, 1e-8])
+    def test_large_shapes_reach_the_rounding_limit(self, s):
+        # Tightly clustered gamma data give a small s and a large shape a.
+        # There log(a) - digamma(a) cancels to s, so rounding in f moves the
+        # root by eps (|log a| + |digamma a|) / |f'(a)|: Newton stops where
+        # its steps stop shrinking, within a small multiple of that.
+        a = lrn.gamma_shape_newton(s)
+        with mp.workdps(50):
+            root = float(mp.findroot(lambda x: mp.log(x) - mp.digamma(x) - s, a))
+        slope = 1.0 / a - lrn.polygamma(1, a)
+        eps = np.finfo(float).eps
+        bound = 16 * eps * (abs(math.log(a)) + abs(lrn.digamma(a))) / (a * abs(slope))
+        assert abs(a - root) <= bound * root
 
 
 class TestFitPpca:

@@ -19,7 +19,6 @@ from helpers import (
     SBN8_W,
     bernoulli_prior_reference,
     categorical_prior_jacobian_reference,
-    dense_lstsq,
     finite_difference_gradient,
     sbn_eta_jacobian_reference,
 )
@@ -332,13 +331,16 @@ class TestJacobians:
         assert jac.shape == (256, 12, 108)
         assert peak <= 1.1 * jac.nbytes
 
-    def test_specs_require_their_jacobians(self):
+    def test_specs_require_their_jacobians_and_witnesses(self):
+        family, params, subset = fam.bernoulli_product(1), np.array([0.5]), np.array([0])
         with pytest.raises(TypeError):
-            mdl.PriorSpec(fam.bernoulli_product(1), np.array([0.5]), lambda p: p)
+            mdl.PriorSpec(family, params, lambda p: p)
         with pytest.raises(TypeError):
-            mdl.NoiseSpec(
-                fam.bernoulli_product(1), np.array([0.5]), np.array([0]), lambda z, t: t * z
-            )
+            mdl.PriorSpec(family, params, lambda p: p, lambda p: np.eye(1))
+        with pytest.raises(TypeError):
+            mdl.NoiseSpec(family, params, subset, lambda z, t: t * z)
+        with pytest.raises(TypeError):
+            mdl.NoiseSpec(family, params, subset, lambda z, t: t * z, lambda z, t: z[:, :, None])
 
 
 class TestCriterion:
@@ -360,6 +362,67 @@ class TestCriterion:
         assert report.passes
         assert max(report.prior_residual, report.noise_residual) < 1e-8
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            fam.bernoulli_product(3),
+            fam.categorical(4),
+            fam.gaussian_scalar_var(2),
+            fam.gaussian_diag_cov(2),
+            fam.gamma_family(),
+            fam.poisson_product(3),
+        ],
+        ids=lambda f: f.name,
+    )
+    def test_natural_witness_solves_each_family_jacobian(self, family):
+        # A stack of rows, as make_ef_mixture's beta passes its components.
+        rng = np.random.default_rng(0)
+        d = family.data_dim
+        rows = {
+            "bernoulli_product": lambda: rng.uniform(0.01, 0.99, size=(5, d)),
+            "categorical": lambda: rng.dirichlet(np.full(4, 0.5), size=5)[:, :-1],
+            "gaussian_scalar_var": lambda: np.hstack(
+                [rng.normal(0.0, 3.0, size=(5, d)), rng.lognormal(size=(5, 1))]
+            ),
+            "gaussian_diag_cov": lambda: np.hstack(
+                [rng.normal(0.0, 3.0, size=(5, d)), rng.lognormal(size=(5, d))]
+            ),
+            "gamma": lambda: rng.lognormal(size=(5, 2)),
+            "poisson_product": lambda: rng.lognormal(0.0, 2.0, size=(5, d)),
+        }[family.name]()
+        witness = mdl._natural_witness(family, rows)
+        assert witness.shape == rows.shape
+        jac = mdl._component_natural_jacobian(family, rows)
+        np.testing.assert_allclose(
+            np.einsum("slp,sp->sl", jac, witness),
+            fam.to_natural(family, rows),
+            rtol=1e-13,
+            atol=1e-14,
+        )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            mdl.make_sbn(
+                [0.4, 0.7, 0.2], np.array([[0.5, -1.0, 2.0], [1.2, 0.3, -0.4]]), [0.1, -0.4]
+            ),
+            mdl.make_ppca(np.array([[0.9], [-0.3], [0.2]]), np.zeros(3), 0.7),
+            gamma_mixture(),
+            mdl.make_rigid_sbn(0.5, 0.3),
+        ],
+        ids=["sbn", "ppca", "gamma_mix", "rigid_sbn"],
+    )
+    def test_chunked_residual_is_one_contraction(self, model, monkeypatch):
+        # Chunks of one state, and chunks that leave a shorter last one, sum
+        # to the residuals of one contraction over all states.
+        whole = mdl.check_criterion(model, seed=1)
+        for chunk in (1, 3, 5):
+            monkeypatch.setattr(mdl, "_CRITERION_CHUNK", chunk)
+            report = mdl.check_criterion(model, seed=1)
+            assert report.passes == whole.passes
+            assert report.prior_residual == whole.prior_residual
+            assert report.noise_residual == pytest.approx(whole.noise_residual, rel=1e-12)
+
     def test_rigid_sbn_fails_noise_part(self):
         report = mdl.check_criterion(mdl.make_rigid_sbn(0.5, 0.0), seed=0)
         assert not report.passes
@@ -373,34 +436,18 @@ class TestCriterion:
         )
         assert report.tested_points == 16
 
-    def test_permutation_invariance(self):
-        # The block solver's worst residual over a grid does not depend on
-        # the order of the grid points or of the stacked latent states.
-        model = mdl.make_sbn([0.3], np.array([[0.5], [1.5], [-0.7]]), [0.2, 0.0, -0.1])
-        rng = np.random.default_rng(5)
-        thetas = [model.noise.params] + [
-            model.noise.params + rng.normal(size=model.noise.params.size) for _ in range(5)
-        ]
-        zs = mdl.enumerate_binary_states(1)
-
-        def worst(thetas, zs):
-            solve = mdl._BlockLstsq()
-            residuals = []
-            for theta in thetas:
-                jac = mdl.jacobian_eta(model, zs, theta)
-                res, _ = solve(jac.reshape(-1, jac.shape[-1]), model.noise.eta(zs, theta).ravel())
-                residuals.append(res)
-            return max(residuals)
-
-        assert worst(thetas, zs) == pytest.approx(worst(thetas[::-1], zs[::-1]), abs=1e-12)
-
     def test_custom_model_with_hand_written_jacobians_passes(self):
         # Hand-assembled model: Bernoulli latent whose natural parameter is
         # psi^3, two Bernoulli observables with natural parameters
         # theta * (z, 2z). Both maps stay inside the column spaces of their
-        # own Jacobians, so the check must pass.
+        # own Jacobians, with the witnesses alpha = psi / 3 and beta = theta,
+        # so the check must pass.
         prior = mdl.PriorSpec(
-            fam.bernoulli_product(1), np.array([0.7]), lambda p: p**3, lambda p: np.diag(3 * p**2)
+            fam.bernoulli_product(1),
+            np.array([0.7]),
+            lambda p: p**3,
+            lambda p: np.diag(3 * p**2),
+            lambda p: p / 3.0,
         )
         noise = mdl.NoiseSpec(
             fam.bernoulli_product(2),
@@ -408,6 +455,7 @@ class TestCriterion:
             np.array([0]),
             lambda z, t: t[0] * np.column_stack([z[:, 0], 2.0 * z[:, 0]]),
             lambda z, t: np.column_stack([z[:, 0], 2.0 * z[:, 0]])[:, :, None],
+            lambda t: t,
         )
         model = mdl.GenerativeModel(
             prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(1)), "custom"
@@ -425,12 +473,14 @@ class TestCriterion:
 
     def test_custom_model_with_tied_offset_fails(self):
         # Same skeleton but eta = (theta*z, theta*z + z) leaves the column
-        # space of its Jacobian (z, z): the check must expose the failure.
+        # space of its Jacobian (z, z): no beta fits, not even the
+        # least-squares one, theta + 1/2, stated here.
         prior = mdl.PriorSpec(
             fam.bernoulli_product(1),
             np.array([0.5]),
             lambda p: np.log(p) - np.log1p(-p),
             lambda p: np.diag(1.0 / (p * (1.0 - p))),
+            lambda p: p * (1.0 - p) * (np.log(p) - np.log1p(-p)),
         )
         noise = mdl.NoiseSpec(
             fam.bernoulli_product(2),
@@ -438,6 +488,7 @@ class TestCriterion:
             np.array([0]),
             lambda z, t: np.column_stack([t[0] * z[:, 0], (t[0] + 1.0) * z[:, 0]]),
             lambda z, t: np.column_stack([z[:, 0], z[:, 0]])[:, :, None],
+            lambda t: t + 0.5,
         )
         model = mdl.GenerativeModel(
             prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(1)), "custom"
@@ -447,162 +498,38 @@ class TestCriterion:
         assert report.noise_residual >= 0.1
 
 
-_ENTRY = st.integers(-3, 3).map(float)
-
-
-def _matrix(draw, m, n):
-    return np.array(
-        draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=m, max_size=m)),
-        dtype=float,
-    ).reshape(m, n)
-
-
-@st.composite
-def block_systems(draw):
-    """(a, b) with a block-diagonal up to shuffled rows and columns.
-
-    Blocks have unequal shapes and small integer entries, so rank deficiency
-    is exact: a block may get a last column equal to the sum of the others.
-    All-zero rows and columns ride along.
-    """
-    shapes = draw(
-        st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=4)
-    )
-    blocks = []
-    for m, n in shapes:
-        block = _matrix(draw, m, n)
-        if n > 1 and draw(st.booleans()):
-            block[:, -1] = block[:, :-1].sum(axis=1)
-        blocks.append(block)
-    m = sum(blk.shape[0] for blk in blocks) + draw(st.integers(0, 2))
-    n = sum(blk.shape[1] for blk in blocks) + draw(st.integers(0, 2))
-    a = np.zeros((m, n))
-    r = c = 0
-    for blk in blocks:
-        a[r : r + blk.shape[0], c : c + blk.shape[1]] = blk
-        r, c = r + blk.shape[0], c + blk.shape[1]
-    rows = draw(st.permutations(range(m)))
-    cols = draw(st.permutations(range(n)))
-    b = np.array(draw(st.lists(_ENTRY, min_size=m, max_size=m)))
-    return a[np.ix_(rows, cols)], b
-
-
-class TestBlockLstsq:
-    @settings(max_examples=200, deadline=None)
-    @given(system=block_systems())
-    def test_matches_dense_lstsq(self, system):
-        a, b = system
-        res, rank = mdl._BlockLstsq()(a, b)
-        dense_res, dense_rank = dense_lstsq(a, b)
-        assert abs(res - dense_res) <= 1e-12
-        assert rank == dense_rank
-
-    @settings(max_examples=200, deadline=None)
-    @given(system=block_systems(), data=st.data())
-    def test_grid_points_merge_and_reuse_the_partition(self, system, data):
-        a, b = system
-        # The grid's two points share a shape; the second one's extra rows
-        # are all-zero at the first.
-        extra = _matrix(data.draw, data.draw(st.integers(1, 2)), a.shape[1])
-        a1 = np.vstack([a, np.zeros_like(extra)])
-        a2 = np.vstack([a, extra])
-        b2 = np.concatenate([b, _matrix(data.draw, len(extra), 1).ravel()])
-        solve = mdl._BlockLstsq()
-        solve(a1, b2)
-        first = solve.labels
-        res, rank = solve(a2, b2)
-        labels = solve.labels
-        dense_res, dense_rank = dense_lstsq(a2, b2)
-        assert abs(res - dense_res) <= 1e-12
-        assert rank == dense_rank
-        # The merged partition is coarser than the first point's, and no row
-        # of the second point crosses it.
-        assert np.array_equal(labels[first], labels)
-        for row in a2:
-            assert len(set(labels[row != 0.0])) <= 1
-        # A third point whose nonzeros are a subset of the second's keeps
-        # the blocks; it may zero whole rows and columns.
-        keep = np.array(data.draw(st.lists(st.booleans(), min_size=a2.size, max_size=a2.size)))
-        a3 = a2 * keep.reshape(a2.shape)
-        res, rank = solve(a3, b2)
-        dense_res, dense_rank = dense_lstsq(a3, b2)
-        assert abs(res - dense_res) <= 1e-12
-        assert rank == dense_rank
-        assert np.array_equal(solve.labels, labels)
-
-    def test_merge_follows_the_earlier_partition(self):
-        a1 = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
-        solve = mdl._BlockLstsq()
-        solve(a1, np.ones(3))
-        assert solve.labels.tolist() == [0, 0, 2, 2]
-        # Only the middle row touches two columns; columns 0 and 3 join
-        # through the first point's blocks.
-        a2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        res, rank = solve(a2, np.array([1.0, 2.0, 3.0]))
-        assert solve.labels.tolist() == [0, 0, 0, 0]
-        assert rank == 3 and res == pytest.approx(0.0, abs=1e-15)
-
-    def test_all_zero_rows_keep_their_targets(self):
-        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        res, rank = mdl._BlockLstsq()(a, np.array([3.0, 5.0, 4.0]))
-        assert res == 5.0 and rank == 1
-        # A one-component mixture's prior has no parameters at all.
-        res, rank = mdl._BlockLstsq()(np.zeros((2, 0)), np.array([3.0, 4.0]))
-        assert res == 5.0 and rank == 0
-
-
-class TestCriterionSolves:
-    def test_sbn_enumerate_solves_no_system_taller_than_the_states(self, monkeypatch):
-        # H = 8 latents and D = 12 observables: 256 states and a 3072 x 108
-        # stacked noise Jacobian whose rows each touch one observable's
-        # 9 columns.
+class TestCriterionCost:
+    def test_sbn_enumerate_calls_no_linalg_solver(self, monkeypatch):
+        # H = 8 latents and D = 12 observables, the sbn-enumerate benchmark
+        # size: the witnesses are evaluated, never solved for.
         rng = np.random.default_rng(0)
         model = mdl.make_sbn(
             rng.uniform(0.2, 0.8, size=8), rng.normal(size=(12, 8)), rng.normal(size=12)
         )
-        heights = []
-        for name in ("lstsq", "svd", "qr", "pinv"):
+        for name in ("lstsq", "svd", "qr", "pinv", "solve"):
 
-            def recording(a, *args, _solver=getattr(np.linalg, name), **kwargs):
-                heights.append(np.shape(a)[-2])
-                return _solver(a, *args, **kwargs)
+            def forbidden(*args, _name=name, **kwargs):
+                raise AssertionError(f"np.linalg.{_name} called")
 
-            monkeypatch.setattr(np.linalg, name, recording)
-        report = mdl.check_criterion(model, seed=0)
-        assert report.passes
-        assert heights and max(heights) <= 256
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        assert mdl.check_criterion(model, seed=0).passes
 
-    def test_rank_deficient_prior_jacobian_warns(self):
-        # zeta(psi) = (psi_0 + psi_1) (1, 1): a rank-one 2 x 2 Jacobian whose
-        # column space still holds zeta.
-        prior = mdl.PriorSpec(
-            fam.bernoulli_product(2),
-            np.array([0.3, 0.4]),
-            lambda p: np.full(2, p.sum()),
-            lambda p: np.ones((2, 2)),
+    def test_h12_d20_sbn_check_fits_in_32_mb(self):
+        # 4096 states, 20 observables, 260 parameters: the (S, L, P)
+        # Jacobian over all states would take 170 MB. The check contracts it
+        # 256 states at a time.
+        rng = np.random.default_rng(0)
+        model = mdl.make_sbn(
+            rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)
         )
-        noise = mdl.NoiseSpec(
-            fam.bernoulli_product(1),
-            np.array([0.5]),
-            np.array([0]),
-            lambda z, t: t[0] * z[:, :1],
-            lambda z, t: z[:, :1, None],
-        )
-        model = mdl.GenerativeModel(
-            prior, noise, mdl.FiniteStates(mdl.enumerate_binary_states(2)), "custom"
-        )
-        with pytest.warns(RuntimeWarning, match="prior Jacobian rank-deficient \\(rank 1\\)"):
+        tracemalloc.start()
+        try:
             report = mdl.check_criterion(model, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert report.passes
-
-    def test_rank_deficient_noise_jacobian_warns(self):
-        # At z = 0 every weight column of the SBN Jacobian vanishes; only the
-        # two offsets remain.
-        model = mdl.make_sbn([0.4, 0.7], np.array([[0.5, -1.0], [1.2, 0.3]]), [0.1, -0.4])
-        model = replace(model, latent_support=mdl.FiniteStates(np.zeros((3, 2))))
-        with pytest.warns(RuntimeWarning, match="noise Jacobian rank-deficient \\(rank 2\\)"):
-            report = mdl.check_criterion(model, seed=0)
-        assert report.passes
+        assert peak <= 32 * 2**20
 
 
 class TestSampleJoint:
