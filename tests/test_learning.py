@@ -210,6 +210,24 @@ class TestEmMixture:
         # One more for the posterior the first M-step reads.
         assert len(builds) == iterations + 1
 
+    def test_training_forms_no_noise_jacobian(self, monkeypatch):
+        # The gradient contracts the mixture's eta_vjp; only the criterion
+        # forms the (S, L, C * ldim) Jacobian.
+        truth, data = separated_gmm(seed=4)
+        calls = []
+        jacobian_eta = mdl.jacobian_eta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return jacobian_eta(*args, **kwargs)
+
+        monkeypatch.setattr(mdl, "jacobian_eta", counted)
+        fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=4, max_iters=5))
+        assert fit.trace.last().grad_norm > 0.0
+        assert calls == []
+        assert mdl.check_criterion(fit.model).passes
+        assert calls
+
     def test_one_terms_per_iteration(self, monkeypatch):
         # A trace record takes its ELBO and entropy sum from one report.
         truth, data = separated_gmm(seed=4)

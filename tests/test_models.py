@@ -318,6 +318,30 @@ class TestJacobians:
             strict=True,
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_COMPONENT_DRAWS)),
+        d=st.integers(1, 4),
+        c=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixture_vjp_contracts_the_dense_jacobian(self, name, d, c, seed):
+        # Every state's J^T g lands in its own component's columns, and
+        # repeated states add up.
+        rng = np.random.default_rng(seed)
+        family = fam.gamma_family() if name == "gamma" else getattr(fam, name)(d)
+        rows = [_COMPONENT_DRAWS[name](rng, family.data_dim) for _ in range(c)]
+        model = mdl.make_ef_mixture(family, np.full(c, 1.0 / c), rows)
+        model = mdl.replace_params(model, *mdl._random_params(model, rng))
+        zs = np.concatenate([np.arange(c), rng.integers(0, c, size=2 * c + 3)])
+        g = rng.normal(size=(zs.size, family.natural_dim))
+        jac = mdl.jacobian_eta(model, zs)
+        want = np.einsum("slp,sl->p", jac, g)
+        scale = np.einsum("slp,sl->p", np.abs(jac), np.abs(g))
+        got = mdl.vjp_eta(model, zs, g)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
     def test_sbn_jacobian_allocates_only_its_output(self):
         model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
         states = model.latent_support.states
