@@ -1,4 +1,10 @@
-"""Command-line entry points: generate, train, verify, report."""
+"""Command-line entry points: generate, train, verify, report.
+
+Each command runs on one OpenBLAS thread (`blas.one_thread`), whatever
+OPENBLAS_NUM_THREADS says, so its outputs are the same at any thread count;
+`main` gives the caller's count back when the command ends, by any exit.
+`report.json` and `verify_report.json` record the library and the count.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +16,11 @@ import argparse
 import locale  # noqa: F401
 import sys
 
+from . import blas
 from .errors import ConfigError
+
+# Found once, at import, so that no command pays the lookup.
+blas.libraries()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,6 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    with blas.one_thread():
+        return _run(args)
+
+
+def _run(args) -> int:
     from . import harness
 
     try:

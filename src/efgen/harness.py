@@ -15,6 +15,10 @@ trainer(model, data, config.training) and writes from the Fit it returns:
                  criterion residuals, objective reports, and one verdict
                  per check with the numbers it derives from
 
+report.json and verify_report.json also record, as "blas", the OpenBLAS
+library the command ran with and its thread count then (both null when no
+OpenBLAS is found); the CLI runs every command on one thread.
+
 Configs are versioned and parsed strictly. One block reader serves every
 config block and every model file, each from a table that declares each key's
 JSON type: unknown keys, missing keys and values of another type are rejected
@@ -40,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from . import families as fam
 from . import models as mdl
 from . import objective as obj
@@ -531,6 +535,7 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     report = {
         "run_id": config.run_id,
         "tool_version": __version__,
+        "blas": blas.info(),
         "schema_version": SCHEMA_VERSION,
         "config": {
             "model": config.model_spec,
@@ -644,6 +649,7 @@ def cmd_verify(
         {
             "run_id": config.run_id,
             "tool_version": __version__,
+            "blas": blas.info(),
             "schema_version": SCHEMA_VERSION,
             "config": {"data": asdict(config.data)},
             "model": model_to_dict(model),
