@@ -84,8 +84,7 @@ def _run(args) -> int:
             if args.out:
                 import os
 
-                os.makedirs(args.out, exist_ok=True)
-                out_path = os.path.join(args.out, "aggregate.csv")
+                out_path = os.path.join(harness.make_output_dir(args.out), "aggregate.csv")
             table = harness.cmd_report(args.summaries, out_path=out_path)
             if not args.quiet:
                 print(table if out_path is None else f"wrote {table}")

@@ -27,7 +27,9 @@ and data_dim. Configs hold no verify settings: verify's tolerances are the
 fixed GRAD_NORM_THRESHOLD and GAP_RTOL here and the criterion's constants in
 models. One reader reads every JSON file a user names (config, model file,
 summary): a file that is missing, not UTF-8, not JSON or nested too deeply
-is a user error naming it, as is a dataset that is not UTF-8. Exit codes:
+is a user error naming it, as is a dataset file that is missing, unreadable
+or not UTF-8, an output directory that cannot be made and an output file
+that cannot be written. Exit codes:
 0 success (including valid-but-unconverged runs), 1 internal failure, 2 user
 or config error.
 """
@@ -39,6 +41,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -78,6 +81,9 @@ GAP_RTOL = 1e-6
 # Most values (rows times data_dim) a synthetic dataset may hold: 10^8
 # float64 values are 0.8 GB, checked before anything is allocated.
 MAX_SYNTHETIC_VALUES = 10**8
+# write_dataset formats this many rows at a time, with one str.format call on
+# a template repeated once per row: no call per cell, and no copy of the
+# whole dataset, as int64 or as Python numbers.
 _WRITE_BLOCK_ROWS = 256
 
 
@@ -255,19 +261,27 @@ def model_from_dict(spec: dict, path: str = "model") -> mdl.GenerativeModel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _read_json(path: str, what: str):
-    """The JSON value in the file at path, a `what` file. A file that is
-    missing, unreadable, not UTF-8, not JSON or nested past the recursion
-    limit is a ConfigError naming path."""
+@contextmanager
+def _reading(path: str, what: str):
+    """Reads of the file at path, a `what` file: a file that is missing,
+    unreadable or not UTF-8 is a ConfigError naming path."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        yield
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read the {what} file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path, a `what` file. A file that is
+    missing, unreadable, not UTF-8, not JSON or nested past the recursion
+    limit is a ConfigError naming path."""
+    try:
+        with _reading(path, what), open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
@@ -329,25 +343,37 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
 # Dataset I/O.
 
 
+def _create(path: str):
+    """The file at path opened for writing as UTF-8 text. A path that cannot
+    be written, such as a directory, is a ConfigError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write the file: {exc.strerror}") from None
+
+
+def make_output_dir(path: str) -> str:
+    """path, made a directory if it is none yet. A path that cannot be one,
+    such as an existing file, is a ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot make the output directory: {exc.strerror}") from None
+    return path
+
+
 def write_dataset(path: str, data: np.ndarray, family: fam.FamilyDescriptor):
     integer = family.integer_valued
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(family.data_dim)) + "\n")
-        if not len(data):
-            return
-        data = np.atleast_2d(data)
-        # Small blocks of rows as Python numbers: no per-cell numpy scalars,
-        # and no copy of the whole dataset as Python objects.
+    d = family.data_dim
+    row = ",".join(["{}" if integer else "{:.17g}"] * d) + "\n"
+    with _create(path) as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
+        data = np.asarray(data).reshape(len(data), d)
         for start in range(0, len(data), _WRITE_BLOCK_ROWS):
             block = data[start : start + _WRITE_BLOCK_ROWS]
             if integer:
-                rows = block.astype(np.int64).tolist()
-                fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
-            else:
-                rows = block.tolist()
-                fh.write(
-                    "".join(",".join([format(v, ".17g") for v in row]) + "\n" for row in rows)
-                )
+                block = block.astype(np.int64)
+            fh.write((row * len(block)).format(*block.ravel().tolist()))
 
 
 def _parse_rows(path: str, d: int) -> np.ndarray:
@@ -374,9 +400,7 @@ def _parse_rows(path: str, d: int) -> np.ndarray:
 
 
 def read_dataset(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
-    try:
+    with _reading(path, "dataset"):
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
         if not header.startswith("x1"):
@@ -394,8 +418,6 @@ def read_dataset(path: str) -> np.ndarray:
             # Whatever loadtxt refuses or reads as non-finite is re-read by
             # rows, for the error message.
             out = _parse_rows(path, d)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if out.size == 0:
         out = np.empty((0, d))
     return out
@@ -416,24 +438,18 @@ def _trace_rows(trace: TrainingTrace):
 def write_trace(path: str, trace: TrainingTrace):
     lines = ["iteration,elbo,entropy_sum,gap,grad_norm,wall_time"]
     lines.extend(",".join(row) for row in _trace_rows(trace))
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
 # Commands. Each returns the artifacts it wrote.
-
-
-def _resolve_out(config: ExperimentConfig, out_dir: Optional[str]) -> str:
-    out = out_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _load_data(config: ExperimentConfig, model: mdl.GenerativeModel) -> np.ndarray:
@@ -478,7 +494,7 @@ def cmd_generate(config: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     if config.data.source != "synthetic":
         raise ConfigError("generate requires a synthetic data source")
     model = model_from_dict(config.model_spec)
-    out = _resolve_out(config, out_dir)
+    out = make_output_dir(out_dir or config.output_dir)
     data = _load_data(config, model)
     dataset_path = os.path.join(out, "dataset.csv")
     manifest_path = os.path.join(out, "manifest.json")
@@ -529,7 +545,7 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     fit = _train_dispatch(config, model, data)
     fitted, trace, ev = fit.model, fit.trace, fit.evaluator
 
-    out = _resolve_out(config, out_dir)
+    out = make_output_dir(out_dir or config.output_dir)
     standard, pseudo = ev.report(fitted, fit.q), ev.report(fitted, fit.q, pseudo=True)
     last = trace.last() if trace.records else None
     report = {
@@ -642,7 +658,7 @@ def cmd_verify(
             verdict = {"status": "fail", "annotation": unmet}
         verdicts[name] = {**verdict, **numbers}
 
-    out = _resolve_out(config, out_dir)
+    out = make_output_dir(out_dir or config.output_dir)
     path = os.path.join(out, "verify_report.json")
     _write_json(
         path,
@@ -709,7 +725,7 @@ def cmd_report(summary_paths, out_path: Optional[str] = None) -> str:
         writer.writerow([run_id, *map(cell, _SUMMARY_COLUMNS)])
     table = buffer.getvalue()[:-1]  # the last row's line end
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _create(out_path) as fh:
             fh.write(table + "\n")
         return out_path
     return table

@@ -5,8 +5,9 @@ vs quadrature/summation, pseudo-entropy relation) are used both by the unit
 tests and by the acceptance suite. Each returns the worst absolute error over
 the supplied grid so callers can assert their own tolerance. The ELBO
 gradient oracle checks the evaluators' exact gradients the same way,
-kl_form is the reference for their three-term ELBO, and
-weighted_component_update the two-pass reference for the mixture M-step.
+kl_form is the reference for their three-term ELBO,
+weighted_component_update the two-pass reference for the mixture M-step, and
+write_dataset_per_cell the byte reference for harness.write_dataset.
 """
 
 import math
@@ -389,3 +390,17 @@ def categorical_prior_jacobian_reference(psi):
     as make_ef_mixture's own closure computed it."""
     pi_last = 1.0 - psi.sum()
     return np.diag(1.0 / psi) + 1.0 / pi_last
+
+
+
+def write_dataset_per_cell(path, data, family):
+    """dataset.csv formatted one cell at a time: str of each int64 cell of an
+    integer-valued family, format(v, ".17g") of each real one."""
+    if family.integer_valued:
+        rows, cell = np.asarray(data).astype(np.int64).tolist(), str
+    else:
+        rows, cell = np.asarray(data).tolist(), lambda v: format(v, ".17g")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(family.data_dim)) + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")

@@ -9,12 +9,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efgen import families as fam
 from efgen import harness as hns
 from efgen import models as mdl
 from efgen import objective as obj
@@ -22,7 +24,7 @@ from efgen.cli import main as cli_main
 from efgen.errors import ConfigError
 from efgen.learning import TrainingConfig
 
-from helpers import WARNINGS_AS_ERRORS
+from helpers import WARNINGS_AS_ERRORS, write_dataset_per_cell
 
 
 def gmm_config(tmp_path, n=200, seed=7, max_iters=500, run_id="gmm-run"):
@@ -196,6 +198,86 @@ class TestGenerate:
         assert "." not in body
         data = hns.read_dataset(paths["dataset"])
         assert np.all(data == np.floor(data))
+
+
+# Real cells whose 17-digit text must carry every bit: a signed zero, the
+# least subnormal and least normal, the float extremes, and integral floats
+# past 2^53.
+EXTREME_REALS = [
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    2.0**53 + 2,
+    -(2.0**60),
+    2.0**80,
+]
+# Each component family, built at a data_dim; gamma observes one coordinate.
+WRITTEN_FAMILIES = {
+    "bernoulli_product": fam.bernoulli_product,
+    "poisson_product": fam.poisson_product,
+    "gaussian_scalar_var": fam.gaussian_scalar_var,
+    "gaussian_diag_cov": fam.gaussian_diag_cov,
+    "gamma": lambda d: fam.gamma_family(),
+}
+_INTEGER_CELLS = st.one_of(st.sampled_from([0, 2**53]), st.integers(0, 2**53))
+_REAL_CELLS = st.one_of(
+    st.sampled_from(EXTREME_REALS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+class TestWriteDataset:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(WRITTEN_FAMILIES)),
+        rows=st.sampled_from([0, 1, 255, 256, 257, 513]),
+        data=st.data(),
+    )
+    def test_bytes_match_the_per_cell_writer(self, name, rows, data):
+        d = 1 if name == "gamma" else data.draw(st.integers(1, 5))
+        family = WRITTEN_FAMILIES[name](d)
+        cells = _INTEGER_CELLS if family.integer_valued else _REAL_CELLS
+        # Held as floats, as generate holds every dataset.
+        pool = np.array(data.draw(st.lists(cells, min_size=1, max_size=64)), dtype=float)
+        values = np.resize(pool, (rows, d))
+        with tempfile.TemporaryDirectory() as tmp:
+            written, expected = os.path.join(tmp, "written.csv"), os.path.join(tmp, "expected.csv")
+            hns.write_dataset(written, values, family)
+            write_dataset_per_cell(expected, values, family)
+            with open(written, "rb") as fa, open(expected, "rb") as fb:
+                assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize(
+        "family, values",
+        [
+            (fam.gaussian_diag_cov(4), np.resize(EXTREME_REALS, (300, 4))),
+            (
+                fam.gaussian_scalar_var(3),
+                np.random.default_rng(0).normal(size=(600, 3))
+                * 10.0 ** np.random.default_rng(1).integers(-300, 300, size=(600, 3)),
+            ),
+            (fam.gamma_family(), np.array([[5e-324], [2.0**53 + 2], [1.7976931348623157e308]])),
+            (fam.poisson_product(2), np.array([[0.0, 2.0**53], [3.0, 0.0]])),
+        ],
+        ids=["extremes", "wide-magnitudes", "gamma", "poisson"],
+    )
+    def test_read_back_bit_for_bit(self, tmp_path, family, values):
+        path = str(tmp_path / "dataset.csv")
+        hns.write_dataset(path, values, family)
+        assert hns.read_dataset(path).tobytes() == values.tobytes()
+
+    def test_memory_stays_within_a_block(self, tmp_path):
+        # No copy of the whole dataset: 200 000 x 3 counts as int64 are 4.8 MB.
+        values = np.random.default_rng(0).poisson([2.0, 5.0, 9.0], size=(200_000, 3))
+        values = values.astype(float)
+        tracemalloc.start()
+        try:
+            hns.write_dataset(str(tmp_path / "dataset.csv"), values, fam.poisson_product(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 class TestReadDataset:
@@ -1100,6 +1182,41 @@ class TestCli:
         raw["data"] = {"source": "file", "path": str(tmp_path / "absent.csv")}
         cfg_path = write_config(tmp_path, raw)
         assert cli_main(["train", "--config", cfg_path, "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "case",
+        ["data-path-is-a-directory", "output-dir-is-a-file", "dataset-csv-is-a-directory"],
+    )
+    def test_a_path_that_cannot_be_used_exits_2_naming_it(self, tmp_path, capsys, case):
+        raw = gmm_config(tmp_path)
+        command = "generate"
+        if case == "data-path-is-a-directory":
+            path = tmp_path / "data"
+            path.mkdir()
+            raw["data"] = {"source": "file", "path": str(path)}
+            command, message = "train", f"{path}: cannot read the dataset file: Is a directory"
+        elif case == "output-dir-is-a-file":
+            path = tmp_path / "out"
+            path.write_text("")
+            raw["output"] = {"dir": str(path)}
+            message = f"{path}: cannot make the output directory: File exists"
+        else:
+            path = tmp_path / "dataset.csv"
+            path.mkdir()
+            message = f"{path}: cannot write the file: Is a directory"
+        cfg_path = write_config(tmp_path, raw)
+        assert cli_main([command, "--config", cfg_path, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_report_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, gmm_config(tmp_path, n=40, max_iters=5))
+        assert cli_main(["train", "--config", cfg_path, "--quiet"]) == 0
+        out = tmp_path / "out"
+        out.write_text("")
+        summary = str(tmp_path / "summary.json")
+        assert cli_main(["report", summary, "--out", str(out), "--quiet"]) == 2
+        message = f"{out}: cannot make the output directory: File exists"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_config_exits_2(self, tmp_path):
         raw = gmm_config(tmp_path)
