@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import families as fam
 from . import objective as obj
 from .errors import DegenerateDataError, EmptyClusterError, NewtonConvergenceError
 from .families import digamma, polygamma
@@ -253,29 +252,32 @@ def mixture_m_step(model: GenerativeModel, mass, stats) -> GenerativeModel:
 
 
 def _kmeanspp_init(model: GenerativeModel, ev: obj.FiniteObjective, rng) -> np.ndarray:
-    """Soft responsibilities (N, C) from k-means++ seeding on every data
-    point, read from the evaluator ev: on the data themselves, as a
-    Gaussian's x^2 statistic would outweigh x."""
+    """Soft responsibilities (U, C) over the evaluator ev's distinct rows
+    from k-means++ seeding on the data themselves, as a Gaussian's x^2
+    statistic would outweigh x.
+
+    Distances are computed once per distinct row. Each draw picks a data
+    point, from the distances repeated to one per point, so the draws and
+    the sums over the points are those of seeding on every point.
+    """
     c = model.latent_support.n_states
-    n = ev.n
+    rows, n = ev.rows, ev.n
     if c == 1:
-        return np.ones((n, 1))
-    points = ev.rows[ev.inverse]
-    bound = 0.5 * math.sqrt(np.finfo(float).max / points.size)  # keeps every d2 sum finite
-    if np.max(np.abs(points)) > bound:
+        return np.ones((len(rows), 1))
+    bound = 0.5 * math.sqrt(np.finfo(float).max / (n * rows.shape[1]))  # keeps every d2 sum finite
+    if np.max(np.abs(rows)) > bound:
         raise DegenerateDataError("observations too large for k-means++ seeding; rescale them")
-    centers = [points[rng.integers(n)]]
+    centers = [rows[ev.inverse[rng.integers(n)]]]
     for _ in range(c - 1):
-        d2 = np.min(
-            np.stack([np.sum((points - ctr) ** 2, axis=1) for ctr in centers]), axis=0
-        )
+        d2 = np.min(np.stack([np.sum((rows - ctr) ** 2, axis=1) for ctr in centers]), axis=0)
+        d2 = d2[ev.inverse]
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centers.append(points[rng.choice(n, p=probs)])
-    d2 = np.stack([np.sum((points - ctr) ** 2, axis=1) for ctr in centers], axis=1)
+        centers.append(rows[ev.inverse[rng.choice(n, p=probs)]])
+    d2 = np.stack([np.sum((rows - ctr) ** 2, axis=1) for ctr in centers], axis=1)
     assign = np.argmin(d2, axis=1)
-    resp = np.full((n, c), 0.05 / max(c - 1, 1))
-    resp[np.arange(n), assign] = 0.95
+    resp = np.full((len(rows), c), 0.05 / max(c - 1, 1))
+    resp[np.arange(len(rows)), assign] = 0.95
     return resp / resp.sum(axis=1, keepdims=True)
 
 
@@ -283,9 +285,10 @@ def em_mixture(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     """Exact-posterior EM for exponential-family mixtures.
 
     config.init "auto" seeds responsibilities k-means++-style on the data;
-    "model" starts from the passed model's parameters. Both steps read q
-    through the evaluator's state sums, over its distinct rows; the seeding
-    reads every data point, so its draws do not depend on the grouping.
+    "model" starts from the passed model's parameters. Both steps, and the
+    seeding's first M-step, read q through the evaluator's state sums over
+    its distinct rows; the seeding draws from every data point, so its
+    draws do not depend on the grouping.
     """
     if model.model_kind != "ef_mixture":
         raise ValueError("em_mixture expects an ef_mixture model")
@@ -374,21 +377,25 @@ def fit_ppca(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
 # Sigmoid belief nets.
 
 
-def _sbn_newton_direction(grad, states, curv, offsets_free):
+def _sbn_outer(states, offsets_free):
+    """(S, K, K) outer products u_s u_s^T of the latent states, u_s = z_s with
+    a 1 appended for a free offset: the Newton Hessians' fixed factor."""
+    u = np.hstack([states, np.ones((len(states), 1))]) if offsets_free else states
+    return u[:, :, None] * u[:, None, :]
+
+
+def _sbn_newton_direction(grad, outer, curv, offsets_free):
     """Newton ascent direction; the M-step objective separates across observables.
 
     Each observable d owns an independent concave problem in (W_[d,:], mu_d)
-    whose negated Hessian sum_s curv_sd u_s u_s^T (u_s = z_s, with a 1
-    appended for a free offset) is a small positive-definite matrix; solving
-    those exactly, in one stacked solve, sidesteps the ill-conditioning that
-    stalls plain gradient steps. Falls back to the gradient when the solve
-    fails.
+    whose negated Hessian sum_s curv_sd u_s u_s^T, from _sbn_outer's table,
+    is a small positive-definite matrix; solving those exactly, in one
+    stacked solve, sidesteps the ill-conditioning that stalls plain gradient
+    steps. Falls back to the gradient when the solve fails.
     """
-    d, h = curv.shape[1], states.shape[1]
-    u = np.hstack([states, np.ones((len(states), 1))]) if offsets_free else states
-    k = u.shape[1]
-    outer = (u[:, :, None] * u[:, None, :]).reshape(len(u), k * k)
-    hess = (curv.T @ outer).reshape(d, k, k) + 1e-12 * np.eye(k)
+    d, k = curv.shape[1], outer.shape[1]
+    h = k - 1 if offsets_free else k
+    hess = (curv.T @ outer.reshape(len(outer), k * k)).reshape(d, k, k) + 1e-12 * np.eye(k)
     g = grad[: d * h].reshape(d, h, order="F")
     if offsets_free:
         g = np.hstack([g, grad[d * h :, None]])
@@ -434,6 +441,9 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     squared Newton decrement g.H^-1 g (Boyd and Vandenberghe 2004, 9.5) is
     at most 4 eps max(|objective|, N), the step's predicted gain is below
     rounding. config.grad_norm_tol is read only by the outer stopping test.
+    The states' outer products are formed once per fit, and each evaluation
+    of the noise term gives the expected statistics that the next Newton
+    direction's curvature reads.
 
     Terminates only when the exact ELBO gradient over all parameters
     drops below config.grad_norm_tol alongside an ELBO plateau; hitting the
@@ -455,6 +465,7 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
 
     ev = obj.FiniteObjective(model, data)
     states = ev.states
+    outer = _sbn_outer(states, offsets_free)
 
     def step(model, table):
         mass, stats = ev.state_sums(table)
@@ -462,19 +473,18 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
         qbar = mass / ev.n
         pi = np.clip(qbar @ states, 1e-12, 1.0 - 1e-12)
 
-        # Weights and offsets: ascend the q-expected noise term.
+        # Weights and offsets: ascend the q-expected noise term. An
+        # evaluation gives (value, G, grad A(eta)).
         def evaluate(theta):
             etas = model.noise.eta(states, theta)
-            value, g_eta = obj.noise_expectation(model.noise.family, etas, mass, stats)
-            return value, etas, g_eta
+            return obj.noise_expectation(model.noise.family, etas, mass, stats)
 
-        cur, etas, g_eta = evaluate(model.noise.params)
+        cur, g_eta, mean = evaluate(model.noise.params)
         for _ in range(200):
             g = vjp_eta(model, states, g_eta)
             # Bernoulli observables: grad^2 A(eta_s) = diag(mean (1 - mean)).
-            mean = fam.grad_log_partition(model.noise.family, etas)
             curv = mass[:, None] * mean * (1.0 - mean)
-            direction = _sbn_newton_direction(g, states, curv, offsets_free)
+            direction = _sbn_newton_direction(g, outer, curv, offsets_free)
             # The squared Newton decrement, twice the full step's predicted gain;
             # N bounds the rounding below, as cur shrinks toward an optimum at
             # infinity (a constant observable).
@@ -484,7 +494,7 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
             accepted = _armijo_step(evaluate, model.noise.params, direction, cur, slope)
             if accepted is None:
                 break
-            theta, cur, etas, g_eta = accepted
+            theta, cur, g_eta, mean = accepted
             model = replace_params(model, theta=theta)
         return replace_params(model, psi=pi)
 

@@ -40,8 +40,10 @@ and statistics are summed per distinct row.
 For finite states the noise term reads q only through each state's mass
 w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n) (state_sums()):
 N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
-last sum in the pseudo variant. noise_expectation() computes the bracket and
-its eta-gradient G_s = B_s - w_s grad A(eta_s).
+last sum in the pseudo variant. noise_expectation() computes the bracket,
+its eta-gradient G_s = B_s - w_s grad A(eta_s), and grad A(eta_s) itself.
+On grouped rows, w and B are products of q's (U, S) table with the counts
+and with the count-weighted statistics, which are formed once per dataset.
 
 Two evaluators share one interface (the methods e_step, posterior,
 marginal_loglik, state_table, terms, elbo, report, gradient and grad_norm,
@@ -155,13 +157,15 @@ def _check_data(model: GenerativeModel, data) -> np.ndarray:
 
 
 def noise_expectation(family, etas: np.ndarray, mass: np.ndarray, stats: np.ndarray):
-    """sum_s [B_s . eta_s - w_s A(eta_s)] and G_s = B_s - w_s grad A(eta_s).
+    """sum_s [B_s . eta_s - w_s A(eta_s)], G_s = B_s - w_s grad A(eta_s), and
+    the expected statistics grad A(eta_s) (S, L) that G_s was formed from.
 
     With mass w_s = sum_n q_ns and stats rows B_s = sum_n q_ns t(x_n), the
     value is sum_n E_q[log p(x_n|z) - log h(x_n)] at the naturals etas (S, L).
     """
     value = np.sum(stats * etas) - mass @ fam.log_partition(family, etas)
-    return value, stats - mass[:, None] * fam.grad_log_partition(family, etas)
+    mean = fam.grad_log_partition(family, etas)
+    return value, stats - mass[:, None] * mean, mean
 
 
 def _group_rows(data: np.ndarray):
@@ -276,9 +280,10 @@ class FiniteObjective(_Objective):
     counts (U,) how many data points it stands for, and inverse (N,) each
     point's distinct row, so rows[inverse] is the data. Real-valued rows, and
     rows none of which repeats, are kept as they are, with counts None, and
-    no sum is weighted. The distinct rows' sufficient statistics t (U, L) and
-    log base measures log_h (U,) are computed once, and so are the prior's
-    statistics of the latent states; n stays the number of data points.
+    no sum is weighted. The distinct rows' sufficient statistics t (U, L),
+    their count-weighted copy for grouped rows, and their log base measures
+    log_h (U,) are computed once, and so are the prior's statistics of the
+    latent states; n stays the number of data points.
     The per-state tables (noise naturals, log partitions, log prior masses)
     are built once per model, each by one batched call over all states, and
     kept for the latest model. Training, the objective reports and verify
@@ -318,6 +323,9 @@ class FiniteObjective(_Objective):
             if len(first) < self.n:
                 self.rows, self.t = data[first], self.t[first]
                 self.counts, self.inverse = counts.astype(float), inverse
+        # Each distinct row's statistics weighted by its count, so that state
+        # sums over a (U, S) table are two products.
+        self._ct = None if self.counts is None else self.counts[:, None] * self.t
         self.log_h = fam.batch_log_base_measure(noise, self.rows)
         self.mean_log_h = float(self._mean(self.log_h))
         self._model = None
@@ -364,22 +372,28 @@ class FiniteObjective(_Objective):
     def _mean(self, values: np.ndarray):
         """The mean over the data points of values given per row of a q table,
         along its first axis: a distinct row counts as many points as it
-        stands for."""
+        stands for. A (U, S) table's mean is state_sums' mass over n; a
+        vector keeps the count-weighted sum that e_step's ELBO reads."""
         if self._over_rows(values):
-            values = (values.T * self.counts).T
+            if values.ndim == 2:
+                return values.T @ self.counts / self.n
+            values = values * self.counts
         return np.sum(values, axis=0) / self.n
 
     def state_sums(self, table: np.ndarray):
         """Each state's mass w_s = sum_n q_ns (S,) and statistics
-        B_s = sum_n q_ns t(x_n) (S, L), from q summed per distinct row."""
-        if self.counts is None:  # no row repeats: one row per point
-            summed = table
-        elif self._over_rows(table):
-            summed = (table.T * self.counts).T
-        else:  # a caller's row per data point
+        B_s = sum_n q_ns t(x_n) (S, L).
+
+        A (U, S) table over grouped rows gives both as products with the
+        counts and the count-weighted statistics, built once; a caller's
+        (N, S) table over grouped rows is first summed per distinct row."""
+        if self._over_rows(table):
+            return table.T @ self.counts, table.T @ self._ct
+        if self.counts is not None:  # a caller's row per data point
             summed = np.zeros((len(self.counts), table.shape[1]), order="F")
             np.add.at(summed, self.inverse, table)
-        return summed.sum(axis=0), summed.T @ self.t
+            table = summed
+        return table.sum(axis=0), table.T @ self.t
 
     def loglik(self, model: GenerativeModel) -> np.ndarray:
         """(U, S) log p(x_u | s) - log h(x_u) of the distinct rows, states-major."""

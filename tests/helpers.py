@@ -6,8 +6,10 @@ tests and by the acceptance suite. Each returns the worst absolute error over
 the supplied grid so callers can assert their own tolerance. The ELBO
 gradient oracle checks the evaluators' exact gradients the same way,
 kl_form is the reference for their three-term ELBO,
-weighted_component_update the two-pass reference for the mixture M-step, and
-write_dataset_per_cell the byte reference for harness.write_dataset.
+weighted_component_update the two-pass reference for the mixture M-step,
+state_sums_per_point the per-point reference for FiniteObjective.state_sums,
+kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
+and write_dataset_per_cell the byte reference for harness.write_dataset.
 """
 
 import math
@@ -20,6 +22,7 @@ from efgen import families as fam
 from efgen import learning as lrn
 from efgen import models as mdl
 from efgen import objective as obj
+from efgen.errors import DegenerateDataError
 
 # pyproject.toml's filterwarnings reach only the pytest process; Python
 # subprocesses that tests start get the same filters as interpreter flags.
@@ -252,6 +255,43 @@ def weighted_component_update(family, data, resp_c, mass_c):
     raise ValueError(f"no M-step for component family {name}")
 
 
+def state_sums_per_point(ev, table):
+    """A FiniteObjective's state sums (mass (S,), statistics (S, L)) from q
+    repeated to one row per data point and summed back per distinct row by
+    np.add.at, as state_sums sums a caller's (N, S) table."""
+    points = table[ev.inverse] if len(table) < ev.n else table
+    summed = np.zeros((len(ev.rows), table.shape[1]))
+    np.add.at(summed, ev.inverse, points)
+    return summed.sum(axis=0), summed.T @ ev.t
+
+
+def kmeanspp_init_per_point(model, ev, rng):
+    """Soft responsibilities (N, C) from k-means++ seeding on every data
+    point, as learning seeded mixtures before it computed distances once
+    per distinct row."""
+    c = model.latent_support.n_states
+    n = ev.n
+    if c == 1:
+        return np.ones((n, 1))
+    points = ev.rows[ev.inverse]
+    bound = 0.5 * math.sqrt(np.finfo(float).max / points.size)
+    if np.max(np.abs(points)) > bound:
+        raise DegenerateDataError("observations too large for k-means++ seeding; rescale them")
+    centers = [points[rng.integers(n)]]
+    for _ in range(c - 1):
+        d2 = np.min(
+            np.stack([np.sum((points - ctr) ** 2, axis=1) for ctr in centers]), axis=0
+        )
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centers.append(points[rng.choice(n, p=probs)])
+    d2 = np.stack([np.sum((points - ctr) ** 2, axis=1) for ctr in centers], axis=1)
+    assign = np.argmin(d2, axis=1)
+    resp = np.full((n, c), 0.05 / max(c - 1, 1))
+    resp[np.arange(n), assign] = 0.95
+    return resp / resp.sum(axis=1, keepdims=True)
+
+
 def rowwise_posterior(ev, model):
     """A FiniteObjective's posterior in points-major (N, S) arithmetic.
 
@@ -281,7 +321,7 @@ def repeated_rows(model, data, q):
     log_h = fam.batch_log_base_measure(family, data)
     etas, log_parts, log_prior = obj.FiniteObjective(model, data).tables(model)
     n = len(data)
-    value, g_eta = obj.noise_expectation(family, etas, q.sum(axis=0), q.T @ t)
+    value, g_eta, _ = obj.noise_expectation(family, etas, q.sum(axis=0), q.T @ t)
     f1 = float(np.mean(entropy_rows_reference(q)))
     f2 = float(-np.mean(q @ log_prior))
     qbar = q.mean(axis=0)

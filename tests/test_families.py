@@ -116,6 +116,38 @@ class TestLogPartition:
     def test_bernoulli_zero(self):
         assert fam.log_partition(fam.bernoulli_product(1), [0.0]) == pytest.approx(math.log(2))
 
+    @staticmethod
+    def bernoulli_ulps(etas):
+        """Each eta's log(1 + e^eta), one coordinate per row, in ulps from
+        mpmath's correctly rounded value; both are non-negative, so their
+        bit patterns order as the values do."""
+        etas = np.asarray(etas, dtype=float)
+        got = fam.log_partition(fam.bernoulli_product(1), etas[:, None])
+        with mp.workprec(200):
+            exact = np.array([float(mp.log1p(mp.exp(mp.mpf(float(e))))) for e in etas])
+        assert np.all(got >= 0.0)
+        return np.abs(got.view(np.int64) - exact.view(np.int64))
+
+    def test_bernoulli_within_an_ulp_at_the_edges(self):
+        # Signed zeros, subnormals, where e^-|eta| falls below eps, where
+        # e^eta overflows or underflows, and the ends of the float range.
+        etas = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 709.7, -745.1, 1e308, -1e308]
+        assert np.max(self.bernoulli_ulps(etas)) <= 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-50.0, 50.0),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_bernoulli_within_an_ulp(self, etas):
+        assert np.max(self.bernoulli_ulps(etas)) <= 1
+
     def test_gamma(self):
         # log Gamma(2) - 2 log 3 = -2 ln 3
         assert fam.log_partition(fam.gamma_family(), [1.0, -3.0]) == pytest.approx(

@@ -17,6 +17,7 @@ from helpers import (
     SBN8_MU,
     SBN8_PI,
     SBN8_W,
+    kmeanspp_init_per_point,
     sbn_newton_direction_oracle,
     weighted_component_update,
 )
@@ -365,6 +366,44 @@ class TestMixtureMStep:
         np.testing.assert_allclose(moments, target, rtol=1e-10, atol=atol)
 
 
+class TestKmeansppInit:
+    """k-means++ seeding computes distances once per distinct row, and draws
+    and assigns as seeding on every data point did."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [fam.poisson_product(2), fam.bernoulli_product(3), fam.gaussian_diag_cov(2)],
+        ids=lambda f: f.name,
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), repeated=st.booleans(), c=st.integers(1, 4))
+    def test_matches_seeding_on_every_point(self, family, seed, repeated, c):
+        # Real-valued rows are never grouped (U = N); with 3 distinct rows
+        # and 4 components, the last draw sees zero distances everywhere.
+        rng = np.random.default_rng(seed)
+        data = _component_rows(family, rng, 30, repeated)
+        comp = weighted_component_update(family, data, np.ones(len(data)), len(data))
+        model = mdl.make_ef_mixture(family, np.full(c, 1.0 / c), np.tile(comp, (c, 1)))
+        ev = obj.FiniteObjective(model, data)
+        assert (ev.counts is not None) == (repeated and family.integer_valued)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        table = lrn._kmeanspp_init(model, ev, rng)
+        oracle = kmeanspp_init_per_point(model, ev, oracle_rng)
+        assert table.shape == (len(ev.rows), c)
+        np.testing.assert_array_equal(table[ev.inverse], oracle)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_observations_past_the_bound_raise(self):
+        # The bound keeps every sum of squared distances over the points finite.
+        family = fam.gaussian_diag_cov(1)
+        model = mdl.make_ef_mixture(family, [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 1.0]]))
+        bound = 0.5 * math.sqrt(np.finfo(float).max / 4)
+        ev = obj.FiniteObjective(model, np.array([[0.0], [2.0 * bound], [1.0], [-1.0]]))
+        for seeding in (lrn._kmeanspp_init, kmeanspp_init_per_point):
+            with pytest.raises(DegenerateDataError, match="too large for k-means"):
+                seeding(model, ev, np.random.default_rng(0))
+
+
 class TestGammaShapeNewton:
     def test_round_trip(self):
         for alpha in (0.3, 1.0, 2.5, 17.0):
@@ -547,6 +586,53 @@ class TestSbnNewtonStop:
             costs.append(len(evaluations))
         assert costs[0] == costs[1]
 
+    def test_one_outer_table_per_fit_and_one_grad_log_partition_per_evaluation(
+        self, monkeypatch
+    ):
+        # The states' outer products do not change within a fit, and each
+        # Newton direction's curvature reads the expected statistics that the
+        # noise evaluation at the same eta computed.
+        model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
+        _, data = mdl.sample_joint(model, np.random.default_rng(0), 1000)
+        outers, evaluations, grads, directions = [], [], [], []
+        in_step = [False]
+
+        def counting(calls, f, only_in_step):
+            def counted(*args):
+                if in_step[0] or not only_in_step:
+                    calls.append(args)
+                return f(*args)
+
+            return counted
+
+        train = lrn._train
+
+        def counted_train(ev, model, config, step):
+            def counted_step(model, q):
+                in_step[0] = True
+                try:
+                    return step(model, q)
+                finally:
+                    in_step[0] = False
+
+            return train(ev, model, config, counted_step)
+
+        monkeypatch.setattr(lrn, "_sbn_outer", counting(outers, lrn._sbn_outer, False))
+        monkeypatch.setattr(
+            obj, "noise_expectation", counting(evaluations, obj.noise_expectation, True)
+        )
+        monkeypatch.setattr(
+            fam, "grad_log_partition", counting(grads, fam.grad_log_partition, True)
+        )
+        monkeypatch.setattr(
+            lrn, "_sbn_newton_direction", counting(directions, lrn._sbn_newton_direction, True)
+        )
+        monkeypatch.setattr(lrn, "_train", counted_train)
+        lrn.fit_sbn(model, data, lrn.TrainingConfig(seed=3, max_iters=5, record_every=1000))
+        assert len(outers) == 1
+        assert len(directions) > 5  # several Newton steps per M-step
+        assert len(grads) == len(evaluations)
+
     @pytest.mark.parametrize("zeroed", ["all-columns", "one-column"])
     def test_constant_observable_stops_short_of_the_step_cap(self, monkeypatch, zeroed):
         # An all-zero observable's optimum is at infinity: the objective
@@ -594,7 +680,9 @@ class TestSbnNewtonDirection:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_observable_loop(self, offsets_free, seed):
         grad, states, curv = self.inputs(offsets_free, seed)
-        direction = lrn._sbn_newton_direction(grad, states, curv, offsets_free)
+        direction = lrn._sbn_newton_direction(
+            grad, lrn._sbn_outer(states, offsets_free), curv, offsets_free
+        )
         oracle = sbn_newton_direction_oracle(grad, states, curv, offsets_free)
         np.testing.assert_allclose(direction, oracle, rtol=1e-12, atol=1e-14)
         assert float(grad @ direction) > 0.0
@@ -608,7 +696,9 @@ class TestSbnNewtonDirection:
         grad, states, curv = self.inputs(offsets_free, 0)
         curv[:, 0] = 0.0
         curv[3, 0] = 1e20  # state (1, 1, 0)
-        direction = lrn._sbn_newton_direction(grad, states, curv, offsets_free)
+        direction = lrn._sbn_newton_direction(
+            grad, lrn._sbn_outer(states, offsets_free), curv, offsets_free
+        )
         np.testing.assert_array_equal(direction, grad)
         oracle = sbn_newton_direction_oracle(grad, states, curv, offsets_free)
         assert not np.array_equal(oracle, grad)
