@@ -39,8 +39,11 @@ its config or model file is read, not during training. Poisson needs only
 log k! at integers, which log_factorial takes from the standard library: a
 table of the logs of the exact integers k! below 256, and math.lgamma above.
 
-Natural-domain membership checks are strict inequalities with no epsilon
-slack; callers clamp if needed. All functions are pure.
+A family's log-partition A and its gradient are written once, in partition(),
+which log_partition, grad_log_partition and pseudo_entropy read; a row in the
+domain whose A or grad A is not finite raises DomainError. Natural-domain
+membership checks are strict inequalities with no epsilon slack; callers
+clamp if needed. All functions are pure.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "check_natural",
     "to_natural",
     "from_natural",
+    "partition",
     "log_partition",
     "grad_log_partition",
     "batch_sufficient_stats",
@@ -212,29 +216,29 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_standard(family: FamilyDescriptor, s) -> np.ndarray:
     """Validate standard parameter rows; returns them as a float array."""
     s = _as_rows(s, family.standard_dim, "standard params")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise DomainError(f"{family.name}: non-finite standard params")
     name = family.name
     if name == "bernoulli_product":
-        if not np.all((s > 0.0) & (s < 1.0)):
+        if not ((s > 0.0) & (s < 1.0)).all():
             raise DomainError("bernoulli probabilities must lie in the open (0,1)")
     elif name == "categorical":
-        if not (np.all(s > 0.0) and np.all(s.sum(axis=-1) < 1.0)):
+        if not ((s > 0.0).all() and (s.sum(axis=-1) < 1.0).all()):
             raise DomainError(
                 "categorical weights must be positive with sum below 1 "
                 "(last state implicit)"
             )
     elif name == "gaussian_scalar_var":
-        if not np.all(s[..., -1] > 0.0):
+        if not (s[..., -1] > 0.0).all():
             raise DomainError("gaussian variance must be positive")
     elif name == "gaussian_diag_cov":
-        if not np.all(s[..., family.data_dim :] > 0.0):
+        if not (s[..., family.data_dim :] > 0.0).all():
             raise DomainError("gaussian variances must be positive")
     elif name == "gamma":
-        if not np.all(s > 0.0):
+        if not (s > 0.0).all():
             raise DomainError("gamma shape and rate must be positive")
     elif name == "poisson_product":
-        if not np.all(s > 0.0):
+        if not (s > 0.0).all():
             raise DomainError("poisson rates must be positive")
     return s
 
@@ -242,14 +246,14 @@ def check_standard(family: FamilyDescriptor, s) -> np.ndarray:
 def check_natural(family: FamilyDescriptor, n) -> np.ndarray:
     """Validate natural parameter rows; returns them as a float array."""
     n = _as_rows(n, family.natural_dim, "natural params")
-    if not np.all(np.isfinite(n)):
+    if not np.isfinite(n).all():
         raise DomainError(f"{family.name}: non-finite natural params")
     name = family.name
     if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
-        if not np.all(n[..., family.data_dim :] < 0.0):
+        if not (n[..., family.data_dim :] < 0.0).all():
             raise DomainError("gaussian precision coordinates must be negative")
     elif name == "gamma":
-        if not (np.all(n[..., 0] > -1.0) and np.all(n[..., 1] < 0.0)):
+        if not ((n[..., 0] > -1.0).all() and (n[..., 1] < 0.0).all()):
             raise DomainError("gamma natural domain is n1 > -1, n2 < 0")
     return n
 
@@ -261,14 +265,13 @@ def to_natural(family: FamilyDescriptor, s) -> np.ndarray:
         return np.log(s) - np.log1p(-s)
     if name == "categorical":
         return np.log(s) - np.log(1.0 - s.sum(axis=-1, keepdims=True))
-    if name == "gaussian_scalar_var":
-        sigma2 = s[..., -1:]
-        precision = np.repeat(-0.5 / sigma2, family.data_dim, axis=-1)
-        return np.concatenate([s[..., :-1] / sigma2, precision], axis=-1)
-    if name == "gaussian_diag_cov":
+    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
         d = family.data_dim
         mu, sigma2 = s[..., :d], s[..., d:]
-        return np.concatenate([mu / sigma2, -0.5 / sigma2], axis=-1)
+        precision = -0.5 / sigma2
+        if name == "gaussian_scalar_var":
+            precision = np.repeat(precision, d, axis=-1)
+        return np.concatenate([mu / sigma2, precision], axis=-1)
     if name == "gamma":
         return np.stack([s[..., 0] - 1.0, -s[..., 1]], axis=-1)
     if name == "poisson_product":
@@ -277,31 +280,28 @@ def to_natural(family: FamilyDescriptor, s) -> np.ndarray:
 
 
 def from_natural(family: FamilyDescriptor, n) -> np.ndarray:
-    n = check_natural(family, n)
     name = family.name
-    if name == "bernoulli_product":
-        return 1.0 / (1.0 + np.exp(-n))
     if name == "categorical":
-        return np.exp(n - _categorical_log_partition(n)[..., None])
-    if name == "gaussian_scalar_var":
+        return partition(family, n)[1]  # the softmax needs A
+    n = check_natural(family, n)
+    if name == "bernoulli_product":
+        return _logistic(n)[1]
+    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
         d = family.data_dim
         a, b = n[..., :d], n[..., d:]
-        spread = np.max(np.abs(b - b[..., :1]), axis=-1)
-        if np.any(spread > 1e-12 * np.maximum(1.0, np.abs(b[..., 0]))):
-            raise DomainError(
-                "scalar-variance natural params need equal precision coordinates"
-            )
-        sigma2 = -0.5 / b[..., :1]
-        return np.concatenate([a * sigma2, sigma2], axis=-1)
-    if name == "gaussian_diag_cov":
-        d = family.data_dim
-        a, b = n[..., :d], n[..., d:]
+        if name == "gaussian_scalar_var":
+            spread = np.max(np.abs(b - b[..., :1]), axis=-1)
+            if np.any(spread > 1e-12 * np.maximum(1.0, np.abs(b[..., 0]))):
+                raise DomainError(
+                    "scalar-variance natural params need equal precision coordinates"
+                )
+            b = b[..., :1]
         sigma2 = -0.5 / b
         return np.concatenate([a * sigma2, sigma2], axis=-1)
     if name == "gamma":
         return np.stack([n[..., 0] + 1.0, -n[..., 1]], axis=-1)
     if name == "poisson_product":
-        return np.exp(n)
+        return np.exp(n)  # the inverse of to_natural's log, so no A is summed
     raise AssertionError(name)
 
 
@@ -310,57 +310,58 @@ def _with_last_state(s: np.ndarray) -> np.ndarray:
     return np.concatenate([s, 1.0 - s.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-def _categorical_log_partition(n: np.ndarray) -> np.ndarray:
-    # log(1 + sum exp(n_i)) per row, stable for large positive entries.
-    m = np.max(n, axis=-1, initial=0.0)
-    return m + np.log(np.exp(-m) + np.exp(n - m[..., None]).sum(axis=-1))
+def _logistic(n: np.ndarray):
+    """(e^-|n|, 1 / (1 + e^-n)), both from e^-|n|, which cannot overflow."""
+    e = np.exp(-np.abs(n))
+    return e, np.where(n < 0.0, e, 1.0) / (1.0 + e)
+
+
+def partition(family: FamilyDescriptor, n):
+    """(A(n), grad A(n)) of natural parameter rows: the log-partition, a float
+    for one row, and its gradient, the expected sufficient statistics."""
+    n = check_natural(family, n)
+    name = family.name
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if name == "bernoulli_product":
+                # log(1 + e^n) as a softplus: within 1 ulp, and a third of
+                # np.logaddexp's time on a table of states.
+                e, mean = _logistic(n)
+                value = (np.maximum(n, 0.0) + np.log1p(e)).sum(axis=-1)
+            elif name == "categorical":
+                # log(1 + sum exp(n_i)) per row, stable for large positive entries.
+                m = np.max(n, axis=-1, initial=0.0)
+                value = m + np.log(np.exp(-m) + np.exp(n - m[..., None]).sum(axis=-1))
+                mean = np.exp(n - value[..., None])
+            elif name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+                d = family.data_dim
+                a, b = n[..., :d], n[..., d:]
+                terms = -0.25 * a * a / b + 0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(-2.0 * b)
+                value = terms.sum(axis=-1)
+                mean = np.concatenate([-0.5 * a / b, 0.25 * a * a / (b * b) - 0.5 / b], axis=-1)
+            elif name == "gamma":
+                shape, rate, log_rate = n[..., 0] + 1.0, -n[..., 1], np.log(-n[..., 1])
+                value = gammaln(shape) - shape * log_rate
+                mean = np.stack([digamma(shape) - log_rate, shape / rate], axis=-1)
+                if not np.isfinite(value).all():  # gammaln overflows without a flag
+                    raise FloatingPointError
+            elif name == "poisson_product":
+                mean = np.exp(n)
+                value = mean.sum(axis=-1)
+            else:
+                raise AssertionError(name)
+    except FloatingPointError:  # in the domain, yet not finite (a precision near 0)
+        raise DomainError(f"{name}: the log-partition or its gradient is not finite") from None
+    return _value(value), mean
 
 
 def log_partition(family: FamilyDescriptor, n):
-    n = check_natural(family, n)
-    name = family.name
-    if name == "bernoulli_product":
-        # log(1 + e^n) as a softplus: within 1 ulp, and a third of
-        # np.logaddexp's time on a table of states.
-        out = (np.maximum(n, 0.0) + np.log1p(np.exp(-np.abs(n)))).sum(axis=-1)
-    elif name == "categorical":
-        out = _categorical_log_partition(n)
-    elif name in ("gaussian_scalar_var", "gaussian_diag_cov"):
-        d = family.data_dim
-        a, b = n[..., :d], n[..., d:]
-        out = np.sum(
-            -0.25 * a * a / b + 0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(-2.0 * b),
-            axis=-1,
-        )
-    elif name == "gamma":
-        out = gammaln(n[..., 0] + 1.0) - (n[..., 0] + 1.0) * np.log(-n[..., 1])
-    elif name == "poisson_product":
-        out = np.exp(n).sum(axis=-1)
-    else:
-        raise AssertionError(name)
-    return _value(out)
+    return partition(family, n)[0]
 
 
 def grad_log_partition(family: FamilyDescriptor, n) -> np.ndarray:
     """Gradient of the log-partition, equal to the expected sufficient stats."""
-    n = check_natural(family, n)
-    name = family.name
-    if name == "bernoulli_product":
-        return 1.0 / (1.0 + np.exp(-n))
-    if name == "categorical":
-        return np.exp(n - _categorical_log_partition(n)[..., None])
-    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
-        d = family.data_dim
-        a, b = n[..., :d], n[..., d:]
-        mean = -0.5 * a / b
-        second_moment = 0.25 * a * a / (b * b) - 0.5 / b
-        return np.concatenate([mean, second_moment], axis=-1)
-    if name == "gamma":
-        shape, rate = n[..., 0] + 1.0, -n[..., 1]
-        return np.stack([digamma(shape) - np.log(rate), shape / rate], axis=-1)
-    if name == "poisson_product":
-        return np.exp(n)
-    raise AssertionError(name)
+    return partition(family, n)[1]
 
 
 # ln 2 split so that e * _LN2_HI is exact for every exponent e below 2**20.
@@ -564,8 +565,13 @@ def pseudo_entropy(family: FamilyDescriptor, n):
     Coincides with the standard entropy for unit-base-measure families and is
     closed-form even for Poisson.
     """
-    n = check_natural(family, n)
-    return _value(-_dot(n, grad_log_partition(family, n)) + log_partition(family, n))
+    value, mean = partition(family, n)
+    return _value(_pseudo_entropy(np.asarray(n, dtype=float), value, mean))
+
+
+def _pseudo_entropy(n: np.ndarray, log_part, mean: np.ndarray):
+    """pseudo_entropy() of rows n from their partition()."""
+    return -_dot(n, mean) + log_part
 
 
 def expected_log_base_measure(family: FamilyDescriptor, s):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import objective as obj
 from .errors import DegenerateDataError, EmptyClusterError, NewtonConvergenceError
-from .families import digamma, polygamma
+from .families import digamma, partition, polygamma
 from .models import GenerativeModel, collapsed_component, constructor_args, make_ppca
 from .models import replace_params, vjp_eta
 
@@ -473,13 +473,13 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
         qbar = mass / ev.n
         pi = np.clip(qbar @ states, 1e-12, 1.0 - 1e-12)
 
-        # Weights and offsets: ascend the q-expected noise term. An
-        # evaluation gives (value, G, grad A(eta)).
+        # Weights and offsets: ascend the q-expected noise term. An evaluation
+        # gives (value, G, grad A(eta)); the first reads the model's tables.
         def evaluate(theta):
             etas = model.noise.eta(states, theta)
-            return obj.noise_expectation(model.noise.family, etas, mass, stats)
+            return obj.noise_expectation(etas, *partition(model.noise.family, etas), mass, stats)
 
-        cur, g_eta, mean = evaluate(model.noise.params)
+        cur, g_eta, mean = obj.noise_expectation(*ev.tables(model)[:3], mass, stats)
         for _ in range(200):
             g = vjp_eta(model, states, g_eta)
             # Bernoulli observables: grad^2 A(eta_s) = diag(mean (1 - mean)).

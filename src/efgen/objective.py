@@ -40,10 +40,11 @@ and statistics are summed per distinct row.
 For finite states the noise term reads q only through each state's mass
 w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n) (state_sums()):
 N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
-last sum in the pseudo variant. noise_expectation() computes the bracket,
-its eta-gradient G_s = B_s - w_s grad A(eta_s), and grad A(eta_s) itself.
-On grouped rows, w and B are products of q's (U, S) table with the counts
-and with the count-weighted statistics, which are formed once per dataset.
+last sum in the pseudo variant. noise_expectation() computes the bracket and
+its eta-gradient G_s = B_s - w_s grad A(eta_s), from A and grad A of one
+families.partition() call per model (StateTables). On grouped rows, w and B
+are products of q's (U, S) table with the counts and with the count-weighted
+statistics, which are formed once per dataset.
 
 Two evaluators share one interface (the methods e_step, posterior,
 marginal_loglik, state_table, terms, elbo, report, gradient and grad_norm,
@@ -58,8 +59,7 @@ log marginal likelihood (1/N) sum_n log p(x_n): each evaluator defines only
 e_step(), which returns both, and posterior() and marginal_loglik() are its
 halves. Only the training loop's plateau test reads that ELBO: its records,
 the reports and verify evaluate f1 - f2 - f3, and report() alone gives the
-entropy sum. exact_posterior, elbo_terms and pseudo_elbo_terms remain only
-as names the benchmark's tracer wraps.
+entropy sum.
 
 The stationarity gradient is exact, with q held fixed. For finite states it
 is the moment-matching identity of exponential families (Wainwright and
@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -141,6 +141,19 @@ class ObjectiveReport:
     variant: str  # standard | pseudo
 
 
+class StateTables(NamedTuple):
+    """One model's per-state quantities: the noise naturals etas (S, L) with
+    their families.partition(), A (S,) and grad A (S, L), as noise_expectation()
+    takes them; the log prior masses (S,); the prior's grad A and entropy."""
+
+    etas: np.ndarray
+    log_parts: np.ndarray
+    means: np.ndarray
+    log_prior: np.ndarray
+    prior_mean: np.ndarray
+    prior_entropy: float
+
+
 # ---------------------------------------------------------------------------
 # The evaluators: finite-state summation and Gaussian moment algebra.
 
@@ -156,16 +169,13 @@ def _check_data(model: GenerativeModel, data) -> np.ndarray:
     return data
 
 
-def noise_expectation(family, etas: np.ndarray, mass: np.ndarray, stats: np.ndarray):
+def noise_expectation(etas, log_parts, means, mass, stats):
     """sum_s [B_s . eta_s - w_s A(eta_s)], G_s = B_s - w_s grad A(eta_s), and
-    the expected statistics grad A(eta_s) (S, L) that G_s was formed from.
-
-    With mass w_s = sum_n q_ns and stats rows B_s = sum_n q_ns t(x_n), the
-    value is sum_n E_q[log p(x_n|z) - log h(x_n)] at the naturals etas (S, L).
-    """
-    value = np.sum(stats * etas) - mass @ fam.log_partition(family, etas)
-    mean = fam.grad_log_partition(family, etas)
-    return value, stats - mass[:, None] * mean, mean
+    means, at the naturals etas (S, L) with their families.partition(),
+    log_parts A(eta_s) (S,) and means grad A(eta_s) (S, L). With mass w_s =
+    sum_n q_ns and stats rows B_s = sum_n q_ns t(x_n), the value is
+    sum_n E_q[log p(x_n|z) - log h(x_n)]."""
+    return np.sum(stats * etas) - mass @ log_parts, stats - mass[:, None] * means, means
 
 
 def _group_rows(data: np.ndarray):
@@ -210,19 +220,6 @@ def _entropy_rows(table: np.ndarray) -> np.ndarray:
     terms = np.log(table, out=np.zeros_like(table), where=table > 0.0)
     terms *= table
     return -terms.sum(axis=1)
-
-
-def _natural_entropy(family, n):
-    """Standard entropies evaluated from rows of natural parameters.
-
-    Unit-base-measure families take the -n.A'(n) + A(n) form, which equals
-    their entropy and cannot saturate out of the standard domain the way a
-    from_natural round trip can (a Bernoulli with |n| > ~37 maps to exactly
-    0 or 1 in floats). Poisson keeps the truncated-series entropy.
-    """
-    if family.base_measure_kind == "unit_constant":
-        return fam.pseudo_entropy(family, n)
-    return fam.entropy(family, fam.from_natural(family, n))
 
 
 class _Objective:
@@ -284,12 +281,10 @@ class FiniteObjective(_Objective):
     their count-weighted copy for grouped rows, and their log base measures
     log_h (U,) are computed once, and so are the prior's statistics of the
     latent states; n stays the number of data points.
-    The per-state tables (noise naturals, log partitions, log prior masses)
-    are built once per model, each by one batched call over all states, and
-    kept for the latest model. Training, the objective reports and verify
-    all evaluate through this class, so they share one arithmetic: the
-    posterior subtracts each row's maximum before exponentiating, and
-    0 log 0 is 0.
+    The per-state tables are built once per model by tables(), and kept for
+    the latest model. Training, the objective reports and verify all
+    evaluate through this class, so they share one arithmetic: the posterior
+    subtracts each row's maximum before exponentiating, and 0 log 0 is 0.
 
     q is a (U, S) table over the distinct rows, as posterior() returns it,
     or a caller's (N, S) table with one row per data point; every mean over
@@ -328,22 +323,21 @@ class FiniteObjective(_Objective):
         self._ct = None if self.counts is None else self.counts[:, None] * self.t
         self.log_h = fam.batch_log_base_measure(noise, self.rows)
         self.mean_log_h = float(self._mean(self.log_h))
-        self._model = None
-        self._tables = None
+        self._model = self._tables = None
 
-    def tables(self, model: GenerativeModel):
-        """(noise naturals (S, L), log partitions (S,), log prior masses (S,))."""
+    def tables(self, model: GenerativeModel) -> StateTables:
+        """The model's StateTables, from one families.partition() call per natural array."""
         if model is not self._model:
             etas = model.noise.eta(self.states, model.noise.params)
-            log_parts = fam.log_partition(model.noise.family, etas)
+            log_parts, means = fam.partition(model.noise.family, etas)
             zeta = model.prior.zeta(model.prior.params)
+            prior_log_part, prior_mean = fam.partition(model.prior.family, zeta)
             # fam.log_density's arithmetic, on the statistics computed once.
-            log_prior = (
-                self.prior_log_h
-                + fam._dot(zeta, self.prior_t)
-                - fam.log_partition(model.prior.family, zeta)
-            )
-            self._model, self._tables = model, (etas, log_parts, log_prior)
+            log_prior = self.prior_log_h + fam._dot(zeta, self.prior_t) - prior_log_part
+            # Finite-state priors have unit base measures: pseudo-entropy is entropy.
+            prior_entropy = float(fam._pseudo_entropy(zeta, prior_log_part, prior_mean))
+            self._model = model
+            self._tables = StateTables(etas, log_parts, means, log_prior, prior_mean, prior_entropy)
         return self._tables
 
     def state_table(self, model: GenerativeModel, q) -> np.ndarray:
@@ -397,9 +391,9 @@ class FiniteObjective(_Objective):
 
     def loglik(self, model: GenerativeModel) -> np.ndarray:
         """(U, S) log p(x_u | s) - log h(x_u) of the distinct rows, states-major."""
-        etas, log_parts, _ = self.tables(model)
-        ll = etas @ self.t.T
-        ll -= log_parts[:, None]
+        tables = self.tables(model)
+        ll = tables.etas @ self.t.T
+        ll -= tables.log_parts[:, None]
         return ll.T
 
     def e_step(self, model: GenerativeModel):
@@ -408,7 +402,7 @@ class FiniteObjective(_Objective):
         is row inverse[n]), and elbo the ELBO at q, the mean over the points of
         each row's log normaliser plus mean_log_h."""
         scores = self.loglik(model).T
-        scores += self.tables(model)[2][:, None]
+        scores += self.tables(model).log_prior[:, None]
         top = scores.max(axis=0)
         scores -= top
         np.exp(scores, out=scores)
@@ -416,16 +410,12 @@ class FiniteObjective(_Objective):
         scores /= total
         return scores.T, float(self._mean(top + np.log(total))) + self.mean_log_h
 
-    def _noise_expectation(self, model: GenerativeModel, mass, stats):
-        """noise_expectation() at the model's noise naturals."""
-        return noise_expectation(model.noise.family, self.tables(model)[0], mass, stats)
-
     def terms(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring."""
-        log_prior = self.tables(model)[2]
+        tables = self.tables(model)
         f1 = float(self._mean(_entropy_rows(table)))
-        f2 = float(-self._mean(table @ log_prior))
-        f3 = float(-self._noise_expectation(model, *self.state_sums(table))[0] / self.n)
+        f2 = float(-self._mean(table @ tables.log_prior))
+        f3 = float(-noise_expectation(*tables[:3], *self.state_sums(table))[0] / self.n)
         return f1, f2, f3 if pseudo else f3 - self.mean_log_h
 
     def gradient(self, model: GenerativeModel, table: np.ndarray) -> np.ndarray:
@@ -436,21 +426,24 @@ class FiniteObjective(_Objective):
         (1/N) sum_s J_eta(z_s)^T G_s with G from noise_expectation(). Both
         variants share it: log h(x) is constant.
         """
+        tables = self.tables(model)
         mass, stats = self.state_sums(table)
         qbar = mass / self.n
-        zeta = model.prior.zeta(model.prior.params)
-        g_zeta = qbar @ self.prior_t - fam.grad_log_partition(model.prior.family, zeta)
-        g_eta = self._noise_expectation(model, mass, stats)[1] / self.n
+        g_zeta = qbar @ self.prior_t - tables.prior_mean
+        g_eta = noise_expectation(*tables[:3], mass, stats)[1] / self.n
         return np.concatenate(
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
         )
 
     def _entropy_sum(self, model: GenerativeModel, table: np.ndarray, f1: float, pseudo: bool):
-        entropy = fam.pseudo_entropy if pseudo else _natural_entropy
-        etas = self.tables(model)[0]
-        prior_entropy = entropy(model.prior.family, model.prior.zeta(model.prior.params))
-        noise_entropies = entropy(model.noise.family, etas)
-        return f1 - prior_entropy - float(self._mean(table) @ noise_entropies)
+        # -eta.grad A + A is the entropy of a unit base measure, and unlike a
+        # from_natural round trip it cannot saturate (a Bernoulli's at |eta| > 37).
+        tables = self.tables(model)
+        if pseudo or model.noise.family.base_measure_kind == "unit_constant":
+            noise_entropies = fam._pseudo_entropy(*tables[:3])
+        else:  # Poisson: its truncated-series entropy at the rates, grad A(eta)
+            noise_entropies = fam.entropy(model.noise.family, tables.means)
+        return f1 - tables.prior_entropy - float(self._mean(table) @ noise_entropies)
 
 
 def _gaussian_model_parts(model: GenerativeModel):

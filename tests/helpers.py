@@ -6,6 +6,9 @@ tests and by the acceptance suite. Each returns the worst absolute error over
 the supplied grid so callers can assert their own tolerance. The ELBO
 gradient oracle checks the evaluators' exact gradients the same way,
 kl_form is the reference for their three-term ELBO,
+log_partition_oracle and grad_log_partition_oracle the per-quantity chains
+that families.partition replaced (with pseudo_entropy_oracle and
+natural_entropy_oracle, the evaluator's former entropies from naturals),
 weighted_component_update the two-pass reference for the mixture M-step,
 state_sums_per_point the per-point reference for FiniteObjective.state_sums,
 kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
@@ -16,7 +19,7 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 
 from efgen import families as fam
 from efgen import learning as lrn
@@ -77,6 +80,79 @@ def elbo_gradient_oracle(ev, model, q):
         return ev.elbo(mdl.replace_params(model, params[:r], params[r:]), q)
 
     return finite_difference_gradient(value, full)
+
+
+def _categorical_log_partition_oracle(n):
+    # log(1 + sum exp(n_i)) per row, stable for large positive entries.
+    m = np.max(n, axis=-1, initial=0.0)
+    return m + np.log(np.exp(-m) + np.exp(n - m[..., None]).sum(axis=-1))
+
+
+def log_partition_oracle(family, n):
+    """A(n) of natural parameter rows, as families computed it before
+    partition(): one if-chain for A, apart from the one for grad A below.
+    The Bernoulli term is the softplus max(n, 0) + log1p(e^-|n|)."""
+    n = fam.check_natural(family, n)
+    name = family.name
+    if name == "bernoulli_product":
+        out = (np.maximum(n, 0.0) + np.log1p(np.exp(-np.abs(n)))).sum(axis=-1)
+    elif name == "categorical":
+        out = _categorical_log_partition_oracle(n)
+    elif name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+        d = family.data_dim
+        a, b = n[..., :d], n[..., d:]
+        out = np.sum(
+            -0.25 * a * a / b + 0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(-2.0 * b),
+            axis=-1,
+        )
+    elif name == "gamma":
+        out = gammaln(n[..., 0] + 1.0) - (n[..., 0] + 1.0) * np.log(-n[..., 1])
+    elif name == "poisson_product":
+        out = np.exp(n).sum(axis=-1)
+    else:
+        raise AssertionError(name)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def grad_log_partition_oracle(family, n):
+    """grad A(n) of natural parameter rows, by its own if-chain, as families
+    computed it before partition(). The Bernoulli logistic is 1 / (1 + e^-n),
+    which overflows (and warns) below n = -709.78."""
+    n = fam.check_natural(family, n)
+    name = family.name
+    if name == "bernoulli_product":
+        return 1.0 / (1.0 + np.exp(-n))
+    if name == "categorical":
+        return np.exp(n - _categorical_log_partition_oracle(n)[..., None])
+    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+        d = family.data_dim
+        a, b = n[..., :d], n[..., d:]
+        mean = -0.5 * a / b
+        second_moment = 0.25 * a * a / (b * b) - 0.5 / b
+        return np.concatenate([mean, second_moment], axis=-1)
+    if name == "gamma":
+        shape, rate = n[..., 0] + 1.0, -n[..., 1]
+        return np.stack([digamma(shape) - np.log(rate), shape / rate], axis=-1)
+    if name == "poisson_product":
+        return np.exp(n)
+    raise AssertionError(name)
+
+
+def pseudo_entropy_oracle(family, n):
+    """-n.grad A(n) + A(n) from the two oracle chains."""
+    n = fam.check_natural(family, n)
+    grad = grad_log_partition_oracle(family, n)
+    out = -(n[..., None, :] @ grad[..., :, None])[..., 0, 0] + log_partition_oracle(family, n)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def natural_entropy_oracle(family, n):
+    """Standard entropies from rows of natural parameters, as the evaluator
+    computed them before its tables: the pseudo-entropy for unit base
+    measures, and Poisson's truncated-series entropy at from_natural's rates."""
+    if family.base_measure_kind == "unit_constant":
+        return pseudo_entropy_oracle(family, n)
+    return fam.entropy(family, fam.from_natural(family, n))
 
 
 def gradient_identity_error(family, s):
@@ -299,8 +375,8 @@ def rowwise_posterior(ev, model):
     C-ordered table, as the evaluator did before its tables went
     states-major.
     """
-    etas, log_parts, log_prior = ev.tables(model)
-    scores = ev.t @ etas.T - log_parts + log_prior
+    tables = ev.tables(model)
+    scores = ev.t @ tables.etas.T - tables.log_parts + tables.log_prior
     scores -= scores.max(axis=1, keepdims=True)
     table = np.exp(scores)
     table /= table.sum(axis=1, keepdims=True)
@@ -311,22 +387,30 @@ def repeated_rows(model, data, q):
     """A FiniteObjective's quantities summed over every data row, none grouped.
 
     The arithmetic the evaluator used before it kept each distinct row once:
-    every mean runs over the N rows of data and of the (N, S) table q. Returns
-    the posterior (N, S), the terms and entropy sums of both variants, the
-    gradient, marginal_loglik and mean_log_h.
+    every mean runs over the N rows of data and of the (N, S) table q, and
+    every per-state quantity comes from the family oracles below, not from
+    the evaluator's tables. Returns the posterior (N, S), the terms and
+    entropy sums of both variants, the gradient, marginal_loglik and
+    mean_log_h.
     """
     family, prior = model.noise.family, model.prior.family
     states = model.latent_support.states
     t = fam.batch_sufficient_stats(family, data)
     log_h = fam.batch_log_base_measure(family, data)
-    etas, log_parts, log_prior = obj.FiniteObjective(model, data).tables(model)
+    etas = model.noise.eta(states, model.noise.params)
+    log_parts = log_partition_oracle(family, etas)
+    zeta = model.prior.zeta(model.prior.params)
+    log_prior = fam.log_density(prior, zeta, states)
     n = len(data)
-    value, g_eta, _ = obj.noise_expectation(family, etas, q.sum(axis=0), q.T @ t)
+    mass, stats = q.sum(axis=0), q.T @ t
+    value = np.sum(stats * etas) - mass @ log_parts
+    g_eta = stats - mass[:, None] * grad_log_partition_oracle(family, etas)
     f1 = float(np.mean(entropy_rows_reference(q)))
     f2 = float(-np.mean(q @ log_prior))
     qbar = q.mean(axis=0)
-    zeta = model.prior.zeta(model.prior.params)
-    g_zeta = qbar @ fam.batch_sufficient_stats(prior, states) - fam.grad_log_partition(prior, zeta)
+    g_zeta = qbar @ fam.batch_sufficient_stats(prior, states) - grad_log_partition_oracle(
+        prior, zeta
+    )
     scores = t @ etas.T - log_parts + log_prior
     posterior = np.exp(scores - logsumexp(scores, axis=1)[:, None])
     out = {
@@ -340,8 +424,8 @@ def repeated_rows(model, data, q):
         "mean_log_h": float(np.mean(log_h)),
     }
     for key, entropy in (
-        ("entropy_sum", obj._natural_entropy),
-        ("pseudo_entropy_sum", fam.pseudo_entropy),
+        ("entropy_sum", natural_entropy_oracle),
+        ("pseudo_entropy_sum", pseudo_entropy_oracle),
     ):
         out[key] = f1 - entropy(prior, zeta) - float(qbar @ entropy(family, etas))
     return out
@@ -360,7 +444,7 @@ def kl_form(ev, model, q):
             q = q[ev.inverse]
         loglik = (ev.loglik(model) + ev.log_h[:, None])[ev.inverse]
         expected_ll = float(np.mean(np.sum(q * loglik, axis=1)))
-        kl_rows = -entropy_rows_reference(q) - q @ ev.tables(model)[2]
+        kl_rows = -entropy_rows_reference(q) - q @ ev.tables(model).log_prior
         return expected_ll - float(np.mean(kl_rows))
     tau = model.prior.params[0]
     h = q.means.shape[1]

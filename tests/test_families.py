@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,9 +17,12 @@ from efgen.errors import DomainError, SupportError
 from helpers import (
     FAMILY_GRID,
     entropy_consistency_error,
+    grad_log_partition_oracle,
     gradient_identity_error,
+    log_partition_oracle,
     moment_identity_error,
     normalization_error,
+    pseudo_entropy_oracle,
     pseudo_entropy_relation_error,
 )
 
@@ -153,6 +157,109 @@ class TestLogPartition:
         assert fam.log_partition(fam.gamma_family(), [1.0, -3.0]) == pytest.approx(
             -2.0 * math.log(3.0), abs=1e-13
         )
+
+
+# -log of float max: e^-n overflows for n below this, and 1 / (1 + e^-n) with it.
+_EXP_OVERFLOW = -math.log(np.finfo(float).max)
+
+
+def _bernoulli_mean_matches(got, want, n):
+    """Where the oracle's 1 / (1 + e^-n) is finite, the logistic e^n / (1 +
+    e^n) below 0 agrees to within 4 eps relative (two forms of three roundings
+    each, within 2 eps of the value each) or 4 subnormal steps; at and above 0
+    the two forms are one. Past the oracle's overflow it is e^n itself."""
+    np.testing.assert_array_equal(got[n >= 0.0], want[n >= 0.0])
+    below = (n < 0.0) & (n >= _EXP_OVERFLOW)
+    bound = 4.0 * np.finfo(float).eps * want[below] + 4.0 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got[below] - want[below]) <= bound)
+    np.testing.assert_array_equal(got[n < _EXP_OVERFLOW], np.exp(n[n < _EXP_OVERFLOW]))
+
+
+@st.composite
+def naturals_near_the_edges(draw):
+    """(family, natural rows) with entries out to the domain's edges: Gaussian
+    and gamma precisions toward 0 from below, the gamma shape toward its
+    bound and out to float max, Bernoulli and categorical entries out to
+    -+745, Poisson to 709."""
+    name = draw(st.sampled_from(sorted(fam.DIMENSIONS)))
+    size = draw(st.integers(2, 4) if name == "categorical" else st.integers(1, 3))
+    args = {"categorical": (1, size), "gamma": (1,)}.get(name, (size,))
+    family = fam.FamilyDescriptor(name, *args)
+    rows = draw(st.integers(1, 4))
+    to_zero = st.floats(min_value=5e-324, max_value=1e6).map(lambda v: -v)
+
+    def column(j):
+        if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+            return to_zero if j >= family.data_dim else st.floats(-1e6, 1e6)
+        if name == "gamma":
+            shapes = st.one_of(st.floats(-1.0, 1e6, exclude_min=True), st.floats(1e300, 1e308))
+            return to_zero if j else shapes
+        if name == "poisson_product":
+            return st.one_of(st.floats(-745.0, 709.0), st.floats(700.0, 709.0))
+        return st.one_of(st.floats(-745.0, 745.0), st.floats(-745.0, -700.0))
+
+    n = np.array(
+        [[draw(column(j)) for j in range(family.natural_dim)] for _ in range(rows)], dtype=float
+    )
+    return family, n
+
+
+class TestPartition:
+    """partition is each family's one kernel for A and grad A. It returns
+    what the per-quantity chains it replaced returned (helpers' oracles),
+    and a draw in the domain gives finite outputs or a DomainError, never a
+    RuntimeWarning."""
+
+    def test_bernoulli_far_below_zero_warns_nothing(self):
+        # e^800 and e^720 overflow; e^-720 is subnormal and e^-800 is 0.
+        family = fam.bernoulli_product(3)
+        n = np.array([-800.0, -720.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, mean = fam.partition(family, n)
+            probs = fam.from_natural(family, n)
+        assert value == pytest.approx(math.log(2.0))
+        np.testing.assert_array_equal(mean, [0.0, np.exp(-720.0), 0.5])
+        assert mean[1] > 0.0
+        np.testing.assert_array_equal(probs, mean)
+
+    @settings(max_examples=300, deadline=None)
+    @given(naturals_near_the_edges())
+    def test_matches_the_oracle_chains(self, draw):
+        family, n = draw
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value, mean = fam.partition(family, n)
+            except DomainError:
+                value = mean = None
+        with np.errstate(all="ignore"):
+            want_value = log_partition_oracle(family, n)
+            want_mean = grad_log_partition_oracle(family, n)
+        if value is None:  # only where the chains overflowed
+            assert not (np.all(np.isfinite(want_value)) and np.all(np.isfinite(want_mean)))
+            return
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(mean))
+        np.testing.assert_array_equal(value, want_value)
+        if family.name == "bernoulli_product":
+            _bernoulli_mean_matches(mean, want_mean, n)
+        else:
+            np.testing.assert_array_equal(mean, want_mean)
+        if family.name in ("bernoulli_product", "categorical", "poisson_product"):
+            # Their standard parameters are their means.
+            np.testing.assert_array_equal(fam.from_natural(family, n), mean)
+
+    @pytest.mark.parametrize("family, s", FAMILY_GRID, ids=lambda v: getattr(v, "name", ""))
+    def test_one_liners_read_partition(self, family, s):
+        n = fam.to_natural(family, s)
+        value, mean = fam.partition(family, n)
+        assert fam.log_partition(family, n) == value == log_partition_oracle(family, n)
+        np.testing.assert_array_equal(fam.grad_log_partition(family, n), mean)
+        want = pseudo_entropy_oracle(family, n)
+        if family.name == "bernoulli_product":
+            assert fam.pseudo_entropy(family, n) == pytest.approx(want, rel=1e-15, abs=0.0)
+        else:
+            assert fam.pseudo_entropy(family, n) == want
 
 
 class TestGradLogPartition:

@@ -1271,6 +1271,35 @@ class TestCli:
         assert "dataset.csv" in proc.stdout
 
 
+class TestBernoulliFarBelowZero:
+    """An SBN weight of -720 puts the observable's natural parameter where
+    e^-eta overflows, while its success probability e^-720 is still a
+    positive float: training runs under the warnings-as-errors filters. At
+    -900 the probability rounds to 0, and the config is refused (exit 2)
+    under either filter, with no warning."""
+
+    @staticmethod
+    def train(tmp_path, weight, filters):
+        cfg = {
+            **gmm_config(tmp_path, n=100, max_iters=20),
+            "model": {"kind": "sbn", "pi": [0.5], "w": [[weight], [1.0]], "mu": [0.0, 0.0]},
+        }
+        argv = ["-m", "efgen", "train", "--config", write_config(tmp_path, cfg)]
+        return subprocess.run([sys.executable, *filters, *argv], capture_output=True, text=True)
+
+    def test_minus_720_trains(self, tmp_path):
+        proc = self.train(tmp_path, -720.0, WARNINGS_AS_ERRORS)
+        assert proc.returncode == 0, proc.stderr
+        assert os.path.exists(os.path.join(tmp_path, "model.json"))
+
+    @pytest.mark.parametrize("filters", [WARNINGS_AS_ERRORS, ()], ids=["error", "default"])
+    def test_minus_900_is_a_user_error(self, tmp_path, filters):
+        proc = self.train(tmp_path, -900.0, filters)
+        assert proc.returncode == 2, proc.stderr
+        assert "bernoulli probabilities must lie in the open (0,1)" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+
 # Runs in a fresh interpreter, because the test process has imported scipy
 # itself. Mode "run" sends every config through generate, train and verify;
 # mode "parse" only reads each one. Prints the scipy modules then loaded.

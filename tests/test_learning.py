@@ -586,15 +586,14 @@ class TestSbnNewtonStop:
             costs.append(len(evaluations))
         assert costs[0] == costs[1]
 
-    def test_one_outer_table_per_fit_and_one_grad_log_partition_per_evaluation(
-        self, monkeypatch
-    ):
-        # The states' outer products do not change within a fit, and each
-        # Newton direction's curvature reads the expected statistics that the
-        # noise evaluation at the same eta computed.
+    def test_one_outer_table_per_fit_and_one_partition_per_evaluation(self, monkeypatch):
+        # The states' outer products do not change within a fit. Each Newton
+        # direction's curvature reads the expected statistics that the noise
+        # evaluation at the same eta computed, and each M-step's first
+        # evaluation reads the evaluator's tables of the model q came from.
         model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
         _, data = mdl.sample_joint(model, np.random.default_rng(0), 1000)
-        outers, evaluations, grads, directions = [], [], [], []
+        outers, evaluations, partitions, directions, steps = [], [], [], [], []
         in_step = [False]
 
         def counting(calls, f, only_in_step):
@@ -609,6 +608,7 @@ class TestSbnNewtonStop:
 
         def counted_train(ev, model, config, step):
             def counted_step(model, q):
+                steps.append(model)
                 in_step[0] = True
                 try:
                     return step(model, q)
@@ -621,9 +621,8 @@ class TestSbnNewtonStop:
         monkeypatch.setattr(
             obj, "noise_expectation", counting(evaluations, obj.noise_expectation, True)
         )
-        monkeypatch.setattr(
-            fam, "grad_log_partition", counting(grads, fam.grad_log_partition, True)
-        )
+        monkeypatch.setattr(lrn, "partition", counting(partitions, lrn.partition, True))
+        monkeypatch.setattr(fam, "partition", counting(partitions, fam.partition, True))
         monkeypatch.setattr(
             lrn, "_sbn_newton_direction", counting(directions, lrn._sbn_newton_direction, True)
         )
@@ -631,7 +630,8 @@ class TestSbnNewtonStop:
         lrn.fit_sbn(model, data, lrn.TrainingConfig(seed=3, max_iters=5, record_every=1000))
         assert len(outers) == 1
         assert len(directions) > 5  # several Newton steps per M-step
-        assert len(grads) == len(evaluations)
+        assert len(steps) == 5
+        assert len(partitions) == len(evaluations) - len(steps)
 
     @pytest.mark.parametrize("zeroed", ["all-columns", "one-column"])
     def test_constant_observable_stops_short_of_the_step_cap(self, monkeypatch, zeroed):
@@ -663,6 +663,32 @@ class TestSbnNewtonStop:
         assert per_step and max(per_step) < 200
         if zeroed == "all-columns":
             assert fit.trace.converged and fit.trace.last().iteration == 2
+
+
+class TestDomainChecks:
+    def test_mixture_fit_checks_each_models_naturals_once(self, monkeypatch):
+        # The mixture-gradcheck benchmark's fit: 4 Gaussian components in 4
+        # dimensions, 2000 points, started at the generating parameters. An
+        # iteration builds one model, whose noise and prior naturals the
+        # evaluator's tables check once each; the reports, the gradient and
+        # the M-step read the tables.
+        means = [(-2.0, -2.0), (2.0, -2.0), (-2.0, 2.0), (2.0, 2.0)]
+        comp = np.array([[*m, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0] for m in means])
+        model = mdl.make_ef_mixture(fam.gaussian_diag_cov(4), np.full(4, 0.25), comp)
+        _, data = mdl.sample_joint(model, np.random.default_rng(0), 2000)
+        checks = []
+        check_natural = fam.check_natural
+
+        def counted(*args):
+            checks.append(args)
+            return check_natural(*args)
+
+        monkeypatch.setattr(fam, "check_natural", counted)
+        config = lrn.TrainingConfig(max_iters=2000, init="model", grad_norm_tol=1e-8)
+        fit = lrn.em_mixture(model, data, config)
+        iterations = fit.trace.last().iteration
+        assert fit.trace.converged and iterations > 20
+        assert len(checks) <= 2 * iterations + 4
 
 
 class TestSbnNewtonDirection:

@@ -20,7 +20,10 @@ from helpers import (
     dense_lstsq,
     elbo_gradient_oracle,
     entropy_rows_reference,
+    grad_log_partition_oracle,
     kl_form,
+    log_partition_oracle,
+    pseudo_entropy_oracle,
     repeated_rows,
     rowwise_posterior,
     state_sums_per_point,
@@ -393,10 +396,10 @@ class TestGroupedRows:
         assert ev.rows is data or np.array_equal(ev.rows, data)
         assert ev.counts is None
         np.testing.assert_array_equal(ev.inverse, np.arange(len(data)))
-        etas, log_parts, _ = ev.tables(model)
+        tables = ev.tables(model)
         t = fam.batch_sufficient_stats(model.noise.family, data)
         np.testing.assert_array_equal(ev.t, t)
-        loglik = t @ etas.T - log_parts
+        loglik = t @ tables.etas.T - tables.log_parts
         assert np.max(np.abs(ev.loglik(model) - loglik)) <= 1e-15 * max(1.0, np.max(np.abs(loglik)))
         assert np.max(np.abs(ev.posterior(model) - rowwise_posterior(ev, model))) <= 1e-15
 
@@ -485,7 +488,7 @@ class TestEStep:
             return
         # The posterior is the states-major subtract-max, exp and normalise,
         # bit for bit.
-        scores = ev.loglik(model).T + ev.tables(model)[2][:, None]
+        scores = ev.loglik(model).T + ev.tables(model).log_prior[:, None]
         scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=0)
@@ -713,7 +716,7 @@ class TestBatchedStateTables:
     def test_h10_tables_call_eta_once(self, monkeypatch):
         calls, family_calls = [], []
         model = self.counted_sbn(calls)
-        for name in ("log_partition", "log_density", "pseudo_entropy"):
+        for name in ("partition", "log_partition", "log_density", "pseudo_entropy"):
             original = getattr(fam, name)
 
             def counted(*args, _name=name, _original=original):
@@ -724,18 +727,21 @@ class TestBatchedStateTables:
         _, data = mdl.sample_joint(model, np.random.default_rng(8), 40)
         assert calls == [40]
         ev = obj.FiniteObjective(model, data)
-        etas, log_parts, log_prior = ev.tables(model)
+        tables = ev.tables(model)
         assert calls == [40, 1024]
-        # Noise log partitions, then the prior's: the prior log masses reuse
+        # The noise partition, then the prior's: the prior log masses reuse
         # the states' statistics from the constructor, with no log_density.
-        assert family_calls == ["log_partition", "log_partition"]
-        assert etas.shape == (1024, 6) and log_parts.shape == log_prior.shape == (1024,)
-        # Later quantities reuse the cached tables; the entropy sum adds one
-        # noise-entropy call over all states (and one for the prior).
+        assert family_calls == ["partition", "partition"]
+        assert tables.etas.shape == tables.means.shape == (1024, 6)
+        assert tables.log_parts.shape == tables.log_prior.shape == (1024,)
+        # Later quantities reuse the cached tables: the entropy sum and the
+        # gradient read the noise and prior entropies and means from them.
         table = ev.posterior(model)
         ev.report(model, table)
+        ev.report(model, table, pseudo=True)
+        ev.grad_norm(model, table)
         assert calls == [40, 1024]
-        assert family_calls.count("pseudo_entropy") == 2
+        assert family_calls == ["partition", "partition"]
 
     @pytest.mark.parametrize("builder", [gmm, sbn], ids=lambda b: b.__name__)
     def test_prior_state_stats_computed_once(self, builder, monkeypatch):
@@ -759,9 +765,27 @@ class TestBatchedStateTables:
         # The log prior masses still equal log_density's, bit for bit.
         zeta = model.prior.zeta(model.prior.params)
         np.testing.assert_array_equal(
-            ev.tables(model)[2],
+            ev.tables(model).log_prior,
             fam.log_density(model.prior.family, zeta, model.latent_support.states),
         )
+
+    @pytest.mark.parametrize("builder", [gmm, poisson_mix, sbn], ids=lambda b: b.__name__)
+    def test_tables_match_the_family_oracles(self, builder):
+        # One partition per natural array gives what the per-quantity
+        # chains gave; the SBN's logistic below 0 is the exception (4 eps).
+        model = builder()
+        _, data = mdl.sample_joint(model, np.random.default_rng(4), 30)
+        tables = obj.FiniteObjective(model, data).tables(model)
+        noise, prior = model.noise.family, model.prior.family
+        zeta = model.prior.zeta(model.prior.params)
+        np.testing.assert_array_equal(tables.log_parts, log_partition_oracle(noise, tables.etas))
+        assert tables.prior_entropy == pseudo_entropy_oracle(prior, zeta)
+        np.testing.assert_array_equal(tables.prior_mean, grad_log_partition_oracle(prior, zeta))
+        want = grad_log_partition_oracle(noise, tables.etas)
+        if noise.name == "bernoulli_product":
+            np.testing.assert_allclose(tables.means, want, rtol=4 * np.finfo(float).eps, atol=0)
+        else:
+            np.testing.assert_array_equal(tables.means, want)
 
     def test_criterion_calls_eta_once_per_theta_grid_point(self):
         # Each grid point's eta serves both the draw's finiteness check and
