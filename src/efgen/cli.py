@@ -88,8 +88,6 @@ def _run(args) -> int:
             table = harness.cmd_report(args.summaries, out_path=out_path)
             if not args.quiet:
                 print(table if out_path is None else f"wrote {table}")
-        else:  # pragma: no cover - argparse guards this
-            return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -423,29 +423,23 @@ def read_dataset(path: str) -> np.ndarray:
     return out
 
 
-def _trace_rows(trace: TrainingTrace):
-    for r in trace.records:
-        yield (
-            str(r.iteration),
-            format(r.elbo, ".17g"),
-            format(r.entropy_sum, ".17g"),
-            format(r.gap, ".17g"),
-            format(r.grad_norm, ".17g"),
-            format(r.wall_time, ".6f"),
-        )
-
-
 def write_trace(path: str, trace: TrainingTrace):
-    lines = ["iteration,elbo,entropy_sum,gap,grad_norm,wall_time"]
-    lines.extend(",".join(row) for row in _trace_rows(trace))
+    row = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.6f}\n"  # TraceRecord's fields in order
     with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("iteration,elbo,entropy_sum,gap,grad_norm,wall_time\n")
+        fh.write("".join(row.format(*astuple(r)) for r in trace.records))
 
 
 def _write_json(path: str, payload: dict):
     with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_run_json(path: str, config: ExperimentConfig, payload: dict):
+    """payload as JSON, stamped with the run id and the tool and schema versions."""
+    stamp = {"run_id": config.run_id, "tool_version": __version__, "schema_version": SCHEMA_VERSION}
+    _write_json(path, {**stamp, **payload})
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +493,16 @@ def cmd_generate(config: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     dataset_path = os.path.join(out, "dataset.csv")
     manifest_path = os.path.join(out, "manifest.json")
     write_dataset(dataset_path, data, model.noise.family)
-    _write_json(
+    _write_run_json(
         manifest_path,
+        config,
         {
-            "run_id": config.run_id,
             "seed": config.data.seed,
             "rng": "numpy-pcg64",
             "n": int(len(data)),
             "data_dim": model.noise.family.data_dim,
             "observation_family": model.noise.family.name,
             "ground_truth_model": model_to_dict(model),
-            "tool_version": __version__,
-            "schema_version": SCHEMA_VERSION,
         },
     )
     return {"dataset": dataset_path, "manifest": manifest_path}
@@ -547,12 +539,9 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
 
     out = make_output_dir(out_dir or config.output_dir)
     standard, pseudo = ev.report(fitted, fit.q), ev.report(fitted, fit.q, pseudo=True)
-    last = trace.last() if trace.records else None
+    last = trace.last()
     report = {
-        "run_id": config.run_id,
-        "tool_version": __version__,
         "blas": blas.info(),
-        "schema_version": SCHEMA_VERSION,
         "config": {
             "model": config.model_spec,
             "data": asdict(config.data),
@@ -560,7 +549,7 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
         },
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
-        "n_iterations": last.iteration if last else 0,
+        "n_iterations": last.iteration,
         "objective_standard": asdict(standard),
         "objective_pseudo": asdict(pseudo),
         "trained_model": model_to_dict(fitted),
@@ -577,21 +566,19 @@ def cmd_train(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
         "summary": os.path.join(out, "summary.json"),
         "model": os.path.join(out, "model.json"),
     }
-    _write_json(paths["report"], report)
+    _write_run_json(paths["report"], config, report)
     write_trace(paths["trace"], trace)
-    _write_json(
+    _write_run_json(
         paths["summary"],
+        config,
         {
-            "run_id": config.run_id,
             "converged": trace.converged,
             "stop_reason": trace.stop_reason,
-            "n_iterations": last.iteration if last else 0,
-            "final_elbo": last.elbo if last else None,
-            "final_entropy_sum": last.entropy_sum if last else None,
-            "final_gap": last.gap if last else None,
-            "final_grad_norm": last.grad_norm if last else None,
-            "tool_version": __version__,
-            "schema_version": SCHEMA_VERSION,
+            "n_iterations": last.iteration,
+            "final_elbo": last.elbo,
+            "final_entropy_sum": last.entropy_sum,
+            "final_gap": last.gap,
+            "final_grad_norm": last.grad_norm,
         },
     )
     _write_json(paths["model"], model_to_dict(fitted))
@@ -660,13 +647,11 @@ def cmd_verify(
 
     out = make_output_dir(out_dir or config.output_dir)
     path = os.path.join(out, "verify_report.json")
-    _write_json(
+    _write_run_json(
         path,
+        config,
         {
-            "run_id": config.run_id,
-            "tool_version": __version__,
             "blas": blas.info(),
-            "schema_version": SCHEMA_VERSION,
             "config": {"data": asdict(config.data)},
             "model": model_to_dict(model),
             "criterion": asdict(criterion),

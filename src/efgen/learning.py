@@ -121,14 +121,15 @@ def _train(ev, model: GenerativeModel, config: TrainingConfig, step) -> Fit:
     ev.e_step(model) from the evaluator ev.
 
     Stops at an ELBO plateau with a gradient norm below tolerance, or at the
-    iteration cap. Gradient checks on a plateau back off exponentially: EM
-    tails can hold an ELBO plateau for thousands of iterations before the
-    gradient drops below tolerance, and checking each of them would cost an
-    entropy sum and a gradient per iteration. Only the plateau test reads the
-    E-step's ELBO, the mean log marginal likelihood from the posterior's
-    normalisers; a record takes its ELBO and entropy sum from one report, in
-    the f1 - f2 - f3 form that the reports and verify evaluate, so an
-    iteration that records nothing evaluates no terms.
+    iteration cap; either way the last record is the final iteration's.
+    Gradient checks on a plateau back off exponentially: EM tails can hold an
+    ELBO plateau for thousands of iterations before the gradient drops below
+    tolerance, and checking each of them would cost an entropy sum and a
+    gradient per iteration. Only the plateau test reads the E-step's ELBO, the
+    mean log marginal likelihood from the posterior's normalisers; a record
+    takes its ELBO and entropy sum from one report, in the f1 - f2 - f3 form
+    that the reports and verify evaluate, so an iteration that records nothing
+    evaluates no terms.
     """
     trace = TrainingTrace()
     t0 = time.perf_counter()
@@ -384,27 +385,23 @@ def _sbn_outer(states, offsets_free):
     return u[:, :, None] * u[:, None, :]
 
 
-def _sbn_newton_direction(grad, outer, curv, offsets_free):
+def _sbn_newton_direction(grad, outer, curv):
     """Newton ascent direction; the M-step objective separates across observables.
 
     Each observable d owns an independent concave problem in (W_[d,:], mu_d)
     whose negated Hessian sum_s curv_sd u_s u_s^T, from _sbn_outer's table,
     is a small positive-definite matrix; solving those exactly, in one
     stacked solve, sidesteps the ill-conditioning that stalls plain gradient
-    steps. Falls back to the gradient when the solve fails.
+    steps. Falls back to the gradient when the solve fails. theta is [W | mu]
+    flattened column-major, so row d of grad.reshape(K, D).T is observable d's.
     """
     d, k = curv.shape[1], outer.shape[1]
-    h = k - 1 if offsets_free else k
     hess = (curv.T @ outer.reshape(len(outer), k * k)).reshape(d, k, k) + 1e-12 * np.eye(k)
-    g = grad[: d * h].reshape(d, h, order="F")
-    if offsets_free:
-        g = np.hstack([g, grad[d * h :, None]])
     try:
-        sol = np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+        sol = np.linalg.solve(hess, grad.reshape(k, d).T[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return grad
-    direction = sol[:, :h].ravel(order="F")
-    return np.concatenate([direction, sol[:, h]]) if offsets_free else direction
+    return sol.T.ravel()
 
 
 def _armijo_step(evaluate, theta, direction, cur, slope):
@@ -484,7 +481,7 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
             g = vjp_eta(model, states, g_eta)
             # Bernoulli observables: grad^2 A(eta_s) = diag(mean (1 - mean)).
             curv = mass[:, None] * mean * (1.0 - mean)
-            direction = _sbn_newton_direction(g, outer, curv, offsets_free)
+            direction = _sbn_newton_direction(g, outer, curv)
             # The squared Newton decrement, twice the full step's predicted gain;
             # N bounds the rounding below, as cur shrinks toward an optimum at
             # infinity (a constant observable).

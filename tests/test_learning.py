@@ -706,9 +706,7 @@ class TestSbnNewtonDirection:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_observable_loop(self, offsets_free, seed):
         grad, states, curv = self.inputs(offsets_free, seed)
-        direction = lrn._sbn_newton_direction(
-            grad, lrn._sbn_outer(states, offsets_free), curv, offsets_free
-        )
+        direction = lrn._sbn_newton_direction(grad, lrn._sbn_outer(states, offsets_free), curv)
         oracle = sbn_newton_direction_oracle(grad, states, curv, offsets_free)
         np.testing.assert_allclose(direction, oracle, rtol=1e-12, atol=1e-14)
         assert float(grad @ direction) > 0.0
@@ -722,9 +720,7 @@ class TestSbnNewtonDirection:
         grad, states, curv = self.inputs(offsets_free, 0)
         curv[:, 0] = 0.0
         curv[3, 0] = 1e20  # state (1, 1, 0)
-        direction = lrn._sbn_newton_direction(
-            grad, lrn._sbn_outer(states, offsets_free), curv, offsets_free
-        )
+        direction = lrn._sbn_newton_direction(grad, lrn._sbn_outer(states, offsets_free), curv)
         np.testing.assert_array_equal(direction, grad)
         oracle = sbn_newton_direction_oracle(grad, states, curv, offsets_free)
         assert not np.array_equal(oracle, grad)
