@@ -26,7 +26,8 @@ class NewtonConvergenceError(RuntimeError):
 
 
 class DegenerateDataError(ValueError):
-    """Data covariance rank too low for the requested latent dimension."""
+    """Data the model cannot be fitted to or evaluated on, such as a covariance
+    of too low a rank, or too many distinct rows for the exact E-step."""
 
 
 class ConfigError(ValueError):

@@ -338,7 +338,9 @@ def partition(family: FamilyDescriptor, n):
                 a, b = n[..., :d], n[..., d:]
                 terms = -0.25 * a * a / b + 0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(-2.0 * b)
                 value = terms.sum(axis=-1)
-                mean = np.concatenate([-0.5 * a / b, 0.25 * a * a / (b * b) - 0.5 / b], axis=-1)
+                # E[x^2] from E[x]: no b * b, which underflows below |b| ~ 1e-154.
+                mu = -0.5 * a / b
+                mean = np.concatenate([mu, mu * mu - 0.5 / b], axis=-1)
             elif name == "gamma":
                 shape, rate, log_rate = n[..., 0] + 1.0, -n[..., 1], np.log(-n[..., 1])
                 value = gammaln(shape) - shape * log_rate

@@ -603,11 +603,11 @@ def cmd_verify(
     data = _load_nonempty_data(config, model_from_dict(config.model_spec))
     _check_columns(data, model, model_path)
 
-    criterion = mdl.check_criterion(model)
     try:
         ev = obj.evaluator(model, data)
-    except SupportError as exc:
+    except (DegenerateDataError, SupportError) as exc:
         raise ConfigError(f"{_data_field(config)}: {exc}") from exc
+    criterion = mdl.check_criterion(model)
     table = ev.posterior(model)
     standard, pseudo = ev.report(model, table), ev.report(model, table, pseudo=True)
     grad = ev.grad_norm(model, table)

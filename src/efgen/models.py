@@ -759,7 +759,15 @@ def sample_joint(model: GenerativeModel, rng: np.random.Generator, n: int):
         model.prior.family, model.prior.zeta(model.prior.params)
     )
     zs = fam.sample(model.prior.family, prior_std, rng, n)
-    noise_std = fam.from_natural(model.noise.family, model.noise.eta(zs, model.noise.params))
+    family = model.noise.family
+    noise_std = fam.from_natural(family, model.noise.eta(zs, model.noise.params))
+    try:
+        fam.check_standard(family, noise_std)
+    except DomainError as exc:  # e.g. a success probability e^-900, which rounds to 0
+        raise DomainError(
+            "the observation natural parameters are too large in magnitude: they round "
+            f"to the edge of the {family.name} domain ({exc})"
+        ) from None
     # One draw per row, in row order: the rng stream of a per-row loop.
-    xs = fam.sample(model.noise.family, noise_std, rng, 1)[0]
+    xs = fam.sample(family, noise_std, rng, 1)[0]
     return zs, xs

@@ -78,7 +78,7 @@ import numpy as np
 
 from . import families as fam
 from . import models as mdl
-from .errors import IncompatibilityError, UnsupportedModelError
+from .errors import DegenerateDataError, IncompatibilityError, UnsupportedModelError
 from .models import FiniteStates, GenerativeModel, constructor_args
 
 __all__ = [
@@ -94,6 +94,11 @@ __all__ = [
 ]
 
 _ROW_NORM_TOL = 1e-9
+
+# Most values a finite-state evaluator's (U, S) tables may hold, checked before
+# any is allocated: 10^8 float64 values are 0.8 GB, as many as
+# harness.MAX_SYNTHETIC_VALUES allows a dataset.
+MAX_TABLE_VALUES = 10**8
 
 # Rows are grouped through a dense table indexed by their keys while the keys
 # span at most this many values (an 8 MB table), else by a lexsort. Measured
@@ -258,15 +263,9 @@ class _Objective:
         )
 
     def grad_norm(self, model: GenerativeModel, q) -> float:
-        """Norm of the exact ELBO gradient over (psi, theta), q fixed; a plain
-        norm that overflows is retaken on g scaled by its largest |entry|."""
-        g = self.gradient(model, q)
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(g))
-        if math.isinf(norm) and np.all(np.isfinite(g)):
-            scale = float(np.max(np.abs(g)))
-            norm = scale * float(np.linalg.norm(g / scale))
-        return norm
+        """Norm of the exact ELBO gradient over (psi, theta), q fixed, by
+        math.hypot, which does not overflow while the norm is a finite float."""
+        return math.hypot(*self.gradient(model, q).tolist())
 
 
 class FiniteObjective(_Objective):
@@ -318,6 +317,12 @@ class FiniteObjective(_Objective):
             if len(first) < self.n:
                 self.rows, self.t = data[first], self.t[first]
                 self.counts, self.inverse = counts.astype(float), inverse
+        size = len(self.rows) * len(self.states)
+        if size > MAX_TABLE_VALUES:
+            raise DegenerateDataError(
+                f"{len(self.rows)} distinct rows times {len(self.states)} latent states make "
+                f"{size} values per table, more than {MAX_TABLE_VALUES}; use fewer rows or latents"
+            )
         # Each distinct row's statistics weighted by its count, so that state
         # sums over a (U, S) table are two products.
         self._ct = None if self.counts is None else self.counts[:, None] * self.t

@@ -12,7 +12,8 @@ natural_entropy_oracle, the evaluator's former entropies from naturals),
 weighted_component_update the two-pass reference for the mixture M-step,
 state_sums_per_point the per-point reference for FiniteObjective.state_sums,
 kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
-and write_dataset_per_cell the byte reference for harness.write_dataset.
+write_dataset_per_cell the byte reference for harness.write_dataset, and
+write_trace_per_field the byte reference for harness.write_trace.
 """
 
 import math
@@ -528,3 +529,15 @@ def write_dataset_per_cell(path, data, family):
         fh.write(",".join(f"x{i + 1}" for i in range(family.data_dim)) + "\n")
         for row in rows:
             fh.write(",".join(map(cell, row)) + "\n")
+
+
+def write_trace_per_field(path, trace):
+    """trace.csv formatted one field at a time, each row's fields joined by
+    commas and the lines by line ends."""
+    lines = ["iteration,elbo,entropy_sum,gap,grad_norm,wall_time"]
+    for r in trace.records:
+        reals = (r.elbo, r.entropy_sum, r.gap, r.grad_norm)
+        row = (str(r.iteration), *(format(v, ".17g") for v in reals), format(r.wall_time, ".6f"))
+        lines.append(",".join(row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

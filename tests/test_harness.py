@@ -21,10 +21,10 @@ from efgen import harness as hns
 from efgen import models as mdl
 from efgen import objective as obj
 from efgen.cli import main as cli_main
-from efgen.errors import ConfigError
-from efgen.learning import TrainingConfig
+from efgen.errors import ConfigError, DegenerateDataError
+from efgen.learning import TraceRecord, TrainingConfig, TrainingTrace
 
-from helpers import WARNINGS_AS_ERRORS, write_dataset_per_cell
+from helpers import WARNINGS_AS_ERRORS, write_dataset_per_cell, write_trace_per_field
 
 
 def gmm_config(tmp_path, n=200, seed=7, max_iters=500, run_id="gmm-run"):
@@ -278,6 +278,35 @@ class TestWriteDataset:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+# Trace values whose text must match the per-field writer's: a signed zero,
+# the least subnormal, the float extremes, and the non-finite values.
+_TRACE_REALS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+class TestWriteTrace:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                TraceRecord, st.integers(1, 10**9), *[_TRACE_REALS] * 4, wall_time=_TRACE_REALS
+            ),
+            max_size=20,
+        )
+    )
+    def test_bytes_match_the_per_field_writer(self, records):
+        trace = TrainingTrace(records=records)
+        with tempfile.TemporaryDirectory() as tmp:
+            written, expected = os.path.join(tmp, "written.csv"), os.path.join(tmp, "expected.csv")
+            hns.write_trace(written, trace)
+            write_trace_per_field(expected, trace)
+            with open(written, "rb") as fa, open(expected, "rb") as fb:
+                assert fa.read() == fb.read()
 
 
 class TestReadDataset:
@@ -1276,7 +1305,8 @@ class TestBernoulliFarBelowZero:
     e^-eta overflows, while its success probability e^-720 is still a
     positive float: training runs under the warnings-as-errors filters. At
     -900 the probability rounds to 0, and the config is refused (exit 2)
-    under either filter, with no warning."""
+    under either filter, with no warning and a message that names the natural
+    parameters."""
 
     @staticmethod
     def train(tmp_path, weight, filters):
@@ -1298,6 +1328,65 @@ class TestBernoulliFarBelowZero:
         assert proc.returncode == 2, proc.stderr
         assert "bernoulli probabilities must lie in the open (0,1)" in proc.stderr
         assert "Warning" not in proc.stderr
+        assert proc.stderr.startswith(
+            "error: config.model: the observation natural parameters are too large in "
+            "magnitude: they round to the edge of the bernoulli_product domain ("
+        )
+
+
+class TestExactTableBound:
+    """A finite-state evaluator refuses data whose (U, S) tables would hold
+    more than objective.MAX_TABLE_VALUES values before it allocates any, and
+    train and verify exit 2 naming the config field that chose the data."""
+
+    def test_the_evaluator_refuses_at_the_enumeration_cap(self):
+        # H = 14 latents, the enumeration cap, and 8000 distinct rows: 1.3e8
+        # values per table, a 1 GB float64 table.
+        rng = np.random.default_rng(0)
+        model = mdl.make_sbn(np.full(14, 0.5), rng.normal(size=(30, 14)), np.zeros(30))
+        data = np.unique(rng.integers(0, 2, size=(8000, 30)), axis=0).astype(float)
+        assert len(data) * 2**14 > obj.MAX_TABLE_VALUES
+        message = rf"{len(data)} distinct rows times 16384 latent states"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateDataError, match=message):
+                obj.FiniteObjective(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**25, peak
+        obj.FiniteObjective(model, data[: obj.MAX_TABLE_VALUES // 2**14])
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    def test_train_and_verify_exit_2_naming_the_data(
+        self, tmp_path, capsys, monkeypatch, command, source
+    ):
+        # 2 latent states and 200 Gaussian rows, none repeated: 400 values.
+        raw = gmm_config(tmp_path, n=200)
+        cfg_path = write_config(tmp_path, raw)
+        if source == "file":
+            assert cli_main(["generate", "--config", cfg_path, "--quiet"]) == 0
+            raw["data"] = {"source": "file", "path": str(tmp_path / "dataset.csv")}
+            cfg_path = write_config(tmp_path, raw)
+        model_path = os.path.join(tmp_path, "truth.json")
+        with open(model_path, "w") as fh:
+            json.dump(raw["model"], fh)
+
+        def no_criterion(model):
+            raise AssertionError("verify checked the criterion before building its evaluator")
+
+        monkeypatch.setattr(mdl, "check_criterion", no_criterion)
+        monkeypatch.setattr(obj, "MAX_TABLE_VALUES", 399)
+        argv = [command, "--config", cfg_path, "--quiet"]
+        assert cli_main(argv + (["--model", model_path] if command == "verify" else [])) == 2
+        field = "config.data.n" if source == "synthetic" else "config.data.path"
+        assert capsys.readouterr().err == (
+            f"error: {field}: 200 distinct rows times 2 latent states make 400 values per "
+            "table, more than 399; use fewer rows or latents\n"
+        )
+        monkeypatch.setattr(obj, "MAX_TABLE_VALUES", 400)
+        assert cli_main(["train", "--config", cfg_path, "--quiet"]) == 0
 
 
 # Runs in a fresh interpreter, because the test process has imported scipy

@@ -726,6 +726,57 @@ class TestSbnNewtonDirection:
         assert not np.array_equal(oracle, grad)
 
 
+class TestTraceEndsOnTheFinalIteration:
+    """Every trainer's last record is of its final iteration, whether it stops
+    at a plateau or at the cap, also when record_every passes max_iters:
+    harness.cmd_train reads a run's final numbers from it."""
+
+    FITS = {
+        # Converge in about 100, 35 and 50 iterations from seed 0.
+        "em_mixture": (
+            mdl.make_ef_mixture(
+                fam.gaussian_scalar_var(1), [0.5, 0.5], np.array([[-1.5, 1.0], [1.5, 1.0]])
+            ),
+            lrn.em_mixture,
+        ),
+        "fit_ppca": (
+            mdl.make_ppca(np.array([[1.0], [0.5], [-0.3]]), np.zeros(3), 0.5),
+            lrn.fit_ppca,
+        ),
+        "fit_sbn": (mdl.make_sbn([0.4], np.array([[3.0], [-3.0]]), np.zeros(2)), lrn.fit_sbn),
+    }
+
+    @pytest.mark.parametrize("trainer", sorted(FITS))
+    @pytest.mark.parametrize(
+        "max_iters, record_every",
+        [(3000, 1000), (12, 5), (12, 100)],
+        ids=["converged", "capped", "record-every-past-the-cap"],
+    )
+    def test_last_record_is_the_final_iteration(
+        self, monkeypatch, trainer, max_iters, record_every
+    ):
+        model, fit = self.FITS[trainer]
+        _, data = mdl.sample_joint(model, np.random.default_rng(0), 300)
+        steps, train = [], lrn._train
+
+        def counted_train(ev, model, config, step):
+            def counted_step(model, q):
+                steps.append(model)
+                return step(model, q)
+
+            return train(ev, model, config, counted_step)
+
+        monkeypatch.setattr(lrn, "_train", counted_train)
+        config = lrn.TrainingConfig(max_iters=max_iters, record_every=record_every)
+        trace = fit(model, data, config).trace
+        assert trace.converged is (max_iters == 3000)
+        assert trace.last().iteration == len(steps)
+        assert trace.converged or len(steps) == max_iters
+        assert len(steps) % record_every  # the final iteration is not a scheduled record
+        iterations = [r.iteration for r in trace.records]
+        assert iterations == sorted(set(iterations))
+
+
 class TestGradNorm:
     def test_fixed_point_small_perturbed_large(self):
         truth, data = separated_gmm(seed=16)
