@@ -42,7 +42,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -424,10 +424,11 @@ def read_dataset(path: str) -> np.ndarray:
 
 
 def write_trace(path: str, trace: TrainingTrace):
-    row = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.6f}\n"  # TraceRecord's fields in order
+    row = "{0.iteration},{0.elbo:.17g},{0.entropy_sum:.17g},{0.gap:.17g},{0.grad_norm:.17g},"
+    row += "{0.wall_time:.6f}\n"
     with _create(path) as fh:
         fh.write("iteration,elbo,entropy_sum,gap,grad_norm,wall_time\n")
-        fh.write("".join(row.format(*astuple(r)) for r in trace.records))
+        fh.write("".join(row.format(r) for r in trace.records))
 
 
 def _write_json(path: str, payload: dict):

@@ -761,6 +761,7 @@ def sample_joint(model: GenerativeModel, rng: np.random.Generator, n: int):
     zs = fam.sample(model.prior.family, prior_std, rng, n)
     family = model.noise.family
     noise_std = fam.from_natural(family, model.noise.eta(zs, model.noise.params))
+    # Checked here, not around fam.sample: its Poisson support error keeps its text.
     try:
         fam.check_standard(family, noise_std)
     except DomainError as exc:  # e.g. a success probability e^-900, which rounds to 0
