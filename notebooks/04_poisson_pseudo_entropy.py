@@ -44,11 +44,11 @@ final_pse = ev.report(fit.model, fit.q, pseudo=True)
 print("standard gap at fixed point:", final_std.gap, " (entropy sum needs truncation)")
 print("pseudo   gap at fixed point:", final_pse.gap, " (all terms closed-form)")
 
-# Reconstruct the closed-form right-hand side by hand. fit.q has one row per
-# distinct count vector; inverse repeats them to one row per data point.
+# Reconstruct the closed-form right-hand side by hand. fit.q's table has one
+# row per distinct count vector; inverse repeats them to one row per data point.
 args = mdl.constructor_args(fit.model)
 weights, rates = args["weights"], args["component_params"]
-q = fit.q[fit.evaluator.inverse]
+q = fit.q.table[fit.evaluator.inverse]
 qbar = q.mean(axis=0)
 avg_h_q = float(np.mean(-np.sum(q * np.log(q + 1e-300), axis=1)))
 prior_h = -float(np.sum(weights * np.log(weights)))

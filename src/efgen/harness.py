@@ -609,9 +609,9 @@ def cmd_verify(
     except (DegenerateDataError, SupportError) as exc:
         raise ConfigError(f"{_data_field(config)}: {exc}") from exc
     criterion = mdl.check_criterion(model)
-    table = ev.posterior(model)
-    standard, pseudo = ev.report(model, table), ev.report(model, table, pseudo=True)
-    grad = ev.grad_norm(model, table)
+    q = ev.posterior(model)  # both reports and the gradient read one record
+    standard, pseudo = ev.report(model, q), ev.report(model, q, pseudo=True)
+    grad = ev.grad_norm(model, q)
     premise = grad < GRAD_NORM_THRESHOLD
 
     verdicts = {

@@ -10,8 +10,9 @@ both an ELBO plateau and a small exact gradient norm (the evaluator's
 closed form, q held fixed); a plateau alone is not accepted.
 
 Both finite-state M-steps read q only through each state's mass w_s and
-statistics B_s (the evaluator's state_sums). The mixture M-step is moment
-matching: grad A(eta_s) = B_s / w_s zeroes the noise gradient G_s.
+statistics B_s, which the E-step's record (objective.QRecord) holds. The
+mixture M-step is moment matching: grad A(eta_s) = B_s / w_s zeroes the
+noise gradient G_s.
 """
 
 from __future__ import annotations
@@ -92,13 +93,13 @@ class Fit:
     """The trained model, its exact posterior, the training trace, and the
     evaluator that trained it.
 
-    q is in the evaluator's form: for finite states a (U, S) table over its
-    distinct data rows (row evaluator.inverse[n] is data point n's), else
-    GaussianMoments.
+    q is in the evaluator's form: for finite states the record of a (U, S)
+    table over its distinct data rows (row evaluator.inverse[n] is data
+    point n's), else GaussianMoments.
     """
 
     model: GenerativeModel
-    q: np.ndarray | obj.GaussianMoments
+    q: obj.QRecord | obj.GaussianMoments
     trace: TrainingTrace
     evaluator: obj.FiniteObjective | obj.GaussianObjective
 
@@ -129,7 +130,8 @@ def _train(ev, model: GenerativeModel, config: TrainingConfig, step) -> Fit:
     mean log marginal likelihood from the posterior's normalisers; a record
     takes its ELBO and entropy sum from one report, in the f1 - f2 - f3 form
     that the reports and verify evaluate, so an iteration that records nothing
-    evaluates no terms.
+    evaluates no terms. The step, the report and the gradient all read the
+    E-step's record of q, reduced once.
     """
     trace = TrainingTrace()
     t0 = time.perf_counter()
@@ -230,9 +232,9 @@ def _moment_match(family, means: np.ndarray) -> np.ndarray:
 
 def mixture_m_step(model: GenerativeModel, mass, stats) -> GenerativeModel:
     """Closed-form moment matching from each component's responsibility mass
-    w_c (C,) and statistics B_c (C, L), as FiniteObjective.state_sums gives
-    them: weights w / sum(w), and components whose expected statistics are
-    B_c / w_c. Raises on an empty cluster, and on a component that
+    w_c (C,) and statistics B_c (C, L), as a QRecord holds them: weights
+    w / sum(w), and components whose expected statistics are B_c / w_c.
+    Raises on an empty cluster, and on a component that
     models.collapsed_component flags: a non-finite coordinate, or one at or
     within rounding of its domain's edge. That test is the only domain check:
     a component it passes lies in the family's standard domain.
@@ -297,7 +299,7 @@ def em_mixture(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     if config.init == "auto":
         rng = np.random.default_rng(config.seed)
         model = mixture_m_step(model, *ev.state_sums(_kmeanspp_init(model, ev, rng)))
-    return _train(ev, model, config, lambda m, q: mixture_m_step(m, *ev.state_sums(q)))
+    return _train(ev, model, config, lambda m, q: mixture_m_step(m, q.mass, q.stats))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +466,8 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     states = ev.states
     outer = _sbn_outer(states, offsets_free)
 
-    def step(model, table):
-        mass, stats = ev.state_sums(table)
+    def step(model, q):
+        mass, stats = q.mass, q.stats
         # Latent probabilities: exact coordinate maximizer given q.
         qbar = mass / ev.n
         pi = np.clip(qbar @ states, 1e-12, 1.0 - 1e-12)

@@ -674,9 +674,12 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
     return psi, theta
 
 
-# States per jacobian_eta call in check_criterion: the (S, L, P) Jacobian
-# over all states is never formed.
-_CRITERION_CHUNK = 256
+# Most Jacobian values per jacobian_eta call in check_criterion (1 MB of
+# float64): each call takes max(1, _CRITERION_VALUES // (L P)) states, so the
+# (S, L, P) Jacobian over all states is never formed, and a chunk's size does
+# not grow with L P. Each state's rows are contracted on their own, so the
+# residuals do not depend on the chunk size.
+_CRITERION_VALUES = 2**17
 
 
 def _relative_norm(residual: np.ndarray, target: np.ndarray) -> float:
@@ -711,9 +714,10 @@ def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
 
     The prior part is ||J_zeta(psi) alpha(psi) - zeta(psi)|| per grid point;
     the noise part is ||J_eta(z) beta(theta) - eta(z)|| over all latent
-    samples z at once, with ONE beta(theta) for every z, contracted
-    _CRITERION_CHUNK states at a time. Residuals are relative to max(1, ||target||), on the
-    grid of _grid_points; passes iff both stay below CRITERION_THRESHOLD.
+    samples z at once, with ONE beta(theta) for every z, contracted in
+    chunks of states that hold at most _CRITERION_VALUES Jacobian values
+    (one state at least). Residuals are relative to max(1, ||target||), on
+    the grid of _grid_points; passes iff both stay below CRITERION_THRESHOLD.
     Finite latents test every state; real latents first draw max(16, 2 P)
     z, P being the size of the criterion subset.
     """
@@ -731,9 +735,10 @@ def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
         points += 1
         prior = _relative_norm(jacobian_zeta(model, psi) @ model.prior.alpha(psi) - zeta, zeta)
         beta = model.noise.beta(theta)
+        chunk = max(1, _CRITERION_VALUES // (eta.shape[1] * beta.size))
         fitted = [
-            jacobian_eta(model, zs[start : start + _CRITERION_CHUNK], theta) @ beta
-            for start in range(0, len(zs), _CRITERION_CHUNK)
+            jacobian_eta(model, zs[start : start + chunk], theta) @ beta
+            for start in range(0, len(zs), chunk)
         ]
         noise = _relative_norm(np.concatenate(fitted) - eta, eta)
         prior_residual, noise_residual = max(prior_residual, prior), max(noise_residual, noise)

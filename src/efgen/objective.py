@@ -4,8 +4,8 @@ evaluator(model, data) is the one way in: it returns the model's exact
 evaluator, whose methods give every quantity below. The variational
 distribution q enters as per-point probabilities: for finite states a
 row-stochastic table over the evaluator's distinct data rows, as posterior()
-returns it, or a caller's table with one row per data point; for the
-linear-Gaussian models GaussianMoments.
+returns it, or a caller's table with one row per data point, each reduced
+once to a QRecord; for the linear-Gaussian models GaussianMoments.
 
 The ELBO is computed exactly, never by Monte Carlo: finite-state summation
 for mixtures and sigmoid belief nets (all 2^H states enumerated), closed-form
@@ -44,7 +44,9 @@ last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s), from A and grad A of one
 families.partition() call per model (StateTables). On grouped rows, w and B
 are products of q's (U, S) table with the counts and with the count-weighted
-statistics, which are formed once per dataset.
+statistics, which are formed once per dataset. A QRecord holds q's table
+with its w and B, and keeps f1, f2 and the mean state probabilities once a
+report has computed them, so every quantity of one q reads one reduction.
 
 Two evaluators share one interface (the methods e_step, posterior,
 marginal_loglik, state_table, terms, elbo, report, gradient and grad_norm,
@@ -72,7 +74,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -84,6 +87,7 @@ from .models import FiniteStates, GenerativeModel, constructor_args
 __all__ = [
     "GaussianMoments",
     "ObjectiveReport",
+    "QRecord",
     "FiniteObjective",
     "GaussianObjective",
     "evaluator",
@@ -227,12 +231,49 @@ def _entropy_rows(table: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
+class QRecord:
+    """Finite-state q reduced once: what FiniteObjective.e_step returns as
+    its posterior, and state_table as a caller's q.
+
+    table is q's read-only states-major table, (U, S) over the evaluator's
+    distinct rows or (N, S) over the data points; mass (S,) and stats (S, L)
+    are its state sums w and B, from FiniteObjective.state_sums. f1, the
+    state means and f2 are computed on first use by mean, the evaluator's
+    mean over the points along a table's first axis, and then kept; f2 reads
+    a model's log prior masses, so it is kept for the latest model, as
+    FiniteObjective.tables keeps its tables.
+    """
+
+    def __init__(self, table: np.ndarray, mass, stats, mean: Callable):
+        self.table, self.mass, self.stats = table, mass, stats
+        self._mean = mean
+        self._f2_model = self._f2 = None
+
+    @cached_property
+    def f1(self) -> float:
+        """-(1/N) sum_n E_q[log q], the mean entropy of q's rows."""
+        return float(self._mean(_entropy_rows(self.table)))
+
+    @cached_property
+    def state_means(self) -> np.ndarray:
+        """(S,) the mean of q's rows over the points, qbar."""
+        return self._mean(self.table)
+
+    def f2(self, model: GenerativeModel, log_prior: np.ndarray) -> float:
+        """-(1/N) sum_n E_q[log p(z)] from model's log prior masses (S,)."""
+        if model is not self._f2_model:
+            self._f2 = float(-self._mean(self.table @ log_prior))
+            self._f2_model = model
+        return self._f2
+
+
 class _Objective:
     """What both evaluators derive from their e_step, terms and entropy sum.
 
     Each evaluator holds one non-empty dataset and takes the model and q
     per call; q is in the evaluator's own form, as returned by posterior()
-    or state_table().
+    or state_table(): a QRecord for finite states, GaussianMoments for the
+    linear-Gaussian models.
     """
 
     def posterior(self, model: GenerativeModel):
@@ -248,7 +289,9 @@ class _Objective:
         return f1 - f2 - f3
 
     def report(self, model: GenerativeModel, q, pseudo: bool = False) -> ObjectiveReport:
-        """The terms and the entropy sum, which share one f1."""
+        """The terms and the entropy sum, which share one f1. A finite-state
+        record keeps its f1, f2 and state means, so the standard and pseudo
+        reports of one q compute each once."""
         f1, f2, f3 = self.terms(model, q, pseudo)
         rhs = self._entropy_sum(model, q, f1, pseudo)
         elbo = f1 - f2 - f3
@@ -285,18 +328,21 @@ class FiniteObjective(_Objective):
     evaluate through this class, so they share one arithmetic: the posterior
     subtracts each row's maximum before exponentiating, and 0 log 0 is 0.
 
-    q is a (U, S) table over the distinct rows, as posterior() returns it,
-    or a caller's (N, S) table with one row per data point; every mean over
-    the points weights a distinct row of grouped data by its count. With no
-    repeated rows the two coincide, and every table is the one each point
-    would give.
-    Per-row tables are states-major: loglik, posterior and state_table
-    return (U, S) or (N, S) transposes of C-ordered arrays. With few states
-    and many rows, every reduction over the rows then runs over contiguous
-    memory, and terms, gradient and report read one layout.
+    q is a QRecord: a table reduced once to its state sums, which keeps f1,
+    f2 and the state means once computed. e_step returns the posterior as
+    one, over the distinct rows (U, S); state_table reduces a caller's
+    (U, S) table, or (N, S) table with one row per data point, to one. Every
+    mean over the points weights a distinct row of grouped data by its
+    count. With no repeated rows the two coincide, and every table is the
+    one each point would give. terms, gradient, report and both M-steps
+    read the record, so one q is reduced once however many of them read it.
+    Per-row tables are states-major: loglik and the records' tables are
+    (U, S) or (N, S) transposes of C-ordered arrays. With few states and
+    many rows, every reduction over the rows then runs over contiguous
+    memory.
 
-    f3 and the gradient read q through state_sums() and noise_expectation();
-    only e_step builds the (U, S) log-likelihood table.
+    f3 and the gradient read q through its state sums and
+    noise_expectation(); only e_step builds the (U, S) log-likelihood table.
     """
 
     def __init__(self, model: GenerativeModel, data):
@@ -345,10 +391,10 @@ class FiniteObjective(_Objective):
             self._tables = StateTables(etas, log_parts, means, log_prior, prior_mean, prior_entropy)
         return self._tables
 
-    def state_table(self, model: GenerativeModel, q) -> np.ndarray:
+    def state_table(self, model: GenerativeModel, q) -> QRecord:
         """q checked as a (U, S) table over the distinct rows or an (N, S)
         table over the data points, entries in [0, 1] and rows summing to 1,
-        and returned states-major."""
+        and reduced to a record over a states-major copy."""
         table = np.asarray(q, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(self.states):
             raise IncompatibilityError(
@@ -361,7 +407,12 @@ class FiniteObjective(_Objective):
             raise ValueError("q's entries must lie in [0, 1]")
         if np.max(np.abs(table.sum(axis=1) - 1.0)) > _ROW_NORM_TOL:
             raise ValueError("q's rows must sum to 1")
-        return np.asfortranarray(table)
+        return self._record(np.array(table, order="F"))
+
+    def _record(self, table: np.ndarray) -> QRecord:
+        """table, made read-only, with its state sums."""
+        table.flags.writeable = False
+        return QRecord(table, *self.state_sums(table), self._mean)
 
     def _over_rows(self, table: np.ndarray) -> bool:
         """Whether table has one row per distinct row of grouped data (else
@@ -381,7 +432,7 @@ class FiniteObjective(_Objective):
 
     def state_sums(self, table: np.ndarray):
         """Each state's mass w_s = sum_n q_ns (S,) and statistics
-        B_s = sum_n q_ns t(x_n) (S, L).
+        B_s = sum_n q_ns t(x_n) (S, L) of a table, as a QRecord holds them.
 
         A (U, S) table over grouped rows gives both as products with the
         counts and the count-weighted statistics, built once; a caller's
@@ -402,10 +453,11 @@ class FiniteObjective(_Objective):
         return ll.T
 
     def e_step(self, model: GenerativeModel):
-        """(q, elbo) from one normalisation: q is the exact posterior over the
-        states of each distinct row, shape (U, S) states-major (data point n's
-        is row inverse[n]), and elbo the ELBO at q, the mean over the points of
-        each row's log normaliser plus mean_log_h."""
+        """(q, elbo) from one normalisation: q is the record of the exact
+        posterior over the states of each distinct row, a (U, S) states-major
+        table (data point n's is row inverse[n]) with its state sums, and
+        elbo the ELBO at q, the mean over the points of each row's log
+        normaliser plus mean_log_h."""
         scores = self.loglik(model).T
         scores += self.tables(model).log_prior[:, None]
         top = scores.max(axis=0)
@@ -413,17 +465,15 @@ class FiniteObjective(_Objective):
         np.exp(scores, out=scores)
         total = scores.sum(axis=0)
         scores /= total
-        return scores.T, float(self._mean(top + np.log(total))) + self.mean_log_h
+        return self._record(scores.T), float(self._mean(top + np.log(total))) + self.mean_log_h
 
-    def terms(self, model: GenerativeModel, table: np.ndarray, pseudo: bool = False):
-        """(f1, f2, f3) of the module docstring."""
+    def terms(self, model: GenerativeModel, q: QRecord, pseudo: bool = False):
+        """(f1, f2, f3) of the module docstring; f1 and f2 are q's kept ones."""
         tables = self.tables(model)
-        f1 = float(self._mean(_entropy_rows(table)))
-        f2 = float(-self._mean(table @ tables.log_prior))
-        f3 = float(-noise_expectation(*tables[:3], *self.state_sums(table))[0] / self.n)
-        return f1, f2, f3 if pseudo else f3 - self.mean_log_h
+        f3 = float(-noise_expectation(*tables[:3], q.mass, q.stats)[0] / self.n)
+        return q.f1, q.f2(model, tables.log_prior), f3 if pseudo else f3 - self.mean_log_h
 
-    def gradient(self, model: GenerativeModel, table: np.ndarray) -> np.ndarray:
+    def gradient(self, model: GenerativeModel, q: QRecord) -> np.ndarray:
         """The exact ELBO gradient over (psi, theta) with q held fixed.
 
         Moment matching: with qbar the mean state probabilities, the prior
@@ -432,15 +482,14 @@ class FiniteObjective(_Objective):
         variants share it: log h(x) is constant.
         """
         tables = self.tables(model)
-        mass, stats = self.state_sums(table)
-        qbar = mass / self.n
+        qbar = q.mass / self.n
         g_zeta = qbar @ self.prior_t - tables.prior_mean
-        g_eta = noise_expectation(*tables[:3], mass, stats)[1] / self.n
+        g_eta = noise_expectation(*tables[:3], q.mass, q.stats)[1] / self.n
         return np.concatenate(
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
         )
 
-    def _entropy_sum(self, model: GenerativeModel, table: np.ndarray, f1: float, pseudo: bool):
+    def _entropy_sum(self, model: GenerativeModel, q: QRecord, f1: float, pseudo: bool):
         # -eta.grad A + A is the entropy of a unit base measure, and unlike a
         # from_natural round trip it cannot saturate (a Bernoulli's at |eta| > 37).
         tables = self.tables(model)
@@ -448,7 +497,7 @@ class FiniteObjective(_Objective):
             noise_entropies = fam._pseudo_entropy(*tables[:3])
         else:  # Poisson: its truncated-series entropy at the rates, grad A(eta)
             noise_entropies = fam.entropy(model.noise.family, tables.means)
-        return f1 - tables.prior_entropy - float(self._mean(table) @ noise_entropies)
+        return f1 - tables.prior_entropy - float(q.state_means @ noise_entropies)
 
 
 def _gaussian_model_parts(model: GenerativeModel):

@@ -106,7 +106,7 @@ def test_acceptance_3_poisson_pseudo_gap_and_offset_identity():
         model = truth
         q = ev.posterior(model)
         for _ in range(25):
-            model = lrn.mixture_m_step(model, *ev.state_sums(q))
+            model = lrn.mixture_m_step(model, q.mass, q.stats)
             q = ev.posterior(model)
             std, pse = ev.report(model, q), ev.report(model, q, pseudo=True)
             err = abs(pse.elbo - (std.elbo - offset))

@@ -433,6 +433,29 @@ class TestVerify:
         hns.cmd_verify(config, paths["model"])
         assert len(built) == 1
 
+    def test_reduces_its_posterior_once(self, tmp_path, monkeypatch):
+        # Both reports and the gradient norm read one record of the
+        # posterior: its state sums, and the row entropies behind f1, are
+        # each computed once.
+        config = hns.parse_config(gmm_config(tmp_path))
+        paths = hns.cmd_train(config)
+        sums, entropies = [], []
+        state_sums, entropy_rows = obj.FiniteObjective.state_sums, obj._entropy_rows
+
+        def counted_sums(self, table):
+            sums.append(table.shape)
+            return state_sums(self, table)
+
+        def counted_entropy_rows(table):
+            entropies.append(table.shape)
+            return entropy_rows(table)
+
+        monkeypatch.setattr(obj.FiniteObjective, "state_sums", counted_sums)
+        monkeypatch.setattr(obj, "_entropy_rows", counted_entropy_rows)
+        hns.cmd_verify(config, paths["model"])
+        assert sums == [(200, 2)]
+        assert entropies == [(200, 2)]
+
     def test_rigid_sbn_criterion_fails_and_gap_is_skipped(self, tmp_path):
         raw = gmm_config(tmp_path, run_id="rigid")
         raw["model"] = {"kind": "rigid_sbn", "pi": 0.5, "v": 0.0}

@@ -127,8 +127,9 @@ class TestEmMixture:
     def test_component_at_the_edge_of_its_domain_collapses(self, family, comp, data, resp):
         model = mdl.make_ef_mixture(family, [0.5, 0.5], np.array([comp, comp]))
         ev = obj.FiniteObjective(model, np.array(data))
+        q = ev.state_table(model, resp)
         with pytest.raises(DegenerateDataError, match="component 0 collapsed"):
-            lrn.mixture_m_step(model, *ev.state_sums(ev.state_table(model, resp)))
+            lrn.mixture_m_step(model, q.mass, q.stats)
 
     @pytest.mark.parametrize("family", [fam.gaussian_scalar_var(1), fam.gaussian_diag_cov(1)])
     def test_non_finite_state_sums_name_the_component(self, family):
@@ -169,7 +170,7 @@ class TestEmMixture:
                 rb.gap,
                 rb.grad_norm,
             )
-        np.testing.assert_array_equal(a.q, b.q)
+        np.testing.assert_array_equal(a.q.table, b.q.table)
 
     @pytest.mark.parametrize("trainer", ["em_mixture", "fit_ppca", "fit_sbn"])
     def test_iteration_cap_not_converged(self, trainer):
@@ -247,10 +248,40 @@ class TestEmMixture:
         assert len(fit.trace.records) == iterations
         assert len(calls) == iterations
 
+    def test_one_reduction_per_iteration(self, monkeypatch):
+        # Each E-step's record is reduced once: the next M-step, the trace
+        # record's report and its gradient read its state sums, and the
+        # report computes its row entropies once. The first posterior, which
+        # the first M-step reads, is reduced too but not reported.
+        _, data = separated_gmm(seed=4)
+        start = mdl.make_ef_mixture(
+            fam.gaussian_scalar_var(1), [0.3, 0.7], np.array([[-1.0, 4.0], [1.0, 4.0]])
+        )
+        sums, entropies = [], []
+        state_sums, entropy_rows = obj.FiniteObjective.state_sums, obj._entropy_rows
+
+        def counted_sums(self, table):
+            sums.append(table.shape)
+            return state_sums(self, table)
+
+        def counted_entropy_rows(table):
+            entropies.append(table.shape)
+            return entropy_rows(table)
+
+        monkeypatch.setattr(obj.FiniteObjective, "state_sums", counted_sums)
+        monkeypatch.setattr(obj, "_entropy_rows", counted_entropy_rows)
+        cfg = lrn.TrainingConfig(seed=4, max_iters=5, record_every=1, init="model")
+        fit = lrn.em_mixture(start, data, cfg)
+        assert fit.trace.last().iteration == 5
+        assert len(fit.trace.records) == 5
+        assert sums == [(500, 2)] * 6
+        assert entropies == [(500, 2)] * 5
+
     def test_terms_only_for_records(self, monkeypatch):
         # The plateau test reads the E-step's ELBO, so an iteration that
         # records nothing evaluates no terms; a report computes the average
-        # variational entropy once, for f1 and the entropy sum.
+        # variational entropy once, for f1 and the entropy sum, and q's
+        # record keeps it for the next report.
         truth, data = separated_gmm(seed=4)
         terms_calls, entropy_calls = [], []
         terms, entropy_rows = obj.FiniteObjective.terms, obj._entropy_rows
@@ -273,6 +304,8 @@ class TestEmMixture:
         assert len(terms_calls) == 1
         assert len(entropy_calls) == 1
         fit.evaluator.report(fit.model, fit.q)
+        assert len(entropy_calls) == 1
+        fit.evaluator.report(fit.model, fit.evaluator.posterior(fit.model))
         assert len(entropy_calls) == 2
 
 
@@ -332,7 +365,8 @@ class TestMixtureMStep:
         # row's weighted by its count.
         resp = q if rows is data else q * ev.counts[:, None]
 
-        mass, stats = ev.state_sums(ev.state_table(model, q))
+        record = ev.state_table(model, q)
+        mass, stats = record.mass, record.stats
         args = mdl.constructor_args(lrn.mixture_m_step(model, mass, stats))
         weights, got = args["weights"], args["component_params"]
         oracle = np.array([weighted_component_update(family, rows, r, r.sum()) for r in resp.T])
@@ -496,7 +530,7 @@ class TestFitSbn:
         model = mdl.make_sbn([0.5, 0.5], np.zeros((3, 2)), np.zeros(3))
         data = np.random.default_rng(13).integers(0, 2, size=(20, 3)).astype(float)
         q = obj.evaluator(model, data).posterior(model)
-        np.testing.assert_allclose(q, 0.25, atol=1e-12)
+        np.testing.assert_allclose(q.table, 0.25, atol=1e-12)
 
     def test_single_latent_training_reaches_stationary_point(self):
         truth = mdl.make_sbn([0.35], np.array([[2.0], [-1.5]]), np.array([0.3, -0.2]))

@@ -44,6 +44,13 @@ def simple_sbn(pi=0.5, v=0.8, w=-1.1):
     return mdl.make_sbn([pi], np.array([[v], [w]]), offsets_free=False)
 
 
+def jacobian_values(model):
+    """L P, the values of one latent state's criterion Jacobian."""
+    support = model.latent_support
+    z = support.states[:1] if isinstance(support, mdl.FiniteStates) else np.zeros((1, support.dim))
+    return mdl.jacobian_eta(model, z)[0].size
+
+
 class TestConstructors:
     def test_symmetric_gmm(self):
         m = gmm_1d()
@@ -441,7 +448,7 @@ class TestCriterion:
         # to the residuals of one contraction over all states.
         whole = mdl.check_criterion(model, seed=1)
         for chunk in (1, 3, 5):
-            monkeypatch.setattr(mdl, "_CRITERION_CHUNK", chunk)
+            monkeypatch.setattr(mdl, "_CRITERION_VALUES", chunk * jacobian_values(model))
             report = mdl.check_criterion(model, seed=1)
             assert report.passes == whole.passes
             assert report.prior_residual == whole.prior_residual
@@ -541,7 +548,7 @@ class TestCriterionCost:
     def test_h12_d20_sbn_check_fits_in_32_mb(self):
         # 4096 states, 20 observables, 260 parameters: the (S, L, P)
         # Jacobian over all states would take 170 MB. The check contracts it
-        # 256 states at a time.
+        # in chunks of states.
         rng = np.random.default_rng(0)
         model = mdl.make_sbn(
             rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)
@@ -554,6 +561,25 @@ class TestCriterionCost:
             tracemalloc.stop()
         assert report.passes
         assert peak <= 32 * 2**20
+
+    def test_h12_d20_sbn_check_peaks_below_5_mb(self):
+        # A chunk holds at most _CRITERION_VALUES Jacobian values (1 MB), 25
+        # states of 5200 values here. Chunks of 256 states took 10.6 MB each,
+        # for a 12.6 MB peak; now the states, eta, the fitted rows and their
+        # residual (0.4, 0.7, 0.7 and 0.7 MB) outweigh a chunk.
+        rng = np.random.default_rng(0)
+        model = mdl.make_sbn(
+            rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)
+        )
+        assert jacobian_values(model) == 20 * 260
+        tracemalloc.start()
+        try:
+            report = mdl.check_criterion(model, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passes
+        assert peak < 5 * 2**20, peak
 
 
 class TestSampleJoint:

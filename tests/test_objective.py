@@ -120,8 +120,9 @@ FINITE_KINDS = [k for k in ZOO_KINDS if k not in ("ppca", "simple_fa")]
 def random_point(kind, seed, n=25):
     """(model, data, evaluator, q) at random parameters and a random q.
 
-    q is not the posterior: Dirichlet rows over the finite states, or the
-    exact Gaussian moments with perturbed means and covariance.
+    q is not the posterior: the record of Dirichlet rows over the finite
+    states, one per data point, or the exact Gaussian moments with perturbed
+    means and covariance.
     """
     rng = np.random.default_rng(seed)
     model = zoo_model(kind)
@@ -129,8 +130,8 @@ def random_point(kind, seed, n=25):
     _, data = mdl.sample_joint(model, rng, n)
     ev = obj.evaluator(model, data)
     exact = ev.posterior(model)
-    if isinstance(exact, np.ndarray):
-        q = rng.dirichlet(np.ones(exact.shape[1]), size=n)
+    if isinstance(exact, obj.QRecord):
+        q = ev.state_table(model, rng.dirichlet(np.ones(exact.table.shape[1]), size=n))
     else:
         h = exact.cov.shape[0]
         a = rng.normal(size=(h, h))
@@ -200,7 +201,7 @@ class TestStateTable:
     def test_accepts_lists_and_returns_states_major(self):
         model = gmm()
         ev = obj.evaluator(model, np.zeros((2, 1)))
-        table = ev.state_table(model, [[0.25, 0.75], [1.0, 0.0]])
+        table = ev.state_table(model, [[0.25, 0.75], [1.0, 0.0]]).table
         assert table.T.flags.c_contiguous
         np.testing.assert_array_equal(table, [[0.25, 0.75], [1.0, 0.0]])
 
@@ -217,13 +218,15 @@ class TestTracedFunctions:
         ev = obj.evaluator(model, data)
         q = ev.posterior(model)
         exact = obj.exact_posterior(model, data)
-        if isinstance(q, np.ndarray):
-            np.testing.assert_array_equal(exact, q)
+        if isinstance(q, obj.QRecord):  # the traced functions take a caller's table
+            np.testing.assert_array_equal(exact.table, q.table)
+            table = q.table
         else:
             np.testing.assert_array_equal(exact.means, q.means)
-        assert obj.elbo_terms(model, data, q) == ev.report(model, q)
-        assert obj.pseudo_elbo_terms(model, data, q) == ev.report(model, q, pseudo=True)
-        assert lrn.grad_norm_all_params(model, data, q) == ev.grad_norm(model, q)
+            table = q
+        assert obj.elbo_terms(model, data, table) == ev.report(model, q)
+        assert obj.pseudo_elbo_terms(model, data, table) == ev.report(model, q, pseudo=True)
+        assert lrn.grad_norm_all_params(model, data, table) == ev.grad_norm(model, q)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,8 @@ def check_grouping(ev, data):
 def check_against_repeated_rows(ev, model, data, q):
     """Every quantity at q (over the distinct rows or the data points)
     equals the one the repeated rows give."""
-    oracle = repeated_rows(model, data, q[ev.inverse] if len(q) < len(data) else q)
+    table = q.table
+    oracle = repeated_rows(model, data, table[ev.inverse] if len(table) < len(data) else table)
     assert_close(ev.terms(model, q), oracle["terms"])
     assert_close(ev.terms(model, q, pseudo=True), oracle["pseudo_terms"])
     assert_close(ev.report(model, q).entropy_sum, oracle["entropy_sum"])
@@ -306,11 +310,11 @@ class TestGroupedRows:
         ev = obj.evaluator(model, data)
         check_grouping(ev, data)
         q = ev.posterior(model)
-        assert q.shape == (len(ev.rows), len(model.latent_support.states))
+        assert q.table.shape == (len(ev.rows), len(model.latent_support.states))
         oracle = check_against_repeated_rows(ev, model, data, q)
-        assert_close(q[ev.inverse], oracle["posterior"])
+        assert_close(q.table[ev.inverse], oracle["posterior"])
         # A caller's table, one row per point, gives equal rows different q.
-        q_points = ev.state_table(model, rng.dirichlet(np.ones(q.shape[1]), size=len(data)))
+        q_points = ev.state_table(model, rng.dirichlet(np.ones(q.table.shape[1]), size=len(data)))
         check_against_repeated_rows(ev, model, data, q_points)
 
     @pytest.mark.parametrize(
@@ -335,7 +339,7 @@ class TestGroupedRows:
         check_grouping(ev, data)
         q = ev.posterior(model)
         check_against_repeated_rows(ev, model, data, q)
-        q_points = ev.state_table(model, rng.dirichlet(np.ones(q.shape[1]), size=len(data)))
+        q_points = ev.state_table(model, rng.dirichlet(np.ones(q.table.shape[1]), size=len(data)))
         check_against_repeated_rows(ev, model, data, q_points)
 
     @settings(max_examples=60, deadline=None)
@@ -374,8 +378,8 @@ class TestGroupedRows:
         ev = obj.evaluator(model, data)
         n_states = len(ev.states)
         for table in (
-            ev.posterior(model),
-            ev.state_table(model, rng.dirichlet(np.ones(n_states), size=len(ev.rows))),
+            ev.posterior(model).table,
+            ev.state_table(model, rng.dirichlet(np.ones(n_states), size=len(ev.rows))).table,
         ):
             for got, oracle in zip(ev.state_sums(table), state_sums_per_point(ev, table)):
                 np.testing.assert_allclose(got, oracle, rtol=16 * np.finfo(float).eps, atol=0.0)
@@ -401,7 +405,7 @@ class TestGroupedRows:
         np.testing.assert_array_equal(ev.t, t)
         loglik = t @ tables.etas.T - tables.log_parts
         assert np.max(np.abs(ev.loglik(model) - loglik)) <= 1e-15 * max(1.0, np.max(np.abs(loglik)))
-        assert np.max(np.abs(ev.posterior(model) - rowwise_posterior(ev, model))) <= 1e-15
+        assert np.max(np.abs(ev.posterior(model).table - rowwise_posterior(ev, model))) <= 1e-15
 
 
 class TestKlForm:
@@ -413,19 +417,20 @@ class TestKlForm:
         # below read the log-likelihood table, one row per data point.
         model, data, ev, q = random_point(kind, seed)
         elbo = ev.elbo(model, q)
-        assert kl_form(ev, model, q) == pytest.approx(elbo, abs=1e-12 * max(1.0, abs(elbo)))
+        assert kl_form(ev, model, q.table) == pytest.approx(elbo, abs=1e-12 * max(1.0, abs(elbo)))
         f3 = ev.terms(model, q, pseudo=True)[2]
-        table_f3 = -np.mean(np.sum(q * ev.loglik(model)[ev.inverse], axis=1))
+        table_f3 = -np.mean(np.sum(q.table * ev.loglik(model)[ev.inverse], axis=1))
         assert f3 == pytest.approx(table_f3, abs=1e-12 * max(1.0, abs(table_f3)))
 
         # Tables are states-major: (N, S) views of C-ordered (S, N) arrays.
-        post = ev.posterior(model)
+        posterior = ev.posterior(model)
+        post = posterior.table
         assert ev.loglik(model).T.flags.c_contiguous and post.T.flags.c_contiguous
-        table = ev.state_table(model, q)
-        assert table.T.flags.c_contiguous and np.array_equal(table, q)
+        table = ev.state_table(model, q.table).table
+        assert table.T.flags.c_contiguous and np.array_equal(table, q.table)
         # A points-major copy of the posterior reads exactly as the states-major one.
         c_copy = np.ascontiguousarray(post)
-        assert report_at(model, data, c_copy).elbo == ev.elbo(model, post)
+        assert report_at(model, data, c_copy).elbo == ev.elbo(model, posterior)
         assert np.max(np.abs(post - rowwise_posterior(ev, model))) <= 1e-15
 
     def test_q_equal_to_prior_has_zero_kl(self):
@@ -492,9 +497,9 @@ class TestEStep:
         scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=0)
-        np.testing.assert_array_equal(q, scores.T)
-        np.testing.assert_array_equal(ev.posterior(model), q)
-        assert np.max(np.abs(q - rowwise_posterior(ev, model))) <= 1e-15
+        np.testing.assert_array_equal(q.table, scores.T)
+        np.testing.assert_array_equal(ev.posterior(model).table, q.table)
+        assert np.max(np.abs(q.table - rowwise_posterior(ev, model))) <= 1e-15
 
     @pytest.mark.parametrize(
         "x, rates",
@@ -512,7 +517,41 @@ class TestEStep:
         parts = [mp.mpf(w) * mp.mpf(r) ** x * mp.exp(-mp.mpf(r)) for w, r in zip(weights, rates)]
         total = mp.fsum(parts)
         assert elbo == pytest.approx(float(mp.log(total) - mp.loggamma(x + 1)), abs=1e-12)
-        np.testing.assert_allclose(q[0], [float(p / total) for p in parts], rtol=1e-12)
+        np.testing.assert_allclose(q.table[0], [float(p / total) for p in parts], rtol=1e-12)
+
+
+class TestRecord:
+    """A QRecord reduces q once, and reads alike however it was made: the
+    E-step's record of the posterior and the record state_table makes of the
+    same table, passed by a caller, give equal reports and gradients, bit for
+    bit. f2 depends on the model, so a record kept across models must give
+    each model its own."""
+
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated-rows", "distinct-rows"])
+    @pytest.mark.parametrize("kind", FINITE_KINDS)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_e_step_record_reads_as_a_callers_table(self, kind, repeated, seed):
+        model, data, _, _ = random_point(kind, seed)
+        rng = np.random.default_rng(seed + 1)
+        if repeated:
+            data = planted_repeats(data[:8], rng)
+        else:  # the posterior is then an (N, S) table, one row per point
+            data = data[np.sort(np.unique(data, axis=0, return_index=True)[1])]
+        other = mdl.replace_params(model, *mdl._random_params(model, rng))
+        ev = obj.evaluator(model, data)
+        q = ev.posterior(model)
+        assert not q.table.flags.writeable
+        if not repeated:
+            assert q.table.shape == (len(data), len(ev.states))
+        caller = ev.state_table(model, np.ascontiguousarray(q.table))
+        for m in (model, other, model):
+            for pseudo in (False, True):
+                assert ev.report(m, q, pseudo) == ev.report(m, caller, pseudo)
+            np.testing.assert_array_equal(ev.gradient(m, q), ev.gradient(m, caller))
+            assert ev.grad_norm(m, q) == ev.grad_norm(m, caller)
+        fresh = ev.state_table(model, np.ascontiguousarray(q.table))
+        assert ev.report(other, fresh) == ev.report(other, q)
 
 
 class TestEntropySumRhs:
@@ -856,6 +895,32 @@ class TestWitnessAgainstDenseLstsq:
             if oracle < mdl.CRITERION_THRESHOLD:
                 assert witness <= 1e-13
         assert report.passes == (kind in CRITERION_KINDS)
+
+
+class TestCriterionChunks:
+    """check_criterion contracts J_eta beta in chunks of at most
+    models._CRITERION_VALUES Jacobian values, and each state's rows are
+    contracted on their own, so the chunk size moves no residual."""
+
+    @pytest.mark.parametrize("kind", ZOO_KINDS)
+    def test_one_state_per_chunk_gives_an_equal_report(self, kind, monkeypatch):
+        model = zoo_model(kind)
+        default = mdl.check_criterion(model)
+        support = model.latent_support
+        finite = isinstance(support, mdl.FiniteStates)
+        z = support.states[:1] if finite else np.zeros((1, support.dim))
+        chunks = []
+        jacobian_eta = mdl.jacobian_eta
+
+        def counted(model, z, theta=None):
+            chunks.append(len(z))
+            return jacobian_eta(model, z, theta)
+
+        monkeypatch.setattr(mdl, "jacobian_eta", counted)
+        monkeypatch.setattr(mdl, "_CRITERION_VALUES", jacobian_eta(model, z)[0].size)
+        assert mdl.check_criterion(model) == default
+        states = len(support.states) if finite else max(16, 2 * model.noise.theta_subset.size)
+        assert chunks == [1] * states * (default.tested_points // 2)
 
 
 # ---------------------------------------------------------------------------

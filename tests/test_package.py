@@ -29,6 +29,7 @@ def test_objective_exports_the_evaluators_and_the_traced_functions():
         [
             "GaussianMoments",
             "ObjectiveReport",
+            "QRecord",
             "FiniteObjective",
             "GaussianObjective",
             "evaluator",
