@@ -85,6 +85,8 @@ MAX_SYNTHETIC_VALUES = 10**8
 # a template repeated once per row: no call per cell, and no copy of the
 # whole dataset, as int64 or as Python numbers.
 _WRITE_BLOCK_ROWS = 256
+# Bytes per block when read_dataset scans a file for a "-".
+_SCAN_BYTES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +401,48 @@ def _parse_rows(path: str, d: int) -> np.ndarray:
     return out
 
 
+def _loadtxt(path: str, dtype):
+    """np.loadtxt's (N, D) dtype array of the rows after the header, or None
+    where it refuses them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            # Older numpy releases parse "1.5" as the int64 1 with this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(
+                path, dtype=dtype, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                encoding="utf-8",
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+
+
 def read_dataset(path: str) -> np.ndarray:
+    """The (N, D) float array of the dataset CSV at path: a header x1,...,xD,
+    then one row of D numbers a line, blank lines skipped.
+
+    Integer files, what generate writes for the integer-valued families, are
+    parsed as int64 and converted to float, which is faster than parsing
+    floats and gives the same bits: int64 -> float and decimal -> float round
+    alike, also past 2**53. Any field that is no int64 (a real value, or an
+    integer past 2**63 - 1) sends the file to the float parse, so a file
+    whose only real value sits in its last row is parsed twice. A file that
+    holds a "-" byte goes to the float parse at once, because the int64
+    pass reads "-0" as +0.0 where the float parse gives -0.0; no integer
+    family's support holds a negative value. Whatever the float parse
+    refuses or reads as non-finite is re-read by rows, by _parse_rows, for
+    the error message.
+    """
     with _reading(path, "dataset"):
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
         if not header.startswith("x1"):
             raise ConfigError(f"{path}: malformed dataset header {header!r}")
         d = len(header.split(","))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header-only file
-                out = np.loadtxt(
-                    path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
-                )
-        except ValueError:
-            out = None
+        with open(path, "rb") as fh:  # in blocks, so the file is never held whole
+            signed = any(b"-" in block for block in iter(lambda: fh.read(_SCAN_BYTES), b""))
+        out = None if signed else _loadtxt(path, np.int64)
+        out = _loadtxt(path, float) if out is None else out.astype(float)
         if out is None or (out.size and out.shape[1] != d) or not np.all(np.isfinite(out)):
             # Whatever loadtxt refuses or reads as non-finite is re-read by
             # rows, for the error message.

@@ -707,6 +707,7 @@ def _grid_points(model: GenerativeModel, zs: np.ndarray, rng: np.random.Generato
         if np.all(np.isfinite(zeta)) and np.all(np.isfinite(eta)):
             points += 1
             yield psi, theta, zeta, eta
+            del zeta, eta  # not kept while the next point's maps are built
 
 
 def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
@@ -742,6 +743,7 @@ def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
         ]
         noise = _relative_norm(np.concatenate(fitted) - eta, eta)
         prior_residual, noise_residual = max(prior_residual, prior), max(noise_residual, noise)
+        del fitted, eta  # not kept while _grid_points builds the next point
 
     return CriterionReport(
         prior_residual=prior_residual,

@@ -187,10 +187,28 @@ def noise_expectation(etas, log_parts, means, mass, stats):
     return np.sum(stats * etas) - mass @ log_parts, stats - mass[:, None] * means, means
 
 
-def _group_rows(data: np.ndarray):
+def _column_tops(data: np.ndarray):
+    """Each column's largest value if every value of data is finite,
+    non-negative and integral, as _group_rows' keys need; else None.
+
+    Checked a column at a time (data.T), so no (N, D) temporary exists; on
+    C-ordered rows of a few columns, each column's max is also far faster
+    than data.max(axis=0).
+    """
+    tops = []
+    for column in data.T:
+        top = column.max()
+        if not (np.isfinite(top) and column.min() >= 0.0 and np.all(np.floor(column) == column)):
+            return None
+        tops.append(top)
+    return tops
+
+
+def _group_rows(data: np.ndarray, tops):
     """(first, inverse, counts) of the distinct rows of non-negative integer
-    data, in order of first occurrence: data[first] holds the distinct rows,
-    data[first][inverse] is data, and counts[u] rows equal row u.
+    data, whose columns' largest values are tops, in order of first
+    occurrence: data[first] holds the distinct rows, data[first][inverse] is
+    data, and counts[u] rows equal row u.
 
     While the rows' keys, their indices in an array shaped by the columns'
     ranges (np.ravel_multi_index's, built a column at a time so that no
@@ -199,7 +217,7 @@ def _group_rows(data: np.ndarray):
     compared by a lexicographic sort.
     """
     n = len(data)
-    dims = [int(top) + 1 for top in data.max(axis=0)]
+    dims = [int(top) + 1 for top in tops]
     size = math.prod(dims)
     if size <= _DENSE_KEYS:
         key = np.zeros(n, dtype=np.int64)
@@ -314,15 +332,20 @@ class _Objective:
 class FiniteObjective(_Objective):
     """Every finite-state ELBO quantity of one dataset, from one set of tables.
 
-    The data are checked on every row, then integer-valued rows are grouped:
-    rows (U, D) holds each distinct row once, in order of first occurrence,
-    counts (U,) how many data points it stands for, and inverse (N,) each
-    point's distinct row, so rows[inverse] is the data. Real-valued rows, and
-    rows none of which repeats, are kept as they are, with counts None, and
-    no sum is weighted. The distinct rows' sufficient statistics t (U, L),
-    their count-weighted copy for grouped rows, and their log base measures
-    log_h (U,) are computed once, and so are the prior's statistics of the
-    latent states; n stays the number of data points.
+    Integer-valued rows are grouped before any statistic is computed: rows
+    (U, D) holds each distinct row once, in order of first occurrence, counts
+    (U,) how many data points it stands for, and inverse (N,) each point's
+    distinct row, so rows[inverse] is the data. Grouping first checks that
+    every value is finite, non-negative and integral, a column at a time with
+    no (N, D) copy; data that fail are not grouped. Real-valued rows, rows
+    that fail that check, and rows none of which repeats are kept as they
+    are, with counts None, and no sum is weighted. The sufficient statistics
+    t (U, L) and log base measures log_h (U,) are then computed on the kept
+    rows only, once; every value sits in one of them, so the family checks
+    every value against its support and refuses one outside it with its own
+    SupportError. The grouped rows' count-weighted statistics, and the
+    prior's statistics of the latent states, are computed once too; n stays
+    the number of data points.
     The per-state tables are built once per model by tables(), and kept for
     the latest model. Training, the objective reports and verify all
     evaluate through this class, so they share one arithmetic: the posterior
@@ -356,13 +379,16 @@ class FiniteObjective(_Objective):
         data = _check_data(model, data)
         self.n = len(data)
         self.rows, self.inverse, self.counts = data, np.arange(self.n), None
-        self.t = fam.batch_sufficient_stats(noise, data)  # checks every row
         # Real-valued rows rarely repeat: looking for repeats would only cost.
-        if noise.integer_valued:
-            first, inverse, counts = _group_rows(data)
+        # Integer rows are grouped first; rows that cannot be keys are left
+        # whole, for the family to refuse with its own message.
+        tops = _column_tops(data) if noise.integer_valued else None
+        if tops is not None:
+            first, inverse, counts = _group_rows(data, tops)
             if len(first) < self.n:
-                self.rows, self.t = data[first], self.t[first]
-                self.counts, self.inverse = counts.astype(float), inverse
+                self.rows, self.counts, self.inverse = data[first], counts.astype(float), inverse
+        # Every value sits in some row, so this checks every value's support.
+        self.t = fam.batch_sufficient_stats(noise, self.rows)
         size = len(self.rows) * len(self.states)
         if size > MAX_TABLE_VALUES:
             raise DegenerateDataError(

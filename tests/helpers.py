@@ -11,12 +11,15 @@ that families.partition replaced (with pseudo_entropy_oracle and
 natural_entropy_oracle, the evaluator's former entropies from naturals),
 weighted_component_update the two-pass reference for the mixture M-step,
 state_sums_per_point the per-point reference for FiniteObjective.state_sums,
+statistics_then_grouped the reference for the evaluator's grouping order,
 kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
-write_dataset_per_cell the byte reference for harness.write_dataset, and
+write_dataset_per_cell the byte reference for harness.write_dataset,
+read_dataset_as_floats the bit reference for harness.read_dataset, and
 write_trace_per_field the byte reference for harness.write_trace.
 """
 
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate
@@ -432,6 +435,31 @@ def repeated_rows(model, data, q):
     return out
 
 
+def statistics_then_grouped(model, data):
+    """A FiniteObjective's grouped rows in the order it took before it
+    grouped first: the statistics t and log h of every row of data, then
+    gathered at each distinct row's first occurrence, found by np.unique.
+    Returns rows, counts (as floats), inverse, t, log_h and mean_log_h, for
+    data in which some row repeats."""
+    family = model.noise.family
+    t, log_h = fam.batch_sufficient_stats(family, data), fam.batch_log_base_measure(family, data)
+    _, first, inverse, counts = np.unique(
+        data, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)  # first-occurrence order
+    label = np.empty_like(order)
+    label[order] = np.arange(len(order))
+    first, counts = first[order], counts[order].astype(float)
+    return {
+        "rows": data[first],
+        "counts": counts,
+        "inverse": label[inverse.ravel()],
+        "t": t[first],
+        "log_h": log_h[first],
+        "mean_log_h": float(np.sum(log_h[first] * counts) / len(data)),
+    }
+
+
 def kl_form(ev, model, q):
     """The ELBO as expected log-likelihood minus the mean KL(q_n || prior).
 
@@ -529,6 +557,17 @@ def write_dataset_per_cell(path, data, family):
         fh.write(",".join(f"x{i + 1}" for i in range(family.data_dim)) + "\n")
         for row in rows:
             fh.write(",".join(map(cell, row)) + "\n")
+
+
+def read_dataset_as_floats(path):
+    """The rows of a well-formed dataset CSV after its header, parsed by one
+    float np.loadtxt, with no int64 pass: (0, D) for a header-only file."""
+    with open(path, encoding="utf-8") as fh:
+        d = len(fh.readline().strip().split(","))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header-only file
+        out = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8")
+    return out if out.size else np.empty((0, d))
 
 
 def write_trace_per_field(path, trace):

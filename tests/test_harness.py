@@ -24,7 +24,12 @@ from efgen.cli import main as cli_main
 from efgen.errors import ConfigError, DegenerateDataError
 from efgen.learning import TraceRecord, TrainingConfig, TrainingTrace
 
-from helpers import WARNINGS_AS_ERRORS, write_dataset_per_cell, write_trace_per_field
+from helpers import (
+    WARNINGS_AS_ERRORS,
+    read_dataset_as_floats,
+    write_dataset_per_cell,
+    write_trace_per_field,
+)
 
 
 def gmm_config(tmp_path, n=200, seed=7, max_iters=500, run_id="gmm-run"):
@@ -360,6 +365,72 @@ class TestReadDataset:
         loaded = hns.read_dataset(str(path))
         assert loaded.shape == expected.shape
         np.testing.assert_array_equal(loaded, expected)
+
+
+# Dataset cells as text: int64 literals up to 2**63 - 1 and past it, 2**53 + 1
+# (which rounds to 2**53), signs, padding, and negative integers with "-0".
+_INTEGER_TEXT = st.one_of(
+    st.integers(0, 2**63 - 1).map(str),
+    st.integers(2**63 - 1, 2**66).map(str),
+    st.sampled_from(["0", "2", str(2**53), str(2**53 + 1), str(2**63 - 1), str(2**63)]),
+    st.integers(0, 99).map(lambda v: f"+{v}"),
+    st.integers(0, 99).map(lambda v: f" {v} "),
+)
+_SIGNED_TEXT = st.one_of(st.integers(-(2**63), -1).map(str), st.sampled_from(["-0", " -0 ", "-1"]))
+_REAL_TEXT = st.sampled_from(["0.5", "1e3", "2.0", "-0.0", "1e-300", "3.25"])
+
+
+class TestReadDatasetIntegerPass:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        data=st.data(),
+        cells=st.sampled_from(["integer", "signed", "real-in-last-row"]),
+        line_end=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_bits_match_the_float_parse(self, d, data, cells, line_end):
+        n = data.draw(st.integers(1, 12))
+        pool = _INTEGER_TEXT if cells != "signed" else st.one_of(_INTEGER_TEXT, _SIGNED_TEXT)
+        rows = [[data.draw(pool) for _ in range(d)] for _ in range(n)]
+        if cells == "real-in-last-row":
+            rows[-1][data.draw(st.integers(0, d - 1))] = data.draw(_REAL_TEXT)
+        lines = [",".join(f"x{i + 1}" for i in range(d))]
+        for row in rows:
+            lines += [""] * data.draw(st.integers(0, 1)) + [",".join(row)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dataset.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(line_end.join(lines) + line_end)
+            loaded, expected = hns.read_dataset(path), read_dataset_as_floats(path)
+        assert loaded.shape == expected.shape == (n, d)
+        assert loaded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, dtypes",
+        [
+            ("x1,x2\n1,2\n3,4\n", ["int64"]),
+            ("x1,x2\n1,2\n3,4.5\n", ["int64", "float64"]),
+            ("x1,x2\n1,-2\n3,4\n", ["float64"]),
+            ("x1,x2\n1,-0\n", ["float64"]),
+            ("x1,x2\n1,9223372036854775808\n", ["int64", "float64"]),
+        ],
+        ids=["integers", "real-in-last-row", "negative", "minus-zero", "past-int64"],
+    )
+    def test_the_input_chooses_the_parses(self, tmp_path, monkeypatch, text, dtypes):
+        # An integer file is parsed once, as int64; a file with a "-" byte
+        # skips that pass; any other real value costs a second parse.
+        parsed, loadtxt = [], np.loadtxt
+
+        def recording(*args, dtype=float, **kwargs):
+            parsed.append(np.dtype(dtype).name)
+            return loadtxt(*args, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        loaded = hns.read_dataset(str(path))
+        assert parsed == dtypes
+        assert loaded.tobytes() == read_dataset_as_floats(str(path)).tobytes()
 
 
 class TestTrain:

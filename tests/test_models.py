@@ -581,6 +581,23 @@ class TestCriterionCost:
         assert report.passes
         assert peak < 5 * 2**20, peak
 
+    def test_h12_d20_sbn_check_keeps_one_grid_point_at_a_time(self):
+        # Each grid point's fitted rows and eta (0.7 MB each here) go before
+        # the next point's eta is built: 2.3 MB traced; keeping the previous
+        # point's while building the next took 2.9 MB.
+        rng = np.random.default_rng(0)
+        model = mdl.make_sbn(
+            rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)
+        )
+        tracemalloc.start()
+        try:
+            report = mdl.check_criterion(model, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passes
+        assert peak < 2.6 * 2**20, peak
+
 
 class TestSampleJoint:
     def test_gmm_cluster_proportions(self):

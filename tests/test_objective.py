@@ -15,7 +15,7 @@ from efgen import families as fam
 from efgen import learning as lrn
 from efgen import models as mdl
 from efgen import objective as obj
-from efgen.errors import IncompatibilityError, UnsupportedModelError
+from efgen.errors import IncompatibilityError, SupportError, UnsupportedModelError
 from helpers import (
     dense_lstsq,
     elbo_gradient_oracle,
@@ -27,6 +27,7 @@ from helpers import (
     repeated_rows,
     rowwise_posterior,
     state_sums_per_point,
+    statistics_then_grouped,
 )
 
 
@@ -115,6 +116,7 @@ ZOO_KINDS = [f"mixture-{name}" for name in _COMPONENT_PARAMS] + [
 CRITERION_KINDS = [k for k in ZOO_KINDS if k not in ("sbn-fixed-offsets", "rigid_sbn")]
 # The finite-state kinds, which FiniteObjective evaluates.
 FINITE_KINDS = [k for k in ZOO_KINDS if k not in ("ppca", "simple_fa")]
+POISSON_SUPPORT = "poisson observations must be non-negative integers up to 2**53"
 
 
 def random_point(kind, seed, n=25):
@@ -356,7 +358,7 @@ class TestGroupedRows:
         distinct = rng.integers(0, top, size=(n, d), endpoint=True).astype(float)
         distinct[0] = top
         data = planted_repeats(distinct, rng)
-        first, inverse, counts = obj._group_rows(data)
+        first, inverse, counts = obj._group_rows(data, obj._column_tops(data))
         np.testing.assert_array_equal(data[first][inverse], data)
         np.testing.assert_array_equal(first, np.sort(first))
         np.testing.assert_array_equal(inverse[first], np.arange(len(first)))
@@ -406,6 +408,70 @@ class TestGroupedRows:
         loglik = t @ tables.etas.T - tables.log_parts
         assert np.max(np.abs(ev.loglik(model) - loglik)) <= 1e-15 * max(1.0, np.max(np.abs(loglik)))
         assert np.max(np.abs(ev.posterior(model).table - rowwise_posterior(ev, model))) <= 1e-15
+
+
+# The finite-state kinds whose noise family is integer-valued: their rows
+# are grouped.
+GROUPED_FINITE_KINDS = [k for k in FINITE_KINDS if zoo_model(k).noise.family.integer_valued]
+
+
+class TestGroupingOrder:
+    """Rows are grouped before their statistics are computed, and the
+    statistics of the distinct rows are those of every row, gathered."""
+
+    @pytest.mark.parametrize("kind", GROUPED_FINITE_KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_statistics_then_grouping(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = zoo_model(kind)
+        model = mdl.replace_params(model, *mdl._random_params(model, rng))
+        _, rows = mdl.sample_joint(model, rng, int(rng.integers(1, 12)))
+        rows = np.reshape(rows, (len(rows), -1)).astype(float)  # as harness holds data
+        data = planted_repeats(np.vstack([rows, rows[:1]]), rng)  # the first row repeats
+        ev = obj.evaluator(model, data)
+        for name, expected in statistics_then_grouped(model, data).items():
+            got, expected = np.asarray(getattr(ev, name)), np.asarray(expected)
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            ("mixture-bernoulli_product", math.nan, "observations must be finite"),
+            ("mixture-bernoulli_product", -1.0, "bernoulli observations must be 0/1"),
+            ("mixture-bernoulli_product", 0.5, "bernoulli observations must be 0/1"),
+            ("mixture-poisson_product", math.inf, "observations must be finite"),
+            ("mixture-poisson_product", -1.0, POISSON_SUPPORT),
+            ("mixture-poisson_product", 2.5, POISSON_SUPPORT),
+        ],
+    )
+    def test_values_that_make_no_key_are_refused_before_grouping(
+        self, monkeypatch, kind, value, message
+    ):
+        def forbidden(*args):
+            raise AssertionError("_group_rows reached")
+
+        monkeypatch.setattr(obj, "_group_rows", forbidden)
+        data = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, value]])
+        with pytest.raises(SupportError) as info:
+            obj.evaluator(zoo_model(kind), data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            ("mixture-bernoulli_product", 2.0, "bernoulli observations must be 0/1"),
+            ("mixture-poisson_product", 2.0**53 + 2, POISSON_SUPPORT),
+        ],
+    )
+    def test_keys_outside_the_support_are_refused_on_the_distinct_rows(self, kind, value, message):
+        # A finite, non-negative integer is a key; the family refuses it
+        # when the distinct rows' statistics are computed.
+        data = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, value]])
+        with pytest.raises(SupportError) as info:
+            obj.evaluator(zoo_model(kind), data)
+        assert str(info.value) == message
 
 
 class TestKlForm:
