@@ -438,8 +438,10 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     per-observable Hessians at once; an Armijo backtracking line search
     accepts only strict gains. The Newton loop decides its own end: once the
     squared Newton decrement g.H^-1 g (Boyd and Vandenberghe 2004, 9.5) is
-    at most 4 eps max(|objective|, N), the step's predicted gain is below
-    rounding. config.grad_norm_tol is read only by the outer stopping test.
+    at most 4 eps max(sum_s |B_s . eta_s| + sum_s w_s |A(eta_s)|, N), from
+    the model's tables at the start of the M-step, the step's predicted gain
+    is below the rounding of the objective, a difference of those terms.
+    config.grad_norm_tol is read only by the outer stopping test.
     The states' outer products are formed once per fit, and each evaluation
     of the noise term gives the expected statistics that the next Newton
     direction's curvature reads.
@@ -467,10 +469,10 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     outer = _sbn_outer(states, offsets_free)
 
     def step(model, q):
-        mass, stats = q.mass, q.stats
+        # Contiguous copies of the record's views: every evaluation reads both.
+        mass, stats = np.ascontiguousarray(q.mass), np.ascontiguousarray(q.stats)
         # Latent probabilities: exact coordinate maximizer given q.
-        qbar = mass / ev.n
-        pi = np.clip(qbar @ states, 1e-12, 1.0 - 1e-12)
+        pi = np.clip(q.state_means @ states, 1e-12, 1.0 - 1e-12)
 
         # Weights and offsets: ascend the q-expected noise term. An evaluation
         # gives (value, G, grad A(eta)); the first reads the model's tables.
@@ -478,17 +480,21 @@ def fit_sbn(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
             etas = model.noise.eta(states, theta)
             return obj.noise_expectation(etas, *partition(model.noise.family, etas), mass, stats)
 
-        cur, g_eta, mean = obj.noise_expectation(*ev.tables(model)[:3], mass, stats)
+        tables = ev.tables(model)
+        cur, g_eta, mean = obj.noise_expectation(*tables[:3], mass, stats)
+        # The objective's rounding: it is a difference of terms far larger
+        # than itself. N bounds it below, as the objective shrinks toward an
+        # optimum at infinity (a constant observable).
+        scale = np.abs(np.sum(stats * tables.etas, axis=1)).sum() + mass @ np.abs(tables.log_parts)
+        floor = 4.0 * np.finfo(float).eps * max(float(scale), ev.n)
         for _ in range(200):
             g = vjp_eta(model, states, g_eta)
             # Bernoulli observables: grad^2 A(eta_s) = diag(mean (1 - mean)).
             curv = mass[:, None] * mean * (1.0 - mean)
             direction = _sbn_newton_direction(g, outer, curv)
-            # The squared Newton decrement, twice the full step's predicted gain;
-            # N bounds the rounding below, as cur shrinks toward an optimum at
-            # infinity (a constant observable).
+            # The squared Newton decrement, twice the full step's predicted gain.
             slope = float(g @ direction)
-            if not slope > 4.0 * np.finfo(float).eps * max(abs(cur), ev.n):
+            if not slope > floor:
                 break
             accepted = _armijo_step(evaluate, model.noise.params, direction, cur, slope)
             if accepted is None:

@@ -42,11 +42,12 @@ w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n) (state_sums()):
 N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
 last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s), from A and grad A of one
-families.partition() call per model (StateTables). On grouped rows, w and B
-are products of q's (U, S) table with the counts and with the count-weighted
-statistics, which are formed once per dataset. A QRecord holds q's table
-with its w and B, and keeps f1, f2 and the mean state probabilities once a
-report has computed them, so every quantity of one q reads one reduction.
+families.partition() call per model (StateTables). w and B of a table over
+the kept rows are one product with W = [c | c t]^T, each row's count c (1
+unless grouped) and its count-weighted statistics, formed once per dataset.
+A QRecord holds q's table with its w and B, and keeps f1 once a report has
+computed it; the mean state probabilities w / N and f2 = -w . log p(z) / N
+are read from the sums, so every quantity of one q reads one reduction.
 
 Two evaluators share one interface (the methods e_step, posterior,
 marginal_loglik, state_table, terms, elbo, report, gradient and grad_norm,
@@ -255,34 +256,30 @@ class QRecord:
 
     table is q's read-only states-major table, (U, S) over the evaluator's
     distinct rows or (N, S) over the data points; mass (S,) and stats (S, L)
-    are its state sums w and B, from FiniteObjective.state_sums. f1, the
-    state means and f2 are computed on first use by mean, the evaluator's
-    mean over the points along a table's first axis, and then kept; f2 reads
-    a model's log prior masses, so it is kept for the latest model, as
-    FiniteObjective.tables keeps its tables.
+    are its state sums w and B, from FiniteObjective.state_sums, and n the
+    number of data points. The state means and f2 are read from the sums;
+    f1 is computed on first use by mean, the evaluator's mean over the
+    points along a table's first axis, and then kept.
     """
 
-    def __init__(self, table: np.ndarray, mass, stats, mean: Callable):
-        self.table, self.mass, self.stats = table, mass, stats
+    def __init__(self, table: np.ndarray, mass, stats, n: int, mean: Callable):
+        self.table, self.mass, self.stats, self.n = table, mass, stats, n
         self._mean = mean
-        self._f2_model = self._f2 = None
 
     @cached_property
     def f1(self) -> float:
         """-(1/N) sum_n E_q[log q], the mean entropy of q's rows."""
         return float(self._mean(_entropy_rows(self.table)))
 
-    @cached_property
+    @property
     def state_means(self) -> np.ndarray:
-        """(S,) the mean of q's rows over the points, qbar."""
-        return self._mean(self.table)
+        """(S,) the mean of q's rows over the points, qbar = w / N."""
+        return self.mass / self.n
 
-    def f2(self, model: GenerativeModel, log_prior: np.ndarray) -> float:
-        """-(1/N) sum_n E_q[log p(z)] from model's log prior masses (S,)."""
-        if model is not self._f2_model:
-            self._f2 = float(-self._mean(self.table @ log_prior))
-            self._f2_model = model
-        return self._f2
+    def f2(self, log_prior: np.ndarray) -> float:
+        """-(1/N) sum_n E_q[log p(z)] = -w . log p(z) / N, from a model's log
+        prior masses (S,)."""
+        return float(-(self.mass @ log_prior) / self.n)
 
 
 class _Objective:
@@ -343,7 +340,8 @@ class FiniteObjective(_Objective):
     t (U, L) and log base measures log_h (U,) are then computed on the kept
     rows only, once; every value sits in one of them, so the family checks
     every value against its support and refuses one outside it with its own
-    SupportError. The grouped rows' count-weighted statistics, and the
+    SupportError. The weights W = [c | c t]^T (1 + L, U), each kept row's
+    count c (1 unless grouped) and its count-weighted statistics, and the
     prior's statistics of the latent states, are computed once too; n stays
     the number of data points.
     The per-state tables are built once per model by tables(), and kept for
@@ -351,14 +349,15 @@ class FiniteObjective(_Objective):
     evaluate through this class, so they share one arithmetic: the posterior
     subtracts each row's maximum before exponentiating, and 0 log 0 is 0.
 
-    q is a QRecord: a table reduced once to its state sums, which keeps f1,
-    f2 and the state means once computed. e_step returns the posterior as
-    one, over the distinct rows (U, S); state_table reduces a caller's
-    (U, S) table, or (N, S) table with one row per data point, to one. Every
-    mean over the points weights a distinct row of grouped data by its
-    count. With no repeated rows the two coincide, and every table is the
-    one each point would give. terms, gradient, report and both M-steps
-    read the record, so one q is reduced once however many of them read it.
+    q is a QRecord: a table reduced once to its state sums, one product
+    with W, from which f2 and the state means are read; f1 is kept once
+    computed. e_step returns the posterior as one, over the distinct rows
+    (U, S); state_table reduces a caller's (U, S) table, or (N, S) table
+    with one row per data point, to one. Every mean over the points weights
+    a distinct row of grouped data by its count. With no repeated rows the
+    two coincide, and every table is the one each point would give. terms,
+    gradient, report and both M-steps read the record, so one q is reduced
+    once however many of them read it.
     Per-row tables are states-major: loglik and the records' tables are
     (U, S) or (N, S) transposes of C-ordered arrays. With few states and
     many rows, every reduction over the rows then runs over contiguous
@@ -395,9 +394,13 @@ class FiniteObjective(_Objective):
                 f"{len(self.rows)} distinct rows times {len(self.states)} latent states make "
                 f"{size} values per table, more than {MAX_TABLE_VALUES}; use fewer rows or latents"
             )
-        # Each distinct row's statistics weighted by its count, so that state
-        # sums over a (U, S) table are two products.
-        self._ct = None if self.counts is None else self.counts[:, None] * self.t
+        # W = [c | c t]^T (1 + L, U), each row's count (1 unless grouped) and
+        # its count-weighted statistics: state sums over a table of the kept
+        # rows are one product with it, and e_step's ELBO one dot with W[0].
+        c = np.ones(len(self.rows)) if self.counts is None else self.counts
+        self._weights = np.empty((1 + self.t.shape[1], len(self.rows)))
+        self._weights[0] = c
+        np.multiply(self.t.T, c, out=self._weights[1:])
         self.log_h = fam.batch_log_base_measure(noise, self.rows)
         self.mean_log_h = float(self._mean(self.log_h))
         self._model = self._tables = None
@@ -438,38 +441,34 @@ class FiniteObjective(_Objective):
     def _record(self, table: np.ndarray) -> QRecord:
         """table, made read-only, with its state sums."""
         table.flags.writeable = False
-        return QRecord(table, *self.state_sums(table), self._mean)
+        return QRecord(table, *self.state_sums(table), self.n, self._mean)
 
     def _over_rows(self, table: np.ndarray) -> bool:
         """Whether table has one row per distinct row of grouped data (else
         one per point)."""
         return self.counts is not None and len(table) == len(self.counts)
 
-    def _mean(self, values: np.ndarray):
-        """The mean over the data points of values given per row of a q table,
-        along its first axis: a distinct row counts as many points as it
-        stands for. A (U, S) table's mean is state_sums' mass over n; a
-        vector keeps the count-weighted sum that e_step's ELBO reads."""
+    def _mean(self, values: np.ndarray) -> float:
+        """The mean over the data points of values (a vector) given per row
+        of a q table: a distinct row counts as many points as it stands for."""
         if self._over_rows(values):
-            if values.ndim == 2:
-                return values.T @ self.counts / self.n
             values = values * self.counts
-        return np.sum(values, axis=0) / self.n
+        return np.sum(values) / self.n
 
     def state_sums(self, table: np.ndarray):
         """Each state's mass w_s = sum_n q_ns (S,) and statistics
         B_s = sum_n q_ns t(x_n) (S, L) of a table, as a QRecord holds them.
 
-        A (U, S) table over grouped rows gives both as products with the
-        counts and the count-weighted statistics, built once; a caller's
-        (N, S) table over grouped rows is first summed per distinct row."""
-        if self._over_rows(table):
-            return table.T @ self.counts, table.T @ self._ct
-        if self.counts is not None:  # a caller's row per data point
+        A table over the kept rows, (U, S) over grouped rows or any table of
+        ungrouped data, gives both in one product, table^T W^T (S, 1 + L),
+        whose column 0 is w and the rest B. A caller's (N, S) table over
+        grouped rows is first summed per distinct row."""
+        if self.counts is not None and not self._over_rows(table):  # a row per point
             summed = np.zeros((len(self.counts), table.shape[1]), order="F")
             np.add.at(summed, self.inverse, table)
-            table = summed
-        return table.sum(axis=0), table.T @ self.t
+            return summed.sum(axis=0), summed.T @ self.t
+        sums = table.T @ self._weights.T
+        return sums[:, 0], sums[:, 1:]
 
     def loglik(self, model: GenerativeModel) -> np.ndarray:
         """(U, S) log p(x_u | s) - log h(x_u) of the distinct rows, states-major."""
@@ -483,7 +482,8 @@ class FiniteObjective(_Objective):
         posterior over the states of each distinct row, a (U, S) states-major
         table (data point n's is row inverse[n]) with its state sums, and
         elbo the ELBO at q, the mean over the points of each row's log
-        normaliser plus mean_log_h."""
+        normaliser, one dot with the counts W[0], plus mean_log_h. Only the
+        table is (U, S): neither the sums nor the ELBO form a second one."""
         scores = self.loglik(model).T
         scores += self.tables(model).log_prior[:, None]
         top = scores.max(axis=0)
@@ -491,13 +491,15 @@ class FiniteObjective(_Objective):
         np.exp(scores, out=scores)
         total = scores.sum(axis=0)
         scores /= total
-        return self._record(scores.T), float(self._mean(top + np.log(total))) + self.mean_log_h
+        top += np.log(total)
+        return self._record(scores.T), float(top @ self._weights[0]) / self.n + self.mean_log_h
 
     def terms(self, model: GenerativeModel, q: QRecord, pseudo: bool = False):
-        """(f1, f2, f3) of the module docstring; f1 and f2 are q's kept ones."""
+        """(f1, f2, f3) of the module docstring; f1 is q's kept one, and f2
+        and f3 read its state sums."""
         tables = self.tables(model)
         f3 = float(-noise_expectation(*tables[:3], q.mass, q.stats)[0] / self.n)
-        return q.f1, q.f2(model, tables.log_prior), f3 if pseudo else f3 - self.mean_log_h
+        return q.f1, q.f2(tables.log_prior), f3 if pseudo else f3 - self.mean_log_h
 
     def gradient(self, model: GenerativeModel, q: QRecord) -> np.ndarray:
         """The exact ELBO gradient over (psi, theta) with q held fixed.
@@ -508,8 +510,7 @@ class FiniteObjective(_Objective):
         variants share it: log h(x) is constant.
         """
         tables = self.tables(model)
-        qbar = q.mass / self.n
-        g_zeta = qbar @ self.prior_t - tables.prior_mean
+        g_zeta = q.state_means @ self.prior_t - tables.prior_mean
         g_eta = noise_expectation(*tables[:3], q.mass, q.stats)[1] / self.n
         return np.concatenate(
             [mdl.jacobian_zeta(model).T @ g_zeta, mdl.vjp_eta(model, self.states, g_eta)]
