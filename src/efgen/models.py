@@ -19,8 +19,11 @@ a PriorSpec needs its zeta_jacobian and a NoiseSpec its eta_jacobian, and
 priors trained in their family's own parameters use the family's natural map
 and its Jacobian. vjp_eta contracts the noise Jacobian over all of theta with
 per-state weights, which is the ELBO gradient's noise part; it needs the
-model's eta_vjp or a criterion subset that is all of theta. Mixtures and
-SBNs state an eta_vjp, so their gradient forms no Jacobian.
+model's eta_vjp or a criterion subset that is all of theta. jvp_eta is its
+forward mirror, J_eta(z_s) v for each state over the criterion subset,
+which the criterion check needs; without the model's eta_jvp it contracts
+the Jacobian in chunks of states. Mixtures and SBNs state both products,
+so neither their gradient nor their criterion check forms a Jacobian.
 
 The parameterization criterion asks whether the natural-parameter vectors
 lie in the column spaces of their own Jacobians: zeta(psi) =
@@ -68,6 +71,7 @@ __all__ = [
     "jacobian_zeta",
     "jacobian_eta",
     "vjp_eta",
+    "jvp_eta",
     "check_criterion",
     "sample_joint",
 ]
@@ -120,8 +124,10 @@ class PriorSpec:
 class NoiseSpec:
     """A noise family, its trainable theta and its natural map with analytic
     derivatives: eta_jacobian over the criterion subset, the criterion's
-    witness beta over that subset, and an optional eta_vjp over all of
-    theta, which vjp_eta needs unless that subset is all of theta."""
+    witness beta over that subset, an optional eta_vjp over all of theta,
+    which vjp_eta needs unless that subset is all of theta, and an optional
+    eta_jvp over the subset, its forward mirror, with which jvp_eta forms
+    no Jacobian."""
 
     family: FamilyDescriptor
     params: np.ndarray  # trainable noise parameter vector theta (flat)
@@ -131,6 +137,8 @@ class NoiseSpec:
     beta: Callable[[np.ndarray], np.ndarray]  # theta -> (P,): J_eta(z) beta = eta(z) at every z
     # (states, theta, G (S, L)) -> sum_s J_eta(z_s)^T G_s over all of theta, (P_all,)
     eta_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    # (states, theta, v (P,)) -> J_eta(z_s) v for each state over the subset, (S, L)
+    eta_jvp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -326,6 +334,12 @@ def make_ef_mixture(
         np.add.at(out, z, np.einsum("slp,sl->sp", blocks[z], g))
         return out.ravel()
 
+    def eta_jvp(z, theta, v):
+        # State s reads only its component's block: J_k v_k once per
+        # component k, then row z_s, without the (S, L, C * ldim) Jacobian.
+        blocks = _component_natural_jacobian(component_family, theta.reshape(c, ldim))
+        return (blocks @ v.reshape(c, ldim, 1))[np.asarray(z, dtype=int), :, 0]
+
     def beta(theta):
         return _natural_witness(component_family, theta.reshape(c, ldim)).ravel()
 
@@ -339,6 +353,7 @@ def make_ef_mixture(
             eta_jac,
             beta,
             eta_vjp,
+            eta_jvp,
         ),
         latent_support=FiniteStates(np.arange(c)),
         model_kind="ef_mixture",
@@ -497,11 +512,24 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
         grad_w = (g.T @ z).ravel(order="F")
         return np.concatenate([grad_w, g.sum(axis=0)]) if offsets_free else grad_w
 
+    def eta_jvp(z, theta, v):
+        # eta is linear in theta, so J_eta(z) v is eta at theta = v, with
+        # offset 0 when the offsets are fixed: no Jacobian is formed.
+        offsets = v[n_w:] if offsets_free else 0.0
+        return _affine_rows(v[:n_w].reshape(d, h, order="F"), z, offsets)
+
     theta = np.concatenate([w.ravel(order="F"), mu]) if offsets_free else w.ravel(order="F")
     return GenerativeModel(
         prior=_natural_prior(fam.bernoulli_product(h), pi),
         noise=NoiseSpec(
-            noise_family, _frozen(theta), np.arange(theta.size), eta, eta_jac, lambda t: t, eta_vjp
+            noise_family,
+            _frozen(theta),
+            np.arange(theta.size),
+            eta,
+            eta_jac,
+            lambda t: t,
+            eta_vjp,
+            eta_jvp,
         ),
         latent_support=FiniteStates(enumerate_binary_states(h)),
         model_kind="sbn",
@@ -615,7 +643,8 @@ def vjp_eta(model: GenerativeModel, z, g) -> np.ndarray:
 
     Models with an eta_vjp contract without forming a Jacobian. Otherwise the
     criterion Jacobian is contracted, which covers all of theta only when
-    its subset does; any other model raises UnsupportedModelError.
+    its subset does; any other model raises UnsupportedModelError. jvp_eta
+    is the forward product, over the criterion subset.
     """
     theta = model.noise.params
     z = np.asarray(z)
@@ -627,6 +656,35 @@ def vjp_eta(model: GenerativeModel, z, g) -> np.ndarray:
             "criterion subset that is all of theta"
         )
     return np.einsum("slp,sl->p", jacobian_eta(model, z, theta), g)
+
+
+# Most Jacobian values per jacobian_eta call in jvp_eta's fallback (1 MB of
+# float64): each call takes max(1, _CRITERION_VALUES // (L P)) states, so the
+# (S, L, P) Jacobian over all states is never formed, and a chunk's size does
+# not grow with L P. Each state's rows are contracted on their own, so the
+# products do not depend on the chunk size.
+_CRITERION_VALUES = 2**17
+
+
+def jvp_eta(model: GenerativeModel, z, v, theta=None) -> np.ndarray:
+    """J_eta(z_s; theta) v for each state of a stack z over the criterion
+    subset, for v of shape (P,); shape (S, L).
+
+    Models with an eta_jvp compute it without forming a Jacobian. Otherwise
+    jacobian_eta is contracted with v in chunks of states that hold at most
+    _CRITERION_VALUES Jacobian values (one state at least).
+    """
+    theta = model.noise.params if theta is None else np.asarray(theta, dtype=float)
+    z, v = np.asarray(z), np.asarray(v, dtype=float)
+    if model.noise.eta_jvp is not None:
+        return np.asarray(model.noise.eta_jvp(z, theta, v), dtype=float)
+    chunk = max(1, _CRITERION_VALUES // (model.noise.family.natural_dim * v.size))
+    return np.concatenate(
+        [
+            jacobian_eta(model, z[start : start + chunk], theta) @ v
+            for start in range(0, len(z), chunk)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +732,6 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
     return psi, theta
 
 
-# Most Jacobian values per jacobian_eta call in check_criterion (1 MB of
-# float64): each call takes max(1, _CRITERION_VALUES // (L P)) states, so the
-# (S, L, P) Jacobian over all states is never formed, and a chunk's size does
-# not grow with L P. Each state's rows are contracted on their own, so the
-# residuals do not depend on the chunk size.
-_CRITERION_VALUES = 2**17
-
-
 def _relative_norm(residual: np.ndarray, target: np.ndarray) -> float:
     """||residual|| relative to max(1, ||target||)."""
     return math.sqrt(np.vdot(residual, residual)) / max(1.0, math.sqrt(np.vdot(target, target)))
@@ -715,12 +765,12 @@ def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
 
     The prior part is ||J_zeta(psi) alpha(psi) - zeta(psi)|| per grid point;
     the noise part is ||J_eta(z) beta(theta) - eta(z)|| over all latent
-    samples z at once, with ONE beta(theta) for every z, contracted in
-    chunks of states that hold at most _CRITERION_VALUES Jacobian values
-    (one state at least). Residuals are relative to max(1, ||target||), on
-    the grid of _grid_points; passes iff both stay below CRITERION_THRESHOLD.
-    Finite latents test every state; real latents first draw max(16, 2 P)
-    z, P being the size of the criterion subset.
+    samples z at once, with ONE beta(theta) for every z, its products
+    J_eta(z) beta from one jvp_eta call: mixtures and SBNs form no Jacobian.
+    Residuals are relative to max(1, ||target||), on the grid of
+    _grid_points; passes iff both stay below CRITERION_THRESHOLD. Finite
+    latents test every state; real latents first draw max(16, 2 P) z, P
+    being the size of the criterion subset.
     """
     rng = np.random.default_rng(seed)
     support = model.latent_support
@@ -735,13 +785,8 @@ def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
     for psi, theta, zeta, eta in _grid_points(model, zs, rng):
         points += 1
         prior = _relative_norm(jacobian_zeta(model, psi) @ model.prior.alpha(psi) - zeta, zeta)
-        beta = model.noise.beta(theta)
-        chunk = max(1, _CRITERION_VALUES // (eta.shape[1] * beta.size))
-        fitted = [
-            jacobian_eta(model, zs[start : start + chunk], theta) @ beta
-            for start in range(0, len(zs), chunk)
-        ]
-        noise = _relative_norm(np.concatenate(fitted) - eta, eta)
+        fitted = jvp_eta(model, zs, model.noise.beta(theta), theta)
+        noise = _relative_norm(fitted - eta, eta)
         prior_residual, noise_residual = max(prior_residual, prior), max(noise_residual, noise)
         del fitted, eta  # not kept while _grid_points builds the next point
 

@@ -460,14 +460,16 @@ class FiniteObjective(_Objective):
         B_s = sum_n q_ns t(x_n) (S, L) of a table, as a QRecord holds them.
 
         A table over the kept rows, (U, S) over grouped rows or any table of
-        ungrouped data, gives both in one product, table^T W^T (S, 1 + L),
-        whose column 0 is w and the rest B. A caller's (N, S) table over
-        grouped rows is first summed per distinct row."""
+        ungrouped data, gives both in one product, (W table)^T (S, 1 + L),
+        whose column 0 is w and the rest B. W is the left factor: OpenBLAS
+        is slow with its few rows as the right one (on a (426, 256) table,
+        one thread, table^T W^T took 138 us against 89 us). A caller's
+        (N, S) table over grouped rows is first summed per distinct row."""
         if self.counts is not None and not self._over_rows(table):  # a row per point
             summed = np.zeros((len(self.counts), table.shape[1]), order="F")
             np.add.at(summed, self.inverse, table)
             return summed.sum(axis=0), summed.T @ self.t
-        sums = table.T @ self._weights.T
+        sums = (self._weights @ table).T
         return sums[:, 0], sums[:, 1:]
 
     def loglik(self, model: GenerativeModel) -> np.ndarray:

@@ -14,14 +14,18 @@ state_sums_per_point the per-point reference for FiniteObjective.state_sums,
 statistics_then_grouped the reference for the evaluator's grouping order,
 kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
 write_dataset_per_cell the byte reference for harness.write_dataset,
-read_dataset_as_floats the bit reference for harness.read_dataset, and
-write_trace_per_field the byte reference for harness.write_trace.
+read_dataset_as_floats the bit reference for harness.read_dataset,
+write_trace_per_field the byte reference for harness.write_trace, and
+criterion_with_jvp_bound the criterion report with the most that jvp_eta's
+rounding (JVP_EPS) may move its noise residual.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy import integrate
 from scipy.special import digamma, gammaln, logsumexp
 
@@ -490,6 +494,38 @@ def dense_lstsq(a, b):
     """
     coeff, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     return float(np.linalg.norm(a @ coeff - b)), int(rank)
+
+
+# models.jvp_eta against jacobian_eta(model, z, theta) @ v: each entry of
+# J_eta(z) v within JVP_EPS times sum_p |J_lp| |v_p|. Over 3000 random SBNs
+# and mixtures of every component family the hooks came within 1.8 eps.
+JVP_EPS = 4 * np.finfo(float).eps
+
+
+def without_eta_jvp(model):
+    """The model with its eta_jvp removed, so that jvp_eta contracts the
+    criterion Jacobian in chunks of states."""
+    return replace(model, noise=replace(model.noise, eta_jvp=None))
+
+
+def criterion_with_jvp_bound(model, seed):
+    """check_criterion(model, seed) and the most its noise residual may move
+    when every J_eta(z) beta it computes moves by JVP_EPS times
+    sum_p |J_lp| |beta_p|: the largest JVP_EPS || |J| |beta| || /
+    max(1, ||eta||) over the grid points."""
+    bounds = []
+    jvp_eta = mdl.jvp_eta
+
+    def bounded(model, z, v, theta):
+        jac, eta = mdl.jacobian_eta(model, z, theta), model.noise.eta(z, theta)
+        scale = np.linalg.norm(np.abs(jac) @ np.abs(v))
+        bounds.append(JVP_EPS * scale / max(1.0, np.linalg.norm(eta)))
+        return jvp_eta(model, z, v, theta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mdl, "jvp_eta", bounded)
+        report = mdl.check_criterion(model, seed)
+    return report, max(bounds)
 
 
 def entropy_rows_reference(table):

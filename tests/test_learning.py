@@ -213,8 +213,8 @@ class TestEmMixture:
         assert len(builds) == iterations + 1
 
     def test_training_forms_no_noise_jacobian(self, monkeypatch):
-        # The gradient contracts the mixture's eta_vjp; only the criterion
-        # forms the (S, L, C * ldim) Jacobian.
+        # The gradient contracts the mixture's eta_vjp and the criterion its
+        # eta_jvp: neither forms the (S, L, C * ldim) Jacobian.
         truth, data = separated_gmm(seed=4)
         calls = []
         jacobian_eta = mdl.jacobian_eta
@@ -228,7 +228,7 @@ class TestEmMixture:
         assert fit.trace.last().grad_norm > 0.0
         assert calls == []
         assert mdl.check_criterion(fit.model).passes
-        assert calls
+        assert calls == []
 
     def test_one_terms_per_iteration(self, monkeypatch):
         # A trace record takes its ELBO and entropy sum from one report.

@@ -14,6 +14,7 @@ from efgen import models as mdl
 from efgen.errors import DomainError, UnsupportedModelError
 
 from helpers import (
+    JVP_EPS,
     SBN8_MU,
     SBN8_PI,
     SBN8_W,
@@ -21,6 +22,7 @@ from helpers import (
     categorical_prior_jacobian_reference,
     finite_difference_gradient,
     sbn_eta_jacobian_reference,
+    without_eta_jvp,
 )
 
 
@@ -49,6 +51,18 @@ def jacobian_values(model):
     support = model.latent_support
     z = support.states[:1] if isinstance(support, mdl.FiniteStates) else np.zeros((1, support.dim))
     return mdl.jacobian_eta(model, z)[0].size
+
+
+def assert_jvp_is_the_jacobian_product(model, zs, theta, rng):
+    """jvp_eta through the model's eta_jvp equals jacobian_eta(model, zs,
+    theta) @ v within JVP_EPS, at a v whose entries span orders of magnitude."""
+    assert model.noise.eta_jvp is not None
+    p = model.noise.theta_subset.size
+    v = rng.normal(size=p) * rng.lognormal(0.0, 2.0, size=p)
+    jac = mdl.jacobian_eta(model, zs, theta)
+    got = mdl.jvp_eta(model, zs, v, theta)
+    assert got.shape == jac.shape[:2]
+    assert np.all(np.abs(got - jac @ v) <= JVP_EPS * (np.abs(jac) @ np.abs(v)))
 
 
 class TestConstructors:
@@ -349,6 +363,41 @@ class TestJacobians:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 6),
+        d=st.integers(1, 5),
+        offsets_free=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sbn_jvp_equals_the_jacobian_product(self, h, d, offsets_free, seed):
+        rng = np.random.default_rng(seed)
+        pi = rng.uniform(0.01, 0.99, size=h)
+        model = mdl.make_sbn(pi, rng.normal(size=(d, h)), rng.normal(size=d), offsets_free)
+        zs = np.vstack([mdl.enumerate_binary_states(h), rng.normal(size=(4, h))])
+        theta = model.noise.params + rng.normal(size=model.noise.params.size)
+        assert_jvp_is_the_jacobian_product(model, zs, theta, rng)
+        if offsets_free:  # eta is linear in theta: J_eta(z) theta is eta itself
+            np.testing.assert_array_equal(
+                mdl.jvp_eta(model, zs, theta, theta), model.noise.eta(zs, theta), strict=True
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_COMPONENT_DRAWS)),
+        d=st.integers(1, 4),
+        c=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixture_jvp_equals_the_jacobian_product(self, name, d, c, seed):
+        rng = np.random.default_rng(seed)
+        family = fam.gamma_family() if name == "gamma" else getattr(fam, name)(d)
+        rows = [_COMPONENT_DRAWS[name](rng, family.data_dim) for _ in range(c)]
+        model = mdl.make_ef_mixture(family, np.full(c, 1.0 / c), rows)
+        theta = mdl._random_params(model, rng)[1]
+        zs = np.concatenate([np.arange(c), rng.integers(0, c, size=2 * c + 3)])
+        assert_jvp_is_the_jacobian_product(model, zs, theta, rng)
+
     def test_sbn_jacobian_allocates_only_its_output(self):
         model = mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU)
         states = model.latent_support.states
@@ -444,8 +493,10 @@ class TestCriterion:
         ids=["sbn", "ppca", "gamma_mix", "rigid_sbn"],
     )
     def test_chunked_residual_is_one_contraction(self, model, monkeypatch):
-        # Chunks of one state, and chunks that leave a shorter last one, sum
-        # to the residuals of one contraction over all states.
+        # Without an eta_jvp, chunks of one state, and chunks that leave a
+        # shorter last one, sum to the residuals of one contraction over all
+        # states.
+        model = without_eta_jvp(model)
         whole = mdl.check_criterion(model, seed=1)
         for chunk in (1, 3, 5):
             monkeypatch.setattr(mdl, "_CRITERION_VALUES", chunk * jacobian_values(model))
@@ -545,10 +596,30 @@ class TestCriterionCost:
             monkeypatch.setattr(np.linalg, name, forbidden)
         assert mdl.check_criterion(model, seed=0).passes
 
+    @pytest.mark.parametrize(
+        "model, passes",
+        [
+            (mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU), True),
+            (mdl.make_sbn(SBN8_PI, SBN8_W, offsets_free=False), True),
+            (mdl.make_sbn(SBN8_PI, SBN8_W, SBN8_MU, offsets_free=False), False),
+            (gmm_1d(), True),
+            (gamma_mixture(), True),
+            (poisson_mixture(), True),
+        ],
+        ids=["sbn", "sbn-fixed-zero", "sbn-fixed-mu", "gmm", "gamma_mix", "poisson_mix"],
+    )
+    def test_sbns_and_mixtures_form_no_jacobian(self, model, passes, monkeypatch):
+        # Their eta_jvp gives J_eta(z) beta; a fixed non-zero offset still fails.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("models.jacobian_eta called")
+
+        monkeypatch.setattr(mdl, "jacobian_eta", forbidden)
+        assert mdl.check_criterion(model, seed=0).passes is passes
+
     def test_h12_d20_sbn_check_fits_in_32_mb(self):
         # 4096 states, 20 observables, 260 parameters: the (S, L, P)
-        # Jacobian over all states would take 170 MB. The check contracts it
-        # in chunks of states.
+        # Jacobian over all states would take 170 MB. The check forms none
+        # of it: the SBN's eta_jvp gives J_eta(z) beta.
         rng = np.random.default_rng(0)
         model = mdl.make_sbn(
             rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)
@@ -563,10 +634,11 @@ class TestCriterionCost:
         assert peak <= 32 * 2**20
 
     def test_h12_d20_sbn_check_peaks_below_5_mb(self):
-        # A chunk holds at most _CRITERION_VALUES Jacobian values (1 MB), 25
-        # states of 5200 values here. Chunks of 256 states took 10.6 MB each,
-        # for a 12.6 MB peak; now the states, eta, the fitted rows and their
-        # residual (0.4, 0.7, 0.7 and 0.7 MB) outweigh a chunk.
+        # Chunks of 256 states (5200 Jacobian values each) took 10.6 MB each,
+        # for a 12.6 MB peak; chunks of at most _CRITERION_VALUES values
+        # (1 MB) peaked at 2.3 MB. Without a Jacobian the states, eta, the
+        # fitted rows and their residual (0.4, 0.7, 0.7 and 0.7 MB) make a
+        # 1.9 MB peak.
         rng = np.random.default_rng(0)
         model = mdl.make_sbn(
             rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)
@@ -583,8 +655,9 @@ class TestCriterionCost:
 
     def test_h12_d20_sbn_check_keeps_one_grid_point_at_a_time(self):
         # Each grid point's fitted rows and eta (0.7 MB each here) go before
-        # the next point's eta is built: 2.3 MB traced; keeping the previous
-        # point's while building the next took 2.9 MB.
+        # the next point's eta is built: 1.9 MB traced; keeping the previous
+        # point's while building the next takes 2.6 MB (2.9 MB with chunked
+        # Jacobians).
         rng = np.random.default_rng(0)
         model = mdl.make_sbn(
             rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)
@@ -596,7 +669,7 @@ class TestCriterionCost:
         finally:
             tracemalloc.stop()
         assert report.passes
-        assert peak < 2.6 * 2**20, peak
+        assert peak < 2.3 * 2**20, peak
 
 
 class TestSampleJoint:

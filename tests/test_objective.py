@@ -18,6 +18,7 @@ from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import IncompatibilityError, SupportError, UnsupportedModelError
 from helpers import (
+    criterion_with_jvp_bound,
     dense_lstsq,
     elbo_gradient_oracle,
     entropy_rows_reference,
@@ -29,6 +30,7 @@ from helpers import (
     rowwise_posterior,
     state_sums_per_point,
     statistics_then_grouped,
+    without_eta_jvp,
 )
 
 
@@ -1026,14 +1028,30 @@ class TestWitnessAgainstDenseLstsq:
         assert report.passes == (kind in CRITERION_KINDS)
 
 
+class TestCriterionJvp:
+    """check_criterion takes J_eta(z) beta from jvp_eta: mixtures and SBNs
+    state an eta_jvp that forms no Jacobian, and every other model takes
+    the chunked Jacobian path, which the hooks must agree with."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ZOO_KINDS)
+    def test_report_matches_the_jacobian_path(self, kind, seed):
+        model = zoo_model(kind)
+        hook = mdl.check_criterion(model, seed)
+        fallback, bound = criterion_with_jvp_bound(without_eta_jvp(model), seed)
+        assert (hook.passes, hook.tested_points) == (fallback.passes, fallback.tested_points)
+        assert hook.prior_residual == fallback.prior_residual
+        assert abs(hook.noise_residual - fallback.noise_residual) <= bound
+
+
 class TestCriterionChunks:
-    """check_criterion contracts J_eta beta in chunks of at most
+    """Without an eta_jvp, jvp_eta contracts J_eta beta in chunks of at most
     models._CRITERION_VALUES Jacobian values, and each state's rows are
     contracted on their own, so the chunk size moves no residual."""
 
     @pytest.mark.parametrize("kind", ZOO_KINDS)
     def test_one_state_per_chunk_gives_an_equal_report(self, kind, monkeypatch):
-        model = zoo_model(kind)
+        model = without_eta_jvp(zoo_model(kind))
         default = mdl.check_criterion(model)
         support = model.latent_support
         finite = isinstance(support, mdl.FiniteStates)

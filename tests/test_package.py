@@ -68,6 +68,7 @@ def test_models_exports_constructors_and_no_per_kind_accessors():
             "jacobian_zeta",
             "jacobian_eta",
             "vjp_eta",
+            "jvp_eta",
             "check_criterion",
             "sample_joint",
         ]
