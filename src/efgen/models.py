@@ -12,18 +12,15 @@ kind: constructor_args reads them back off a model's parameters and shapes.
 
 Noise maps work on stacks of latent states: eta(Z, theta) takes an (S,)
 array of component indices (mixtures) or an (S, H) array of latent vectors
-and returns the (S, L) natural parameters, and its Jacobian is (S, L, P)
-over the P criterion parameters. Mixtures index rows of their component
-naturals; the linear models compute Z W^T + mu. Every Jacobian is analytic:
-a PriorSpec needs its zeta_jacobian and a NoiseSpec its eta_jacobian, and
-priors trained in their family's own parameters use the family's natural map
-and its Jacobian. vjp_eta contracts the noise Jacobian over all of theta with
-per-state weights, which is the ELBO gradient's noise part; it needs the
-model's eta_vjp or a criterion subset that is all of theta. jvp_eta is its
-forward mirror, J_eta(z_s) v for each state over the criterion subset,
-which the criterion check needs; without the model's eta_jvp it contracts
-the Jacobian in chunks of states. Mixtures and SBNs state both products,
-so neither their gradient nor their criterion check forms a Jacobian.
+and returns the (S, L) natural parameters. Mixtures index rows of their
+component naturals; the linear models compute Z W^T + mu. Every derivative
+is analytic. A PriorSpec needs its zeta_jacobian, and priors trained in
+their family's own parameters use the family's natural map and its
+Jacobian. A noise map states products with its Jacobian, never the
+Jacobian: a NoiseSpec needs its eta_jvp, J_eta(z_s) v for each state over
+the P criterion parameters, which jvp_eta returns for the criterion check,
+and may state an eta_vjp, sum_s J_eta(z_s)^T g_s over all of theta, which
+vjp_eta returns for the ELBO gradient's noise part.
 
 The parameterization criterion asks whether the natural-parameter vectors
 lie in the column spaces of their own Jacobians: zeta(psi) =
@@ -123,22 +120,19 @@ class PriorSpec:
 @dataclass(frozen=True)
 class NoiseSpec:
     """A noise family, its trainable theta and its natural map with analytic
-    derivatives: eta_jacobian over the criterion subset, the criterion's
-    witness beta over that subset, an optional eta_vjp over all of theta,
-    which vjp_eta needs unless that subset is all of theta, and an optional
-    eta_jvp over the subset, its forward mirror, with which jvp_eta forms
-    no Jacobian."""
+    products: eta_jvp over the criterion subset, the criterion's witness
+    beta over that subset, and an optional eta_vjp over all of theta, which
+    the exact ELBO gradient needs."""
 
     family: FamilyDescriptor
     params: np.ndarray  # trainable noise parameter vector theta (flat)
-    theta_subset: np.ndarray  # indices into theta used for the criterion Jacobian
+    theta_subset: np.ndarray  # indices into theta of the P criterion parameters
     eta: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L)
-    eta_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (states, theta) -> (S, L, P)
+    # (states, theta, v (P,)) -> J_eta(z_s) v for each state over the subset, (S, L)
+    eta_jvp: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]  # theta -> (P,): J_eta(z) beta = eta(z) at every z
     # (states, theta, G (S, L)) -> sum_s J_eta(z_s)^T G_s over all of theta, (P_all,)
     eta_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    # (states, theta, v (P,)) -> J_eta(z_s) v for each state over the subset, (S, L)
-    eta_jvp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -318,13 +312,6 @@ def make_ef_mixture(
         rows = fam.to_natural(component_family, theta.reshape(c, ldim))
         return rows[np.asarray(z, dtype=int)]
 
-    def eta_jac(z, theta):
-        z = np.asarray(z, dtype=int)
-        blocks = _component_natural_jacobian(component_family, theta.reshape(c, ldim))
-        jac = np.zeros((z.size, component_family.natural_dim, c, ldim))
-        jac[np.arange(z.size), :, z, :] = blocks[z]
-        return jac.reshape(z.size, component_family.natural_dim, c * ldim)
-
     def eta_vjp(z, theta, g):
         # State s touches only its component's ldim columns: scatter-add
         # J_{z_s}^T g_s there, without the (S, L, C * ldim) Jacobian.
@@ -350,10 +337,9 @@ def make_ef_mixture(
             _frozen(comp.ravel()),
             np.arange(c * ldim),
             eta,
-            eta_jac,
+            eta_jvp,
             beta,
             eta_vjp,
-            eta_jvp,
         ),
         latent_support=FiniteStates(np.arange(c)),
         model_kind="ef_mixture",
@@ -403,14 +389,15 @@ def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
         s2 = theta[-1]
         return np.concatenate([mean / s2, np.full(mean.shape, -0.5 / s2)], axis=1)
 
-    def eta_jac(z, theta):
-        return (-1.0 / theta[-1]) * eta(z, theta)[:, :, None]
+    def eta_jvp(z, theta, v):
+        # J_eta(z) is the one column -eta / sigma2.
+        return (-1.0 / theta[-1]) * eta(z, theta) * v[0]
 
     theta = np.concatenate([w.ravel(order="F"), mu, [sigma2]])
     return GenerativeModel(
         prior=_scalar_var_gaussian_prior(h, tau),
         noise=NoiseSpec(
-            noise_family, _frozen(theta), np.array([n_w + d]), eta, eta_jac, lambda t: -t[-1:]
+            noise_family, _frozen(theta), np.array([n_w + d]), eta, eta_jvp, lambda t: -t[-1:]
         ),
         latent_support=RealVector(h),
         model_kind="ppca",
@@ -446,18 +433,18 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
         precision = np.broadcast_to(-0.5 / s2, mean_natural.shape)
         return np.concatenate([mean_natural, precision], axis=1)
 
-    def eta_jac(z, theta):
+    def eta_jvp(z, theta, v):
+        # Each half of J_eta(z) is diagonal: -w z / sigma2^2 on the mean
+        # naturals, 0.5 / sigma2^2 on the precisions.
         s2, wv = theta[:d], theta[d:]
-        jac = np.zeros((len(z), 2 * d, d))
-        jac[:, :d, :] = np.eye(d) * (-wv * z[:, :1] / s2**2)[:, None, :]
-        jac[:, d:, :] = np.diag(0.5 / s2**2)
-        return jac
+        means = (-wv * z[:, :1] / s2**2) * v
+        return np.concatenate([means, np.broadcast_to(0.5 / s2**2 * v, means.shape)], axis=1)
 
     theta = np.concatenate([sigma2s, w])
     return GenerativeModel(
         prior=_scalar_var_gaussian_prior(1, tau),
         noise=NoiseSpec(
-            noise_family, _frozen(theta), np.arange(d), eta, eta_jac, lambda t: -t[:d]
+            noise_family, _frozen(theta), np.arange(d), eta, eta_jvp, lambda t: -t[:d]
         ),
         latent_support=RealVector(1),
         model_kind="simple_fa",
@@ -496,16 +483,6 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
         offsets = theta[n_w:] if offsets_free else fixed_mu
         return _affine_rows(theta[:n_w].reshape(d, h, order="F"), z, offsets)
 
-    def eta_jac(z, theta):
-        # d eta_i / d W[i, k] = z_k at column k * D + i (theta's order, k
-        # major), and d eta_i / d mu_i = 1 at column n_w + i for free offsets.
-        jac = np.zeros((len(z), d, theta.size))
-        rows = np.arange(d)
-        jac[:, rows[:, None], np.arange(h) * d + rows[:, None]] = z[:, None, :]
-        if offsets_free:
-            jac[:, rows, n_w + rows] = 1.0
-        return jac
-
     def eta_vjp(z, theta, g):
         # sum_s J_eta(z_s)^T g_s without forming J: G^T Z for W (theta's
         # order), and the column sums for free offsets.
@@ -526,10 +503,9 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
             _frozen(theta),
             np.arange(theta.size),
             eta,
-            eta_jac,
+            eta_jvp,
             lambda t: t,
             eta_vjp,
-            eta_jvp,
         ),
         latent_support=FiniteStates(enumerate_binary_states(h)),
         model_kind="sbn",
@@ -552,12 +528,18 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
         zv = z[:, 0]
         return np.stack([theta[0] * zv, (theta[0] + 1.0) * zv], axis=1)
 
-    def eta_jac(z, theta):
-        return np.repeat(z[:, None, :1], 2, axis=1)
+    def eta_jvp(z, theta, v):
+        # Both naturals have the derivative z.
+        return np.repeat(z[:, :1] * v, 2, axis=1)
+
+    def eta_vjp(z, theta, g):
+        return [z[:, 0] @ g.sum(axis=1)]
 
     return GenerativeModel(
         prior=_natural_prior(fam.bernoulli_product(1), [pi]),
-        noise=NoiseSpec(noise_family, _frozen([v]), np.array([0]), eta, eta_jac, lambda t: t),
+        noise=NoiseSpec(
+            noise_family, _frozen([v]), np.array([0]), eta, eta_jvp, lambda t: t, eta_vjp
+        ),
         latent_support=FiniteStates(enumerate_binary_states(1)),
         model_kind="rigid_sbn",
     )
@@ -633,58 +615,35 @@ def jacobian_zeta(model: GenerativeModel, psi=None) -> np.ndarray:
 
 def jacobian_eta(model: GenerativeModel, z, theta=None) -> np.ndarray:
     """Jacobians of the noise natural map w.r.t. the theta subset at a stack
-    of latent states z, shape (S, L, P)."""
+    of latent states z, shape (S, L, P): column k is jvp_eta at the k-th unit
+    vector, written into one preallocated array.
+
+    No library path calls it, as the gradient and the criterion need only
+    products. It keeps its name for perfbench's tracer, which counts its
+    calls, for notebook 02, which prints a Jacobian, and for the tests.
+    """
     theta = model.noise.params if theta is None else np.asarray(theta, dtype=float)
-    return np.asarray(model.noise.eta_jacobian(np.asarray(z), theta), dtype=float)
+    z, p = np.asarray(z), model.noise.theta_subset.size
+    jac = np.empty((len(z), model.noise.family.natural_dim, p))
+    for k in range(p):
+        jac[:, :, k] = jvp_eta(model, z, np.eye(1, p, k)[0], theta)
+    return jac
 
 
 def vjp_eta(model: GenerativeModel, z, g) -> np.ndarray:
-    """sum_s J_eta(z_s; theta)^T g_s over all of theta, for g of shape (S, L).
-
-    Models with an eta_vjp contract without forming a Jacobian. Otherwise the
-    criterion Jacobian is contracted, which covers all of theta only when
-    its subset does; any other model raises UnsupportedModelError. jvp_eta
-    is the forward product, over the criterion subset.
-    """
-    theta = model.noise.params
-    z = np.asarray(z)
-    if model.noise.eta_vjp is not None:
-        return np.asarray(model.noise.eta_vjp(z, theta, g), dtype=float)
-    if not np.array_equal(model.noise.theta_subset, np.arange(theta.size)):
-        raise UnsupportedModelError(
-            f"{model.model_kind}: the noise gradient needs an eta_vjp or a "
-            "criterion subset that is all of theta"
-        )
-    return np.einsum("slp,sl->p", jacobian_eta(model, z, theta), g)
-
-
-# Most Jacobian values per jacobian_eta call in jvp_eta's fallback (1 MB of
-# float64): each call takes max(1, _CRITERION_VALUES // (L P)) states, so the
-# (S, L, P) Jacobian over all states is never formed, and a chunk's size does
-# not grow with L P. Each state's rows are contracted on their own, so the
-# products do not depend on the chunk size.
-_CRITERION_VALUES = 2**17
+    """sum_s J_eta(z_s; theta)^T g_s over all of theta, for g of shape (S, L),
+    from the model's eta_vjp; UnsupportedModelError for a model without one."""
+    if model.noise.eta_vjp is None:
+        raise UnsupportedModelError(f"{model.model_kind}: the noise gradient needs an eta_vjp")
+    return np.asarray(model.noise.eta_vjp(np.asarray(z), model.noise.params, g), dtype=float)
 
 
 def jvp_eta(model: GenerativeModel, z, v, theta=None) -> np.ndarray:
     """J_eta(z_s; theta) v for each state of a stack z over the criterion
-    subset, for v of shape (P,); shape (S, L).
-
-    Models with an eta_jvp compute it without forming a Jacobian. Otherwise
-    jacobian_eta is contracted with v in chunks of states that hold at most
-    _CRITERION_VALUES Jacobian values (one state at least).
-    """
+    subset, for v of shape (P,), from the model's eta_jvp; shape (S, L)."""
     theta = model.noise.params if theta is None else np.asarray(theta, dtype=float)
     z, v = np.asarray(z), np.asarray(v, dtype=float)
-    if model.noise.eta_jvp is not None:
-        return np.asarray(model.noise.eta_jvp(z, theta, v), dtype=float)
-    chunk = max(1, _CRITERION_VALUES // (model.noise.family.natural_dim * v.size))
-    return np.concatenate(
-        [
-            jacobian_eta(model, z[start : start + chunk], theta) @ v
-            for start in range(0, len(z), chunk)
-        ]
-    )
+    return np.asarray(model.noise.eta_jvp(z, theta, v), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +725,7 @@ def check_criterion(model: GenerativeModel, seed: int = 0) -> CriterionReport:
     The prior part is ||J_zeta(psi) alpha(psi) - zeta(psi)|| per grid point;
     the noise part is ||J_eta(z) beta(theta) - eta(z)|| over all latent
     samples z at once, with ONE beta(theta) for every z, its products
-    J_eta(z) beta from one jvp_eta call: mixtures and SBNs form no Jacobian.
+    J_eta(z) beta from one jvp_eta call, so no Jacobian is formed.
     Residuals are relative to max(1, ||target||), on the grid of
     _grid_points; passes iff both stay below CRITERION_THRESHOLD. Finite
     latents test every state; real latents first draw max(16, 2 P) z, P

@@ -16,8 +16,11 @@ kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
 write_dataset_per_cell the byte reference for harness.write_dataset,
 read_dataset_as_floats the bit reference for harness.read_dataset,
 write_trace_per_field the byte reference for harness.write_trace, and
-criterion_with_jvp_bound the criterion report with the most that jvp_eta's
-rounding (JVP_EPS) may move its noise residual.
+eta_jacobian_reference the noise Jacobian of each zoo kind, written out
+as the constructors wrote it, against which assert_jvp_is_the_jacobian_product
+checks the models' eta_jvp hooks, with_reference_jvp the model whose eta_jvp
+contracts that Jacobian, and criterion_with_jvp_bound the criterion report
+with the most that jvp_eta's rounding (JVP_EPS) may move its noise residual.
 """
 
 import math
@@ -496,36 +499,22 @@ def dense_lstsq(a, b):
     return float(np.linalg.norm(a @ coeff - b)), int(rank)
 
 
-# models.jvp_eta against jacobian_eta(model, z, theta) @ v: each entry of
-# J_eta(z) v within JVP_EPS times sum_p |J_lp| |v_p|. Over 3000 random SBNs
-# and mixtures of every component family the hooks came within 1.8 eps.
+# models.jvp_eta against eta_jacobian_reference(model, z, theta) @ v: each
+# entry of J_eta(z) v within JVP_EPS times sum_p |J_lp| |v_p|. Over 3000
+# random SBNs and mixtures of every component family the hooks came within
+# 1.8 eps.
 JVP_EPS = 4 * np.finfo(float).eps
 
 
-def without_eta_jvp(model):
-    """The model with its eta_jvp removed, so that jvp_eta contracts the
-    criterion Jacobian in chunks of states."""
-    return replace(model, noise=replace(model.noise, eta_jvp=None))
-
-
-def criterion_with_jvp_bound(model, seed):
-    """check_criterion(model, seed) and the most its noise residual may move
-    when every J_eta(z) beta it computes moves by JVP_EPS times
-    sum_p |J_lp| |beta_p|: the largest JVP_EPS || |J| |beta| || /
-    max(1, ||eta||) over the grid points."""
-    bounds = []
-    jvp_eta = mdl.jvp_eta
-
-    def bounded(model, z, v, theta):
-        jac, eta = mdl.jacobian_eta(model, z, theta), model.noise.eta(z, theta)
-        scale = np.linalg.norm(np.abs(jac) @ np.abs(v))
-        bounds.append(JVP_EPS * scale / max(1.0, np.linalg.norm(eta)))
-        return jvp_eta(model, z, v, theta)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mdl, "jvp_eta", bounded)
-        report = mdl.check_criterion(model, seed)
-    return report, max(bounds)
+def assert_jvp_is_the_jacobian_product(model, zs, theta, rng):
+    """jvp_eta equals eta_jacobian_reference(model, zs, theta) @ v within
+    JVP_EPS, at a v whose entries span orders of magnitude."""
+    p = model.noise.theta_subset.size
+    v = rng.normal(size=p) * rng.lognormal(0.0, 2.0, size=p)
+    jac = eta_jacobian_reference(model, zs, theta)
+    got = mdl.jvp_eta(model, zs, v, theta)
+    assert got.shape == jac.shape[:2]
+    assert np.all(np.abs(got - jac @ v) <= JVP_EPS * (np.abs(jac) @ np.abs(v)))
 
 
 def entropy_rows_reference(table):
@@ -566,6 +555,72 @@ def sbn_eta_jacobian_reference(z, d, offsets_free):
     if not offsets_free:
         return jac
     return np.concatenate([jac, np.broadcast_to(np.eye(d), (len(z), d, d))], axis=2)
+
+
+def mixture_eta_jacobian_reference(z, theta, family, c):
+    """A mixture's noise Jacobian at an (S,) stack of component indices:
+    each state's component block scattered into a zeros (S, L, C ldim)
+    array."""
+    z, ldim = np.asarray(z, dtype=int), family.standard_dim
+    blocks = mdl._component_natural_jacobian(family, theta.reshape(c, ldim))
+    jac = np.zeros((z.size, family.natural_dim, c, ldim))
+    jac[np.arange(z.size), :, z, :] = blocks[z]
+    return jac.reshape(z.size, family.natural_dim, c * ldim)
+
+
+def eta_jacobian_reference(model, z, theta):
+    """The (S, L, P) noise Jacobian of a zoo model over its criterion subset
+    at theta, written out per kind as the constructors built it before they
+    stated eta_jvp: the mixture's block scatter, PPCA's one column
+    -eta / sigma2, the factor analyzer's diagonals (-w z / sigma2^2 on the
+    mean naturals, 0.5 / sigma2^2 on the precisions), the SBN's two parts
+    and the tied SBN's column z repeated for both naturals."""
+    kind, z, d = model.model_kind, np.asarray(z), model.noise.family.data_dim
+    if kind == "ef_mixture":
+        c = model.latent_support.n_states
+        return mixture_eta_jacobian_reference(z, theta, model.noise.family, c)
+    if kind == "ppca":
+        return (-1.0 / theta[-1]) * model.noise.eta(z, theta)[:, :, None]
+    if kind == "simple_fa":
+        s2, wv = theta[:d], theta[d:]
+        jac = np.zeros((len(z), 2 * d, d))
+        jac[:, :d, :] = np.eye(d) * (-wv * z[:, :1] / s2**2)[:, None, :]
+        jac[:, d:, :] = np.diag(0.5 / s2**2)
+        return jac
+    if kind == "sbn":
+        return sbn_eta_jacobian_reference(z, d, theta.size > d * z.shape[1])
+    assert kind == "rigid_sbn", kind
+    return np.repeat(z[:, None, :1], 2, axis=1)
+
+
+def with_reference_jvp(model):
+    """The model with an eta_jvp that contracts eta_jacobian_reference, the
+    dense path against which the hooks' criterion reports are compared."""
+
+    def dense_jvp(z, theta, v):
+        return eta_jacobian_reference(model, z, theta) @ v
+
+    return replace(model, noise=replace(model.noise, eta_jvp=dense_jvp))
+
+
+def criterion_with_jvp_bound(model, seed):
+    """check_criterion(model, seed) and the most its noise residual may move
+    when every J_eta(z) beta it computes moves by JVP_EPS times
+    sum_p |J_lp| |beta_p|: the largest JVP_EPS || |J| |beta| || /
+    max(1, ||eta||) over the grid points, with J from eta_jacobian_reference."""
+    bounds = []
+    jvp_eta = mdl.jvp_eta
+
+    def bounded(model, z, v, theta):
+        jac = eta_jacobian_reference(model, z, theta)
+        scale = np.linalg.norm(np.abs(jac) @ np.abs(v))
+        bounds.append(JVP_EPS * scale / max(1.0, np.linalg.norm(model.noise.eta(z, theta))))
+        return jvp_eta(model, z, v, theta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mdl, "jvp_eta", bounded)
+        report = mdl.check_criterion(model, seed)
+    return report, max(bounds)
 
 
 def bernoulli_prior_reference(psi):

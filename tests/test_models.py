@@ -14,15 +14,15 @@ from efgen import models as mdl
 from efgen.errors import DomainError, UnsupportedModelError
 
 from helpers import (
-    JVP_EPS,
     SBN8_MU,
     SBN8_PI,
     SBN8_W,
+    assert_jvp_is_the_jacobian_product,
     bernoulli_prior_reference,
     categorical_prior_jacobian_reference,
     finite_difference_gradient,
+    mixture_eta_jacobian_reference,
     sbn_eta_jacobian_reference,
-    without_eta_jvp,
 )
 
 
@@ -51,18 +51,6 @@ def jacobian_values(model):
     support = model.latent_support
     z = support.states[:1] if isinstance(support, mdl.FiniteStates) else np.zeros((1, support.dim))
     return mdl.jacobian_eta(model, z)[0].size
-
-
-def assert_jvp_is_the_jacobian_product(model, zs, theta, rng):
-    """jvp_eta through the model's eta_jvp equals jacobian_eta(model, zs,
-    theta) @ v within JVP_EPS, at a v whose entries span orders of magnitude."""
-    assert model.noise.eta_jvp is not None
-    p = model.noise.theta_subset.size
-    v = rng.normal(size=p) * rng.lognormal(0.0, 2.0, size=p)
-    jac = mdl.jacobian_eta(model, zs, theta)
-    got = mdl.jvp_eta(model, zs, v, theta)
-    assert got.shape == jac.shape[:2]
-    assert np.all(np.abs(got - jac @ v) <= JVP_EPS * (np.abs(jac) @ np.abs(v)))
 
 
 class TestConstructors:
@@ -356,7 +344,7 @@ class TestJacobians:
         model = mdl.replace_params(model, *mdl._random_params(model, rng))
         zs = np.concatenate([np.arange(c), rng.integers(0, c, size=2 * c + 3)])
         g = rng.normal(size=(zs.size, family.natural_dim))
-        jac = mdl.jacobian_eta(model, zs)
+        jac = mixture_eta_jacobian_reference(zs, model.noise.params, family, c)
         want = np.einsum("slp,sl->p", jac, g)
         scale = np.einsum("slp,sl->p", np.abs(jac), np.abs(g))
         got = mdl.vjp_eta(model, zs, g)
@@ -420,7 +408,7 @@ class TestJacobians:
         with pytest.raises(TypeError):
             mdl.NoiseSpec(family, params, subset, lambda z, t: t * z)
         with pytest.raises(TypeError):
-            mdl.NoiseSpec(family, params, subset, lambda z, t: t * z, lambda z, t: z[:, :, None])
+            mdl.NoiseSpec(family, params, subset, lambda z, t: t * z, lambda z, t, v: z * v)
 
 
 class TestCriterion:
@@ -480,31 +468,6 @@ class TestCriterion:
             atol=1e-14,
         )
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            mdl.make_sbn(
-                [0.4, 0.7, 0.2], np.array([[0.5, -1.0, 2.0], [1.2, 0.3, -0.4]]), [0.1, -0.4]
-            ),
-            mdl.make_ppca(np.array([[0.9], [-0.3], [0.2]]), np.zeros(3), 0.7),
-            gamma_mixture(),
-            mdl.make_rigid_sbn(0.5, 0.3),
-        ],
-        ids=["sbn", "ppca", "gamma_mix", "rigid_sbn"],
-    )
-    def test_chunked_residual_is_one_contraction(self, model, monkeypatch):
-        # Without an eta_jvp, chunks of one state, and chunks that leave a
-        # shorter last one, sum to the residuals of one contraction over all
-        # states.
-        model = without_eta_jvp(model)
-        whole = mdl.check_criterion(model, seed=1)
-        for chunk in (1, 3, 5):
-            monkeypatch.setattr(mdl, "_CRITERION_VALUES", chunk * jacobian_values(model))
-            report = mdl.check_criterion(model, seed=1)
-            assert report.passes == whole.passes
-            assert report.prior_residual == whole.prior_residual
-            assert report.noise_residual == pytest.approx(whole.noise_residual, rel=1e-12)
-
     def test_rigid_sbn_fails_noise_part(self):
         report = mdl.check_criterion(mdl.make_rigid_sbn(0.5, 0.0), seed=0)
         assert not report.passes
@@ -521,9 +484,10 @@ class TestCriterion:
     def test_custom_model_with_hand_written_jacobians_passes(self):
         # Hand-assembled model: Bernoulli latent whose natural parameter is
         # psi^3, two Bernoulli observables with natural parameters
-        # theta * (z, 2z). Both maps stay inside the column spaces of their
-        # own Jacobians, with the witnesses alpha = psi / 3 and beta = theta,
-        # so the check must pass.
+        # theta * (z, 2z), whose noise Jacobian (z, 2z) is stated by its
+        # products. Both maps stay inside the column spaces of their own
+        # Jacobians, with the witnesses alpha = psi / 3 and beta = theta, so
+        # the check must pass.
         prior = mdl.PriorSpec(
             fam.bernoulli_product(1),
             np.array([0.7]),
@@ -536,7 +500,7 @@ class TestCriterion:
             np.array([1.3]),
             np.array([0]),
             lambda z, t: t[0] * np.column_stack([z[:, 0], 2.0 * z[:, 0]]),
-            lambda z, t: np.column_stack([z[:, 0], 2.0 * z[:, 0]])[:, :, None],
+            lambda z, t, v: np.column_stack([z[:, 0], 2.0 * z[:, 0]]) * v[0],
             lambda t: t,
         )
         model = mdl.GenerativeModel(
@@ -569,7 +533,7 @@ class TestCriterion:
             np.array([0.0]),
             np.array([0]),
             lambda z, t: np.column_stack([t[0] * z[:, 0], (t[0] + 1.0) * z[:, 0]]),
-            lambda z, t: np.column_stack([z[:, 0], z[:, 0]])[:, :, None],
+            lambda z, t, v: np.column_stack([z[:, 0], z[:, 0]]) * v[0],
             lambda t: t + 0.5,
         )
         model = mdl.GenerativeModel(
@@ -605,11 +569,18 @@ class TestCriterionCost:
             (gmm_1d(), True),
             (gamma_mixture(), True),
             (poisson_mixture(), True),
+            (mdl.make_ppca(np.array([[0.9], [-0.3], [0.2]]), np.zeros(3), 0.7), True),
+            (mdl.make_simple_fa([0.6, -0.8], 1.0, [0.9, 1.8]), True),
+            (mdl.make_rigid_sbn(0.5, 0.0), False),
         ],
-        ids=["sbn", "sbn-fixed-zero", "sbn-fixed-mu", "gmm", "gamma_mix", "poisson_mix"],
+        ids=[
+            "sbn", "sbn-fixed-zero", "sbn-fixed-mu", "gmm", "gamma_mix", "poisson_mix",
+            "ppca", "simple_fa", "rigid_sbn",
+        ],
     )
     def test_sbns_and_mixtures_form_no_jacobian(self, model, passes, monkeypatch):
-        # Their eta_jvp gives J_eta(z) beta; a fixed non-zero offset still fails.
+        # Every kind's eta_jvp gives J_eta(z) beta; a fixed non-zero offset
+        # and the tied weights still fail.
         def forbidden(*args, **kwargs):
             raise AssertionError("models.jacobian_eta called")
 
@@ -634,11 +605,11 @@ class TestCriterionCost:
         assert peak <= 32 * 2**20
 
     def test_h12_d20_sbn_check_peaks_below_5_mb(self):
-        # Chunks of 256 states (5200 Jacobian values each) took 10.6 MB each,
-        # for a 12.6 MB peak; chunks of at most _CRITERION_VALUES values
-        # (1 MB) peaked at 2.3 MB. Without a Jacobian the states, eta, the
-        # fitted rows and their residual (0.4, 0.7, 0.7 and 0.7 MB) make a
-        # 1.9 MB peak.
+        # Jacobian chunks of 256 states (5200 values each) took 10.6 MB
+        # each, for a 12.6 MB peak; chunks of at most 2^17 values (1 MB)
+        # peaked at 2.3 MB. Without a Jacobian the states, eta, the fitted
+        # rows and their residual (0.4, 0.7, 0.7 and 0.7 MB) make a 1.9 MB
+        # peak.
         rng = np.random.default_rng(0)
         model = mdl.make_sbn(
             rng.uniform(0.2, 0.8, size=12), rng.normal(size=(20, 12)), rng.normal(size=20)

@@ -18,19 +18,22 @@ from efgen import models as mdl
 from efgen import objective as obj
 from efgen.errors import IncompatibilityError, SupportError, UnsupportedModelError
 from helpers import (
+    assert_jvp_is_the_jacobian_product,
     criterion_with_jvp_bound,
     dense_lstsq,
     elbo_gradient_oracle,
     entropy_rows_reference,
+    eta_jacobian_reference,
     grad_log_partition_oracle,
     kl_form,
     log_partition_oracle,
     pseudo_entropy_oracle,
     repeated_rows,
     rowwise_posterior,
+    sbn_eta_jacobian_reference,
     state_sums_per_point,
     statistics_then_grouped,
-    without_eta_jvp,
+    with_reference_jvp,
 )
 
 
@@ -1014,7 +1017,7 @@ class TestWitnessAgainstDenseLstsq:
             else rng.normal(size=(16, support.dim))
         )
         zeta, eta = model.prior.zeta(psi), model.noise.eta(zs, theta)
-        jac = mdl.jacobian_eta(model, zs)
+        jac = eta_jacobian_reference(model, zs, theta)
         dense = [
             dense_lstsq(a, b)[0] / max(1.0, np.linalg.norm(b))
             for a, b in (
@@ -1028,46 +1031,77 @@ class TestWitnessAgainstDenseLstsq:
         assert report.passes == (kind in CRITERION_KINDS)
 
 
+class TestJvpAgainstReferences:
+    """Every kind's eta_jvp and eta_vjp against its noise Jacobian written
+    out in the tests (helpers.eta_jacobian_reference), at random parameters
+    and states; models.jacobian_eta, built from eta_jvp, equals that
+    Jacobian."""
+
+    @pytest.mark.parametrize("kind", ZOO_KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_jvp_is_the_reference_jacobian_product(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = zoo_model(kind)
+        theta = mdl._random_params(model, rng)[1]
+        support = model.latent_support
+        zs = (
+            np.concatenate([support.states, support.states[::-1]])
+            if isinstance(support, mdl.FiniteStates)
+            else rng.normal(size=(16, support.dim))
+        )
+        assert_jvp_is_the_jacobian_product(model, zs, theta, rng)
+        np.testing.assert_array_equal(
+            mdl.jacobian_eta(model, zs, theta), eta_jacobian_reference(model, zs, theta)
+        )
+
+    @pytest.mark.parametrize("kind", ZOO_KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_vjp_contracts_the_reference_jacobian(self, kind, seed):
+        # Every kind with an eta_vjp trains all of theta, so the reference
+        # over the criterion subset is its whole Jacobian; PPCA and the
+        # factor analyzer state none.
+        rng = np.random.default_rng(seed)
+        model = zoo_model(kind)
+        model = mdl.replace_params(model, *mdl._random_params(model, rng))
+        support = model.latent_support
+        zs = (
+            np.concatenate([support.states, support.states[::-1]])
+            if isinstance(support, mdl.FiniteStates)
+            else rng.normal(size=(16, support.dim))
+        )
+        g = rng.normal(size=(len(zs), model.noise.family.natural_dim))
+        if model.noise.eta_vjp is None:
+            assert kind in ("ppca", "simple_fa")
+            with pytest.raises(UnsupportedModelError, match="eta_vjp"):
+                mdl.vjp_eta(model, zs, g)
+            return
+        np.testing.assert_array_equal(
+            model.noise.theta_subset, np.arange(model.noise.params.size)
+        )
+        jac = eta_jacobian_reference(model, zs, model.noise.params)
+        want = np.einsum("slp,sl->p", jac, g)
+        scale = np.einsum("slp,sl->p", np.abs(jac), np.abs(g))
+        got = mdl.vjp_eta(model, zs, g)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 class TestCriterionJvp:
-    """check_criterion takes J_eta(z) beta from jvp_eta: mixtures and SBNs
-    state an eta_jvp that forms no Jacobian, and every other model takes
-    the chunked Jacobian path, which the hooks must agree with."""
+    """check_criterion takes J_eta(z) beta from each kind's eta_jvp, and its
+    report must agree with one whose eta_jvp contracts the kind's Jacobian
+    written out in the tests (helpers.eta_jacobian_reference)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ZOO_KINDS)
     def test_report_matches_the_jacobian_path(self, kind, seed):
         model = zoo_model(kind)
-        hook = mdl.check_criterion(model, seed)
-        fallback, bound = criterion_with_jvp_bound(without_eta_jvp(model), seed)
-        assert (hook.passes, hook.tested_points) == (fallback.passes, fallback.tested_points)
-        assert hook.prior_residual == fallback.prior_residual
-        assert abs(hook.noise_residual - fallback.noise_residual) <= bound
-
-
-class TestCriterionChunks:
-    """Without an eta_jvp, jvp_eta contracts J_eta beta in chunks of at most
-    models._CRITERION_VALUES Jacobian values, and each state's rows are
-    contracted on their own, so the chunk size moves no residual."""
-
-    @pytest.mark.parametrize("kind", ZOO_KINDS)
-    def test_one_state_per_chunk_gives_an_equal_report(self, kind, monkeypatch):
-        model = without_eta_jvp(zoo_model(kind))
-        default = mdl.check_criterion(model)
-        support = model.latent_support
-        finite = isinstance(support, mdl.FiniteStates)
-        z = support.states[:1] if finite else np.zeros((1, support.dim))
-        chunks = []
-        jacobian_eta = mdl.jacobian_eta
-
-        def counted(model, z, theta=None):
-            chunks.append(len(z))
-            return jacobian_eta(model, z, theta)
-
-        monkeypatch.setattr(mdl, "jacobian_eta", counted)
-        monkeypatch.setattr(mdl, "_CRITERION_VALUES", jacobian_eta(model, z)[0].size)
-        assert mdl.check_criterion(model) == default
-        states = len(support.states) if finite else max(16, 2 * model.noise.theta_subset.size)
-        assert chunks == [1] * states * (default.tested_points // 2)
+        hook, bound = criterion_with_jvp_bound(model, seed)
+        dense = mdl.check_criterion(with_reference_jvp(model), seed)
+        assert (hook.passes, hook.tested_points) == (dense.passes, dense.tested_points)
+        assert hook.prior_residual == dense.prior_residual
+        assert abs(hook.noise_residual - dense.noise_residual) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -1097,16 +1131,21 @@ class TestExactGradient:
         assert ev.grad_norm(model, q) == pytest.approx(5e200, rel=1e-15)
 
     @pytest.mark.parametrize("kind", ["sbn-free-offsets", "sbn-fixed-offsets"])
-    def test_sbn_gradient_forms_no_jacobian(self, kind):
+    def test_sbn_gradient_forms_no_jacobian(self, kind, monkeypatch):
         model, data, _, q = random_point(kind, 5)
+        d, offsets_free = model.noise.family.data_dim, kind == "sbn-free-offsets"
 
-        def forbidden(z, theta):
-            raise AssertionError("eta_jacobian called")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("models.jacobian_eta called")
 
-        blind = replace(model, noise=replace(model.noise, eta_jacobian=forbidden))
-        grad = obj.FiniteObjective(blind, data).gradient(blind, q)
-        # The same contraction through the full (S, L, P) Jacobian.
-        via_jac = replace(model, noise=replace(model.noise, eta_vjp=None))
+        monkeypatch.setattr(mdl, "jacobian_eta", forbidden)
+        grad = obj.FiniteObjective(model, data).gradient(model, q)
+
+        # The same contraction through the full (S, L, P) reference Jacobian.
+        def dense_vjp(z, theta, g):
+            return np.einsum("slp,sl->p", sbn_eta_jacobian_reference(z, d, offsets_free), g)
+
+        via_jac = replace(model, noise=replace(model.noise, eta_vjp=dense_vjp))
         np.testing.assert_allclose(
             grad, obj.FiniteObjective(via_jac, data).gradient(via_jac, q), rtol=1e-12
         )
@@ -1128,7 +1167,7 @@ class TestExactGradient:
             np.array([0.8, -0.5]),
             np.array([0]),
             lambda z, t: z[:, :1] * t,
-            lambda z, t: np.column_stack([z[:, 0], np.zeros(len(z))])[:, :, None],
+            lambda z, t, v: np.column_stack([z[:, 0] * v[0], np.zeros(len(z))]),
             lambda t: t[:1],
         )
         model = mdl.GenerativeModel(
