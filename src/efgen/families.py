@@ -509,12 +509,14 @@ def _poisson_window(lam: float):
 
 def _poisson_entropy_1d(lam: float) -> float:
     if lam >= _POISSON_ASYMPTOTIC_RATE:
-        # H = log(2 pi e lam)/2 - 1/(12 lam) - 1/(24 lam^2) - 19/(360 lam^3) + O(lam^-4)
+        # H = log(2 pi e lam)/2 - 1/(12 lam) - 1/(24 lam^2) - 19/(360 lam^3) + O(lam^-4),
+        # in powers of 1 / lam, which underflow where lam^3 would overflow.
+        inv = 1.0 / lam
         return (
             0.5 * math.log(2.0 * math.pi * math.e * lam)
-            - 1.0 / (12.0 * lam)
-            - 1.0 / (24.0 * lam**2)
-            - 19.0 / (360.0 * lam**3)
+            - inv / 12.0
+            - inv**2 / 24.0
+            - 19.0 * inv**3 / 360.0
         )
     p, log_p, _ = _poisson_window(lam)
     return float(-(p @ log_p))

@@ -277,6 +277,21 @@ def _reading(path: str, what: str):
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
+@contextmanager
+def _at_model_values(where: str):
+    """Arithmetic at a model's parameters, with numpy's overflow, divide and
+    invalid flags raised: a value past float64's range, a covariance
+    singular in float64 or a natural parameter off its domain there is a
+    ConfigError naming where, the field or file that held the model."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (ArithmeticError, DomainError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(
+            f"{where}: the model's values overflow float64 or leave its domain: {exc}"
+        ) from exc
+
+
 def _read_json(path: str, what: str):
     """The JSON value in the file at path, a `what` file. A file that is
     missing, unreadable, not UTF-8, not JSON or nested past the recursion
@@ -552,7 +567,8 @@ def _train_dispatch(config: ExperimentConfig, model: mdl.GenerativeModel, data):
     if kind == "ppca" and config.training.init == "model":
         raise ConfigError("config.training.init: ppca starts from its closed form")
     try:
-        return trainers[kind](model, data, config.training)
+        with _at_model_values("config.model"):
+            return trainers[kind](model, data, config.training)
     except (DegenerateDataError, EmptyClusterError, NewtonConvergenceError, SupportError) as exc:
         too_many_latents = kind == "ppca" and model.latent_support.dim >= data.shape[1]
         where = "config.model.w" if too_many_latents else _data_field(config)
@@ -637,10 +653,11 @@ def cmd_verify(
         ev = obj.evaluator(model, data)
     except (DegenerateDataError, SupportError) as exc:
         raise ConfigError(f"{_data_field(config)}: {exc}") from exc
-    criterion = mdl.check_criterion(model)
-    q = ev.posterior(model)  # both reports and the gradient read one record
-    standard, pseudo = ev.report(model, q), ev.report(model, q, pseudo=True)
-    grad = ev.grad_norm(model, q)
+    with _at_model_values(model_path):
+        criterion = mdl.check_criterion(model)
+        q = ev.posterior(model)  # both reports and the gradient read one record
+        standard, pseudo = ev.report(model, q), ev.report(model, q, pseudo=True)
+        grad = ev.grad_norm(model, q)
     premise = grad < GRAD_NORM_THRESHOLD
 
     verdicts = {

@@ -298,7 +298,8 @@ def em_mixture(model: GenerativeModel, data, config: TrainingConfig) -> Fit:
     ev = obj.FiniteObjective(model, data)
     if config.init == "auto":
         rng = np.random.default_rng(config.seed)
-        model = mixture_m_step(model, *ev.state_sums(_kmeanspp_init(model, ev, rng)))
+        q = ev.record(_kmeanspp_init(model, ev, rng))
+        model = mixture_m_step(model, q.mass, q.stats)
     return _train(ev, model, config, lambda m, q: mixture_m_step(m, q.mass, q.stats))
 
 

@@ -246,18 +246,23 @@ def _natural_prior(family: FamilyDescriptor, psi) -> PriorSpec:
 # mu / sigma2 and 0.5 / sigma2 get squared and multiplied in the Gaussian
 # formulas, so they must stay below a quarter of sqrt(float max). So must
 # sigma2 itself: then sigma2^2 stays finite and (0.5 / sigma2)^2 normal.
+# A gamma component's shape a, rate b and mean a / b stay below it too, so
+# that gammaln(a), a log b and the mean are finite.
 _GAUSSIAN_NATURAL_MAX = 0.25 * math.sqrt(np.finfo(float).max)
 
 
 def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
     """The first mixture component with a non-finite coordinate, within
     rounding of its domain's edge (a Gaussian point mass, a zero Poisson
-    rate, a constant Bernoulli coordinate) or with a Gaussian variance or
-    natural parameter past _GAUSSIAN_NATURAL_MAX; None if there is none.
-    Rounding is relative to each coordinate's weighted mean or mean square,
-    so a row past the edge is flagged too, and a component that passes lies
-    in its family's standard domain (fam.check_standard). make_ef_mixture
-    and the EM M-step refuse such a component."""
+    rate, a constant Bernoulli coordinate, a gamma shape whose natural
+    shape - 1 rounds to -1) or with a Gaussian variance or natural
+    parameter, or a gamma shape, rate or mean shape / rate, past
+    _GAUSSIAN_NATURAL_MAX; None if there is none. Rounding is relative to
+    each coordinate's weighted mean or mean square, and to 1 for the gamma
+    shape, so a row past the edge is flagged too, and a component that
+    passes lies in its family's standard domain (fam.check_standard) with a
+    finite log-partition and mean. make_ef_mixture and the EM M-step refuse
+    such a component."""
     eps, d = np.finfo(float).eps, family.data_dim
     if family.name == "bernoulli_product":
         near = np.minimum(rows, 1.0 - rows) <= eps
@@ -271,8 +276,14 @@ def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
                 | (var >= _GAUSSIAN_NATURAL_MAX)
                 | (np.maximum(np.abs(mu), 0.5) >= _GAUSSIAN_NATURAL_MAX * var)
             )
-    else:  # gamma: the M-step's shape Newton keeps a > 0, and so the rate
-        near = np.zeros(rows.shape, dtype=bool)
+    else:  # gamma (shape, rate)
+        shape, rate = rows[:, :1], rows[:, 1:]
+        with np.errstate(over="ignore"):
+            near = (
+                (shape <= eps)
+                | (np.maximum(shape, rate) >= _GAUSSIAN_NATURAL_MAX)
+                | (shape >= _GAUSSIAN_NATURAL_MAX * rate)
+            )
     hit = near.any(axis=1) | ~np.isfinite(rows).all(axis=1)
     return int(hit.argmax()) if hit.any() else None
 
@@ -414,9 +425,10 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise DomainError("w must be a vector with at least 2 entries")
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
-        raise DomainError("w must be nonzero")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(w)
+    if not 0.0 < norm < math.inf:
+        raise DomainError("w must be nonzero, with a norm that float64 can hold")
     w = w / norm
     d = w.size
     sigma2s = np.asarray(sigma2s, dtype=float)

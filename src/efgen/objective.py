@@ -33,21 +33,22 @@ have the same exact posterior. FiniteObjective keeps each distinct row once,
 in order of first occurrence, with the count of points it stands for, and
 every sum over the points above becomes a count-weighted sum over the U
 distinct rows. Real-valued data, and data with no repeated row, are kept as
-they are (U = N), and no sum is weighted. A caller's table with one row per
-point still evaluates exactly: f1 and f2 sum over its rows, and its masses
-and statistics are summed per distinct row.
+they are (U = N), each with count 1. A caller's table with one row per point
+still evaluates exactly: each of its rows weighs 1.
 
 For finite states the noise term reads q only through each state's mass
-w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n) (state_sums()):
+w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n) (QRecord):
 N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
 last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s), from A and grad A of one
-families.partition() call per model (StateTables). w and B of a table over
-the kept rows are one product with W = [c | c t]^T, each row's count c (1
-unless grouped) and its count-weighted statistics, formed once per dataset.
-A QRecord holds q's table with its w and B, and keeps f1 once a report has
-computed it; the mean state probabilities w / N and f2 = -w . log p(z) / N
-are read from the sums, so every quantity of one q reads one reduction.
+families.partition() call per model (StateTables). A QRecord is q's table
+and its rows' weights [c | c t]^T: each row's count c and its count-weighted
+statistics, formed once per dataset for the kept rows, or [1 | t(x_n)]^T
+for a caller's table with one row per point of grouped data. w and B are
+one product of the weights with the table, f1 weights the row entropies by
+the same counts and is kept once a report has computed it, and the mean
+state probabilities w / N and f2 = -w . log p(z) / N are read from the
+sums, so every quantity of one q reads one reduction.
 
 Two evaluators share one interface (the methods e_step, posterior,
 marginal_loglik, state_table, terms, elbo, report, gradient and grad_norm,
@@ -76,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -254,22 +255,30 @@ class QRecord:
     """Finite-state q reduced once: what FiniteObjective.e_step returns as
     its posterior, and state_table as a caller's q.
 
-    table is q's read-only states-major table, (U, S) over the evaluator's
-    distinct rows or (N, S) over the data points; mass (S,) and stats (S, L)
-    are its state sums w and B, from FiniteObjective.state_sums, and n the
-    number of data points. The state means and f2 are read from the sums;
-    f1 is computed on first use by mean, the evaluator's mean over the
-    points along a table's first axis, and then kept.
+    A record is built from q's states-major table, (U, S) over the
+    evaluator's distinct rows or (N, S) over the data points, made
+    read-only, and its rows' weights (1 + L, rows): W = [c | c t]^T for a
+    table over the distinct rows, each row's count c and its count-weighted
+    statistics, or [1 | t(x_n)]^T for a table with one row per point. Its
+    state sums, each state's mass w_s = sum_n q_ns (S,) and statistics
+    B_s = sum_n q_ns t(x_n) (S, L), are one product (W table)^T (S, 1 + L),
+    whose column 0 is w and the rest B. W is the left factor: OpenBLAS is
+    slow with its few rows as the right one (on a (426, 256) table, one
+    thread, table^T W^T took 138 us against 89 us). n is the number of data
+    points. The state means and f2 are read from the sums; f1 weights the
+    row entropies by row 0 of the weights on first use, and is then kept.
     """
 
-    def __init__(self, table: np.ndarray, mass, stats, n: int, mean: Callable):
-        self.table, self.mass, self.stats, self.n = table, mass, stats, n
-        self._mean = mean
+    def __init__(self, table: np.ndarray, weights: np.ndarray, n: int):
+        table.flags.writeable = False
+        sums = (weights @ table).T
+        self.table, self.mass, self.stats, self.n = table, sums[:, 0], sums[:, 1:], n
+        self._counts = weights[0]
 
     @cached_property
     def f1(self) -> float:
         """-(1/N) sum_n E_q[log q], the mean entropy of q's rows."""
-        return float(self._mean(_entropy_rows(self.table)))
+        return float(np.sum(_entropy_rows(self.table) * self._counts) / self.n)
 
     @property
     def state_means(self) -> np.ndarray:
@@ -336,26 +345,25 @@ class FiniteObjective(_Objective):
     every value is finite, non-negative and integral, a column at a time with
     no (N, D) copy; data that fail are not grouped. Real-valued rows, rows
     that fail that check, and rows none of which repeats are kept as they
-    are, with counts None, and no sum is weighted. The sufficient statistics
-    t (U, L) and log base measures log_h (U,) are then computed on the kept
-    rows only, once; every value sits in one of them, so the family checks
-    every value against its support and refuses one outside it with its own
-    SupportError. The weights W = [c | c t]^T (1 + L, U), each kept row's
-    count c (1 unless grouped) and its count-weighted statistics, and the
-    prior's statistics of the latent states, are computed once too; n stays
-    the number of data points.
+    are, each with count 1: the rows are grouped iff len(rows) < n. The
+    sufficient statistics t (U, L) and log base measures log_h (U,) are then
+    computed on the kept rows only, once; every value sits in one of them,
+    so the family checks every value against its support and refuses one
+    outside it with its own SupportError. The weights W = [c | c t]^T
+    (1 + L, U), each kept row's count c and its count-weighted statistics,
+    and the prior's statistics of the latent states, are computed once too;
+    n stays the number of data points.
     The per-state tables are built once per model by tables(), and kept for
     the latest model. Training, the objective reports and verify all
     evaluate through this class, so they share one arithmetic: the posterior
     subtracts each row's maximum before exponentiating, and 0 log 0 is 0.
 
-    q is a QRecord: a table reduced once to its state sums, one product
-    with W, from which f2 and the state means are read; f1 is kept once
-    computed. e_step returns the posterior as one, over the distinct rows
-    (U, S); state_table reduces a caller's (U, S) table, or (N, S) table
-    with one row per data point, to one. Every mean over the points weights
-    a distinct row of grouped data by its count. With no repeated rows the
-    two coincide, and every table is the one each point would give. terms,
+    q is a QRecord, which record() builds from a table and its rows'
+    weights: W for a table over the kept rows, each point's [1 | t(x_n)]^T
+    for an (N, S) table over grouped rows. e_step returns the posterior as
+    one, over the distinct rows (U, S); state_table checks a caller's
+    (U, S) or (N, S) table and records it. With no repeated rows the two
+    coincide, and every table is the one each point would give. terms,
     gradient, report and both M-steps read the record, so one q is reduced
     once however many of them read it.
     Per-row tables are states-major: loglik and the records' tables are
@@ -377,15 +385,16 @@ class FiniteObjective(_Objective):
         noise = model.noise.family
         data = _check_data(model, data)
         self.n = len(data)
-        self.rows, self.inverse, self.counts = data, np.arange(self.n), None
         # Real-valued rows rarely repeat: looking for repeats would only cost.
         # Integer rows are grouped first; rows that cannot be keys are left
         # whole, for the family to refuse with its own message.
         tops = _column_tops(data) if noise.integer_valued else None
-        if tops is not None:
-            first, inverse, counts = _group_rows(data, tops)
-            if len(first) < self.n:
-                self.rows, self.counts, self.inverse = data[first], counts.astype(float), inverse
+        grouped = None if tops is None else _group_rows(data, tops)
+        if grouped is not None and len(grouped[0]) < self.n:
+            first, self.inverse, counts = grouped
+            self.rows, self.counts = data[first], counts.astype(float)
+        else:
+            self.rows, self.inverse, self.counts = data, np.arange(self.n), np.ones(self.n)
         # Every value sits in some row, so this checks every value's support.
         self.t = fam.batch_sufficient_stats(noise, self.rows)
         size = len(self.rows) * len(self.states)
@@ -394,15 +403,14 @@ class FiniteObjective(_Objective):
                 f"{len(self.rows)} distinct rows times {len(self.states)} latent states make "
                 f"{size} values per table, more than {MAX_TABLE_VALUES}; use fewer rows or latents"
             )
-        # W = [c | c t]^T (1 + L, U), each row's count (1 unless grouped) and
-        # its count-weighted statistics: state sums over a table of the kept
-        # rows are one product with it, and e_step's ELBO one dot with W[0].
-        c = np.ones(len(self.rows)) if self.counts is None else self.counts
+        # W = [c | c t]^T (1 + L, U), each row's count and its count-weighted
+        # statistics: the weights of every record of a table over the kept
+        # rows, and e_step's ELBO is one dot with W[0].
         self._weights = np.empty((1 + self.t.shape[1], len(self.rows)))
-        self._weights[0] = c
-        np.multiply(self.t.T, c, out=self._weights[1:])
+        self._weights[0] = self.counts
+        np.multiply(self.t.T, self.counts, out=self._weights[1:])
         self.log_h = fam.batch_log_base_measure(noise, self.rows)
-        self.mean_log_h = float(self._mean(self.log_h))
+        self.mean_log_h = float(np.sum(self.log_h * self.counts) / self.n)
         self._model = self._tables = None
 
     def tables(self, model: GenerativeModel) -> StateTables:
@@ -436,41 +444,15 @@ class FiniteObjective(_Objective):
             raise ValueError("q's entries must lie in [0, 1]")
         if np.max(np.abs(table.sum(axis=1) - 1.0)) > _ROW_NORM_TOL:
             raise ValueError("q's rows must sum to 1")
-        return self._record(np.array(table, order="F"))
+        return self.record(np.array(table, order="F"))
 
-    def _record(self, table: np.ndarray) -> QRecord:
-        """table, made read-only, with its state sums."""
-        table.flags.writeable = False
-        return QRecord(table, *self.state_sums(table), self.n, self._mean)
-
-    def _over_rows(self, table: np.ndarray) -> bool:
-        """Whether table has one row per distinct row of grouped data (else
-        one per point)."""
-        return self.counts is not None and len(table) == len(self.counts)
-
-    def _mean(self, values: np.ndarray) -> float:
-        """The mean over the data points of values (a vector) given per row
-        of a q table: a distinct row counts as many points as it stands for."""
-        if self._over_rows(values):
-            values = values * self.counts
-        return np.sum(values) / self.n
-
-    def state_sums(self, table: np.ndarray):
-        """Each state's mass w_s = sum_n q_ns (S,) and statistics
-        B_s = sum_n q_ns t(x_n) (S, L) of a table, as a QRecord holds them.
-
-        A table over the kept rows, (U, S) over grouped rows or any table of
-        ungrouped data, gives both in one product, (W table)^T (S, 1 + L),
-        whose column 0 is w and the rest B. W is the left factor: OpenBLAS
-        is slow with its few rows as the right one (on a (426, 256) table,
-        one thread, table^T W^T took 138 us against 89 us). A caller's
-        (N, S) table over grouped rows is first summed per distinct row."""
-        if self.counts is not None and not self._over_rows(table):  # a row per point
-            summed = np.zeros((len(self.counts), table.shape[1]), order="F")
-            np.add.at(summed, self.inverse, table)
-            return summed.sum(axis=0), summed.T @ self.t
-        sums = (self._weights @ table).T
-        return sums[:, 0], sums[:, 1:]
+    def record(self, table: np.ndarray) -> QRecord:
+        """table's QRecord, made read-only. A table over the kept rows is
+        weighted by W; a caller's (N, S) table over grouped rows by each
+        point's [1 | t(x_n)]^T, built per call."""
+        if len(table) == len(self.rows):
+            return QRecord(table, self._weights, self.n)
+        return QRecord(table, np.vstack([np.ones(self.n), self.t[self.inverse].T]), self.n)
 
     def loglik(self, model: GenerativeModel) -> np.ndarray:
         """(U, S) log p(x_u | s) - log h(x_u) of the distinct rows, states-major."""
@@ -494,7 +476,7 @@ class FiniteObjective(_Objective):
         total = scores.sum(axis=0)
         scores /= total
         top += np.log(total)
-        return self._record(scores.T), float(top @ self._weights[0]) / self.n + self.mean_log_h
+        return self.record(scores.T), float(top @ self._weights[0]) / self.n + self.mean_log_h
 
     def terms(self, model: GenerativeModel, q: QRecord, pseudo: bool = False):
         """(f1, f2, f3) of the module docstring; f1 is q's kept one, and f2

@@ -10,7 +10,7 @@ log_partition_oracle and grad_log_partition_oracle the per-quantity chains
 that families.partition replaced (with pseudo_entropy_oracle and
 natural_entropy_oracle, the evaluator's former entropies from naturals),
 weighted_component_update the two-pass reference for the mixture M-step,
-state_sums_per_point the per-point reference for FiniteObjective.state_sums,
+state_sums_per_point the per-point reference for a QRecord's state sums,
 statistics_then_grouped the reference for the evaluator's grouping order,
 kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
 write_dataset_per_cell the byte reference for harness.write_dataset,
@@ -345,7 +345,7 @@ def weighted_component_update(family, data, resp_c, mass_c):
 def state_sums_per_point(ev, table):
     """A FiniteObjective's state sums (mass (S,), statistics (S, L)) from q
     repeated to one row per data point and summed back per distinct row by
-    np.add.at, as state_sums sums a caller's (N, S) table."""
+    np.add.at: the sums a QRecord takes in one product with its weights."""
     points = table[ev.inverse] if len(table) < ev.n else table
     summed = np.zeros((len(ev.rows), table.shape[1]))
     np.add.at(summed, ev.inverse, points)

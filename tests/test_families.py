@@ -472,6 +472,13 @@ class TestPoissonSeries:
         assert entropy == pytest.approx(want_entropy, abs=1e-9)
         assert mean_log_fact == pytest.approx(want_mean_log_fact, rel=1e-11)
 
+    @pytest.mark.parametrize("lam", [1e103, 1e200, 1e300])
+    def test_rates_past_a_finite_cube_give_the_asymptotic_entropy(self, lam):
+        # lam^3 overflows past about 5.6e102; the series' corrections in
+        # powers of 1 / lam underflow there, leaving log(2 pi e lam) / 2.
+        got = fam.entropy(fam.poisson_product(1), [lam])
+        assert got == pytest.approx(float(mp.log(2 * mp.pi * mp.e * lam) / 2), rel=1e-15)
+
 
 class TestPseudoEntropy:
     def test_poisson_unit_rates(self):

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efgen import families as fam
@@ -511,17 +511,17 @@ class TestVerify:
         config = hns.parse_config(gmm_config(tmp_path))
         paths = hns.cmd_train(config)
         sums, entropies = [], []
-        state_sums, entropy_rows = obj.FiniteObjective.state_sums, obj._entropy_rows
+        record, entropy_rows = obj.QRecord.__init__, obj._entropy_rows
 
-        def counted_sums(self, table):
+        def counted_record(self, table, weights, n):
             sums.append(table.shape)
-            return state_sums(self, table)
+            record(self, table, weights, n)
 
         def counted_entropy_rows(table):
             entropies.append(table.shape)
             return entropy_rows(table)
 
-        monkeypatch.setattr(obj.FiniteObjective, "state_sums", counted_sums)
+        monkeypatch.setattr(obj.QRecord, "__init__", counted_record)
         monkeypatch.setattr(obj, "_entropy_rows", counted_entropy_rows)
         hns.cmd_verify(config, paths["model"])
         assert sums == [(200, 2)]
@@ -742,6 +742,79 @@ ONE_GAUSSIAN = {
 }
 
 
+_REAL_ROWS = [
+    [0.5, -1.0, 0.2], [1.5, 2.0, -0.4], [-0.3, 0.7, 1.1], [2.0, 1.0, 0.0], [0.1, -0.2, 0.6]
+]
+_BINARY_ROWS = [[0, 1], [1, 0], [1, 1], [0, 1], [0, 0]]
+_GAMMA_ROWS = [[0.5], [1.0], [2.5], [0.2], [1.7]]
+_PAST_FLOAT64 = "the model's values overflow float64"
+# Models at or past their domain's edge: (kind, as EDGE_MODELS names it,
+# model, dataset, and the start of the message that refuses the model).
+AT_THE_EDGE = {
+    # shape - 1 rounds to -1, and the mean shape / rate overflows.
+    "gamma-shape-1e-17": (
+        "gamma",
+        _mixture("gamma", 1, [[1e-17, 1.0], [2.0, 1.0]]),
+        _GAMMA_ROWS,
+        "component 0 lies at the edge of its domain",
+    ),
+    "gamma-rate-1e-320": (
+        "gamma",
+        _mixture("gamma", 1, [[2.0, 1e-320], [2.0, 1.0]]),
+        _GAMMA_ROWS,
+        "component 0 lies at the edge of its domain",
+    ),
+    "sbn-1.7e308": (
+        "sbn",
+        {"kind": "sbn", "pi": [0.5, 0.5], "w": [[1.7e308, 0.5], [0.2, -1.0]], "mu": [1.7e308, 0.0]},
+        _BINARY_ROWS,
+        _PAST_FLOAT64,
+    ),
+    "ppca-sigma2-1e-300": (
+        "ppca",
+        {"kind": "ppca", "w": [[1.0], [0.5], [0.2]], "mu": [0.0] * 3, "sigma2": 1e-300},
+        _REAL_ROWS,
+        _PAST_FLOAT64,
+    ),
+    "ppca-w-1e200": (
+        "ppca",
+        {"kind": "ppca", "w": [[1e200], [0.5], [0.2]], "mu": [0.0] * 3, "sigma2": 0.5},
+        _REAL_ROWS,
+        _PAST_FLOAT64,
+    ),
+    "simple-fa-tau-1e-300": (
+        "simple_fa",
+        {"kind": "simple_fa", "w": [0.6, 0.8, 0.1], "tau": 1e-300, "sigma2s": [0.5, 2.0, 1.0]},
+        _REAL_ROWS,
+        _PAST_FLOAT64,
+    ),
+}
+
+
+def _verified_from_file(model, rows):
+    """An edit that verifies the model file holding model on a file dataset
+    holding rows; the config's own model is a fine Gaussian mixture of the
+    same data_dim."""
+    d = len(rows[0])
+    fine = _mixture("gaussian_diag_cov", d, [[0.0] * d + [1.0] * d] * 2)
+
+    def edit(raw, tmp_path):
+        _file_dataset(fine, rows)(raw, tmp_path)
+        (tmp_path / "model.json").write_text(json.dumps(model))
+
+    return edit
+
+
+def _trained_from(model, rows):
+    """An edit that trains from model's own parameters on a file dataset holding rows."""
+
+    def edit(raw, tmp_path):
+        _file_dataset(model, rows)(raw, tmp_path)
+        raw["training"]["init"] = "model"
+
+    return edit
+
+
 def _case(command, edit, field, case_id):
     return pytest.param(command, edit, field, id=case_id)
 
@@ -884,6 +957,20 @@ USER_ERRORS = [
         "config.data.path: component 0 collapsed to the edge of its domain",
         "train-large-variance-component",
     ),
+    # Model files and configs whose values float64 cannot evaluate: verify
+    # names the model file, and train, from the model's own parameters, the
+    # config's model.
+    *[
+        _case(
+            "verify", _verified_from_file(model, rows), f"model.json: {message}", f"verify-{name}"
+        )
+        for name, (_, model, rows, message) in AT_THE_EDGE.items()
+    ],
+    *[
+        _case("train", _trained_from(model, rows), f"config.model: {message}", f"train-{name}")
+        for name, (_, model, rows, message) in AT_THE_EDGE.items()
+        if not name.startswith(("ppca", "simple-fa"))  # neither trains from its parameters
+    ],
     # Blocks of the wrong JSON type. An edit that returns a value replaces
     # the whole config with it.
     _case("train", lambda raw, _: 5, "config: must be a JSON object", "config-number"),
@@ -1195,6 +1282,146 @@ def test_a_file_dataset_never_fails_train_or_verify_internally(name, data):
             model_path = os.path.join(tmp, "model.json")
             code = cli_main(["verify", "--config", config, "--model", model_path, "--quiet"])
             assert code in (0, 2), (name, rows)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+# Parameter values at the edges of their domains: magnitudes log-uniform
+# over the whole float range, subnormals included, probabilities within
+# 1e-300 of 0 or of 1 (which is 1.0 itself), and gamma shapes below 1e-16,
+# where shape - 1 rounds to -1.
+_MAGNITUDE = _log_uniform(1e-320, 1e308)
+_SIGNED = st.tuples(_MAGNITUDE, st.sampled_from([1.0, -1.0])).map(math.prod)
+_TINY = _log_uniform(1e-320, 1e-300)
+_PROBABILITY = st.one_of(_TINY, _TINY.map(lambda p: 1.0 - p))
+_GAMMA_SHAPE = st.one_of(_log_uniform(1e-320, 1e-16), _MAGNITUDE)
+
+
+def _edges(values, edge):
+    """Each entry of values (a number or nested lists) kept, or drawn from edge."""
+    if isinstance(values, list):
+        return st.tuples(*[_edges(v, edge) for v in values]).map(list)
+    return st.one_of(st.just(values), edge)
+
+
+def _edge_mixture(family, data_dim, params, edges):
+    """Two components of family whose first weight, and each parameter of
+    column j, drawn by edges[j], may lie at an edge."""
+    rows = st.tuples(
+        *[st.tuples(*[_edges(v, e) for v, e in zip(row, edges)]).map(list) for row in params]
+    ).map(list)
+    return st.builds(
+        lambda w, p: {**_mixture(family, data_dim, p), "weights": [w, 1.0 - w]},
+        _edges(0.5, _PROBABILITY),
+        rows,
+    )
+
+
+def _edge_model(kind, **fields):
+    """A model of kind whose fields, each a (values, edge) pair, may lie at edges."""
+    return st.fixed_dictionaries({k: _edges(v, e) for k, (v, e) in fields.items()}).map(
+        lambda f: {"kind": kind, **f}
+    )
+
+
+# Every trainable or verifiable kind, each with a fixed small dataset.
+EDGE_MODELS = {
+    "gaussian_diag_cov": (
+        _edge_mixture(
+            "gaussian_diag_cov",
+            2,
+            [[-1.0, 0.0, 1.0, 1.0], [1.0, 0.5, 0.5, 2.0]],
+            [_SIGNED] * 2 + [_MAGNITUDE] * 2,
+        ),
+        [row[:2] for row in _REAL_ROWS],
+    ),
+    "gaussian_scalar_var": (
+        _edge_mixture("gaussian_scalar_var", 1, [[-1.0, 1.0], [1.0, 0.5]], [_SIGNED, _MAGNITUDE]),
+        [row[:1] for row in _REAL_ROWS],
+    ),
+    "bernoulli": (
+        _edge_mixture("bernoulli_product", 2, [[0.2, 0.7], [0.8, 0.4]], [_PROBABILITY] * 2),
+        _BINARY_ROWS,
+    ),
+    "poisson": (
+        _edge_mixture("poisson_product", 2, [[1.0, 4.0], [6.0, 0.5]], [_MAGNITUDE] * 2),
+        [[0, 3], [2, 1], [5, 0], [1, 1], [0, 3]],
+    ),
+    "gamma": (
+        _edge_mixture("gamma", 1, [[2.0, 1.0], [5.0, 2.0]], [_GAMMA_SHAPE, _MAGNITUDE]),
+        _GAMMA_ROWS,
+    ),
+    "sbn": (
+        _edge_model(
+            "sbn",
+            pi=([0.3, 0.6], _PROBABILITY),
+            w=([[1.0, -0.5], [0.2, 0.8]], _SIGNED),
+            mu=([0.1, -0.1], _SIGNED),
+        ),
+        _BINARY_ROWS,
+    ),
+    "rigid_sbn": (_edge_model("rigid_sbn", pi=(0.5, _PROBABILITY), v=(0.5, _SIGNED)), _BINARY_ROWS),
+    "ppca": (
+        _edge_model(
+            "ppca",
+            w=([[1.0], [0.5], [0.2]], _SIGNED),
+            mu=([0.0, 0.1, -0.1], _SIGNED),
+            sigma2=(0.5, _MAGNITUDE),
+            tau=(1.0, _MAGNITUDE),
+        ),
+        _REAL_ROWS,
+    ),
+    "simple_fa": (
+        _edge_model(
+            "simple_fa",
+            w=([0.6, 0.8, 0.1], _SIGNED),
+            tau=(1.5, _MAGNITUDE),
+            sigma2s=([0.5, 2.0, 1.0], _MAGNITUDE),
+        ),
+        _REAL_ROWS,
+    ),
+}
+_EDGE_CASES = st.sampled_from(sorted(EDGE_MODELS)).flatmap(
+    lambda name: st.tuples(st.just(name), EDGE_MODELS[name][0])
+)
+
+
+def _at_the_edge(test):
+    """test, run first on every AT_THE_EDGE model from its own parameters."""
+    for kind, model, _, _ in AT_THE_EDGE.values():
+        test = example(case=(kind, model), init="model")(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_EDGE_CASES, init=st.sampled_from(["auto", "model"]))
+@_at_the_edge
+def test_edge_parameters_run_or_are_config_errors(case, init):
+    # verify, and train for two iterations, on a model file or config whose
+    # parameters lie at their domains' edges: each returns or refuses the
+    # model as a user error, with numpy's warnings as errors.
+    name, model = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        _write_rows(path, EDGE_MODELS[name][1])
+        model_path = os.path.join(tmp, "model.json")
+        with open(model_path, "w") as fh:
+            json.dump(model, fh)
+        config = {
+            "schema_version": 1,
+            "run_id": "edges",
+            "model": model,
+            "data": {"source": "file", "path": path},
+            "training": {"max_iters": 2, "init": init},
+            "output": {"dir": tmp},
+        }
+        for command in (lambda c: hns.cmd_verify(c, model_path), hns.cmd_train):
+            try:
+                command(hns.parse_config(config))
+            except ConfigError:
+                pass
 
 
 class TestTrainVerifyAgreement:

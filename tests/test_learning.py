@@ -258,17 +258,17 @@ class TestEmMixture:
             fam.gaussian_scalar_var(1), [0.3, 0.7], np.array([[-1.0, 4.0], [1.0, 4.0]])
         )
         sums, entropies = [], []
-        state_sums, entropy_rows = obj.FiniteObjective.state_sums, obj._entropy_rows
+        record, entropy_rows = obj.QRecord.__init__, obj._entropy_rows
 
-        def counted_sums(self, table):
+        def counted_record(self, table, weights, n):
             sums.append(table.shape)
-            return state_sums(self, table)
+            record(self, table, weights, n)
 
         def counted_entropy_rows(table):
             entropies.append(table.shape)
             return entropy_rows(table)
 
-        monkeypatch.setattr(obj.FiniteObjective, "state_sums", counted_sums)
+        monkeypatch.setattr(obj.QRecord, "__init__", counted_record)
         monkeypatch.setattr(obj, "_entropy_rows", counted_entropy_rows)
         cfg = lrn.TrainingConfig(seed=4, max_iters=5, record_every=1, init="model")
         fit = lrn.em_mixture(start, data, cfg)
@@ -357,8 +357,9 @@ class TestMixtureMStep:
         comp = weighted_component_update(family, data, np.ones(len(data)), len(data))
         model = mdl.make_ef_mixture(family, np.full(c, 1.0 / c), np.tile(comp, (c, 1)))
         ev = obj.FiniteObjective(model, data)
-        assert (ev.counts is not None) == (repeated and family.integer_valued)
-        rows = data if per_point or ev.counts is None else ev.rows
+        assert (len(ev.rows) < ev.n) == (repeated and family.integer_valued)
+        np.testing.assert_array_equal(ev.counts, np.bincount(ev.inverse))
+        rows = data if per_point or len(ev.rows) == ev.n else ev.rows
         q = rng.uniform(0.05, 1.0, size=(len(rows), c))
         q /= q.sum(axis=1, keepdims=True)
         # The oracle's responsibilities: one row per point, or a distinct
@@ -419,7 +420,8 @@ class TestKmeansppInit:
         comp = weighted_component_update(family, data, np.ones(len(data)), len(data))
         model = mdl.make_ef_mixture(family, np.full(c, 1.0 / c), np.tile(comp, (c, 1)))
         ev = obj.FiniteObjective(model, data)
-        assert (ev.counts is not None) == (repeated and family.integer_valued)
+        assert (len(ev.rows) < ev.n) == (repeated and family.integer_valued)
+        np.testing.assert_array_equal(ev.counts, np.bincount(ev.inverse))
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         table = lrn._kmeanspp_init(model, ev, rng)
         oracle = kmeanspp_init_per_point(model, ev, oracle_rng)

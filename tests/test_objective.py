@@ -280,11 +280,11 @@ def check_grouping(ev, data):
     first = [int(np.flatnonzero(ev.inverse == u)[0]) for u in range(len(ev.rows))]
     assert first == sorted(first)
     counts = np.bincount(ev.inverse)
-    if ev.counts is None:  # no row repeats, so none is weighted
-        assert np.all(counts == 1)
-    else:
-        np.testing.assert_array_equal(ev.counts, counts)
+    np.testing.assert_array_equal(ev.counts, counts)
+    if len(ev.rows) < ev.n:  # grouped: some row repeats
         assert np.any(counts > 1)
+    else:  # no row repeats, so each counts once
+        assert np.all(counts == 1)
     assert ev.n == len(data)
 
 
@@ -432,7 +432,9 @@ class TestGroupedRows:
         _, rows = mdl.sample_joint(model, rng, int(rng.integers(1, 30)))
         rows = np.reshape(rows, (len(rows), -1)).astype(float)
         data = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
-        assert obj.evaluator(model, data).counts is None
+        ev = obj.evaluator(model, data)
+        assert len(ev.rows) == ev.n
+        np.testing.assert_array_equal(ev.counts, np.ones(len(data)))
         check_sums_against_the_per_point_oracle(model, data, rng)
 
     @pytest.mark.parametrize("case", ["gaussian-mixture", "bernoulli-distinct"])
@@ -448,7 +450,7 @@ class TestGroupedRows:
             data = rng.permutation(mdl.enumerate_binary_states(6))[:40].astype(float)
         ev = obj.evaluator(model, data)
         assert ev.rows is data or np.array_equal(ev.rows, data)
-        assert ev.counts is None
+        np.testing.assert_array_equal(ev.counts, np.ones(len(data)))
         np.testing.assert_array_equal(ev.inverse, np.arange(len(data)))
         tables = ev.tables(model)
         t = fam.batch_sufficient_stats(model.noise.family, data)
@@ -985,6 +987,60 @@ class TestEntropyRows:
             warnings.simplefilter("error")
             rows = obj._entropy_rows(table)
         np.testing.assert_array_equal(rows, entropy_rows_reference(table))
+
+
+def f1_oracle(points) -> float:
+    """-(1/N) sum_n sum_s q_ns log q_ns of a table with one row per point,
+    in 50 digits, counting 0 log 0 as 0."""
+    with mp.workdps(50):
+        total = mp.fsum(-mp.mpf(p) * mp.log(p) for row in points for p in row if p > 0)
+        return float(total / len(points))
+
+
+class TestZeroLogZero:
+    """f1 counts 0 log 0 as 0 on grouped rows, however q comes: a caller's
+    table over the distinct rows or the points, or the E-step's posterior."""
+
+    weights, rates = (0.3, 0.3, 0.4), (2.0, 3.0, 1000.0)
+
+    def grouped(self):
+        # On counts 0 to 5 the rate-1000 state scores about 1e3 below the others.
+        model = mdl.make_ef_mixture(
+            fam.poisson_product(1), self.weights, np.array(self.rates)[:, None]
+        )
+        data = np.array([[0], [3], [0], [5], [1], [3], [0], [2]], dtype=float)
+        ev = obj.evaluator(model, data)
+        assert len(ev.rows) < ev.n
+        return model, data, ev
+
+    @pytest.mark.parametrize("per_point", [False, True], ids=["distinct-rows", "data-points"])
+    def test_a_callers_table_with_exact_zeros(self, per_point):
+        model, data, ev = self.grouped()
+        table = random_table(np.random.default_rng(5), len(data) if per_point else len(ev.rows), 3)
+        table[::2, 2] = 0.0
+        table[1::3, 0] = 0.0
+        table[0] = [1.0, 0.0, 0.0]
+        table /= table.sum(axis=1, keepdims=True)
+        f1 = ev.state_table(model, table).f1
+        assert math.isfinite(f1)
+        assert f1 == pytest.approx(f1_oracle(table if per_point else table[ev.inverse]), rel=1e-13)
+
+    def test_an_e_step_posterior_whose_exp_underflows(self):
+        model, data, ev = self.grouped()
+        q = ev.posterior(model)
+        assert np.any(q.table == 0.0)
+        with mp.workdps(50):
+            points = []
+            for x in data[:, 0].astype(int).tolist():
+                parts = [
+                    mp.mpf(w) * mp.mpf(r) ** x * mp.exp(-mp.mpf(r))
+                    for w, r in zip(self.weights, self.rates)
+                ]
+                total = mp.fsum(parts)
+                points.append([part / total for part in parts])
+            oracle = f1_oracle(points)
+        assert math.isfinite(q.f1)
+        assert q.f1 == pytest.approx(oracle, rel=1e-13)
 
 
 class TestWitnessAgainstDenseLstsq:
