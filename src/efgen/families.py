@@ -228,10 +228,7 @@ def check_standard(family: FamilyDescriptor, s) -> np.ndarray:
                 "categorical weights must be positive with sum below 1 "
                 "(last state implicit)"
             )
-    elif name == "gaussian_scalar_var":
-        if not (s[..., -1] > 0.0).all():
-            raise DomainError("gaussian variance must be positive")
-    elif name == "gaussian_diag_cov":
+    elif name in ("gaussian_scalar_var", "gaussian_diag_cov"):
         if not (s[..., family.data_dim :] > 0.0).all():
             raise DomainError("gaussian variances must be positive")
     elif name == "gamma":
@@ -549,10 +546,12 @@ def entropy(family: FamilyDescriptor, s):
     elif name == "categorical":
         full = _with_last_state(s)
         out = -(full * np.log(full)).sum(axis=-1)
-    elif name == "gaussian_scalar_var":
-        out = 0.5 * family.data_dim * np.log(2.0 * math.pi * math.e * s[..., -1])
-    elif name == "gaussian_diag_cov":
-        out = 0.5 * np.log(2.0 * math.pi * math.e * s[..., family.data_dim :]).sum(axis=-1)
+    elif name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+        # Each variance column stands for d // columns dimensions: all d for
+        # the scalar variance, one each for the diagonal.
+        d = family.data_dim
+        per_column = d // (family.standard_dim - d)
+        out = 0.5 * per_column * np.log(2.0 * math.pi * math.e * s[..., d:]).sum(axis=-1)
     elif name == "gamma":
         alpha, beta = s[..., 0], s[..., 1]
         out = alpha - np.log(beta) + gammaln(alpha) + (1.0 - alpha) * digamma(alpha)
@@ -607,9 +606,7 @@ def sample(family: FamilyDescriptor, s, rng: np.random.Generator, count: int):
         cdf = np.cumsum(_with_last_state(s), axis=-1)
         cdf /= cdf[..., -1:]
         return (cdf <= rng.random(size)[..., None]).sum(axis=-1)
-    if name == "gaussian_scalar_var":
-        return rng.normal(s[..., :-1], np.sqrt(s[..., -1:]), size=size + (d,))
-    if name == "gaussian_diag_cov":
+    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
         return rng.normal(s[..., :d], np.sqrt(s[..., d:]), size=size + (d,))
     if name == "gamma":
         return rng.gamma(shape=s[..., :1], scale=1.0 / s[..., 1:], size=size + (1,))

@@ -13,8 +13,10 @@ kind: constructor_args reads them back off a model's parameters and shapes.
 Noise maps work on stacks of latent states: eta(Z, theta) takes an (S,)
 array of component indices (mixtures) or an (S, H) array of latent vectors
 and returns the (S, L) natural parameters. Mixtures index rows of their
-component naturals; the linear models compute Z W^T + mu. Every derivative
-is analytic. A PriorSpec needs its zeta_jacobian, and priors trained in
+component naturals; the linear-Gaussian models map their means Z W^T + mu
+(PPCA) or z w (factor analysis) and their noise variances through
+families.to_natural, and the SBNs compute Z W^T + mu. Every derivative is
+analytic. A PriorSpec needs its zeta_jacobian, and priors trained in
 their family's own parameters use the family's natural map and its
 Jacobian. A noise map states products with its Jacobian, never the
 Jacobian: a NoiseSpec needs its eta_jvp, J_eta(z_s) v for each state over
@@ -176,20 +178,17 @@ def _component_natural_jacobian(family: FamilyDescriptor, params: np.ndarray) ->
         last = 1.0 - params.sum(axis=-1)
         diag = np.eye(params.shape[-1]) * (1.0 / params)[..., None, :]
         return diag + (1.0 / last)[..., None, None]
-    if name == "gaussian_scalar_var":
-        mu, s2 = params[..., :-1], params[..., -1:]
-        jac = np.zeros(params.shape[:-1] + (2 * d, d + 1))
-        jac[..., :d, :d] = np.eye(d) / s2[..., None]
-        jac[..., :d, d] = -mu / s2**2
-        jac[..., d:, d] = 0.5 / s2**2
-        return jac
-    if name == "gaussian_diag_cov":
-        mu, s2 = params[..., :d], params[..., d:]
+    if name in ("gaussian_scalar_var", "gaussian_diag_cov"):
+        mu, s2 = params[..., :d], params[..., d:]  # s2 is one tied column, or d
         jac = np.zeros(params.shape[:-1] + (2 * d, 2 * d))
         jac[..., :d, :d] = np.eye(d) * (1.0 / s2)[..., None, :]
         jac[..., :d, d:] = np.eye(d) * (-mu / s2**2)[..., None, :]
         jac[..., d:, d:] = np.eye(d) * (0.5 / s2**2)[..., None, :]
-        return jac
+        if s2.shape[-1] == d:
+            return jac
+        # The tied variance moves all d: its column is the sum of theirs, each
+        # row of which has one non-zero, so the sum is exact.
+        return np.concatenate([jac[..., :d], jac[..., d:].sum(axis=-1, keepdims=True)], axis=-1)
     if name == "gamma":
         return np.broadcast_to(np.array([[1.0, 0.0], [0.0, -1.0]]), params.shape[:-1] + (2, 2))
     if name == "poisson_product":
@@ -251,6 +250,12 @@ def _natural_prior(family: FamilyDescriptor, psi) -> PriorSpec:
 _GAUSSIAN_NATURAL_MAX = 0.25 * math.sqrt(np.finfo(float).max)
 
 
+# The least mixture weight or SBN latent probability: the prior's natural-map
+# Jacobian takes 1 / p, which overflows below float64's smallest normal number.
+_PROBABILITY_MIN = np.finfo(float).tiny
+_PROBABILITY_MIN_TEXT = f"at least float64's smallest normal number, {_PROBABILITY_MIN:.4g}"
+
+
 def collapsed_component(family, rows: np.ndarray, weights: np.ndarray):
     """The first mixture component with a non-finite coordinate, within
     rounding of its domain's edge (a Gaussian point mass, a zero Poisson
@@ -295,9 +300,11 @@ def make_ef_mixture(
 ) -> GenerativeModel:
     """Categorical latent over C components of one exponential family.
 
-    weights is the full length-C probability vector (every entry positive,
-    summing to one); component_params is a (C, standard_dim) array, and no
-    component may lie at the edge of its domain (collapsed_component).
+    weights is the full length-C probability vector, summing to one, every
+    entry at least _PROBABILITY_MIN and 1 - sum(weights[:-1]), the last
+    weight as the prior reads it, positive; component_params is a
+    (C, standard_dim) array, and no component may lie at the edge of its
+    domain (collapsed_component).
     """
     weights = np.asarray(weights, dtype=float)
     c = weights.size
@@ -308,6 +315,10 @@ def make_ef_mixture(
     if abs(weights.sum() - 1.0) > 1e-9:
         raise DomainError("mixture weights must sum to 1")
     weights = weights / weights.sum()
+    if np.any(weights < _PROBABILITY_MIN):
+        raise DomainError(f"mixture weights must be {_PROBABILITY_MIN_TEXT}")
+    if not 1.0 - weights[:-1].sum() > 0.0:  # the last weight as the prior reads it
+        raise DomainError("1 minus the sum of the other mixture weights must be positive")
     comp = np.asarray(component_params, dtype=float)
     ldim = component_family.standard_dim
     if comp.shape != (c, ldim):
@@ -360,17 +371,16 @@ def make_ef_mixture(
 def _scalar_var_gaussian_prior(h: int, tau: float) -> PriorSpec:
     """Zero-mean Gaussian prior on R^h with a single trainable variance."""
 
+    family = fam.gaussian_scalar_var(h)
+
     def zeta(psi):
-        tau = psi[0]
-        if tau <= 0.0:
-            raise DomainError("prior variance must be positive")
-        return np.concatenate([np.zeros(h), np.full(h, -0.5 / tau)])
+        return fam.to_natural(family, np.append(np.zeros(h), psi))
 
     def zeta_jac(psi):
         tau = psi[0]
         return np.concatenate([np.zeros(h), np.full(h, 0.5 / tau**2)])[:, None]
 
-    return PriorSpec(fam.gaussian_scalar_var(h), _frozen([tau]), zeta, zeta_jac, np.negative)
+    return PriorSpec(family, _frozen([tau]), zeta, zeta_jac, np.negative)
 
 
 def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
@@ -397,8 +407,7 @@ def make_ppca(w, mu, sigma2: float, tau: float = 1.0) -> GenerativeModel:
 
     def eta(z, theta):
         mean = _affine_rows(theta[:n_w].reshape(d, h, order="F"), z, theta[n_w : n_w + d])
-        s2 = theta[-1]
-        return np.concatenate([mean / s2, np.full(mean.shape, -0.5 / s2)], axis=1)
+        return fam.to_natural(noise_family, np.column_stack([mean, np.full(len(mean), theta[-1])]))
 
     def eta_jvp(z, theta, v):
         # J_eta(z) is the one column -eta / sigma2.
@@ -441,9 +450,7 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
 
     def eta(z, theta):
         s2, wv = theta[:d], theta[d:]
-        mean_natural = wv * z[:, :1] / s2
-        precision = np.broadcast_to(-0.5 / s2, mean_natural.shape)
-        return np.concatenate([mean_natural, precision], axis=1)
+        return fam.to_natural(noise_family, np.hstack([wv * z[:, :1], np.tile(s2, (len(z), 1))]))
 
     def eta_jvp(z, theta, v):
         # Each half of J_eta(z) is diagonal: -w z / sigma2^2 on the mean
@@ -466,6 +473,7 @@ def make_simple_fa(w, tau: float, sigma2s) -> GenerativeModel:
 def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
     """Sigmoid belief net: Bernoulli latents, Bernoulli observables.
 
+    Each latent probability lies in (0, 1) and is at least _PROBABILITY_MIN.
     The noise natural parameters are W z + mu. With offsets_free=False the
     offsets are frozen constants excluded from the trainable noise vector;
     the single-latent two-observable fixture with mu = 0 uses that form.
@@ -479,6 +487,8 @@ def make_sbn(pi, w, mu=None, offsets_free: bool = True) -> GenerativeModel:
         raise DomainError(f"latent count {h} exceeds enumeration cap {SBN_ENUMERATION_CAP}")
     if not np.all((pi > 0.0) & (pi < 1.0)):
         raise DomainError("latent probabilities must lie in the open (0,1)")
+    if np.any(pi < _PROBABILITY_MIN):
+        raise DomainError(f"latent probabilities must be {_PROBABILITY_MIN_TEXT}")
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[1] != h:
         raise DomainError(f"w must be a (D, {h}) matrix")
@@ -533,6 +543,8 @@ def make_rigid_sbn(pi: float, v: float) -> GenerativeModel:
     """
     if not 0.0 < pi < 1.0:
         raise DomainError("pi must lie in the open (0,1)")
+    if pi < _PROBABILITY_MIN:
+        raise DomainError(f"pi must be {_PROBABILITY_MIN_TEXT}")
 
     noise_family = fam.bernoulli_product(2)
 
@@ -671,17 +683,14 @@ def _random_params(model: GenerativeModel, rng: np.random.Generator):
         logits = rng.normal(0.0, 0.7, size=c)
         pi = np.exp(logits - logits.max())
         pi = pi / pi.sum()
-        draw = {
-            "bernoulli_product": lambda: 1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.2, size=d))),
-            "gaussian_scalar_var": lambda: np.append(
-                rng.normal(0.0, 2.0, size=d), rng.lognormal(0.0, 0.5)
-            ),
-            "gaussian_diag_cov": lambda: np.append(
-                rng.normal(0.0, 2.0, size=d), rng.lognormal(0.0, 0.5, size=d)
+        draw = {  # keyed by the family name's first word: both Gaussians draw alike
+            "bernoulli": lambda: 1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.2, size=d))),
+            "gaussian": lambda: np.append(
+                rng.normal(0.0, 2.0, size=d), rng.lognormal(0.0, 0.5, size=family.standard_dim - d)
             ),
             "gamma": lambda: rng.lognormal(0.5, 0.5, size=2),
-            "poisson_product": lambda: rng.lognormal(0.5, 0.6, size=d),
-        }[family.name]
+            "poisson": lambda: rng.lognormal(0.5, 0.6, size=d),
+        }[family.name.split("_")[0]]
         return pi[:-1], np.concatenate([draw() for _ in range(c)])
     if kind in ("ppca", "simple_fa"):
         psi = np.array([rng.lognormal(0.0, 0.4)])

@@ -314,8 +314,8 @@ class _Objective:
 
     def report(self, model: GenerativeModel, q, pseudo: bool = False) -> ObjectiveReport:
         """The terms and the entropy sum, which share one f1. A finite-state
-        record keeps its f1, f2 and state means, so the standard and pseudo
-        reports of one q compute each once."""
+        record keeps its f1 and reads f2 and the state means from its state
+        sums, so the standard and pseudo reports of one q reduce it once."""
         f1, f2, f3 = self.terms(model, q, pseudo)
         rhs = self._entropy_sum(model, q, f1, pseudo)
         elbo = f1 - f2 - f3

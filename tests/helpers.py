@@ -16,17 +16,22 @@ kmeanspp_init_per_point the per-point reference for the k-means++ seeding,
 write_dataset_per_cell the byte reference for harness.write_dataset,
 read_dataset_as_floats the bit reference for harness.read_dataset,
 write_trace_per_field the byte reference for harness.write_trace, and
-eta_jacobian_reference the noise Jacobian of each zoo kind, written out
-as the constructors wrote it, against which assert_jvp_is_the_jacobian_product
+natural_jacobian_reference each family's natural-map Jacobian, one branch
+per family, eta_jacobian_reference the noise Jacobian of each zoo kind,
+written out as the constructors wrote it, against which assert_jvp_is_the_jacobian_product
 checks the models' eta_jvp hooks, with_reference_jvp the model whose eta_jvp
-contracts that Jacobian, and criterion_with_jvp_bound the criterion report
-with the most that jvp_eta's rounding (JVP_EPS) may move its noise residual.
+contracts that Jacobian, criterion_with_jvp_bound the criterion report
+with the most that jvp_eta's rounding (JVP_EPS) may move its noise residual,
+and mp_report the finite-state reports at 50 digits, each field with the
+scale of its rounding (MpValue).
 """
 
 import math
 import warnings
 from dataclasses import replace
+from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -557,12 +562,44 @@ def sbn_eta_jacobian_reference(z, d, offsets_free):
     return np.concatenate([jac, np.broadcast_to(np.eye(d), (len(z), d, d))], axis=2)
 
 
+def natural_jacobian_reference(family, s):
+    """The Jacobian (..., L, P) of families.to_natural at standard parameter
+    rows s (..., P), one branch per family: each Gaussian written out on its
+    own, the scalar variance's one column holding -mu / sigma2^2 and
+    0.5 / sigma2^2, as models computed it before the scalar-variance Gaussian
+    became the diagonal one with a tied column."""
+    name, d = family.name, family.data_dim
+    if name == "bernoulli_product":
+        return np.eye(d) * (1.0 / (s * (1.0 - s)))[..., None, :]
+    if name == "categorical":
+        last = 1.0 - s.sum(axis=-1)
+        return np.eye(s.shape[-1]) * (1.0 / s)[..., None, :] + (1.0 / last)[..., None, None]
+    if name == "gaussian_scalar_var":
+        mu, s2 = s[..., :-1], s[..., -1:]
+        jac = np.zeros(s.shape[:-1] + (2 * d, d + 1))
+        jac[..., :d, :d] = np.eye(d) / s2[..., None]
+        jac[..., :d, d] = -mu / s2**2
+        jac[..., d:, d] = 0.5 / s2**2
+        return jac
+    if name == "gaussian_diag_cov":
+        mu, s2 = s[..., :d], s[..., d:]
+        jac = np.zeros(s.shape[:-1] + (2 * d, 2 * d))
+        jac[..., :d, :d] = np.eye(d) * (1.0 / s2)[..., None, :]
+        jac[..., :d, d:] = np.eye(d) * (-mu / s2**2)[..., None, :]
+        jac[..., d:, d:] = np.eye(d) * (0.5 / s2**2)[..., None, :]
+        return jac
+    if name == "gamma":
+        return np.broadcast_to(np.array([[1.0, 0.0], [0.0, -1.0]]), s.shape[:-1] + (2, 2))
+    assert name == "poisson_product", name
+    return np.eye(d) * (1.0 / s)[..., None, :]
+
+
 def mixture_eta_jacobian_reference(z, theta, family, c):
     """A mixture's noise Jacobian at an (S,) stack of component indices:
-    each state's component block scattered into a zeros (S, L, C ldim)
-    array."""
+    each state's natural_jacobian_reference block scattered into a zeros
+    (S, L, C ldim) array."""
     z, ldim = np.asarray(z, dtype=int), family.standard_dim
-    blocks = mdl._component_natural_jacobian(family, theta.reshape(c, ldim))
+    blocks = natural_jacobian_reference(family, theta.reshape(c, ldim))
     jac = np.zeros((z.size, family.natural_dim, c, ldim))
     jac[np.arange(z.size), :, z, :] = blocks[z]
     return jac.reshape(z.size, family.natural_dim, c * ldim)
@@ -671,3 +708,278 @@ def write_trace_per_field(path, trace):
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# A 50-digit reference for the objective reports of finite-state models.
+
+
+_EPS = np.finfo(float).eps
+
+
+class MpValue:
+    """A value at 50 digits with its scale: the sum of the magnitudes of the
+    summands that float64 rounds on the way to it, each operation adding its
+    result's magnitude and passing on its inputs' scales, first order, times
+    the magnitudes of its partial derivatives. A float computation of the
+    value in any order then lies within a small multiple of eps times the
+    scale, the multiple growing with the depth of its sums."""
+
+    __slots__ = ("value", "scale")
+
+    def __init__(self, value, scale=0):
+        self.value, self.scale = mp.mpf(value), mp.mpf(scale)
+
+    def __add__(self, other):
+        other = _mp_value(other)
+        value = self.value + other.value
+        return MpValue(value, self.scale + other.scale + abs(value))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MpValue(-self.value, self.scale)
+
+    def __sub__(self, other):
+        return self + -_mp_value(other)
+
+    def __rsub__(self, other):
+        return _mp_value(other) + -self
+
+    def __mul__(self, other):
+        other = _mp_value(other)
+        value = self.value * other.value
+        scale = abs(self.value) * other.scale + abs(other.value) * self.scale + abs(value)
+        return MpValue(value, scale)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _mp_value(other)
+        value = self.value / other.value
+        scale = (self.scale + abs(value) * other.scale) / abs(other.value) + abs(value)
+        return MpValue(value, scale)
+
+    def __rtruediv__(self, other):
+        return _mp_value(other) / self
+
+    def __abs__(self):
+        return MpValue(abs(self.value), self.scale)
+
+
+def _mp_value(x):
+    return x if isinstance(x, MpValue) else MpValue(x)
+
+
+def _mp_apply(f, derivative, x):
+    """f(x) for a library function within a few ulp, such as log or exp."""
+    value = f(x.value)
+    return MpValue(value, abs(derivative(x.value)) * x.scale + abs(value))
+
+
+def mp_log(x):
+    return _mp_apply(mp.log, lambda v: 1 / v, x)
+
+
+def mp_exp(x):
+    return _mp_apply(mp.exp, mp.exp, x)
+
+
+def mp_sum(terms):
+    """A sum of many terms: one rounding's worth of each term's magnitude."""
+    terms = [_mp_value(t) for t in terms]
+    value = mp.fsum(t.value for t in terms)
+    return MpValue(value, mp.fsum(t.scale for t in terms) + mp.fsum(abs(t.value) for t in terms))
+
+
+def mp_dot(a, b):
+    return mp_sum(x * y for x, y in zip(a, b))
+
+
+def _mp_logistic(v):
+    return 1 / (1 + mp.exp(-v))
+
+
+def _mp_logistic_slope(v):
+    return _mp_logistic(v) * _mp_logistic(-v)
+
+
+def _mp_softplus(x):
+    return _mp_apply(lambda v: mp.log1p(mp.exp(v)), _mp_logistic, x)
+
+
+def _mp_natural(family, s):
+    """families.to_natural of one standard parameter row, a list."""
+    name, d = family.name, family.data_dim
+    if name == "bernoulli_product":
+        return [mp_log(p) - _mp_apply(mp.log1p, lambda v: 1 / (1 + v), -p) for p in s]
+    if name == "categorical":
+        log_last = mp_log(1 - mp_sum(s))
+        return [mp_log(p) - log_last for p in s]
+    if name.startswith("gaussian"):
+        variances = s[d:] * d if len(s) == d + 1 else s[d:]
+        return [m / v for m, v in zip(s[:d], variances)] + [-0.5 / v for v in variances]
+    if name == "gamma":
+        return [s[0] - 1.0, -s[1]]
+    return [mp_log(rate) for rate in s]  # poisson_product
+
+
+def _mp_partition(family, n):
+    """(A, grad A) of one natural parameter row, a list."""
+    name, d = family.name, family.data_dim
+    if name == "bernoulli_product":
+        means = [_mp_apply(_mp_logistic, _mp_logistic_slope, v) for v in n]
+        return mp_sum(_mp_softplus(v) for v in n), means
+    if name == "categorical":
+        value = mp_log(1 + mp_sum(mp_exp(v) for v in n))
+        return value, [mp_exp(v - value) for v in n]
+    if name.startswith("gaussian"):
+        a, b = n[:d], n[d:]
+        half_log_2pi = mp.log(2 * mp.pi) / 2
+        value = mp_sum(
+            -0.25 * x * x / y + half_log_2pi - 0.5 * mp_log(-2.0 * y) for x, y in zip(a, b)
+        )
+        mu = [-0.5 * x / y for x, y in zip(a, b)]
+        return value, mu + [m * m - 0.5 / y for m, y in zip(mu, b)]
+    if name == "gamma":
+        shape, rate = n[0] + 1.0, -n[1]
+        log_rate = mp_log(rate)
+        value = _mp_apply(mp.loggamma, mp.digamma, shape) - shape * log_rate
+        digamma = _mp_apply(mp.digamma, lambda v: mp.polygamma(1, v), shape)
+        return value, [digamma - log_rate, shape / rate]
+    means = [mp_exp(v) for v in n]  # poisson_product
+    return mp_sum(means), means
+
+
+def _mp_statistics(family, x):
+    """(t(x), log h(x)) of one data row."""
+    name = family.name
+    if name.startswith("gaussian"):
+        return list(x) + [v * v for v in x], MpValue(0)
+    if name == "gamma":
+        return [mp_log(x[0]), x[0]], MpValue(0)
+    log_h = MpValue(0)
+    if name == "poisson_product":
+        log_h = -mp_sum(MpValue(mp.loggamma(v.value + 1), abs(mp.loggamma(v.value + 1))) for v in x)
+    return list(x), log_h
+
+
+def _mp_poisson_entropy(rate):
+    """(entropy of Pois(rate), its series' cut): the full series, and the most
+    that families.entropy's series leaves out, which stops once the tail mass
+    past a term drops below families._POISSON_TAIL_MASS and starts
+    families._POISSON_WINDOW_SDS standard deviations below the rate. A term
+    left of the window counts in the cut, and so does every term after the
+    first past the rate whose tail mass is below that bound plus (k + 1) eps,
+    the most by which the series' running sum of k + 1 masses can miss its
+    tail."""
+    lam = rate.value
+    log_rate = mp_log(rate)
+    terms, cut, tail = [], mp.mpf(0), mp.mpf(1)
+    start = lam - fam._POISSON_WINDOW_SDS * mp.sqrt(lam)
+    k = 0
+    while k <= lam or tail > mp.mpf(10) ** -40:  # the tail's 50 digits resolve 1e-50
+        log_fact = mp.loggamma(k + 1)
+        log_p = k * log_rate - rate - MpValue(log_fact, log_fact)
+        p = mp_exp(log_p)
+        term = p * log_p
+        terms.append(term)
+        # The series keeps the first term past the rate whose tail falls below
+        # its bound, and cuts every later one: those whose previous term ends
+        # a tail (tail, before this term's mass leaves it) below the bound.
+        if k < start or (k - 1 > lam and tail < fam._POISSON_TAIL_MASS + k * _EPS):
+            cut -= term.value
+        tail -= p.value
+        k += 1
+    return -mp_sum(terms), cut
+
+
+class MpField(NamedTuple):
+    """One report field at 50 digits: its value, its scale, and the cut of
+    the Poisson entropy series it holds (0 elsewhere)."""
+
+    value: object
+    scale: object
+    cut: object
+
+
+def mp_report(model, data):
+    """A finite-state model's reports at its exact posterior, at 50 digits.
+
+    Every quantity is computed from the model's parameters and the data as
+    MpValues, with no float64 arithmetic: the natural maps, log-partitions
+    and their gradients, the posterior by its log-sum-exp, and then f1, f2,
+    f3, the ELBO f1 - f2 - f3, the entropy sum and the gap |elbo - rhs|.
+    Returns {"standard": {field: MpField}, "pseudo": {...}} with the fields
+    of objective.ObjectiveReport.
+    """
+    with mp.workdps(50):
+        return _mp_report(model, data)
+
+
+def _mp_report(model, data):
+    def as_rows(a):
+        return [[MpValue(float(v)) for v in row] for row in np.atleast_2d(a)]
+
+    family, prior = model.noise.family, model.prior.family
+    psi = [MpValue(float(v)) for v in model.prior.params]
+    zeta = _mp_natural(prior, psi)
+    prior_a, prior_mean = _mp_partition(prior, zeta)
+    prior_entropy = prior_a - mp_dot(zeta, prior_mean)
+    states = model.latent_support.states
+    if model.model_kind == "ef_mixture":
+        components = as_rows(model.noise.params.reshape(len(states), -1))
+        etas = [_mp_natural(family, row) for row in components]
+        log_prior = [(zeta[s] if s < len(zeta) else 0) - prior_a for s in range(len(states))]
+    else:  # the SBN kinds: eta = W z + mu
+        if model.model_kind == "rigid_sbn":  # the weights (v, v + 1) and no offsets
+            v = float(model.noise.params[0])
+            w, mu = as_rows([[v], [v + 1.0]]), [MpValue(0)] * 2
+        else:
+            args = mdl.constructor_args(model)
+            w, mu = as_rows(args["w"]), [MpValue(float(m)) for m in args["mu"]]
+        zs = as_rows(states)
+        etas = [[mp_dot(w_row, z) + m for w_row, m in zip(w, mu)] for z in zs]
+        log_prior = [mp_dot(zeta, z) - prior_a for z in zs]
+    parts = [_mp_partition(family, eta) for eta in etas]
+    rows = [_mp_statistics(family, row) for row in as_rows(np.asarray(data, dtype=float))]
+    n = len(rows)
+
+    posterior = []  # (N, S), each row by its log-sum-exp, as e_step takes it
+    for t, _ in rows:
+        scores = [mp_dot(eta, t) - a + lp for eta, (a, _), lp in zip(etas, parts, log_prior)]
+        top = max(scores, key=lambda s: s.value)
+        shifted = [mp_exp(s - top) for s in scores]
+        total = mp_sum(shifted)
+        posterior.append([e / total for e in shifted])
+    by_state = list(zip(*posterior))
+    mass = [mp_sum(qs) for qs in by_state]
+    stats = [[mp_dot(qs, column) for column in zip(*(t for t, _ in rows))] for qs in by_state]
+    f1 = -mp_sum(q * mp_log(q) for q_row in posterior for q in q_row) / n
+    f2 = -mp_dot(mass, log_prior) / n
+    expected = mp_sum(mp_dot(b, eta) for b, eta in zip(stats, etas))
+    expected = expected - mp_dot(mass, [a for a, _ in parts])
+    mean_log_h = mp_sum(log_h for _, log_h in rows) / n
+    qbar = [w / n for w in mass]
+    pseudo_entropies = [a - mp_dot(eta, mean) for eta, (a, mean) in zip(etas, parts)]
+    if family.name == "poisson_product":
+        standard = [[_mp_poisson_entropy(rate) for rate in mean] for _, mean in parts]
+        entropies = [mp_sum(h for h, _ in rates) for rates in standard]
+        cut = mp.fsum(qb.value * mp.fsum(c for _, c in rates) for qb, rates in zip(qbar, standard))
+    else:
+        entropies, cut = pseudo_entropies, mp.mpf(0)
+
+    out = {}
+    for variant, f3, noise_entropies, rhs_cut in (
+        ("standard", -expected / n - mean_log_h, entropies, cut),
+        ("pseudo", -expected / n, pseudo_entropies, mp.mpf(0)),
+    ):
+        elbo = f1 - f2 - f3
+        rhs = f1 - prior_entropy - mp_dot(qbar, noise_entropies)
+        gap = abs(elbo - rhs)
+        fields = dict(f1=f1, f2=f2, f3=f3, elbo=elbo, entropy_sum=rhs, gap=gap)
+        cuts = dict(entropy_sum=rhs_cut, gap=rhs_cut)
+        out[variant] = {
+            k: MpField(v.value, v.scale, cuts.get(k, mp.mpf(0))) for k, v in fields.items()
+        }
+    return out

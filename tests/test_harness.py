@@ -681,6 +681,28 @@ def _model_file(component_params):
     return edit
 
 
+def _from_model_file(base, **fields):
+    """An edit that runs base, on synthetic data of seed 1 and n 200, and
+    verifies the model file holding base updated by fields."""
+
+    def edit(raw, tmp_path):
+        raw.update(model=base, data={"source": "synthetic", "seed": 1, "n": 200})
+        (tmp_path / "model.json").write_text(json.dumps({**base, **fields}))
+
+    return edit
+
+
+def _from_model(base, **fields):
+    """An edit that trains, from its own parameters, base updated by fields,
+    on synthetic data of seed 1 and n 200."""
+
+    def edit(raw, _):
+        raw.update(model={**base, **fields}, data={"source": "synthetic", "seed": 1, "n": 200})
+        raw["training"]["init"] = "model"
+
+    return edit
+
+
 def _large_variance_training(raw, tmp_path):
     """Train one Gaussian from the config's parameters on a dataset whose
     1e100 cell gives it a variance of about 2e199 in the first M-step."""
@@ -728,8 +750,13 @@ def _mixture(family, data_dim, component_params):
 
 
 SBN = {"kind": "sbn", "pi": [0.5], "w": [[1.0], [0.5]]}
+SBN_2 = {"kind": "sbn", "pi": [0.5, 0.5], "w": [[1.0, -0.5], [0.5, 0.2]]}
 POISSON_MIXTURE = _mixture("poisson_product", 1, [[1.0], [6.0]])
 GAMMA_MIXTURE = _mixture("gamma", 1, [[2.0, 1.0], [5.0, 2.0]])
+POISSON_2D = _mixture("poisson_product", 2, [[1.0, 6.0], [7.0, 0.5]])
+TINY_WEIGHT = "mixture weights must be at least float64's smallest normal number"
+TINY_LATENT = "latent probabilities must be at least float64's smallest normal number"
+NO_LAST_WEIGHT = "1 minus the sum of the other mixture weights must be positive"
 POISSON_TOO_LARGE = "poisson observations must be non-negative integers up to 2**53"
 PPCA = {"kind": "ppca", "w": [[1.0], [0.5]], "mu": [0.0, 0.0], "sigma2": 0.5}
 RIGID_SBN = {"kind": "rigid_sbn", "pi": 0.5, "v": 0.0}
@@ -971,6 +998,48 @@ USER_ERRORS = [
         for name, (_, model, rows, message) in AT_THE_EDGE.items()
         if not name.startswith(("ppca", "simple-fa"))  # neither trains from its parameters
     ],
+    # Mixture weights and latent probabilities below float64's smallest
+    # normal number, where the prior's Jacobian takes 1 / p, and weights that
+    # leave no positive last weight 1 - sum(weights[:-1]).
+    _case(
+        "verify",
+        _from_model_file(POISSON_2D, weights=[1e-320, 1.0]),
+        f"model.json: {TINY_WEIGHT}",
+        "verify-weight-1e-320",
+    ),
+    _case(
+        "train",
+        _from_model(POISSON_2D, weights=[1e-320, 1.0]),
+        f"config.model: {TINY_WEIGHT}",
+        "train-weight-1e-320",
+    ),
+    _case(
+        "verify",
+        _from_model_file(POISSON_2D, weights=[1.0, 1e-17]),
+        f"model.json: {NO_LAST_WEIGHT}",
+        "verify-last-weight-0",
+    ),
+    *[
+        _case(
+            command,
+            _model(SBN_2, pi=[1e-320, 0.5]),
+            f"config.model: {TINY_LATENT}",
+            f"{command}-sbn-pi-1e-320",
+        )
+        for command in ("generate", "train")
+    ],
+    _case(
+        "verify",
+        _from_model_file(SBN_2, pi=[1e-320, 0.5]),
+        f"model.json: {TINY_LATENT}",
+        "verify-sbn-pi-1e-320",
+    ),
+    _case(
+        "verify",
+        _from_model_file(RIGID_SBN, pi=1e-320),
+        "model.json: pi must be at least float64's smallest normal number",
+        "verify-rigid-sbn-pi-1e-320",
+    ),
     # Blocks of the wrong JSON type. An edit that returns a value replaces
     # the whole config with it.
     _case("train", lambda raw, _: 5, "config: must be a JSON object", "config-number"),

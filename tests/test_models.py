@@ -22,8 +22,37 @@ from helpers import (
     categorical_prior_jacobian_reference,
     finite_difference_gradient,
     mixture_eta_jacobian_reference,
+    natural_jacobian_reference,
     sbn_eta_jacobian_reference,
 )
+
+
+def standard_rows(family, rng, lead, scale=1.0):
+    """Standard parameter rows of family, of shape lead + (standard_dim,),
+    their means and log rates and log variances spread by scale."""
+    d, size = family.data_dim, lead + (family.data_dim,)
+    name = family.name
+    if name == "bernoulli_product":
+        return rng.uniform(0.01, 0.99, size=size)
+    if name == "categorical":
+        return rng.dirichlet(np.full(family.n_states, 0.5), size=lead)[..., :-1]
+    if name.startswith("gaussian"):
+        means = rng.normal(0.0, 3.0 * scale, size=size)
+        variances = rng.lognormal(0.0, scale, size=lead + (family.standard_dim - d,))
+        return np.concatenate([means, variances], axis=-1)
+    if name == "gamma":
+        return rng.lognormal(0.0, scale, size=lead + (2,))
+    return rng.lognormal(0.0, 2.0 * scale, size=size)
+
+
+FAMILIES_BY_SIZE = {
+    "bernoulli_product": fam.bernoulli_product,
+    "categorical": lambda d: fam.categorical(d + 1),
+    "gaussian_scalar_var": fam.gaussian_scalar_var,
+    "gaussian_diag_cov": fam.gaussian_diag_cov,
+    "gamma": lambda d: fam.gamma_family(),
+    "poisson_product": fam.poisson_product,
+}
 
 
 def gmm_1d(means=(-1.0, 1.0), variances=(1.0, 1.0), weights=(0.5, 0.5)):
@@ -444,20 +473,7 @@ class TestCriterion:
     )
     def test_natural_witness_solves_each_family_jacobian(self, family):
         # A stack of rows, as make_ef_mixture's beta passes its components.
-        rng = np.random.default_rng(0)
-        d = family.data_dim
-        rows = {
-            "bernoulli_product": lambda: rng.uniform(0.01, 0.99, size=(5, d)),
-            "categorical": lambda: rng.dirichlet(np.full(4, 0.5), size=5)[:, :-1],
-            "gaussian_scalar_var": lambda: np.hstack(
-                [rng.normal(0.0, 3.0, size=(5, d)), rng.lognormal(size=(5, 1))]
-            ),
-            "gaussian_diag_cov": lambda: np.hstack(
-                [rng.normal(0.0, 3.0, size=(5, d)), rng.lognormal(size=(5, d))]
-            ),
-            "gamma": lambda: rng.lognormal(size=(5, 2)),
-            "poisson_product": lambda: rng.lognormal(0.0, 2.0, size=(5, d)),
-        }[family.name]()
+        rows = standard_rows(family, np.random.default_rng(0), (5,))
         witness = mdl._natural_witness(family, rows)
         assert witness.shape == rows.shape
         jac = mdl._component_natural_jacobian(family, rows)
@@ -467,6 +483,24 @@ class TestCriterion:
             rtol=1e-13,
             atol=1e-14,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FAMILIES_BY_SIZE)),
+        size=st.integers(1, 4),
+        lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+        scale=st.floats(0.1, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_natural_jacobian_equals_its_reference(self, name, size, lead, scale, seed):
+        # The Gaussians' one branch gives each family's own Jacobian, bit for
+        # bit, on stacks of rows of any leading shape.
+        family = FAMILIES_BY_SIZE[name](size)
+        rows = standard_rows(family, np.random.default_rng(seed), lead, scale)
+        jac = mdl._component_natural_jacobian(family, rows)
+        reference = natural_jacobian_reference(family, rows)
+        assert jac.shape == reference.shape == lead + (family.natural_dim, family.standard_dim)
+        np.testing.assert_array_equal(jac, reference)
 
     def test_rigid_sbn_fails_noise_part(self):
         report = mdl.check_criterion(mdl.make_rigid_sbn(0.5, 0.0), seed=0)
