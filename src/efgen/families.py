@@ -93,12 +93,10 @@ DIMENSIONS = {
 }
 
 # Poisson sums run over a window of lam -+ _POISSON_WINDOW_SDS standard
-# deviations, plus _POISSON_WINDOW_PAD points on the right, and stop early
-# once the remaining tail mass drops below _POISSON_TAIL_MASS. Above
+# deviations, plus _POISSON_WINDOW_PAD points on the right. Above
 # _POISSON_ASYMPTOTIC_RATE the entropy's large-rate series replaces them.
 _POISSON_WINDOW_SDS = 10.0
 _POISSON_WINDOW_PAD = 30
-_POISSON_TAIL_MASS = 1e-13
 _POISSON_ASYMPTOTIC_RATE = 1e4
 # The largest |x| whose square, a Gaussian sufficient statistic, is finite.
 _GAUSSIAN_DATA_MAX = math.sqrt(np.finfo(float).max)
@@ -490,18 +488,14 @@ def _poisson_window(lam: float):
     By Bernstein's inequality the window leaves out less than 1e-19 of the
     mass on each side: P(K >= lam + t) <= exp(-t^2 / (2 (lam + t/3))) <=
     exp(-45) at t = 10 sqrt(lam) + 30, and P(K <= lam - t) <= exp(-t^2 /
-    (2 lam)). The floating-point tail mass 1 - sum(pmf) levels off near
-    1e-13 for rates of a few hundred and more, so the early stop alone
-    would not end the series there.
+    (2 lam)). The sums run over the whole window, so what they leave out is
+    below their own rounding.
     """
     half = _POISSON_WINDOW_SDS * math.sqrt(lam)
     k = np.arange(max(0, math.floor(lam - half)), math.ceil(lam + half) + _POISSON_WINDOW_PAD + 1)
     log_fact = log_factorial(k)
     log_p = k * math.log(lam) - lam - log_fact
-    p = np.exp(log_p)
-    done = (k > lam) & (1.0 - np.cumsum(p) < _POISSON_TAIL_MASS)
-    stop = int(np.argmax(done)) + 1 if done.any() else len(k)
-    return p[:stop], log_p[:stop], log_fact[:stop]
+    return np.exp(log_p), log_p, log_fact
 
 
 def _poisson_entropy_1d(lam: float) -> float:
@@ -535,8 +529,8 @@ def _per_rate(f, rates: np.ndarray) -> np.ndarray:
 def entropy(family: FamilyDescriptor, s):
     """Differential or discrete entropy in nats, from standard parameters.
 
-    Poisson has no closed form; its entropy is a summation with the tail
-    mass cut off below 1e-13 (a window around the rate bounds the terms),
+    Poisson has no closed form; its entropy is a summation over a window
+    around the rate that leaves out less than 1e-19 of the mass on each side,
     or a large-rate asymptotic series above rate 1e4.
     """
     s = check_standard(family, s)

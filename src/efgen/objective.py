@@ -36,8 +36,12 @@ distinct rows. Real-valued data, and data with no repeated row, are kept as
 they are (U = N), each with count 1. A caller's table with one row per point
 still evaluates exactly: each of its rows weighs 1.
 
-For finite states the noise term reads q only through each state's mass
-w_s = sum_n q_ns and statistics B_s = sum_n q_ns t(x_n) (QRecord):
+For finite states the E-step's log joint scores log p(x_u, s) - log h(x_u)
+are one product [eta_s | log p(s) - A(eta_s)] . [t(x_u) | 1] of a per-model
+(S, 1 + L) table with a per-dataset (1 + L, U) one, normalised in place into
+q; only e_step builds the (U, S) log-likelihood table. The noise term reads q
+only through each state's mass w_s = sum_n q_ns and statistics
+B_s = sum_n q_ns t(x_n) (QRecord):
 N f3 = -sum_s [B_s . eta_s - w_s A(eta_s)] - sum_n log h(x_n), without the
 last sum in the pseudo variant. noise_expectation() computes the bracket and
 its eta-gradient G_s = B_s - w_s grad A(eta_s), from A and grad A of one
@@ -155,7 +159,8 @@ class ObjectiveReport:
 class StateTables(NamedTuple):
     """One model's per-state quantities: the noise naturals etas (S, L) with
     their families.partition(), A (S,) and grad A (S, L), as noise_expectation()
-    takes them; the log prior masses (S,); the prior's grad A and entropy."""
+    takes them; the log prior masses (S,); the prior's grad A and entropy; and
+    log_joint = [eta | log p(z) - A(eta)] (S, 1 + L), e_step's left factor."""
 
     etas: np.ndarray
     log_parts: np.ndarray
@@ -163,6 +168,7 @@ class StateTables(NamedTuple):
     log_prior: np.ndarray
     prior_mean: np.ndarray
     prior_entropy: float
+    log_joint: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +357,9 @@ class FiniteObjective(_Objective):
     so the family checks every value against its support and refuses one
     outside it with its own SupportError. The weights W = [c | c t]^T
     (1 + L, U), each kept row's count c and its count-weighted statistics,
-    and the prior's statistics of the latent states, are computed once too;
-    n stays the number of data points.
+    the score factor T = [t | 1]^T (1 + L, U), and the prior's statistics of
+    the latent states, are computed once too; n stays the number of data
+    points.
     The per-state tables are built once per model by tables(), and kept for
     the latest model. Training, the objective reports and verify all
     evaluate through this class, so they share one arithmetic: the posterior
@@ -366,13 +373,14 @@ class FiniteObjective(_Objective):
     coincide, and every table is the one each point would give. terms,
     gradient, report and both M-steps read the record, so one q is reduced
     once however many of them read it.
-    Per-row tables are states-major: loglik and the records' tables are
-    (U, S) or (N, S) transposes of C-ordered arrays. With few states and
-    many rows, every reduction over the rows then runs over contiguous
-    memory.
+    Per-row tables are states-major: the records' tables are (U, S) or
+    (N, S) transposes of C-ordered arrays. With few states and many rows,
+    every reduction over the rows then runs over contiguous memory.
 
     f3 and the gradient read q through its state sums and
-    noise_expectation(); only e_step builds the (U, S) log-likelihood table.
+    noise_expectation(); only e_step builds the (U, S) log-likelihood table,
+    as the log joint scores [eta | log p(z) - A(eta)] T of one product, and
+    normalises it in place into q's table.
     """
 
     def __init__(self, model: GenerativeModel, data):
@@ -409,6 +417,8 @@ class FiniteObjective(_Objective):
         self._weights = np.empty((1 + self.t.shape[1], len(self.rows)))
         self._weights[0] = self.counts
         np.multiply(self.t.T, self.counts, out=self._weights[1:])
+        # T = [t | 1]^T (1 + L, U): e_step's scores are one product with it.
+        self._t_one = np.vstack([self.t.T, np.ones(len(self.rows))])
         self.log_h = fam.batch_log_base_measure(noise, self.rows)
         self.mean_log_h = float(np.sum(self.log_h * self.counts) / self.n)
         self._model = self._tables = None
@@ -424,8 +434,11 @@ class FiniteObjective(_Objective):
             log_prior = self.prior_log_h + fam._dot(zeta, self.prior_t) - prior_log_part
             # Finite-state priors have unit base measures: pseudo-entropy is entropy.
             prior_entropy = float(fam._pseudo_entropy(zeta, prior_log_part, prior_mean))
+            log_joint = np.column_stack([etas, log_prior - log_parts])
             self._model = model
-            self._tables = StateTables(etas, log_parts, means, log_prior, prior_mean, prior_entropy)
+            self._tables = StateTables(
+                etas, log_parts, means, log_prior, prior_mean, prior_entropy, log_joint
+            )
         return self._tables
 
     def state_table(self, model: GenerativeModel, q) -> QRecord:
@@ -454,27 +467,26 @@ class FiniteObjective(_Objective):
             return QRecord(table, self._weights, self.n)
         return QRecord(table, np.vstack([np.ones(self.n), self.t[self.inverse].T]), self.n)
 
-    def loglik(self, model: GenerativeModel) -> np.ndarray:
-        """(U, S) log p(x_u | s) - log h(x_u) of the distinct rows, states-major."""
-        tables = self.tables(model)
-        ll = tables.etas @ self.t.T
-        ll -= tables.log_parts[:, None]
-        return ll.T
-
     def e_step(self, model: GenerativeModel):
         """(q, elbo) from one normalisation: q is the record of the exact
         posterior over the states of each distinct row, a (U, S) states-major
         table (data point n's is row inverse[n]) with its state sums, and
         elbo the ELBO at q, the mean over the points of each row's log
-        normaliser, one dot with the counts W[0], plus mean_log_h. Only the
-        table is (U, S): neither the sums nor the ELBO form a second one."""
-        scores = self.loglik(model).T
-        scores += self.tables(model).log_prior[:, None]
+        normaliser, one dot with the counts W[0], plus mean_log_h.
+
+        The scores log p(x_u, s) - log h(x_u) are one product of the tables'
+        [eta | log p(z) - A(eta)] (S, 1 + L) with T = [t | 1]^T (1 + L, U);
+        each row's maximum is subtracted, the scores are exponentiated in
+        place, and each row is normalised by one multiply with the
+        reciprocal of its total. The scores become q's table: only e_step
+        builds the (U, S) log-likelihood table, and neither the sums nor the
+        ELBO form a second one."""
+        scores = self.tables(model).log_joint @ self._t_one
         top = scores.max(axis=0)
         scores -= top
         np.exp(scores, out=scores)
         total = scores.sum(axis=0)
-        scores /= total
+        scores *= 1.0 / total
         top += np.log(total)
         return self.record(scores.T), float(top @ self._weights[0]) / self.n + self.mean_log_h
 

@@ -384,6 +384,16 @@ def kmeanspp_init_per_point(model, ev, rng):
     return resp / resp.sum(axis=1, keepdims=True)
 
 
+def loglik(ev, model):
+    """(U, S) log p(x_u | s) - log h(x_u) of a FiniteObjective's distinct
+    rows, states-major: the log-likelihood table the E-step built before it
+    formed its log joint scores in one product."""
+    tables = ev.tables(model)
+    ll = tables.etas @ ev.t.T
+    ll -= tables.log_parts[:, None]
+    return ll.T
+
+
 def rowwise_posterior(ev, model):
     """A FiniteObjective's posterior in points-major (N, S) arithmetic.
 
@@ -483,8 +493,8 @@ def kl_form(ev, model, q):
     if isinstance(ev, obj.FiniteObjective):
         if len(q) < ev.n:
             q = q[ev.inverse]
-        loglik = (ev.loglik(model) + ev.log_h[:, None])[ev.inverse]
-        expected_ll = float(np.mean(np.sum(q * loglik, axis=1)))
+        table = (loglik(ev, model) + ev.log_h[:, None])[ev.inverse]
+        expected_ll = float(np.mean(np.sum(q * table, axis=1)))
         kl_rows = -entropy_rows_reference(q) - q @ ev.tables(model).log_prior
         return expected_ll - float(np.mean(kl_rows))
     tau = model.prior.params[0]
@@ -714,9 +724,6 @@ def write_trace_per_field(path, trace):
 # A 50-digit reference for the objective reports of finite-state models.
 
 
-_EPS = np.finfo(float).eps
-
-
 class MpValue:
     """A value at 50 digits with its scale: the sum of the magnitudes of the
     summands that float64 rounds on the way to it, each operation adding its
@@ -865,42 +872,27 @@ def _mp_statistics(family, x):
 
 
 def _mp_poisson_entropy(rate):
-    """(entropy of Pois(rate), its series' cut): the full series, and the most
-    that families.entropy's series leaves out, which stops once the tail mass
-    past a term drops below families._POISSON_TAIL_MASS and starts
-    families._POISSON_WINDOW_SDS standard deviations below the rate. A term
-    left of the window counts in the cut, and so does every term after the
-    first past the rate whose tail mass is below that bound plus (k + 1) eps,
-    the most by which the series' running sum of k + 1 masses can miss its
-    tail."""
+    """The entropy of Pois(rate): its whole series, from k = 0 until the
+    tail mass is below 1e-40."""
     lam = rate.value
     log_rate = mp_log(rate)
-    terms, cut, tail = [], mp.mpf(0), mp.mpf(1)
-    start = lam - fam._POISSON_WINDOW_SDS * mp.sqrt(lam)
+    terms, tail = [], mp.mpf(1)
     k = 0
     while k <= lam or tail > mp.mpf(10) ** -40:  # the tail's 50 digits resolve 1e-50
         log_fact = mp.loggamma(k + 1)
         log_p = k * log_rate - rate - MpValue(log_fact, log_fact)
         p = mp_exp(log_p)
-        term = p * log_p
-        terms.append(term)
-        # The series keeps the first term past the rate whose tail falls below
-        # its bound, and cuts every later one: those whose previous term ends
-        # a tail (tail, before this term's mass leaves it) below the bound.
-        if k < start or (k - 1 > lam and tail < fam._POISSON_TAIL_MASS + k * _EPS):
-            cut -= term.value
+        terms.append(p * log_p)
         tail -= p.value
         k += 1
-    return -mp_sum(terms), cut
+    return -mp_sum(terms)
 
 
 class MpField(NamedTuple):
-    """One report field at 50 digits: its value, its scale, and the cut of
-    the Poisson entropy series it holds (0 elsewhere)."""
+    """One report field at 50 digits: its value and its scale."""
 
     value: object
     scale: object
-    cut: object
 
 
 def mp_report(model, data):
@@ -908,7 +900,9 @@ def mp_report(model, data):
 
     Every quantity is computed from the model's parameters and the data as
     MpValues, with no float64 arithmetic: the natural maps, log-partitions
-    and their gradients, the posterior by its log-sum-exp, and then f1, f2,
+    and their gradients, the posterior by its log-sum-exp (the scores one
+    dot of [eta | log p(z) - A(eta)] with [t | 1], each row normalised by a
+    multiply with its reciprocal total, as e_step takes them), and then f1, f2,
     f3, the ELBO f1 - f2 - f3, the entropy sum and the gap |elbo - rhs|.
     Returns {"standard": {field: MpField}, "pseudo": {...}} with the fields
     of objective.ObjectiveReport.
@@ -947,11 +941,13 @@ def _mp_report(model, data):
 
     posterior = []  # (N, S), each row by its log-sum-exp, as e_step takes it
     for t, _ in rows:
-        scores = [mp_dot(eta, t) - a + lp for eta, (a, _), lp in zip(etas, parts, log_prior)]
+        scores = [
+            mp_dot(eta + [lp - a], t + [1]) for eta, (a, _), lp in zip(etas, parts, log_prior)
+        ]
         top = max(scores, key=lambda s: s.value)
         shifted = [mp_exp(s - top) for s in scores]
-        total = mp_sum(shifted)
-        posterior.append([e / total for e in shifted])
+        reciprocal = 1 / mp_sum(shifted)
+        posterior.append([e * reciprocal for e in shifted])
     by_state = list(zip(*posterior))
     mass = [mp_sum(qs) for qs in by_state]
     stats = [[mp_dot(qs, column) for column in zip(*(t for t, _ in rows))] for qs in by_state]
@@ -963,23 +959,18 @@ def _mp_report(model, data):
     qbar = [w / n for w in mass]
     pseudo_entropies = [a - mp_dot(eta, mean) for eta, (a, mean) in zip(etas, parts)]
     if family.name == "poisson_product":
-        standard = [[_mp_poisson_entropy(rate) for rate in mean] for _, mean in parts]
-        entropies = [mp_sum(h for h, _ in rates) for rates in standard]
-        cut = mp.fsum(qb.value * mp.fsum(c for _, c in rates) for qb, rates in zip(qbar, standard))
+        entropies = [mp_sum(_mp_poisson_entropy(rate) for rate in mean) for _, mean in parts]
     else:
-        entropies, cut = pseudo_entropies, mp.mpf(0)
+        entropies = pseudo_entropies
 
     out = {}
-    for variant, f3, noise_entropies, rhs_cut in (
-        ("standard", -expected / n - mean_log_h, entropies, cut),
-        ("pseudo", -expected / n, pseudo_entropies, mp.mpf(0)),
+    for variant, f3, noise_entropies in (
+        ("standard", -expected / n - mean_log_h, entropies),
+        ("pseudo", -expected / n, pseudo_entropies),
     ):
         elbo = f1 - f2 - f3
         rhs = f1 - prior_entropy - mp_dot(qbar, noise_entropies)
         gap = abs(elbo - rhs)
         fields = dict(f1=f1, f2=f2, f3=f3, elbo=elbo, entropy_sum=rhs, gap=gap)
-        cuts = dict(entropy_sum=rhs_cut, gap=rhs_cut)
-        out[variant] = {
-            k: MpField(v.value, v.scale, cuts.get(k, mp.mpf(0))) for k, v in fields.items()
-        }
+        out[variant] = {k: MpField(v.value, v.scale) for k, v in fields.items()}
     return out

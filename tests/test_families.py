@@ -399,20 +399,19 @@ def mpmath_poisson_sums(lam: float):
 
 
 def loop_poisson_sums(lam: float):
-    """(entropy, E[log K!], number of terms) term by term from k = 0, stopping
-    past lam once the remaining tail mass is below 1e-13. Each log k! is the
-    log of the exact integer k!."""
-    entropy = mean_log_fact = cum = 0.0
-    k = 0
-    while not (k > lam and 1.0 - cum < 1e-13):
+    """(entropy, E[log K!], number of terms) term by term from k = 0 up to
+    the series' window end, lam + 10 sqrt(lam) + 30 rounded up, which is
+    the whole window for rates below 100. Each log k! is the log of the
+    exact integer k!."""
+    entropy = mean_log_fact = 0.0
+    terms = math.ceil(lam + 10.0 * math.sqrt(lam)) + 31
+    for k in range(terms):
         log_fact = math.log(math.factorial(k))
         log_p = k * math.log(lam) - lam - log_fact
         p = math.exp(log_p)
         entropy -= p * log_p
         mean_log_fact += p * log_fact
-        cum += p
-        k += 1
-    return entropy, mean_log_fact, k
+    return entropy, mean_log_fact, terms
 
 
 def mpmath_window_sums(lam: float, terms: int):
@@ -449,6 +448,18 @@ class TestPoissonSeries:
         assert fam.entropy(f, [lam]) == pytest.approx(entropy, rel=1e-14)
         got_mean_log_fact = -fam.expected_log_base_measure(f, [lam])
         assert got_mean_log_fact == pytest.approx(mean_log_fact, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", SMALL_RATES + [0.3, 26.0])
+    def test_small_rates_match_the_whole_series(self, lam):
+        # The window leaves out less than 1e-19 of the mass on each side, so
+        # only rounding separates the sums from the whole series'. A series
+        # cut once its float tail mass falls below 1e-13 misses the entropy
+        # by up to 1.6e-12 relative (at rate 0.3).
+        f = fam.poisson_product(1)
+        entropy, mean_log_fact = mpmath_poisson_sums(lam)
+        assert fam.entropy(f, [lam]) == pytest.approx(entropy, rel=4e-15, abs=0.0)
+        got_mean_log_fact = -fam.expected_log_base_measure(f, [lam])
+        assert got_mean_log_fact == pytest.approx(mean_log_fact, rel=4e-15, abs=0.0)
 
     @pytest.mark.parametrize("lam", [1000.0, 10_000.0])
     def test_terminates_quickly_and_matches_mpmath(self, lam):

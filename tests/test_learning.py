@@ -195,22 +195,31 @@ class TestEmMixture:
         )
 
     def test_one_loglik_table_per_iteration(self, monkeypatch):
-        # The E-step builds the (N, S) log-likelihood table; the ELBO, the
-        # reports and the gradient read q's expected statistics instead.
+        # The E-step builds the (N, S) log-likelihood table, as the product of
+        # the tables' log_joint with [t | 1]^T; the ELBO, the reports and the
+        # gradient read q's expected statistics instead.
         truth, data = separated_gmm(seed=4)
-        builds = []
-        loglik = obj.FiniteObjective.loglik
+        products = []
 
-        def counted(self, *args, **kwargs):
-            builds.append(args)
-            return loglik(self, *args, **kwargs)
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(method)
+                inputs = [np.asarray(x) for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
 
-        monkeypatch.setattr(obj.FiniteObjective, "loglik", counted)
+        tables = obj.FiniteObjective.tables
+
+        def counted(self, model):
+            out = tables(self, model)
+            return out._replace(log_joint=out.log_joint.view(Counted))
+
+        monkeypatch.setattr(obj.FiniteObjective, "tables", counted)
         fit = lrn.em_mixture(truth, data, lrn.TrainingConfig(seed=4, max_iters=5))
         iterations = fit.trace.last().iteration
         assert iterations > 1
         # One more for the posterior the first M-step reads.
-        assert len(builds) == iterations + 1
+        assert len(products) == iterations + 1
 
     def test_training_forms_no_noise_jacobian(self, monkeypatch):
         # The gradient contracts the mixture's eta_vjp and the criterion its
